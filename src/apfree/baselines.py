@@ -53,7 +53,8 @@ def behrend_set(N: int) -> DiscreteSet:
         k, base, radius_sq, elements = 1, N, 1, [1, 2]
     else:
         _, k, base, radius_sq, elements = best
-    assert elements[-1] <= N
+    if elements[-1] > N:
+        raise RuntimeError(f"sphere-digit element {elements[-1]} exceeds N={N}")
     return DiscreteSet(
         kind="integer",
         bound=N,
@@ -78,7 +79,8 @@ def halfbox_set(p: int, n: int) -> DiscreteSet:
     shells = _digit_shells(p, n)
     radius_sq = min(shells, key=lambda r: (-len(shells[r]), r))
     elements = shells[radius_sq]
-    assert len(elements) <= ((p + 1) // 2) ** n
+    if len(elements) > ((p + 1) // 2) ** n:
+        raise RuntimeError(f"sphere shell of {len(elements)} points exceeds the half box")
     return DiscreteSet(
         kind="group",
         moduli=(p,) * n,

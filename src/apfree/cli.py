@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .baselines import behrend_set, halfbox_set
-from .blocks import BuildingBlock, PIECE_LABELS
+from .blocks import BuildingBlock, PIECE_LABELS, clipped_piece_areas
 from .dsets import DiscreteSet
 from .groups import BuildOptions, build_fpn_set, build_group_set
 from .integers import build_integer_set, build_integer_set_direct
@@ -29,7 +29,6 @@ from .verify import (
     check_facts,
     check_midpoint_sums,
     check_x1z1_bound,
-    clipped_areas,
     density_estimate,
 )
 
@@ -56,7 +55,11 @@ def _shift(text: str) -> tuple[Fraction, ...]:
 
 
 def _default_threads() -> int:
-    return int(os.environ.get("APFREE_THREADS", "1"))
+    raw = os.environ.get("APFREE_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"APFREE_THREADS={raw!r} is not an integer") from None
 
 
 def _print(obj) -> None:
@@ -74,7 +77,7 @@ def _report_lines(report) -> None:
 def cmd_area(args) -> int:
     block = BuildingBlock(args.epsilon)
     stated = block.piece_areas()
-    clipped = clipped_areas(args.epsilon)
+    clipped = clipped_piece_areas(args.epsilon)
     total = sum(stated.values(), Fraction(0))
     if args.polygons:
         for poly in block.piece_polygons().values():
@@ -89,7 +92,7 @@ def cmd_area(args) -> int:
         )
     _print({"piece": "total", "exact": rat_str(total), "approx": decimal_str(total)})
     oracle = area_oracle(args.epsilon)
-    agree = all(stated[k] == clipped[k] for k in (1, 2, 3))
+    agree = all(stated[k] == area for k, (area, _) in clipped.items())
     bound_ok = total >= Fraction(7, 24) - args.epsilon
     _print(
         {
@@ -241,36 +244,9 @@ def cmd_density(args) -> int:
 
 def cmd_verify(args) -> int:
     dset = read_set(args.set, args.sidecar)
-    report = dset.verify()
-    if args.all:
-        report.counts["all_counterexamples"] = _all_counterexamples(dset)
+    report = dset.verify(all_counterexamples=args.all)
     _report_lines(report)
     return 0 if report.passed else 1
-
-
-def _all_counterexamples(dset: DiscreteSet) -> list:
-    out = []
-    elems = list(dset.elements)
-    if dset.kind == "integer":
-        member = set(elems)
-        for ai, x in enumerate(elems):
-            for z in elems[ai + 1:]:
-                if (x + z) % 2 == 0 and (x + z) // 2 in member and (x + z) // 2 != x:
-                    out.append({"x": x, "y": (x + z) // 2, "z": z})
-    else:
-        from .verify import _halve_mod
-        from itertools import product as iproduct
-
-        member = set(elems)
-        for ai, x in enumerate(elems):
-            for z in elems[ai + 1:]:
-                per = [_halve_mod(x[i] + z[i], m) for i, m in enumerate(dset.moduli)]
-                if any(not c for c in per):
-                    continue
-                for y in iproduct(*per):
-                    if y in member:
-                        out.append({"x": list(x), "y": list(y), "z": list(z)})
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,10 +337,10 @@ def _validate(args, parser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _validate(args, parser)
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -57,8 +57,9 @@ class DiscreteSet:
             return [",".join(str(r) for r in e) for e in self.elements]
         return [str(x) for x in self.elements]
 
-    def verify(self, subject: str | None = None) -> VerificationReport:
+    def verify(self, subject: str | None = None,
+               all_counterexamples: bool = False) -> VerificationReport:
         name = subject or self.provenance.get("construction", self.kind)
         if self.kind == "group":
-            return verify_group_set(self.moduli, self.elements, subject=name)
-        return verify_integer_set(self.bound, self.elements, subject=name)
+            return verify_group_set(self.moduli, self.elements, name, all_counterexamples)
+        return verify_integer_set(self.bound, self.elements, name, all_counterexamples)

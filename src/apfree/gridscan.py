@@ -1,9 +1,9 @@
-"""Exact scaled-integer kernels for the exhaustive grid sweeps.
+"""Exact scaled-integer block membership and weight, and the grid sweeps.
 
 A grid point with denominator D is stored as its integer numerator pair
 (u, v) meaning (u/D, v/D); every inequality is cross-multiplied so each
 check is a comparison of integer expressions held in numpy int64 arrays.
-This is still exact arithmetic: the bound assertion below rules overflow
+This is still exact arithmetic: the scale check below rules overflow
 out (the largest intermediate is < 3400 * (ed*Q)^2, kept under 2^62 by
 requiring ed*Q <= 2_000_000), and no floats appear anywhere.
 
@@ -12,7 +12,8 @@ an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
 the outer points x, z on the Q-grid and their midpoint candidates on the
 2Q-grid; a single table at denominator 2Q serves both because
 F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
-inequality.
+inequality.  The constructions call ``scaled_piece`` and ``scaled_weight``
+on Python ints, which need no int64 bound.
 """
 
 from __future__ import annotations
@@ -63,14 +64,21 @@ def membership_table(eps: Fraction, D: int) -> np.ndarray:
     return scaled_piece(eps, D, u[:, None], u[None, :])
 
 
+def scaled_weight(eps: Fraction, D: int, U, V):
+    """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2, meaningful where
+    scaled_piece is nonzero; numpy arrays (broadcast) or Python ints."""
+    en, ed = eps.numerator, eps.denominator
+    S = U + V
+    # 4 * D^2 * g(U/D): (2U)^2 below one half, (2U - D)^2 above
+    G = (2 * U - D * (2 * U >= D)) ** 2
+    return 96 * ed * ed * S * S + 6 * en * en * G
+
+
 def weight_table(eps: Fraction, D: int) -> np.ndarray:
     """F4[u, v] = weight((u/D, v/D)) * 4 * en^2 * D^2, or -1 outside the block."""
-    en, ed = eps.numerator, eps.denominator
     tags = membership_table(eps, D)
     u = np.arange(D, dtype=np.int64)
-    s = u[:, None] + u[None, :]
-    gn4 = np.where(2 * u < D, 4 * u * u, (2 * u - D) ** 2)[:, None]
-    f4 = 96 * ed * ed * s * s + 6 * en * en * gn4
+    f4 = scaled_weight(eps, D, u[:, None], u[None, :])
     return np.where(tags > 0, f4, np.int64(-1))
 
 

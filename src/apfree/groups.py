@@ -3,14 +3,16 @@
 A residue tuple r embeds at (a_i + r_i/m_i mod 1); distinct tuples land at
 least 1/max(m) apart in some coordinate.  Taking the pre-image of a slice
 of the block product (or of the [0,delta)^n box when n = 2) therefore
-yields a progression-free set whenever delta <= 1/max(m).  Shifts are
-drawn from an exact rational grid so that every membership test is exact;
-the best shift and slice are selected by counting, and ties break to the
-smallest slice index, then the lexicographically smallest shift.
+yields a progression-free set whenever delta <= 1/max(m).  Each coordinate
+pair is embedded on its own integer grid, so block weights and slice indices
+are exact integer arithmetic (:mod:`apfree.gridscan`).  The best shift and
+slice are selected by counting, and ties break to the smallest slice index,
+then the lexicographically smallest shift.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, replace
@@ -19,6 +21,7 @@ from itertools import product
 
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
+from .gridscan import scaled_piece, scaled_weight
 from .rational import mod1, point_strs, rat_str
 from .slicing import PointN, SliceParams, in_delta_box
 
@@ -69,39 +72,49 @@ def trial_rng(seed: int, stream: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{stream}:{index}")
 
 
-def _pair_slots(moduli, shift, block: BuildingBlock):
+def _pair_slots(moduli, shift, epsilon: Fraction):
     """Per coordinate pair: the residue pairs whose embedding is in the
-    block, with their exact weights."""
-    slots = []
+    block, with their weights.  Pair h lies on the grid
+    D_h = lcm(m1, m2, den(a1), den(a2)); a weight w on the common scale
+    L = lcm(D_h^2) stands for w / (4 en^2 L).  Returns (slots, 4 en^2 L)."""
+    pairs = []
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
-        a1, a2 = shift[2 * h], shift[2 * h + 1]
+        a1, a2 = Fraction(shift[2 * h]), Fraction(shift[2 * h + 1])
+        D = math.lcm(m1, m2, a1.denominator, a2.denominator)
+        b1 = a1.numerator * (D // a1.denominator)
+        b2 = a2.numerator * (D // a2.denominator)
         kept = []
         for r1 in range(m1):
-            q1 = mod1(Fraction(a1) + Fraction(r1, m1))
+            u = (b1 + r1 * (D // m1)) % D
             for r2 in range(m2):
-                q2 = mod1(Fraction(a2) + Fraction(r2, m2))
-                if block.piece_of((q1, q2)) != 0:
-                    kept.append(((r1, r2), block.weight((q1, q2))))
-        slots.append(kept)
-    return slots
+                v = (b2 + r2 * (D // m2)) % D
+                if scaled_piece(epsilon, D, u, v):
+                    kept.append(((r1, r2), scaled_weight(epsilon, D, u, v)))
+        pairs.append((D, kept))
+    L = math.lcm(*(D * D for D, _ in pairs))
+    slots = [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs]
+    return slots, 4 * epsilon.numerator ** 2 * L
 
 
-def _scan_slices(slots, delta: Fraction):
-    """Yield (residue_tuple, slice_index) over the product of the slots."""
-    d2 = delta * delta
+def _scan_slices(moduli, shift, epsilon: Fraction, delta: Fraction):
+    """Yield (residue_tuple, slice_index) over the product of the slots;
+    slice floor(2 (s / scale) / delta^2) is one integer floor division."""
+    epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
+    slots, scale = _pair_slots(moduli, shift, epsilon)
+    num = 2 * delta.denominator ** 2
+    den = scale * delta.numerator ** 2
     for combo in product(*slots):
         residues = tuple(r for (pair, _) in combo for r in pair)
         s = sum(w for (_, w) in combo)
-        yield residues, int((2 * s) // d2)
+        yield residues, (num * s) // den
 
 
 def best_slice(moduli, shift, epsilon: Fraction, delta: Fraction):
     """(j*, count, histogram): j* maximizes the in-slice count, ties to the
     smallest index; histogram maps j -> count over all in-block tuples."""
-    block = BuildingBlock(epsilon)
     histogram: dict[int, int] = {}
-    for _, j in _scan_slices(_pair_slots(moduli, shift, block), delta):
+    for _, j in _scan_slices(moduli, shift, epsilon, delta):
         histogram[j] = histogram.get(j, 0) + 1
     if not histogram:
         return 0, 0, {}
@@ -119,9 +132,7 @@ def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction, delta: Fraction
     if not 0 <= j <= params.max_index():
         elements: list[tuple[int, ...]] = []
     else:
-        block = BuildingBlock(epsilon)
-        slots = _pair_slots(moduli, shift, block)
-        elements = [r for r, jj in _scan_slices(slots, delta) if jj == j]
+        elements = [r for r, jj in _scan_slices(moduli, shift, epsilon, delta) if jj == j]
     return DiscreteSet(
         kind="group",
         moduli=moduli,

@@ -9,7 +9,8 @@ Two routes:
   progression-free set has no integer progression either);
 * direct route: embed x -> a + x*b mod 1 with an exactly-checked b whose
   multiples all clear a width-delta corridor around 0, then take a slice
-  pre-image as in the group case.
+  pre-image as in the group case, on integer numerators over one prime
+  denominator.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import scaled_piece
+from .gridscan import scaled_piece, scaled_weight
 from .groups import BuildOptions, build_group_set, trial_rng
 from .rational import rat_str
 
@@ -55,7 +56,7 @@ def choose_dimension(N: int) -> int:
 
 
 def first_primes(n: int) -> list[int]:
-    """The first n primes; asserts p_n <= 100*n*log2(n) for n >= 2 via the
+    """The first n primes; checks p_n <= 100*n*log2(n) for n >= 2 via the
     integer form 2^p <= n^(100n)."""
     primes: list[int] = []
     candidate = 2
@@ -65,7 +66,8 @@ def first_primes(n: int) -> list[int]:
         candidate += 1
     if n >= 2:
         p = primes[-1]
-        assert 2**p <= n ** (100 * n), f"prime bound violated: p={p}, n={n}"
+        if 2**p > n ** (100 * n):
+            raise RuntimeError(f"prime bound violated: p={p}, n={n}")
     return primes
 
 
@@ -105,9 +107,11 @@ def choose_moduli(N: int, n: int, primes: list[int]) -> list[int]:
         i = min(divisible, key=lambda k: (-moduli[k], k))
         moduli[i] //= primes[i]
     p = max(primes)
-    assert N <= math.prod(moduli) * p and math.prod(moduli) <= N
+    if not math.prod(moduli) <= N <= math.prod(moduli) * p:
+        raise RuntimeError(f"moduli {moduli} have product outside [N/{p}, N] for N={N}")
     for m, q in zip(moduli, primes):
-        assert q <= m and m**n < N * q**n
+        if not (q <= m and m**n < N * q**n):
+            raise RuntimeError(f"modulus {m} outside [{q}, N^(1/n)*{q}) for N={N}, n={n}")
     return moduli
 
 
@@ -229,7 +233,11 @@ def build_integer_set_direct(N: int, n: int | None = None,
         None if n == 2 else Fraction(1, n)
     )
     b_arr = np.array(b_nums, dtype=np.int64)
-    block = BuildingBlock(epsilon) if epsilon is not None else None
+    if epsilon is not None:
+        epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
+        # slice of a row: floor(2 (s / (4 en^2 denom^2)) / delta^2), delta = 1/(4c)
+        slice_den = 4 * epsilon.numerator ** 2 * denom * denom
+        slice_num = 2 * four_c * four_c
     best = None
     for trial in range(options.trials):
         rng = trial_rng(options.seed, "shift", trial)
@@ -246,7 +254,6 @@ def build_integer_set_direct(N: int, n: int | None = None,
             if best is None or key < best[0]:
                 best = (key, a_nums, None, elements)
         else:
-            d2 = delta * delta
             by_slice: dict[int, list[int]] = {}
             for lo in range(1, N + 1, _SCAN_CHUNK):
                 t = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.int64)
@@ -255,17 +262,12 @@ def build_integer_set_direct(N: int, n: int | None = None,
                 for h in range(n // 2):
                     tags = scaled_piece(epsilon, denom, coords[:, 2 * h], coords[:, 2 * h + 1])
                     keep &= tags > 0
-                for row in np.nonzero(keep)[0].tolist():
+                for x, row in zip(t[keep].tolist(), coords[keep].tolist()):
                     s = sum(
-                        block.weight(
-                            (
-                                Fraction(int(coords[row, 2 * h]), denom),
-                                Fraction(int(coords[row, 2 * h + 1]), denom),
-                            )
-                        )
+                        scaled_weight(epsilon, denom, row[2 * h], row[2 * h + 1])
                         for h in range(n // 2)
                     )
-                    by_slice.setdefault(int((2 * s) // d2), []).append(int(t[row]))
+                    by_slice.setdefault((slice_num * s) // slice_den, []).append(x)
             if by_slice:
                 j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj))
                 elements = by_slice[j]

@@ -1,8 +1,9 @@
 """Exact rational plumbing: parsing, rendering, mod-1 reduction.
 
-Every numeric quantity in this package is a ``fractions.Fraction``.  No
-computation anywhere uses floats; decimal renderings are produced by
-integer long division and are for display only.
+Every rational quantity in this package is a ``fractions.Fraction`` or
+an exact integer numerator over a known denominator.  No computation
+anywhere uses floats; decimal renderings are produced by integer long
+division and are for display only.
 """
 
 from __future__ import annotations

@@ -2,19 +2,21 @@
 
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence for
-membership; a failure always comes with a re-checkable counterexample
-triple.  The block-level statements are swept exhaustively over rational
-grids (see :mod:`apfree.gridscan`), and the area of the block is computed
-a second time by half-plane clipping, independently of the stated vertex
+membership; the scan stops at the first progression (a re-checkable
+counterexample triple) or, with ``all_counterexamples``, lists every one.
+The block-level statements are swept exhaustively over rational grids
+(see :mod:`apfree.gridscan`), and the area of the block is computed a
+second time by half-plane clipping, independently of the stated vertex
 lists.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Sequence
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
@@ -61,88 +63,90 @@ def _halve_mod(s: int, m: int) -> tuple[int, ...]:
     return (s // 2, s // 2 + m // 2)
 
 
+def _group_progressions(moduli, elems):
+    """Every progression (x, y, z) with x < z in scan order: pairs {x, z}
+    lexicographically, then the midpoint solutions y in product order."""
+    member = set(elems)
+    for ai, x in enumerate(elems):
+        for z in elems[ai + 1:]:
+            per_coord = [_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)]
+            for y in product(*per_coord):
+                # x != z forces y != x and y != z, so any hit is a violation
+                if y in member:
+                    yield {"x": list(x), "y": list(y), "z": list(z)}
+
+
+def _integer_progressions(elems):
+    """Every progression (x, y, z) with x < y < z, pairs {x, z} in scan order."""
+    member = set(elems)
+    for ai, x in enumerate(elems):
+        for z in elems[ai + 1:]:
+            if (x + z) % 2 == 0 and (x + z) // 2 in member:
+                yield {"x": x, "y": (x + z) // 2, "z": z}
+
+
+def _scan_report(t0: float, progressions, all_counterexamples: bool, **fields):
+    """Report for one pair scan started at t0: the first progression, or with
+    all_counterexamples every one of them under counts["all_counterexamples"].
+    Every unordered pair is in scope, so checked is |A| choose 2."""
+    size = fields["parameters"]["size"]
+    report = VerificationReport(checked=math.comb(size, 2), passed=True, **fields)
+    if all_counterexamples:
+        found = list(progressions)
+        report.counts["all_counterexamples"] = found
+    else:
+        found = list(islice(progressions, 1))
+    if found:
+        report.passed = False
+        report.counterexample = found[0]
+    report.elapsed = time.perf_counter() - t0
+    return report
+
+
 def verify_group_set(
-    moduli: Sequence[int], elements: Sequence[tuple[int, ...]], subject: str = "group-set"
+    moduli: Sequence[int], elements: Sequence[tuple[int, ...]], subject: str = "group-set",
+    all_counterexamples: bool = False,
 ) -> VerificationReport:
     """Exhaustive progression check in Z_m1 x ... x Z_mn.
 
     Scans every unordered pair {x, z} of distinct elements, solves the
     doubled-midpoint congruence coordinatewise and looks the candidates up
-    in the set.  checked equals |A| choose 2.
+    in the set.  The scan stops at the first progression unless
+    all_counterexamples asks for every one.
     """
     t0 = time.perf_counter()
     moduli = tuple(int(m) for m in moduli)
     elems = sorted(tuple(int(r) for r in e) for e in elements)
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
-    n = len(moduli)
     for e in elems:
-        if len(e) != n or any(not 0 <= r < m for r, m in zip(e, moduli)):
+        if len(e) != len(moduli) or any(not 0 <= r < m for r, m in zip(e, moduli)):
             raise ValueError(f"element {e} out of range for moduli {moduli}")
-    member = set(elems)
-    counter = None
-    checked = 0
-    for ai in range(len(elems)):
-        x = elems[ai]
-        for zi in range(ai + 1, len(elems)):
-            z = elems[zi]
-            checked += 1
-            if counter is not None:
-                continue
-            per_coord = [_halve_mod(x[i] + z[i], moduli[i]) for i in range(n)]
-            if any(len(c) == 0 for c in per_coord):
-                continue
-            for y in product(*per_coord):
-                # x != z forces y != x and y != z, so any hit is a violation
-                if y in member:
-                    counter = {"x": list(x), "y": list(y), "z": list(z)}
-                    break
-    report = VerificationReport(
-        subject=subject,
-        mode="group",
-        passed=counter is None,
-        checked=checked,
-        counterexample=counter,
+    return _scan_report(
+        t0, _group_progressions(moduli, elems), all_counterexamples,
+        subject=subject, mode="group",
         parameters={"moduli": list(moduli), "size": len(elems)},
     )
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def verify_integer_set(
-    bound: int, elements: Sequence[int], subject: str = "integer-set"
+    bound: int, elements: Sequence[int], subject: str = "integer-set",
+    all_counterexamples: bool = False,
 ) -> VerificationReport:
-    """Exhaustive progression check in {1,...,N} with bitset membership."""
+    """Exhaustive progression check in {1,...,N}: every pair {x, z} of equal
+    parity looks its midpoint up in the set.  The scan stops at the first
+    progression unless all_counterexamples asks for every one."""
     t0 = time.perf_counter()
     elems = sorted(int(x) for x in elements)
     if elems and not (1 <= elems[0] and elems[-1] <= bound):
         raise ValueError(f"elements outside 1..{bound}")
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
-    mask = 0
-    for v in elems:
-        mask |= 1 << v
-    counter = None
-    checked = 0
-    for ai in range(len(elems)):
-        x = elems[ai]
-        for zi in range(ai + 1, len(elems)):
-            z = elems[zi]
-            checked += 1
-            if counter is None and (x + z) % 2 == 0:
-                y = (x + z) // 2
-                if (mask >> y) & 1 and y != x and y != z:
-                    counter = {"x": x, "y": y, "z": z}
-    report = VerificationReport(
-        subject=subject,
-        mode="integer",
-        passed=counter is None,
-        checked=checked,
-        counterexample=counter,
+    return _scan_report(
+        t0, _integer_progressions(elems), all_counterexamples,
+        subject=subject, mode="integer",
         parameters={"bound": int(bound), "size": len(elems)},
     )
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 # -- block-level property sweeps ------------------------------------------
@@ -228,10 +232,6 @@ def area_oracle(epsilon: Fraction) -> VerificationReport:
     )
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def clipped_areas(epsilon: Fraction) -> dict[int, Fraction]:
-    return {k: a for k, (a, _) in clipped_piece_areas(epsilon).items()}
 
 
 def density_estimate(epsilon: Fraction, m: int) -> VerificationReport:

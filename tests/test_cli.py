@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -158,6 +159,15 @@ class TestConfigFile:
             main(["construct", "zm", "--config", str(config)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_config_usage_error(self, capsys, tmp_path, content):
+        config = tmp_path / "run.json"
+        if content is not None:
+            config.write_text(content)
+        code, _, err = run(capsys, "construct", "zm", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestThreadsFlag:
     def test_env_var_sets_default(self, monkeypatch):
@@ -166,6 +176,14 @@ class TestThreadsFlag:
         monkeypatch.setenv("APFREE_THREADS", "2")
         args = build_parser().parse_args(["area", "--epsilon", "1/12"])
         assert args.threads == 2
+
+    def test_bad_env_value_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("APFREE_THREADS", "abc")
+        code, out, err = run(capsys, "area", "--epsilon", "1/12")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "APFREE_THREADS" in err
+        assert len(err.splitlines()) == 1
 
     def test_flag_overrides_env(self, monkeypatch, capsys):
         monkeypatch.setenv("APFREE_THREADS", "7")
@@ -269,6 +287,26 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert report["counterexample"] is not None
         assert len(report["counts"]["all_counterexamples"]) >= 1
+
+    @pytest.mark.parametrize("kind", ["integer", "group"])
+    def test_all_lists_every_progression(self, capsys, tmp_path, kind):
+        if kind == "integer":
+            meta, lines = {"kind": "integer", "bound": 9}, ["1", "3", "5", "7", "8"]
+            expected = [{"x": 1, "y": 3, "z": 5}, {"x": 3, "y": 5, "z": 7}]
+        else:
+            meta, lines = {"kind": "group", "moduli": [5]}, ["0", "1", "2", "3"]
+            expected = [
+                {"x": [0], "y": [3], "z": [1]}, {"x": [0], "y": [1], "z": [2]},
+                {"x": [1], "y": [2], "z": [3]}, {"x": [2], "y": [0], "z": [3]},
+            ]
+        (tmp_path / "a.set").write_text("".join(line + "\n" for line in lines))
+        (tmp_path / "a.json").write_text(json.dumps(meta))
+        code, out, _ = run(capsys, "verify", "--all", "--set", str(tmp_path / "a.set"))
+        assert code == 1
+        report = json_lines(out)[0]
+        assert report["counts"]["all_counterexamples"] == expected
+        assert report["counterexample"] == expected[0]
+        assert report["checked"] == math.comb(len(lines), 2)
 
     def test_exit_code_two_on_garbage(self, capsys, tmp_path):
         (tmp_path / "x.set").write_text("1\n")

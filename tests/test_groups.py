@@ -5,7 +5,10 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apfree.blocks import BuildingBlock
 from apfree.groups import (
     BuildOptions,
     trial_rng,
@@ -20,7 +23,7 @@ from apfree.groups import (
     slice_preimage_set,
 )
 from apfree.dsets import DiscreteSet
-from apfree.slicing import is_progression_mod1
+from apfree.slicing import SliceParams, is_progression_mod1, slice_index_of, weight_sum
 
 
 class TestEmbedding:
@@ -127,6 +130,59 @@ class TestSlicePreimage:
     def test_odd_moduli_count_rejected(self):
         with pytest.raises(ValueError):
             slice_preimage_set((3, 4, 5), (F(0),) * 3, 0, self.EPS, F(1, 5))
+
+
+def fraction_slices(moduli, shift, epsilon, delta):
+    """In-block residue tuples by slice index, by the Fraction reference
+    code: embed_point, then slicing.weight_sum, then slice_index_of."""
+    block = BuildingBlock(epsilon)
+    params = SliceParams(n=len(moduli), delta=delta, epsilon=epsilon)
+    slices = {}
+    for residues in product(*(range(m) for m in moduli)):
+        p = embed_point(moduli, shift, residues)
+        if all(block.piece_of(p[k:k + 2]) for k in range(0, len(p), 2)):
+            j = slice_index_of(params, weight_sum(block, p))
+            slices.setdefault(j, []).append(residues)
+    return slices
+
+
+@st.composite
+def slice_instances(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    top = {2: 14, 4: 6, 6: 3}[n]
+    moduli = tuple(draw(st.integers(2, top)) for _ in range(n))
+    # explicit shifts off the sampling grid: any denominator, any sign
+    shift = tuple(
+        F(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 7, 11, 13, 16 * m])))
+        for m in moduli
+    )
+    epsilon = draw(st.sampled_from([F(1, n), F(1, 12), F(1, 24)]))
+    delta = F(1, max(moduli)) * F(draw(st.integers(1, 5)), draw(st.integers(5, 9)))
+    return moduli, shift, epsilon, delta
+
+
+class TestScaledIntegerKernel:
+    @given(slice_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_histogram_matches_fraction_oracle(self, instance):
+        moduli, shift, epsilon, delta = instance
+        j, count, histogram = best_slice(moduli, shift, epsilon, delta)
+        slices = fraction_slices(moduli, shift, epsilon, delta)
+        assert histogram == {jj: len(slices[jj]) for jj in sorted(slices)}
+        assert count == histogram.get(j, 0)
+
+    def test_sevenths_shift_preimage_matches_oracle(self):
+        moduli, shift = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7))
+        epsilon, delta = F(1, 12), F(1, 7)
+        j, _, _ = best_slice(moduli, shift, epsilon, delta)
+        dset = slice_preimage_set(moduli, shift, j, epsilon, delta)
+        assert dset.size > 0
+        assert list(dset.elements) == fraction_slices(moduli, shift, epsilon, delta)[j]
+
+    @pytest.mark.parametrize("epsilon", [F(0), F(1), F(-1, 12)])
+    def test_epsilon_validated(self, epsilon):
+        with pytest.raises(ValueError):
+            best_slice((4, 4), (F(0), F(0)), epsilon, F(1, 4))
 
 
 class TestSearchShift:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apfree.blocks import BuildingBlock
 from apfree.groups import BuildOptions
 from apfree.integers import (
     ParameterError,
@@ -22,6 +23,7 @@ from apfree.integers import (
     int_nthroot_ceil,
     separation_ok,
 )
+from apfree.slicing import SliceParams, slice_index_of, weight_sum
 
 
 class TestChooseDimension:
@@ -206,6 +208,31 @@ class TestDirectRoute:
                 v = (t * bi) % 1
                 dists.append(min(v, 1 - v))
             assert max(dists) > delta
+
+    @pytest.mark.parametrize("N, n, epsilon", [
+        (600, 4, None), (900, 4, F(1, 24)), (700, 6, F(1, 7)), (500, 4, F(1, 12)),
+    ])
+    def test_slice_rows_match_fraction_oracle(self, N, n, epsilon):
+        """Every x in 1..N embeds at a + x*b mod 1.  By the Fraction weight
+        sums of the rows in the block product, the recorded slice is the
+        fullest one (ties to the smallest index) and holds exactly the kept
+        rows."""
+        dset = build_integer_set_direct(
+            N, n=n, options=BuildOptions(epsilon=epsilon, seed=3, trials=3))
+        prov = dset.provenance
+        block = BuildingBlock(F(prov["epsilon"]))
+        params = SliceParams(n=n, delta=F(prov["delta"]), epsilon=block.epsilon)
+        a = [F(s) for s in prov["shift"]]
+        b = [F(s) for s in prov["direction"]]
+        by_slice = {}
+        for x in range(1, N + 1):
+            p = tuple((ai + x * bi) % 1 for ai, bi in zip(a, b))
+            if all(block.piece_of(p[k:k + 2]) for k in range(0, n, 2)):
+                j = slice_index_of(params, weight_sum(block, p))
+                by_slice.setdefault(j, []).append(x)
+        j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj))
+        assert prov["slice_index"] == j
+        assert list(dset.elements) == by_slice[j]
 
     def test_separation_check_rejects_zero_direction(self):
         assert not separation_ok([0, 1], 101, 50, 8)

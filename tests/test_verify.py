@@ -127,6 +127,82 @@ class TestIntegerVerifier:
         assert base == mapped
 
 
+def brute_group_progressions(moduli, elements):
+    """Every (x, y, z) with x < z and 2y = x + z coordinatewise, by trying
+    every y of the set; sorted by (x, z, y), the verifier's scan order."""
+    elems = sorted(elements)
+    return [
+        {"x": list(x), "y": list(y), "z": list(z)}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        for y in elems
+        if all((xi + zi - 2 * yi) % m == 0 for xi, yi, zi, m in zip(x, y, z, moduli))
+    ]
+
+
+def brute_integer_progressions(elements):
+    elems = sorted(elements)
+    return [
+        {"x": x, "y": y, "z": z}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        for y in elems
+        if x + z == 2 * y
+    ]
+
+
+group_sets = st.sampled_from([(4,), (9,), (4, 3), (6, 6), (2, 3, 4), (8, 5)]).flatmap(
+    lambda moduli: st.tuples(
+        st.just(moduli),
+        st.sets(st.tuples(*(st.integers(0, m - 1) for m in moduli)), max_size=14),
+    )
+)
+
+
+class TestAllCounterexamples:
+    @given(group_sets)
+    @settings(max_examples=80, deadline=None)
+    def test_group_lists_bruteforce_triples_in_scan_order(self, case):
+        moduli, elements = case
+        expected = brute_group_progressions(moduli, elements)
+        report = verify_group_set(moduli, elements, all_counterexamples=True)
+        assert report.counts["all_counterexamples"] == expected
+        assert report.passed == (not expected)
+        assert report.counterexample == (expected[0] if expected else None)
+        assert report.checked == math.comb(len(elements), 2)
+
+    @given(st.sets(st.integers(min_value=1, max_value=80), max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_integer_lists_bruteforce_triples_in_scan_order(self, elements):
+        expected = brute_integer_progressions(elements)
+        report = verify_integer_set(80, elements, all_counterexamples=True)
+        assert report.counts["all_counterexamples"] == expected
+        assert report.passed == (not expected)
+        assert report.counterexample == (expected[0] if expected else None)
+        assert report.checked == math.comb(len(elements), 2)
+
+    def test_first_hit_mode_leaves_counts_empty(self):
+        report = verify_integer_set(10, [1, 2, 3, 4, 5])
+        assert report.counts == {}
+        assert report.counterexample == {"x": 1, "y": 2, "z": 3}
+
+
+class TestCheckedOnFailingSets:
+    @given(st.sets(st.integers(min_value=1, max_value=40), min_size=3, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_checked_is_pair_count(self, elements):
+        elements = elements | {1, 2, 3}  # always a progression
+        report = verify_integer_set(40, elements)
+        assert not report.passed
+        assert report.checked == math.comb(len(elements), 2)
+
+    def test_group_checked_is_pair_count(self):
+        elements = [(i, j) for i in range(5) for j in range(3)]
+        report = verify_group_set((5, 3), elements)
+        assert not report.passed
+        assert report.checked == math.comb(len(elements), 2)
+
+
 class TestSweepKernels:
     def test_membership_table_matches_api(self):
         eps, q = F(1, 12), 48
