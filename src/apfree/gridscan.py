@@ -12,8 +12,11 @@ an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
 the outer points x, z on the Q-grid and their midpoint candidates on the
 2Q-grid; a single table at denominator 2Q serves both because
 F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
-inequality.  The constructions call ``scaled_piece`` and ``scaled_weight``
-on Python ints, which need no int64 bound.
+inequality.  The constructions' region is the block (``scaled_piece``) or
+the [0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
+pair), whose points all weigh 0.  The group route tests and weighs on
+Python ints, which need no int64 bound; the direct route tests int64 rows,
+kept exact by ``region_factor``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,23 @@ def scaled_piece(eps: Fraction, D: int, U, V):
         tags[in_t3] = 3
         return tags
     return 1 if in_t1 else 2 if in_t2 else 3 if in_t3 else 0
+
+
+def scaled_below(delta: Fraction, D: int, U):
+    """Membership of the coordinates U/D, 0 <= U < D, in [0,delta); numpy
+    arrays or Python ints."""
+    return delta.denominator * U < delta.numerator * D
+
+
+def scaled_box(delta: Fraction, D: int, U, V):
+    """Membership of the points (U/D, V/D) in the box [0,delta)^2."""
+    return scaled_below(delta, D, U) & scaled_below(delta, D, V)
+
+
+def region_factor(eps: Fraction | None, delta: Fraction) -> int:
+    """scaled_piece (eps) or scaled_box (eps None, 0 < delta < 1) on
+    numerators in [0, D) keeps every intermediate below this times D."""
+    return delta.denominator if eps is None else 16 * eps.denominator
 
 
 def membership_table(eps: Fraction, D: int) -> np.ndarray:

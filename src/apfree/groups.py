@@ -1,13 +1,14 @@
 """Progression-free subsets of Z_m1 x ... x Z_mn by shifted torus embedding.
 
 A residue tuple r embeds at (a_i + r_i/m_i mod 1); distinct tuples land at
-least 1/max(m) apart in some coordinate.  Taking the pre-image of a slice
-of the block product (or of the [0,delta)^n box when n = 2) therefore
-yields a progression-free set whenever delta <= 1/max(m).  Each coordinate
-pair is embedded on its own integer grid, so block weights and slice indices
-are exact integer arithmetic (:mod:`apfree.gridscan`).  The best shift and
-slice are selected by counting, and ties break to the smallest slice index,
-then the lexicographically smallest shift.
+least 1/max(m) apart in some coordinate.  Taking the pre-image of a weight
+slice of a region (the block product, or for n = 2 without epsilon the
+[0,delta)^2 box, whose points all weigh 0) therefore yields a
+progression-free set whenever delta <= 1/max(m).  Each coordinate pair is
+embedded on its own integer grid, so region tests, weights and slice
+indices are exact integer arithmetic (:mod:`apfree.gridscan`).  The best
+shift and slice are selected by counting, and ties break to the smallest
+slice index, then the lexicographically smallest shift.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from itertools import product
 
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import scaled_piece, scaled_weight
+from .gridscan import scaled_below, scaled_piece, scaled_weight
 from .rational import mod1, point_strs, rat_str
-from .slicing import PointN, SliceParams, in_delta_box
+from .slicing import PointN
 
 SHIFT_GRID_LEVEL = 16
 
@@ -72,11 +73,35 @@ def trial_rng(seed: int, stream: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{stream}:{index}")
 
 
-def _pair_slots(moduli, shift, epsilon: Fraction):
-    """Per coordinate pair: the residue pairs whose embedding is in the
-    block, with their weights.  Pair h lies on the grid
-    D_h = lcm(m1, m2, den(a1), den(a2)); a weight w on the common scale
-    L = lcm(D_h^2) stands for w / (4 en^2 L).  Returns (slots, 4 en^2 L)."""
+def region_epsilon(epsilon: Fraction | None, n: int) -> Fraction | None:
+    """The region's epsilon, validated; without one, n = 2 keeps the box
+    (None) and larger n the block with epsilon 1/n."""
+    if epsilon is None:
+        return None if n == 2 else Fraction(1, n)
+    return BuildingBlock(epsilon).epsilon
+
+
+def _check_delta(delta) -> Fraction:
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError(f"delta={delta} outside (0,1)")
+    return delta
+
+
+def slice_ratio(epsilon: Fraction | None, delta: Fraction, L: int) -> tuple[int, int]:
+    """(num, den) such that a weight sum s, standing for s / (4 en^2 L), lies
+    in slice floor(2 (s / (4 en^2 L)) / delta^2) = (num * s) // den.  Box
+    points all weigh 0, so any scale serves the box (en = 1)."""
+    en = 1 if epsilon is None else epsilon.numerator
+    return 2 * delta.denominator ** 2, 4 * en ** 2 * L * delta.numerator ** 2
+
+
+def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction):
+    """Per coordinate pair: the residue pairs in the region, with their
+    weights.  The box (epsilon None) is a product of intervals, so each
+    coordinate is tested alone and every kept pair weighs 0.  Pair h lies on
+    the grid D_h = lcm(m1, m2, den(a1), den(a2)); weights are put on the
+    common scale L = lcm(D_h^2).  Returns (slots, L)."""
     pairs = []
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
@@ -84,91 +109,69 @@ def _pair_slots(moduli, shift, epsilon: Fraction):
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
         b1 = a1.numerator * (D // a1.denominator)
         b2 = a2.numerator * (D // a2.denominator)
-        kept = []
-        for r1 in range(m1):
-            u = (b1 + r1 * (D // m1)) % D
-            for r2 in range(m2):
-                v = (b2 + r2 * (D // m2)) % D
-                if scaled_piece(epsilon, D, u, v):
-                    kept.append(((r1, r2), scaled_weight(epsilon, D, u, v)))
+        us = [(b1 + r1 * (D // m1)) % D for r1 in range(m1)]
+        vs = [(b2 + r2 * (D // m2)) % D for r2 in range(m2)]
+        if epsilon is None:
+            kept = [((r1, r2), 0)
+                    for r1 in range(m1) if scaled_below(delta, D, us[r1])
+                    for r2 in range(m2) if scaled_below(delta, D, vs[r2])]
+        else:
+            kept = [((r1, r2), scaled_weight(epsilon, D, u, v))
+                    for r1, u in enumerate(us) for r2, v in enumerate(vs)
+                    if scaled_piece(epsilon, D, u, v)]
         pairs.append((D, kept))
     L = math.lcm(*(D * D for D, _ in pairs))
-    slots = [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs]
-    return slots, 4 * epsilon.numerator ** 2 * L
+    return [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs], L
 
 
-def _scan_slices(moduli, shift, epsilon: Fraction, delta: Fraction):
+def _scan_slices(moduli, shift, epsilon: Fraction | None, delta: Fraction):
     """Yield (residue_tuple, slice_index) over the product of the slots;
-    slice floor(2 (s / scale) / delta^2) is one integer floor division."""
-    epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
-    slots, scale = _pair_slots(moduli, shift, epsilon)
-    num = 2 * delta.denominator ** 2
-    den = scale * delta.numerator ** 2
+    each slice index is one integer floor division."""
+    delta = _check_delta(delta)
+    if epsilon is not None:
+        epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
+    slots, L = _pair_slots(moduli, shift, epsilon, delta)
+    num, den = slice_ratio(epsilon, delta, L)
     for combo in product(*slots):
         residues = tuple(r for (pair, _) in combo for r in pair)
         s = sum(w for (_, w) in combo)
         yield residues, (num * s) // den
 
 
-def best_slice(moduli, shift, epsilon: Fraction, delta: Fraction):
+def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction):
     """(j*, count, histogram): j* maximizes the in-slice count, ties to the
     smallest index; histogram maps j -> count over all in-block tuples."""
     histogram: dict[int, int] = {}
     for _, j in _scan_slices(moduli, shift, epsilon, delta):
         histogram[j] = histogram.get(j, 0) + 1
-    if not histogram:
-        return 0, 0, {}
-    best_j = min(histogram, key=lambda j: (-histogram[j], j))
-    return best_j, histogram[best_j], dict(sorted(histogram.items()))
+    best_j = min(histogram, key=lambda j: (-histogram[j], j), default=0)
+    return best_j, histogram.get(best_j, 0), dict(sorted(histogram.items()))
 
 
-def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction, delta: Fraction) -> DiscreteSet:
-    """All residue tuples embedding into the block product with weight sum
-    in slice j.  Progression-free whenever delta <= 1/max(m)."""
+def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction | None,
+                       delta: Fraction) -> DiscreteSet:
+    """All residue tuples embedding into the region (the box when epsilon is
+    None) with weight sum in slice j.  Progression-free whenever
+    delta <= 1/max(m)."""
     moduli = check_moduli(moduli)
     if len(moduli) % 2 != 0:
         raise ValueError("slice construction needs an even number of moduli")
-    params = SliceParams(n=len(moduli), delta=delta, epsilon=epsilon, j=0)
-    if not 0 <= j <= params.max_index():
-        elements: list[tuple[int, ...]] = []
-    else:
-        elements = [r for r, jj in _scan_slices(moduli, shift, epsilon, delta) if jj == j]
-    return DiscreteSet(
-        kind="group",
-        moduli=moduli,
-        elements=tuple(elements),
-        provenance=_provenance("zm", moduli, shift, delta, epsilon=epsilon, slice_index=j),
-    )
-
-
-def box_preimage_elements(moduli, shift, delta: Fraction) -> list[tuple[int, ...]]:
-    kept_per_coord = []
-    for m, a in zip(moduli, shift):
-        kept_per_coord.append(
-            [r for r in range(m) if in_delta_box((mod1(Fraction(a) + Fraction(r, m)),), delta)]
-        )
-    return [tuple(combo) for combo in product(*kept_per_coord)]
-
-
-def _provenance(construction, moduli, shift, delta, epsilon=None, slice_index=None, **extra):
+    elements = [r for r, jj in _scan_slices(moduli, shift, epsilon, delta) if jj == j]
     prov = {
-        "construction": construction,
+        "construction": "zm",
         "moduli": list(moduli),
-        "shift": point_strs(shift) if shift is not None else None,
+        "shift": point_strs(shift),
         "delta": rat_str(delta),
         "epsilon": rat_str(epsilon) if epsilon is not None else None,
-        "slice_index": slice_index,
+        "slice_index": j,
         "certified_by_construction": delta <= Fraction(1, max(moduli)),
     }
-    prov.update(extra)
-    return prov
+    return DiscreteSet(kind="group", moduli=moduli, elements=tuple(elements), provenance=prov)
 
 
 def _delta_for(moduli, options: BuildOptions) -> Fraction:
     m = max(moduli)
-    delta = options.delta if options.delta is not None else Fraction(1, m)
-    if delta <= 0:
-        raise ValueError(f"delta={delta} must be positive")
+    delta = _check_delta(options.delta if options.delta is not None else Fraction(1, m))
     if delta > Fraction(1, m):
         warnings.warn(
             f"delta={delta} exceeds 1/max(m)={Fraction(1, m)}; the construction "
@@ -179,7 +182,7 @@ def _delta_for(moduli, options: BuildOptions) -> Fraction:
     return delta
 
 
-def search_shift(moduli, epsilon: Fraction, delta: Fraction, trials: int, seed: int,
+def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int,
                  grid_level: int = SHIFT_GRID_LEVEL):
     """Sample shifts from the rational grid and keep the one whose best
     slice is largest (ties: lexicographically smallest shift).  Returns
@@ -209,17 +212,6 @@ def _attach_histogram(dset: DiscreteSet, moduli, shift, epsilon, delta,
     dset.provenance["in_block_total"] = sum(histogram.values())
     if len(histogram) <= cap:
         dset.provenance["slice_histogram"] = {str(j): c for j, c in histogram.items()}
-
-
-def _search_box(moduli, delta: Fraction, trials: int, seed: int, grid_level: int):
-    best = None
-    for trial in range(trials):
-        shift = sample_shift(trial_rng(seed, "shift", trial), moduli, grid_level)
-        elements = box_preimage_elements(moduli, shift, delta)
-        key = (-len(elements), shift)
-        if best is None or key < best[0]:
-            best = (key, shift, elements)
-    return best[1], best[2]
 
 
 def fiber_reduce(dset: DiscreteSet) -> DiscreteSet:
@@ -267,18 +259,9 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
             raise ValueError("shift dimension mismatch")
     else:
         shift = None
-    if n == 2 and options.epsilon is None:
-        # the literal box fallback for the two-dimensional torus
-        if shift is None:
-            shift, elements = _search_box(moduli, delta, options.trials, options.seed,
-                                          options.grid_level)
-        else:
-            elements = box_preimage_elements(moduli, shift, delta)
-        prov = _provenance("zm", moduli, shift, delta, route="box",
-                           seed=options.seed, trials=options.trials,
-                           grid_level=options.grid_level)
-        return DiscreteSet(kind="group", moduli=moduli, elements=tuple(elements), provenance=prov)
-    epsilon = options.epsilon if options.epsilon is not None else Fraction(1, n)
+    epsilon = region_epsilon(options.epsilon, n)
+    if epsilon is None and options.slice_index is not None:
+        raise ValueError("the box route (n=2, no epsilon) takes no slice index")
     if shift is not None:
         j = options.slice_index
         if j is None:
@@ -289,7 +272,7 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
         shift, j, dset = search_shift(moduli, epsilon, delta, options.trials,
                                       options.seed, options.grid_level)
     dset.provenance.update(
-        route="slice", seed=options.seed, trials=options.trials,
+        route="box" if epsilon is None else "slice", seed=options.seed, trials=options.trials,
         grid_level=options.grid_level,
     )
     return dset

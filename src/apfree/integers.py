@@ -9,8 +9,8 @@ Two routes:
   progression-free set has no integer progression either);
 * direct route: embed x -> a + x*b mod 1 with an exactly-checked b whose
   multiples all clear a width-delta corridor around 0, then take a slice
-  pre-image as in the group case, on integer numerators over one prime
-  denominator.
+  pre-image of the same region as in the group case, on integer numerators
+  over one prime denominator, streamed by ``row_chunks``.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -23,10 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import scaled_piece, scaled_weight
-from .groups import BuildOptions, build_group_set, trial_rng
+from .gridscan import region_factor, scaled_box, scaled_piece, scaled_weight
+from .groups import BuildOptions, build_group_set, region_epsilon, slice_ratio, trial_rng
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -189,16 +188,34 @@ def _next_prime(k: int) -> int:
 
 
 _SCAN_CHUNK = 1 << 18  # bounds the (chunk, n) work matrices
+_INT64_BUDGET = 1 << 62  # int64 intermediates proven below this are exact
+
+
+def row_chunks(a_nums: list[int], b_nums: list[int], denom: int, N: int, factor: int):
+    """Yield (t, rows) over t = 1..N in chunks, rows[k, i] = (a_i + t[k]*b_i)
+    mod denom, exactly.  Each chunk starts from (a + lo*b) mod denom on
+    Python ints, so int64 holds only offset*b (offset < _SCAN_CHUNK); the
+    caller's test keeps its intermediates below ``factor`` * denom.  Both
+    stay below 2^62, which is checked before any row is made."""
+    if max(_SCAN_CHUNK, factor) * denom > _INT64_BUDGET:
+        raise ValueError(
+            f"grid denominator {denom} times {max(_SCAN_CHUNK, factor)} exceeds "
+            f"the int64-exactness budget 2^62"
+        )
+    b = np.array(b_nums, dtype=np.int64)
+    for lo in range(1, N + 1, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK, N + 1)
+        rows = np.arange(hi - lo, dtype=np.int64)[:, None] * b[None, :]
+        rows += np.array([(a + lo * k) % denom for a, k in zip(a_nums, b_nums)], dtype=np.int64)
+        rows %= denom
+        yield np.arange(lo, hi, dtype=np.int64), rows
 
 
 def separation_ok(b_nums: list[int], denom: int, N: int, four_c: int) -> bool:
     """Exact check that every multiple t*b (t = 1..N) has some coordinate
     farther than 1/(4c) from 0 mod 1: min(r, Q-r) * 4c > Q for some i."""
-    k = np.array(b_nums, dtype=np.int64)
-    for lo in range(1, N + 1, _SCAN_CHUNK):
-        t = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.int64)
-        r = (t[:, None] * k[None, :]) % denom
-        dist = np.minimum(r, denom - r)
+    for _, r in row_chunks([0] * len(b_nums), b_nums, denom, N, four_c):
+        dist = np.minimum(r, denom - r, out=r)
         if not (four_c * dist > denom).any(axis=1).all():
             return False
     return True
@@ -209,12 +226,19 @@ def build_integer_set_direct(N: int, n: int | None = None,
                              b_trials: int = 64) -> DiscreteSet:
     """Direct-embedding route.  delta = 1/(4*ceil(N^(1/n))) is the largest
     grid value below the true corridor width; b and the shifts share one
-    prime denominator above 8N so no multiple of b can vanish mod 1."""
+    prime denominator above 8N so no multiple of b can vanish mod 1.  It
+    chooses its own shift, delta and slice."""
+    for name in ("shift", "delta", "slice_index"):
+        if getattr(options, name) is not None:
+            raise ParameterError(f"the direct route chooses its own {name}; none may be given")
     if N < 3:
         raise ParameterError(f"N={N} must be >= 3")
+    if options.trials < 1:
+        raise ParameterError(f"trials={options.trials} must be >= 1")
     n = int(n) if n is not None else choose_dimension(N)
     if n < 2 or n % 2 != 0:
         raise ParameterError(f"n={n} must be even and >= 2")
+    epsilon = region_epsilon(options.epsilon, n)
     c = int_nthroot_ceil(N, n)
     four_c = 4 * c
     delta = Fraction(1, four_c)
@@ -229,53 +253,27 @@ def build_integer_set_direct(N: int, n: int | None = None,
     if b_nums is None:
         raise BudgetError(f"no valid direction found in {b_trials} attempts (N={N}, n={n})")
 
-    epsilon = options.epsilon if options.epsilon is not None else (
-        None if n == 2 else Fraction(1, n)
-    )
-    b_arr = np.array(b_nums, dtype=np.int64)
-    if epsilon is not None:
-        epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
-        # slice of a row: floor(2 (s / (4 en^2 denom^2)) / delta^2), delta = 1/(4c)
-        slice_den = 4 * epsilon.numerator ** 2 * denom * denom
-        slice_num = 2 * four_c * four_c
+    slice_num, slice_den = slice_ratio(epsilon, delta, denom * denom)
     best = None
     for trial in range(options.trials):
         rng = trial_rng(options.seed, "shift", trial)
         a_nums = [rng.randrange(denom) for _ in range(n)]
-        a_arr = np.array(a_nums, dtype=np.int64)
-        if epsilon is None:  # n = 2 box fallback: both coordinates below delta
-            elements = []
-            for lo in range(1, N + 1, _SCAN_CHUNK):
-                t = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.int64)
-                coords = (a_arr[None, :] + t[:, None] * b_arr[None, :]) % denom
-                keep = (four_c * coords < denom).all(axis=1)
-                elements.extend(t[keep].tolist())
-            key = (-len(elements), tuple(a_nums))
-            if best is None or key < best[0]:
-                best = (key, a_nums, None, elements)
-        else:
-            by_slice: dict[int, list[int]] = {}
-            for lo in range(1, N + 1, _SCAN_CHUNK):
-                t = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.int64)
-                coords = (a_arr[None, :] + t[:, None] * b_arr[None, :]) % denom
-                keep = np.ones(len(t), dtype=bool)
-                for h in range(n // 2):
-                    tags = scaled_piece(epsilon, denom, coords[:, 2 * h], coords[:, 2 * h + 1])
-                    keep &= tags > 0
-                for x, row in zip(t[keep].tolist(), coords[keep].tolist()):
-                    s = sum(
-                        scaled_weight(epsilon, denom, row[2 * h], row[2 * h + 1])
-                        for h in range(n // 2)
-                    )
-                    by_slice.setdefault((slice_num * s) // slice_den, []).append(x)
-            if by_slice:
-                j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj))
-                elements = by_slice[j]
-            else:
-                j, elements = 0, []
-            key = (-len(elements), tuple(a_nums), j)
-            if best is None or key < best[0]:
-                best = (key, a_nums, j, elements)
+        by_slice: dict[int, list[int]] = {}
+        for t, rows in row_chunks(a_nums, b_nums, denom, N, region_factor(epsilon, delta)):
+            keep = np.ones(len(t), dtype=bool)
+            for h in range(0, n, 2):
+                U, V = rows[:, h], rows[:, h + 1]
+                keep &= (scaled_box(delta, denom, U, V) if epsilon is None
+                         else scaled_piece(epsilon, denom, U, V) > 0)
+            for x, row in zip(t[keep].tolist(), rows[keep].tolist()):
+                s = 0 if epsilon is None else sum(  # box rows weigh 0
+                    scaled_weight(epsilon, denom, row[h], row[h + 1]) for h in range(0, n, 2))
+                by_slice.setdefault((slice_num * s) // slice_den, []).append(x)
+        j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj), default=0)
+        elements = by_slice.get(j, [])
+        key = (-len(elements), tuple(a_nums), j)
+        if best is None or key < best[0]:
+            best = (key, a_nums, j, elements)
     _, a_nums, j, elements = best
     prov = {
         "construction": "int-direct",

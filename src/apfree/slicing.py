@@ -6,6 +6,7 @@ block product (pairs of consecutive coordinates each in the block) is cut
 into slices by the running weight sum: slice j collects the points whose
 sum lands in [j*delta^2/2, (j+1)*delta^2/2).  Within one slice, any mod-1
 progression has its outer points within delta in every coordinate.
+This is the Fraction reference the tests check the constructions against.
 """
 
 from __future__ import annotations

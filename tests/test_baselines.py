@@ -8,7 +8,7 @@ from apfree.integers import ParameterError
 
 class TestBehrend:
     def test_certified_and_bounded(self):
-        for N in (50, 365, 2000):
+        for N in [*range(3, 401), 2000, 10**4]:
             dset = behrend_set(N)
             assert dset.size >= 2
             assert all(1 <= x <= N for x in dset.elements)

@@ -169,6 +169,48 @@ class TestConfigFile:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+class TestIgnoredParameters:
+    """A parameter the chosen route would ignore is a usage error, whether
+    it comes from a flag or from a config key."""
+
+    CASES = [
+        (["int-direct", "--N", "300"], "--shift", "0,0", "shift", ["0", "0"]),
+        (["int-direct", "--N", "300"], "--delta", "1/100", "delta", "1/100"),
+        (["int-direct", "--N", "300"], "--slice-j", "0", "slice_j", 0),
+        (["zm", "--moduli", "9,7"], "--slice-j", "1", "slice_j", 1),
+        (["zm", "--moduli", "9,7"], "--slice-j", "0", "slice_j", 0),
+    ]
+
+    @pytest.mark.parametrize("base, flag, value, key, config_value", CASES)
+    def test_flag_rejected(self, capsys, tmp_path, base, flag, value, key, config_value):
+        code, out, err = run(capsys, "construct", *base, flag, value, "--outdir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("base, flag, value, key, config_value", CASES)
+    def test_config_key_rejected(self, capsys, tmp_path, base, flag, value, key, config_value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: config_value}))
+        code, out, err = run(capsys, "construct", *base, "--config", str(config),
+                             "--outdir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", [["zm", "--moduli", "6,6"], ["int-direct", "--N", "100"]])
+    def test_zero_trials_usage_error(self, capsys, tmp_path, kind):
+        code, out, err = run(capsys, "construct", *kind, "--trials", "0", "--outdir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("delta", ["1", "3/2"])
+    def test_box_delta_outside_unit_interval(self, capsys, tmp_path, delta):
+        code, out, err = run(capsys, "construct", "zm", "--moduli", "12,12",
+                             "--delta", delta, "--outdir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: delta={delta} outside (0,1)\n"
+
+
 class TestThreadsFlag:
     def test_env_var_sets_default(self, monkeypatch):
         from apfree.cli import build_parser

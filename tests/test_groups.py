@@ -1,5 +1,6 @@
 """Shifted embeddings, slice pre-images, shift search and fiber reduction."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -13,7 +14,6 @@ from apfree.groups import (
     BuildOptions,
     trial_rng,
     best_slice,
-    box_preimage_elements,
     build_fpn_set,
     build_group_set,
     embed_point,
@@ -23,7 +23,13 @@ from apfree.groups import (
     slice_preimage_set,
 )
 from apfree.dsets import DiscreteSet
-from apfree.slicing import SliceParams, is_progression_mod1, slice_index_of, weight_sum
+from apfree.slicing import (
+    SliceParams,
+    in_delta_box,
+    is_progression_mod1,
+    slice_index_of,
+    weight_sum,
+)
 
 
 class TestEmbedding:
@@ -311,5 +317,75 @@ class TestDriver:
             build_group_set((1, 5), BuildOptions())
 
     def test_box_elements_helper(self):
-        elements = box_preimage_elements((4, 4), (F(0), F(0)), F(1, 3))
-        assert elements == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        with pytest.warns(UserWarning, match="guarantee"):
+            dset = build_group_set((4, 4), BuildOptions(shift=(F(0), F(0)), delta=F(1, 3)))
+        assert list(dset.elements) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_box_route_is_slice_zero(self):
+        dset = build_group_set((9, 7), BuildOptions(seed=2))
+        prov = dset.provenance
+        assert prov["epsilon"] is None and prov["slice_index"] == 0
+        assert prov["slice_histogram"] == {"0": dset.size} == {"0": prov["in_block_total"]}
+
+    def test_box_route_rejects_slice_index(self):
+        with pytest.raises(ValueError, match="slice index"):
+            build_group_set((9, 7), BuildOptions(seed=2, slice_index=0))
+
+    @pytest.mark.parametrize("epsilon", [None, F(1, 12)])
+    @pytest.mark.parametrize("delta", [F(1), F(3, 2), F(0), F(-1, 5)])
+    def test_delta_outside_unit_interval(self, epsilon, delta):
+        with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+            build_group_set((6, 6), BuildOptions(epsilon=epsilon, delta=delta, seed=0))
+
+    @pytest.mark.parametrize("epsilon", [None, F(1, 12)])
+    def test_public_slice_entry_points_check_delta(self, epsilon):
+        shift = (F(0), F(0))
+        with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+            slice_preimage_set((6, 6), shift, 0, epsilon, F(1))
+        with pytest.raises(ValueError, match=r"outside \(0,1\)"):
+            best_slice((6, 6), shift, epsilon, F(1))
+
+
+@st.composite
+def box_instances(draw):
+    moduli = (draw(st.integers(2, 16)), draw(st.integers(2, 16)))
+    grid = draw(st.booleans())
+    shift = tuple(
+        F(draw(st.integers(0, 16 * m - 1)), 16 * m) if grid
+        else F(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 7, 11, 13])))
+        for m in moduli
+    )
+    delta = F(1, max(moduli)) * F(draw(st.integers(1, 5)), draw(st.integers(5, 9)))
+    return moduli, shift, delta
+
+
+class TestBoxKernel:
+    @given(box_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_box_elements_match_fraction_oracle(self, instance):
+        """The box route keeps exactly the residues whose Fraction embedding
+        lies in [0, delta)^2, in lexicographic order, all in slice 0."""
+        moduli, shift, delta = instance
+        dset = build_group_set(moduli, BuildOptions(shift=shift, delta=delta))
+        oracle = [r for r in product(*(range(m) for m in moduli))
+                  if in_delta_box(embed_point(moduli, shift, r), delta)]
+        assert list(dset.elements) == oracle
+        assert dset.provenance["route"] == "box"
+        assert dset.provenance["in_block_total"] == len(oracle)
+
+    @pytest.mark.parametrize("epsilon", [None, F(1, 12)])
+    def test_huge_shift_denominators_match_oracle(self, epsilon):
+        """Shift denominators near 10^18 put the pair grid far past 2^63;
+        the region test and the weights stay exact on Python ints."""
+        moduli, delta = (12, 10), F(1, 12)
+        shift = (F(1, 10**18 + 9), F(-5 * 10**17, 10**18 + 7))
+        assert math.lcm(12, 10, 10**18 + 9, 10**18 + 7) > 1 << 63
+        if epsilon is None:
+            dset = build_group_set(moduli, BuildOptions(shift=shift, delta=delta))
+            oracle = [r for r in product(range(12), range(10))
+                      if in_delta_box(embed_point(moduli, shift, r), delta)]
+            assert list(dset.elements) == oracle and oracle
+        else:
+            slices = fraction_slices(moduli, shift, epsilon, delta)
+            _, _, histogram = best_slice(moduli, shift, epsilon, delta)
+            assert histogram == {j: len(slices[j]) for j in sorted(slices)}

@@ -4,12 +4,13 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree.blocks import BuildingBlock
-from apfree.groups import BuildOptions
+from apfree.groups import BuildOptions, trial_rng
 from apfree.integers import (
     ParameterError,
     build_integer_set,
@@ -21,9 +22,10 @@ from apfree.integers import (
     feasible_dimension,
     first_primes,
     int_nthroot_ceil,
+    row_chunks,
     separation_ok,
 )
-from apfree.slicing import SliceParams, slice_index_of, weight_sum
+from apfree.slicing import SliceParams, in_delta_box, slice_index_of, weight_sum
 
 
 class TestChooseDimension:
@@ -211,6 +213,7 @@ class TestDirectRoute:
 
     @pytest.mark.parametrize("N, n, epsilon", [
         (600, 4, None), (900, 4, F(1, 24)), (700, 6, F(1, 7)), (500, 4, F(1, 12)),
+        (800, 2, F(1, 12)),
     ])
     def test_slice_rows_match_fraction_oracle(self, N, n, epsilon):
         """Every x in 1..N embeds at a + x*b mod 1.  By the Fraction weight
@@ -234,6 +237,34 @@ class TestDirectRoute:
         assert prov["slice_index"] == j
         assert list(dset.elements) == by_slice[j]
 
+    def test_box_rows_match_fraction_oracle(self):
+        """n = 2 without epsilon keeps the rows a + x*b mod 1 in [0, delta)^2
+        (Fraction oracle), from the fullest trial shift (ties: smallest)."""
+        N, trials = 600, 32
+        dset = build_integer_set_direct(N, n=2, options=BuildOptions(seed=5, trials=trials))
+        prov = dset.provenance
+        assert prov["route"] == "box" and prov["slice_index"] == 0
+        denom, delta = prov["grid_denominator"], F(prov["delta"])
+        b = [F(s) for s in prov["direction"]]
+        candidates = []
+        for trial in range(trials):
+            rng = trial_rng(5, "shift", trial)
+            a = [F(rng.randrange(denom), denom) for _ in range(2)]
+            kept = [x for x in range(1, N + 1)
+                    if in_delta_box(tuple((ai + x * bi) % 1 for ai, bi in zip(a, b)), delta)]
+            candidates.append((-len(kept), a, kept))
+        _, a, kept = min(candidates)
+        assert len(kept) > 0
+        assert [str(ai) for ai in a] == prov["shift"]
+        assert list(dset.elements) == kept
+
+    @pytest.mark.parametrize("field, value", [
+        ("shift", (F(0), F(0))), ("delta", F(1, 100)), ("slice_index", 0),
+    ])
+    def test_rejects_parameters_it_chooses(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            build_integer_set_direct(300, n=2, options=BuildOptions(**{field: value}))
+
     def test_separation_check_rejects_zero_direction(self):
         assert not separation_ok([0, 1], 101, 50, 8)
 
@@ -252,3 +283,24 @@ class TestDirectRoute:
             build_integer_set_direct(100, n=3)
         with pytest.raises(ParameterError):
             build_integer_set_direct(2)
+        with pytest.raises(ParameterError, match="trials"):
+            build_integer_set_direct(100, options=BuildOptions(trials=0))
+
+
+class TestRowStream:
+    def test_rows_exact_past_int64_products(self):
+        """t*b exceeds 2^63 from t = 2^19 on; the rows still equal the
+        Python-int residues (a + t*b) mod denom."""
+        denom = (1 << 44) - 21
+        a_nums, b_nums = [denom - 5, 12345], [denom - 3, (1 << 43) + 7]
+        N = 600_000
+        ts, rows = zip(*row_chunks(a_nums, b_nums, denom, N, 1))
+        assert np.concatenate(ts).tolist() == list(range(1, N + 1))
+        rows = np.concatenate(rows)
+        for i, (a, b) in enumerate(zip(a_nums, b_nums)):
+            assert rows[:, i].tolist() == [(a + t * b) % denom for t in range(1, N + 1)]
+
+    @pytest.mark.parametrize("denom, factor", [((1 << 61) - 1, 1), (1 << 40, 1 << 23)])
+    def test_budget_checked_before_any_row(self, denom, factor):
+        with pytest.raises(ValueError, match="int64-exactness budget"):
+            next(row_chunks([0, 0], [1, 1], denom, 10**15, factor))
