@@ -9,7 +9,7 @@ sphere.  The half-box analogue in Z_p^n restricts entries to
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .dsets import DiscreteSet
 from .integers import ParameterError, int_nthroot_ceil
@@ -20,12 +20,18 @@ def _int_nthroot_floor(N: int, n: int) -> int:
     return c if c**n == N else c - 1
 
 
-def _digit_shells(base: int, dim: int) -> dict[int, list[tuple[int, ...]]]:
-    half = (base - 1) // 2
-    shells: dict[int, list[tuple[int, ...]]] = {}
-    for digits in product(range(half + 1), repeat=dim):
-        shells.setdefault(sum(d * d for d in digits), []).append(digits)
-    return shells
+def _best_shell(base: int, dim: int) -> tuple[int, np.ndarray]:
+    """The most populous sphere shell of {0,...,(base-1)//2}^dim, ties going
+    to the smaller radius: its squared radius, and its digit rows in
+    ``itertools.product`` order (last digit fastest)."""
+    side = (base - 1) // 2 + 1
+    squares = np.arange(side, dtype=np.int64) ** 2
+    radii = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        radii = (radii[:, None] + squares).ravel()
+    radius_sq = int(np.argmax(np.bincount(radii)))
+    index = np.flatnonzero(radii == radius_sq)
+    return radius_sq, index[:, None] // side ** np.arange(dim - 1, -1, -1) % side
 
 
 def behrend_set(N: int) -> DiscreteSet:
@@ -42,10 +48,9 @@ def behrend_set(N: int) -> DiscreteSet:
         if base < 3:
             k += 1
             continue
-        shells = _digit_shells(base, k)
-        radius_sq = min(shells, key=lambda r: (-len(shells[r]), r))
-        elements = sorted(1 + sum(d * base**i for i, d in enumerate(digits))
-                          for digits in shells[radius_sq])
+        radius_sq, digits = _best_shell(base, k)
+        # digit i weighs base**i; every element is below base**k <= N
+        elements = sorted((1 + digits @ base ** np.arange(k)).tolist())
         key = (-len(elements), k)
         if best is None or key < best[0]:
             best = (key, k, base, radius_sq, elements)
@@ -77,9 +82,8 @@ def halfbox_set(p: int, n: int) -> DiscreteSet:
         raise ParameterError(f"p={p} must be odd and >= 3")
     if n < 1:
         raise ParameterError(f"n={n} must be >= 1")
-    shells = _digit_shells(p, n)
-    radius_sq = min(shells, key=lambda r: (-len(shells[r]), r))
-    elements = shells[radius_sq]
+    radius_sq, digits = _best_shell(p, n)
+    elements = [tuple(row) for row in digits.tolist()]
     if len(elements) > ((p + 1) // 2) ** n:
         raise RuntimeError(f"sphere shell of {len(elements)} points exceeds the half box")
     return DiscreteSet(

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .blocks import BuildingBlock, NotInBlockError, Point2
 from .rational import mod1
@@ -22,12 +21,6 @@ from .rational import mod1
 PointN = tuple[Fraction, ...]
 
 HALF = Fraction(1, 2)
-
-
-def check_torus_point(p: Sequence[Fraction]) -> None:
-    for c in p:
-        if not 0 <= c < 1:
-            raise ValueError(f"coordinate {c} outside [0,1)")
 
 
 def is_progression_mod1(x: PointN, y: PointN, z: PointN) -> bool:

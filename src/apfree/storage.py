@@ -43,6 +43,13 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     return paths
 
 
+def _json_int(value, field: str) -> int:
+    # bool is an int subclass, and int() truncates 2.5 and overflows on 1e400
+    if type(value) is not int:
+        raise TypeError(f"{field} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> DiscreteSet:
     set_path = Path(set_path)
     sidecar_path = Path(sidecar_path) if sidecar_path else set_path.with_suffix(".json")
@@ -51,11 +58,12 @@ def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> Di
         lines = [ln for ln in set_path.read_text().splitlines() if ln.strip()]
         if meta["kind"] == "group":
             elements = [tuple(int(r) for r in ln.split(",")) for ln in lines]
-            return DiscreteSet(kind="group", moduli=tuple(meta["moduli"]),
+            return DiscreteSet(kind="group",
+                               moduli=tuple(_json_int(m, "modulus") for m in meta["moduli"]),
                                elements=tuple(elements),
                                provenance=meta.get("provenance", {}))
         elements = [int(ln) for ln in lines]
-        return DiscreteSet(kind="integer", bound=meta["bound"],
+        return DiscreteSet(kind="integer", bound=_json_int(meta["bound"], "bound"),
                            elements=tuple(elements),
                            provenance=meta.get("provenance", {}))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:

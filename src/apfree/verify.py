@@ -2,22 +2,30 @@
 
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence for
-membership; the scan stops at the first progression (a re-checkable
-counterexample triple) or, with ``all_counterexamples``, lists every one.
-The block-level statements are swept exhaustively over rational grids
-(see :mod:`apfree.gridscan`), and the area of the block is computed a
-second time by half-plane clipping, independently of the stated vertex
-lists.
+membership.  The scan is one numpy pass per set kind over chunks of pairs
+(and of candidates, 2^e per pair for e even moduli), each chunk looked up
+with one ``searchsorted`` on the sorted elements; group elements are
+mixed-radix codes.  The values run as int64 when their bound (the product
+of the moduli, or twice the integer bound) is at most 2^62, and otherwise
+the same code runs on object arrays of Python ints, so nothing wraps.
+Progressions come out in pair-scan order; the scan stops at the first
+(a re-checkable counterexample triple) or, with ``all_counterexamples``,
+lists every one.  The block-level statements are swept exhaustively over
+rational grids (see :mod:`apfree.gridscan`), and the area of the block is
+computed a second time by half-plane clipping, independently of the
+stated vertex lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
 from typing import Sequence
+
+import numpy as np
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
 from .gridscan import density_count, run_sweep
@@ -52,53 +60,115 @@ class VerificationReport:
         return out
 
 
-def _halve_mod(s: int, m: int) -> tuple[int, ...]:
-    """All y in {0,...,m-1} with 2*y = s (mod m): one solution for odd m,
-    zero or two for even m."""
-    s %= m
-    if m % 2 == 1:
-        return ((s * ((m + 1) // 2)) % m,)
-    if s % 2 == 1:
-        return ()
-    return (s // 2, s // 2 + m // 2)
+# array elements per numpy step: pairs x coordinates, or candidates
+_CHUNK = 1 << 16
+# values held in int64 stay at most this, so a sum of two cannot wrap; past
+# it the same scan runs on object arrays of Python ints
+_INT64_SAFE = 1 << 62
 
 
-def _group_progressions(moduli, elems):
-    """Every progression (x, y, z) with x < z in scan order: pairs {x, z}
-    lexicographically, then the midpoint solutions y in product order."""
-    member = set(elems)
-    for ai, x in enumerate(elems):
-        for z in elems[ai + 1:]:
-            per_coord = [_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)]
-            for y in product(*per_coord):
-                # x != z forces y != x and y != z, so any hit is a violation
-                if y in member:
-                    yield {"x": list(x), "y": list(y), "z": list(z)}
+def _pair_chunks(n: int, size: int):
+    """Index arrays (a, b) of the pairs a < b of range(n), row-major (the
+    order of ``np.triu_indices``), at most ``size`` pairs per chunk."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    total = n * (n - 1) // 2
+    for k0 in range(0, total, size):
+        k = np.arange(k0, min(k0 + size, total), dtype=np.int64)
+        a = np.searchsorted(row_start, k, side="right") - 1
+        yield a, k - row_start[a] + a + 1
 
 
-def _integer_progressions(elems):
-    """Every progression (x, y, z) with x < y < z, pairs {x, z} in scan order."""
-    member = set(elems)
-    for ai, x in enumerate(elems):
-        for z in elems[ai + 1:]:
-            if (x + z) % 2 == 0 and (x + z) // 2 in member:
-                yield {"x": x, "y": (x + z) // 2, "z": z}
+def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
+    """(pair, member index) of every candidate base[p] + offsets[c] found in
+    the sorted array members, in (p, c) order."""
+    cand = base[:, None] + offsets
+    idx = np.searchsorted(members, cand)
+    p, c = np.nonzero(members.take(idx, mode="clip") == cand)
+    return p, idx[p, c]
 
 
-def _scan_report(t0: float, progressions, all_counterexamples: bool, **fields):
-    """Report for one pair scan started at t0: the first progression, or with
+def _group_hits(moduli: tuple[int, ...], elems: list[tuple[int, ...]]):
+    """Index triples (x, y, z) into elems of every progression with x < z,
+    one chunk at a time in scan order: pairs {x, z} lexicographically, then
+    the midpoint solutions y in product order.
+
+    Elements are mixed-radix codes, first coordinate most significant, so
+    sorted tuples give sorted codes.  Per coordinate 2y = s has one root
+    (s + (s odd)·m)/2 for odd m, none for even m and odd s, and for even s
+    the roots s/2 and s/2 + m/2 (no wrap, as s/2 < m/2).  So the candidates
+    of a pair are its base code plus each of the 2^e half-offset sums over
+    the e even moduli.  x != z forces y != x and y != z, so every member hit
+    is a progression.
+
+    The half-offsets of the last even moduli, as many as fit one chunk, form
+    an array, built once the first pair survives the parity filter; those of
+    the other even moduli are looped over in product order.  So no step
+    holds more than _CHUNK candidates, and a set with no surviving pair (as
+    every set in Z_2^n) never builds one."""
+    dtype = np.int64 if math.prod(moduli) <= _INT64_SAFE else object
+    m = np.array(moduli, dtype=dtype)
+    stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
+    even = (m % 2 == 0).astype(dtype)
+    # coordinates along rows, so every step runs along a whole chunk of pairs
+    X = np.array(elems, dtype=dtype).T.copy()
+    codes = stride @ X
+    halves = (m // 2 * stride)[even == 1].tolist()
+    split = max(0, len(halves) - (_CHUNK.bit_length() - 1))
+    offsets = None
+    m = m[:, None]
+    for a, b in _pair_chunks(len(elems), max(1, _CHUNK // len(moduli))):
+        s = X.take(a, axis=1) + X.take(b, axis=1)
+        s -= (s >= m) * m
+        odd = s & 1
+        keep = even @ odd == 0
+        base = (stride @ ((s + odd * m) >> 1))[keep]
+        a, b = a[keep], b[keep]
+        if not len(a):
+            continue
+        if offsets is None:
+            offsets = np.zeros(1, dtype=dtype)
+            for half in halves[split:]:
+                offsets = (offsets[:, None] + np.array([0, half], dtype=dtype)).ravel()
+        # with looped moduli the array fills a chunk, so step is 1 and each
+        # pair runs through its looped offsets before the next pair starts
+        step = max(1, _CHUNK // len(offsets))
+        for j in range(0, len(a), step):
+            for outer in itertools.product(*((0, h) for h in halves[:split])):
+                p, y = _members(codes, base[j:j + step] + sum(outer), offsets)
+                yield a[j + p], y, b[j + p]
+
+
+def _integer_hits(bound: int, elems: list[int]):
+    """Index triples (x, y, z) into elems of every progression x < y < z,
+    one chunk at a time in scan order: each pair {x, z} of equal parity
+    looks its midpoint up in the sorted elements."""
+    dtype = np.int64 if 2 * bound <= _INT64_SAFE else object
+    v = np.array(elems, dtype=dtype)
+    for a, b in _pair_chunks(len(elems), _CHUNK):
+        s = v.take(a) + v.take(b)
+        keep = s & 1 == 0
+        p, y = _members(v, s[keep] >> 1, np.zeros(1, dtype=dtype))
+        yield a[keep][p], y, b[keep][p]
+
+
+def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
+    """Report for one pair scan started at t0, from its index chunks turned
+    into triple(x, y, z) dicts: the first progression, or with
     all_counterexamples every one of them under counts["all_counterexamples"].
     Every unordered pair is in scope, so checked is |A| choose 2."""
     size = fields["parameters"]["size"]
-    report = VerificationReport(checked=math.comb(size, 2), passed=True, **fields)
+    found = []
+    # under three elements there is no progression, so skip the numpy set-up
+    for xs, ys, zs in hits if size > 2 else ():
+        if len(xs) and not all_counterexamples:
+            found = [triple(int(xs[0]), int(ys[0]), int(zs[0]))]
+            break
+        found += map(triple, xs.tolist(), ys.tolist(), zs.tolist())
+    report = VerificationReport(checked=math.comb(size, 2), passed=not found,
+                                counterexample=found[0] if found else None, **fields)
     if all_counterexamples:
-        found = list(progressions)
         report.counts["all_counterexamples"] = found
-    else:
-        found = list(islice(progressions, 1))
-    if found:
-        report.passed = False
-        report.counterexample = found[0]
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -123,8 +193,9 @@ def verify_group_set(
         if len(e) != len(moduli) or any(not 0 <= r < m for r, m in zip(e, moduli)):
             raise ValueError(f"element {e} out of range for moduli {moduli}")
     return _scan_report(
-        t0, _group_progressions(moduli, elems), all_counterexamples,
-        subject=subject, mode="group",
+        t0, _group_hits(moduli, elems),
+        lambda x, y, z: {"x": list(elems[x]), "y": list(elems[y]), "z": list(elems[z])},
+        all_counterexamples, subject=subject, mode="group",
         parameters={"moduli": list(moduli), "size": len(elems)},
     )
 
@@ -143,8 +214,9 @@ def verify_integer_set(
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
     return _scan_report(
-        t0, _integer_progressions(elems), all_counterexamples,
-        subject=subject, mode="integer",
+        t0, _integer_hits(int(bound), elems),
+        lambda x, y, z: {"x": elems[x], "y": elems[y], "z": elems[z]},
+        all_counterexamples, subject=subject, mode="integer",
         parameters={"bound": int(bound), "size": len(elems)},
     )
 

@@ -1,9 +1,31 @@
 """Sphere-digit and half-box comparison generators."""
 
+from itertools import product
+
 import pytest
 
-from apfree.baselines import behrend_set, halfbox_set
+from apfree.baselines import _best_shell, behrend_set, halfbox_set
 from apfree.integers import ParameterError
+
+
+def dict_shells(base, dim):
+    """The shell table the numpy grid replaced, kept as its oracle: digit
+    tuples of {0,...,(base-1)//2}^dim in product order, by squared radius."""
+    shells = {}
+    for digits in product(range((base - 1) // 2 + 1), repeat=dim):
+        shells.setdefault(sum(d * d for d in digits), []).append(digits)
+    return shells
+
+
+class TestBestShell:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_matches_dict_oracle(self, dim):
+        for base in range(3, 40 if dim < 4 else 14):
+            shells = dict_shells(base, dim)
+            radius_sq = min(shells, key=lambda r: (-len(shells[r]), r))
+            got_radius, digits = _best_shell(base, dim)
+            assert got_radius == radius_sq
+            assert [tuple(row) for row in digits.tolist()] == shells[radius_sq]
 
 
 class TestBehrend:

@@ -364,6 +364,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("lines,sidecar", [
+        ("1\n2\n", '{"kind": "integer", "bound": 1e400}'),
+        ("1\n2\n", '{"kind": "integer", "bound": 2.5}'),
+        ("1\n2\n", '{"kind": "integer", "bound": true}'),
+        ("1,2\n", '{"kind": "group", "moduli": [1e400, 3]}'),
+    ])
+    def test_exit_code_two_on_non_integer_sidecar_number(self, capsys, tmp_path, lines, sidecar):
+        (tmp_path / "n.set").write_text(lines)
+        (tmp_path / "n.json").write_text(sidecar)
+        code, _, err = run(capsys, "verify", "--set", str(tmp_path / "n.set"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON integer" in err
+
     def test_exit_code_two_on_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "nope.set"))
         assert code == 2

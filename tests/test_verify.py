@@ -1,12 +1,16 @@
 """Exhaustive verifiers, grid-sweep kernels, area oracle and density."""
 
 import math
+import random
 from fractions import Fraction as F
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apfree.verify as verify_module
 from apfree.blocks import BuildingBlock
 from apfree.gridscan import (
     density_count,
@@ -185,6 +189,218 @@ class TestAllCounterexamples:
         report = verify_integer_set(10, [1, 2, 3, 4, 5])
         assert report.counts == {}
         assert report.counterexample == {"x": 1, "y": 2, "z": 3}
+
+
+def _halve_mod(s, m):
+    """All y in {0,...,m-1} with 2*y = s (mod m): one solution for odd m,
+    zero or two for even m."""
+    s %= m
+    if m % 2 == 1:
+        return ((s * ((m + 1) // 2)) % m,)
+    if s % 2 == 1:
+        return ()
+    return (s // 2, s // 2 + m // 2)
+
+
+def loop_group_progressions(moduli, elements):
+    """The pair scan the verifier replaced, kept as its oracle: pairs {x, z}
+    lexicographically, then the midpoint solutions y in product order."""
+    elems = sorted(elements)
+    member = set(elems)
+    return [
+        {"x": list(x), "y": list(y), "z": list(z)}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        for y in product(*(_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)))
+        if y in member
+    ]
+
+
+def loop_integer_progressions(elements):
+    """The integer pair scan the verifier replaced, kept as its oracle."""
+    elems = sorted(elements)
+    member = set(elems)
+    return [
+        {"x": x, "y": (x + z) // 2, "z": z}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        if (x + z) % 2 == 0 and (x + z) // 2 in member
+    ]
+
+
+def check_scan(verify_set, universe, elements, expected):
+    """Both modes of one verifier against the oracle's progression list."""
+    first = verify_set(universe, elements)
+    every = verify_set(universe, elements, all_counterexamples=True)
+    for report in (first, every):
+        assert report.passed == (not expected)
+        assert report.counterexample == (expected[0] if expected else None)
+        assert report.checked == math.comb(len(elements), 2)
+    assert first.counts == {}
+    assert every.counts["all_counterexamples"] == expected
+    return expected
+
+
+def check_group(moduli, elements):
+    return check_scan(verify_group_set, moduli, elements,
+                      loop_group_progressions(moduli, elements))
+
+
+def check_integer(bound, elements):
+    return check_scan(verify_integer_set, bound, elements, loop_integer_progressions(elements))
+
+
+def pair_index(elements, x, z):
+    """Position of the pair {x, z} in the row-major scan of sorted elements."""
+    elems = sorted(elements)
+    a, b = elems.index(x), elems.index(z)
+    return a * (2 * len(elems) - a - 1) // 2 + (b - a - 1)
+
+
+def planted(rng, moduli, count):
+    """count random progressions (x, y, z) in the group, flattened."""
+    out = []
+    for _ in range(count):
+        x = tuple(rng.randrange(m) for m in moduli)
+        d = tuple(rng.randrange(m) for m in moduli)
+        out += [x, tuple((xi + di) % m for xi, di, m in zip(x, d, moduli)),
+                tuple((xi + 2 * di) % m for xi, di, m in zip(x, d, moduli))]
+    return out
+
+
+mixed_group_sets = st.sampled_from(
+    [(4,), (7,), (4, 3), (6, 5, 2), (2, 9, 4), (8, 3, 6, 5), (2, 2, 2, 3)]
+).flatmap(
+    lambda moduli: st.tuples(
+        st.just(moduli),
+        st.sets(st.tuples(*(st.integers(0, m - 1) for m in moduli)), max_size=30),
+    )
+)
+
+
+class TestScanAgainstLoopOracle:
+    """The chunked numpy scans against the pair loop they replaced."""
+
+    @given(mixed_group_sets, st.sampled_from([1, 2, 3, 5, 8, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_group_chunk_boundaries(self, case, chunk):
+        # tiny chunks: pairs and candidates cross many chunk boundaries, and
+        # the first hit usually sits in a later chunk
+        moduli, elements = case
+        with mock.patch.object(verify_module, "_CHUNK", chunk):
+            check_group(moduli, sorted(elements))
+
+    @given(st.sets(st.integers(1, 300), max_size=40), st.sampled_from([1, 2, 7, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_chunk_boundaries(self, elements, chunk):
+        with mock.patch.object(verify_module, "_CHUNK", chunk):
+            check_integer(300, sorted(elements))
+
+    def test_first_hit_in_later_chunk_at_default_size(self):
+        # 0/1 ternary digits are progression-free; the only progression is
+        # the top three elements, whose pair comes near the end of the scan
+        free = [1 + sum(3**i for i in range(9) if k >> i & 1) for k in range(2**9)]
+        top = [30000, 30005, 30010]
+        elements = free + top
+        expected = check_integer(40000, elements)
+        assert expected == [{"x": 30000, "y": 30005, "z": 30010}]
+        assert pair_index(elements, 30000, 30010) > verify_module._CHUNK
+        # the same set as (x, 0) in Z_M x Z_2: no wrap, an even modulus, and
+        # the first hit again past the first chunk of pairs
+        group = [(x, 0) for x in elements]
+        expected = check_group((80001, 2), group)
+        assert expected == [{"x": [30000, 0], "y": [30005, 0], "z": [30010, 0]}]
+        assert pair_index(group, (30000, 0), (30010, 0)) > verify_module._CHUNK // 2
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_sets_below_three_elements(self, size):
+        check_integer(10, [3, 7][:size])
+        check_group((4, 5), [(0, 1), (2, 3)][:size])
+
+    def test_z2_power_has_no_progression(self):
+        rng = random.Random(12)
+        moduli = (2,) * 14
+        elements = rng.sample(list(product(range(2), repeat=14)), 60)
+        assert check_group(moduli, elements) == []
+
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_z2_power_past_one_chunk_of_offsets(self, n):
+        # distinct elements of Z_2^n have an odd sum in some coordinate, so
+        # no pair survives the parity filter and nothing is looked up; the
+        # 2^n half-offsets must never be built (n = 70 takes the object path)
+        rng = random.Random(n)
+        elements = {tuple(rng.randrange(2) for _ in range(n)) for _ in range(3)}
+        lookups = mock.Mock(wraps=verify_module._members)
+        with mock.patch.object(verify_module, "_members", lookups):
+            assert check_group((2,) * n, sorted(elements)) == []
+        assert lookups.call_count == 0
+
+    def test_even_moduli_past_one_chunk_against_loop(self):
+        # 17 even moduli, 2^17 candidates per kept pair: 2^12 of them in one
+        # array, the other 2^5 looped per pair.  Pairs share their Z_2 part,
+        # and midpoints take any Z_2 part, so hits spread over the loop
+        rng = random.Random(17)
+        moduli = (2,) * 16 + (4, 5)
+        parts = [tuple(rng.randrange(2) for _ in range(16)) for _ in range(3)]
+        elements = [u + t for u in parts for t in [(0, 0), (2, 2), (1, 1)]]
+        sizes = []
+
+        def members(codes, base, offsets):
+            sizes.append(len(base) * len(offsets))
+            return lookup(codes, base, offsets)
+
+        lookup = verify_module._members
+        with mock.patch.object(verify_module, "_CHUNK", 1 << 12), \
+                mock.patch.object(verify_module, "_members", members):
+            expected = check_group(moduli, elements)
+        assert len(expected) > 3 and max(sizes) <= 1 << 12
+
+    def test_many_even_moduli_against_triples(self):
+        # 2^12 midpoint candidates per pair, so one chunk of pairs is looked
+        # up in several chunks of candidates; coordinates in {0, 2} of Z_4
+        # and 0 of Z_2 keep every pair and give hits in every one of them
+        rng = random.Random(7)
+        moduli = (4,) * 6 + (2,) * 6
+        even = rng.sample(list(product((0, 2), repeat=6)), 40)
+        elements = {e + (0,) * 6 for e in even} | set(planted(rng, moduli, 6))
+        elements |= {tuple(rng.randrange(m) for m in moduli) for _ in range(20)}
+        expected = brute_group_progressions(moduli, elements)
+        report = verify_group_set(moduli, elements, all_counterexamples=True)
+        assert report.counts["all_counterexamples"] == expected
+        assert verify_group_set(moduli, elements).counterexample == expected[0]
+
+    def test_first_hit_mode_stops_at_the_first_chunk_with_a_hit(self):
+        lookups = mock.Mock(wraps=verify_module._members)
+        with mock.patch.object(verify_module, "_CHUNK", 1), \
+                mock.patch.object(verify_module, "_members", lookups):
+            # one pair per chunk: (1, 2) has an odd sum, (1, 3) is the hit
+            verify_integer_set(20, [1, 2, 3, 4, 5, 6, 7])
+            assert lookups.call_count == 2
+            verify_integer_set(20, [1, 2, 3, 4, 5, 6, 7], all_counterexamples=True)
+            assert lookups.call_count == 2 + math.comb(7, 2)
+
+    @pytest.mark.parametrize("moduli", [
+        (2**64 + 13, 3),             # elements past int64
+        (2**62 + 3,),                # elements in int64, pair sums past it
+        (2**32 + 15, 2**31 - 1),     # coordinates in int64, codes past it
+        (2**40, 2**30 + 1, 6),
+    ])
+    def test_group_moduli_product_past_int64_range(self, moduli):
+        assert math.prod(moduli) > 2**62
+        rng = random.Random(sum(moduli))
+        elements = set(planted(rng, moduli, 5))
+        # a progression at the top of every coordinate, where int64 codes
+        # and pair sums would wrap
+        elements |= {tuple(m - k for m in moduli) for k in (1, 2, 3)}
+        elements |= {tuple(rng.randrange(max(0, m - 1000), m) for m in moduli) for _ in range(20)}
+        assert check_group(moduli, sorted(elements))
+
+    @pytest.mark.parametrize("bound", [2**64 + 100, 2**63 - 1])
+    def test_integer_bound_past_int64_range(self, bound):
+        rng = random.Random(3)
+        elements = {bound - rng.randrange(10**6) for _ in range(40)}
+        elements |= {bound - 20, bound - 10, bound, 5, 9}
+        assert {"x": bound - 20, "y": bound - 10, "z": bound} in check_integer(bound, elements)
 
 
 class TestCheckedOnFailingSets:
