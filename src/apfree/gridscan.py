@@ -14,9 +14,10 @@ the outer points x, z on the Q-grid and their midpoint candidates on the
 F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
 inequality.  The constructions' region is the block (``scaled_piece``) or
 the [0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
-pair), whose points all weigh 0.  The group route tests and weighs on
-Python ints, which need no int64 bound; the direct route tests int64 rows,
-kept exact by ``region_factor``.
+pair), whose points all weigh 0.  The constructions test and weigh whole
+arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
+``region_factor`` or ``weight_factor`` keeps every intermediate at most
+2^62, object arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def scaled_box(delta: Fraction, D: int, U, V):
     return scaled_below(delta, D, U) & scaled_below(delta, D, V)
 
 
+# int64 values proven at most this cannot wrap, even in a sum of two
+INT64_SAFE = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """int64 when ``bound`` proves every value stays at most 2^62, else
+    object arrays of Python ints; either way nothing wraps."""
+    return np.int64 if bound <= INT64_SAFE else object
+
+
 def region_factor(eps: Fraction | None, delta: Fraction) -> int:
     """scaled_piece (eps) or scaled_box (eps None, 0 < delta < 1) on
     numerators in [0, D) keeps every intermediate below this times D."""
@@ -85,13 +96,20 @@ def membership_table(eps: Fraction, D: int) -> np.ndarray:
 
 
 def scaled_weight(eps: Fraction, D: int, U, V):
-    """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2, meaningful where
-    scaled_piece is nonzero; numpy arrays (broadcast) or Python ints."""
+    """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2 for 0 <= U, V < D,
+    meaningful where scaled_piece is nonzero; numpy arrays (broadcast) or
+    Python ints."""
     en, ed = eps.numerator, eps.denominator
     S = U + V
     # 4 * D^2 * g(U/D): (2U)^2 below one half, (2U - D)^2 above
-    G = (2 * U - D * (2 * U >= D)) ** 2
+    G = (2 * U % D) ** 2
     return 96 * ed * ed * S * S + 6 * en * en * G
+
+
+def weight_factor(eps: Fraction) -> int:
+    """scaled_weight on numerators in [0, D) keeps every intermediate, and
+    scaled_piece every one of its own, below this times D^2."""
+    return 384 * eps.denominator ** 2 + 6 * eps.numerator ** 2
 
 
 def weight_table(eps: Fraction, D: int) -> np.ndarray:

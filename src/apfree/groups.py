@@ -9,6 +9,20 @@ embedded on its own integer grid, so region tests, weights and slice
 indices are exact integer arithmetic (:mod:`apfree.gridscan`).  The best
 shift and slice are selected by counting, and ties break to the smallest
 slice index, then the lexicographically smallest shift.
+
+One numpy kernel serves the histogram and the pre-image: each pair's grid
+is tested and weighed as arrays (its slots), and the product of the slots
+is walked in chunks of at most _PRODUCT_CHUNK tuples, unravelled in the
+order of ``itertools.product``; a chunk gathers and sums its pair weights
+and takes every slice index as one floor division, ``np.unique`` counts
+the slices, and ``J == j`` picks the pre-image.  A value runs in int64
+only when a stated bound proves it stays at most 2^62: region_factor * D
+or weight_factor * D^2 for a pair's grid, the summed weight maxima for the
+sums, num times that (num alone when all are 0) and den for the slice
+division.  Otherwise the same code runs on object arrays of Python ints;
+no float is used.  Before a walk, its pair grids and product, times the
+walks the build makes, are charged to PRODUCT_BUDGET, and BudgetError is
+raised over it.
 """
 
 from __future__ import annotations
@@ -18,11 +32,13 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+
+import numpy as np
 
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import scaled_below, scaled_piece, scaled_weight
+from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_piece, scaled_weight,
+                       weight_factor)
 from .rational import mod1, point_strs, rat_str
 from .slicing import PointN
 
@@ -89,74 +105,170 @@ def _check_delta(delta) -> Fraction:
 
 
 def slice_ratio(epsilon: Fraction | None, delta: Fraction, L: int) -> tuple[int, int]:
-    """(num, den) such that a weight sum s, standing for s / (4 en^2 L), lies
-    in slice floor(2 (s / (4 en^2 L)) / delta^2) = (num * s) // den.  Box
-    points all weigh 0, so any scale serves the box (en = 1)."""
+    """(num, den) in lowest terms such that a weight sum s, standing for
+    s / (4 en^2 L), lies in slice floor(2 (s / (4 en^2 L)) / delta^2) =
+    (num * s) // den.  Box points all weigh 0, so any scale serves the box
+    (en = 1)."""
     en = 1 if epsilon is None else epsilon.numerator
-    return 2 * delta.denominator ** 2, 4 * en ** 2 * L * delta.numerator ** 2
+    num, den = 2 * delta.denominator ** 2, 4 * en ** 2 * L * delta.numerator ** 2
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
-def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction):
-    """Per coordinate pair: the residue pairs in the region, with their
-    weights.  The box (epsilon None) is a product of intervals, so each
-    coordinate is tested alone and every kept pair weighs 0.  Pair h lies on
-    the grid D_h = lcm(m1, m2, den(a1), den(a2)); weights are put on the
-    common scale L = lcm(D_h^2).  Returns (slots, L)."""
+# tuples per numpy step of the slot product, and pair-grid points per step
+# of the region test
+_PRODUCT_CHUNK = 1 << 16
+# the points one build may test and walk in all: each walk tests every
+# pair's grid (m1 + m2 coordinates for the box, m1 * m2 points for the
+# block) and walks the slot product, and a search makes trials + 2 walks.
+# An object-path point counts _OBJECT_COST times: a walk takes about 0.3 us
+# an int64 tuple and 2.3 us an object one (2-vCPU host), so an admitted
+# build spends at most about 5 s here, and no CLI walk exceeds 2^23 tuples.
+PRODUCT_BUDGET = 1 << 24
+_OBJECT_COST = 8
+
+
+class BudgetError(RuntimeError):
+    """A search or enumeration would exceed its work budget."""
+
+
+def _charge(what: str, points: int, dtype, walks: int) -> None:
+    """Raise BudgetError when ``walks`` walks over ``points`` points, on
+    int64 or object arrays (dtype), exceed PRODUCT_BUDGET."""
+    cost = walks * points * (_OBJECT_COST if dtype is object else 1)
+    if cost > PRODUCT_BUDGET:
+        raise BudgetError(f"{what}, walked {walks} times, exceeds the work budget of "
+                          f"{PRODUCT_BUDGET} points")
+
+
+def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
+    """Per coordinate pair: the residue pairs in the region as index arrays
+    (r1, r2), row-major, and their weights w.  The box (epsilon None) is a
+    product of intervals, so each coordinate is tested alone and every kept
+    pair weighs 0.  Pair h lies on the grid D_h = lcm(m1, m2, den(a1),
+    den(a2)), where its arithmetic is int64 when region_factor * D_h (box)
+    or weight_factor * D_h^2 (block) is at most 2^62; weights are put on the
+    common scale L = lcm(D_h^2), int64 when their summed maxima are.  Each
+    grid is charged to the work budget for ``walks`` walks before its test.
+    Returns ([(r1, r2, w), ...], L)."""
     pairs = []
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
         a1, a2 = Fraction(shift[2 * h]), Fraction(shift[2 * h + 1])
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
-        b1 = a1.numerator * (D // a1.denominator)
-        b2 = a2.numerator * (D // a2.denominator)
-        us = [(b1 + r1 * (D // m1)) % D for r1 in range(m1)]
-        vs = [(b2 + r2 * (D // m2)) % D for r2 in range(m2)]
+        dtype = exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
+                            else weight_factor(epsilon) * D * D)
+        _charge(f"pair grid {m1}x{m2}", m1 + m2 if epsilon is None else m1 * m2, dtype, walks)
+        b1 = a1.numerator * (D // a1.denominator) % D
+        b2 = a2.numerator * (D // a2.denominator) % D
+        us = (b1 + np.arange(m1, dtype=dtype) * (D // m1)) % D
+        vs = (b2 + np.arange(m2, dtype=dtype) * (D // m2)) % D
         if epsilon is None:
-            kept = [((r1, r2), 0)
-                    for r1 in range(m1) if scaled_below(delta, D, us[r1])
-                    for r2 in range(m2) if scaled_below(delta, D, vs[r2])]
+            k1 = np.flatnonzero(scaled_below(delta, D, us))
+            k2 = np.flatnonzero(scaled_below(delta, D, vs))
+            r1, r2 = np.repeat(k1, len(k2)), np.tile(k2, len(k1))
+            w = np.zeros(len(r1), dtype=np.int64)
         else:
-            kept = [((r1, r2), scaled_weight(epsilon, D, u, v))
-                    for r1, u in enumerate(us) for r2, v in enumerate(vs)
-                    if scaled_piece(epsilon, D, u, v)]
-        pairs.append((D, kept))
-    L = math.lcm(*(D * D for D, _ in pairs))
-    return [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs], L
+            step = max(1, _PRODUCT_CHUNK // m2)
+            r1, r2 = [], []
+            for lo in range(0, m1, step):
+                i, k = np.nonzero(scaled_piece(epsilon, D, us[lo:lo + step, None], vs[None, :]))
+                r1.append(i + lo)
+                r2.append(k)
+            r1, r2 = np.concatenate(r1), np.concatenate(r2)
+            w = scaled_weight(epsilon, D, us[r1], vs[r2])
+        pairs.append((D, r1, r2, w))
+    L = math.lcm(*(D * D for D, *_ in pairs))
+    if epsilon is None:  # box points weigh 0 on every scale
+        return [(r1, r2, w) for _, r1, r2, w in pairs], L
+    scale = [L // (D * D) for D, *_ in pairs]
+    # bounds every scaled weight, their sums, and each factor c (in-block
+    # weights are positive, so max(w) * c >= c)
+    dtype = exact_dtype(sum(int(w.max()) * c if len(w) else c
+                            for (*_, w), c in zip(pairs, scale)))
+    return [(r1, r2, w.astype(dtype) * c) for (_, r1, r2, w), c in zip(pairs, scale)], L
 
 
-def _scan_slices(moduli, shift, epsilon: Fraction | None, delta: Fraction):
-    """Yield (residue_tuple, slice_index) over the product of the slots;
-    each slice index is one integer floor division."""
+def _slice_dtype(s_max: int, num: int, den: int):
+    """The dtype of the slice division (num * s) // den for 0 <= s <= s_max:
+    int64 when num * max(s_max, 1) and den are at most 2^62."""
+    return exact_dtype(max(num * max(s_max, 1), den))
+
+
+def slice_indices(s, s_max: int, num: int, den: int):
+    """The slice index (num * s) // den of each weight sum in the array s,
+    all in [0, s_max], on the dtype of ``_slice_dtype``."""
+    return (num * s.astype(_slice_dtype(s_max, num, den), copy=False)) // den
+
+
+def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
+    """(slots, chunks): the pair slots, and a generator walking their
+    product in the order of itertools.product, _PRODUCT_CHUNK tuples at a
+    time, that yields (idx, J): each pair's slot indices of the chunk's
+    tuples and their slice indices.  The grids and the product are charged
+    to the work budget for ``walks`` walks first."""
     delta = _check_delta(delta)
     if epsilon is not None:
         epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
-    slots, L = _pair_slots(moduli, shift, epsilon, delta)
+    slots, L = _pair_slots(moduli, shift, epsilon, delta, walks)
     num, den = slice_ratio(epsilon, delta, L)
-    for combo in product(*slots):
-        residues = tuple(r for (pair, _) in combo for r in pair)
-        s = sum(w for (_, w) in combo)
-        yield residues, (num * s) // den
+    shape = tuple(len(w) for *_, w in slots)
+    total = math.prod(shape)
+    s_max = sum(int(w.max()) for *_, w in slots) if total else 0
+    _charge(f"slot product of {total} tuples for moduli {tuple(moduli)}", total,
+            _slice_dtype(s_max, num, den), walks)
+
+    def chunks():
+        for lo in range(0, total, _PRODUCT_CHUNK):
+            idx = np.unravel_index(np.arange(lo, min(lo + _PRODUCT_CHUNK, total)), shape)
+            s = sum(w[i] for (*_, w), i in zip(slots, idx))
+            yield idx, slice_indices(s, s_max, num, den)
+
+    return slots, chunks()
 
 
-def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction):
+def slice_histogram(chunks):
+    """(values, counts) over the slice-index arrays in ``chunks``: the
+    distinct indices in increasing order and how often each occurs."""
+    J = list(chunks)
+    return np.unique(np.concatenate(J) if J else np.zeros(0, dtype=np.int64),
+                     return_counts=True)
+
+
+def fullest_slice(values, counts) -> tuple[int, int]:
+    """(j, count) of the fullest slice, ties to the smallest index; (0, 0)
+    when there is none."""
+    if not len(values):
+        return 0, 0
+    k = int(np.argmax(counts))
+    return int(values[k]), int(counts[k])
+
+
+def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
     """(j*, count, histogram): j* maximizes the in-slice count, ties to the
-    smallest index; histogram maps j -> count over all in-block tuples."""
-    histogram: dict[int, int] = {}
-    for _, j in _scan_slices(moduli, shift, epsilon, delta):
-        histogram[j] = histogram.get(j, 0) + 1
-    best_j = min(histogram, key=lambda j: (-histogram[j], j), default=0)
-    return best_j, histogram.get(best_j, 0), dict(sorted(histogram.items()))
+    smallest index; histogram maps j -> count over all in-block tuples.
+    ``walks``: how many walks like this one the caller's build makes, for
+    the work budget."""
+    _, chunks = _slice_scan(moduli, shift, epsilon, delta, walks)
+    values, counts = slice_histogram(J for _, J in chunks)
+    j, count = fullest_slice(values, counts)
+    return j, count, dict(zip(values.tolist(), counts.tolist()))
 
 
 def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction | None,
-                       delta: Fraction) -> DiscreteSet:
+                       delta: Fraction, walks: int = 1) -> DiscreteSet:
     """All residue tuples embedding into the region (the box when epsilon is
     None) with weight sum in slice j.  Progression-free whenever
-    delta <= 1/max(m)."""
+    delta <= 1/max(m).  ``walks`` as in ``best_slice``."""
     moduli = check_moduli(moduli)
     if len(moduli) % 2 != 0:
         raise ValueError("slice construction needs an even number of moduli")
-    elements = [r for r, jj in _scan_slices(moduli, shift, epsilon, delta) if jj == j]
+    slots, chunks = _slice_scan(moduli, shift, epsilon, delta, walks)
+    elements = []
+    for idx, J in chunks:
+        hit = np.flatnonzero(J == j)
+        columns = [r[i[hit]].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+        elements += zip(*columns)
     prov = {
         "construction": "zm",
         "moduli": list(moduli),
@@ -193,7 +305,8 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     best = None
     for trial in range(trials):
         shift = sample_shift(trial_rng(seed, "shift", trial), moduli, grid_level)
-        j, count, _ = best_slice(moduli, shift, epsilon, delta)
+        # the trials, the pre-image and the histogram walk products alike
+        j, count, _ = best_slice(moduli, shift, epsilon, delta, trials + 2)
         key = (-count, shift, j)
         if best is None or key < best[0]:
             best = (key, shift, j)
@@ -265,8 +378,8 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     if shift is not None:
         j = options.slice_index
         if j is None:
-            j, _, _ = best_slice(moduli, shift, epsilon, delta)
-        dset = slice_preimage_set(moduli, shift, j, epsilon, delta)
+            j, _, _ = best_slice(moduli, shift, epsilon, delta, 3)
+        dset = slice_preimage_set(moduli, shift, j, epsilon, delta, 2)
         _attach_histogram(dset, moduli, shift, epsilon, delta)
     else:
         shift, j, dset = search_shift(moduli, epsilon, delta, options.trials,

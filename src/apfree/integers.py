@@ -10,7 +10,8 @@ Two routes:
 * direct route: embed x -> a + x*b mod 1 with an exactly-checked b whose
   multiples all clear a width-delta corridor around 0, then take a slice
   pre-image of the same region as in the group case, on integer numerators
-  over one prime denominator, streamed by ``row_chunks``.
+  over one prime denominator, streamed by ``row_chunks`` and weighed and
+  sliced by ``row_slices`` (the group kernel's exact slice step).
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -24,8 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from .dsets import DiscreteSet
-from .gridscan import region_factor, scaled_box, scaled_piece, scaled_weight
-from .groups import BuildOptions, build_group_set, region_epsilon, slice_ratio, trial_rng
+from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_piece,
+                       scaled_weight, weight_factor)
+from .groups import (BudgetError, BuildOptions, build_group_set, fullest_slice, region_epsilon,
+                     slice_histogram, slice_indices, slice_ratio, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -37,10 +40,6 @@ RATE_CONSTANT_APPROX = "2.6665"
 
 class ParameterError(ValueError):
     """Construction parameters violate a stated hypothesis."""
-
-
-class BudgetError(RuntimeError):
-    """A randomized search ran out of attempts."""
 
 
 def choose_dimension(N: int) -> int:
@@ -188,7 +187,6 @@ def _next_prime(k: int) -> int:
 
 
 _SCAN_CHUNK = 1 << 18  # bounds the (chunk, n) work matrices
-_INT64_BUDGET = 1 << 62  # int64 intermediates proven below this are exact
 
 
 def row_chunks(a_nums: list[int], b_nums: list[int], denom: int, N: int, factor: int):
@@ -197,7 +195,7 @@ def row_chunks(a_nums: list[int], b_nums: list[int], denom: int, N: int, factor:
     Python ints, so int64 holds only offset*b (offset < _SCAN_CHUNK); the
     caller's test keeps its intermediates below ``factor`` * denom.  Both
     stay below 2^62, which is checked before any row is made."""
-    if max(_SCAN_CHUNK, factor) * denom > _INT64_BUDGET:
+    if max(_SCAN_CHUNK, factor) * denom > INT64_SAFE:
         raise ValueError(
             f"grid denominator {denom} times {max(_SCAN_CHUNK, factor)} exceeds "
             f"the int64-exactness budget 2^62"
@@ -219,6 +217,22 @@ def separation_ok(b_nums: list[int], denom: int, N: int, four_c: int) -> bool:
         if not (four_c * dist > denom).any(axis=1).all():
             return False
     return True
+
+
+def row_slices(rows, epsilon: Fraction | None, denom: int, num: int, den: int):
+    """Slice index (num * s) // den of each row of numerators in [0, denom),
+    s the sum of its pairs' scaled_weight (box rows, epsilon None, weigh 0).
+    The sums run in int64 when n/2 * weight_factor * denom^2 is at most
+    2^62, else on Python ints; the index follows ``slice_indices``."""
+    pairs = rows.shape[1] // 2
+    s_max = 0 if epsilon is None else pairs * weight_factor(epsilon) * denom * denom
+    rows = rows.astype(exact_dtype(s_max), copy=False)
+    if epsilon is None:
+        s = np.zeros(len(rows), dtype=rows.dtype)
+    else:
+        s = sum(scaled_weight(epsilon, denom, rows[:, h], rows[:, h + 1])
+                for h in range(0, 2 * pairs, 2))
+    return slice_indices(s, s_max, num, den)
 
 
 def build_integer_set_direct(N: int, n: int | None = None,
@@ -258,19 +272,18 @@ def build_integer_set_direct(N: int, n: int | None = None,
     for trial in range(options.trials):
         rng = trial_rng(options.seed, "shift", trial)
         a_nums = [rng.randrange(denom) for _ in range(n)]
-        by_slice: dict[int, list[int]] = {}
+        ts, js = [], []
         for t, rows in row_chunks(a_nums, b_nums, denom, N, region_factor(epsilon, delta)):
             keep = np.ones(len(t), dtype=bool)
             for h in range(0, n, 2):
                 U, V = rows[:, h], rows[:, h + 1]
                 keep &= (scaled_box(delta, denom, U, V) if epsilon is None
                          else scaled_piece(epsilon, denom, U, V) > 0)
-            for x, row in zip(t[keep].tolist(), rows[keep].tolist()):
-                s = 0 if epsilon is None else sum(  # box rows weigh 0
-                    scaled_weight(epsilon, denom, row[h], row[h + 1]) for h in range(0, n, 2))
-                by_slice.setdefault((slice_num * s) // slice_den, []).append(x)
-        j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj), default=0)
-        elements = by_slice.get(j, [])
+            ts.append(t[keep])
+            js.append(row_slices(rows[keep], epsilon, denom, slice_num, slice_den))
+        t, J = np.concatenate(ts), np.concatenate(js)
+        j, _ = fullest_slice(*slice_histogram([J]))
+        elements = t[J == j].tolist()
         key = (-len(elements), tuple(a_nums), j)
         if best is None or key < best[0]:
             best = (key, a_nums, j, elements)

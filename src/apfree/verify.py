@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, run_sweep
+from .gridscan import density_count, exact_dtype, run_sweep
 from .rational import decimal_str, rat_str
 
 
@@ -62,9 +62,6 @@ class VerificationReport:
 
 # array elements per numpy step: pairs x coordinates, or candidates
 _CHUNK = 1 << 16
-# values held in int64 stay at most this, so a sum of two cannot wrap; past
-# it the same scan runs on object arrays of Python ints
-_INT64_SAFE = 1 << 62
 
 
 def _pair_chunks(n: int, size: int):
@@ -88,10 +85,42 @@ def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
     return p, idx[p, c]
 
 
-def _group_hits(moduli: tuple[int, ...], elems: list[tuple[int, ...]]):
-    """Index triples (x, y, z) into elems of every progression with x < z,
-    one chunk at a time in scan order: pairs {x, z} lexicographically, then
-    the midpoint solutions y in product order.
+def _group_rows(moduli: tuple[int, ...], elements) -> np.ndarray:
+    """The elements as the rows of a sorted array, int64 when the product of
+    the moduli is at most 2^62 and Python-int objects above, after checking
+    that no element repeats and that each lies in range.  The checks run on
+    the array; ragged, huge or object-path input takes the tuple loop, which
+    reports the same first element."""
+    elements = list(elements)
+    dtype = exact_dtype(math.prod(moduli))
+    X = None
+    if dtype is np.int64:
+        try:
+            X = np.array(elements, dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            pass
+    if X is None or X.shape != (len(elements), len(moduli)):
+        elems = sorted(tuple(int(r) for r in e) for e in elements)
+        if len(set(elems)) != len(elems):
+            raise ValueError("duplicate elements")
+        for e in elems:
+            if len(e) != len(moduli) or any(not 0 <= r < m for r, m in zip(e, moduli)):
+                raise ValueError(f"element {e} out of range for moduli {moduli}")
+        return np.array(elems, dtype=dtype).reshape(len(elems), len(moduli))
+    X = X[np.lexsort(X.T[::-1])]
+    if (X[1:] == X[:-1]).all(axis=1).any():
+        raise ValueError("duplicate elements")
+    bad = ((X < 0) | (X >= np.array(moduli, dtype=np.int64))).any(axis=1)
+    if bad.any():
+        e = tuple(X[np.argmax(bad)].tolist())
+        raise ValueError(f"element {e} out of range for moduli {moduli}")
+    return X
+
+
+def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
+    """Index triples (x, y, z) into the sorted element rows of every
+    progression with x < z, one chunk at a time in scan order: pairs {x, z}
+    lexicographically, then the midpoint solutions y in product order.
 
     Elements are mixed-radix codes, first coordinate most significant, so
     sorted tuples give sorted codes.  Per coordinate 2y = s has one root
@@ -106,18 +135,18 @@ def _group_hits(moduli: tuple[int, ...], elems: list[tuple[int, ...]]):
     the other even moduli are looped over in product order.  So no step
     holds more than _CHUNK candidates, and a set with no surviving pair (as
     every set in Z_2^n) never builds one."""
-    dtype = np.int64 if math.prod(moduli) <= _INT64_SAFE else object
+    dtype = rows.dtype
     m = np.array(moduli, dtype=dtype)
     stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
     even = (m % 2 == 0).astype(dtype)
     # coordinates along rows, so every step runs along a whole chunk of pairs
-    X = np.array(elems, dtype=dtype).T.copy()
+    X = rows.T.copy()
     codes = stride @ X
     halves = (m // 2 * stride)[even == 1].tolist()
     split = max(0, len(halves) - (_CHUNK.bit_length() - 1))
     offsets = None
     m = m[:, None]
-    for a, b in _pair_chunks(len(elems), max(1, _CHUNK // len(moduli))):
+    for a, b in _pair_chunks(len(rows), max(1, _CHUNK // len(moduli))):
         s = X.take(a, axis=1) + X.take(b, axis=1)
         s -= (s >= m) * m
         odd = s & 1
@@ -143,7 +172,7 @@ def _integer_hits(bound: int, elems: list[int]):
     """Index triples (x, y, z) into elems of every progression x < y < z,
     one chunk at a time in scan order: each pair {x, z} of equal parity
     looks its midpoint up in the sorted elements."""
-    dtype = np.int64 if 2 * bound <= _INT64_SAFE else object
+    dtype = exact_dtype(2 * bound)
     v = np.array(elems, dtype=dtype)
     for a, b in _pair_chunks(len(elems), _CHUNK):
         s = v.take(a) + v.take(b)
@@ -186,14 +215,10 @@ def verify_group_set(
     """
     t0 = time.perf_counter()
     moduli = tuple(int(m) for m in moduli)
-    elems = sorted(tuple(int(r) for r in e) for e in elements)
-    if len(set(elems)) != len(elems):
-        raise ValueError("duplicate elements")
-    for e in elems:
-        if len(e) != len(moduli) or any(not 0 <= r < m for r, m in zip(e, moduli)):
-            raise ValueError(f"element {e} out of range for moduli {moduli}")
+    rows = _group_rows(moduli, elements)
+    elems = rows.tolist()
     return _scan_report(
-        t0, _group_hits(moduli, elems),
+        t0, _group_hits(moduli, rows),
         lambda x, y, z: {"x": list(elems[x]), "y": list(elems[y]), "z": list(elems[z])},
         all_counterexamples, subject=subject, mode="group",
         parameters={"moduli": list(moduli), "size": len(elems)},

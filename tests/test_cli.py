@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -209,6 +210,33 @@ class TestIgnoredParameters:
                              "--delta", delta, "--outdir", str(tmp_path))
         assert code == 2 and out == ""
         assert err == f"error: delta={delta} outside (0,1)\n"
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("kind", [["int", "--N", str(10**12)],
+                                      ["zm", "--moduli", "9000,9000", "--epsilon", "1/2"]])
+    def test_over_budget_exits_two_quickly(self, capsys, tmp_path, kind):
+        """About 5.3e8 tuples per trial (N=10^12) or a 9000x9000 block pair
+        grid is refused before any is made, instead of running for hours."""
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "construct", *kind, "--outdir", str(tmp_path))
+        assert time.perf_counter() - t0 < 10
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "work budget" in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", [["zm", "--moduli", "9000,9000"], ["zm", "--moduli", "3000"],
+                                      ["fpn", "--p", "2999", "--n", "2"]])
+    def test_large_box_builds_and_certifies(self, capsys, tmp_path, kind):
+        """The box tests m1 + m2 coordinates, not the m1 * m2 grid, so large
+        moduli stay within the budget."""
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "construct", *kind, "--outdir", str(tmp_path))
+        assert time.perf_counter() - t0 < 10
+        assert code == 0
+        summary = json_lines(out)[0]
+        assert summary["verified"] is True and summary["size"] >= 1
 
 
 class TestThreadsFlag:

@@ -5,12 +5,16 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apfree import groups
 from apfree.blocks import BuildingBlock
+from apfree.gridscan import scaled_below, scaled_piece, scaled_weight
 from apfree.groups import (
+    BudgetError,
     BuildOptions,
     trial_rng,
     best_slice,
@@ -21,6 +25,7 @@ from apfree.groups import (
     sample_shift,
     search_shift,
     slice_preimage_set,
+    slice_ratio,
 )
 from apfree.dsets import DiscreteSet
 from apfree.slicing import (
@@ -389,3 +394,183 @@ class TestBoxKernel:
             slices = fraction_slices(moduli, shift, epsilon, delta)
             _, _, histogram = best_slice(moduli, shift, epsilon, delta)
             assert histogram == {j: len(slices[j]) for j in sorted(slices)}
+
+
+# -- the slot-product kernel against the per-tuple reference loop -----------
+
+
+def reference_slots(moduli, shift, epsilon, delta):
+    """Per coordinate pair, the in-region residue pairs with their weights on
+    the common scale L, one Python-int region test and weight each."""
+    pairs = []
+    for h in range(len(moduli) // 2):
+        m1, m2 = moduli[2 * h], moduli[2 * h + 1]
+        a1, a2 = F(shift[2 * h]), F(shift[2 * h + 1])
+        D = math.lcm(m1, m2, a1.denominator, a2.denominator)
+        b1 = a1.numerator * (D // a1.denominator)
+        b2 = a2.numerator * (D // a2.denominator)
+        us = [(b1 + r1 * (D // m1)) % D for r1 in range(m1)]
+        vs = [(b2 + r2 * (D // m2)) % D for r2 in range(m2)]
+        if epsilon is None:
+            kept = [((r1, r2), 0)
+                    for r1 in range(m1) if scaled_below(delta, D, us[r1])
+                    for r2 in range(m2) if scaled_below(delta, D, vs[r2])]
+        else:
+            kept = [((r1, r2), scaled_weight(epsilon, D, u, v))
+                    for r1, u in enumerate(us) for r2, v in enumerate(vs)
+                    if scaled_piece(epsilon, D, u, v)]
+        pairs.append((D, kept))
+    L = math.lcm(*(D * D for D, _ in pairs))
+    return [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs], L
+
+
+def reference_scan(moduli, shift, epsilon, delta):
+    """(residue_tuple, slice_index) over itertools.product of the slots, one
+    tuple, one sum and one floor division at a time."""
+    slots, L = reference_slots(moduli, shift, epsilon, delta)
+    num, den = slice_ratio(epsilon, delta, L)
+    for combo in product(*slots):
+        residues = tuple(r for (pair, _) in combo for r in pair)
+        yield residues, (num * sum(w for _, w in combo)) // den
+
+
+def reference_best_slice(moduli, shift, epsilon, delta):
+    histogram = {}
+    for _, j in reference_scan(moduli, shift, epsilon, delta):
+        histogram[j] = histogram.get(j, 0) + 1
+    best_j = min(histogram, key=lambda j: (-histogram[j], j), default=0)
+    return best_j, histogram.get(best_j, 0), dict(sorted(histogram.items()))
+
+
+@st.composite
+def kernel_instances(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    top = {2: 16, 4: 8, 6: 4}[n]
+    moduli = tuple(draw(st.integers(2, top)) for _ in range(n))
+    if draw(st.booleans()):  # on the sampling grid
+        shift = tuple(F(draw(st.integers(0, 16 * m - 1)), 16 * m) for m in moduli)
+    else:
+        shift = tuple(F(draw(st.integers(-30, 30)), draw(st.sampled_from([1, 7, 11, 13])))
+                      for m in moduli)
+    epsilon = draw(st.sampled_from([None, F(1, n), F(1, 12)] if n == 2 else [F(1, n), F(1, 12)]))
+    delta = F(1, max(moduli)) * F(draw(st.integers(1, 5)), draw(st.integers(5, 9)))
+    return moduli, shift, epsilon, delta
+
+
+def assert_kernel_matches_reference(moduli, shift, epsilon, delta):
+    j, count, histogram = best_slice(moduli, shift, epsilon, delta)
+    assert (j, count, histogram) == reference_best_slice(moduli, shift, epsilon, delta)
+    assert all(type(k) is int and type(c) is int for k, c in histogram.items())
+    for jj in {j, j + 1}:
+        dset = slice_preimage_set(moduli, shift, jj, epsilon, delta)
+        expected = sorted(r for r, js in reference_scan(moduli, shift, epsilon, delta) if js == jj)
+        assert list(dset.elements) == expected
+
+
+class TestSlotProductKernel:
+    @given(kernel_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_loop(self, instance):
+        assert_kernel_matches_reference(*instance)
+
+    @given(kernel_instances(), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop_across_chunks(self, instance, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
+            assert_kernel_matches_reference(*instance)
+
+    def test_chunked_walk_is_product_order(self, monkeypatch):
+        moduli, shift, epsilon, delta = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7)), F(1, 12), F(1, 7)
+        monkeypatch.setattr(groups, "_PRODUCT_CHUNK", 5)
+        slots, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
+        walked = []
+        for idx, J in chunks:
+            assert len(J) <= 5
+            cols = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+            walked += zip(zip(*cols), J.tolist())
+        assert walked == list(reference_scan(moduli, shift, epsilon, delta))
+
+    @pytest.mark.parametrize("epsilon", [None, F(1, 12), F(1, 4)])
+    def test_object_path_past_int64(self, epsilon):
+        """Shift denominators near 10^18 put D^2 and the weights past 2^62:
+        the kernel runs on Python ints and still matches the reference."""
+        moduli, delta = (12, 10, 6, 8), F(1, 12)
+        shift = (F(1, 10**18 + 9), F(-5 * 10**17, 10**18 + 7), F(1, 3), F(5, 16 * 8))
+        if epsilon is None:
+            moduli, shift = moduli[:2], shift[:2]
+        slots, L = groups._pair_slots(moduli, shift, epsilon, delta)
+        assert L > 1 << 62
+        if epsilon is not None:
+            assert slots[0][2].dtype == object
+            assert sum(int(w.max()) for *_, w in slots) > 1 << 62
+        _, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
+        assert all(J.dtype == object for _, J in chunks)
+        assert_kernel_matches_reference(moduli, shift, epsilon, delta)
+
+    def test_box_slice_division_past_int64(self):
+        """A tiny delta puts num past 2^62 while every box weight is 0: the
+        division runs on Python ints instead of overflowing int64."""
+        moduli, shift, delta = (4, 4), (0, 0), F(1, 10**13)
+        slots, L = groups._pair_slots(moduli, shift, None, delta)
+        num, den = slice_ratio(None, delta, L)
+        assert num > 1 << 62 and groups._slice_dtype(0, num, den) is object
+        assert best_slice(moduli, shift, None, delta) == (0, 1, {0: 1})
+        dset = build_group_set(moduli, BuildOptions(shift=shift, delta=delta))
+        assert dset.elements == ((0, 0),)
+
+    def test_int64_path_on_grid_shifts(self):
+        moduli, epsilon, delta = (16, 16, 16, 16), F(1, 12), F(1, 16)
+        shift = sample_shift(trial_rng(1, "shift", 0), moduli)
+        slots, _ = groups._pair_slots(moduli, shift, epsilon, delta)
+        assert all(w.dtype == np.int64 for *_, w in slots)
+        _, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
+        assert all(J.dtype == np.int64 for _, J in chunks)
+        assert_kernel_matches_reference(moduli, shift, epsilon, delta)
+
+
+class TestWorkBudget:
+    def test_slot_product_over_budget(self, monkeypatch):
+        moduli, shift = (12, 12, 12, 12), (F(1, 24),) * 4
+        _, count, histogram = best_slice(moduli, shift, F(1, 12), F(1, 12))
+        total = sum(histogram.values())
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total - 1)
+        with pytest.raises(BudgetError, match="work budget"):
+            best_slice(moduli, shift, F(1, 12), F(1, 12), walks=3)
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total)
+        assert best_slice(moduli, shift, F(1, 12), F(1, 12), walks=3)[1] == count
+
+    def test_pair_grid_over_budget(self, monkeypatch):
+        """The block tests all m1 * m2 grid points, the box m1 + m2."""
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 143)
+        with pytest.raises(BudgetError, match="pair grid 12x12"):
+            best_slice((12, 12), (0, 0), F(1, 12), F(1, 12))
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 24)
+        assert best_slice((12, 12), (0, 0), None, F(1, 12))[1] == 1
+        with pytest.raises(BudgetError, match="pair grid 12x12, walked 2 times"):
+            best_slice((12, 12), (0, 0), None, F(1, 12), walks=2)
+
+    def test_object_points_cost_more(self, monkeypatch):
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 10 * groups._OBJECT_COST)
+        groups._charge("x", 10, np.int64, groups._OBJECT_COST)
+        groups._charge("x", 10, object, 1)
+        with pytest.raises(BudgetError):
+            groups._charge("x", 11, object, 1)
+        with pytest.raises(BudgetError):
+            groups._charge("x", 10, object, 2)
+
+    @pytest.mark.parametrize("options, walks", [
+        (BuildOptions(trials=5), [7] * 15 + [1] * 6),
+        (BuildOptions(shift=(F(1, 7),) * 4), [3] * 3 + [2] * 3 + [1] * 3),
+        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [2] * 3 + [1] * 3),
+    ])
+    def test_builds_charge_every_walk(self, monkeypatch, options, walks):
+        """A search walks its trials, the pre-image and the histogram; an
+        explicit shift walks the best slice (unless given), the pre-image
+        and the histogram.  The first walk is charged for all of them."""
+        charged, charge = [], groups._charge
+        monkeypatch.setattr(groups, "_charge",
+                            lambda what, points, dtype, w: (charged.append(w),
+                                                            charge(what, points, dtype, w)))
+        build_group_set((6, 6, 6, 6), options)
+        assert charged == walks  # two pair grids and one product per walk

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree.blocks import BuildingBlock
-from apfree.groups import BuildOptions, trial_rng
+from apfree.gridscan import scaled_weight, weight_factor
+from apfree.groups import BuildOptions, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,
     build_integer_set,
@@ -23,6 +24,7 @@ from apfree.integers import (
     first_primes,
     int_nthroot_ceil,
     row_chunks,
+    row_slices,
     separation_ok,
 )
 from apfree.slicing import SliceParams, in_delta_box, slice_index_of, weight_sum
@@ -304,3 +306,38 @@ class TestRowStream:
     def test_budget_checked_before_any_row(self, denom, factor):
         with pytest.raises(ValueError, match="int64-exactness budget"):
             next(row_chunks([0, 0], [1, 1], denom, 10**15, factor))
+
+
+class TestRowSlices:
+    """The direct route's vectorised weight-and-slice-index step against the
+    per-row loop: one Python-int scaled_weight sum and floor division a row."""
+
+    @staticmethod
+    def per_row(rows, epsilon, denom, num, den):
+        return [(num * (0 if epsilon is None else sum(
+            scaled_weight(epsilon, denom, row[h], row[h + 1]) for h in range(0, len(row), 2)))) // den
+            for row in rows.tolist()]
+
+    @given(st.sampled_from([2, 4, 6]), st.sampled_from([None, F(1, 12), "1/n"]),
+           st.sampled_from([997, 800_011, (1 << 31) - 1, (1 << 40) - 87]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_row_loop(self, n, epsilon, denom, seed):
+        epsilon = F(1, n) if epsilon == "1/n" else epsilon
+        delta = F(1, 4 * (seed % 7 + 2))
+        rng = random.Random(seed)
+        rows = np.array([[rng.randrange(denom) for _ in range(n)] for _ in range(50)], dtype=np.int64)
+        num, den = slice_ratio(epsilon, delta, denom * denom)
+        J = row_slices(rows, epsilon, denom, num, den)
+        assert J.tolist() == self.per_row(rows, epsilon, denom, num, den)
+        pairs_bound = n // 2 * weight_factor(epsilon) * denom * denom if epsilon else 0
+        if max(num * pairs_bound, den) > 1 << 62:
+            assert J.dtype == object
+
+    def test_int64_path_on_route_sized_grid(self):
+        denom, n, epsilon = 800_011, 8, F(1, 8)
+        num, den = slice_ratio(epsilon, F(1, 4), denom * denom)
+        assert 4 * weight_factor(epsilon) * denom ** 2 * num <= 1 << 62
+        rows = np.array([[(97 * k + 31 * i) % denom for i in range(n)] for k in range(64)])
+        J = row_slices(rows, epsilon, denom, num, den)
+        assert J.dtype == np.int64
+        assert J.tolist() == self.per_row(rows, epsilon, denom, num, den)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 from unittest import mock
@@ -57,6 +58,30 @@ class TestGroupVerifier:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             verify_group_set((5,), [(5,)])
+
+    @pytest.mark.parametrize("moduli, elements, message", [
+        # the first out-of-range element in sorted order is named
+        ((5, 5), [(1, 7), (0, 9), (3, -1), (2, 2)], "element (0, 9) out of range"),
+        ((5, 5), [(4, 4), (9, 9), (-1, 0)], "element (-1, 0) out of range"),
+        ((5,), [(1,), (6,), (5,)], "element (5,) out of range for moduli (5,)"),
+        # duplicates are reported before any range error
+        ((5, 5), [(1, 2), (9, 9), (1, 2)], "duplicate elements"),
+        ((5, 5), [(True, 0), (1, 0)], "duplicate elements"),
+        # ragged, past-int64 and huge-moduli input take the tuple loop
+        ((5, 5), [(1, 2, 3), (0, 1)], "element (1, 2, 3) out of range"),
+        ((5, 5), [(10**30, 1), (0, 0)], f"element ({10**30}, 1) out of range"),
+        ((2**40, 2**40), [(2**40, 0), (3, 2**41)], f"element (3, {2**41}) out of range"),
+    ])
+    def test_invalid_elements_rejected(self, moduli, elements, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_group_set(moduli, elements)
+
+    def test_unsorted_generator_input(self):
+        elements = [(2, 2), (0, 0), (1, 1)]
+        report = verify_group_set((5, 5), iter(elements), all_counterexamples=True)
+        assert report.counterexample == {"x": [0, 0], "y": [1, 1], "z": [2, 2]}
+        assert report.to_jsonable() == verify_group_set(
+            (5, 5), sorted(elements), all_counterexamples=True).to_jsonable()
 
     def test_wrapped_sum_in_even_modulus(self):
         # pair sum 1+3 = 4 wraps to 0 mod 4, whose halvings are {0, 2}
