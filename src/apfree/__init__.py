@@ -16,6 +16,7 @@ from .blocks import (
 )
 from .dsets import DiscreteSet
 from .groups import (
+    BudgetError,
     BuildOptions,
     best_slice,
     build_fpn_set,
@@ -26,7 +27,6 @@ from .groups import (
     slice_preimage_set,
 )
 from .integers import (
-    BudgetError,
     ParameterError,
     build_integer_set,
     build_integer_set_direct,

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="exhaustive grid sweeps of the block facts")
     p_chk.add_argument("props", choices=["all", "block", "midpoint", "x1z1", "facts"])
     p_chk.add_argument("--epsilon", type=_rational, required=True)
-    p_chk.add_argument("--Q", type=int, default=120, help="grid denominator (multiple of 24)")
+    p_chk.add_argument("--Q", type=int, default=120, help="grid denominator (positive multiple of 24)")
     p_chk.set_defaults(fn=cmd_check)
 
     p_cmp = sub.add_parser("compare", help="size table: new construction vs baseline")
@@ -332,8 +332,8 @@ def _validate(args, parser) -> None:
             parser.error("compare int requires --N")
         if args.context == "fpn" and (args.p is None or args.n is None):
             parser.error("compare fpn requires --p and --n")
-    if args.command == "check" and args.Q % 24 != 0:
-        parser.error("--Q must be a multiple of 24")
+    if args.command == "check" and (args.Q <= 0 or args.Q % 24 != 0):
+        parser.error("--Q must be a positive multiple of 24")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,17 @@ pair), whose points all weigh 0.  The constructions test and weigh whole
 arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
 2^62, object arrays of Python ints otherwise.
+
+``pair_chunks`` is the one pair enumerator: it walks the pairs a < b of
+range(n) in row-major order, a chunk of index arrays at a time, over any
+range of ranks.  The set certificates in :mod:`apfree.verify` walk their
+elements with it, and the sweeps walk the pairs x <= z of the grid points
+as the pairs a < b of range(P + 1) with z = b - 1.  Each swept fact is a
+small function yielding (candidate, code, failing-pair mask) per chunk;
+one driver, ``_sweep``, counts pairs and violations and keeps the first
+violation in scan order as the smallest (x, z, candidate, code), so a
+sweep split into rank ranges, across processes or chunks, reports the
+same.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .blocks import BuildingBlock
 from .rational import rat_str
 
 _SCALE_LIMIT = 2_000_000
@@ -141,213 +153,164 @@ def _point_payload(Q: int, i: int, j: int) -> list[str]:
     return [rat_str(Fraction(int(i), Q)), rat_str(Fraction(int(j), Q))]
 
 
-class _Chunk:
-    """Shared state for one pair-sweep chunk: x in [lo, hi) against all z >= x."""
+def pair_chunks(n: int, size: int, start: int = 0, stop: int | None = None):
+    """Index arrays (a, b) of the pairs a < b of range(n) whose row-major
+    rank (the order of ``np.triu_indices``) lies in [start, stop), at most
+    ``size`` pairs per chunk."""
+    rows = np.arange(max(n - 1, 0), dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    # rank k in row a is the pair (a, k - offset[a])
+    offset = row_start - rows - 1
+    stop = n * (n - 1) // 2 if stop is None else stop
+    for k0 in range(start, stop, size):
+        k1 = min(k0 + size, stop)
+        # the chunk spans rows lo-1 .. hi-1, each but the first starting inside it
+        lo, hi = np.searchsorted(row_start, (k0, k1 - 1), side="right")
+        a = np.repeat(rows[lo - 1:hi], np.diff(np.r_[k0, row_start[lo:hi], k1]))
+        yield a, np.arange(k0, k1, dtype=np.int64) - offset[a]
+
+
+# grid pairs per numpy step of a sweep
+_SWEEP_CHUNK = 1 << 14
+
+
+class _Grid:
+    """The in-block points of the 1/Q grid in scan order, with the weight
+    table at denominator 2Q that serves them and their midpoints."""
 
     def __init__(self, eps: Fraction, Q: int):
+        eps = BuildingBlock(eps).epsilon
+        if Q <= 0 or Q % 24 != 0:
+            raise ValueError(f"grid denominator {Q} must be a positive multiple of 24")
         _check_scale(eps, Q)
-        if Q % 24 != 0:
-            raise ValueError(f"grid denominator {Q} must be a multiple of 24")
-        self.eps = eps
-        self.Q = Q
-        self.D = 2 * Q
+        self.eps, self.Q, self.D = eps, Q, 2 * Q
         self.F4 = weight_table(eps, self.D)
         tab = self.F4[::2, ::2]
         pts = np.argwhere(tab >= 0)
         self.I = pts[:, 0].astype(np.int64)
         self.J = pts[:, 1].astype(np.int64)
+        self.S = self.I + self.J
         self.FX = tab[pts[:, 0], pts[:, 1]]
         self.P = len(self.I)
-        self.zidx = np.arange(self.P)
+        self.pairs = self.P * (self.P + 1) // 2
+        gq, self.g2 = _g_tables(Q)
+        self.GX = gq[self.I]
 
-    def blocks(self, lo: int, hi: int, width: int = 64):
-        for a in range(lo, hi, width):
-            b = min(a + width, hi)
-            yield a, b, (self.zidx[None, :] >= np.arange(a, b)[:, None])
-
-    def midpoint_grids(self, a: int, b: int):
-        Ix, Jx = self.I[a:b, None], self.J[a:b, None]
-        Iz, Jz = self.I[None, :], self.J[None, :]
-        U0, V0 = Ix + Iz, Jx + Jz
-        U1 = np.where(U0 + self.Q >= self.D, U0 - self.Q, U0 + self.Q)
-        V1 = np.where(V0 + self.Q >= self.D, V0 - self.Q, V0 + self.Q)
-        return (Ix, Jx, Iz, Jz), ((U0, V0), (U0, V1), (U1, V0), (U1, V1))
-
-
-def _min_key(viol: np.ndarray, a: int, c: int, code: int):
-    xs, zs = np.nonzero(viol)
-    if len(xs) == 0:
-        return None
-    return (int(a + xs[0]), int(zs[0]), c, code)
+    def midpoints(self, a, b):
+        """(candidate, U, V, F4[U, V]) per midpoint candidate (U/2Q, V/2Q) of
+        the pairs (a, b), in candidate order."""
+        Q, D = self.Q, self.D
+        U0, V0 = self.I[a] + self.I[b], self.J[a] + self.J[b]
+        flat = self.F4.ravel()
+        for c, (U, V) in enumerate(((U0, V0), (U0, (V0 + Q) % D),
+                                    ((U0 + Q) % D, V0), ((U0 + Q) % D, (V0 + Q) % D))):
+            yield c, U, V, flat.take(U * D + V)
 
 
-def block_chunk(eps: Fraction, Q: int, lo: int, hi: int):
-    """Weight inequality w(x)+w(z) >= 2 w(y) + |x-z|^2 over every in-block
-    grid pair and every in-block midpoint candidate."""
-    ch = _Chunk(eps, Q)
-    en = eps.numerator
-    counts = {"grid_points": ch.P, "pairs": 0, "candidates": 0, "violations": 0}
-    best = None
-    for a, b, mask in ch.blocks(lo, hi):
-        (Ix, Jx, Iz, Jz), cands = ch.midpoint_grids(a, b)
-        counts["pairs"] += int(mask.sum())
-        lhs = ch.FX[a:b, None] + ch.FX[None, :]
-        gap = 16 * en * en * ((Ix - Iz) ** 2 + (Jx - Jz) ** 2)
-        for c, (Uc, Vc) in enumerate(cands):
-            fy = ch.F4[Uc, Vc]
-            ok = mask & (fy >= 0)
-            counts["candidates"] += int(ok.sum())
-            viol = ok & (lhs < 2 * fy + gap)
-            nviol = int(viol.sum())
-            if nviol:
-                counts["violations"] += nviol
-                key = _min_key(viol, a, c, 0)
-                if best is None or key < best:
-                    best = key
-    return counts, best
+# Each fact takes a grid and a chunk of its pairs x = a <= z = b and yields
+# (candidate, code, mask of the failing pairs), counting its own side counts.
+
+def _block_fact(g: _Grid, a, b, counts):
+    """Weight inequality w(x)+w(z) >= 2 w(y) + |x-z|^2 at every in-block
+    midpoint candidate y."""
+    lhs = g.FX[a] + g.FX[b]
+    gap = 16 * g.eps.numerator ** 2 * ((g.I[a] - g.I[b]) ** 2 + (g.J[a] - g.J[b]) ** 2)
+    for c, _, _, fy in g.midpoints(a, b):
+        ok = fy >= 0
+        counts["candidates"] += int(np.count_nonzero(ok))
+        yield c, 0, ok & (lhs < 2 * fy + gap)
 
 
-def midpoint_chunk(eps: Fraction, Q: int, lo: int, hi: int):
-    """Midpoint coordinate-sum facts over every in-block pair/candidate:
+def _midpoint_fact(g: _Grid, a, b, counts):
+    """Midpoint coordinate-sum facts at every in-block candidate:
     code 1: y-sum minus half the outer sums is 0 or -1/2;
     code 2: either the eps^2/2 sum-of-squares slack or the near-equal case;
     code 3: in the near-equal case the g-part dominates with (x1-z1)^2/2."""
-    ch = _Chunk(eps, Q)
-    en, ed = eps.numerator, eps.denominator
-    Q2 = Q * Q
-    gq, g2 = _g_tables(Q)
-    counts = {
-        "grid_points": ch.P,
-        "pairs": 0,
-        "candidates": 0,
-        "violations": 0,
-        "near_equal_candidates": 0,
-    }
-    best = None
-    for a, b, mask in ch.blocks(lo, hi):
-        (Ix, Jx, Iz, Jz), cands = ch.midpoint_grids(a, b)
-        counts["pairs"] += int(mask.sum())
-        sx, sz = Ix + Jx, Iz + Jz
-        ssq = sx * sx + sz * sz
-        dsum = sx - sz
-        near = ed * np.abs(dsum) < en * Q
-        gsum4 = 4 * (gq[Ix] + gq[Iz])
-        dI2_2 = 2 * (Ix - Iz) ** 2
-        for c, (Uc, Vc) in enumerate(cands):
-            ok = mask & (ch.F4[Uc, Vc] >= 0)
-            counts["candidates"] += int(ok.sum())
-            syn = Uc + Vc
-            alt = syn - (sx + sz)
-            bad1 = ok & ~((alt == 0) | (alt == -Q))
-            opt_a = 2 * ed * ed * ssq >= ed * ed * syn * syn + en * en * Q2
-            opt_b = near & (2 * ssq == syn * syn + dsum * dsum)
-            bad2 = ok & ~(opt_a | opt_b)
-            nearok = ok & near
-            counts["near_equal_candidates"] += int(nearok.sum())
-            bad3 = nearok & (gsum4 < 2 * g2[Uc] + dI2_2)
-            for code, bad in ((1, bad1), (2, bad2), (3, bad3)):
-                n = int(bad.sum())
-                if n:
-                    counts["violations"] += n
-                    key = _min_key(bad, a, c, code)
-                    if best is None or key < best:
-                        best = key
-    return counts, best
+    en, ed = g.eps.numerator, g.eps.denominator
+    Q = g.Q
+    sx, sz = g.S[a], g.S[b]
+    ssq = sx * sx + sz * sz
+    dsum = sx - sz
+    near = ed * np.abs(dsum) < en * Q
+    gsum4 = 4 * (g.GX[a] + g.GX[b])
+    dI2_2 = 2 * (g.I[a] - g.I[b]) ** 2
+    for c, U, V, fy in g.midpoints(a, b):
+        ok = fy >= 0
+        counts["candidates"] += int(np.count_nonzero(ok))
+        syn = U + V
+        alt = syn - (sx + sz)
+        yield c, 1, ok & ~((alt == 0) | (alt == -Q))
+        opt_a = 2 * ed * ed * ssq >= ed * ed * syn * syn + en * en * Q * Q
+        opt_b = near & (2 * ssq == syn * syn + dsum * dsum)
+        yield c, 2, ok & ~(opt_a | opt_b)
+        nearok = ok & near
+        counts["near_equal_candidates"] += int(np.count_nonzero(nearok))
+        yield c, 3, nearok & (gsum4 < 2 * g.g2[U] + dI2_2)
 
 
-def x1z1_chunk(eps: Fraction, Q: int, lo: int, hi: int):
+def _x1z1_fact(g: _Grid, a, b, counts):
     """Pairs with nearly equal coordinate sums and one first coordinate
     >= 1/2 must have first coordinates summing to at least 1."""
-    ch = _Chunk(eps, Q)
-    en, ed = eps.numerator, eps.denominator
-    counts = {"grid_points": ch.P, "pairs": 0, "applicable": 0, "violations": 0}
-    best = None
-    for a, b, mask in ch.blocks(lo, hi):
-        Ix, Jx = ch.I[a:b, None], ch.J[a:b, None]
-        Iz, Jz = ch.I[None, :], ch.J[None, :]
-        counts["pairs"] += int(mask.sum())
-        dsum = (Ix + Jx) - (Iz + Jz)
-        applicable = mask & (ed * np.abs(dsum) < en * Q) & (
-            (2 * Ix >= Q) | (2 * Iz >= Q)
-        )
-        counts["applicable"] += int(applicable.sum())
-        viol = applicable & (Ix + Iz < Q)
-        n = int(viol.sum())
-        if n:
-            counts["violations"] += n
-            key = _min_key(viol, a, 0, 0)
-            if best is None or key < best:
-                best = key
-    return counts, best
+    Q = g.Q
+    Ix, Iz = g.I[a], g.I[b]
+    applicable = (g.eps.denominator * np.abs(g.S[a] - g.S[b]) < g.eps.numerator * Q) & (
+        (2 * Ix >= Q) | (2 * Iz >= Q)
+    )
+    counts["applicable"] += int(np.count_nonzero(applicable))
+    yield 0, 0, applicable & (Ix + Iz < Q)
 
 
-def facts_chunk(eps: Fraction, Q: int, lo: int, hi: int):
+def _facts_fact(g: _Grid, a, b, counts):
     """Single-point and pair facts of the block:
     code 1: every point has 2/3 < sum <= 17/12;
     code 2: g of the first coordinate dominates (a - 1/2)^2;
     code 3: two points with first coordinates summing below 1 have
-            coordinate sums totalling more than 11/6."""
-    ch = _Chunk(eps, Q)
-    gq, _ = _g_tables(Q)
-    counts = {"grid_points": ch.P, "pairs": 0, "applicable": 0, "violations": 0}
-    best = None
-    if lo == 0:  # point facts once, not per chunk
-        S = ch.I + ch.J
-        bad1 = ~((3 * S > 2 * Q) & (12 * S <= 17 * Q))
-        bad2 = 4 * gq[ch.I] < (2 * ch.I - Q) ** 2
-        for code, bad in ((1, bad1), (2, bad2)):
-            n = int(bad.sum())
-            if n:
-                counts["violations"] += n
-                idx = int(np.nonzero(bad)[0][0])
-                key = (idx, idx, 0, code)
-                if best is None or key < best:
-                    best = key
-    for a, b, mask in ch.blocks(lo, hi):
-        Ix, Jx = ch.I[a:b, None], ch.J[a:b, None]
-        Iz, Jz = ch.I[None, :], ch.J[None, :]
-        counts["pairs"] += int(mask.sum())
-        applicable = mask & (Ix + Iz < Q)
-        counts["applicable"] += int(applicable.sum())
-        viol = applicable & ~(6 * ((Ix + Jx) + (Iz + Jz)) > 11 * Q)
-        n = int(viol.sum())
-        if n:
-            counts["violations"] += n
-            key = _min_key(viol, a, 0, 3)
-            if best is None or key < best:
-                best = key
-    return counts, best
+            coordinate sums totalling more than 11/6.
+    A point's facts are tested on its pair (x, x), so once per sweep."""
+    Q = g.Q
+    for code, bad in ((1, ~((3 * g.S > 2 * Q) & (12 * g.S <= 17 * Q))),
+                      (2, 4 * g.GX < (2 * g.I - Q) ** 2)):
+        if bad.any():
+            yield 0, code, (a == b) & bad[a]
+    applicable = g.I[a] + g.I[b] < Q
+    counts["applicable"] += int(np.count_nonzero(applicable))
+    yield 0, 3, applicable & ~(6 * (g.S[a] + g.S[b]) > 11 * Q)
 
 
-_CHUNK_FNS = {
-    "block": block_chunk,
-    "midpoint": midpoint_chunk,
-    "x1z1": x1z1_chunk,
-    "facts": facts_chunk,
+# kind -> (fact, its side counts)
+_FACTS = {
+    "block": (_block_fact, ("candidates",)),
+    "midpoint": (_midpoint_fact, ("candidates", "near_equal_candidates")),
+    "x1z1": (_x1z1_fact, ("applicable",)),
+    "facts": (_facts_fact, ("applicable",)),
 }
 
 
-def _worker(args):
-    kind, eps_str, Q, lo, hi = args
-    return _CHUNK_FNS[kind](Fraction(eps_str), Q, lo, hi)
+def _sweep(kind: str, g: _Grid, start: int, stop: int):
+    """Counts and the smallest violation key (x, z, candidate, code) of one
+    fact over the pairs x <= z of row-major rank in [start, stop)."""
+    fact, side = _FACTS[kind]
+    counts = {"grid_points": g.P, "pairs": 0, "violations": 0, **dict.fromkeys(side, 0)}
+    best = None
+    # the pairs a < b of range(P + 1), as (a, b - 1), are the pairs x <= z
+    # of range(P) in the same row-major order
+    for a, b in pair_chunks(g.P + 1, _SWEEP_CHUNK, start, stop):
+        b -= 1
+        counts["pairs"] += len(a)
+        for c, code, bad in fact(g, a, b, counts):
+            n = int(np.count_nonzero(bad))
+            if n:
+                counts["violations"] += n
+                k = int(bad.argmax())
+                key = (int(a[k]), int(b[k]), c, code)
+                if best is None or key < best:
+                    best = key
+    return counts, best
 
 
-def run_sweep(kind: str, eps: Fraction, Q: int, threads: int = 1):
-    """Run one exhaustive pair sweep, optionally split across processes.
-
-    Returns (counts, violation) where violation is None or a dict locating
-    the first failure in scan order (identical for every worker count).
-    """
-    ch = _Chunk(eps, Q)
-    P = ch.P
-    threads = max(1, min(threads, os.cpu_count() or 1, P or 1))
-    if threads == 1 or P == 0:
-        parts = [_CHUNK_FNS[kind](eps, Q, 0, P)]
-    else:
-        bounds = [P * k // threads for k in range(threads + 1)]
-        jobs = [(kind, str(eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_worker, jobs))
+def _merge(parts):
+    """(counts, smallest violation key) of a sweep from those of the pair
+    ranges it was split into."""
     counts: dict[str, int] = {}
     best = None
     for part_counts, key in parts:
@@ -355,16 +318,41 @@ def run_sweep(kind: str, eps: Fraction, Q: int, threads: int = 1):
             counts[k] = v if k == "grid_points" else counts.get(k, 0) + v
         if key is not None and (best is None or key < best):
             best = key
+    return counts, best
+
+
+def _worker(args):
+    kind, eps_str, Q, start, stop = args
+    return _sweep(kind, _Grid(Fraction(eps_str), Q), start, stop)
+
+
+def run_sweep(kind: str, eps: Fraction, Q: int, threads: int = 1):
+    """Run one exhaustive pair sweep, its pair range optionally split evenly
+    across processes.
+
+    Returns (counts, violation) where violation is None or a dict locating
+    the first failure in scan order (identical for every worker count).
+    """
+    g = _Grid(eps, Q)
+    threads = max(1, min(threads, os.cpu_count() or 1, g.pairs))
+    if threads == 1:
+        parts = [_sweep(kind, g, 0, g.pairs)]
+    else:
+        bounds = [g.pairs * k // threads for k in range(threads + 1)]
+        jobs = [(kind, str(g.eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_worker, jobs))
+    counts, best = _merge(parts)
     violation = None
     if best is not None:
         xi, zi, c, code = best
         violation = {
-            "x": _point_payload(Q, ch.I[xi], ch.J[xi]),
-            "z": _point_payload(Q, ch.I[zi], ch.J[zi]),
+            "x": _point_payload(Q, g.I[xi], g.J[xi]),
+            "z": _point_payload(Q, g.I[zi], g.J[zi]),
             "code": code,
         }
         if kind in ("block", "midpoint"):
-            u0, v0 = int(ch.I[xi] + ch.I[zi]), int(ch.J[xi] + ch.J[zi])
+            u0, v0 = int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi])
             u = (u0 + (0 if c < 2 else Q)) % (2 * Q)
             v = (v0 + (0 if c % 2 == 0 else Q)) % (2 * Q)
             violation["y"] = [rat_str(Fraction(u, 2 * Q)), rat_str(Fraction(v, 2 * Q))]

@@ -53,7 +53,6 @@ class BuildOptions:
     seed: int = 0
     shift: tuple[Fraction, ...] | None = None
     slice_index: int | None = None
-    grid_level: int = SHIFT_GRID_LEVEL
 
 
 def check_moduli(moduli) -> tuple[int, ...]:
@@ -74,9 +73,10 @@ def embed_point(moduli, shift, residues) -> PointN:
     return tuple(mod1(Fraction(a) + Fraction(r, m)) for a, r, m in zip(shift, residues, moduli))
 
 
-def sample_shift(rng: random.Random, moduli, level: int = SHIFT_GRID_LEVEL) -> tuple[Fraction, ...]:
-    """One shift with a_i uniform on the grid {k/(level*m_i)}."""
-    return tuple(Fraction(rng.randrange(level * m), level * m) for m in moduli)
+def sample_shift(rng: random.Random, moduli) -> tuple[Fraction, ...]:
+    """One shift with a_i uniform on the grid {k/(SHIFT_GRID_LEVEL*m_i)}."""
+    return tuple(Fraction(rng.randrange(SHIFT_GRID_LEVEL * m), SHIFT_GRID_LEVEL * m)
+                 for m in moduli)
 
 
 def trial_rng(seed: int, stream: str, index: int) -> random.Random:
@@ -294,8 +294,7 @@ def _delta_for(moduli, options: BuildOptions) -> Fraction:
     return delta
 
 
-def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int,
-                 grid_level: int = SHIFT_GRID_LEVEL):
+def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int):
     """Sample shifts from the rational grid and keep the one whose best
     slice is largest (ties: lexicographically smallest shift).  Returns
     (shift, j, DiscreteSet)."""
@@ -304,7 +303,7 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     moduli = check_moduli(moduli)
     best = None
     for trial in range(trials):
-        shift = sample_shift(trial_rng(seed, "shift", trial), moduli, grid_level)
+        shift = sample_shift(trial_rng(seed, "shift", trial), moduli)
         # the trials, the pre-image and the histogram walk products alike
         j, count, _ = best_slice(moduli, shift, epsilon, delta, trials + 2)
         key = (-count, shift, j)
@@ -382,11 +381,10 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
         dset = slice_preimage_set(moduli, shift, j, epsilon, delta, 2)
         _attach_histogram(dset, moduli, shift, epsilon, delta)
     else:
-        shift, j, dset = search_shift(moduli, epsilon, delta, options.trials,
-                                      options.seed, options.grid_level)
+        shift, j, dset = search_shift(moduli, epsilon, delta, options.trials, options.seed)
     dset.provenance.update(
         route="box" if epsilon is None else "slice", seed=options.seed, trials=options.trials,
-        grid_level=options.grid_level,
+        grid_level=SHIFT_GRID_LEVEL,
     )
     return dset
 

@@ -3,17 +3,18 @@
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence for
 membership.  The scan is one numpy pass per set kind over chunks of pairs
-(and of candidates, 2^e per pair for e even moduli), each chunk looked up
-with one ``searchsorted`` on the sorted elements; group elements are
-mixed-radix codes.  The values run as int64 when their bound (the product
-of the moduli, or twice the integer bound) is at most 2^62, and otherwise
-the same code runs on object arrays of Python ints, so nothing wraps.
-Progressions come out in pair-scan order; the scan stops at the first
-(a re-checkable counterexample triple) or, with ``all_counterexamples``,
-lists every one.  The block-level statements are swept exhaustively over
-rational grids (see :mod:`apfree.gridscan`), and the area of the block is
-computed a second time by half-plane clipping, independently of the
-stated vertex lists.
+from ``gridscan.pair_chunks``, the pair walk the grid sweeps use too (and
+over chunks of candidates, 2^e per pair for e even moduli), each chunk
+looked up with one ``searchsorted`` on the sorted elements; group
+elements are mixed-radix codes.  The values run as int64 when their
+bound (the product of the moduli, or twice the integer bound) is at most
+2^62, and otherwise the same code runs on object arrays of Python ints,
+so nothing wraps.  Progressions come out in pair-scan order; the scan
+stops at the first (a re-checkable counterexample triple) or, with
+``all_counterexamples``, lists every one.  The block-level statements are
+swept exhaustively over the pairs of rational grid points (see
+:mod:`apfree.gridscan`), and the area of the block is computed a second
+time by half-plane clipping, independently of the stated vertex lists.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, exact_dtype, run_sweep
+from .gridscan import density_count, exact_dtype, pair_chunks, run_sweep
 from .rational import decimal_str, rat_str
 
 
@@ -62,18 +63,6 @@ class VerificationReport:
 
 # array elements per numpy step: pairs x coordinates, or candidates
 _CHUNK = 1 << 16
-
-
-def _pair_chunks(n: int, size: int):
-    """Index arrays (a, b) of the pairs a < b of range(n), row-major (the
-    order of ``np.triu_indices``), at most ``size`` pairs per chunk."""
-    rows = np.arange(n - 1, dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2
-    total = n * (n - 1) // 2
-    for k0 in range(0, total, size):
-        k = np.arange(k0, min(k0 + size, total), dtype=np.int64)
-        a = np.searchsorted(row_start, k, side="right") - 1
-        yield a, k - row_start[a] + a + 1
 
 
 def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
@@ -146,7 +135,7 @@ def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
     split = max(0, len(halves) - (_CHUNK.bit_length() - 1))
     offsets = None
     m = m[:, None]
-    for a, b in _pair_chunks(len(rows), max(1, _CHUNK // len(moduli))):
+    for a, b in pair_chunks(len(rows), max(1, _CHUNK // len(moduli))):
         s = X.take(a, axis=1) + X.take(b, axis=1)
         s -= (s >= m) * m
         odd = s & 1
@@ -174,7 +163,7 @@ def _integer_hits(bound: int, elems: list[int]):
     looks its midpoint up in the sorted elements."""
     dtype = exact_dtype(2 * bound)
     v = np.array(elems, dtype=dtype)
-    for a, b in _pair_chunks(len(elems), _CHUNK):
+    for a, b in pair_chunks(len(elems), _CHUNK):
         s = v.take(a) + v.take(b)
         keep = s & 1 == 0
         p, y = _members(v, s[keep] >> 1, np.zeros(1, dtype=dtype))

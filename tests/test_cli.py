@@ -285,6 +285,23 @@ class TestCheck:
             main(["check", "block", "--epsilon", "1/12", "--Q", "50"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("q", ["0", "-24"])
+    @pytest.mark.parametrize("props", ["all", "facts"])
+    def test_nonpositive_grid_usage_error(self, capsys, q, props):
+        # Q = 0 once passed as a vacuous certificate: checked 0, pass true
+        with pytest.raises(SystemExit) as exc:
+            main(["check", props, "--epsilon", "1/12", f"--Q={q}"])
+        assert exc.value.code == 2
+        assert "positive multiple of 24" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["0", "1", "5/4", "-1/12"])
+    @pytest.mark.parametrize("props", ["block", "all"])
+    def test_epsilon_outside_unit_interval(self, capsys, eps, props):
+        code, out, err = run(capsys, "check", props, f"--epsilon={eps}", "--Q", "24")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "outside (0,1)" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestCompare:
     HEADER = "construction,universe,size,density,density_approx,certified"

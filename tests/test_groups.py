@@ -278,6 +278,13 @@ class TestDriver:
         assert dset.provenance["route"] == "slice"
         assert dset.size > 0 and dset.verify().passed
 
+    def test_shift_grid_level_is_fixed(self):
+        # the shift grid is {k/(16 m)}; sidecars still record its level
+        assert "grid_level" not in BuildOptions.__dataclass_fields__
+        dset = build_group_set((6, 6), BuildOptions(epsilon=F(1, 12), seed=1))
+        assert dset.provenance["grid_level"] == groups.SHIFT_GRID_LEVEL == 16
+        assert all((16 * 6 * F(a)).denominator == 1 for a in dset.provenance["shift"])
+
     def test_provenance_histogram_consistent(self):
         dset = build_group_set((12, 12), BuildOptions(epsilon=F(1, 12), seed=1))
         hist = dset.provenance["slice_histogram"]

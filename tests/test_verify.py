@@ -594,6 +594,169 @@ class TestSweepKernels:
             run_sweep("block", F(1, 12), 50)
 
 
+def plant_faults(monkeypatch, eps, q, seed):
+    """Make the sweeps read their tables at grid q with faults planted for
+    every fact, and return (table, gq, g2): a few weights moved, two grid
+    points outside the block given a weight ((1 - 1/q, 1 - 1/q), and
+    (1/2 - 1/q, 1/4 + 1/q) beside the in-block (1/2, 1/4)), one g value
+    lowered and one half-grid g value raised."""
+    import numpy as np
+
+    import apfree.gridscan as gridscan
+
+    rng = np.random.default_rng(seed)
+    table = gridscan.weight_table(eps, 2 * q).copy()
+    gq, g2 = (t.copy() for t in gridscan._g_tables(q))
+    inside = np.argwhere(table >= 0)
+    for _ in range(3):
+        u, v = inside[rng.integers(len(inside))]
+        table[u, v] += int(rng.integers(-10**6, 10**6))
+    table[-2, -2] = table[q - 2, q // 2 + 2] = 10**9
+    gq[rng.integers(q)] -= 10**4
+    g2[rng.integers(2 * q)] += 10**6
+    monkeypatch.setattr(gridscan, "weight_table", lambda e, d: table.copy())
+    monkeypatch.setattr(gridscan, "_g_tables", lambda Q: (gq, g2))
+    return table, gq, g2
+
+
+def loop_sweep(kind, eps, q, table, gq, g2):
+    """Plain-Python sweep over the pairs x <= z of the grid points that
+    ``table`` marks in-block: the number of violations and the smallest
+    (x, z, candidate, code)."""
+    en, ed = eps.numerator, eps.denominator
+    F4 = table.tolist()
+    gq, g2 = gq.tolist(), g2.tolist()
+    pts = [(i, j) for i in range(q) for j in range(q) if F4[2 * i][2 * j] >= 0]
+    keys = []
+    for xa, (i1, j1) in enumerate(pts):
+        for za in range(xa, len(pts)):
+            i2, j2 = pts[za]
+            s1, s2 = i1 + j1, i2 + j2
+            near = ed * abs(s1 - s2) < en * q
+            if kind == "x1z1":
+                if near and (2 * i1 >= q or 2 * i2 >= q) and i1 + i2 < q:
+                    keys.append((xa, za, 0, 0))
+            elif kind == "facts":
+                if xa == za and not (3 * s1 > 2 * q and 12 * s1 <= 17 * q):
+                    keys.append((xa, za, 0, 1))
+                if xa == za and 4 * gq[i1] < (2 * i1 - q) ** 2:
+                    keys.append((xa, za, 0, 2))
+                if i1 + i2 < q and not 6 * (s1 + s2) > 11 * q:
+                    keys.append((xa, za, 0, 3))
+            else:
+                for c in range(4):
+                    u = (i1 + i2 + (q if c >= 2 else 0)) % (2 * q)
+                    v = (j1 + j2 + (q if c % 2 else 0)) % (2 * q)
+                    fy = F4[u][v]
+                    if fy < 0:
+                        continue
+                    if kind == "block":
+                        gap = 16 * en * en * ((i1 - i2) ** 2 + (j1 - j2) ** 2)
+                        if F4[2 * i1][2 * j1] + F4[2 * i2][2 * j2] < 2 * fy + gap:
+                            keys.append((xa, za, c, 0))
+                        continue
+                    syn, ssq = u + v, s1 * s1 + s2 * s2
+                    if syn - (s1 + s2) not in (0, -q):
+                        keys.append((xa, za, c, 1))
+                    if not (2 * ed * ed * ssq >= ed * ed * syn * syn + en * en * q * q
+                            or near and 2 * ssq == syn * syn + (s1 - s2) ** 2):
+                        keys.append((xa, za, c, 2))
+                    if near and 4 * (gq[i1] + gq[i2]) < 2 * g2[u] + 2 * (i1 - i2) ** 2:
+                        keys.append((xa, za, c, 3))
+    return len(keys), min(keys, default=None), pts
+
+
+SWEEP_KINDS = ["block", "midpoint", "x1z1", "facts"]
+
+
+class TestPairWalk:
+    """The sweeps' flat pair walk: its enumerator, its first violation, and
+    its independence from chunk size, pair-range splits and workers."""
+
+    @given(st.integers(0, 40), st.integers(1, 50), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pair_chunks_are_a_slice_of_triu(self, n, size, data):
+        import numpy as np
+
+        from apfree.gridscan import pair_chunks
+
+        total = n * (n - 1) // 2
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start, total))
+        chunks = list(pair_chunks(n, size, start, stop))
+        assert all(0 < len(a) <= size and len(a) == len(b) for a, b in chunks)
+        a = np.concatenate([a for a, _ in chunks] or [np.zeros(0, dtype=int)])
+        b = np.concatenate([b for _, b in chunks] or [np.zeros(0, dtype=int)])
+        ta, tb = np.triu_indices(n, 1)
+        assert a.tolist() == ta[start:stop].tolist()
+        assert b.tolist() == tb[start:stop].tolist()
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_violation_is_loop_minimum(self, monkeypatch, kind, seed):
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
+        nviol, key, pts = loop_sweep(kind, eps, q, table, gq, g2)
+        assert key is not None
+        counts, violation = gridscan.run_sweep(kind, eps, q)
+        assert counts["violations"] == nviol
+        assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
+        xa, za, c, code = key
+        expected = {"x": [str(F(p, q)) for p in pts[xa]],
+                    "z": [str(F(p, q)) for p in pts[za]], "code": code}
+        if kind in ("block", "midpoint"):
+            (i1, j1), (i2, j2) = pts[xa], pts[za]
+            u = (i1 + i2 + (q if c >= 2 else 0)) % (2 * q)
+            v = (j1 + j2 + (q if c % 2 else 0)) % (2 * q)
+            expected.update(y=[str(F(u, 2 * q)), str(F(v, 2 * q))], candidate=c)
+        assert violation == expected
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_splits_and_tiny_chunks_equal_the_whole_sweep(self, monkeypatch, kind):
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        plant_faults(monkeypatch, eps, q, 0)
+        g = gridscan._Grid(eps, q)
+        whole = gridscan._sweep(kind, g, 0, g.pairs)
+        assert whole[1] is not None
+        # uneven cuts, an empty range and ranges that end mid-row
+        for cuts in ([0, 1, g.pairs], [0, 7, 7, 1000, 1001, g.pairs - 3, g.pairs],
+                     [0, g.pairs // 3, g.pairs]):
+            parts = [gridscan._sweep(kind, g, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            assert gridscan._merge(parts) == whole
+        # chunk boundaries fall mid-row for chunk sizes that do not divide rows
+        for chunk in (7, 100):
+            monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
+            assert gridscan._sweep(kind, g, 0, g.pairs) == whole
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_failing_sweep_independent_of_workers(self, monkeypatch, kind):
+        import multiprocessing
+
+        import apfree.gridscan as gridscan
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the planted tables only when forked")
+        eps, q = F(1, 12), 24
+        plant_faults(monkeypatch, eps, q, 1)
+        serial = gridscan.run_sweep(kind, eps, q, threads=1)
+        assert serial[1] is not None
+        assert gridscan.run_sweep(kind, eps, q, threads=2) == serial
+
+    @pytest.mark.parametrize("eps", [F(0), F(1), F(5, 4), F(-1, 12)])
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="outside"):
+            run_sweep("block", eps, 24)
+
+    @pytest.mark.parametrize("q", [0, -24])
+    def test_grid_must_be_positive(self, q):
+        with pytest.raises(ValueError, match="positive multiple of 24"):
+            run_sweep("facts", F(1, 12), q)
+
+
 class TestWorkedTriple:
     """One fully worked pair at eps = 1/4 with frozen exact values."""
 
