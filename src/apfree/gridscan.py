@@ -23,12 +23,19 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 range(n) in row-major order, a chunk of index arrays at a time, over any
 range of ranks.  The set certificates in :mod:`apfree.verify` walk their
 elements with it, and the sweeps walk the pairs x <= z of the grid points
-as the pairs a < b of range(P + 1) with z = b - 1.  Each swept fact is a
-small function yielding (candidate, code, failing-pair mask) per chunk;
-one driver, ``_sweep``, counts pairs and violations and keeps the first
+as the pairs a < b of range(P + 1) with z = b - 1.  ``run_sweeps`` walks
+them once for any selection of the four facts (``run_sweep`` is the
+one-fact call): per chunk the per-pair columns are gathered once, each
+midpoint candidate's weight is looked up once in the table wrapped to 3Q
+rows and columns (so the four candidates of a pair are its outer sums'
+index plus fixed offsets), and the weight and midpoint facts run only on
+the in-block candidates.  Each fact is a small function yielding
+(code, failing mask) per chunk over its pairs or candidates; ``_walk``
+counts pairs and violations per fact and keeps each fact's first
 violation in scan order as the smallest (x, z, candidate, code), so a
 sweep split into rank ranges, across processes or chunks, reports the
-same.
+same.  Before any table is made a sweep is charged, from Q alone, to
+SWEEP_BUDGET, and grids below _SERIAL_PAIRS pairs stay on one process.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -170,19 +178,45 @@ def pair_chunks(n: int, size: int, start: int = 0, stop: int | None = None):
         yield a, np.arange(k0, k1, dtype=np.int64) - offset[a]
 
 
-# grid pairs per numpy step of a sweep
-_SWEEP_CHUNK = 1 << 14
+# grid pairs per numpy step of a sweep; a step holds several arrays of
+# four midpoint candidates per pair, and 2^14 pairs (512 KiB arrays) raised
+# the peak RSS of 30 s torus-large benchmark runs by 5 MiB, at no
+# measurable speed gain over 2^13
+_SWEEP_CHUNK = 1 << 13
+# Below this many grid pairs a sweep stays on one process whatever the
+# worker cap, because starting a pool costs more than it saves: on a 2-vCPU
+# host two workers ran check all at 0.38x the speed of one at 1.8e5 pairs
+# (eps 1/12, Q 48), 0.8-1.3x at 8.7e5 (Q 72) and 1.4-1.6x at 1.1e6
+# (eps 1/48, Q 72).
+_SERIAL_PAIRS = 1 << 20
+# fact-pair evaluations one sweep may make, bounded from Q alone: at most
+# Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
+# weight table.  check all at Q = 240 (6.6e9) is admitted.
+SWEEP_BUDGET = 1 << 33
+
+
+class BudgetError(RuntimeError):
+    """A search, enumeration or scan would exceed its work budget."""
 
 
 class _Grid:
     """The in-block points of the 1/Q grid in scan order, with the weight
-    table at denominator 2Q that serves them and their midpoints."""
+    table at denominator 2Q that serves them and their midpoints, for a
+    sweep of the facts ``kinds``.  The sweep is charged to SWEEP_BUDGET
+    before any table is made."""
 
-    def __init__(self, eps: Fraction, Q: int):
+    def __init__(self, eps: Fraction, Q: int, kinds):
         eps = BuildingBlock(eps).epsilon
         if Q <= 0 or Q % 24 != 0:
             raise ValueError(f"grid denominator {Q} must be a positive multiple of 24")
+        self.kinds = tuple(dict.fromkeys(kinds))
+        if not self.kinds or any(k not in _FACTS for k in self.kinds):
+            raise ValueError(f"sweep kinds {list(kinds)} must be some of {list(_FACTS)}")
         _check_scale(eps, Q)
+        cost = (2 * Q) ** 2 + len(self.kinds) * Q * Q * (Q * Q + 1) // 2
+        if cost > SWEEP_BUDGET:
+            raise BudgetError(f"sweeping {len(self.kinds)} facts on the 1/{Q} grid (bound "
+                              f"{cost}) exceeds the work budget of {SWEEP_BUDGET} fact pairs")
         self.eps, self.Q, self.D = eps, Q, 2 * Q
         self.F4 = weight_table(eps, self.D)
         tab = self.F4[::2, ::2]
@@ -195,117 +229,156 @@ class _Grid:
         self.pairs = self.P * (self.P + 1) // 2
         gq, self.g2 = _g_tables(Q)
         self.GX = gq[self.I]
+        # the table wrapped to 3Q rows and columns, F4w[u, v] = F4[u mod 2Q,
+        # v mod 2Q]: the midpoint candidates of outer sums (U0, V0) sit at
+        # U0 * 3Q + V0 plus each of the offsets
+        self.F4w = np.pad(self.F4, (0, Q), mode="wrap")
+        self.offsets = np.array([0, Q, 3 * Q * Q, 3 * Q * Q + Q], dtype=np.int64)[:, None]
+        self.wrap = np.arange(3 * Q, dtype=np.int64) % self.D
+        # the single-point facts, code 1: 2/3 < sum <= 17/12, code 2: g of
+        # the first coordinate dominates (a - 1/2)^2; only the failing ones
+        self.point_faults = [
+            (code, bad) for code, bad in (
+                (1, ~((3 * self.S > 2 * Q) & (12 * self.S <= 17 * Q))),
+                (2, 4 * self.GX < (2 * self.I - Q) ** 2))
+            if bad.any()]
 
-    def midpoints(self, a, b):
-        """(candidate, U, V, F4[U, V]) per midpoint candidate (U/2Q, V/2Q) of
-        the pairs (a, b), in candidate order."""
-        Q, D = self.Q, self.D
-        U0, V0 = self.I[a] + self.I[b], self.J[a] + self.J[b]
-        flat = self.F4.ravel()
-        for c, (U, V) in enumerate(((U0, V0), (U0, (V0 + Q) % D),
-                                    ((U0 + Q) % D, V0), ((U0 + Q) % D, (V0 + Q) % D))):
-            yield c, U, V, flat.take(U * D + V)
+
+class _Pairs:
+    """A chunk of the pairs x = a <= z = b of a grid, with the columns the
+    facts share: the coordinates and coordinate sums of x and z, and, each
+    computed once on first use, ``near`` and the midpoint candidates."""
+
+    def __init__(self, g: _Grid, a, b):
+        self.g, self.a, self.b = g, a, b
+        self.Ia, self.Ja, self.Sa = g.I[a], g.J[a], g.S[a]
+        self.Ib, self.Jb, self.Sb = g.I[b], g.J[b], g.S[b]
+
+    @cached_property
+    def near(self):
+        """The coordinate sums of x and z differ by less than eps."""
+        eps = self.g.eps
+        return eps.denominator * np.abs(self.Sa - self.Sb) < eps.numerator * self.g.Q
+
+    @cached_property
+    def cand(self):
+        """(p, c, F4[U, V], U, V) of the in-block midpoint candidates
+        (U/2Q, V/2Q), candidate c of pair p, ordered by candidate, then by
+        pair.  Candidate c adds Q to the outer sum U when c >= 2 and to V
+        when c is odd, mod 2Q."""
+        g = self.g
+        n, W = len(self.a), 3 * g.Q
+        flat = (self.Ia + self.Ib) * W + self.Ja + self.Jb + g.offsets
+        fy = g.F4w.take(flat)
+        k = np.flatnonzero(fy >= 0)
+        c = k // n
+        fk = flat.take(k)
+        u = fk // W
+        return k - c * n, c, fy.take(k), g.wrap.take(u), g.wrap.take(fk - u * W)
 
 
-# Each fact takes a grid and a chunk of its pairs x = a <= z = b and yields
-# (candidate, code, mask of the failing pairs), counting its own side counts.
+# Each fact takes a chunk of pairs and yields (code, mask of the failing
+# pairs or, for the midpoint facts, of the failing in-block candidates),
+# counting its own side counts.
 
-def _block_fact(g: _Grid, a, b, counts):
+def _block_fact(ch: _Pairs, counts):
     """Weight inequality w(x)+w(z) >= 2 w(y) + |x-z|^2 at every in-block
     midpoint candidate y."""
-    lhs = g.FX[a] + g.FX[b]
-    gap = 16 * g.eps.numerator ** 2 * ((g.I[a] - g.I[b]) ** 2 + (g.J[a] - g.J[b]) ** 2)
-    for c, _, _, fy in g.midpoints(a, b):
-        ok = fy >= 0
-        counts["candidates"] += int(np.count_nonzero(ok))
-        yield c, 0, ok & (lhs < 2 * fy + gap)
+    g = ch.g
+    p, _, fy, _, _ = ch.cand
+    counts["candidates"] += len(p)
+    gap = 16 * g.eps.numerator ** 2 * ((ch.Ia - ch.Ib) ** 2 + (ch.Ja - ch.Jb) ** 2)
+    yield 0, (g.FX[ch.a] + g.FX[ch.b] - gap).take(p) < 2 * fy
 
 
-def _midpoint_fact(g: _Grid, a, b, counts):
+def _midpoint_fact(ch: _Pairs, counts):
     """Midpoint coordinate-sum facts at every in-block candidate:
     code 1: y-sum minus half the outer sums is 0 or -1/2;
     code 2: either the eps^2/2 sum-of-squares slack or the near-equal case;
     code 3: in the near-equal case the g-part dominates with (x1-z1)^2/2."""
+    g = ch.g
     en, ed = g.eps.numerator, g.eps.denominator
     Q = g.Q
-    sx, sz = g.S[a], g.S[b]
+    p, _, _, U, V = ch.cand
+    counts["candidates"] += len(p)
+    syn = U + V
+    sx, sz = ch.Sa, ch.Sb
     ssq = sx * sx + sz * sz
-    dsum = sx - sz
-    near = ed * np.abs(dsum) < en * Q
-    gsum4 = 4 * (g.GX[a] + g.GX[b])
-    dI2_2 = 2 * (g.I[a] - g.I[b]) ** 2
-    for c, U, V, fy in g.midpoints(a, b):
-        ok = fy >= 0
-        counts["candidates"] += int(np.count_nonzero(ok))
-        syn = U + V
-        alt = syn - (sx + sz)
-        yield c, 1, ok & ~((alt == 0) | (alt == -Q))
-        opt_a = 2 * ed * ed * ssq >= ed * ed * syn * syn + en * en * Q * Q
-        opt_b = near & (2 * ssq == syn * syn + dsum * dsum)
-        yield c, 2, ok & ~(opt_a | opt_b)
-        nearok = ok & near
-        counts["near_equal_candidates"] += int(np.count_nonzero(nearok))
-        yield c, 3, nearok & (gsum4 < 2 * g.g2[U] + dI2_2)
+    alt = syn - (sx + sz).take(p)
+    yield 1, ~((alt == 0) | (alt == -Q))
+    near = ch.near.take(p)
+    syn2 = syn * syn
+    opt_a = (2 * ed * ed * ssq - en * en * Q * Q).take(p) >= ed * ed * syn2
+    opt_b = near & ((2 * ssq - (sx - sz) ** 2).take(p) == syn2)
+    yield 2, ~(opt_a | opt_b)
+    counts["near_equal_candidates"] += int(np.count_nonzero(near))
+    gx = 4 * (g.GX[ch.a] + g.GX[ch.b]) - 2 * (ch.Ia - ch.Ib) ** 2
+    yield 3, near & (gx.take(p) < 2 * g.g2.take(U))
 
 
-def _x1z1_fact(g: _Grid, a, b, counts):
+def _x1z1_fact(ch: _Pairs, counts):
     """Pairs with nearly equal coordinate sums and one first coordinate
     >= 1/2 must have first coordinates summing to at least 1."""
-    Q = g.Q
-    Ix, Iz = g.I[a], g.I[b]
-    applicable = (g.eps.denominator * np.abs(g.S[a] - g.S[b]) < g.eps.numerator * Q) & (
-        (2 * Ix >= Q) | (2 * Iz >= Q)
-    )
+    Q = ch.g.Q
+    Ix, Iz = ch.Ia, ch.Ib
+    applicable = ch.near & ((2 * Ix >= Q) | (2 * Iz >= Q))
     counts["applicable"] += int(np.count_nonzero(applicable))
-    yield 0, 0, applicable & (Ix + Iz < Q)
+    yield 0, applicable & (Ix + Iz < Q)
 
 
-def _facts_fact(g: _Grid, a, b, counts):
-    """Single-point and pair facts of the block:
-    code 1: every point has 2/3 < sum <= 17/12;
-    code 2: g of the first coordinate dominates (a - 1/2)^2;
+def _facts_fact(ch: _Pairs, counts):
+    """Single-point and pair facts of the block: codes 1 and 2 are the
+    grid's point facts, tested on the pair (x, x), so once per sweep;
     code 3: two points with first coordinates summing below 1 have
-            coordinate sums totalling more than 11/6.
-    A point's facts are tested on its pair (x, x), so once per sweep."""
-    Q = g.Q
-    for code, bad in ((1, ~((3 * g.S > 2 * Q) & (12 * g.S <= 17 * Q))),
-                      (2, 4 * g.GX < (2 * g.I - Q) ** 2)):
-        if bad.any():
-            yield 0, code, (a == b) & bad[a]
-    applicable = g.I[a] + g.I[b] < Q
+    coordinate sums totalling more than 11/6."""
+    Q = ch.g.Q
+    for code, bad in ch.g.point_faults:
+        yield code, (ch.a == ch.b) & bad[ch.a]
+    applicable = ch.Ia + ch.Ib < Q
     counts["applicable"] += int(np.count_nonzero(applicable))
-    yield 0, 3, applicable & ~(6 * (g.S[a] + g.S[b]) > 11 * Q)
+    yield 3, applicable & ~(6 * (ch.Sa + ch.Sb) > 11 * Q)
 
 
-# kind -> (fact, its side counts)
+# kind -> (fact, its side counts, whether it tests midpoint candidates)
 _FACTS = {
-    "block": (_block_fact, ("candidates",)),
-    "midpoint": (_midpoint_fact, ("candidates", "near_equal_candidates")),
-    "x1z1": (_x1z1_fact, ("applicable",)),
-    "facts": (_facts_fact, ("applicable",)),
+    "block": (_block_fact, ("candidates",), True),
+    "midpoint": (_midpoint_fact, ("candidates", "near_equal_candidates"), True),
+    "x1z1": (_x1z1_fact, ("applicable",), False),
+    "facts": (_facts_fact, ("applicable",), False),
 }
 
 
-def _sweep(kind: str, g: _Grid, start: int, stop: int):
-    """Counts and the smallest violation key (x, z, candidate, code) of one
-    fact over the pairs x <= z of row-major rank in [start, stop)."""
-    fact, side = _FACTS[kind]
-    counts = {"grid_points": g.P, "pairs": 0, "violations": 0, **dict.fromkeys(side, 0)}
-    best = None
+def _walk(g: _Grid, start: int, stop: int):
+    """{kind: (counts, smallest violation key (x, z, candidate, code))} of
+    the grid's facts over the pairs x <= z of row-major rank in
+    [start, stop), walked once for all of them."""
+    counts = {kind: {"grid_points": g.P, "pairs": 0, "violations": 0,
+                     **dict.fromkeys(_FACTS[kind][1], 0)} for kind in g.kinds}
+    best = dict.fromkeys(g.kinds)
     # the pairs a < b of range(P + 1), as (a, b - 1), are the pairs x <= z
     # of range(P) in the same row-major order
     for a, b in pair_chunks(g.P + 1, _SWEEP_CHUNK, start, stop):
         b -= 1
-        counts["pairs"] += len(a)
-        for c, code, bad in fact(g, a, b, counts):
-            n = int(np.count_nonzero(bad))
-            if n:
-                counts["violations"] += n
-                k = int(bad.argmax())
-                key = (int(a[k]), int(b[k]), c, code)
-                if best is None or key < best:
-                    best = key
-    return counts, best
+        ch = _Pairs(g, a, b)
+        for kind in g.kinds:
+            fact, _, on_candidates = _FACTS[kind]
+            tally = counts[kind]
+            tally["pairs"] += len(a)
+            for code, bad in fact(ch, tally):
+                n = int(np.count_nonzero(bad))
+                if n:
+                    tally["violations"] += n
+                    if on_candidates:
+                        # the first failure is the smallest (pair, candidate)
+                        p, c = ch.cand[0][bad], ch.cand[1][bad]
+                        k = int(np.argmin(4 * p + c))
+                        p, c = int(p[k]), int(c[k])
+                    else:
+                        p, c = int(bad.argmax()), 0
+                    key = (int(a[p]), int(b[p]), c, code)
+                    if best[kind] is None or key < best[kind]:
+                        best[kind] = key
+    return {kind: (counts[kind], best[kind]) for kind in g.kinds}
 
 
 def _merge(parts):
@@ -322,42 +395,59 @@ def _merge(parts):
 
 
 def _worker(args):
-    kind, eps_str, Q, start, stop = args
-    return _sweep(kind, _Grid(Fraction(eps_str), Q), start, stop)
+    kinds, eps_str, Q, start, stop = args
+    return _walk(_Grid(Fraction(eps_str), Q, kinds), start, stop)
+
+
+def _violation(g: _Grid, kind: str, key):
+    """The report dict of a violation key (x, z, candidate, code)."""
+    Q = g.Q
+    xi, zi, c, code = key
+    violation = {
+        "x": _point_payload(Q, g.I[xi], g.J[xi]),
+        "z": _point_payload(Q, g.I[zi], g.J[zi]),
+        "code": code,
+    }
+    if _FACTS[kind][2]:
+        u0, v0 = int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi])
+        u = (u0 + (0 if c < 2 else Q)) % (2 * Q)
+        v = (v0 + (0 if c % 2 == 0 else Q)) % (2 * Q)
+        violation["y"] = [rat_str(Fraction(u, 2 * Q)), rat_str(Fraction(v, 2 * Q))]
+        violation["candidate"] = c
+    return violation
+
+
+def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
+    """Run the exhaustive pair sweeps of the facts ``kinds`` in one walk
+    over the grid pairs, split evenly across processes when the grid has
+    at least _SERIAL_PAIRS pairs and ``threads`` allows more than one.
+
+    Returns {kind: (counts, violation)}, violation None or a dict locating
+    the kind's first failure in scan order (identical for every worker
+    count)."""
+    g = _Grid(eps, Q, kinds)
+    threads = max(1, min(threads, os.cpu_count() or 1, g.pairs))
+    if threads == 1 or g.pairs < _SERIAL_PAIRS:
+        parts = [_walk(g, 0, g.pairs)]
+    else:
+        bounds = [g.pairs * k // threads for k in range(threads + 1)]
+        jobs = [(g.kinds, str(g.eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_worker, jobs))
+    result = {}
+    for kind in g.kinds:
+        counts, best = _merge([part[kind] for part in parts])
+        result[kind] = counts, None if best is None else _violation(g, kind, best)
+    return result
 
 
 def run_sweep(kind: str, eps: Fraction, Q: int, threads: int = 1):
-    """Run one exhaustive pair sweep, its pair range optionally split evenly
-    across processes.
+    """Run one exhaustive pair sweep: ``run_sweeps`` of the one fact.
 
     Returns (counts, violation) where violation is None or a dict locating
     the first failure in scan order (identical for every worker count).
     """
-    g = _Grid(eps, Q)
-    threads = max(1, min(threads, os.cpu_count() or 1, g.pairs))
-    if threads == 1:
-        parts = [_sweep(kind, g, 0, g.pairs)]
-    else:
-        bounds = [g.pairs * k // threads for k in range(threads + 1)]
-        jobs = [(kind, str(g.eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_worker, jobs))
-    counts, best = _merge(parts)
-    violation = None
-    if best is not None:
-        xi, zi, c, code = best
-        violation = {
-            "x": _point_payload(Q, g.I[xi], g.J[xi]),
-            "z": _point_payload(Q, g.I[zi], g.J[zi]),
-            "code": code,
-        }
-        if kind in ("block", "midpoint"):
-            u0, v0 = int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi])
-            u = (u0 + (0 if c < 2 else Q)) % (2 * Q)
-            v = (v0 + (0 if c % 2 == 0 else Q)) % (2 * Q)
-            violation["y"] = [rat_str(Fraction(u, 2 * Q)), rat_str(Fraction(v, 2 * Q))]
-            violation["candidate"] = c
-    return counts, violation
+    return run_sweeps((kind,), eps, Q, threads)[kind]
 
 
 def density_count(eps: Fraction, m: int) -> int:

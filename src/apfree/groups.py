@@ -37,8 +37,8 @@ import numpy as np
 
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_piece, scaled_weight,
-                       weight_factor)
+from .gridscan import (BudgetError, exact_dtype, region_factor, scaled_below, scaled_piece,
+                       scaled_weight, weight_factor)
 from .rational import mod1, point_strs, rat_str
 from .slicing import PointN
 
@@ -126,10 +126,6 @@ _PRODUCT_CHUNK = 1 << 16
 # build spends at most about 5 s here, and no CLI walk exceeds 2^23 tuples.
 PRODUCT_BUDGET = 1 << 24
 _OBJECT_COST = 8
-
-
-class BudgetError(RuntimeError):
-    """A search or enumeration would exceed its work budget."""
 
 
 def _charge(what: str, points: int, dtype, walks: int) -> None:

@@ -27,8 +27,8 @@ import numpy as np
 from .dsets import DiscreteSet
 from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_piece,
                        scaled_weight, weight_factor)
-from .groups import (BudgetError, BuildOptions, build_group_set, fullest_slice, region_epsilon,
-                     slice_histogram, slice_indices, slice_ratio, trial_rng)
+from .groups import (BudgetError, BuildOptions, _charge, build_group_set, fullest_slice,
+                     region_epsilon, slice_histogram, slice_indices, slice_ratio, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -241,7 +241,9 @@ def build_integer_set_direct(N: int, n: int | None = None,
     """Direct-embedding route.  delta = 1/(4*ceil(N^(1/n))) is the largest
     grid value below the true corridor width; b and the shifts share one
     prime denominator above 8N so no multiple of b can vanish mod 1.  It
-    chooses its own shift, delta and slice."""
+    chooses its own shift, delta and slice.  The N rows, streamed once for
+    the direction and once per trial, are charged to the work budget
+    before the denominator is sought."""
     for name in ("shift", "delta", "slice_index"):
         if getattr(options, name) is not None:
             raise ParameterError(f"the direct route chooses its own {name}; none may be given")
@@ -253,6 +255,8 @@ def build_integer_set_direct(N: int, n: int | None = None,
     if n < 2 or n % 2 != 0:
         raise ParameterError(f"n={n} must be even and >= 2")
     epsilon = region_epsilon(options.epsilon, n)
+    # the direction check and each trial stream all N rows
+    _charge(f"row stream of {N} rows", N, np.int64, 1 + options.trials)
     c = int_nthroot_ceil(N, n)
     four_c = 4 * c
     delta = Fraction(1, four_c)

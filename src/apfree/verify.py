@@ -11,10 +11,13 @@ bound (the product of the moduli, or twice the integer bound) is at most
 2^62, and otherwise the same code runs on object arrays of Python ints,
 so nothing wraps.  Progressions come out in pair-scan order; the scan
 stops at the first (a re-checkable counterexample triple) or, with
-``all_counterexamples``, lists every one.  The block-level statements are
-swept exhaustively over the pairs of rational grid points (see
-:mod:`apfree.gridscan`), and the area of the block is computed a second
-time by half-plane clipping, independently of the stated vertex lists.
+``all_counterexamples``, lists every one.  Before it starts, a scan's
+pairs and the midpoint candidates it will look up are charged to
+SCAN_BUDGET.  The block-level statements are swept exhaustively over the
+pairs of rational grid points, all four in one walk for ``check_all``
+(see :mod:`apfree.gridscan`), and the area of the block is computed a
+second time by half-plane clipping, independently of the stated vertex
+lists.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, exact_dtype, pair_chunks, run_sweep
+from .gridscan import (BudgetError, density_count, exact_dtype, pair_chunks, run_sweep,
+                       run_sweeps)
 from .rational import decimal_str, rat_str
 
 
@@ -63,6 +67,27 @@ class VerificationReport:
 
 # array elements per numpy step: pairs x coordinates, or candidates
 _CHUNK = 1 << 16
+# pairs walked plus midpoint candidates looked up by one certificate: the
+# integer scan runs about 4e7 pairs a second (2-vCPU host), so an admitted
+# scan takes at most about half a minute
+SCAN_BUDGET = 1 << 30
+
+
+def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
+    """Raise BudgetError, before a scan of n elements, when its pairs plus
+    the midpoint candidates it looks up exceed SCAN_BUDGET.  Only a pair
+    whose elements have equal rows in ``parity()`` (their parities in the
+    coordinates of even moduli) passes the parity filter, and then has
+    ``offsets`` candidates; the rows are made only when the bound that
+    every pair passes does not settle the charge."""
+    pairs = math.comb(n, 2)
+    if pairs * (1 + offsets) <= SCAN_BUDGET:
+        return
+    _, sizes = np.unique(parity(), axis=0, return_counts=True)
+    cost = pairs + offsets * sum(math.comb(int(k), 2) for k in sizes)
+    if cost > SCAN_BUDGET:
+        raise BudgetError(f"{what} of {n} elements ({cost} pairs and candidates) exceeds "
+                          f"the work budget of {SCAN_BUDGET}")
 
 
 def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
@@ -205,6 +230,9 @@ def verify_group_set(
     t0 = time.perf_counter()
     moduli = tuple(int(m) for m in moduli)
     rows = _group_rows(moduli, elements)
+    even = [i for i, m in enumerate(moduli) if m % 2 == 0]
+    _charge_scan("group certificate", len(rows), 2 ** len(even),
+                 lambda: (rows[:, even] % 2).astype(np.int8))
     elems = rows.tolist()
     return _scan_report(
         t0, _group_hits(moduli, rows),
@@ -227,6 +255,8 @@ def verify_integer_set(
         raise ValueError(f"elements outside 1..{bound}")
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
+    _charge_scan("integer certificate", len(elems), 1,
+                 lambda: np.array([x & 1 for x in elems], dtype=np.int8)[:, None])
     return _scan_report(
         t0, _integer_hits(int(bound), elems),
         lambda x, y, z: {"x": elems[x], "y": elems[y], "z": elems[z]},
@@ -245,9 +275,8 @@ _SWEEP_SUBJECTS = {
 }
 
 
-def _property_report(kind: str, epsilon: Fraction, grid: int, threads: int) -> VerificationReport:
-    t0 = time.perf_counter()
-    counts, violation = run_sweep(kind, epsilon, grid, threads)
+def _property_report(kind: str, epsilon: Fraction, grid: int, counts: dict, violation,
+                     t0: float) -> VerificationReport:
     report = VerificationReport(
         subject=_SWEEP_SUBJECTS[kind],
         mode="property",
@@ -261,29 +290,33 @@ def _property_report(kind: str, epsilon: Fraction, grid: int, threads: int) -> V
     return report
 
 
+def _one_sweep(kind: str, epsilon: Fraction, grid: int, threads: int) -> VerificationReport:
+    t0 = time.perf_counter()
+    return _property_report(kind, epsilon, grid, *run_sweep(kind, epsilon, grid, threads), t0)
+
+
 def check_building_block(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _property_report("block", epsilon, grid, threads)
+    return _one_sweep("block", epsilon, grid, threads)
 
 
 def check_midpoint_sums(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _property_report("midpoint", epsilon, grid, threads)
+    return _one_sweep("midpoint", epsilon, grid, threads)
 
 
 def check_x1z1_bound(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _property_report("x1z1", epsilon, grid, threads)
+    return _one_sweep("x1z1", epsilon, grid, threads)
 
 
 def check_facts(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _property_report("facts", epsilon, grid, threads)
+    return _one_sweep("facts", epsilon, grid, threads)
 
 
 def check_all(epsilon: Fraction, grid: int, threads: int = 1) -> list[VerificationReport]:
-    return [
-        check_building_block(epsilon, grid, threads),
-        check_midpoint_sums(epsilon, grid, threads),
-        check_x1z1_bound(epsilon, grid, threads),
-        check_facts(epsilon, grid, threads),
-    ]
+    """The four sweeps in one walk over the grid pairs; each report's
+    elapsed time is that of the whole walk."""
+    t0 = time.perf_counter()
+    results = run_sweeps(tuple(_SWEEP_SUBJECTS), epsilon, grid, threads)
+    return [_property_report(kind, epsilon, grid, *results[kind], t0) for kind in _SWEEP_SUBJECTS]
 
 
 # -- areas ------------------------------------------------------------------

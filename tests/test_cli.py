@@ -214,10 +214,12 @@ class TestIgnoredParameters:
 
 class TestWorkBudget:
     @pytest.mark.parametrize("kind", [["int", "--N", str(10**12)],
-                                      ["zm", "--moduli", "9000,9000", "--epsilon", "1/2"]])
+                                      ["zm", "--moduli", "9000,9000", "--epsilon", "1/2"],
+                                      ["int-direct", "--N", str(10**12)]])
     def test_over_budget_exits_two_quickly(self, capsys, tmp_path, kind):
-        """About 5.3e8 tuples per trial (N=10^12) or a 9000x9000 block pair
-        grid is refused before any is made, instead of running for hours."""
+        """About 5.3e8 tuples per trial (N=10^12), a 9000x9000 block pair
+        grid or 10^12 direct-route rows per trial is refused before any is
+        made, instead of running for hours."""
         t0 = time.perf_counter()
         code, out, err = run(capsys, "construct", *kind, "--outdir", str(tmp_path))
         assert time.perf_counter() - t0 < 10
@@ -237,6 +239,29 @@ class TestWorkBudget:
         assert code == 0
         summary = json_lines(out)[0]
         assert summary["verified"] is True and summary["size"] >= 1
+
+    @pytest.mark.parametrize("props", ["block", "all"])
+    def test_check_over_budget_exits_two_at_once(self, capsys, props):
+        # the 1/999984 grid's (2Q)^2 weight table alone would take 29 TiB
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", props, "--epsilon", "1/2", "--Q", "999984")
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "work budget" in err
+        assert len(err.splitlines()) == 1
+
+    def test_certificate_over_budget_exits_two_at_once(self, capsys, tmp_path):
+        # 13 elements of Z_4^24 with even coordinates: every pair passes the
+        # parity filter and has 2^24 midpoint candidates
+        lines = [",".join(str(2 * (i >> k & 1)) for k in range(24)) for i in range(1, 14)]
+        (tmp_path / "e.set").write_text("".join(line + "\n" for line in lines))
+        (tmp_path / "e.json").write_text(json.dumps({"kind": "group", "moduli": [4] * 24}))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--set", str(tmp_path / "e.set"))
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "work budget" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestThreadsFlag:

@@ -197,6 +197,21 @@ class TestPrimePowerRoute:
 
 
 class TestDirectRoute:
+    def test_budget_charged_before_the_denominator(self, monkeypatch):
+        import apfree.integers as integers
+        from apfree.groups import PRODUCT_BUDGET, BudgetError
+
+        def no_prime(k):
+            raise AssertionError("the denominator was sought")
+
+        monkeypatch.setattr(integers, "_next_prime", no_prime)
+        # the direction check and each of the 16 trials stream every row
+        N = PRODUCT_BUDGET // 17 + 1
+        with pytest.raises(BudgetError, match=f"row stream of {N} rows, walked 17 times"):
+            build_integer_set_direct(N)
+        with pytest.raises(AssertionError, match="sought"):
+            build_integer_set_direct(N - 1)
+
     def test_accepted_direction_is_separated(self):
         N, n = 300, 2
         dset = build_integer_set_direct(N, n=n, options=BuildOptions(seed=1, trials=4))

@@ -428,6 +428,24 @@ class TestScanAgainstLoopOracle:
         assert {"x": bound - 20, "y": bound - 10, "z": bound} in check_integer(bound, elements)
 
 
+class TestScanBudget:
+    """Certificates charge their pairs plus the midpoint candidates of the
+    pairs that pass the parity filter before they scan."""
+
+    @pytest.mark.parametrize("verify, args, cost", [
+        # 45 pairs, 2 * C(5, 2) of equal parity with one candidate each
+        (verify_integer_set, (10, range(1, 11)), 45 + 20),
+        # Z_4 x Z_3: pairs of equal Z_4 parity have 2 candidates each
+        (verify_group_set, ((4, 3), [(u, v) for u in range(4) for v in range(2)]), 28 + 2 * 12),
+    ])
+    def test_cost_is_pairs_plus_candidates(self, monkeypatch, verify, args, cost):
+        monkeypatch.setattr(verify_module, "SCAN_BUDGET", cost)
+        assert verify(*args).checked > 0
+        monkeypatch.setattr(verify_module, "SCAN_BUDGET", cost - 1)
+        with pytest.raises(verify_module.BudgetError, match="work budget"):
+            verify(*args)
+
+
 class TestCheckedOnFailingSets:
     @given(st.sets(st.integers(min_value=1, max_value=40), min_size=3, max_size=25))
     @settings(max_examples=60, deadline=None)
@@ -579,8 +597,12 @@ class TestSweepKernels:
         assert counts["violations"] > 0
         assert violation is not None and violation["code"] == 3
 
-    def test_threads_do_not_change_reports(self):
+    def test_threads_do_not_change_reports(self, monkeypatch):
+        import apfree.gridscan as gridscan
+
         eps, q = F(1, 12), 48
+        # a grid this small stays on one process unless told otherwise
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
         serial = run_sweep("midpoint", eps, q, threads=1)
         parallel = run_sweep("midpoint", eps, q, threads=2)
         assert serial == parallel
@@ -666,6 +688,19 @@ def loop_sweep(kind, eps, q, table, gq, g2):
     return len(keys), min(keys, default=None), pts
 
 
+def loop_violation(kind, key, pts, q):
+    """The report dict of the key (x, z, candidate, code) from ``loop_sweep``."""
+    xa, za, c, code = key
+    expected = {"x": [str(F(p, q)) for p in pts[xa]],
+                "z": [str(F(p, q)) for p in pts[za]], "code": code}
+    if kind in ("block", "midpoint"):
+        (i1, j1), (i2, j2) = pts[xa], pts[za]
+        u = (i1 + i2 + (q if c >= 2 else 0)) % (2 * q)
+        v = (j1 + j2 + (q if c % 2 else 0)) % (2 * q)
+        expected.update(y=[str(F(u, 2 * q)), str(F(v, 2 * q))], candidate=c)
+    return expected
+
+
 SWEEP_KINDS = ["block", "midpoint", "x1z1", "facts"]
 
 
@@ -703,15 +738,22 @@ class TestPairWalk:
         counts, violation = gridscan.run_sweep(kind, eps, q)
         assert counts["violations"] == nviol
         assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
-        xa, za, c, code = key
-        expected = {"x": [str(F(p, q)) for p in pts[xa]],
-                    "z": [str(F(p, q)) for p in pts[za]], "code": code}
-        if kind in ("block", "midpoint"):
-            (i1, j1), (i2, j2) = pts[xa], pts[za]
-            u = (i1 + i2 + (q if c >= 2 else 0)) % (2 * q)
-            v = (j1 + j2 + (q if c % 2 else 0)) % (2 * q)
-            expected.update(y=[str(F(u, 2 * q)), str(F(v, 2 * q))], candidate=c)
-        assert violation == expected
+        assert violation == loop_violation(kind, key, pts, q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fused_walk_is_loop_minimum_for_every_kind(self, monkeypatch, seed):
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
+        results = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+        assert list(results) == SWEEP_KINDS
+        for kind in SWEEP_KINDS:
+            nviol, key, pts = loop_sweep(kind, eps, q, table, gq, g2)
+            counts, violation = results[kind]
+            assert counts["violations"] == nviol
+            assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
+            assert violation == loop_violation(kind, key, pts, q)
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_splits_and_tiny_chunks_equal_the_whole_sweep(self, monkeypatch, kind):
@@ -719,18 +761,42 @@ class TestPairWalk:
 
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 0)
-        g = gridscan._Grid(eps, q)
-        whole = gridscan._sweep(kind, g, 0, g.pairs)
+        g = gridscan._Grid(eps, q, (kind,))
+        whole = gridscan._walk(g, 0, g.pairs)[kind]
         assert whole[1] is not None
         # uneven cuts, an empty range and ranges that end mid-row
         for cuts in ([0, 1, g.pairs], [0, 7, 7, 1000, 1001, g.pairs - 3, g.pairs],
                      [0, g.pairs // 3, g.pairs]):
-            parts = [gridscan._sweep(kind, g, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            parts = [gridscan._walk(g, lo, hi)[kind] for lo, hi in zip(cuts, cuts[1:])]
             assert gridscan._merge(parts) == whole
         # chunk boundaries fall mid-row for chunk sizes that do not divide rows
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert gridscan._sweep(kind, g, 0, g.pairs) == whole
+            assert gridscan._walk(g, 0, g.pairs)[kind] == whole
+
+    def test_fused_splits_chunks_and_workers_equal_the_whole_walk(self, monkeypatch):
+        import multiprocessing
+
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        plant_faults(monkeypatch, eps, q, 2)
+        g = gridscan._Grid(eps, q, SWEEP_KINDS)
+        whole = gridscan._walk(g, 0, g.pairs)
+        assert all(whole[kind][1] is not None for kind in SWEEP_KINDS)
+        for cuts in ([0, 7, 7, 1000, 1001, g.pairs - 3, g.pairs], [0, g.pairs // 3, g.pairs]):
+            parts = [gridscan._walk(g, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            for kind in SWEEP_KINDS:
+                assert gridscan._merge([part[kind] for part in parts]) == whole[kind]
+        serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+        for chunk in (7, 100):
+            monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
+            assert gridscan._walk(g, 0, g.pairs) == whole
+            assert gridscan.run_sweeps(SWEEP_KINDS, eps, q) == serial
+        if multiprocessing.get_start_method() == "fork":
+            # workers see the planted tables only when forked
+            monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
+            assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_failing_sweep_independent_of_workers(self, monkeypatch, kind):
@@ -742,6 +808,8 @@ class TestPairWalk:
             pytest.skip("workers see the planted tables only when forked")
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 1)
+        # a grid this small stays on one process unless told otherwise
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
         serial = gridscan.run_sweep(kind, eps, q, threads=1)
         assert serial[1] is not None
         assert gridscan.run_sweep(kind, eps, q, threads=2) == serial
@@ -755,6 +823,33 @@ class TestPairWalk:
     def test_grid_must_be_positive(self, q):
         with pytest.raises(ValueError, match="positive multiple of 24"):
             run_sweep("facts", F(1, 12), q)
+
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 12), F(1, 24)])
+    @pytest.mark.parametrize("q", [24, 48])
+    def test_check_all_equals_the_one_kind_sweeps(self, eps, q):
+        singles = [check(eps, q) for check in (
+            verify_module.check_building_block, verify_module.check_midpoint_sums,
+            verify_module.check_x1z1_bound, verify_module.check_facts)]
+        assert [r.to_jsonable() for r in check_all(eps, q)] == [r.to_jsonable() for r in singles]
+
+    def test_budget_bounds_the_grid_before_any_table(self, monkeypatch):
+        import apfree.gridscan as gridscan
+
+        # check all at Q = 240 is admitted, at Q = 264 refused, and a huge
+        # grid is refused before its (2Q)^2 weight table is made
+        assert gridscan._Grid(F(1, 12), 240, SWEEP_KINDS).pairs > 0
+        with pytest.raises(gridscan.BudgetError, match="work budget"):
+            gridscan._Grid(F(1, 12), 264, SWEEP_KINDS)
+        monkeypatch.setattr(gridscan, "weight_table", None)
+        with pytest.raises(gridscan.BudgetError, match="work budget"):
+            run_sweep("block", F(1, 2), 999984)
+
+    def test_unknown_kind_rejected(self):
+        import apfree.gridscan as gridscan
+
+        for kinds in ((), ("block", "bogus")):
+            with pytest.raises(ValueError, match="sweep kinds"):
+                gridscan.run_sweeps(kinds, F(1, 12), 24)
 
 
 class TestWorkedTriple:
