@@ -48,11 +48,7 @@ from .slicing import (
 from .verify import (
     VerificationReport,
     area_oracle,
-    check_all,
-    check_building_block,
-    check_facts,
-    check_midpoint_sums,
-    check_x1z1_bound,
+    check_sweeps,
     density_estimate,
     verify_group_set,
     verify_integer_set,

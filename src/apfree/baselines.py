@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dsets import DiscreteSet
+from .gridscan import GRID_BUDGET, BudgetError
 from .integers import ParameterError, int_nthroot_ceil
 
 
@@ -23,8 +24,16 @@ def _int_nthroot_floor(N: int, n: int) -> int:
 def _best_shell(base: int, dim: int) -> tuple[int, np.ndarray]:
     """The most populous sphere shell of {0,...,(base-1)//2}^dim, ties going
     to the smaller radius: its squared radius, and its digit rows in
-    ``itertools.product`` order (last digit fastest)."""
+    ``itertools.product`` order (last digit fastest).  Its longer array,
+    the side^dim digit rows or the counts of the dim*(side-1)^2 + 1 squared
+    radii, is charged to GRID_BUDGET first."""
     side = (base - 1) // 2 + 1
+    # side >= 2, so a dim past the budget's bit length is over it, and
+    # side ** dim is never computed for a huge dim
+    if dim >= GRID_BUDGET.bit_length() or max(side ** dim,
+                                              dim * (side - 1) ** 2 + 1) > GRID_BUDGET:
+        raise BudgetError(f"sphere shells of {{0..{side - 1}}}^{dim} exceed the budget of "
+                          f"{GRID_BUDGET} array entries")
     squares = np.arange(side, dtype=np.int64) ** 2
     radii = np.zeros(1, dtype=np.int64)
     for _ in range(dim):

@@ -22,15 +22,7 @@ from .groups import BuildOptions, build_fpn_set, build_group_set
 from .integers import build_integer_set, build_integer_set_direct
 from .rational import decimal_str, parse_point, parse_rational, rat_str
 from .storage import dump_json, read_set, write_set
-from .verify import (
-    area_oracle,
-    check_all,
-    check_building_block,
-    check_facts,
-    check_midpoint_sums,
-    check_x1z1_bound,
-    density_estimate,
-)
+from .verify import SWEEP_SUBJECTS, area_oracle, check_sweeps, density_estimate
 
 
 def _rational(text: str) -> Fraction:
@@ -149,7 +141,7 @@ def _build(args) -> DiscreteSet:
         return build_integer_set(args.N, options, n_override=args.n_override)
     if kind == "int-direct":
         return build_integer_set_direct(args.N, n=args.n_override, options=options,
-                                        b_trials=args.b_trials)
+                                        b_trials=64 if args.b_trials is None else args.b_trials)
     if kind == "behrend":
         return behrend_set(args.N)
     if kind == "halfbox":
@@ -192,14 +184,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    runner = {
-        "block": lambda: [check_building_block(args.epsilon, args.Q, args.threads)],
-        "midpoint": lambda: [check_midpoint_sums(args.epsilon, args.Q, args.threads)],
-        "x1z1": lambda: [check_x1z1_bound(args.epsilon, args.Q, args.threads)],
-        "facts": lambda: [check_facts(args.epsilon, args.Q, args.threads)],
-        "all": lambda: check_all(args.epsilon, args.Q, args.threads),
-    }[args.props]
-    reports = runner()
+    kinds = tuple(SWEEP_SUBJECTS) if args.props == "all" else (args.props,)
+    reports = check_sweeps(kinds, args.epsilon, args.Q, args.threads)
     for report in reports:
         _report_lines(report)
     return 0 if all(r.passed for r in reports) else 1
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--shift", type=_shift, default=None)
     p_con.add_argument("--slice-j", dest="slice_j", type=int, default=None)
-    p_con.add_argument("--b-trials", dest="b_trials", type=int, default=64)
+    p_con.add_argument("--b-trials", dest="b_trials", type=int, default=None)
     p_con.add_argument("--outdir", default="out")
     p_con.add_argument("--name", default=None)
     p_con.add_argument("--no-verify", action="store_true",
@@ -288,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(fn=cmd_construct)
 
     p_chk = sub.add_parser("check", help="exhaustive grid sweeps of the block facts")
-    p_chk.add_argument("props", choices=["all", "block", "midpoint", "x1z1", "facts"])
+    p_chk.add_argument("props", choices=["all", *SWEEP_SUBJECTS])
     p_chk.add_argument("--epsilon", type=_rational, required=True)
     p_chk.add_argument("--Q", type=int, default=120, help="grid denominator (positive multiple of 24)")
     p_chk.set_defaults(fn=cmd_check)
@@ -316,24 +302,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TORUS = ("epsilon", "delta", "trials", "seed", "shift", "slice_j")
+# construct kind -> (the parameters it requires, those it may also read);
+# a parameter a kind does not read is refused, not silently dropped
+_READS = {
+    "zm": (("moduli",), _TORUS),
+    "fpn": (("p", "n"), _TORUS),
+    "int": (("N",), ("n_override", *_TORUS)),
+    "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed", "b_trials")),
+    "behrend": (("N",), ()),
+    "halfbox": (("p", "n"), ()),
+}
+_PARAMETERS = dict.fromkeys(f for fields in _READS.values() for f in fields[0] + fields[1])
+
+
 def _validate(args, parser) -> None:
-    need = {
-        "zm": ["moduli"], "fpn": ["p", "n"], "int": ["N"], "int-direct": ["N"],
-        "behrend": ["N"], "halfbox": ["p", "n"],
-    }
     if args.command == "construct":
         if args.config is not None:
             _apply_config(args, parser)
-        for field in need[args.kind]:
+        required, optional = _READS[args.kind]
+        for field in required:
             if getattr(args, field) is None:
                 parser.error(f"construct {args.kind} requires --{field}")
+        for field in _PARAMETERS:
+            if field not in required + optional and getattr(args, field) is not None:
+                raise ValueError(f"construct {args.kind} does not read "
+                                 f"--{field.replace('_', '-')}")
     if args.command == "compare":
         if args.context == "int" and args.N is None:
             parser.error("compare int requires --N")
         if args.context == "fpn" and (args.p is None or args.n is None):
             parser.error("compare fpn requires --p and --n")
-    if args.command == "check" and (args.Q <= 0 or args.Q % 24 != 0):
-        parser.error("--Q must be a positive multiple of 24")
 
 
 def main(argv=None) -> int:

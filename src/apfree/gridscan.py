@@ -24,8 +24,8 @@ range(n) in row-major order, a chunk of index arrays at a time, over any
 range of ranks.  The set certificates in :mod:`apfree.verify` walk their
 elements with it, and the sweeps walk the pairs x <= z of the grid points
 as the pairs a < b of range(P + 1) with z = b - 1.  ``run_sweeps`` walks
-them once for any selection of the four facts (``run_sweep`` is the
-one-fact call): per chunk the per-pair columns are gathered once, each
+them once for any selection of the four facts (every ``check`` calls
+it once): per chunk the per-pair columns are gathered once, each
 midpoint candidate's weight is looked up once in the table wrapped to 3Q
 rows and columns (so the four candidates of a pair are its outer sums'
 index plus fixed offsets), and the weight and midpoint facts run only on
@@ -36,6 +36,7 @@ violation in scan order as the smallest (x, z, candidate, code), so a
 sweep split into rank ranges, across processes or chunks, reports the
 same.  Before any table is made a sweep is charged, from Q alone, to
 SWEEP_BUDGET, and grids below _SERIAL_PAIRS pairs stay on one process.
+The density grid's cells are charged to GRID_BUDGET.
 """
 
 from __future__ import annotations
@@ -193,6 +194,13 @@ _SERIAL_PAIRS = 1 << 20
 # Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
 # weight table.  check all at Q = 240 (6.6e9) is admitted.
 SWEEP_BUDGET = 1 << 33
+
+
+# entries of the longest array one dense grid may hold: the density grid's
+# m^2 cells (about 20 bytes a cell at the peak, so 1.4 GiB at m = 8192), or a
+# baseline's digit rows or radius counts (619 MiB for the 5e7 radius counts
+# of behrend at N = 10^8)
+GRID_BUDGET = 1 << 26
 
 
 class BudgetError(RuntimeError):
@@ -441,18 +449,13 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     return result
 
 
-def run_sweep(kind: str, eps: Fraction, Q: int, threads: int = 1):
-    """Run one exhaustive pair sweep: ``run_sweeps`` of the one fact.
-
-    Returns (counts, violation) where violation is None or a dict locating
-    the first failure in scan order (identical for every worker count).
-    """
-    return run_sweeps((kind,), eps, Q, threads)[kind]
-
-
 def density_count(eps: Fraction, m: int) -> int:
-    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block."""
+    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block.
+    The m^2 cells are charged to GRID_BUDGET first."""
     _check_scale(eps, 2 * m)
+    if m * m > GRID_BUDGET:
+        raise BudgetError(f"density grid of {m}x{m} cells exceeds the budget of "
+                          f"{GRID_BUDGET} cells")
     odd = 2 * np.arange(m, dtype=np.int64) + 1
     tags = scaled_piece(eps, 2 * m, odd[:, None], odd[None, :])
     return int((tags > 0).sum())

@@ -144,17 +144,21 @@ def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     pair weighs 0.  Pair h lies on the grid D_h = lcm(m1, m2, den(a1),
     den(a2)), where its arithmetic is int64 when region_factor * D_h (box)
     or weight_factor * D_h^2 (block) is at most 2^62; weights are put on the
-    common scale L = lcm(D_h^2), int64 when their summed maxima are.  Each
-    grid is charged to the work budget for ``walks`` walks before its test.
-    Returns ([(r1, r2, w), ...], L)."""
-    pairs = []
+    common scale L = lcm(D_h^2), int64 when their summed maxima are.  Before
+    its test each grid is charged to the work budget, together with the
+    grids before it, for ``walks`` walks.  Returns ([(r1, r2, w), ...], L)."""
+    pairs, points = [], 0
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
         a1, a2 = Fraction(shift[2 * h]), Fraction(shift[2 * h + 1])
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
         dtype = exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
                             else weight_factor(epsilon) * D * D)
-        _charge(f"pair grid {m1}x{m2}", m1 + m2 if epsilon is None else m1 * m2, dtype, walks)
+        # the points of the grids so far, object-path points weighted as in _charge
+        grid = m1 + m2 if epsilon is None else m1 * m2
+        points += grid * (_OBJECT_COST if dtype is object else 1)
+        _charge(f"pair grid {m1}x{m2}" + (f" with the {h} before it" if h else ""), points,
+                np.int64, walks)
         b1 = a1.numerator * (D // a1.denominator) % D
         b2 = a2.numerator * (D // a2.denominator) % D
         us = (b1 + np.arange(m1, dtype=dtype) * (D // m1)) % D
@@ -242,13 +246,12 @@ def fullest_slice(values, counts) -> tuple[int, int]:
 
 def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
     """(j*, count, histogram): j* maximizes the in-slice count, ties to the
-    smallest index; histogram maps j -> count over all in-block tuples.
-    ``walks``: how many walks like this one the caller's build makes, for
-    the work budget."""
+    smallest index; histogram is the (values, counts) arrays of
+    ``slice_histogram`` over all in-block tuples.  ``walks``: how many walks
+    like this one the caller's build makes, for the work budget."""
     _, chunks = _slice_scan(moduli, shift, epsilon, delta, walks)
-    values, counts = slice_histogram(J for _, J in chunks)
-    j, count = fullest_slice(values, counts)
-    return j, count, dict(zip(values.tolist(), counts.tolist()))
+    histogram = slice_histogram(J for _, J in chunks)
+    return (*fullest_slice(*histogram), histogram)
 
 
 def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction | None,
@@ -297,6 +300,9 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     moduli = check_moduli(moduli)
+    # each pair grid has at least 4 points, so a search its grids alone put
+    # over the budget is refused before any shift is sampled
+    _charge(f"{len(moduli) // 2} pair grids", 4 * (len(moduli) // 2), np.int64, trials + 2)
     best = None
     for trial in range(trials):
         shift = sample_shift(trial_rng(seed, "shift", trial), moduli)
@@ -307,19 +313,19 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
             best = (key, shift, j)
     _, shift, j = best
     dset = slice_preimage_set(moduli, shift, j, epsilon, delta)
-    _attach_histogram(dset, moduli, shift, epsilon, delta)
+    _attach_histogram(dset, best_slice(moduli, shift, epsilon, delta)[2])
     return shift, j, dset
 
 
-def _attach_histogram(dset: DiscreteSet, moduli, shift, epsilon, delta,
-                      cap: int = 1000) -> None:
-    """Record the slice histogram {j: count} in the provenance (capped to
-    keep sidecars small for large groups)."""
-    _, _, histogram = best_slice(moduli, shift, epsilon, delta)
-    dset.provenance["slices_nonempty"] = len(histogram)
-    dset.provenance["in_block_total"] = sum(histogram.values())
-    if len(histogram) <= cap:
-        dset.provenance["slice_histogram"] = {str(j): c for j, c in histogram.items()}
+def _attach_histogram(dset: DiscreteSet, histogram, cap: int = 1000) -> None:
+    """Record the slice histogram (values, counts) in the provenance, as
+    {j: count} only up to ``cap`` slices to keep sidecars small for large
+    groups."""
+    values, counts = histogram
+    dset.provenance["slices_nonempty"] = len(values)
+    dset.provenance["in_block_total"] = int(counts.sum())
+    if len(values) <= cap:
+        dset.provenance["slice_histogram"] = dict(zip(map(str, values.tolist()), counts.tolist()))
 
 
 def fiber_reduce(dset: DiscreteSet) -> DiscreteSet:
@@ -371,11 +377,12 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     if epsilon is None and options.slice_index is not None:
         raise ValueError("the box route (n=2, no epsilon) takes no slice index")
     if shift is not None:
-        j = options.slice_index
-        if j is None:
-            j, _, _ = best_slice(moduli, shift, epsilon, delta, 3)
+        # the histogram's walk also picks the slice when none is given
+        j, _, histogram = best_slice(moduli, shift, epsilon, delta, 2)
+        if options.slice_index is not None:
+            j = options.slice_index
         dset = slice_preimage_set(moduli, shift, j, epsilon, delta, 2)
-        _attach_histogram(dset, moduli, shift, epsilon, delta)
+        _attach_histogram(dset, histogram)
     else:
         shift, j, dset = search_shift(moduli, epsilon, delta, options.trials, options.seed)
     dset.provenance.update(

@@ -152,6 +152,12 @@ def build_integer_set(N: int, options: BuildOptions = BuildOptions(),
         n = int(n_override)
         if n < 2 or n % 2 != 0:
             raise ParameterError(f"n-override {n} must be even and >= 2")
+        # the first n primes multiply to at least 2^n > N: refuse before
+        # seeking them by trial division (8000 take 1.7 s, and the time
+        # grows faster than n)
+        if n >= N.bit_length():
+            raise ParameterError(f"product of the first {n} primes exceeds N={N}; "
+                                 f"use a smaller even n")
     else:
         n = feasible_dimension(N, window_n)
     primes = first_primes(n)

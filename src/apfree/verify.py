@@ -13,11 +13,12 @@ so nothing wraps.  Progressions come out in pair-scan order; the scan
 stops at the first (a re-checkable counterexample triple) or, with
 ``all_counterexamples``, lists every one.  Before it starts, a scan's
 pairs and the midpoint candidates it will look up are charged to
-SCAN_BUDGET.  The block-level statements are swept exhaustively over the
-pairs of rational grid points, all four in one walk for ``check_all``
-(see :mod:`apfree.gridscan`), and the area of the block is computed a
-second time by half-plane clipping, independently of the stated vertex
-lists.
+SCAN_BUDGET, and a list of every progression stops at COUNTEREXAMPLE_CAP.
+The block-level statements are swept exhaustively over the pairs of
+rational grid points, any selection of the four facts in one walk
+(``check_sweeps`` over :func:`apfree.gridscan.run_sweeps`), and the area of
+the block is computed a second time by half-plane clipping, independently
+of the stated vertex lists.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import (BudgetError, density_count, exact_dtype, pair_chunks, run_sweep,
-                       run_sweeps)
+from .gridscan import BudgetError, density_count, exact_dtype, pair_chunks, run_sweeps
 from .rational import decimal_str, rat_str
 
 
@@ -48,10 +48,9 @@ class VerificationReport:
     counts: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def to_jsonable(self, include_elapsed: bool = False) -> dict:
-        # elapsed is excluded by default so identical runs serialize to
-        # identical bytes
-        out = {
+    def to_jsonable(self) -> dict:
+        # elapsed is left out so identical runs serialize to identical bytes
+        return {
             "subject": self.subject,
             "mode": self.mode,
             "pass": self.passed,
@@ -60,9 +59,6 @@ class VerificationReport:
             "parameters": self.parameters,
             "counts": self.counts,
         }
-        if include_elapsed:
-            out["elapsed_seconds"] = self.elapsed
-        return out
 
 
 # array elements per numpy step: pairs x coordinates, or candidates
@@ -71,6 +67,10 @@ _CHUNK = 1 << 16
 # integer scan runs about 4e7 pairs a second (2-vCPU host), so an admitted
 # scan takes at most about half a minute
 SCAN_BUDGET = 1 << 30
+# progressions one all_counterexamples scan may list: 34 times the 1944 of
+# the largest benchmark list, while a JSON dump of the full list stays a few
+# seconds and megabytes
+COUNTEREXAMPLE_CAP = 1 << 16
 
 
 def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
@@ -199,7 +199,8 @@ def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
     """Report for one pair scan started at t0, from its index chunks turned
     into triple(x, y, z) dicts: the first progression, or with
     all_counterexamples every one of them under counts["all_counterexamples"].
-    Every unordered pair is in scope, so checked is |A| choose 2."""
+    Every unordered pair is in scope, so checked is |A| choose 2.  A list
+    that would pass COUNTEREXAMPLE_CAP raises BudgetError instead."""
     size = fields["parameters"]["size"]
     found = []
     # under three elements there is no progression, so skip the numpy set-up
@@ -207,6 +208,9 @@ def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
         if len(xs) and not all_counterexamples:
             found = [triple(int(xs[0]), int(ys[0]), int(zs[0]))]
             break
+        if len(found) + len(xs) > COUNTEREXAMPLE_CAP:
+            raise BudgetError(f"the set has more than {COUNTEREXAMPLE_CAP} progressions, "
+                              f"the cap on listing every counterexample")
         found += map(triple, xs.tolist(), ys.tolist(), zs.tolist())
     report = VerificationReport(checked=math.comb(size, 2), passed=not found,
                                 counterexample=found[0] if found else None, **fields)
@@ -267,7 +271,8 @@ def verify_integer_set(
 
 # -- block-level property sweeps ------------------------------------------
 
-_SWEEP_SUBJECTS = {
+# sweep kind -> report subject, in the order ``check all`` reports them
+SWEEP_SUBJECTS = {
     "block": "weight-inequality-sweep",
     "midpoint": "midpoint-sum-sweep",
     "x1z1": "first-coordinate-sum-sweep",
@@ -275,48 +280,18 @@ _SWEEP_SUBJECTS = {
 }
 
 
-def _property_report(kind: str, epsilon: Fraction, grid: int, counts: dict, violation,
-                     t0: float) -> VerificationReport:
-    report = VerificationReport(
-        subject=_SWEEP_SUBJECTS[kind],
-        mode="property",
-        passed=counts.get("violations", 0) == 0,
-        checked=counts.get("candidates", counts.get("pairs", 0)),
-        counterexample=violation,
-        parameters={"epsilon": rat_str(epsilon), "grid": grid},
-        counts=counts,
-    )
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _one_sweep(kind: str, epsilon: Fraction, grid: int, threads: int) -> VerificationReport:
+def check_sweeps(kinds, epsilon: Fraction, grid: int, threads: int = 1) -> list[VerificationReport]:
+    """The exhaustive sweeps of the facts ``kinds`` (keys of SWEEP_SUBJECTS)
+    on the 1/grid grid, in one walk over its pairs: one report per kind,
+    each with the elapsed time of the whole walk."""
     t0 = time.perf_counter()
-    return _property_report(kind, epsilon, grid, *run_sweep(kind, epsilon, grid, threads), t0)
-
-
-def check_building_block(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _one_sweep("block", epsilon, grid, threads)
-
-
-def check_midpoint_sums(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _one_sweep("midpoint", epsilon, grid, threads)
-
-
-def check_x1z1_bound(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _one_sweep("x1z1", epsilon, grid, threads)
-
-
-def check_facts(epsilon: Fraction, grid: int, threads: int = 1) -> VerificationReport:
-    return _one_sweep("facts", epsilon, grid, threads)
-
-
-def check_all(epsilon: Fraction, grid: int, threads: int = 1) -> list[VerificationReport]:
-    """The four sweeps in one walk over the grid pairs; each report's
-    elapsed time is that of the whole walk."""
-    t0 = time.perf_counter()
-    results = run_sweeps(tuple(_SWEEP_SUBJECTS), epsilon, grid, threads)
-    return [_property_report(kind, epsilon, grid, *results[kind], t0) for kind in _SWEEP_SUBJECTS]
+    results = run_sweeps(kinds, epsilon, grid, threads)
+    elapsed = time.perf_counter() - t0
+    return [VerificationReport(
+        subject=SWEEP_SUBJECTS[kind], mode="property", passed=counts["violations"] == 0,
+        checked=counts.get("candidates", counts["pairs"]), counterexample=violation,
+        parameters={"epsilon": rat_str(epsilon), "grid": grid}, counts=counts, elapsed=elapsed,
+    ) for kind, (counts, violation) in results.items()]
 
 
 # -- areas ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from apfree.groups import (
     embed_point,
     slice_preimage_set,
 )
-from apfree.gridscan import run_sweep
+from apfree.gridscan import run_sweeps
 from apfree.integers import (
     build_integer_set,
     build_integer_set_direct,
@@ -57,7 +57,7 @@ def test_c02_weight_inequality_sweep():
     """Exhaustive weight-inequality sweep at Q = 120, zero violations."""
     total = 0
     for eps in SWEEP_EPSILONS:
-        counts, violation = run_sweep("block", eps, SWEEP_GRID)
+        counts, violation = run_sweeps(("block",), eps, SWEEP_GRID)["block"]
         assert violation is None, violation
         assert counts["violations"] == 0
         assert counts["pairs"] == counts["grid_points"] * (counts["grid_points"] + 1) // 2
@@ -71,7 +71,7 @@ def test_c03_coordinate_sum_sweeps():
     total = 0
     for eps in SWEEP_EPSILONS:
         for kind in ("midpoint", "x1z1", "facts"):
-            counts, violation = run_sweep(kind, eps, SWEEP_GRID)
+            counts, violation = run_sweeps((kind,), eps, SWEEP_GRID)[kind]
             assert violation is None, (kind, violation)
             assert counts["violations"] == 0
             total += counts.get("candidates", counts.get("applicable", 0))
@@ -226,8 +226,8 @@ def test_c09_determinism(tmp_path, capsys):
         assert (tmp_path / "a" / suffix).read_bytes() == (
             tmp_path / "b" / suffix
         ).read_bytes()
-    serial = run_sweep("block", F(1, 12), 48, threads=1)
-    parallel = run_sweep("block", F(1, 12), 48, threads=2)
+    serial = run_sweeps(("block",), F(1, 12), 48, threads=1)["block"]
+    parallel = run_sweeps(("block",), F(1, 12), 48, threads=2)["block"]
     assert serial == parallel
     _announce(9, "byte-identical outputs and worker-count-independent sweeps")
 

@@ -180,6 +180,9 @@ class TestIgnoredParameters:
         (["int-direct", "--N", "300"], "--slice-j", "0", "slice_j", 0),
         (["zm", "--moduli", "9,7"], "--slice-j", "1", "slice_j", 1),
         (["zm", "--moduli", "9,7"], "--slice-j", "0", "slice_j", 0),
+        (["behrend", "--N", "100"], "--epsilon", "1/8", "epsilon", "1/8"),
+        (["halfbox", "--p", "5", "--n", "2"], "--trials", "3", "trials", 3),
+        (["zm", "--moduli", "5,5"], "--n-override", "4", "n_override", 4),
     ]
 
     @pytest.mark.parametrize("base, flag, value, key, config_value", CASES)
@@ -197,6 +200,21 @@ class TestIgnoredParameters:
                              "--outdir", str(tmp_path / "out"))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("base, flag, value", [
+        (["behrend", "--N", "100"], "--epsilon", "1/8"),
+        (["behrend", "--N", "100"], "--seed", "1"),
+        (["halfbox", "--p", "5", "--n", "2"], "--trials", "3"),
+        (["fpn", "--p", "5", "--n", "2"], "--b-trials", "3"),
+        (["zm", "--moduli", "5,5"], "--n-override", "4"),
+        (["int", "--N", "300"], "--b-trials", "3"),
+    ])
+    def test_unread_flag_named(self, capsys, tmp_path, base, flag, value):
+        # each of these once exited 0 and dropped the flag
+        code, out, err = run(capsys, "construct", *base, flag, value, "--outdir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: construct {base[0]} does not read {flag}\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", [["zm", "--moduli", "6,6"], ["int-direct", "--N", "100"]])
     def test_zero_trials_usage_error(self, capsys, tmp_path, kind):
@@ -264,6 +282,39 @@ class TestWorkBudget:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "behrend", "--N", str(10**12)],
+        ["construct", "halfbox", "--p", "101", "--n", "6"],
+        ["compare", "int", "--N", str(10**12)],
+        ["density", "--epsilon", "1/12", "--m", "83328"],
+        ["construct", "halfbox", "--p", "1000001", "--n", "1"],
+        ["density", "--epsilon", "1/12", "--m", "8193"],
+    ])
+    def test_dense_grid_over_budget_exits_two_at_once(self, capsys, monkeypatch, tmp_path,
+                                                      argv):
+        # the digit grids (1.82 TiB and 131 GiB), the radius counts (1.82 TiB
+        # at p = 1000001) and the density grid (51.7 GiB at m = 83328) once
+        # ended in numpy memory-error tracebacks
+        monkeypatch.chdir(tmp_path)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert len(err.splitlines()) == 1
+
+    def test_verify_all_list_over_cap_exits_two(self, capsys, tmp_path):
+        # {1..6000} has about 9e6 progressions but only 1.8e7 pairs
+        (tmp_path / "s.set").write_text("".join(f"{k}\n" for k in range(1, 6001)))
+        (tmp_path / "s.json").write_text(json.dumps({"kind": "integer", "bound": 6000}))
+        code, out, err = run(capsys, "verify", "--all", "--set", str(tmp_path / "s.set"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "progressions" in err
+        assert len(err.splitlines()) == 1
+        code, _, _ = run(capsys, "verify", "--set", str(tmp_path / "s.set"))
+        assert code == 1
+
+
 class TestThreadsFlag:
     def test_env_var_sets_default(self, monkeypatch):
         from apfree.cli import build_parser
@@ -306,18 +357,18 @@ class TestCheck:
         assert exc.value.code == 2
 
     def test_bad_grid_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "block", "--epsilon", "1/12", "--Q", "50"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "check", "block", "--epsilon", "1/12", "--Q", "50")
+        assert code == 2 and out == ""
+        assert err == "error: grid denominator 50 must be a positive multiple of 24\n"
 
     @pytest.mark.parametrize("q", ["0", "-24"])
     @pytest.mark.parametrize("props", ["all", "facts"])
     def test_nonpositive_grid_usage_error(self, capsys, q, props):
         # Q = 0 once passed as a vacuous certificate: checked 0, pass true
-        with pytest.raises(SystemExit) as exc:
-            main(["check", props, "--epsilon", "1/12", f"--Q={q}"])
-        assert exc.value.code == 2
-        assert "positive multiple of 24" in capsys.readouterr().err
+        code, out, err = run(capsys, "check", props, "--epsilon", "1/12", f"--Q={q}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "positive multiple of 24" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("eps", ["0", "1", "5/4", "-1/12"])
     @pytest.mark.parametrize("props", ["block", "all"])

@@ -37,6 +37,12 @@ from apfree.slicing import (
 )
 
 
+def hist_dict(histogram):
+    """best_slice's (values, counts) histogram as {j: count}."""
+    values, counts = histogram
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 class TestEmbedding:
     def test_zero_shift(self):
         assert embed_point((3, 4), (F(0), F(0)), (2, 3)) == (F(2, 3), F(3, 4))
@@ -107,6 +113,7 @@ class TestSlicePreimage:
 
     def test_partition_over_slices(self):
         j, count, hist = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+        hist = hist_dict(hist)
         assert hist[j] == count == max(hist.values())
         total = sum(hist.values())
         sizes = sum(
@@ -118,18 +125,18 @@ class TestSlicePreimage:
     def test_best_slice_ties_to_smallest(self):
         _, _, hist = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
         j, count, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
-        assert j == min(jj for jj, c in hist.items() if c == count)
+        assert j == min(jj for jj, c in hist_dict(hist).items() if c == count)
 
     def test_best_slice_deterministic(self):
-        assert best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA) == best_slice(
-            self.MOD, self.SHIFT, self.EPS, self.DELTA
-        )
+        (j1, c1, h1), (j2, c2, h2) = (best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+                                      for _ in range(2))
+        assert (j1, c1, hist_dict(h1)) == (j2, c2, hist_dict(h2))
 
     def test_single_nonempty_slice_is_chosen(self):
         # (2,2) with zero shift embeds one tuple into the block, so exactly
         # one slice is nonempty and it must be selected
         j, count, hist = best_slice((2, 2), (F(0), F(0)), self.EPS, F(1, 2))
-        assert count == 1 and hist == {j: 1}
+        assert count == 1 and hist_dict(hist) == {j: 1}
 
     def test_preimage_certified(self):
         j, _, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
@@ -179,8 +186,8 @@ class TestScaledIntegerKernel:
         moduli, shift, epsilon, delta = instance
         j, count, histogram = best_slice(moduli, shift, epsilon, delta)
         slices = fraction_slices(moduli, shift, epsilon, delta)
-        assert histogram == {jj: len(slices[jj]) for jj in sorted(slices)}
-        assert count == histogram.get(j, 0)
+        assert hist_dict(histogram) == {jj: len(slices[jj]) for jj in sorted(slices)}
+        assert count == hist_dict(histogram).get(j, 0)
 
     def test_sevenths_shift_preimage_matches_oracle(self):
         moduli, shift = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7))
@@ -400,7 +407,7 @@ class TestBoxKernel:
         else:
             slices = fraction_slices(moduli, shift, epsilon, delta)
             _, _, histogram = best_slice(moduli, shift, epsilon, delta)
-            assert histogram == {j: len(slices[j]) for j in sorted(slices)}
+            assert hist_dict(histogram) == {j: len(slices[j]) for j in sorted(slices)}
 
 
 # -- the slot-product kernel against the per-tuple reference loop -----------
@@ -466,8 +473,8 @@ def kernel_instances(draw):
 
 def assert_kernel_matches_reference(moduli, shift, epsilon, delta):
     j, count, histogram = best_slice(moduli, shift, epsilon, delta)
-    assert (j, count, histogram) == reference_best_slice(moduli, shift, epsilon, delta)
-    assert all(type(k) is int and type(c) is int for k, c in histogram.items())
+    assert (j, count, hist_dict(histogram)) == reference_best_slice(moduli, shift, epsilon, delta)
+    assert type(j) is int and type(count) is int
     for jj in {j, j + 1}:
         dset = slice_preimage_set(moduli, shift, jj, epsilon, delta)
         expected = sorted(r for r, js in reference_scan(moduli, shift, epsilon, delta) if js == jj)
@@ -522,7 +529,8 @@ class TestSlotProductKernel:
         slots, L = groups._pair_slots(moduli, shift, None, delta)
         num, den = slice_ratio(None, delta, L)
         assert num > 1 << 62 and groups._slice_dtype(0, num, den) is object
-        assert best_slice(moduli, shift, None, delta) == (0, 1, {0: 1})
+        j, count, histogram = best_slice(moduli, shift, None, delta)
+        assert (j, count, hist_dict(histogram)) == (0, 1, {0: 1})
         dset = build_group_set(moduli, BuildOptions(shift=shift, delta=delta))
         assert dset.elements == ((0, 0),)
 
@@ -540,7 +548,7 @@ class TestWorkBudget:
     def test_slot_product_over_budget(self, monkeypatch):
         moduli, shift = (12, 12, 12, 12), (F(1, 24),) * 4
         _, count, histogram = best_slice(moduli, shift, F(1, 12), F(1, 12))
-        total = sum(histogram.values())
+        total = int(histogram[1].sum())
         monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total - 1)
         with pytest.raises(BudgetError, match="work budget"):
             best_slice(moduli, shift, F(1, 12), F(1, 12), walks=3)
@@ -557,6 +565,25 @@ class TestWorkBudget:
         with pytest.raises(BudgetError, match="pair grid 12x12, walked 2 times"):
             best_slice((12, 12), (0, 0), None, F(1, 12), walks=2)
 
+    def test_pair_grids_charged_together(self, monkeypatch):
+        # each 12x12 block grid fits a budget of 144 points, but not both
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 287)
+        with pytest.raises(BudgetError, match="pair grid 12x12 with the 1 before it"):
+            best_slice((12, 12, 12, 12), (0,) * 4, F(1, 12), F(1, 12))
+
+    def test_search_refused_before_sampling(self, monkeypatch):
+        """fpn --p 4 --n 1000000 once tested 58255 pair grids (25 s) before
+        the budget refused it; each grid has at least 4 points."""
+        def no_shift(rng, moduli):
+            raise AssertionError("a shift was sampled")
+
+        monkeypatch.setattr(groups, "sample_shift", no_shift)
+        with pytest.raises(BudgetError, match="500000 pair grids, walked 18 times"):
+            search_shift((4,) * 10**6, F(1, 12), F(1, 4), 16, 0)
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 4 * 2 * 3)
+        with pytest.raises(AssertionError, match="sampled"):
+            search_shift((4,) * 4, F(1, 12), F(1, 4), 1, 0)
+
     def test_object_points_cost_more(self, monkeypatch):
         monkeypatch.setattr(groups, "PRODUCT_BUDGET", 10 * groups._OBJECT_COST)
         groups._charge("x", 10, np.int64, groups._OBJECT_COST)
@@ -567,14 +594,16 @@ class TestWorkBudget:
             groups._charge("x", 10, object, 2)
 
     @pytest.mark.parametrize("options, walks", [
-        (BuildOptions(trials=5), [7] * 15 + [1] * 6),
-        (BuildOptions(shift=(F(1, 7),) * 4), [3] * 3 + [2] * 3 + [1] * 3),
-        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [2] * 3 + [1] * 3),
+        (BuildOptions(trials=5), [7] * 16 + [1] * 6),
+        (BuildOptions(shift=(F(1, 7),) * 4), [2] * 6),
+        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [2] * 6),
     ])
     def test_builds_charge_every_walk(self, monkeypatch, options, walks):
         """A search walks its trials, the pre-image and the histogram; an
-        explicit shift walks the best slice (unless given), the pre-image
-        and the histogram.  The first walk is charged for all of them."""
+        explicit shift walks the histogram, which also gives the best slice
+        unless one is given, and the pre-image.  The first walk is charged
+        for all of them, and a search first charges the least its grids can
+        cost."""
         charged, charge = [], groups._charge
         monkeypatch.setattr(groups, "_charge",
                             lambda what, points, dtype, w: (charged.append(w),

@@ -184,6 +184,20 @@ class TestPrimePowerRoute:
         with pytest.raises(ParameterError):
             build_integer_set(100, BuildOptions(seed=0), n_override=3)
 
+    def test_huge_override_refused_before_the_primes(self, monkeypatch):
+        import apfree.integers as integers
+
+        def no_primes(n):
+            raise AssertionError("the primes were sought")
+
+        monkeypatch.setattr(integers, "first_primes", no_primes)
+        # 2^13 = 8192 > 5000, so the first 13 or more primes cannot fit
+        for n in (14, 10**6):
+            with pytest.raises(ParameterError, match=f"first {n} primes exceeds"):
+                build_integer_set(5000, BuildOptions(seed=0), n_override=n)
+        with pytest.raises(AssertionError, match="sought"):
+            build_integer_set(5000, BuildOptions(seed=0), n_override=12)
+
     def test_determinism(self):
         a = build_integer_set(600, BuildOptions(seed=4))
         b = build_integer_set(600, BuildOptions(seed=4))

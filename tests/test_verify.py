@@ -17,13 +17,14 @@ from apfree.gridscan import (
     density_count,
     grid_points,
     membership_table,
-    run_sweep,
+    run_sweeps,
     weight_table,
 )
 from apfree.slicing import is_progression_mod1, midpoint_candidates
 from apfree.verify import (
+    SWEEP_SUBJECTS,
     area_oracle,
-    check_all,
+    check_sweeps,
     density_estimate,
     verify_group_set,
     verify_integer_set,
@@ -209,6 +210,22 @@ class TestAllCounterexamples:
         assert report.passed == (not expected)
         assert report.counterexample == (expected[0] if expected else None)
         assert report.checked == math.comb(len(elements), 2)
+
+    def test_list_cap(self, monkeypatch):
+        """{1..5} has four progressions: a cap of 4 lists them, a cap of 3
+        refuses the list, and the first-hit scan ignores the cap."""
+        from apfree.gridscan import BudgetError
+
+        elements = [1, 2, 3, 4, 5]
+        monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 4)
+        report = verify_integer_set(5, elements, all_counterexamples=True)
+        assert len(report.counts["all_counterexamples"]) == 4
+        monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 3)
+        with pytest.raises(BudgetError, match="more than 3 progressions"):
+            verify_integer_set(5, elements, all_counterexamples=True)
+        with pytest.raises(BudgetError, match="more than 3 progressions"):
+            verify_group_set((7,), [(e,) for e in elements], all_counterexamples=True)
+        assert not verify_integer_set(5, elements).passed
 
     def test_first_hit_mode_leaves_counts_empty(self):
         report = verify_integer_set(10, [1, 2, 3, 4, 5])
@@ -508,7 +525,7 @@ class TestSweepKernels:
                             + (x[1] - z[1]) ** 2
                         )
                         viols += lhs < rhs
-        counts, violation = run_sweep("block", eps, q)
+        counts, violation = run_sweeps(("block",), eps, q)["block"]
         assert violation is None and viols == 0
         assert counts["grid_points"] == len(pts)
         assert counts["pairs"] == pairs
@@ -522,7 +539,7 @@ class TestSweepKernels:
     @pytest.mark.parametrize("eps", [F(1, 12), F(1, 24), F(1, 48)])
     @pytest.mark.parametrize("grid", [48, 120])
     def test_sweep_matrix(self, eps, grid):
-        for report in check_all(eps, grid):
+        for report in check_sweeps(SWEEP_SUBJECTS, eps, grid):
             assert report.passed, report.subject
             assert report.counts["violations"] == 0
 
@@ -550,11 +567,11 @@ class TestSweepKernels:
                     x1z1_app += 1
                 if x[0] + z[0] < 1:
                     facts_app += 1
-        counts, _ = run_sweep("midpoint", eps, q)
+        counts, _ = run_sweeps(("midpoint",), eps, q)["midpoint"]
         assert counts["near_equal_candidates"] == near_cands
-        counts, _ = run_sweep("x1z1", eps, q)
+        counts, _ = run_sweeps(("x1z1",), eps, q)["x1z1"]
         assert counts["applicable"] == x1z1_app
-        counts, _ = run_sweep("facts", eps, q)
+        counts, _ = run_sweeps(("facts",), eps, q)["facts"]
         assert counts["applicable"] == facts_app
 
     def test_block_sweep_detects_injected_violation(self, monkeypatch):
@@ -573,7 +590,7 @@ class TestSweepKernels:
             return table
 
         monkeypatch.setattr(gridscan, "weight_table", corrupted)
-        counts, violation = gridscan.run_sweep("block", eps, q)
+        counts, violation = gridscan.run_sweeps(("block",), eps, q)["block"]
         assert counts["violations"] > 0
         assert violation is not None
         assert violation["y"] == [str(F(i0, q)), str(F(j0, q))]
@@ -593,7 +610,7 @@ class TestSweepKernels:
         i0 = int(np.argwhere(table[::2, ::2] >= 0)[0][0])
         g2[2 * i0] += 10**9
         monkeypatch.setattr(gridscan, "_g_tables", lambda Q: (gq, g2))
-        counts, violation = gridscan.run_sweep("midpoint", eps, q)
+        counts, violation = gridscan.run_sweeps(("midpoint",), eps, q)["midpoint"]
         assert counts["violations"] > 0
         assert violation is not None and violation["code"] == 3
 
@@ -603,17 +620,17 @@ class TestSweepKernels:
         eps, q = F(1, 12), 48
         # a grid this small stays on one process unless told otherwise
         monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
-        serial = run_sweep("midpoint", eps, q, threads=1)
-        parallel = run_sweep("midpoint", eps, q, threads=2)
+        serial = run_sweeps(("midpoint",), eps, q, threads=1)["midpoint"]
+        parallel = run_sweeps(("midpoint",), eps, q, threads=2)["midpoint"]
         assert serial == parallel
 
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="budget"):
-            run_sweep("block", F(1, 99991), 48)
+            run_sweeps(("block",), F(1, 99991), 48)
 
     def test_grid_multiple_of_24_required(self):
         with pytest.raises(ValueError, match="24"):
-            run_sweep("block", F(1, 12), 50)
+            run_sweeps(("block",), F(1, 12), 50)
 
 
 def plant_faults(monkeypatch, eps, q, seed):
@@ -735,7 +752,7 @@ class TestPairWalk:
         table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
         nviol, key, pts = loop_sweep(kind, eps, q, table, gq, g2)
         assert key is not None
-        counts, violation = gridscan.run_sweep(kind, eps, q)
+        counts, violation = gridscan.run_sweeps((kind,), eps, q)[kind]
         assert counts["violations"] == nviol
         assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
         assert violation == loop_violation(kind, key, pts, q)
@@ -810,27 +827,27 @@ class TestPairWalk:
         plant_faults(monkeypatch, eps, q, 1)
         # a grid this small stays on one process unless told otherwise
         monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
-        serial = gridscan.run_sweep(kind, eps, q, threads=1)
+        serial = gridscan.run_sweeps((kind,), eps, q, threads=1)[kind]
         assert serial[1] is not None
-        assert gridscan.run_sweep(kind, eps, q, threads=2) == serial
+        assert gridscan.run_sweeps((kind,), eps, q, threads=2)[kind] == serial
 
     @pytest.mark.parametrize("eps", [F(0), F(1), F(5, 4), F(-1, 12)])
     def test_epsilon_outside_unit_interval_rejected(self, eps):
         with pytest.raises(ValueError, match="outside"):
-            run_sweep("block", eps, 24)
+            run_sweeps(("block",), eps, 24)
 
     @pytest.mark.parametrize("q", [0, -24])
     def test_grid_must_be_positive(self, q):
         with pytest.raises(ValueError, match="positive multiple of 24"):
-            run_sweep("facts", F(1, 12), q)
+            run_sweeps(("facts",), F(1, 12), q)
 
     @pytest.mark.parametrize("eps", [F(1, 4), F(1, 12), F(1, 24)])
     @pytest.mark.parametrize("q", [24, 48])
     def test_check_all_equals_the_one_kind_sweeps(self, eps, q):
-        singles = [check(eps, q) for check in (
-            verify_module.check_building_block, verify_module.check_midpoint_sums,
-            verify_module.check_x1z1_bound, verify_module.check_facts)]
-        assert [r.to_jsonable() for r in check_all(eps, q)] == [r.to_jsonable() for r in singles]
+        singles = [report for kind in SWEEP_KINDS for report in check_sweeps((kind,), eps, q)]
+        fused = check_sweeps(SWEEP_KINDS, eps, q)
+        assert [r.to_jsonable() for r in fused] == [r.to_jsonable() for r in singles]
+        assert [r.subject for r in fused] == list(SWEEP_SUBJECTS.values())
 
     def test_budget_bounds_the_grid_before_any_table(self, monkeypatch):
         import apfree.gridscan as gridscan
@@ -842,7 +859,7 @@ class TestPairWalk:
             gridscan._Grid(F(1, 12), 264, SWEEP_KINDS)
         monkeypatch.setattr(gridscan, "weight_table", None)
         with pytest.raises(gridscan.BudgetError, match="work budget"):
-            run_sweep("block", F(1, 2), 999984)
+            run_sweeps(("block",), F(1, 2), 999984)
 
     def test_unknown_kind_rejected(self):
         import apfree.gridscan as gridscan
@@ -924,6 +941,15 @@ class TestDensity:
         )
         assert density_count(eps, m) == brute
 
+    def test_grid_charged_to_budget(self, monkeypatch):
+        import apfree.gridscan as gridscan
+
+        monkeypatch.setattr(gridscan, "GRID_BUDGET", 24 * 24)
+        assert density_count(F(1, 12), 24) > 0
+        monkeypatch.setattr(gridscan, "GRID_BUDGET", 24 * 24 - 1)
+        with pytest.raises(gridscan.BudgetError, match="24x24"):
+            density_count(F(1, 12), 24)
+
     def test_minimum_grid(self):
         with pytest.raises(ValueError):
             density_estimate(F(1, 12), 23)
@@ -935,8 +961,7 @@ class TestReportShape:
         payload = report.to_jsonable()
         assert "elapsed_seconds" not in payload
         assert payload["pass"] is True
-        with_elapsed = report.to_jsonable(include_elapsed=True)
-        assert "elapsed_seconds" in with_elapsed
+        assert report.elapsed >= 0
 
     def test_failed_report_carries_counterexample(self):
         report = verify_integer_set(10, [1, 2, 3])
