@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .baselines import behrend_set, halfbox_set
@@ -99,17 +100,13 @@ def cmd_area(args) -> int:
 
 
 def _apply_config(args, parser) -> None:
-    """Fill construct parameters from a JSON config; explicit flags win.
-
-    Recognized keys: moduli, p, n, N, epsilon, delta, trials, seed, shift,
-    slice_j, n_override (rationals as "p/q" strings).
-    """
+    """Fill construct parameters (the keys of ``_PARAMETERS``, rationals as
+    "p/q" strings) from a JSON config; explicit flags win."""
     with open(args.config) as fh:
         config = json.load(fh)
     rationals = {"epsilon", "delta"}
     for key, value in config.items():
-        if key not in {"moduli", "p", "n", "N", "epsilon", "delta", "trials",
-                       "seed", "shift", "slice_j", "n_override"}:
+        if key not in _PARAMETERS:
             parser.error(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
             if key in rationals:
@@ -140,8 +137,7 @@ def _build(args) -> DiscreteSet:
     if kind == "int":
         return build_integer_set(args.N, options, n_override=args.n_override)
     if kind == "int-direct":
-        return build_integer_set_direct(args.N, n=args.n_override, options=options,
-                                        b_trials=64 if args.b_trials is None else args.b_trials)
+        return build_integer_set_direct(args.N, n=args.n_override, options=options)
     if kind == "behrend":
         return behrend_set(args.N)
     if kind == "halfbox":
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=None)
     p_con.add_argument("--shift", type=_shift, default=None)
     p_con.add_argument("--slice-j", dest="slice_j", type=int, default=None)
-    p_con.add_argument("--b-trials", dest="b_trials", type=int, default=None)
     p_con.add_argument("--outdir", default="out")
     p_con.add_argument("--name", default=None)
     p_con.add_argument("--no-verify", action="store_true",
@@ -309,7 +304,7 @@ _READS = {
     "zm": (("moduli",), _TORUS),
     "fpn": (("p", "n"), _TORUS),
     "int": (("N",), ("n_override", *_TORUS)),
-    "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed", "b_trials")),
+    "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed")),
     "behrend": (("N",), ()),
     "halfbox": (("p", "n"), ()),
 }
@@ -336,14 +331,20 @@ def _validate(args, parser) -> None:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        _validate(args, parser)
-        return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    """Run one command; its warnings become one ``warning:`` line each
+    after a finished command (exit 0 or 1), and are dropped on exit 2."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            _validate(args, parser)
+            code = args.fn(args)
+        except (ValueError, RuntimeError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+    for w in caught:
+        sys.stderr.write("warning: " + " ".join(str(w.message).split()) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ Two routes:
 * direct route: embed x -> a + x*b mod 1 with an exactly-checked b whose
   multiples all clear a width-delta corridor around 0, then take a slice
   pre-image of the same region as in the group case, on integer numerators
-  over one prime denominator, streamed by ``row_chunks`` and weighed and
-  sliced by ``row_slices`` (the group kernel's exact slice step).
+  over one prime denominator: one stream of rows per direction checks
+  separation (``separated``) and keeps, weighs and slices each trial's rows
+  pair by pair (``kept_slices``, the group kernel's exact slice step).
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -192,64 +193,70 @@ def _next_prime(k: int) -> int:
         k += 1
 
 
-_SCAN_CHUNK = 1 << 18  # bounds the (chunk, n) work matrices
+_SCAN_CHUNK = 1 << 18  # rows per chunk of the stream
+# directions tried: by the union bound one fails separation with
+# probability about 2^-n <= 1/4
+_DIRECTION_ATTEMPTS = 64
 
 
-def row_chunks(a_nums: list[int], b_nums: list[int], denom: int, N: int, factor: int):
-    """Yield (t, rows) over t = 1..N in chunks, rows[k, i] = (a_i + t[k]*b_i)
-    mod denom, exactly.  Each chunk starts from (a + lo*b) mod denom on
-    Python ints, so int64 holds only offset*b (offset < _SCAN_CHUNK); the
-    caller's test keeps its intermediates below ``factor`` * denom.  Both
-    stay below 2^62, which is checked before any row is made."""
-    if max(_SCAN_CHUNK, factor) * denom > INT64_SAFE:
-        raise ValueError(
-            f"grid denominator {denom} times {max(_SCAN_CHUNK, factor)} exceeds "
-            f"the int64-exactness budget 2^62"
-        )
-    b = np.array(b_nums, dtype=np.int64)
+def row_coordinate(a: int, b: int, denom: int, lo: int, off):
+    """Numerators (a + (lo + off)*b) mod denom, exactly: the start is taken on
+    Python ints, so int64 holds only off*b (off < _SCAN_CHUNK)."""
+    return (off * b + (a + lo * b) % denom) % denom
+
+
+def separated(b_nums: list[int], denom: int, lo: int, off, four_c: int) -> bool:
+    """Whether every t*b, t = lo + off, has a coordinate farther than 1/(4c)
+    from 0 mod 1; each coordinate is made only for the rows still close."""
+    for b in b_nums:
+        r = row_coordinate(0, b, denom, lo, off)
+        off = off[four_c * np.minimum(r, denom - r) <= denom]
+    return not len(off)
+
+
+def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off,
+                epsilon: Fraction | None, delta: Fraction, num: int, den: int):
+    """(t, J): the rows t = lo + off whose point a + t*b mod 1 lies in the
+    region (the box [0,delta)^2 when epsilon is None), each pair tested only
+    on the rows the pairs before it kept, and their slice indices
+    (num * s) // den, s the sum of their pairs' scaled_weight (0 in the box)
+    on exact_dtype(n/2 * weight_factor * denom^2), as ``slice_indices``."""
+    pairs = range(0, len(b_nums), 2)
+    s_max = 0 if epsilon is None else len(pairs) * weight_factor(epsilon) * denom * denom
+    for h in pairs:
+        U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off) for i in (h, h + 1))
+        off = off[scaled_box(delta, denom, U, V) if epsilon is None
+                  else scaled_piece(epsilon, denom, U, V) > 0]
+    s = np.zeros(len(off), dtype=exact_dtype(s_max))
+    if epsilon is not None:
+        for h in pairs:
+            U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off).astype(s.dtype)
+                    for i in (h, h + 1))
+            s += scaled_weight(epsilon, denom, U, V)
+    return lo + off, slice_indices(s, s_max, num, den)
+
+
+def _stream(b_nums, shifts, denom: int, N: int, four_c: int, region):
+    """Per shift, the (t, J) of ``kept_slices`` over t = 1..N, each chunk
+    checked for separation first; None when one fails."""
+    kept = [[] for _ in shifts]
     for lo in range(1, N + 1, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, N + 1)
-        rows = np.arange(hi - lo, dtype=np.int64)[:, None] * b[None, :]
-        rows += np.array([(a + lo * k) % denom for a, k in zip(a_nums, b_nums)], dtype=np.int64)
-        rows %= denom
-        yield np.arange(lo, hi, dtype=np.int64), rows
-
-
-def separation_ok(b_nums: list[int], denom: int, N: int, four_c: int) -> bool:
-    """Exact check that every multiple t*b (t = 1..N) has some coordinate
-    farther than 1/(4c) from 0 mod 1: min(r, Q-r) * 4c > Q for some i."""
-    for _, r in row_chunks([0] * len(b_nums), b_nums, denom, N, four_c):
-        dist = np.minimum(r, denom - r, out=r)
-        if not (four_c * dist > denom).any(axis=1).all():
-            return False
-    return True
-
-
-def row_slices(rows, epsilon: Fraction | None, denom: int, num: int, den: int):
-    """Slice index (num * s) // den of each row of numerators in [0, denom),
-    s the sum of its pairs' scaled_weight (box rows, epsilon None, weigh 0).
-    The sums run in int64 when n/2 * weight_factor * denom^2 is at most
-    2^62, else on Python ints; the index follows ``slice_indices``."""
-    pairs = rows.shape[1] // 2
-    s_max = 0 if epsilon is None else pairs * weight_factor(epsilon) * denom * denom
-    rows = rows.astype(exact_dtype(s_max), copy=False)
-    if epsilon is None:
-        s = np.zeros(len(rows), dtype=rows.dtype)
-    else:
-        s = sum(scaled_weight(epsilon, denom, rows[:, h], rows[:, h + 1])
-                for h in range(0, 2 * pairs, 2))
-    return slice_indices(s, s_max, num, den)
+        off = np.arange(min(_SCAN_CHUNK, N + 1 - lo), dtype=np.int64)
+        if not separated(b_nums, denom, lo, off, four_c):
+            return None
+        for a_nums, part in zip(shifts, kept):
+            part.append(kept_slices(a_nums, b_nums, denom, lo, off, *region))
+    return [[np.concatenate(x) for x in zip(*part)] for part in kept]
 
 
 def build_integer_set_direct(N: int, n: int | None = None,
-                             options: BuildOptions = BuildOptions(),
-                             b_trials: int = 64) -> DiscreteSet:
+                             options: BuildOptions = BuildOptions()) -> DiscreteSet:
     """Direct-embedding route.  delta = 1/(4*ceil(N^(1/n))) is the largest
     grid value below the true corridor width; b and the shifts share one
     prime denominator above 8N so no multiple of b can vanish mod 1.  It
-    chooses its own shift, delta and slice.  The N rows, streamed once for
-    the direction and once per trial, are charged to the work budget
-    before the denominator is sought."""
+    chooses its own shift, delta and slice, and refuses an explicit n past
+    N.bit_length().  The N rows, streamed once per direction through
+    separation and every trial, are charged as 1 + trials walks first."""
     for name in ("shift", "delta", "slice_index"):
         if getattr(options, name) is not None:
             raise ParameterError(f"the direct route chooses its own {name}; none may be given")
@@ -257,47 +264,41 @@ def build_integer_set_direct(N: int, n: int | None = None,
         raise ParameterError(f"N={N} must be >= 3")
     if options.trials < 1:
         raise ParameterError(f"trials={options.trials} must be >= 1")
+    if n is not None and n > N.bit_length():
+        raise ParameterError(f"n={n} exceeds the bit length {N.bit_length()} of N={N}; from "
+                             f"there on delta stays 1/8 and each further pair only shrinks the set")
     n = int(n) if n is not None else choose_dimension(N)
     if n < 2 or n % 2 != 0:
         raise ParameterError(f"n={n} must be even and >= 2")
     epsilon = region_epsilon(options.epsilon, n)
-    # the direction check and each trial stream all N rows
     _charge(f"row stream of {N} rows", N, np.int64, 1 + options.trials)
-    c = int_nthroot_ceil(N, n)
-    four_c = 4 * c
+    four_c = 4 * int_nthroot_ceil(N, n)
     delta = Fraction(1, four_c)
     denom = _next_prime(8 * N)
-    b_nums = None
-    for attempt in range(b_trials):
+    # separation's and the region test's intermediates stay below factor * denom
+    factor = max(_SCAN_CHUNK, four_c, region_factor(epsilon, delta))
+    if factor * denom > INT64_SAFE:
+        raise ValueError(f"grid denominator {denom} times {factor} exceeds "
+                         f"the int64-exactness budget 2^62")
+    region = (epsilon, delta, *slice_ratio(epsilon, delta, denom * denom))
+    rngs = (trial_rng(options.seed, "shift", trial) for trial in range(options.trials))
+    shifts = [[rng.randrange(denom) for _ in range(n)] for rng in rngs]
+    for attempt in range(_DIRECTION_ATTEMPTS):
         rng = trial_rng(options.seed, "direction", attempt)
-        cand = [rng.randrange(1, denom) for _ in range(n)]
-        if separation_ok(cand, denom, N, four_c):
-            b_nums = cand
+        b_nums = [rng.randrange(1, denom) for _ in range(n)]
+        kept = _stream(b_nums, shifts, denom, N, four_c, region)
+        if kept is not None:
             break
-    if b_nums is None:
-        raise BudgetError(f"no valid direction found in {b_trials} attempts (N={N}, n={n})")
-
-    slice_num, slice_den = slice_ratio(epsilon, delta, denom * denom)
-    best = None
-    for trial in range(options.trials):
-        rng = trial_rng(options.seed, "shift", trial)
-        a_nums = [rng.randrange(denom) for _ in range(n)]
-        ts, js = [], []
-        for t, rows in row_chunks(a_nums, b_nums, denom, N, region_factor(epsilon, delta)):
-            keep = np.ones(len(t), dtype=bool)
-            for h in range(0, n, 2):
-                U, V = rows[:, h], rows[:, h + 1]
-                keep &= (scaled_box(delta, denom, U, V) if epsilon is None
-                         else scaled_piece(epsilon, denom, U, V) > 0)
-            ts.append(t[keep])
-            js.append(row_slices(rows[keep], epsilon, denom, slice_num, slice_den))
-        t, J = np.concatenate(ts), np.concatenate(js)
+    else:
+        raise BudgetError(f"no valid direction found in {_DIRECTION_ATTEMPTS} attempts "
+                          f"(N={N}, n={n})")
+    candidates = []
+    for a_nums, (t, J) in zip(shifts, kept):
         j, _ = fullest_slice(*slice_histogram([J]))
         elements = t[J == j].tolist()
-        key = (-len(elements), tuple(a_nums), j)
-        if best is None or key < best[0]:
-            best = (key, a_nums, j, elements)
-    _, a_nums, j, elements = best
+        candidates.append((-len(elements), a_nums, j, elements))
+    # the fullest slice of all trials; ties to the smallest shift
+    _, a_nums, j, elements = min(candidates)
     prov = {
         "construction": "int-direct",
         "bound": N,

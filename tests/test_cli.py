@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
 
-from apfree.cli import main
+import apfree
+from apfree.cli import _PARAMETERS, _apply_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -160,6 +165,24 @@ class TestConfigFile:
             main(["construct", "zm", "--config", str(config)])
         assert exc.value.code == 2
 
+    # a value for every construct parameter, as a config file spells it
+    CONFIG_VALUES = {
+        "moduli": ([5, 5], (5, 5)), "p": (5, 5), "n": (2, 2), "N": (300, 300),
+        "epsilon": ("1/8", F(1, 8)), "delta": ("1/100", F(1, 100)), "trials": (3, 3),
+        "seed": (1, 1), "shift": (["0", "1/2"], (F(0), F(1, 2))), "slice_j": (0, 0),
+        "n_override": (4, 4),
+    }
+
+    @pytest.mark.parametrize("key", sorted(_PARAMETERS))
+    def test_every_parameter_is_a_config_key(self, tmp_path, key):
+        config = tmp_path / "run.json"
+        value, parsed = self.CONFIG_VALUES[key]
+        config.write_text(json.dumps({key: value}))
+        parser = build_parser()
+        args = parser.parse_args(["construct", "zm", "--config", str(config)])
+        _apply_config(args, parser)
+        assert getattr(args, key) == parsed
+
     @pytest.mark.parametrize("content", [None, "{not json"])
     def test_unreadable_config_usage_error(self, capsys, tmp_path, content):
         config = tmp_path / "run.json"
@@ -205,9 +228,9 @@ class TestIgnoredParameters:
         (["behrend", "--N", "100"], "--epsilon", "1/8"),
         (["behrend", "--N", "100"], "--seed", "1"),
         (["halfbox", "--p", "5", "--n", "2"], "--trials", "3"),
-        (["fpn", "--p", "5", "--n", "2"], "--b-trials", "3"),
+        (["fpn", "--p", "5", "--n", "2"], "--N", "300"),
         (["zm", "--moduli", "5,5"], "--n-override", "4"),
-        (["int", "--N", "300"], "--b-trials", "3"),
+        (["int", "--N", "300"], "--moduli", "5,5"),
     ])
     def test_unread_flag_named(self, capsys, tmp_path, base, flag, value):
         # each of these once exited 0 and dropped the flag
@@ -230,7 +253,46 @@ class TestIgnoredParameters:
         assert err == f"error: delta={delta} outside (0,1)\n"
 
 
+class TestWarnings:
+    """Warnings raised while a command runs reach stderr as one `warning:`
+    line each when the command finishes, and not at all on exit 2.  Run as
+    a subprocess: in-process, pytest would capture the warnings itself."""
+
+    @staticmethod
+    def apfree(*argv, cwd):
+        src = str(Path(apfree.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-m", "apfree", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_exit_two_writes_one_line(self, tmp_path):
+        # the loose delta warns before the budget refuses the 10^9 trials
+        res = self.apfree("construct", "zm", "--moduli", "4,4", "--delta", "1/2",
+                          "--trials", "1000000000", cwd=tmp_path)
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+    def test_finished_command_writes_one_line_per_warning(self, tmp_path):
+        res = self.apfree("construct", "zm", "--moduli", "4,4", "--delta", "1/2", "--trials", "2",
+                          "--outdir", str(tmp_path), cwd=tmp_path)
+        assert res.returncode == 0
+        assert res.stderr == ("warning: delta=1/2 exceeds 1/max(m)=1/4; the construction "
+                              "guarantee is void and the output is only trusted after "
+                              "brute-force verification\n")
+
+
 class TestWorkBudget:
+    def test_direct_route_huge_dimension_exits_two_at_once(self, capsys, tmp_path):
+        """From n = bit length of N on, delta is 1/8 and each further pair
+        only shrinks the set; a larger n is refused before any row."""
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "construct", "int-direct", "--N", "300", "--n-override",
+                             "20000", "--trials", "1", "--outdir", str(tmp_path))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: n=20000 exceeds the bit length 9") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind", [["int", "--N", str(10**12)],
                                       ["zm", "--moduli", "9000,9000", "--epsilon", "1/2"],
                                       ["int-direct", "--N", str(10**12)]])

@@ -67,8 +67,7 @@ OPTIONAL_FLAGS = {
     "--seed": st.integers(-3, 3),
     "--shift": st.sampled_from(["0,0", "1/7,1/7,1/7,1/7", "1/3", "x,y", "0,0,0,0,0,0"]),
     "--slice-j": small_or_huge(-1, 3, 10**12),
-    "--n-override": st.integers(-2, 8),
-    "--b-trials": st.integers(-1, 3),
+    "--n-override": small_or_huge(-2, 8, 20000, 10**6),
 }
 
 

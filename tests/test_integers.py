@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apfree.integers as integers
 from apfree.blocks import BuildingBlock
-from apfree.gridscan import scaled_weight, weight_factor
+from apfree.gridscan import scaled_box, scaled_piece, scaled_weight, weight_factor
 from apfree.groups import BuildOptions, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,
@@ -23,9 +24,9 @@ from apfree.integers import (
     feasible_dimension,
     first_primes,
     int_nthroot_ceil,
-    row_chunks,
-    row_slices,
-    separation_ok,
+    kept_slices,
+    row_coordinate,
+    separated,
 )
 from apfree.slicing import SliceParams, in_delta_box, slice_index_of, weight_sum
 
@@ -297,7 +298,39 @@ class TestDirectRoute:
             build_integer_set_direct(300, n=2, options=BuildOptions(**{field: value}))
 
     def test_separation_check_rejects_zero_direction(self):
-        assert not separation_ok([0, 1], 101, 50, 8)
+        # b = (0, 1): t*b is within 1/8 of 0 in both coordinates for t <= 12
+        assert not separated([0, 1], 101, 1, np.arange(50), 8)
+        assert separated([0, 1], 101, 13, np.arange(50), 8)
+
+    def test_huge_n_refused(self, monkeypatch):
+        # 300 has bit length 9: n = 8 builds, n = 10 and more are refused
+        # before any row is made
+        options = BuildOptions(trials=1)
+        assert build_integer_set_direct(300, n=8, options=options).provenance["dimension"] == 8
+
+        def no_row(*args):
+            raise AssertionError("a row was made")
+
+        monkeypatch.setattr(integers, "row_coordinate", no_row)
+        for n in (10, 20000, 10**6):
+            with pytest.raises(ParameterError, match="bit length 9"):
+                build_integer_set_direct(300, n=n, options=options)
+
+    @pytest.mark.parametrize("N, n, epsilon, seed", [
+        (3000, 2, None, 24), (3000, 2, F(1, 12), 24), (2500, 4, None, 7),
+    ])
+    def test_chunk_size_does_not_change_the_set(self, monkeypatch, N, n, epsilon, seed):
+        """Rows go through separation and every trial one chunk at a time.
+        For these seeds the first direction fails separation only after row
+        1000 (at t = 1156 and 1893), so its partial trial results must be
+        dropped when the chunk is smaller."""
+        options = BuildOptions(epsilon=epsilon, seed=seed, trials=4)
+        want = build_integer_set_direct(N, n=n, options=options)
+        for chunk in (7, 1000):
+            monkeypatch.setattr(integers, "_SCAN_CHUNK", chunk)
+            got = build_integer_set_direct(N, n=n, options=options)
+            assert got.elements == want.elements
+            assert got.provenance == want.provenance
 
     def test_certified_small_instances(self):
         for n in (2, 4):
@@ -320,53 +353,81 @@ class TestDirectRoute:
 
 class TestRowStream:
     def test_rows_exact_past_int64_products(self):
-        """t*b exceeds 2^63 from t = 2^19 on; the rows still equal the
+        """t*b exceeds 2^63 from t = 2^19 on; the coordinates still equal the
         Python-int residues (a + t*b) mod denom."""
         denom = (1 << 44) - 21
         a_nums, b_nums = [denom - 5, 12345], [denom - 3, (1 << 43) + 7]
         N = 600_000
-        ts, rows = zip(*row_chunks(a_nums, b_nums, denom, N, 1))
-        assert np.concatenate(ts).tolist() == list(range(1, N + 1))
-        rows = np.concatenate(rows)
-        for i, (a, b) in enumerate(zip(a_nums, b_nums)):
-            assert rows[:, i].tolist() == [(a + t * b) % denom for t in range(1, N + 1)]
+        for a, b in zip(a_nums, b_nums):
+            rows = []
+            for lo in range(1, N + 1, integers._SCAN_CHUNK):
+                off = np.arange(min(integers._SCAN_CHUNK, N + 1 - lo), dtype=np.int64)
+                rows.append(row_coordinate(a, b, denom, lo, off))
+            assert np.concatenate(rows).tolist() == [(a + t * b) % denom for t in range(1, N + 1)]
 
     @pytest.mark.parametrize("denom, factor", [((1 << 61) - 1, 1), (1 << 40, 1 << 23)])
-    def test_budget_checked_before_any_row(self, denom, factor):
+    def test_budget_checked_before_any_row(self, monkeypatch, denom, factor):
+        """The bound covers the chunk offsets (2^18) and the region test's
+        factor (16 / epsilon for the block: epsilon 1/2^19 gives 2^23)."""
+        def no_row(*args):
+            raise AssertionError("a row was made")
+
+        monkeypatch.setattr(integers, "_next_prime", lambda k: denom)
+        monkeypatch.setattr(integers, "row_coordinate", no_row)
+        epsilon = None if factor == 1 else F(16, factor)
         with pytest.raises(ValueError, match="int64-exactness budget"):
-            next(row_chunks([0, 0], [1, 1], denom, 10**15, factor))
+            build_integer_set_direct(300, n=2, options=BuildOptions(epsilon=epsilon))
 
 
 class TestRowSlices:
-    """The direct route's vectorised weight-and-slice-index step against the
-    per-row loop: one Python-int scaled_weight sum and floor division a row."""
+    """The direct route's pair-by-pair kernel against the per-row loop: one
+    Python-int row at a time, every pair tested with the scalar region test,
+    then one scaled_weight sum and floor division."""
 
     @staticmethod
-    def per_row(rows, epsilon, denom, num, den):
-        return [(num * (0 if epsilon is None else sum(
-            scaled_weight(epsilon, denom, row[h], row[h + 1]) for h in range(0, len(row), 2)))) // den
-            for row in rows.tolist()]
+    def per_row(a_nums, b_nums, denom, ts, epsilon, delta, num, den):
+        kept = []
+        for t in ts:
+            row = [(a + t * b) % denom for a, b in zip(a_nums, b_nums)]
+            pairs = [(row[h], row[h + 1]) for h in range(0, len(row), 2)]
+            if all(scaled_box(delta, denom, u, v) if epsilon is None
+                   else scaled_piece(epsilon, denom, u, v) for u, v in pairs):
+                s = 0 if epsilon is None else sum(scaled_weight(epsilon, denom, u, v)
+                                                  for u, v in pairs)
+                kept.append((t, num * s // den))
+        return kept
+
+    @staticmethod
+    def kernel(a_nums, b_nums, denom, lo, size, epsilon, delta, num, den):
+        t, J = kept_slices(a_nums, b_nums, denom, lo, np.arange(size, dtype=np.int64),
+                           epsilon, delta, num, den)
+        return list(zip(t.tolist(), J.tolist())), J
 
     @given(st.sampled_from([2, 4, 6]), st.sampled_from([None, F(1, 12), "1/n"]),
            st.sampled_from([997, 800_011, (1 << 31) - 1, (1 << 40) - 87]), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_matches_per_row_loop(self, n, epsilon, denom, seed):
         epsilon = F(1, n) if epsilon == "1/n" else epsilon
-        delta = F(1, 4 * (seed % 7 + 2))
+        delta = F(1, seed % 7 + 2)
         rng = random.Random(seed)
-        rows = np.array([[rng.randrange(denom) for _ in range(n)] for _ in range(50)], dtype=np.int64)
+        a_nums = [rng.randrange(denom) for _ in range(n)]
+        b_nums = [rng.randrange(1, denom) for _ in range(n)]
+        lo, size = rng.randrange(1, 10**12), 1000
         num, den = slice_ratio(epsilon, delta, denom * denom)
-        J = row_slices(rows, epsilon, denom, num, den)
-        assert J.tolist() == self.per_row(rows, epsilon, denom, num, den)
+        kept, J = self.kernel(a_nums, b_nums, denom, lo, size, epsilon, delta, num, den)
+        assert kept == self.per_row(a_nums, b_nums, denom, range(lo, lo + size),
+                                    epsilon, delta, num, den)
         pairs_bound = n // 2 * weight_factor(epsilon) * denom * denom if epsilon else 0
         if max(num * pairs_bound, den) > 1 << 62:
             assert J.dtype == object
 
     def test_int64_path_on_route_sized_grid(self):
-        denom, n, epsilon = 800_011, 8, F(1, 8)
-        num, den = slice_ratio(epsilon, F(1, 4), denom * denom)
+        denom, n, epsilon, delta = 800_011, 8, F(1, 8), F(1, 4)
+        num, den = slice_ratio(epsilon, delta, denom * denom)
         assert 4 * weight_factor(epsilon) * denom ** 2 * num <= 1 << 62
-        rows = np.array([[(97 * k + 31 * i) % denom for i in range(n)] for k in range(64)])
-        J = row_slices(rows, epsilon, denom, num, den)
-        assert J.dtype == np.int64
-        assert J.tolist() == self.per_row(rows, epsilon, denom, num, den)
+        a_nums = [(31 * i) % denom for i in range(n)]
+        b_nums = [(97 + 7919 * i) % denom for i in range(n)]
+        kept, J = self.kernel(a_nums, b_nums, denom, 1, 4000, epsilon, delta, num, den)
+        assert J.dtype == np.int64 and kept
+        assert kept == self.per_row(a_nums, b_nums, denom, range(1, 4001),
+                                    epsilon, delta, num, den)
