@@ -24,7 +24,6 @@ from .groups import (
     embed_point,
     fiber_reduce,
     search_shift,
-    slice_preimage_set,
 )
 from .integers import (
     ParameterError,

@@ -119,16 +119,10 @@ def _apply_config(args, parser) -> None:
 
 
 def _build(args) -> DiscreteSet:
-    trials = getattr(args, "trials", None)
-    seed = getattr(args, "seed", None)
-    options = BuildOptions(
-        epsilon=getattr(args, "epsilon", None),
-        delta=getattr(args, "delta", None),
-        trials=16 if trials is None else trials,
-        seed=0 if seed is None else seed,
-        shift=getattr(args, "shift", None),
-        slice_index=getattr(args, "slice_j", None),
-    )
+    given = dict(epsilon=args.epsilon, delta=args.delta, trials=args.trials, seed=args.seed,
+                 shift=args.shift, slice_index=args.slice_j)
+    # a flag not given keeps BuildOptions' default
+    options = BuildOptions(**{k: v for k, v in given.items() if v is not None})
     kind = args.kind
     if kind == "zm":
         return build_group_set(args.moduli, options)

@@ -10,19 +10,25 @@ indices are exact integer arithmetic (:mod:`apfree.gridscan`).  The best
 shift and slice are selected by counting, and ties break to the smallest
 slice index, then the lexicographically smallest shift.
 
-One numpy kernel serves the histogram and the pre-image: each pair's grid
-is tested and weighed as arrays (its slots), and the product of the slots
-is walked in chunks of at most _PRODUCT_CHUNK tuples, unravelled in the
-order of ``itertools.product``; a chunk gathers and sums its pair weights
-and takes every slice index as one floor division, ``np.unique`` counts
-the slices, and ``J == j`` picks the pre-image.  A value runs in int64
-only when a stated bound proves it stays at most 2^62: region_factor * D
-or weight_factor * D^2 for a pair's grid, the summed weight maxima for the
-sums, num times that (num alone when all are 0) and den for the slice
-division.  Otherwise the same code runs on object arrays of Python ints;
-no float is used.  Before a walk, its pair grids and product, times the
-walks the build makes, are charged to PRODUCT_BUDGET, and BudgetError is
-raised over it.
+One walk of one numpy kernel gives a shift its histogram, its fullest
+slice and that slice's pre-image: each pair's grid is tested and weighed
+as arrays (its slots), and the product of the slots is walked in chunks
+of at most _PRODUCT_CHUNK tuples, unravelled in the order of
+``itertools.product``; a chunk gathers and sums its pair weights and
+takes every slice index as one floor division into J, the slice index of
+every tuple.  ``np.unique`` counts the slices, ``J == j`` picks the
+pre-image's flat tuple indices, and unravelling them gives its residue
+tuples.  A search walks once per trial and once more for the winner; an
+explicit shift walks once.
+
+A value runs in int64 only when a stated bound proves it stays at most
+2^62: region_factor * D or weight_factor * D^2 for a pair's grid, the
+summed weight maxima for the sums, num times that (num alone when all are
+0) and den for the slice division.  Otherwise the same code runs on
+object arrays of Python ints; no float is used.  Before a walk, its pair
+grids and product, times the walks the build makes, are charged to
+PRODUCT_BUDGET, and BudgetError is raised over it; a search first charges
+the points of all its pair grids, known before any shift is drawn.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ def slice_ratio(epsilon: Fraction | None, delta: Fraction, L: int) -> tuple[int,
 _PRODUCT_CHUNK = 1 << 16
 # the points one build may test and walk in all: each walk tests every
 # pair's grid (m1 + m2 coordinates for the box, m1 * m2 points for the
-# block) and walks the slot product, and a search makes trials + 2 walks.
+# block) and walks the slot product, and a search makes trials + 1 walks.
 # An object-path point counts _OBJECT_COST times: a walk takes about 0.3 us
 # an int64 tuple and 2.3 us an object one (2-vCPU host), so an admitted
 # build spends at most about 5 s here, and no CLI walk exceeds 2^23 tuples.
@@ -202,11 +208,15 @@ def slice_indices(s, s_max: int, num: int, den: int):
 
 
 def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
-    """(slots, chunks): the pair slots, and a generator walking their
-    product in the order of itertools.product, _PRODUCT_CHUNK tuples at a
-    time, that yields (idx, J): each pair's slot indices of the chunk's
-    tuples and their slice indices.  The grids and the product are charged
-    to the work budget for ``walks`` walks first."""
+    """(slots, shape, J): the pair slots, the shape of their product, and
+    the slice index of every tuple of the product in the order of
+    itertools.product, summed _PRODUCT_CHUNK tuples at a time; every tuple
+    of the slots is in the region, so position k of J is flat tuple index
+    k.  The grids and the product are charged to the work budget for
+    ``walks`` walks first."""
+    moduli = check_moduli(moduli)
+    if len(moduli) % 2 != 0:
+        raise ValueError("slice construction needs an even number of moduli")
     delta = _check_delta(delta)
     if epsilon is not None:
         epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
@@ -215,59 +225,50 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     shape = tuple(len(w) for *_, w in slots)
     total = math.prod(shape)
     s_max = sum(int(w.max()) for *_, w in slots) if total else 0
-    _charge(f"slot product of {total} tuples for moduli {tuple(moduli)}", total,
-            _slice_dtype(s_max, num, den), walks)
-
-    def chunks():
-        for lo in range(0, total, _PRODUCT_CHUNK):
-            idx = np.unravel_index(np.arange(lo, min(lo + _PRODUCT_CHUNK, total)), shape)
-            s = sum(w[i] for (*_, w), i in zip(slots, idx))
-            yield idx, slice_indices(s, s_max, num, den)
-
-    return slots, chunks()
+    dtype = _slice_dtype(s_max, num, den)
+    _charge(f"slot product of {total} tuples for moduli {moduli}", total, dtype, walks)
+    J = np.empty(total, dtype=dtype)
+    for lo in range(0, total, _PRODUCT_CHUNK):
+        hi = min(lo + _PRODUCT_CHUNK, total)
+        idx = np.unravel_index(np.arange(lo, hi), shape)
+        J[lo:hi] = slice_indices(sum(w[i] for (*_, w), i in zip(slots, idx)), s_max, num, den)
+    return slots, shape, J
 
 
-def slice_histogram(chunks):
-    """(values, counts) over the slice-index arrays in ``chunks``: the
-    distinct indices in increasing order and how often each occurs."""
-    J = list(chunks)
-    return np.unique(np.concatenate(J) if J else np.zeros(0, dtype=np.int64),
-                     return_counts=True)
+def pick_slice(J, j: int | None = None):
+    """(j, count, histogram, hit) over the slice indices J: j is the fullest
+    slice, ties to the smallest index and 0 when J is empty, unless j is
+    given; count how often it occurs; histogram the (values, counts)
+    arrays of the distinct indices in increasing order; hit the positions
+    of J in slice j."""
+    values, counts = np.unique(J, return_counts=True)
+    if j is None:
+        j = int(values[np.argmax(counts)]) if len(values) else 0
+    hit = np.flatnonzero(J == j)
+    return j, len(hit), (values, counts), hit
 
 
-def fullest_slice(values, counts) -> tuple[int, int]:
-    """(j, count) of the fullest slice, ties to the smallest index; (0, 0)
-    when there is none."""
-    if not len(values):
-        return 0, 0
-    k = int(np.argmax(counts))
-    return int(values[k]), int(counts[k])
+def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
+               j: int | None = None):
+    """(j, count, histogram, elements) of one walk over the tuples in the
+    region (the box when epsilon is None): j, count and the histogram as in
+    ``pick_slice``, and elements the residue tuples in slice j, in product
+    order.  A pre-image is progression-free whenever delta <= 1/max(m).
+    ``walks``: how many walks like this one the caller's build makes, for
+    the work budget."""
+    slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks)
+    j, count, histogram, hit = pick_slice(J, j)
+    idx = np.unravel_index(hit, shape)
+    columns = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+    return j, count, histogram, list(zip(*columns))
 
 
-def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
-    """(j*, count, histogram): j* maximizes the in-slice count, ties to the
-    smallest index; histogram is the (values, counts) arrays of
-    ``slice_histogram`` over all in-block tuples.  ``walks``: how many walks
-    like this one the caller's build makes, for the work budget."""
-    _, chunks = _slice_scan(moduli, shift, epsilon, delta, walks)
-    histogram = slice_histogram(J for _, J in chunks)
-    return (*fullest_slice(*histogram), histogram)
-
-
-def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction | None,
-                       delta: Fraction, walks: int = 1) -> DiscreteSet:
-    """All residue tuples embedding into the region (the box when epsilon is
-    None) with weight sum in slice j.  Progression-free whenever
-    delta <= 1/max(m).  ``walks`` as in ``best_slice``."""
-    moduli = check_moduli(moduli)
-    if len(moduli) % 2 != 0:
-        raise ValueError("slice construction needs an even number of moduli")
-    slots, chunks = _slice_scan(moduli, shift, epsilon, delta, walks)
-    elements = []
-    for idx, J in chunks:
-        hit = np.flatnonzero(J == j)
-        columns = [r[i[hit]].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
-        elements += zip(*columns)
+def _slice_set(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk,
+               cap: int = 1000) -> DiscreteSet:
+    """The set of one ``best_slice`` walk, with its slice histogram in the
+    provenance, as {j: count} only up to ``cap`` slices to keep sidecars
+    small for large groups."""
+    j, _, (values, counts), elements = walk
     prov = {
         "construction": "zm",
         "moduli": list(moduli),
@@ -276,7 +277,11 @@ def slice_preimage_set(moduli, shift, j: int, epsilon: Fraction | None,
         "epsilon": rat_str(epsilon) if epsilon is not None else None,
         "slice_index": j,
         "certified_by_construction": delta <= Fraction(1, max(moduli)),
+        "slices_nonempty": len(values),
+        "in_block_total": int(counts.sum()),
     }
+    if len(values) <= cap:
+        prov["slice_histogram"] = dict(zip(map(str, values.tolist()), counts.tolist()))
     return DiscreteSet(kind="group", moduli=moduli, elements=tuple(elements), provenance=prov)
 
 
@@ -295,37 +300,28 @@ def _delta_for(moduli, options: BuildOptions) -> Fraction:
 
 def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int):
     """Sample shifts from the rational grid and keep the one whose best
-    slice is largest (ties: lexicographically smallest shift).  Returns
-    (shift, j, DiscreteSet)."""
+    slice is largest (ties: lexicographically smallest shift); one more
+    walk gives its pre-image and histogram.  Returns (shift, j,
+    DiscreteSet)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     moduli = check_moduli(moduli)
-    # each pair grid has at least 4 points, so a search its grids alone put
-    # over the budget is refused before any shift is sampled
-    _charge(f"{len(moduli) // 2} pair grids", 4 * (len(moduli) // 2), np.int64, trials + 2)
+    # the points of every pair grid are known before any shift is drawn: a
+    # search its grids alone put over the budget is refused before sampling
+    pairs = list(zip(moduli[::2], moduli[1::2]))
+    points = sum(m1 + m2 if epsilon is None else m1 * m2 for m1, m2 in pairs)
+    _charge(f"{len(pairs)} pair grids of {points} points", points, np.int64, trials + 1)
     best = None
     for trial in range(trials):
         shift = sample_shift(trial_rng(seed, "shift", trial), moduli)
-        # the trials, the pre-image and the histogram walk products alike
-        j, count, _ = best_slice(moduli, shift, epsilon, delta, trials + 2)
+        # each trial is charged for all the search's walks, the winner's included
+        j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1)
         key = (-count, shift, j)
         if best is None or key < best[0]:
             best = (key, shift, j)
     _, shift, j = best
-    dset = slice_preimage_set(moduli, shift, j, epsilon, delta)
-    _attach_histogram(dset, best_slice(moduli, shift, epsilon, delta)[2])
-    return shift, j, dset
-
-
-def _attach_histogram(dset: DiscreteSet, histogram, cap: int = 1000) -> None:
-    """Record the slice histogram (values, counts) in the provenance, as
-    {j: count} only up to ``cap`` slices to keep sidecars small for large
-    groups."""
-    values, counts = histogram
-    dset.provenance["slices_nonempty"] = len(values)
-    dset.provenance["in_block_total"] = int(counts.sum())
-    if len(values) <= cap:
-        dset.provenance["slice_histogram"] = dict(zip(map(str, values.tolist()), counts.tolist()))
+    return shift, j, _slice_set(moduli, shift, epsilon, delta,
+                                best_slice(moduli, shift, epsilon, delta, j=j))
 
 
 def fiber_reduce(dset: DiscreteSet) -> DiscreteSet:
@@ -377,12 +373,8 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     if epsilon is None and options.slice_index is not None:
         raise ValueError("the box route (n=2, no epsilon) takes no slice index")
     if shift is not None:
-        # the histogram's walk also picks the slice when none is given
-        j, _, histogram = best_slice(moduli, shift, epsilon, delta, 2)
-        if options.slice_index is not None:
-            j = options.slice_index
-        dset = slice_preimage_set(moduli, shift, j, epsilon, delta, 2)
-        _attach_histogram(dset, histogram)
+        dset = _slice_set(moduli, shift, epsilon, delta,
+                          best_slice(moduli, shift, epsilon, delta, j=options.slice_index))
     else:
         shift, j, dset = search_shift(moduli, epsilon, delta, options.trials, options.seed)
     dset.provenance.update(

@@ -28,8 +28,8 @@ import numpy as np
 from .dsets import DiscreteSet
 from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_piece,
                        scaled_weight, weight_factor)
-from .groups import (BudgetError, BuildOptions, _charge, build_group_set, fullest_slice,
-                     region_epsilon, slice_histogram, slice_indices, slice_ratio, trial_rng)
+from .groups import (BudgetError, BuildOptions, _charge, build_group_set, pick_slice,
+                     region_epsilon, slice_indices, slice_ratio, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -294,9 +294,8 @@ def build_integer_set_direct(N: int, n: int | None = None,
                           f"(N={N}, n={n})")
     candidates = []
     for a_nums, (t, J) in zip(shifts, kept):
-        j, _ = fullest_slice(*slice_histogram([J]))
-        elements = t[J == j].tolist()
-        candidates.append((-len(elements), a_nums, j, elements))
+        j, count, _, hit = pick_slice(J)
+        candidates.append((-count, a_nums, j, t[hit].tolist()))
     # the fullest slice of all trials; ties to the smallest shift
     _, a_nums, j, elements = min(candidates)
     prov = {

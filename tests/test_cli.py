@@ -308,6 +308,22 @@ class TestWorkBudget:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind", [["fpn", "--p", "7", "--n", "1000000", "--trials", "3"],
+                                      ["fpn", "--p", "1000000000", "--n", "1000000",
+                                       "--delta", "1/24", "--trials", "1"]])
+    def test_search_over_budget_exits_two_before_sampling(self, capsys, tmp_path, kind):
+        """The first tested 10927 pair grids (about 3 s) and the second drew
+        10^6 shift coordinates (about 2.5 s) before the budget refused
+        them; a search's pair grids are now charged before any shift is
+        drawn."""
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "construct", *kind, "--outdir", str(tmp_path))
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: 500000 pair grids of ") and "work budget" in err
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("kind", [["zm", "--moduli", "9000,9000"], ["zm", "--moduli", "3000"],
                                       ["fpn", "--p", "2999", "--n", "2"]])
     def test_large_box_builds_and_certifies(self, capsys, tmp_path, kind):

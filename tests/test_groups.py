@@ -22,9 +22,9 @@ from apfree.groups import (
     build_group_set,
     embed_point,
     fiber_reduce,
+    pick_slice,
     sample_shift,
     search_shift,
-    slice_preimage_set,
     slice_ratio,
 )
 from apfree.dsets import DiscreteSet
@@ -41,6 +41,11 @@ def hist_dict(histogram):
     """best_slice's (values, counts) histogram as {j: count}."""
     values, counts = histogram
     return dict(zip(values.tolist(), counts.tolist()))
+
+
+def preimage(moduli, shift, j, epsilon, delta):
+    """The residue tuples of slice j, from one best_slice walk."""
+    return best_slice(moduli, shift, epsilon, delta, j=j)[3]
 
 
 class TestEmbedding:
@@ -108,46 +113,70 @@ class TestSlicePreimage:
     DELTA = F(1, 12)
 
     def test_out_of_range_slice_empty(self):
-        dset = slice_preimage_set(self.MOD, self.SHIFT, 10**12, self.EPS, self.DELTA)
-        assert dset.size == 0
+        j, count, hist, elements = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA,
+                                              j=10**12)
+        assert (j, count, elements) == (10**12, 0, [])
+        assert sum(hist_dict(hist).values()) > 0
+        dset = build_group_set(self.MOD, BuildOptions(epsilon=self.EPS, delta=self.DELTA,
+                                                      shift=self.SHIFT, slice_index=10**12))
+        assert dset.size == 0 and dset.provenance["slice_index"] == 10**12
 
     def test_partition_over_slices(self):
-        j, count, hist = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+        j, count, hist, elements = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
         hist = hist_dict(hist)
-        assert hist[j] == count == max(hist.values())
+        assert hist[j] == count == max(hist.values()) == len(elements)
         total = sum(hist.values())
         sizes = sum(
-            slice_preimage_set(self.MOD, self.SHIFT, jj, self.EPS, self.DELTA).size
-            for jj in hist
+            len(preimage(self.MOD, self.SHIFT, jj, self.EPS, self.DELTA)) for jj in hist
         )
         assert sizes == total
 
     def test_best_slice_ties_to_smallest(self):
-        _, _, hist = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
-        j, count, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+        _, _, hist, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+        j, count, _, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
         assert j == min(jj for jj, c in hist_dict(hist).items() if c == count)
 
     def test_best_slice_deterministic(self):
-        (j1, c1, h1), (j2, c2, h2) = (best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
-                                      for _ in range(2))
-        assert (j1, c1, hist_dict(h1)) == (j2, c2, hist_dict(h2))
+        (j1, c1, h1, e1), (j2, c2, h2, e2) = (
+            best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA) for _ in range(2))
+        assert (j1, c1, hist_dict(h1), e1) == (j2, c2, hist_dict(h2), e2)
 
     def test_single_nonempty_slice_is_chosen(self):
         # (2,2) with zero shift embeds one tuple into the block, so exactly
         # one slice is nonempty and it must be selected
-        j, count, hist = best_slice((2, 2), (F(0), F(0)), self.EPS, F(1, 2))
-        assert count == 1 and hist_dict(hist) == {j: 1}
+        j, count, hist, elements = best_slice((2, 2), (F(0), F(0)), self.EPS, F(1, 2))
+        assert count == 1 and hist_dict(hist) == {j: 1} and len(elements) == 1
 
     def test_preimage_certified(self):
-        j, _, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
-        dset = slice_preimage_set(self.MOD, self.SHIFT, j, self.EPS, self.DELTA)
+        j, _, _, _ = best_slice(self.MOD, self.SHIFT, self.EPS, self.DELTA)
+        dset = build_group_set(self.MOD, BuildOptions(epsilon=self.EPS, delta=self.DELTA,
+                                                      shift=self.SHIFT, slice_index=j))
         assert dset.size > 0
         assert dset.verify().passed
         assert dset.provenance["certified_by_construction"] is True
 
     def test_odd_moduli_count_rejected(self):
-        with pytest.raises(ValueError):
-            slice_preimage_set((3, 4, 5), (F(0),) * 3, 0, self.EPS, F(1, 5))
+        with pytest.raises(ValueError, match="even number of moduli"):
+            best_slice((3, 4, 5), (F(0),) * 3, self.EPS, F(1, 5))
+
+
+class TestPickSlice:
+    def test_fullest_ties_to_smallest(self):
+        J = np.array([7, 3, 7, 3, 9])
+        j, count, (values, counts), hit = pick_slice(J)
+        assert (j, count, values.tolist(), counts.tolist(), hit.tolist()) == (
+            3, 2, [3, 7, 9], [2, 2, 1], [1, 3])
+        assert type(j) is int and type(count) is int
+
+    def test_given_slice(self):
+        J = np.array([7, 3, 7, 3, 9])
+        assert pick_slice(J, 9)[:2] == (9, 1) and pick_slice(J, 9)[3].tolist() == [4]
+        assert pick_slice(J, 4)[:2] == (4, 0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty(self, dtype):
+        j, count, (values, counts), hit = pick_slice(np.zeros(0, dtype=dtype))
+        assert (j, count, len(values), len(counts), len(hit)) == (0, 0, 0, 0, 0)
 
 
 def fraction_slices(moduli, shift, epsilon, delta):
@@ -184,18 +213,18 @@ class TestScaledIntegerKernel:
     @settings(max_examples=40, deadline=None)
     def test_histogram_matches_fraction_oracle(self, instance):
         moduli, shift, epsilon, delta = instance
-        j, count, histogram = best_slice(moduli, shift, epsilon, delta)
+        j, count, histogram, elements = best_slice(moduli, shift, epsilon, delta)
         slices = fraction_slices(moduli, shift, epsilon, delta)
         assert hist_dict(histogram) == {jj: len(slices[jj]) for jj in sorted(slices)}
         assert count == hist_dict(histogram).get(j, 0)
+        assert elements == slices.get(j, [])
 
     def test_sevenths_shift_preimage_matches_oracle(self):
         moduli, shift = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7))
         epsilon, delta = F(1, 12), F(1, 7)
-        j, _, _ = best_slice(moduli, shift, epsilon, delta)
-        dset = slice_preimage_set(moduli, shift, j, epsilon, delta)
-        assert dset.size > 0
-        assert list(dset.elements) == fraction_slices(moduli, shift, epsilon, delta)[j]
+        j, _, _, elements = best_slice(moduli, shift, epsilon, delta)
+        assert len(elements) > 0
+        assert elements == fraction_slices(moduli, shift, epsilon, delta)[j]
 
     @pytest.mark.parametrize("epsilon", [F(0), F(1), F(-1, 12)])
     def test_epsilon_validated(self, epsilon):
@@ -209,15 +238,15 @@ class TestSearchShift:
         expected_shift = sample_shift(trial_rng(5, "shift", 0), moduli)
         shift, j, dset = search_shift(moduli, F(1, 12), F(1, 10), trials=1, seed=5)
         assert shift == expected_shift
-        jj, count, _ = best_slice(moduli, shift, F(1, 12), F(1, 10))
-        assert (j, dset.size) == (jj, count)
+        jj, count, _, elements = best_slice(moduli, shift, F(1, 12), F(1, 10))
+        assert (j, dset.size, list(dset.elements)) == (jj, count, elements)
 
     def test_argmax_property(self):
         moduli = (12, 12)
         shift, j, dset = search_shift(moduli, F(1, 12), F(1, 12), trials=8, seed=3)
         for trial in range(8):
             s = sample_shift(trial_rng(3, "shift", trial), moduli)
-            _, count, _ = best_slice(moduli, s, F(1, 12), F(1, 12))
+            _, count, _, _ = best_slice(moduli, s, F(1, 12), F(1, 12))
             assert dset.size >= count
 
     def test_trial_rng_split_is_stable_and_independent(self):
@@ -300,6 +329,18 @@ class TestDriver:
         assert hist[str(dset.provenance["slice_index"])] == dset.size
         assert dset.size == max(hist.values())
 
+    def test_histogram_capped_in_provenance(self):
+        moduli, shift, epsilon, delta = (12, 12), (F(1, 24), F(1, 24)), F(1, 12), F(1, 12)
+        walk = best_slice(moduli, shift, epsilon, delta)
+        slices = len(walk[2][0])
+        assert slices > 1
+        at_cap = groups._slice_set(moduli, shift, epsilon, delta, walk, cap=slices).provenance
+        assert at_cap["slice_histogram"] == {str(j): c for j, c in hist_dict(walk[2]).items()}
+        over = groups._slice_set(moduli, shift, epsilon, delta, walk, cap=slices - 1).provenance
+        assert "slice_histogram" not in over
+        assert over["slices_nonempty"] == slices
+        assert over["in_block_total"] == sum(hist_dict(walk[2]).values())
+
     def test_n2_box_fallback(self):
         dset = build_group_set((9, 7), BuildOptions(seed=2))
         assert dset.provenance["route"] == "box"
@@ -328,7 +369,7 @@ class TestDriver:
     def test_fixed_shift_and_slice(self):
         opts = BuildOptions(epsilon=F(1, 12), shift=(F(1, 24), F(1, 24)), slice_index=None)
         dset = build_group_set((12, 12), opts)
-        j, count, _ = best_slice((12, 12), (F(1, 24), F(1, 24)), F(1, 12), F(1, 12))
+        j, count, _, _ = best_slice((12, 12), (F(1, 24), F(1, 24)), F(1, 12), F(1, 12))
         assert dset.size == count and dset.provenance["slice_index"] == j
 
     def test_moduli_validation(self):
@@ -360,7 +401,7 @@ class TestDriver:
     def test_public_slice_entry_points_check_delta(self, epsilon):
         shift = (F(0), F(0))
         with pytest.raises(ValueError, match=r"outside \(0,1\)"):
-            slice_preimage_set((6, 6), shift, 0, epsilon, F(1))
+            best_slice((6, 6), shift, epsilon, F(1), j=0)
         with pytest.raises(ValueError, match=r"outside \(0,1\)"):
             best_slice((6, 6), shift, epsilon, F(1))
 
@@ -406,7 +447,7 @@ class TestBoxKernel:
             assert list(dset.elements) == oracle and oracle
         else:
             slices = fraction_slices(moduli, shift, epsilon, delta)
-            _, _, histogram = best_slice(moduli, shift, epsilon, delta)
+            _, _, histogram, _ = best_slice(moduli, shift, epsilon, delta)
             assert hist_dict(histogram) == {j: len(slices[j]) for j in sorted(slices)}
 
 
@@ -472,13 +513,14 @@ def kernel_instances(draw):
 
 
 def assert_kernel_matches_reference(moduli, shift, epsilon, delta):
-    j, count, histogram = best_slice(moduli, shift, epsilon, delta)
+    j, count, histogram, elements = best_slice(moduli, shift, epsilon, delta)
     assert (j, count, hist_dict(histogram)) == reference_best_slice(moduli, shift, epsilon, delta)
     assert type(j) is int and type(count) is int
     for jj in {j, j + 1}:
-        dset = slice_preimage_set(moduli, shift, jj, epsilon, delta)
         expected = sorted(r for r, js in reference_scan(moduli, shift, epsilon, delta) if js == jj)
-        assert list(dset.elements) == expected
+        assert preimage(moduli, shift, jj, epsilon, delta) == expected
+        if jj == j:
+            assert elements == expected
 
 
 class TestSlotProductKernel:
@@ -497,12 +539,15 @@ class TestSlotProductKernel:
     def test_chunked_walk_is_product_order(self, monkeypatch):
         moduli, shift, epsilon, delta = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7)), F(1, 12), F(1, 7)
         monkeypatch.setattr(groups, "_PRODUCT_CHUNK", 5)
-        slots, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
-        walked = []
-        for idx, J in chunks:
-            assert len(J) <= 5
-            cols = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
-            walked += zip(zip(*cols), J.tolist())
+        sums, slice_indices = [], groups.slice_indices
+        monkeypatch.setattr(groups, "slice_indices",
+                            lambda s, *args: (sums.append(len(s)), slice_indices(s, *args))[1])
+        slots, shape, J = groups._slice_scan(moduli, shift, epsilon, delta)
+        assert len(J) == math.prod(shape) and shape == tuple(len(w) for *_, w in slots)
+        assert max(sums) <= 5 and sum(sums) == len(J) and len(sums) == -(-len(J) // 5)
+        idx = np.unravel_index(np.arange(len(J)), shape)
+        cols = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+        walked = list(zip(zip(*cols), J.tolist()))
         assert walked == list(reference_scan(moduli, shift, epsilon, delta))
 
     @pytest.mark.parametrize("epsilon", [None, F(1, 12), F(1, 4)])
@@ -518,8 +563,7 @@ class TestSlotProductKernel:
         if epsilon is not None:
             assert slots[0][2].dtype == object
             assert sum(int(w.max()) for *_, w in slots) > 1 << 62
-        _, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
-        assert all(J.dtype == object for _, J in chunks)
+        assert groups._slice_scan(moduli, shift, epsilon, delta)[2].dtype == object
         assert_kernel_matches_reference(moduli, shift, epsilon, delta)
 
     def test_box_slice_division_past_int64(self):
@@ -529,8 +573,8 @@ class TestSlotProductKernel:
         slots, L = groups._pair_slots(moduli, shift, None, delta)
         num, den = slice_ratio(None, delta, L)
         assert num > 1 << 62 and groups._slice_dtype(0, num, den) is object
-        j, count, histogram = best_slice(moduli, shift, None, delta)
-        assert (j, count, hist_dict(histogram)) == (0, 1, {0: 1})
+        j, count, histogram, elements = best_slice(moduli, shift, None, delta)
+        assert (j, count, hist_dict(histogram), elements) == (0, 1, {0: 1}, [(0, 0)])
         dset = build_group_set(moduli, BuildOptions(shift=shift, delta=delta))
         assert dset.elements == ((0, 0),)
 
@@ -539,15 +583,14 @@ class TestSlotProductKernel:
         shift = sample_shift(trial_rng(1, "shift", 0), moduli)
         slots, _ = groups._pair_slots(moduli, shift, epsilon, delta)
         assert all(w.dtype == np.int64 for *_, w in slots)
-        _, chunks = groups._slice_scan(moduli, shift, epsilon, delta)
-        assert all(J.dtype == np.int64 for _, J in chunks)
+        assert groups._slice_scan(moduli, shift, epsilon, delta)[2].dtype == np.int64
         assert_kernel_matches_reference(moduli, shift, epsilon, delta)
 
 
 class TestWorkBudget:
     def test_slot_product_over_budget(self, monkeypatch):
         moduli, shift = (12, 12, 12, 12), (F(1, 24),) * 4
-        _, count, histogram = best_slice(moduli, shift, F(1, 12), F(1, 12))
+        _, count, histogram, _ = best_slice(moduli, shift, F(1, 12), F(1, 12))
         total = int(histogram[1].sum())
         monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total - 1)
         with pytest.raises(BudgetError, match="work budget"):
@@ -572,17 +615,34 @@ class TestWorkBudget:
             best_slice((12, 12, 12, 12), (0,) * 4, F(1, 12), F(1, 12))
 
     def test_search_refused_before_sampling(self, monkeypatch):
-        """fpn --p 4 --n 1000000 once tested 58255 pair grids (25 s) before
-        the budget refused it; each grid has at least 4 points."""
+        """fpn --p 4 --n 1000000 once tested 58255 pair grids (25 s) and
+        fpn --p 7 --n 1000000 --trials 3 10927 (3 s) before the budget
+        refused them: every pair grid's points are charged for all the
+        search's walks before a shift is drawn, m1 * m2 each for the block
+        and m1 + m2 for the box."""
         def no_shift(rng, moduli):
             raise AssertionError("a shift was sampled")
 
         monkeypatch.setattr(groups, "sample_shift", no_shift)
-        with pytest.raises(BudgetError, match="500000 pair grids, walked 18 times"):
+        with pytest.raises(BudgetError,
+                           match="500000 pair grids of 8000000 points, walked 17 times"):
             search_shift((4,) * 10**6, F(1, 12), F(1, 4), 16, 0)
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 4 * 2 * 3)
+        with pytest.raises(BudgetError,
+                           match="500000 pair grids of 24500000 points, walked 4 times"):
+            search_shift((7,) * 10**6, F(1, 12), F(1, 7), 3, 0)
+        # two 4x4 block grids, 32 points walked twice; box grids 8 points each
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 2 * 32 - 1)
+        with pytest.raises(BudgetError, match="2 pair grids of 32 points, walked 2 times"):
+            search_shift((4,) * 4, F(1, 12), F(1, 4), 1, 0)
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 2 * 32)
         with pytest.raises(AssertionError, match="sampled"):
             search_shift((4,) * 4, F(1, 12), F(1, 4), 1, 0)
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * 8 - 1)
+        with pytest.raises(BudgetError, match="1 pair grids of 8 points, walked 3 times"):
+            search_shift((4, 4), None, F(1, 4), 2, 0)
+        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * 8)
+        with pytest.raises(AssertionError, match="sampled"):
+            search_shift((4, 4), None, F(1, 4), 2, 0)
 
     def test_object_points_cost_more(self, monkeypatch):
         monkeypatch.setattr(groups, "PRODUCT_BUDGET", 10 * groups._OBJECT_COST)
@@ -594,19 +654,40 @@ class TestWorkBudget:
             groups._charge("x", 10, object, 2)
 
     @pytest.mark.parametrize("options, walks", [
-        (BuildOptions(trials=5), [7] * 16 + [1] * 6),
-        (BuildOptions(shift=(F(1, 7),) * 4), [2] * 6),
-        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [2] * 6),
+        (BuildOptions(trials=5), [6] * 16 + [1] * 3),
+        (BuildOptions(shift=(F(1, 7),) * 4), [1] * 3),
+        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [1] * 3),
     ])
     def test_builds_charge_every_walk(self, monkeypatch, options, walks):
-        """A search walks its trials, the pre-image and the histogram; an
-        explicit shift walks the histogram, which also gives the best slice
-        unless one is given, and the pre-image.  The first walk is charged
-        for all of them, and a search first charges the least its grids can
-        cost."""
+        """A search walks its trials and then the winner once more, for its
+        pre-image and histogram; each trial is charged for all of them, and
+        the search first charges its pair grids for all of them.  An
+        explicit shift walks once, with or without a slice."""
         charged, charge = [], groups._charge
         monkeypatch.setattr(groups, "_charge",
                             lambda what, points, dtype, w: (charged.append(w),
                                                             charge(what, points, dtype, w)))
         build_group_set((6, 6, 6, 6), options)
         assert charged == walks  # two pair grids and one product per walk
+
+    @pytest.mark.parametrize("moduli, options, walks", [
+        ((6, 6, 6, 6), BuildOptions(trials=5), 6),
+        ((6, 6, 6, 6), BuildOptions(trials=1), 2),
+        ((6, 6, 6, 6), BuildOptions(shift=(F(1, 7),) * 4), 1),
+        ((6, 6, 6, 6), BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), 1),
+        ((6, 6, 6, 6), BuildOptions(shift=(F(1, 7),) * 4, slice_index=10**12), 1),
+        ((9, 7), BuildOptions(trials=5), 6),
+        ((9, 7), BuildOptions(shift=(F(1, 7),) * 2), 1),
+        ((5,), BuildOptions(trials=3), 4),
+        ((5,), BuildOptions(shift=(F(1, 7),)), 1),
+    ])
+    def test_builds_walk_the_product_once_per_shift(self, monkeypatch, moduli, options, walks):
+        """A search walks the slot product trials + 1 times, an explicit
+        shift once, whether or not a slice is given."""
+        scans, scan = [], groups._slice_scan
+        monkeypatch.setattr(groups, "_slice_scan",
+                            lambda *args: (scans.append(args[1]), scan(*args))[1])
+        build_group_set(moduli, options)
+        assert len(scans) == walks
+        if options.shift is None:  # the winner's walk repeats a trial's shift
+            assert scans[-1] in scans[:-1]
