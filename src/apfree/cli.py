@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -324,12 +325,19 @@ def _validate(args, parser) -> None:
             parser.error("compare fpn requires --p and --n")
 
 
+@functools.lru_cache(maxsize=4)
+def _parser(threads_env: str | None) -> argparse.ArgumentParser:
+    """build_parser() once per raw APFREE_THREADS value, which it reads for
+    the --threads default; a bad value raises, so it is never cached."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; its warnings become one ``warning:`` line each
     after a finished command (exit 0 or 1), and are dropped on exit 2."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            parser = build_parser()
+            parser = _parser(os.environ.get("APFREE_THREADS"))
             args = parser.parse_args(argv)
             _validate(args, parser)
             code = args.fn(args)

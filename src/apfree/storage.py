@@ -10,14 +10,113 @@ never written.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .dsets import DiscreteSet
 from .verify import VerificationReport
 
 
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+class _Unsupported(Exception):
+    """A value the exact writer leaves to the stdlib encoder."""
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` the stdlib falls back to its pure-Python encoder, so
+    dicts with str keys, lists, tuples, strs, exact ints, bools and None
+    are written here; anything else (floats, other key types, int
+    subclasses such as numpy scalars, cycles, ints past the str conversion
+    limit) goes to the stdlib, which then decides the bytes or the
+    exception."""
+    try:
+        return _value(obj, "\n") + "\n"
+    except (_Unsupported, ValueError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _only_ints(values) -> bool:
+    # type(), not isinstance: bool is an int subclass and prints true/false
+    return set(map(type, values)) == {int}
+
+
+def _value(obj, pad: str) -> str:
+    """obj as JSON whose later lines start with ``pad``, a newline and the
+    indent of the line obj starts on."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if _only_ints(obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = _uniform_dicts(obj, inner)
+            if body is None:
+                body = ("," + inner).join([_value(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            raise _Unsupported
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
+        ) + pad + "}"
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    raise _Unsupported
+
+
+def _uniform_dicts(items, inner: str) -> str | None:
+    """The items of a list of two or more dicts of one shape (the same str
+    keys; every value an int or a non-empty int list, each list as long in
+    every item), written by one format template; None for any other list."""
+    first = items[0]
+    if len(items) < 2 or type(first) is not dict or not first:
+        return None
+    if not all(type(key) is str for key in first):
+        return None
+    keys = first.keys()
+    if not all(type(item) is dict and item.keys() == keys for item in items):
+        return None
+    names = sorted(keys)
+    columns = [list(map(itemgetter(name), items)) for name in names]
+    # per key: None for an int, else the length of its int lists
+    fields = []
+    for column in columns:
+        if _only_ints(column):
+            fields.append(None)
+            continue
+        if not set(map(type, column)) <= {list, tuple}:
+            return None
+        lengths = set(map(len, column))
+        if len(lengths) != 1 or 0 in lengths or not _only_ints(chain.from_iterable(column)):
+            return None
+        fields.append(lengths.pop())
+    deeper, deepest = inner + "  ", inner + "    "
+    parts = []
+    for name, length in zip(names, fields):
+        slot = "%d" if length is None else (
+            "[" + deepest + ("," + deepest).join(["%d"] * length) + deeper + "]")
+        parts.append(_quote(name).replace("%", "%%") + ": " + slot)
+    template = "{" + deeper + ("," + deeper).join(parts) + inner + "}"
+    # the fill values in template order; an int becomes a 1-tuple
+    rows = zip(*[zip(column) if length is None else column
+                 for column, length in zip(columns, fields)])
+    values = tuple(chain.from_iterable(chain.from_iterable(rows)))
+    return ("," + inner).join([template] * len(items)) % values
 
 
 def write_set(dset: DiscreteSet, outdir: str | Path, name: str,

@@ -64,12 +64,15 @@ class VerificationReport:
 # array elements per numpy step: pairs x coordinates, or candidates
 _CHUNK = 1 << 16
 # pairs walked plus midpoint candidates looked up by one certificate: the
-# integer scan runs about 4e7 pairs a second (2-vCPU host), so an admitted
-# scan takes at most about half a minute
+# integer scan runs 2.4-2.8e7 pairs a second in-process (behrend sets at
+# N = 1e7 and 1e8, 2-vCPU Xeon host), so an admitted scan takes at most
+# about 45 s
 SCAN_BUDGET = 1 << 30
 # progressions one all_counterexamples scan may list: 34 times the 1944 of
-# the largest benchmark list, while a JSON dump of the full list stays a few
-# seconds and megabytes
+# the largest benchmark list, while a JSON dump of the full list stays
+# under a quarter of a second and 16 MB (storage.dump_json on the same
+# host: 0.07 s and 5 MB for integer triples, 0.18 s and 16 MB for triples
+# in Z_9^4)
 COUNTEREXAMPLE_CAP = 1 << 16
 
 

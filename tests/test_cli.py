@@ -416,6 +416,47 @@ class TestThreadsFlag:
         )
         assert code == 0
 
+    def test_parser_cache_follows_env(self, monkeypatch, capsys):
+        """main() reuses one parser per APFREE_THREADS value, so each call
+        still sees the default of the environment it runs in."""
+        import apfree.cli
+
+        seen = []
+        real = apfree.cli.check_sweeps
+
+        def spy(kinds, epsilon, Q, threads):
+            seen.append(threads)
+            return real(kinds, epsilon, Q, 1)
+
+        monkeypatch.setattr(apfree.cli, "check_sweeps", spy)
+        for value in ("3", "5", "3"):
+            monkeypatch.setenv("APFREE_THREADS", value)
+            assert run(capsys, "check", "facts", "--epsilon", "1/12", "--Q", "24")[0] == 0
+        monkeypatch.delenv("APFREE_THREADS")
+        assert run(capsys, "check", "facts", "--epsilon", "1/12", "--Q", "24")[0] == 0
+        assert seen == [3, 5, 3, 1]
+
+    def test_bad_env_value_after_a_good_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("APFREE_THREADS", "2")
+        assert run(capsys, "area", "--epsilon", "1/12")[0] == 0
+        monkeypatch.setenv("APFREE_THREADS", "abc")
+        for argv in (["area", "--epsilon", "1/12"], ["area", "--epsilon", "nonsense"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: APFREE_THREADS='abc' is not an integer\n"
+
+    def test_usage_error_leaves_the_parser_reusable(self, monkeypatch, capsys):
+        import apfree.cli
+
+        monkeypatch.delenv("APFREE_THREADS", raising=False)
+        apfree.cli._parser.cache_clear()
+        fresh = run(capsys, "area", "--epsilon", "1/24")
+        with pytest.raises(SystemExit) as exc:
+            main(["area", "--epsilon", "nonsense"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "area", "--epsilon", "1/24") == fresh
+
 
 class TestCheck:
     def test_block_smoke(self, capsys):
