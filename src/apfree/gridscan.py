@@ -5,7 +5,13 @@ A grid point with denominator D is stored as its integer numerator pair
 check is a comparison of integer expressions held in numpy int64 arrays.
 This is still exact arithmetic: the scale check below rules overflow
 out (the largest intermediate is < 3400 * (ed*Q)^2, kept under 2^62 by
-requiring ed*Q <= 2_000_000), and no floats appear anywhere.
+requiring ed*Q <= 2_000_000), and no floats appear anywhere.  In a sweep
+the weights F4 at denominator 2Q are below 1560 (ed*Q)^2, and the values
+its per-sum tables compare stay inside the same bound: h and the block
+threshold lie in (-128, 3120) (ed*Q)^2, and so does h(x) + h(z); the
+code-2 values 2 ed^2 (sx^2 + sz^2) and ed^2 syn^2 + en^2 Q^2 are below
+17 (ed*Q)^2; the code-3 values are below 8 Q^2 in size; the tables'
+sentinels, -2^62 and 2^62, are only compared, never added to.
 
 Weights are scaled as F4(u, v) = w((u/D, v/D)) * 4 * en^2 * D^2, which is
 an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
@@ -19,23 +25,32 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
 2^62, object arrays of Python ints otherwise.
 
-``pair_chunks`` is the one pair enumerator: it walks the pairs a < b of
-range(n) in row-major order, a chunk of index arrays at a time, over any
-range of ranks.  The set certificates in :mod:`apfree.verify` walk their
-elements with it, and the sweeps walk the pairs x <= z of the grid points
-as the pairs a < b of range(P + 1) with z = b - 1.  ``run_sweeps`` walks
-them once for any selection of the four facts (every ``check`` calls
-it once): per chunk the per-pair columns are gathered once, each
-midpoint candidate's weight is looked up once in the table wrapped to 3Q
-rows and columns (so the four candidates of a pair are its outer sums'
-index plus fixed offsets), and the weight and midpoint facts run only on
-the in-block candidates.  Each fact is a small function yielding
-(code, failing mask) per chunk over its pairs or candidates; ``_walk``
-counts pairs and violations per fact and keeps each fact's first
-violation in scan order as the smallest (x, z, candidate, code), so a
-sweep split into rank ranges, across processes or chunks, reports the
-same.  Before any table is made a sweep is charged, from Q alone, to
-SWEEP_BUDGET, and grids below _SERIAL_PAIRS pairs stay on one process.
+``pair_chunks`` walks the pairs a < b of range(n) in row-major order, a
+chunk of index arrays at a time, over any range of ranks; the set
+certificates in :mod:`apfree.verify` walk their elements with it.  The
+sweeps walk the pairs x <= z of the grid points in the same order (the
+pairs a < b of range(P + 1) with z = b - 1, so ``_row_starts`` ranks
+both walks) in tiles: a block of rows x against the columns z from its
+first row on, each pair value the sum of a row value and a column value,
+broadcast.  ``run_sweeps`` walks them once for any selection of the four
+facts (every ``check`` calls it once).  The first-coordinate facts run on
+the tiles directly, and the grid's point facts once on the pairs (x, x).
+The weight and midpoint facts read tables over a pair's outer sum
+s = x + z, which fixes its four midpoint candidates.  Each fact is
+rewritten so that its pair side is a value of x plus a value of z (for
+the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 - |s|^2), and its
+table holds, per s, the largest other side over the in-block candidates.
+A pair fails the fact at some candidate iff its value lies below its
+sum's threshold, so a tile costs a few integer operations per pair, and
+the exact per-candidate facts (``_block_fact``, ``_midpoint_fact``) run
+only on the pairs so flagged, to count their violations and find the
+first; a passing sweep flags none.  Candidates are counted from a table
+of in-block candidates per sum.  ``_walk`` counts pairs and violations
+per fact and keeps each fact's first violation in scan order as the
+smallest (x, z, candidate, code), so a sweep split into rank ranges,
+across processes or tiles, reports the same.  Before any table is made a
+sweep is charged, from Q alone, to SWEEP_BUDGET, and grids below
+_SERIAL_PAIRS pairs stay on one process.
 The density grid's cells are charged to GRID_BUDGET.
 """
 
@@ -162,12 +177,20 @@ def _point_payload(Q: int, i: int, j: int) -> list[str]:
     return [rat_str(Fraction(int(i), Q)), rat_str(Fraction(int(j), Q))]
 
 
+def _row_starts(n: int) -> np.ndarray:
+    """The rank of the first pair of each row a in range(n) of the pairs
+    a < b of range(n) in row-major order; the last, empty row starts at
+    the number of pairs."""
+    rows = np.arange(n, dtype=np.int64)
+    return rows * (2 * n - rows - 1) // 2
+
+
 def pair_chunks(n: int, size: int, start: int = 0, stop: int | None = None):
     """Index arrays (a, b) of the pairs a < b of range(n) whose row-major
     rank (the order of ``np.triu_indices``) lies in [start, stop), at most
     ``size`` pairs per chunk."""
-    rows = np.arange(max(n - 1, 0), dtype=np.int64)
-    row_start = rows * (2 * n - rows - 1) // 2
+    rows = np.arange(n, dtype=np.int64)
+    row_start = _row_starts(n)
     # rank k in row a is the pair (a, k - offset[a])
     offset = row_start - rows - 1
     stop = n * (n - 1) // 2 if stop is None else stop
@@ -179,20 +202,23 @@ def pair_chunks(n: int, size: int, start: int = 0, stop: int | None = None):
         yield a, np.arange(k0, k1, dtype=np.int64) - offset[a]
 
 
-# grid pairs per numpy step of a sweep; a step holds several arrays of
-# four midpoint candidates per pair, and 2^14 pairs (512 KiB arrays) raised
-# the peak RSS of 30 s torus-large benchmark runs by 5 MiB, at no
-# measurable speed gain over 2^13
+# grid pairs per tile of a sweep, counted as the tile's rows times its
+# columns (its lower-left triangle included); a tile holds about twenty
+# int64 or bool arrays of that many entries
 _SWEEP_CHUNK = 1 << 13
 # Below this many grid pairs a sweep stays on one process whatever the
-# worker cap, because starting a pool costs more than it saves: on a 2-vCPU
-# host two workers ran check all at 0.38x the speed of one at 1.8e5 pairs
-# (eps 1/12, Q 48), 0.8-1.3x at 8.7e5 (Q 72) and 1.4-1.6x at 1.1e6
-# (eps 1/48, Q 72).
-_SERIAL_PAIRS = 1 << 20
+# worker cap, because starting a pool costs about as much as it saves: on a
+# 2-vCPU host (in-process medians of 7) two workers ran check all at
+# 0.39-0.51x the speed of one at 1.8e5 pairs (eps 1/12, Q 48), 0.83-0.88x
+# at 8.7e5 (Q 72), 0.92-1.05x at 1.0e6-1.1e6 (eps 1/24 and 1/48, Q 72),
+# 1.03-1.05x at 1.7e6 (eps 1/4, Q 96), 1.18-1.28x at 2.7e6 (eps 1/12,
+# Q 96) and 1.33-1.41x at 6.6e6 (Q 120).
+_SERIAL_PAIRS = 1 << 21
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most
 # Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
-# weight table.  check all at Q = 240 (6.6e9) is admitted.
+# weight table.  check all at Q = 240 (6.6e9) is admitted; at eps 1/12 on
+# a 2-vCPU host it takes 4.2 s on one worker (2.0 s on two), against
+# 0.03-0.04 s at Q = 72 and 0.2-0.4 s at Q = 120.
 SWEEP_BUDGET = 1 << 33
 
 
@@ -207,11 +233,16 @@ class BudgetError(RuntimeError):
     """A search, enumeration or scan would exceed its work budget."""
 
 
+# the thresholds of per-sum tables with no candidate to test, and of sums
+# every pair of which must go through the exact facts
+_NEG, _POS = -INT64_SAFE, INT64_SAFE
+
+
 class _Grid:
     """The in-block points of the 1/Q grid in scan order, with the weight
-    table at denominator 2Q that serves them and their midpoints, for a
-    sweep of the facts ``kinds``.  The sweep is charged to SWEEP_BUDGET
-    before any table is made."""
+    table at denominator 2Q that serves them and their midpoints, and the
+    per-sum tables of the facts ``kinds``.  The sweep is charged to
+    SWEEP_BUDGET before any table is made."""
 
     def __init__(self, eps: Fraction, Q: int, kinds):
         eps = BuildingBlock(eps).epsilon
@@ -226,6 +257,7 @@ class _Grid:
             raise BudgetError(f"sweeping {len(self.kinds)} facts on the 1/{Q} grid (bound "
                               f"{cost}) exceeds the work budget of {SWEEP_BUDGET} fact pairs")
         self.eps, self.Q, self.D = eps, Q, 2 * Q
+        en, ed = eps.numerator, eps.denominator
         self.F4 = weight_table(eps, self.D)
         tab = self.F4[::2, ::2]
         pts = np.argwhere(tab >= 0)
@@ -235,6 +267,18 @@ class _Grid:
         self.FX = tab[pts[:, 0], pts[:, 1]]
         self.P = len(self.I)
         self.pairs = self.P * (self.P + 1) // 2
+        # the pairs x <= z of range(P) are the pairs a < b of range(P + 1),
+        # as (a, b - 1), in the same row-major order
+        self.row_start = _row_starts(self.P + 1)
+        # a pair's outer sums (U0, V0) = x + z index the per-sum tables at
+        # sid = U0 * 2Q + V0, so U0 < Q iff sid < Q * 2Q
+        self.sid = self.I * self.D + self.J
+        # coordinate sums, in int32 as they are below 2Q, differ by less
+        # than eps iff by at most near_gap
+        self.S32 = self.S.astype(np.int32)
+        self.near_gap = (en * Q - 1) // ed
+        # first coordinates at least 1/2, for x1z1
+        self.high = 2 * self.I >= Q
         gq, self.g2 = _g_tables(Q)
         self.GX = gq[self.I]
         # the table wrapped to 3Q rows and columns, F4w[u, v] = F4[u mod 2Q,
@@ -250,10 +294,158 @@ class _Grid:
                 (1, ~((3 * self.S > 2 * Q) & (12 * self.S <= 17 * Q))),
                 (2, 4 * self.GX < (2 * self.I - Q) ** 2))
             if bad.any()]
+        if "block" in self.kinds or "midpoint" in self.kinds:
+            self._sum_tables()
+
+    def _sum_tables(self):
+        """Tables over the outer sums s = x + z = (U0, V0) of a pair, at
+        index sid = U0 * 2Q + V0, and each point's share of the pair values
+        they bound.  A threshold is the largest right-hand side of a fact
+        over the in-block candidates of s, so a pair fails the fact at some
+        candidate iff its value lies below its sum's threshold."""
+        en, ed, Q, D = self.eps.numerator, self.eps.denominator, self.Q, self.D
+        midpoint = "midpoint" in self.kinds
+        s = np.arange(D, dtype=np.int64)
+        U0, V0 = s[:, None], s[None, :]
+        nin = np.zeros((D, D), dtype=np.int8)
+        heaviest, far2, near2, near3 = (np.full((D, D), _NEG) for _ in range(4))
+        code1 = np.zeros((D, D), dtype=bool)
+        # candidate c of s is (u, v) = (U0 + Q [c >= 2], V0 + Q [c odd]) mod 2Q
+        for du, dv in ((0, 0), (0, Q), (Q, 0), (Q, Q)):
+            fy = self.F4w[du:du + D, dv:dv + D]
+            inb = fy >= 0
+            nin += inb
+            # F4 is negative off the block, so the heaviest candidate is
+            # in-block if any is
+            np.maximum(heaviest, fy, out=heaviest)
+            if midpoint:
+                u, v = self.wrap[U0 + du], self.wrap[V0 + dv]
+                syn = u + v
+                alt = syn - (U0 + V0)
+                code1 |= inb & (alt != 0) & (alt != -Q)
+                # code 2: 2 ssq - (sx - sz)^2 = (U0 + V0)^2, so the
+                # near-equal alternative holds for the near pairs at the
+                # candidates with syn = U0 + V0, and nowhere else
+                rhs = ed * ed * syn * syn + en * en * Q * Q
+                np.maximum(far2, np.where(inb, rhs, _NEG), out=far2)
+                np.maximum(near2, np.where(inb & (syn != U0 + V0), rhs, _NEG), out=near2)
+                # code 3, near pairs only: 2 (x1 - z1)^2 = 4 x1^2 + 4 z1^2 - 2 U0^2
+                rhs = 2 * self.g2[u] - 2 * U0 * U0
+                np.maximum(near3, np.where(inb, rhs, _NEG), out=near3)
+        self.nin = nin.ravel()
+        if "block" in self.kinds:
+            # |x - z|^2 = 2|x|^2 + 2|z|^2 - |s|^2 turns the block fact into
+            # h(x) + h(z) >= 2 F4(y) - 16 en^2 |s|^2
+            self.h = self.FX - 32 * en * en * (self.I ** 2 + self.J ** 2)
+            self.block_top = np.where(heaviest >= 0, 2 * heaviest - 16 * en * en * (
+                U0 * U0 + V0 * V0), _NEG).ravel()
+        if midpoint:
+            self.ell = 2 * ed * ed * self.S ** 2
+            self.k = 4 * self.GX - 4 * self.I ** 2
+            # code 1 depends on s alone: every pair of a failing sum is flagged
+            self.code2_near_top = np.where(code1, _POS, near2).ravel()
+            self.code2_far_top = np.where(code1, _POS, far2).ravel()
+            self.code3_top = near3.ravel()
+
+
+def _tiles(g: _Grid, start: int, stop: int):
+    """The pairs of row-major rank in [start, stop) as tiles: whole rows
+    against the columns from their first pair on, as many rows as
+    _SWEEP_CHUNK pairs allow, or one row's segment where a rank range or
+    a row longer than _SWEEP_CHUNK cuts it."""
+    P, size, row_start = g.P, _SWEEP_CHUNK, g.row_start
+    # the rows are those up to the one holding rank stop - 1
+    last = int(np.searchsorted(row_start, stop - 1, side="right"))
+    k0 = start
+    while k0 < stop:
+        a0 = int(np.searchsorted(row_start, k0, side="right")) - 1
+        c0 = a0 + k0 - int(row_start[a0])
+        if c0 > a0 or P - a0 > size:
+            a1, c1 = a0 + 1, min(P, c0 + size, c0 + stop - k0)
+            k1 = k0 + c1 - c0
+        else:
+            a1, c1 = min(a0 + size // (P - a0), last), P
+            k1 = min(int(row_start[a1]), stop)
+        yield _Tile(g, a0, a1, c0, c1, k0, k1)
+        k0 = k1
+
+
+class _Tile:
+    """The pairs x = a <= z = b of rank in [k0, k1) with a0 <= a < a1 and
+    c0 <= b < c1, as arrays over (a, b) in which ``valid`` marks those
+    pairs, with the pair values the facts share, each made once on first
+    use."""
+
+    def __init__(self, g: _Grid, a0, a1, c0, c1, k0, k1):
+        self.g, self.a0, self.c0, self.pairs = g, a0, c0, k1 - k0
+        self.rows, self.cols = slice(a0, a1), slice(c0, c1)
+        # a tile starts at rank k0 on its first row (column c0 >= a0), and
+        # only its last row may stop short of column c1
+        self.valid = np.arange(c0, c1) >= np.arange(a0, a1)[:, None]
+        end = a1 - 1 + k1 - int(g.row_start[a1 - 1])
+        if end < c1:
+            self.valid[-1, end - c0:] = False
+
+    def add(self, col):
+        """col[a] + col[b] over the tile."""
+        return col[self.rows, None] + col[None, self.cols]
+
+    @cached_property
+    def sid(self):
+        return self.add(self.g.sid)
+
+    @cached_property
+    def near(self):
+        """The coordinate sums of x and z differ by less than eps."""
+        S = self.g.S32
+        return np.abs(S[self.rows, None] - S[None, self.cols]) <= self.g.near_gap
+
+    @cached_property
+    def valid_near(self):
+        return self.valid & self.near
+
+    @cached_property
+    def nin(self):
+        """The number of in-block midpoint candidates of each pair."""
+        return self.g.nin.take(self.sid)
+
+    @cached_property
+    def candidates(self):
+        return int(self.nin.sum(where=self.valid))
+
+    @cached_property
+    def below_one(self):
+        """x1 + z1 < 1."""
+        return self.sid < self.g.Q * self.g.D
+
+    def hits(self, code, bad):
+        """(violations, first violation key) of the failing pairs ``bad``;
+        argmax finds the first in row-major order, the smallest (x, z)."""
+        n = int(np.count_nonzero(bad))
+        if n:
+            r, c = divmod(int(bad.argmax()), bad.shape[1])
+            yield n, (self.a0 + r, self.c0 + c, 0, code)
+
+    def exact(self, flagged, fact):
+        """(violations, first violation key) of the candidate fact ``fact``
+        on the tile's ``flagged`` pairs, code by code."""
+        flagged &= self.valid
+        if not flagged.any():
+            return
+        r, b = np.nonzero(flagged)
+        ch = _Pairs(self.g, r + self.a0, b + self.c0)
+        for code, bad in fact(ch):
+            n = int(np.count_nonzero(bad))
+            if n:
+                # the first failure is the smallest (pair, candidate)
+                p, c = ch.cand[0][bad], ch.cand[1][bad]
+                k = int(np.argmin(4 * p + c))
+                p = int(p[k])
+                yield n, (int(ch.a[p]), int(ch.b[p]), int(c[k]), code)
 
 
 class _Pairs:
-    """A chunk of the pairs x = a <= z = b of a grid, with the columns the
+    """Some pairs x = a <= z = b of a grid, with the columns the candidate
     facts share: the coordinates and coordinate sums of x and z, and, each
     computed once on first use, ``near`` and the midpoint candidates."""
 
@@ -285,21 +477,20 @@ class _Pairs:
         return k - c * n, c, fy.take(k), g.wrap.take(u), g.wrap.take(fk - u * W)
 
 
-# Each fact takes a chunk of pairs and yields (code, mask of the failing
-# pairs or, for the midpoint facts, of the failing in-block candidates),
-# counting its own side counts.
+# The exact candidate facts take some pairs and yield (code, mask of the
+# failing in-block candidates); a sweep runs them only on the pairs its
+# per-sum tables flag.
 
-def _block_fact(ch: _Pairs, counts):
+def _block_fact(ch: _Pairs):
     """Weight inequality w(x)+w(z) >= 2 w(y) + |x-z|^2 at every in-block
     midpoint candidate y."""
     g = ch.g
     p, _, fy, _, _ = ch.cand
-    counts["candidates"] += len(p)
     gap = 16 * g.eps.numerator ** 2 * ((ch.Ia - ch.Ib) ** 2 + (ch.Ja - ch.Jb) ** 2)
     yield 0, (g.FX[ch.a] + g.FX[ch.b] - gap).take(p) < 2 * fy
 
 
-def _midpoint_fact(ch: _Pairs, counts):
+def _midpoint_fact(ch: _Pairs):
     """Midpoint coordinate-sum facts at every in-block candidate:
     code 1: y-sum minus half the outer sums is 0 or -1/2;
     code 2: either the eps^2/2 sum-of-squares slack or the near-equal case;
@@ -308,7 +499,6 @@ def _midpoint_fact(ch: _Pairs, counts):
     en, ed = g.eps.numerator, g.eps.denominator
     Q = g.Q
     p, _, _, U, V = ch.cand
-    counts["candidates"] += len(p)
     syn = U + V
     sx, sz = ch.Sa, ch.Sb
     ssq = sx * sx + sz * sz
@@ -319,40 +509,68 @@ def _midpoint_fact(ch: _Pairs, counts):
     opt_a = (2 * ed * ed * ssq - en * en * Q * Q).take(p) >= ed * ed * syn2
     opt_b = near & ((2 * ssq - (sx - sz) ** 2).take(p) == syn2)
     yield 2, ~(opt_a | opt_b)
-    counts["near_equal_candidates"] += int(np.count_nonzero(near))
     gx = 4 * (g.GX[ch.a] + g.GX[ch.b]) - 2 * (ch.Ia - ch.Ib) ** 2
     yield 3, near & (gx.take(p) < 2 * g.g2.take(U))
 
 
-def _x1z1_fact(ch: _Pairs, counts):
+# Each fact takes a tile and yields (violations, first violation key) per
+# failing code, adding its side counts to ``counts``.
+
+def _block_tile(t: _Tile, counts):
+    """The weight inequality: h(x) + h(z) below the sum's threshold."""
+    counts["candidates"] += t.candidates
+    yield from t.exact(t.add(t.g.h) < t.g.block_top.take(t.sid), _block_fact)
+
+
+def _midpoint_tile(t: _Tile, counts):
+    """The midpoint facts: a code's pair value below the sum's threshold
+    for near or for far pairs."""
+    g, sid = t.g, t.sid
+    counts["candidates"] += t.candidates
+    counts["near_equal_candidates"] += int(t.nin.sum(where=t.valid_near))
+    # 2 ed^2 (sx^2 + sz^2) below a code-2 threshold: the slack fails
+    ell = t.add(g.ell)
+    flagged = np.where(
+        t.near, (ell < g.code2_near_top.take(sid)) | (t.add(g.k) < g.code3_top.take(sid)),
+        ell < g.code2_far_top.take(sid))
+    yield from t.exact(flagged, _midpoint_fact)
+
+
+def _x1z1_tile(t: _Tile, counts):
     """Pairs with nearly equal coordinate sums and one first coordinate
     >= 1/2 must have first coordinates summing to at least 1."""
-    Q = ch.g.Q
-    Ix, Iz = ch.Ia, ch.Ib
-    applicable = ch.near & ((2 * Ix >= Q) | (2 * Iz >= Q))
+    high = t.g.high
+    applicable = t.valid_near & (high[t.rows, None] | high[None, t.cols])
     counts["applicable"] += int(np.count_nonzero(applicable))
-    yield 0, applicable & (Ix + Iz < Q)
+    yield from t.hits(0, applicable & t.below_one)
 
 
-def _facts_fact(ch: _Pairs, counts):
-    """Single-point and pair facts of the block: codes 1 and 2 are the
-    grid's point facts, tested on the pair (x, x), so once per sweep;
-    code 3: two points with first coordinates summing below 1 have
-    coordinate sums totalling more than 11/6."""
-    Q = ch.g.Q
-    for code, bad in ch.g.point_faults:
-        yield code, (ch.a == ch.b) & bad[ch.a]
-    applicable = ch.Ia + ch.Ib < Q
+def _facts_tile(t: _Tile, counts):
+    """Code 3 of the block facts: two points with first coordinates summing
+    below 1 have coordinate sums totalling more than 11/6.  (Codes 1 and 2,
+    the grid's point facts, are the pairs (x, x): see ``_point_hits``.)"""
+    applicable = t.valid & t.below_one
     counts["applicable"] += int(np.count_nonzero(applicable))
-    yield 3, applicable & ~(6 * (ch.Sa + ch.Sb) > 11 * Q)
+    # 6 (sx + sz) > 11 Q iff sx + sz > 11 Q / 6, an integer as 24 divides Q
+    yield from t.hits(3, applicable & (t.add(t.g.S32) <= 11 * t.g.Q // 6))
+
+
+def _point_hits(g: _Grid, start: int, stop: int):
+    """(violations, first violation key) of the grid's point facts, codes
+    1 and 2, on the pairs (x, x) of rank in [start, stop)."""
+    lo, hi = np.searchsorted(g.row_start, (start, stop))
+    for code, bad in g.point_faults:
+        a = lo + np.flatnonzero(bad[lo:hi])
+        if len(a):
+            yield len(a), (int(a[0]), int(a[0]), 0, code)
 
 
 # kind -> (fact, its side counts, whether it tests midpoint candidates)
 _FACTS = {
-    "block": (_block_fact, ("candidates",), True),
-    "midpoint": (_midpoint_fact, ("candidates", "near_equal_candidates"), True),
-    "x1z1": (_x1z1_fact, ("applicable",), False),
-    "facts": (_facts_fact, ("applicable",), False),
+    "block": (_block_tile, ("candidates",), True),
+    "midpoint": (_midpoint_tile, ("candidates", "near_equal_candidates"), True),
+    "x1z1": (_x1z1_tile, ("applicable",), False),
+    "facts": (_facts_tile, ("applicable",), False),
 }
 
 
@@ -363,29 +581,19 @@ def _walk(g: _Grid, start: int, stop: int):
     counts = {kind: {"grid_points": g.P, "pairs": 0, "violations": 0,
                      **dict.fromkeys(_FACTS[kind][1], 0)} for kind in g.kinds}
     best = dict.fromkeys(g.kinds)
-    # the pairs a < b of range(P + 1), as (a, b - 1), are the pairs x <= z
-    # of range(P) in the same row-major order
-    for a, b in pair_chunks(g.P + 1, _SWEEP_CHUNK, start, stop):
-        b -= 1
-        ch = _Pairs(g, a, b)
+
+    def record(kind, hits):
+        for n, key in hits:
+            counts[kind]["violations"] += n
+            if best[kind] is None or key < best[kind]:
+                best[kind] = key
+
+    if "facts" in g.kinds:
+        record("facts", _point_hits(g, start, stop))
+    for t in _tiles(g, start, stop):
         for kind in g.kinds:
-            fact, _, on_candidates = _FACTS[kind]
-            tally = counts[kind]
-            tally["pairs"] += len(a)
-            for code, bad in fact(ch, tally):
-                n = int(np.count_nonzero(bad))
-                if n:
-                    tally["violations"] += n
-                    if on_candidates:
-                        # the first failure is the smallest (pair, candidate)
-                        p, c = ch.cand[0][bad], ch.cand[1][bad]
-                        k = int(np.argmin(4 * p + c))
-                        p, c = int(p[k]), int(c[k])
-                    else:
-                        p, c = int(bad.argmax()), 0
-                    key = (int(a[p]), int(b[p]), c, code)
-                    if best[kind] is None or key < best[kind]:
-                        best[kind] = key
+            counts[kind]["pairs"] += t.pairs
+            record(kind, _FACTS[kind][0](t, counts[kind]))
     return {kind: (counts[kind], best[kind]) for kind in g.kinds}
 
 

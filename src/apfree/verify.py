@@ -3,10 +3,9 @@
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence for
 membership.  The scan is one numpy pass per set kind over chunks of pairs
-from ``gridscan.pair_chunks``, the pair walk the grid sweeps use too (and
-over chunks of candidates, 2^e per pair for e even moduli), each chunk
-looked up with one ``searchsorted`` on the sorted elements; group
-elements are mixed-radix codes.  The values run as int64 when their
+from ``gridscan.pair_chunks`` (and over chunks of candidates, 2^e per
+pair for e even moduli), each chunk looked up with one ``searchsorted``
+on the sorted elements; group elements are mixed-radix codes.  The values run as int64 when their
 bound (the product of the moduli, or twice the integer bound) is at most
 2^62, and otherwise the same code runs on object arrays of Python ints,
 so nothing wraps.  Progressions come out in pair-scan order; the scan

@@ -658,10 +658,10 @@ def plant_faults(monkeypatch, eps, q, seed):
     return table, gq, g2
 
 
-def loop_sweep(kind, eps, q, table, gq, g2):
+def loop_keys(kind, eps, q, table, gq, g2):
     """Plain-Python sweep over the pairs x <= z of the grid points that
-    ``table`` marks in-block: the number of violations and the smallest
-    (x, z, candidate, code)."""
+    ``table`` marks in-block: every violation (x, z, candidate, code), and
+    the points."""
     en, ed = eps.numerator, eps.denominator
     F4 = table.tolist()
     gq, g2 = gq.tolist(), g2.tolist()
@@ -702,6 +702,13 @@ def loop_sweep(kind, eps, q, table, gq, g2):
                         keys.append((xa, za, c, 2))
                     if near and 4 * (gq[i1] + gq[i2]) < 2 * g2[u] + 2 * (i1 - i2) ** 2:
                         keys.append((xa, za, c, 3))
+    return keys, pts
+
+
+def loop_sweep(kind, eps, q, table, gq, g2):
+    """The number of violations and the smallest (x, z, candidate, code) of
+    ``loop_keys``, and the points."""
+    keys, pts = loop_keys(kind, eps, q, table, gq, g2)
     return len(keys), min(keys, default=None), pts
 
 
@@ -719,6 +726,36 @@ def loop_violation(kind, key, pts, q):
 
 
 SWEEP_KINDS = ["block", "midpoint", "x1z1", "facts"]
+
+
+def assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed):
+    import apfree.gridscan as gridscan
+
+    table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
+    results = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+    assert list(results) == SWEEP_KINDS
+    for kind in SWEEP_KINDS:
+        nviol, key, pts = loop_sweep(kind, eps, q, table, gq, g2)
+        counts, violation = results[kind]
+        assert counts["violations"] == nviol
+        assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
+        assert violation == loop_violation(kind, key, pts, q)
+
+
+def spy_exact_pairs(monkeypatch):
+    """The list that every pair sent to the exact candidate facts will be
+    appended to, as (x, z)."""
+    import apfree.gridscan as gridscan
+
+    seen = []
+
+    class Spy(gridscan._Pairs):
+        def __init__(self, g, a, b):
+            seen.extend(zip(a.tolist(), b.tolist()))
+            super().__init__(g, a, b)
+
+    monkeypatch.setattr(gridscan, "_Pairs", Spy)
+    return seen
 
 
 class TestPairWalk:
@@ -759,18 +796,94 @@ class TestPairWalk:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fused_walk_is_loop_minimum_for_every_kind(self, monkeypatch, seed):
+        assert_fused_walk_is_loop_minimum(monkeypatch, F(1, 12), 24, seed)
+
+    @pytest.mark.parametrize("eps, q, seed", [
+        *((eps, 24, seed) for eps in (F(1, 4), F(1, 24)) for seed in range(8)),
+        (F(1, 12), 48, 3)])
+    def test_fused_walk_is_loop_minimum_across_grids(self, monkeypatch, eps, q, seed):
+        assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rank_ranges_are_slices_of_the_loop(self, monkeypatch, seed):
+        """Every rank range, cut mid-row or mid-tile, reports the loop's
+        violations of exactly its own pairs."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
         table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
+        keys = {kind: loop_keys(kind, eps, q, table, gq, g2)[0] for kind in SWEEP_KINDS}
+        g = gridscan._Grid(eps, q, SWEEP_KINDS)
+
+        def rank(key):
+            xa, za = key[:2]
+            return xa * (2 * g.P + 1 - xa) // 2 + za - xa
+
+        rng = random.Random(seed)
+        for chunk in (7, 100, 1 << 13):
+            monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
+            for _ in range(10):
+                lo, hi = sorted(rng.randrange(g.pairs + 1) for _ in range(2))
+                walked = gridscan._walk(g, lo, hi)
+                for kind in SWEEP_KINDS:
+                    inside = [key for key in keys[kind] if lo <= rank(key) < hi]
+                    counts, best = walked[kind]
+                    assert counts["pairs"] == hi - lo
+                    assert counts["violations"] == len(inside)
+                    assert best == min(inside, default=None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["block", "midpoint"])
+    def test_tables_flag_exactly_the_failing_pairs(self, monkeypatch, kind, seed):
+        """The per-sum tables send a pair to the exact candidate facts iff
+        it fails at some candidate."""
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
+        keys, _ = loop_keys(kind, eps, q, table, gq, g2)
+        seen = spy_exact_pairs(monkeypatch)
+        gridscan.run_sweeps((kind,), eps, q)
+        assert sorted(seen) == sorted({key[:2] for key in keys})
+
+    def test_a_code_1_failure_alone_is_found(self, monkeypatch):
+        """With (0, 0) made in-block, candidate 3 of x = z = (1/2, 1/2)
+        fails the midpoint-sum alternative (code 1) and nothing else."""
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        table = gridscan.weight_table(eps, 2 * q).copy()
+        gq, g2 = gridscan._g_tables(q)
+        table[0, 0] = 0
+        monkeypatch.setattr(gridscan, "weight_table", lambda e, d: table.copy())
+        keys, pts = loop_keys("midpoint", eps, q, table, gq, g2)
+        x = pts.index((q // 2, q // 2))
+        assert [key for key in keys if key[:2] == (x, x)] == [(x, x, 3, 1)]
+        counts, violation = gridscan.run_sweeps(("midpoint",), eps, q)["midpoint"]
+        assert counts["violations"] == len(keys)
+        assert violation == loop_violation("midpoint", min(keys), pts, q)
+
+    @pytest.mark.parametrize("q", [48, 72])
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 12), F(1, 24), F(1, 48)])
+    def test_passing_sweeps_send_no_pair_to_the_exact_facts(self, monkeypatch, eps, q):
+        import apfree.gridscan as gridscan
+
+        seen = spy_exact_pairs(monkeypatch)
         results = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
-        assert list(results) == SWEEP_KINDS
-        for kind in SWEEP_KINDS:
-            nviol, key, pts = loop_sweep(kind, eps, q, table, gq, g2)
-            counts, violation = results[kind]
-            assert counts["violations"] == nviol
-            assert counts["pairs"] == len(pts) * (len(pts) + 1) // 2
-            assert violation == loop_violation(kind, key, pts, q)
+        assert all(counts["violations"] == 0 for counts, _ in results.values())
+        assert seen == []
+
+    def test_check_all_counts_at_q72(self):
+        """Counts of the exact per-candidate walk that the tables replaced."""
+        results = run_sweeps(SWEEP_KINDS, F(1, 12), 72)
+        common = {"grid_points": 1320, "pairs": 871860, "violations": 0}
+        assert results == {
+            "block": ({**common, "candidates": 841291}, None),
+            "midpoint": ({**common, "candidates": 841291,
+                          "near_equal_candidates": 206949}, None),
+            "x1z1": ({**common, "applicable": 186736}, None),
+            "facts": ({**common, "applicable": 38349}, None),
+        }
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_splits_and_tiny_chunks_equal_the_whole_sweep(self, monkeypatch, kind):
