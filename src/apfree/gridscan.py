@@ -304,36 +304,43 @@ class _Grid:
         over the in-block candidates of s, so a pair fails the fact at some
         candidate iff its value lies below its sum's threshold."""
         en, ed, Q, D = self.eps.numerator, self.eps.denominator, self.Q, self.D
-        midpoint = "midpoint" in self.kinds
+        block, midpoint = "block" in self.kinds, "midpoint" in self.kinds
         s = np.arange(D, dtype=np.int64)
         U0, V0 = s[:, None], s[None, :]
         nin = np.zeros((D, D), dtype=np.int8)
-        heaviest, far2, near2, near3 = (np.full((D, D), _NEG) for _ in range(4))
-        code1 = np.zeros((D, D), dtype=bool)
+        if block:
+            heaviest = np.full((D, D), _NEG)
+        if midpoint:
+            outer = U0 + V0
+            # code 2's right-hand side by the candidate's coordinate sum
+            rhs2 = ed * ed * np.arange(2 * D, dtype=np.int64) ** 2 + en * en * Q * Q
+            far2, near2, near3 = (np.full((D, D), _NEG) for _ in range(3))
+            code1 = np.zeros((D, D), dtype=bool)
         # candidate c of s is (u, v) = (U0 + Q [c >= 2], V0 + Q [c odd]) mod 2Q
         for du, dv in ((0, 0), (0, Q), (Q, 0), (Q, Q)):
             fy = self.F4w[du:du + D, dv:dv + D]
             inb = fy >= 0
             nin += inb
-            # F4 is negative off the block, so the heaviest candidate is
-            # in-block if any is
-            np.maximum(heaviest, fy, out=heaviest)
+            if block:
+                # F4 is negative off the block, so the heaviest candidate
+                # is in-block if any is
+                np.maximum(heaviest, fy, out=heaviest)
             if midpoint:
                 u, v = self.wrap[U0 + du], self.wrap[V0 + dv]
                 syn = u + v
-                alt = syn - (U0 + V0)
-                code1 |= inb & (alt != 0) & (alt != -Q)
-                # code 2: 2 ssq - (sx - sz)^2 = (U0 + V0)^2, so the
-                # near-equal alternative holds for the near pairs at the
+                rhs = rhs2[syn]
+                np.maximum(far2, rhs, out=far2, where=inb)
+                # 2 ssq - (sx - sz)^2 = (U0 + V0)^2, so the near-equal
+                # alternative of code 2 holds for the near pairs at the
                 # candidates with syn = U0 + V0, and nowhere else
-                rhs = ed * ed * syn * syn + en * en * Q * Q
-                np.maximum(far2, np.where(inb, rhs, _NEG), out=far2)
-                np.maximum(near2, np.where(inb & (syn != U0 + V0), rhs, _NEG), out=near2)
+                alt = np.subtract(syn, outer, out=syn)  # syn is no longer needed
+                other = inb & (alt != 0)
+                np.maximum(near2, rhs, out=near2, where=other)
+                code1 |= other & (alt != -Q)
                 # code 3, near pairs only: 2 (x1 - z1)^2 = 4 x1^2 + 4 z1^2 - 2 U0^2
-                rhs = 2 * self.g2[u] - 2 * U0 * U0
-                np.maximum(near3, np.where(inb, rhs, _NEG), out=near3)
+                np.maximum(near3, 2 * self.g2[u] - 2 * U0 * U0, out=near3, where=inb)
         self.nin = nin.ravel()
-        if "block" in self.kinds:
+        if block:
             # |x - z|^2 = 2|x|^2 + 2|z|^2 - |s|^2 turns the block fact into
             # h(x) + h(z) >= 2 F4(y) - 16 en^2 |s|^2
             self.h = self.FX - 32 * en * en * (self.I ** 2 + self.J ** 2)
@@ -343,8 +350,8 @@ class _Grid:
             self.ell = 2 * ed * ed * self.S ** 2
             self.k = 4 * self.GX - 4 * self.I ** 2
             # code 1 depends on s alone: every pair of a failing sum is flagged
-            self.code2_near_top = np.where(code1, _POS, near2).ravel()
-            self.code2_far_top = np.where(code1, _POS, far2).ravel()
+            near2[code1] = far2[code1] = _POS
+            self.code2_near_top, self.code2_far_top = near2.ravel(), far2.ravel()
             self.code3_top = near3.ravel()
 
 

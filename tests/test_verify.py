@@ -759,8 +759,9 @@ def spy_exact_pairs(monkeypatch):
 
 
 class TestPairWalk:
-    """The sweeps' flat pair walk: its enumerator, its first violation, and
-    its independence from chunk size, pair-range splits and workers."""
+    """The pair walks: the certificates' enumerator, the sweeps' tiled walk
+    and its per-sum tables, its first violation, and its independence from
+    tile size, pair-range splits and workers."""
 
     @given(st.integers(0, 40), st.integers(1, 50), st.data())
     @settings(max_examples=200, deadline=None)
