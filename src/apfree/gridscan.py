@@ -217,8 +217,8 @@ _SERIAL_PAIRS = 1 << 21
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most
 # Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
 # weight table.  check all at Q = 240 (6.6e9) is admitted; at eps 1/12 on
-# a 2-vCPU host it takes 4.2 s on one worker (2.0 s on two), against
-# 0.03-0.04 s at Q = 72 and 0.2-0.4 s at Q = 120.
+# a 2-vCPU host it takes 2.3-4.2 s on one worker (1.4-2.0 s on two),
+# against 0.03-0.04 s at Q = 72 and 0.2-0.4 s at Q = 120.
 SWEEP_BUDGET = 1 << 33
 
 
