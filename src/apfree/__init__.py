@@ -14,9 +14,9 @@ from .blocks import (
     OutsideDomainError,
     halfmod_square,
 )
+from .budget import BudgetError
 from .dsets import DiscreteSet
 from .groups import (
-    BudgetError,
     BuildOptions,
     best_slice,
     build_fpn_set,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import budget
 from .dsets import DiscreteSet
-from .gridscan import GRID_BUDGET, BudgetError
 from .integers import ParameterError, int_nthroot_ceil
 
 
@@ -26,14 +26,14 @@ def _best_shell(base: int, dim: int) -> tuple[int, np.ndarray]:
     to the smaller radius: its squared radius, and its digit rows in
     ``itertools.product`` order (last digit fastest).  Its longer array,
     the side^dim digit rows or the counts of the dim*(side-1)^2 + 1 squared
-    radii, is charged to GRID_BUDGET first."""
+    radii, is charged to budget.GRID first."""
     side = (base - 1) // 2 + 1
-    # side >= 2, so a dim past the budget's bit length is over it, and
-    # side ** dim is never computed for a huge dim
-    if dim >= GRID_BUDGET.bit_length() or max(side ** dim,
-                                              dim * (side - 1) ** 2 + 1) > GRID_BUDGET:
-        raise BudgetError(f"sphere shells of {{0..{side - 1}}}^{dim} exceed the budget of "
-                          f"{GRID_BUDGET} array entries")
+    # side >= 2, so side to the power of the limit's bit length is over the
+    # limit: a larger dim is charged that power, and side ** dim is never
+    # computed for a huge dim
+    rows = side ** min(dim, budget.GRID.bit_length())
+    budget.charge("GRID", f"sphere-shell grid {{0..{side - 1}}}^{dim}",
+                  max(rows, dim * (side - 1) ** 2 + 1))
     squares = np.arange(side, dtype=np.int64) ** 2
     radii = np.zeros(1, dtype=np.int64)
     for _ in range(dim):

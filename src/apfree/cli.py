@@ -100,22 +100,23 @@ def cmd_area(args) -> int:
     return 0 if (agree and bound_ok and oracle.passed) else 1
 
 
-def _apply_config(args, parser) -> None:
-    """Fill construct parameters (the keys of ``_PARAMETERS``, rationals as
-    "p/q" strings) from a JSON config; explicit flags win."""
+def _apply_config(args) -> None:
+    """Fill construct parameters (the keys of ``_PARAMETERS``) from a JSON
+    object config; explicit flags win.  Each value is spelled as its flag's
+    text, a list joined by commas, and read by the flag's own type."""
     with open(args.config) as fh:
         config = json.load(fh)
-    rationals = {"epsilon", "delta"}
+    if type(config) is not dict:
+        raise ValueError(f"config {args.config} must hold a JSON object")
     for key, value in config.items():
         if key not in _PARAMETERS:
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            if key in rationals:
-                value = parse_rational(str(value))
-            elif key == "moduli":
-                value = tuple(int(m) for m in value)
-            elif key == "shift":
-                value = tuple(parse_rational(str(v)) for v in value)
+            raise ValueError(f"unknown config key {key!r}")
+        text = ",".join(map(str, value)) if type(value) is list else str(value)
+        try:
+            value = _FLAG_TYPES[key](text)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -244,17 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build, certify and write a set")
     p_con.add_argument("kind", choices=["zm", "fpn", "int", "int-direct", "behrend", "halfbox"])
-    p_con.add_argument("--moduli", type=_moduli, help="comma-separated, e.g. 12,12")
-    p_con.add_argument("--p", type=int)
-    p_con.add_argument("--n", type=int)
-    p_con.add_argument("--N", type=int)
-    p_con.add_argument("--n-override", dest="n_override", type=int, default=None)
-    p_con.add_argument("--epsilon", type=_rational, default=None)
-    p_con.add_argument("--delta", type=_rational, default=None)
-    p_con.add_argument("--trials", type=int, default=None)
-    p_con.add_argument("--seed", type=int, default=None)
-    p_con.add_argument("--shift", type=_shift, default=None)
-    p_con.add_argument("--slice-j", dest="slice_j", type=int, default=None)
+    for dest, flag_type in _FLAG_TYPES.items():
+        p_con.add_argument("--" + dest.replace("_", "-"), dest=dest, type=flag_type,
+                           help="comma-separated, e.g. 12,12" if dest == "moduli" else None)
     p_con.add_argument("--outdir", default="out")
     p_con.add_argument("--name", default=None)
     p_con.add_argument("--no-verify", action="store_true",
@@ -292,6 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# construct parameter -> the type of its flag, --moduli ... --slice-j
+_FLAG_TYPES = {"moduli": _moduli, "p": int, "n": int, "N": int, "n_override": int,
+               "epsilon": _rational, "delta": _rational, "trials": int, "seed": int,
+               "shift": _shift, "slice_j": int}
 _TORUS = ("epsilon", "delta", "trials", "seed", "shift", "slice_j")
 # construct kind -> (the parameters it requires, those it may also read);
 # a parameter a kind does not read is refused, not silently dropped
@@ -309,7 +306,7 @@ _PARAMETERS = dict.fromkeys(f for fields in _READS.values() for f in fields[0] +
 def _validate(args, parser) -> None:
     if args.command == "construct":
         if args.config is not None:
-            _apply_config(args, parser)
+            _apply_config(args)
         required, optional = _READS[args.kind]
         for field in required:
             if getattr(args, field) is None:

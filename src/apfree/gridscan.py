@@ -49,9 +49,9 @@ of in-block candidates per sum.  ``_walk`` counts pairs and violations
 per fact and keeps each fact's first violation in scan order as the
 smallest (x, z, candidate, code), so a sweep split into rank ranges,
 across processes or tiles, reports the same.  Before any table is made a
-sweep is charged, from Q alone, to SWEEP_BUDGET, and grids below
-_SERIAL_PAIRS pairs stay on one process.
-The density grid's cells are charged to GRID_BUDGET.
+sweep is charged, from Q alone, to budget.SWEEP; the per-sum tables are
+built on the walk's first use, and grids below _SERIAL_PAIRS pairs stay on
+one process.  The density grid's cells are charged to budget.GRID.
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import budget
 from .blocks import BuildingBlock
 from .rational import rat_str
 
@@ -214,24 +216,6 @@ _SWEEP_CHUNK = 1 << 13
 # 1.03-1.05x at 1.7e6 (eps 1/4, Q 96), 1.18-1.28x at 2.7e6 (eps 1/12,
 # Q 96) and 1.33-1.41x at 6.6e6 (Q 120).
 _SERIAL_PAIRS = 1 << 21
-# fact-pair evaluations one sweep may make, bounded from Q alone: at most
-# Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
-# weight table.  check all at Q = 240 (6.6e9) is admitted; at eps 1/12 on
-# a 2-vCPU host it takes 2.3-4.2 s on one worker (1.4-2.0 s on two),
-# against 0.03-0.04 s at Q = 72 and 0.2-0.4 s at Q = 120.
-SWEEP_BUDGET = 1 << 33
-
-
-# entries of the longest array one dense grid may hold: the density grid's
-# m^2 cells (about 20 bytes a cell at the peak, so 1.4 GiB at m = 8192), or a
-# baseline's digit rows or radius counts (619 MiB for the 5e7 radius counts
-# of behrend at N = 10^8)
-GRID_BUDGET = 1 << 26
-
-
-class BudgetError(RuntimeError):
-    """A search, enumeration or scan would exceed its work budget."""
-
 
 # the thresholds of per-sum tables with no candidate to test, and of sums
 # every pair of which must go through the exact facts
@@ -242,7 +226,7 @@ class _Grid:
     """The in-block points of the 1/Q grid in scan order, with the weight
     table at denominator 2Q that serves them and their midpoints, and the
     per-sum tables of the facts ``kinds``.  The sweep is charged to
-    SWEEP_BUDGET before any table is made."""
+    budget.SWEEP before any table is made."""
 
     def __init__(self, eps: Fraction, Q: int, kinds):
         eps = BuildingBlock(eps).epsilon
@@ -253,9 +237,8 @@ class _Grid:
             raise ValueError(f"sweep kinds {list(kinds)} must be some of {list(_FACTS)}")
         _check_scale(eps, Q)
         cost = (2 * Q) ** 2 + len(self.kinds) * Q * Q * (Q * Q + 1) // 2
-        if cost > SWEEP_BUDGET:
-            raise BudgetError(f"sweeping {len(self.kinds)} facts on the 1/{Q} grid (bound "
-                              f"{cost}) exceeds the work budget of {SWEEP_BUDGET} fact pairs")
+        budget.charge("SWEEP", f"sweeping {len(self.kinds)} facts on the 1/{Q} grid "
+                      f"(bound {cost})", cost)
         self.eps, self.Q, self.D = eps, Q, 2 * Q
         en, ed = eps.numerator, eps.denominator
         self.F4 = weight_table(eps, self.D)
@@ -294,13 +277,13 @@ class _Grid:
                 (1, ~((3 * self.S > 2 * Q) & (12 * self.S <= 17 * Q))),
                 (2, 4 * self.GX < (2 * self.I - Q) ** 2))
             if bad.any()]
-        if "block" in self.kinds or "midpoint" in self.kinds:
-            self._sum_tables()
 
-    def _sum_tables(self):
+    @cached_property
+    def tables(self) -> SimpleNamespace:
         """Tables over the outer sums s = x + z = (U0, V0) of a pair, at
         index sid = U0 * 2Q + V0, and each point's share of the pair values
-        they bound.  A threshold is the largest right-hand side of a fact
+        they bound, for the block and midpoint facts; built on the walk's
+        first use.  A threshold is the largest right-hand side of a fact
         over the in-block candidates of s, so a pair fails the fact at some
         candidate iff its value lies below its sum's threshold."""
         en, ed, Q, D = self.eps.numerator, self.eps.denominator, self.Q, self.D
@@ -339,20 +322,21 @@ class _Grid:
                 code1 |= other & (alt != -Q)
                 # code 3, near pairs only: 2 (x1 - z1)^2 = 4 x1^2 + 4 z1^2 - 2 U0^2
                 np.maximum(near3, 2 * self.g2[u] - 2 * U0 * U0, out=near3, where=inb)
-        self.nin = nin.ravel()
+        t = SimpleNamespace(nin=nin.ravel())
         if block:
             # |x - z|^2 = 2|x|^2 + 2|z|^2 - |s|^2 turns the block fact into
             # h(x) + h(z) >= 2 F4(y) - 16 en^2 |s|^2
-            self.h = self.FX - 32 * en * en * (self.I ** 2 + self.J ** 2)
-            self.block_top = np.where(heaviest >= 0, 2 * heaviest - 16 * en * en * (
+            t.h = self.FX - 32 * en * en * (self.I ** 2 + self.J ** 2)
+            t.block_top = np.where(heaviest >= 0, 2 * heaviest - 16 * en * en * (
                 U0 * U0 + V0 * V0), _NEG).ravel()
         if midpoint:
-            self.ell = 2 * ed * ed * self.S ** 2
-            self.k = 4 * self.GX - 4 * self.I ** 2
+            t.ell = 2 * ed * ed * self.S ** 2
+            t.k = 4 * self.GX - 4 * self.I ** 2
             # code 1 depends on s alone: every pair of a failing sum is flagged
             near2[code1] = far2[code1] = _POS
-            self.code2_near_top, self.code2_far_top = near2.ravel(), far2.ravel()
-            self.code3_top = near3.ravel()
+            t.code2_near_top, t.code2_far_top = near2.ravel(), far2.ravel()
+            t.code3_top = near3.ravel()
+        return t
 
 
 def _tiles(g: _Grid, start: int, stop: int):
@@ -414,7 +398,7 @@ class _Tile:
     @cached_property
     def nin(self):
         """The number of in-block midpoint candidates of each pair."""
-        return self.g.nin.take(self.sid)
+        return self.g.tables.nin.take(self.sid)
 
     @cached_property
     def candidates(self):
@@ -464,8 +448,7 @@ class _Pairs:
     @cached_property
     def near(self):
         """The coordinate sums of x and z differ by less than eps."""
-        eps = self.g.eps
-        return eps.denominator * np.abs(self.Sa - self.Sb) < eps.numerator * self.g.Q
+        return np.abs(self.Sa - self.Sb) <= self.g.near_gap
 
     @cached_property
     def cand(self):
@@ -526,20 +509,20 @@ def _midpoint_fact(ch: _Pairs):
 def _block_tile(t: _Tile, counts):
     """The weight inequality: h(x) + h(z) below the sum's threshold."""
     counts["candidates"] += t.candidates
-    yield from t.exact(t.add(t.g.h) < t.g.block_top.take(t.sid), _block_fact)
+    yield from t.exact(t.add(t.g.tables.h) < t.g.tables.block_top.take(t.sid), _block_fact)
 
 
 def _midpoint_tile(t: _Tile, counts):
     """The midpoint facts: a code's pair value below the sum's threshold
     for near or for far pairs."""
-    g, sid = t.g, t.sid
+    tab, sid = t.g.tables, t.sid
     counts["candidates"] += t.candidates
     counts["near_equal_candidates"] += int(t.nin.sum(where=t.valid_near))
     # 2 ed^2 (sx^2 + sz^2) below a code-2 threshold: the slack fails
-    ell = t.add(g.ell)
+    ell = t.add(tab.ell)
     flagged = np.where(
-        t.near, (ell < g.code2_near_top.take(sid)) | (t.add(g.k) < g.code3_top.take(sid)),
-        ell < g.code2_far_top.take(sid))
+        t.near, (ell < tab.code2_near_top.take(sid)) | (t.add(tab.k) < tab.code3_top.take(sid)),
+        ell < tab.code2_far_top.take(sid))
     yield from t.exact(flagged, _midpoint_fact)
 
 
@@ -666,11 +649,9 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
 
 def density_count(eps: Fraction, m: int) -> int:
     """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block.
-    The m^2 cells are charged to GRID_BUDGET first."""
+    The m^2 cells are charged to budget.GRID first."""
     _check_scale(eps, 2 * m)
-    if m * m > GRID_BUDGET:
-        raise BudgetError(f"density grid of {m}x{m} cells exceeds the budget of "
-                          f"{GRID_BUDGET} cells")
+    budget.charge("GRID", f"density grid of {m}x{m} cells", m * m)
     odd = 2 * np.arange(m, dtype=np.int64) + 1
     tags = scaled_piece(eps, 2 * m, odd[:, None], odd[None, :])
     return int((tags > 0).sum())

@@ -27,8 +27,9 @@ summed weight maxima for the sums, num times that (num alone when all are
 0) and den for the slice division.  Otherwise the same code runs on
 object arrays of Python ints; no float is used.  Before a walk, its pair
 grids and product, times the walks the build makes, are charged to
-PRODUCT_BUDGET, and BudgetError is raised over it; a search first charges
-the points of all its pair grids, known before any shift is drawn.
+budget.PRODUCT (object-path points count budget.OBJECT_COST times); a
+search first charges the points of all its pair grids, known before any
+shift is drawn.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import budget
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import (BudgetError, exact_dtype, region_factor, scaled_below, scaled_piece,
+from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_piece,
                        scaled_weight, weight_factor)
 from .rational import mod1, point_strs, rat_str
 from .slicing import PointN
@@ -124,23 +126,6 @@ def slice_ratio(epsilon: Fraction | None, delta: Fraction, L: int) -> tuple[int,
 # tuples per numpy step of the slot product, and pair-grid points per step
 # of the region test
 _PRODUCT_CHUNK = 1 << 16
-# the points one build may test and walk in all: each walk tests every
-# pair's grid (m1 + m2 coordinates for the box, m1 * m2 points for the
-# block) and walks the slot product, and a search makes trials + 1 walks.
-# An object-path point counts _OBJECT_COST times: a walk takes about 0.3 us
-# an int64 tuple and 2.3 us an object one (2-vCPU host), so an admitted
-# build spends at most about 5 s here, and no CLI walk exceeds 2^23 tuples.
-PRODUCT_BUDGET = 1 << 24
-_OBJECT_COST = 8
-
-
-def _charge(what: str, points: int, dtype, walks: int) -> None:
-    """Raise BudgetError when ``walks`` walks over ``points`` points, on
-    int64 or object arrays (dtype), exceed PRODUCT_BUDGET."""
-    cost = walks * points * (_OBJECT_COST if dtype is object else 1)
-    if cost > PRODUCT_BUDGET:
-        raise BudgetError(f"{what}, walked {walks} times, exceeds the work budget of "
-                          f"{PRODUCT_BUDGET} points")
 
 
 def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
@@ -160,11 +145,11 @@ def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
         dtype = exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
                             else weight_factor(epsilon) * D * D)
-        # the points of the grids so far, object-path points weighted as in _charge
+        # the points of the grids so far
         grid = m1 + m2 if epsilon is None else m1 * m2
-        points += grid * (_OBJECT_COST if dtype is object else 1)
-        _charge(f"pair grid {m1}x{m2}" + (f" with the {h} before it" if h else ""), points,
-                np.int64, walks)
+        points += grid * (budget.OBJECT_COST if dtype is object else 1)
+        budget.charge("PRODUCT", f"pair grid {m1}x{m2}" + (f" with the {h} before it" if h else "")
+                      + f", walked {walks} times,", walks * points)
         b1 = a1.numerator * (D // a1.denominator) % D
         b2 = a2.numerator * (D // a2.denominator) % D
         us = (b1 + np.arange(m1, dtype=dtype) * (D // m1)) % D
@@ -226,7 +211,9 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     total = math.prod(shape)
     s_max = sum(int(w.max()) for *_, w in slots) if total else 0
     dtype = _slice_dtype(s_max, num, den)
-    _charge(f"slot product of {total} tuples for moduli {moduli}", total, dtype, walks)
+    cost = walks * total * (budget.OBJECT_COST if dtype is object else 1)
+    budget.charge("PRODUCT", f"slot product of {total} tuples for moduli {moduli}, walked "
+                  f"{walks} times,", cost)
     J = np.empty(total, dtype=dtype)
     for lo in range(0, total, _PRODUCT_CHUNK):
         hi = min(lo + _PRODUCT_CHUNK, total)
@@ -310,7 +297,8 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     # search its grids alone put over the budget is refused before sampling
     pairs = list(zip(moduli[::2], moduli[1::2]))
     points = sum(m1 + m2 if epsilon is None else m1 * m2 for m1, m2 in pairs)
-    _charge(f"{len(pairs)} pair grids of {points} points", points, np.int64, trials + 1)
+    budget.charge("PRODUCT", f"{len(pairs)} pair grids of {points} points, walked "
+                  f"{trials + 1} times,", (trials + 1) * points)
     best = None
     for trial in range(trials):
         shift = sample_shift(trial_rng(seed, "shift", trial), moduli)

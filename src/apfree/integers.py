@@ -25,11 +25,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import budget
 from .dsets import DiscreteSet
 from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_piece,
                        scaled_weight, weight_factor)
-from .groups import (BudgetError, BuildOptions, _charge, build_group_set, pick_slice,
-                     region_epsilon, slice_indices, slice_ratio, trial_rng)
+from .groups import (BuildOptions, build_group_set, pick_slice, region_epsilon, slice_indices,
+                     slice_ratio, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -271,7 +272,8 @@ def build_integer_set_direct(N: int, n: int | None = None,
     if n < 2 or n % 2 != 0:
         raise ParameterError(f"n={n} must be even and >= 2")
     epsilon = region_epsilon(options.epsilon, n)
-    _charge(f"row stream of {N} rows", N, np.int64, 1 + options.trials)
+    walks = 1 + options.trials
+    budget.charge("PRODUCT", f"row stream of {N} rows, walked {walks} times,", walks * N)
     four_c = 4 * int_nthroot_ceil(N, n)
     delta = Fraction(1, four_c)
     denom = _next_prime(8 * N)
@@ -290,8 +292,8 @@ def build_integer_set_direct(N: int, n: int | None = None,
         if kept is not None:
             break
     else:
-        raise BudgetError(f"no valid direction found in {_DIRECTION_ATTEMPTS} attempts "
-                          f"(N={N}, n={n})")
+        raise budget.BudgetError(f"no valid direction found in {_DIRECTION_ATTEMPTS} "
+                                 f"attempts (N={N}, n={n})")
     candidates = []
     for a_nums, (t, J) in zip(shifts, kept):
         j, count, _, hit = pick_slice(J)

@@ -155,15 +155,15 @@ def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> Di
     try:
         meta = json.loads(sidecar_path.read_text())
         lines = [ln for ln in set_path.read_text().splitlines() if ln.strip()]
-        if meta["kind"] == "group":
-            elements = [tuple(int(r) for r in ln.split(",")) for ln in lines]
-            return DiscreteSet(kind="group",
-                               moduli=tuple(_json_int(m, "modulus") for m in meta["moduli"]),
-                               elements=tuple(elements),
-                               provenance=meta.get("provenance", {}))
-        elements = [int(ln) for ln in lines]
-        return DiscreteSet(kind="integer", bound=_json_int(meta["bound"], "bound"),
-                           elements=tuple(elements),
-                           provenance=meta.get("provenance", {}))
+        kind, provenance = meta["kind"], meta.get("provenance", {})
+        if kind == "group":
+            return DiscreteSet(
+                kind=kind, moduli=tuple(_json_int(m, "modulus") for m in meta["moduli"]),
+                elements=tuple(tuple(int(r) for r in ln.split(",")) for ln in lines),
+                provenance=provenance)
+        if kind == "integer":
+            return DiscreteSet(kind=kind, bound=_json_int(meta["bound"], "bound"),
+                               elements=tuple(int(ln) for ln in lines), provenance=provenance)
+        raise TypeError(f'kind must be "group" or "integer", got {json.dumps(kind)}')
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed set/sidecar at {set_path}: {exc}") from exc

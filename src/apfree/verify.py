@@ -12,7 +12,7 @@ so nothing wraps.  Progressions come out in pair-scan order; the scan
 stops at the first (a re-checkable counterexample triple) or, with
 ``all_counterexamples``, lists every one.  Before it starts, a scan's
 pairs and the midpoint candidates it will look up are charged to
-SCAN_BUDGET, and a list of every progression stops at COUNTEREXAMPLE_CAP.
+budget.SCAN, and a list of every progression to budget.COUNTEREXAMPLES.
 The block-level statements are swept exhaustively over the pairs of
 rational grid points, any selection of the four facts in one walk
 (``check_sweeps`` over :func:`apfree.gridscan.run_sweeps`), and the area of
@@ -31,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import budget
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import BudgetError, density_count, exact_dtype, pair_chunks, run_sweeps
+from .gridscan import density_count, exact_dtype, pair_chunks, run_sweeps
 from .rational import decimal_str, rat_str
 
 
@@ -62,34 +63,21 @@ class VerificationReport:
 
 # array elements per numpy step: pairs x coordinates, or candidates
 _CHUNK = 1 << 16
-# pairs walked plus midpoint candidates looked up by one certificate: the
-# integer scan runs 2.4-2.8e7 pairs a second in-process (behrend sets at
-# N = 1e7 and 1e8, 2-vCPU Xeon host), so an admitted scan takes at most
-# about 45 s
-SCAN_BUDGET = 1 << 30
-# progressions one all_counterexamples scan may list: 34 times the 1944 of
-# the largest benchmark list, while a JSON dump of the full list stays
-# under a quarter of a second and 16 MB (storage.dump_json on the same
-# host: 0.07 s and 5 MB for integer triples, 0.18 s and 16 MB for triples
-# in Z_9^4)
-COUNTEREXAMPLE_CAP = 1 << 16
 
 
 def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
-    """Raise BudgetError, before a scan of n elements, when its pairs plus
-    the midpoint candidates it looks up exceed SCAN_BUDGET.  Only a pair
-    whose elements have equal rows in ``parity()`` (their parities in the
+    """Charge a scan of n elements, before it starts, its pairs plus the
+    midpoint candidates it looks up, to budget.SCAN.  Only a pair whose
+    elements have equal rows in ``parity()`` (their parities in the
     coordinates of even moduli) passes the parity filter, and then has
     ``offsets`` candidates; the rows are made only when the bound that
-    every pair passes does not settle the charge."""
+    every pair passes is over the limit."""
     pairs = math.comb(n, 2)
-    if pairs * (1 + offsets) <= SCAN_BUDGET:
-        return
-    _, sizes = np.unique(parity(), axis=0, return_counts=True)
-    cost = pairs + offsets * sum(math.comb(int(k), 2) for k in sizes)
-    if cost > SCAN_BUDGET:
-        raise BudgetError(f"{what} of {n} elements ({cost} pairs and candidates) exceeds "
-                          f"the work budget of {SCAN_BUDGET}")
+    cost = pairs * (1 + offsets)
+    if cost > budget.SCAN:
+        _, sizes = np.unique(parity(), axis=0, return_counts=True)
+        cost = pairs + offsets * sum(math.comb(int(k), 2) for k in sizes)
+    budget.charge("SCAN", f"{what} of {n} elements ({cost} pairs and candidates)", cost)
 
 
 def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
@@ -201,8 +189,8 @@ def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
     """Report for one pair scan started at t0, from its index chunks turned
     into triple(x, y, z) dicts: the first progression, or with
     all_counterexamples every one of them under counts["all_counterexamples"].
-    Every unordered pair is in scope, so checked is |A| choose 2.  A list
-    that would pass COUNTEREXAMPLE_CAP raises BudgetError instead."""
+    Every unordered pair is in scope, so checked is |A| choose 2.  The list
+    is charged to budget.COUNTEREXAMPLES before each chunk joins it."""
     size = fields["parameters"]["size"]
     found = []
     # under three elements there is no progression, so skip the numpy set-up
@@ -210,16 +198,12 @@ def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
         if len(xs) and not all_counterexamples:
             found = [triple(int(xs[0]), int(ys[0]), int(zs[0]))]
             break
-        if len(found) + len(xs) > COUNTEREXAMPLE_CAP:
-            raise BudgetError(f"the set has more than {COUNTEREXAMPLE_CAP} progressions, "
-                              f"the cap on listing every counterexample")
+        budget.charge("COUNTEREXAMPLES", "listing every counterexample", len(found) + len(xs))
         found += map(triple, xs.tolist(), ys.tolist(), zs.tolist())
-    report = VerificationReport(checked=math.comb(size, 2), passed=not found,
-                                counterexample=found[0] if found else None, **fields)
-    if all_counterexamples:
-        report.counts["all_counterexamples"] = found
-    report.elapsed = time.perf_counter() - t0
-    return report
+    counts = {"all_counterexamples": found} if all_counterexamples else {}
+    return VerificationReport(checked=math.comb(size, 2), passed=not found,
+                              counterexample=found[0] if found else None, counts=counts,
+                              elapsed=time.perf_counter() - t0, **fields)
 
 
 def verify_group_set(
@@ -314,7 +298,7 @@ def area_oracle(epsilon: Fraction) -> VerificationReport:
         and areas[3] >= Fraction(13, 288) - epsilon / 4
         and total >= Fraction(7, 24) - epsilon
     )
-    report = VerificationReport(
+    return VerificationReport(
         subject="area-oracle",
         mode="area",
         passed=bounds_ok,
@@ -325,9 +309,8 @@ def area_oracle(epsilon: Fraction) -> VerificationReport:
             "total": rat_str(total),
             "degenerate_pieces": degenerate,
         },
+        elapsed=time.perf_counter() - t0,
     )
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def density_estimate(epsilon: Fraction, m: int) -> VerificationReport:
@@ -342,7 +325,7 @@ def density_estimate(epsilon: Fraction, m: int) -> VerificationReport:
     exact = BuildingBlock(epsilon).area()
     err = abs(estimate - exact)
     tolerance = Fraction(10, m)
-    report = VerificationReport(
+    return VerificationReport(
         subject="density-estimate",
         mode="density",
         passed=err <= tolerance,
@@ -356,6 +339,5 @@ def density_estimate(epsilon: Fraction, m: int) -> VerificationReport:
             "error": rat_str(err),
             "tolerance": rat_str(tolerance),
         },
+        elapsed=time.perf_counter() - t0,
     )
-    report.elapsed = time.perf_counter() - t0
-    return report

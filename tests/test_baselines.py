@@ -28,22 +28,22 @@ class TestBestShell:
             assert [tuple(row) for row in digits.tolist()] == shells[radius_sq]
 
     def test_digit_grid_charged_to_budget(self, monkeypatch):
-        from apfree import baselines
+        from apfree import budget
 
         # base 9 has digits {0..4}: 5^4 = 625 rows in dimension 4, and in
         # dimension 1 the 17 squared radii 0..16 outnumber the 5 rows
-        monkeypatch.setattr(baselines, "GRID_BUDGET", 625)
+        monkeypatch.setattr(budget, "GRID", 625)
         assert _best_shell(9, 4)[0] >= 0
-        monkeypatch.setattr(baselines, "GRID_BUDGET", 624)
-        with pytest.raises(baselines.BudgetError, match="exceed the budget"):
+        monkeypatch.setattr(budget, "GRID", 624)
+        with pytest.raises(budget.BudgetError, match="exceeds the work budget"):
             _best_shell(9, 4)
-        monkeypatch.setattr(baselines, "GRID_BUDGET", 17)
+        monkeypatch.setattr(budget, "GRID", 17)
         assert _best_shell(9, 1)[0] >= 0
-        monkeypatch.setattr(baselines, "GRID_BUDGET", 16)
-        with pytest.raises(baselines.BudgetError, match="exceed the budget"):
+        monkeypatch.setattr(budget, "GRID", 16)
+        with pytest.raises(budget.BudgetError, match="exceeds the work budget"):
             _best_shell(9, 1)
         # a dimension past the budget's bit length is refused without the power
-        with pytest.raises(baselines.BudgetError, match="exceed the budget"):
+        with pytest.raises(budget.BudgetError, match="exceeds the work budget"):
             _best_shell(3, 10**18)
 
 

@@ -161,9 +161,9 @@ class TestConfigFile:
     def test_unknown_key_usage_error(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"moduli": [4, 4], "bogus": 1}))
-        with pytest.raises(SystemExit) as exc:
-            main(["construct", "zm", "--config", str(config)])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "construct", "zm", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == "error: unknown config key 'bogus'\n"
 
     # a value for every construct parameter, as a config file spells it
     CONFIG_VALUES = {
@@ -180,8 +180,50 @@ class TestConfigFile:
         config.write_text(json.dumps({key: value}))
         parser = build_parser()
         args = parser.parse_args(["construct", "zm", "--config", str(config)])
-        _apply_config(args, parser)
+        _apply_config(args)
         assert getattr(args, key) == parsed
+
+    @pytest.mark.parametrize("base, config", [
+        (["zm"], [1, 2]),
+        (["zm"], "12,12"),
+        (["int"], {"N": 5000.5}),
+        (["int-direct"], {"N": 5000.5}),
+        (["int"], {"N": None}),
+        (["zm"], {"moduli": [12, 12], "trials": "x"}),
+        (["zm"], {"moduli": [12, 12.0]}),
+        (["zm"], {"moduli": [[12, 12]]}),
+        (["zm"], {"moduli": {"a": 12}}),
+        (["zm", "--moduli", "12,12"], {"epsilon": [1, 12]}),
+        (["zm", "--moduli", "12,12"], {"seed": True}),
+        (["zm", "--moduli", "12,12"], {"shift": ["0", "a"]}),
+    ])
+    def test_bad_config_value_usage_error(self, capsys, tmp_path, base, config):
+        """Each value is read by its flag's type: these once ended in
+        tracebacks, or (N 5000.5 for int) built from a float bound."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "construct", *base, "--config", str(path),
+                             "--outdir", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"moduli": [12, 12], "trials": "4"}, ["--moduli", "12,12", "--trials", "4"]),
+        ({"moduli": 12}, ["--moduli", "12"]),
+        ({"moduli": "12,12", "epsilon": "1/8", "shift": "0,1/2"},
+         ["--moduli", "12,12", "--epsilon", "1/8", "--shift", "0,1/2"]),
+    ])
+    def test_config_value_reads_as_its_flag(self, capsys, tmp_path, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run(capsys, "construct", "zm", "--config", str(path), "--outdir",
+                   str(tmp_path / "a"), "--name", "s")[0] == 0
+        assert run(capsys, "construct", "zm", *flags, "--outdir", str(tmp_path / "b"),
+                   "--name", "s")[0] == 0
+        for suffix in (".set", ".json"):
+            assert ((tmp_path / "a" / "s").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "b" / "s").with_suffix(suffix).read_bytes())
 
     @pytest.mark.parametrize("content", [None, "{not json"])
     def test_unreadable_config_usage_error(self, capsys, tmp_path, content):
@@ -617,6 +659,17 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a JSON integer" in err
+
+    @pytest.mark.parametrize("kind", ["grop", "", None, ["integer"]])
+    def test_exit_code_two_on_unknown_kind(self, capsys, tmp_path, kind):
+        # a "grop" sidecar was once read as an integer set and passed
+        (tmp_path / "k.set").write_text("1\n2\n4\n")
+        (tmp_path / "k.json").write_text(json.dumps({"kind": kind, "bound": 10,
+                                                     "moduli": [3, 3]}))
+        code, out, err = run(capsys, "verify", "--set", str(tmp_path / "k.set"))
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed set/sidecar at {tmp_path / 'k.set'}: kind must be "
+                       f'"group" or "integer", got {json.dumps(kind)}\n')
 
     def test_exit_code_two_on_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "nope.set"))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apfree import groups
+from apfree import budget, groups
 from apfree.blocks import BuildingBlock
+from apfree.budget import BudgetError
 from apfree.gridscan import scaled_below, scaled_piece, scaled_weight
 from apfree.groups import (
-    BudgetError,
     BuildOptions,
     trial_rng,
     best_slice,
@@ -592,25 +593,25 @@ class TestWorkBudget:
         moduli, shift = (12, 12, 12, 12), (F(1, 24),) * 4
         _, count, histogram, _ = best_slice(moduli, shift, F(1, 12), F(1, 12))
         total = int(histogram[1].sum())
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total - 1)
+        monkeypatch.setattr(budget, "PRODUCT", 3 * total - 1)
         with pytest.raises(BudgetError, match="work budget"):
             best_slice(moduli, shift, F(1, 12), F(1, 12), walks=3)
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * total)
+        monkeypatch.setattr(budget, "PRODUCT", 3 * total)
         assert best_slice(moduli, shift, F(1, 12), F(1, 12), walks=3)[1] == count
 
     def test_pair_grid_over_budget(self, monkeypatch):
         """The block tests all m1 * m2 grid points, the box m1 + m2."""
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 143)
+        monkeypatch.setattr(budget, "PRODUCT", 143)
         with pytest.raises(BudgetError, match="pair grid 12x12"):
             best_slice((12, 12), (0, 0), F(1, 12), F(1, 12))
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 24)
+        monkeypatch.setattr(budget, "PRODUCT", 24)
         assert best_slice((12, 12), (0, 0), None, F(1, 12))[1] == 1
         with pytest.raises(BudgetError, match="pair grid 12x12, walked 2 times"):
             best_slice((12, 12), (0, 0), None, F(1, 12), walks=2)
 
     def test_pair_grids_charged_together(self, monkeypatch):
         # each 12x12 block grid fits a budget of 144 points, but not both
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 287)
+        monkeypatch.setattr(budget, "PRODUCT", 287)
         with pytest.raises(BudgetError, match="pair grid 12x12 with the 1 before it"):
             best_slice((12, 12, 12, 12), (0,) * 4, F(1, 12), F(1, 12))
 
@@ -631,27 +632,37 @@ class TestWorkBudget:
                            match="500000 pair grids of 24500000 points, walked 4 times"):
             search_shift((7,) * 10**6, F(1, 12), F(1, 7), 3, 0)
         # two 4x4 block grids, 32 points walked twice; box grids 8 points each
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 2 * 32 - 1)
+        monkeypatch.setattr(budget, "PRODUCT", 2 * 32 - 1)
         with pytest.raises(BudgetError, match="2 pair grids of 32 points, walked 2 times"):
             search_shift((4,) * 4, F(1, 12), F(1, 4), 1, 0)
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 2 * 32)
+        monkeypatch.setattr(budget, "PRODUCT", 2 * 32)
         with pytest.raises(AssertionError, match="sampled"):
             search_shift((4,) * 4, F(1, 12), F(1, 4), 1, 0)
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * 8 - 1)
+        monkeypatch.setattr(budget, "PRODUCT", 3 * 8 - 1)
         with pytest.raises(BudgetError, match="1 pair grids of 8 points, walked 3 times"):
             search_shift((4, 4), None, F(1, 4), 2, 0)
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 3 * 8)
+        monkeypatch.setattr(budget, "PRODUCT", 3 * 8)
         with pytest.raises(AssertionError, match="sampled"):
             search_shift((4, 4), None, F(1, 4), 2, 0)
 
     def test_object_points_cost_more(self, monkeypatch):
-        monkeypatch.setattr(groups, "PRODUCT_BUDGET", 10 * groups._OBJECT_COST)
-        groups._charge("x", 10, np.int64, groups._OBJECT_COST)
-        groups._charge("x", 10, object, 1)
-        with pytest.raises(BudgetError):
-            groups._charge("x", 11, object, 1)
-        with pytest.raises(BudgetError):
-            groups._charge("x", 10, object, 2)
+        """A shift denominator near 10^7 puts the pair grids and the slot
+        product on object arrays, where each point counts OBJECT_COST times:
+        two 12x12 grids (288 points) and 36 * 36 tuples."""
+        moduli, shift, eps = (12, 12, 12, 12), (F(1, 10**7 + 19),) * 4, F(1, 12)
+        assert groups._slice_scan(moduli, shift, eps, eps)[2].dtype == object
+        cost = budget.OBJECT_COST
+        monkeypatch.setattr(budget, "PRODUCT", 144 * cost - 1)
+        with pytest.raises(BudgetError, match="pair grid 12x12, walked 1 times"):
+            best_slice(moduli, shift, eps, eps)
+        monkeypatch.setattr(budget, "PRODUCT", 288 * cost - 1)
+        with pytest.raises(BudgetError, match="pair grid 12x12 with the 1 before it"):
+            best_slice(moduli, shift, eps, eps)
+        monkeypatch.setattr(budget, "PRODUCT", 36 * 36 * cost - 1)
+        with pytest.raises(BudgetError, match="slot product of 1296 tuples"):
+            best_slice(moduli, shift, eps, eps)
+        monkeypatch.setattr(budget, "PRODUCT", 36 * 36 * cost)
+        assert best_slice(moduli, shift, eps, eps)[1] > 0
 
     @pytest.mark.parametrize("options, walks", [
         (BuildOptions(trials=5), [6] * 16 + [1] * 3),
@@ -663,10 +674,13 @@ class TestWorkBudget:
         pre-image and histogram; each trial is charged for all of them, and
         the search first charges its pair grids for all of them.  An
         explicit shift walks once, with or without a slice."""
-        charged, charge = [], groups._charge
-        monkeypatch.setattr(groups, "_charge",
-                            lambda what, points, dtype, w: (charged.append(w),
-                                                            charge(what, points, dtype, w)))
+        charged, charge = [], budget.charge
+
+        def spy(name, what, cost):
+            charged.append(int(re.search(r"walked (\d+) times", what)[1]))
+            charge(name, what, cost)
+
+        monkeypatch.setattr(budget, "charge", spy)
         build_group_set((6, 6, 6, 6), options)
         assert charged == walks  # two pair grids and one product per walk
 

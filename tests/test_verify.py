@@ -214,16 +214,16 @@ class TestAllCounterexamples:
     def test_list_cap(self, monkeypatch):
         """{1..5} has four progressions: a cap of 4 lists them, a cap of 3
         refuses the list, and the first-hit scan ignores the cap."""
-        from apfree.gridscan import BudgetError
+        from apfree import budget
 
         elements = [1, 2, 3, 4, 5]
-        monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 4)
+        monkeypatch.setattr(budget, "COUNTEREXAMPLES", 4)
         report = verify_integer_set(5, elements, all_counterexamples=True)
         assert len(report.counts["all_counterexamples"]) == 4
-        monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 3)
-        with pytest.raises(BudgetError, match="more than 3 progressions"):
+        monkeypatch.setattr(budget, "COUNTEREXAMPLES", 3)
+        with pytest.raises(budget.BudgetError, match="work budget of 3 progressions"):
             verify_integer_set(5, elements, all_counterexamples=True)
-        with pytest.raises(BudgetError, match="more than 3 progressions"):
+        with pytest.raises(budget.BudgetError, match="work budget of 3 progressions"):
             verify_group_set((7,), [(e,) for e in elements], all_counterexamples=True)
         assert not verify_integer_set(5, elements).passed
 
@@ -456,10 +456,12 @@ class TestScanBudget:
         (verify_group_set, ((4, 3), [(u, v) for u in range(4) for v in range(2)]), 28 + 2 * 12),
     ])
     def test_cost_is_pairs_plus_candidates(self, monkeypatch, verify, args, cost):
-        monkeypatch.setattr(verify_module, "SCAN_BUDGET", cost)
+        from apfree import budget
+
+        monkeypatch.setattr(budget, "SCAN", cost)
         assert verify(*args).checked > 0
-        monkeypatch.setattr(verify_module, "SCAN_BUDGET", cost - 1)
-        with pytest.raises(verify_module.BudgetError, match="work budget"):
+        monkeypatch.setattr(budget, "SCAN", cost - 1)
+        with pytest.raises(budget.BudgetError, match="work budget"):
             verify(*args)
 
 
@@ -929,6 +931,29 @@ class TestPairWalk:
             monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
 
+    def test_caller_builds_no_tables_when_the_pool_walks(self, monkeypatch):
+        """The per-sum tables are built on the walk's first use: with every
+        pair on the pool, the calling process builds none, and the reports
+        equal the serial sweep's, whose walk does build them."""
+        import apfree.gridscan as gridscan
+
+        grids = []
+
+        class Recorded(gridscan._Grid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        eps, q = F(1, 12), 48
+        monkeypatch.setattr(gridscan, "_Grid", Recorded)
+        serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+        assert len(grids) == 1 and "tables" in vars(grids[0])
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
+        monkeypatch.setattr(gridscan.os, "cpu_count", lambda: 2)
+        assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
+        # workers record their grids in their own processes, if at all
+        assert len(grids) == 2 and "tables" not in vars(grids[1])
+
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_failing_sweep_independent_of_workers(self, monkeypatch, kind):
         import multiprocessing
@@ -965,14 +990,15 @@ class TestPairWalk:
 
     def test_budget_bounds_the_grid_before_any_table(self, monkeypatch):
         import apfree.gridscan as gridscan
+        from apfree.budget import BudgetError
 
         # check all at Q = 240 is admitted, at Q = 264 refused, and a huge
         # grid is refused before its (2Q)^2 weight table is made
         assert gridscan._Grid(F(1, 12), 240, SWEEP_KINDS).pairs > 0
-        with pytest.raises(gridscan.BudgetError, match="work budget"):
+        with pytest.raises(BudgetError, match="work budget"):
             gridscan._Grid(F(1, 12), 264, SWEEP_KINDS)
         monkeypatch.setattr(gridscan, "weight_table", None)
-        with pytest.raises(gridscan.BudgetError, match="work budget"):
+        with pytest.raises(BudgetError, match="work budget"):
             run_sweeps(("block",), F(1, 2), 999984)
 
     def test_unknown_kind_rejected(self):
@@ -1056,12 +1082,12 @@ class TestDensity:
         assert density_count(eps, m) == brute
 
     def test_grid_charged_to_budget(self, monkeypatch):
-        import apfree.gridscan as gridscan
+        from apfree import budget
 
-        monkeypatch.setattr(gridscan, "GRID_BUDGET", 24 * 24)
+        monkeypatch.setattr(budget, "GRID", 24 * 24)
         assert density_count(F(1, 12), 24) > 0
-        monkeypatch.setattr(gridscan, "GRID_BUDGET", 24 * 24 - 1)
-        with pytest.raises(gridscan.BudgetError, match="24x24"):
+        monkeypatch.setattr(budget, "GRID", 24 * 24 - 1)
+        with pytest.raises(budget.BudgetError, match="24x24"):
             density_count(F(1, 12), 24)
 
     def test_minimum_grid(self):
