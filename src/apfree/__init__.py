@@ -7,13 +7,7 @@ verification of every emitted set.
 """
 
 from .baselines import behrend_set, halfbox_set
-from .blocks import (
-    BuildingBlock,
-    DegeneratePieceError,
-    NotInBlockError,
-    OutsideDomainError,
-    halfmod_square,
-)
+from .blocks import BuildingBlock, DegeneratePieceError, OutsideDomainError
 from .budget import BudgetError
 from .dsets import DiscreteSet
 from .groups import (
@@ -21,7 +15,6 @@ from .groups import (
     best_slice,
     build_fpn_set,
     build_group_set,
-    embed_point,
     fiber_reduce,
     search_shift,
 )
@@ -31,18 +24,8 @@ from .integers import (
     build_integer_set_direct,
     choose_dimension,
     choose_moduli,
-    crt_decode,
     crt_encode,
     first_primes,
-)
-from .slicing import (
-    SliceParams,
-    in_delta_box,
-    in_slice,
-    is_progression_mod1,
-    midpoint_candidates,
-    slice_index_of,
-    weight_sum,
 )
 from .verify import (
     VerificationReport,

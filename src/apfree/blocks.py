@@ -19,9 +19,10 @@ The weight of an in-block point is
     w(p) = (24/eps^2) * (p1+p2)^2 + 6 * g(p1),
 
 where g(t) is the square of t reduced modulo 1/2.  This weight is the
-potential driving the slice construction in :mod:`apfree.slicing`: for any
-three block points forming a progression modulo 1 it dominates twice the
-middle weight plus the squared coordinate gap between the outer points.
+potential driving the slice constructions, which weigh points with the
+scaled-integer kernels of :mod:`apfree.gridscan`: for any three block
+points forming a progression modulo 1 it dominates twice the middle weight
+plus the squared coordinate gap between the outer points.
 """
 
 from __future__ import annotations
@@ -35,21 +36,11 @@ from .clipping import clip_halfplanes, clipped_area
 
 Point2 = tuple[Fraction, Fraction]
 
-HALF = Fraction(1, 2)
 PIECE_LABELS = {1: "low", 2: "right", 3: "top"}
-
-# Piece 2 collapses at eps = 1/4 and piece 3 loses its top vertex at
-# eps = 1/6; below 1/12 every stated vertex list is strictly convex with
-# room to spare, which is what the constructions rely on.
-CONSTRUCTION_EPSILON_MAX = Fraction(1, 12)
 
 
 class OutsideDomainError(ValueError):
     """Input outside the declared domain (e.g. a coordinate not in [0,1))."""
-
-
-class NotInBlockError(ValueError):
-    """The queried point is not a member of the block."""
 
 
 class DegeneratePieceError(ValueError):
@@ -60,18 +51,6 @@ class DegeneratePieceError(ValueError):
         super().__init__(
             f"piece {piece} ({PIECE_LABELS[piece]}) is degenerate at eps={epsilon}"
         )
-
-
-def halfmod_square(t: Fraction) -> Fraction:
-    """Square of t reduced mod 1/2: t^2 on [0,1/2), (t-1/2)^2 on [1/2,1).
-
-    Bounded by 1/4; invariant under shifting t by 1/2 mod 1.
-    """
-    if not 0 <= t < 1:
-        raise OutsideDomainError(f"t={t} outside [0,1)")
-    if t < HALF:
-        return t * t
-    return (t - HALF) ** 2
 
 
 def polygon_area(vertices: Sequence[Point2]) -> Fraction:
@@ -99,24 +78,6 @@ class PiecePolygon:
     def area(self) -> Fraction:
         return polygon_area(self.vertices)
 
-    def contains(self, p: Point2) -> bool:
-        """Membership honoring the open/closed edge tags.
-
-        A boundary point belongs iff every edge whose line it lies on is
-        closed (a vertex lies on two edges and needs both closed).
-        """
-        x, y = p
-        on_open = False
-        n = len(self.vertices)
-        for k in range(n):
-            (x1, y1), (x2, y2) = self.vertices[k], self.vertices[(k + 1) % n]
-            side = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            if side < 0:
-                return False
-            if side == 0 and not self.closed_edges[k]:
-                on_open = True
-        return not on_open
-
     def to_jsonable(self) -> dict:
         from .rational import rat_str
 
@@ -127,61 +88,15 @@ class PiecePolygon:
         }
 
 
-def _check_unit_point(p: Sequence[Fraction]) -> None:
-    for c in p:
-        if not 0 <= c < 1:
-            raise OutsideDomainError(f"coordinate {c} outside [0,1)")
-
-
 class BuildingBlock:
-    """The region T(eps) with exact membership, weight, polygons and area."""
+    """The region T(eps): eps validation, the stated piece polygons and
+    their exact areas."""
 
     def __init__(self, epsilon: Fraction):
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < 1:
             raise OutsideDomainError(f"epsilon={epsilon} outside (0,1)")
         self.epsilon = epsilon
-
-    @property
-    def construction_grade(self) -> bool:
-        return self.epsilon <= CONSTRUCTION_EPSILON_MAX
-
-    # -- membership ------------------------------------------------------
-
-    def piece_of(self, p: Point2) -> int:
-        """0 if p is outside the block, else the piece index 1, 2 or 3."""
-        _check_unit_point(p)
-        a, b = p
-        s = a + b
-        eps = self.epsilon
-        if a >= HALF and Fraction(2, 3) < s <= Fraction(7, 6):
-            return 1
-        if Fraction(7, 6) + eps <= s <= Fraction(17, 12):
-            if a >= HALF and b < HALF:
-                return 2
-            if a < HALF and b >= HALF and 2 * a + b >= Fraction(3, 2) + eps:
-                return 3
-        return 0
-
-    def __contains__(self, p: Point2) -> bool:
-        return self.piece_of(p) != 0
-
-    # -- weight ----------------------------------------------------------
-
-    def weight(self, p: Point2) -> Fraction:
-        """Exact weight of an in-block point; raises NotInBlockError outside.
-
-        The value always lies in [0, 100/eps^2].
-        """
-        if self.piece_of(p) == 0:
-            raise NotInBlockError(f"point {p} not in block (eps={self.epsilon})")
-        a, b = p
-        return 24 / self.epsilon**2 * (a + b) ** 2 + 6 * halfmod_square(a)
-
-    def weight_bound(self) -> Fraction:
-        return 100 / self.epsilon**2
-
-    # -- polygons and areas ------------------------------------------------
 
     def piece_polygons(self) -> dict[int, PiecePolygon]:
         """The three stated vertex lists, ccw, with open/closed edge tags.

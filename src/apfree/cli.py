@@ -18,7 +18,7 @@ import warnings
 from fractions import Fraction
 
 from .baselines import behrend_set, halfbox_set
-from .blocks import BuildingBlock, PIECE_LABELS, clipped_piece_areas
+from .blocks import BuildingBlock, PIECE_LABELS
 from .dsets import DiscreteSet
 from .groups import BuildOptions, build_fpn_set, build_group_set
 from .integers import build_integer_set, build_integer_set_direct
@@ -71,7 +71,6 @@ def _report_lines(report) -> None:
 def cmd_area(args) -> int:
     block = BuildingBlock(args.epsilon)
     stated = block.piece_areas()
-    clipped = clipped_piece_areas(args.epsilon)
     total = sum(stated.values(), Fraction(0))
     if args.polygons:
         for poly in block.piece_polygons().values():
@@ -86,7 +85,9 @@ def cmd_area(args) -> int:
         )
     _print({"piece": "total", "exact": rat_str(total), "approx": decimal_str(total)})
     oracle = area_oracle(args.epsilon)
-    agree = all(stated[k] == area for k, (area, _) in clipped.items())
+    # the oracle reports each clipped area as its canonical rat_str
+    clipped = oracle.parameters["areas"]
+    agree = all(rat_str(stated[k]) == clipped[PIECE_LABELS[k]] for k in stated)
     bound_ok = total >= Fraction(7, 24) - args.epsilon
     _print(
         {

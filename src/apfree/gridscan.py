@@ -26,11 +26,11 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 2^62, object arrays of Python ints otherwise.
 
 ``pair_chunks`` walks the pairs a < b of range(n) in row-major order, a
-chunk of index arrays at a time, over any range of ranks; the set
-certificates in :mod:`apfree.verify` walk their elements with it.  The
-sweeps walk the pairs x <= z of the grid points in the same order (the
-pairs a < b of range(P + 1) with z = b - 1, so ``_row_starts`` ranks
-both walks) in tiles: a block of rows x against the columns z from its
+chunk of index arrays at a time; the set certificates in
+:mod:`apfree.verify` walk their elements with it.  The sweeps walk the
+pairs x <= z of the grid points in the same order (the pairs a < b of
+range(P + 1) with z = b - 1, so ``_row_starts`` ranks both walks) in
+tiles: a block of rows x against the columns z from its
 first row on, each pair value the sum of a row value and a column value,
 broadcast.  ``run_sweeps`` walks them once for any selection of the four
 facts (every ``check`` calls it once).  The first-coordinate facts run on
@@ -158,14 +158,6 @@ def weight_table(eps: Fraction, D: int) -> np.ndarray:
     return np.where(tags > 0, f4, np.int64(-1))
 
 
-def grid_points(eps: Fraction, Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator arrays (I, J) of the in-block points of the 1/Q grid,
-    in scan order (lexicographic by (i, j))."""
-    tab = membership_table(eps, Q)
-    pts = np.argwhere(tab > 0)
-    return pts[:, 0].astype(np.int64), pts[:, 1].astype(np.int64)
-
-
 def _g_tables(Q: int) -> tuple[np.ndarray, np.ndarray]:
     # gq[i] = g(i/Q) * Q^2 (Q even); g2[u] = g(u/2Q) * 4Q^2
     i = np.arange(Q, dtype=np.int64)
@@ -187,16 +179,16 @@ def _row_starts(n: int) -> np.ndarray:
     return rows * (2 * n - rows - 1) // 2
 
 
-def pair_chunks(n: int, size: int, start: int = 0, stop: int | None = None):
-    """Index arrays (a, b) of the pairs a < b of range(n) whose row-major
-    rank (the order of ``np.triu_indices``) lies in [start, stop), at most
-    ``size`` pairs per chunk."""
+def pair_chunks(n: int, size: int):
+    """Index arrays (a, b) of the pairs a < b of range(n) in row-major
+    order (the order of ``np.triu_indices``), at most ``size`` pairs per
+    chunk."""
     rows = np.arange(n, dtype=np.int64)
     row_start = _row_starts(n)
     # rank k in row a is the pair (a, k - offset[a])
     offset = row_start - rows - 1
-    stop = n * (n - 1) // 2 if stop is None else stop
-    for k0 in range(start, stop, size):
+    stop = n * (n - 1) // 2
+    for k0 in range(0, stop, size):
         k1 = min(k0 + size, stop)
         # the chunk spans rows lo-1 .. hi-1, each but the first starting inside it
         lo, hi = np.searchsorted(row_start, (k0, k1 - 1), side="right")

@@ -47,8 +47,7 @@ from .blocks import BuildingBlock
 from .dsets import DiscreteSet
 from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_piece,
                        scaled_weight, weight_factor)
-from .rational import mod1, point_strs, rat_str
-from .slicing import PointN
+from .rational import point_strs, rat_str
 
 SHIFT_GRID_LEVEL = 16
 
@@ -68,17 +67,6 @@ def check_moduli(moduli) -> tuple[int, ...]:
     if not moduli or any(m < 2 for m in moduli):
         raise ValueError(f"moduli {moduli} must all be >= 2")
     return moduli
-
-
-def embed_point(moduli, shift, residues) -> PointN:
-    """(a_i + r_i/m_i) mod 1 per coordinate, exact."""
-    moduli = tuple(moduli)
-    if not len(moduli) == len(shift) == len(residues):
-        raise ValueError("dimension mismatch")
-    for r, m in zip(residues, moduli):
-        if not 0 <= r < m:
-            raise ValueError(f"residue {r} out of range for modulus {m}")
-    return tuple(mod1(Fraction(a) + Fraction(r, m)) for a, r, m in zip(shift, residues, moduli))
 
 
 def sample_shift(rng: random.Random, moduli) -> tuple[Fraction, ...]:

@@ -129,10 +129,6 @@ def crt_encode(moduli, residues) -> int:
     return x if x != 0 else big_m
 
 
-def crt_decode(moduli, x: int) -> tuple[int, ...]:
-    return tuple(x % m for m in moduli)
-
-
 def feasible_dimension(N: int, n_start: int) -> int:
     """Largest feasible even n <= n_start (first n primes multiply to <= N)."""
     n = n_start

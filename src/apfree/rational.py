@@ -1,4 +1,4 @@
-"""Exact rational plumbing: parsing, rendering, mod-1 reduction.
+"""Exact rational plumbing: parsing and rendering.
 
 Every rational quantity in this package is a ``fractions.Fraction`` or
 an exact integer numerator over a known denominator.  No computation
@@ -33,11 +33,6 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     scaled = n * 10**places // x.denominator
     digits = str(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def mod1(x: Fraction) -> Fraction:
-    """Reduce x into [0, 1)."""
-    return x % 1
 
 
 def parse_point(parts: Iterable[str]) -> tuple[Fraction, ...]:

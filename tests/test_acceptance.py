@@ -17,19 +17,17 @@ from apfree.groups import (
     best_slice,
     build_fpn_set,
     build_group_set,
-    embed_point,
 )
 from apfree.gridscan import run_sweeps
 from apfree.integers import (
     build_integer_set,
     build_integer_set_direct,
     choose_moduli,
-    crt_decode,
     crt_encode,
     first_primes,
 )
-from apfree.slicing import weight_sum
 from apfree.verify import density_estimate
+from oracle import Block, crt_decode, embed_point, weight_sum
 
 SWEEP_EPSILONS = [F(1, 12), F(1, 24)]
 SWEEP_GRID = 120
@@ -185,7 +183,7 @@ def test_c08_slice_far_apart():
     eps, delta = F(1, 12), F(1, 12)
     j, count, _, elements = best_slice(moduli, shift, eps, delta)
     assert len(elements) == count and count > 0
-    block = BuildingBlock(eps)
+    block = Block(eps)
     embedded = {e: embed_point(moduli, shift, e) for e in elements}
     points = set(embedded.values())
     triples = 0

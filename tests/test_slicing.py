@@ -1,17 +1,15 @@
-"""Mod-1 progressions, midpoint candidates and the slice decomposition."""
+"""The oracle's mod-1 progressions, midpoint candidates, weight sums and slices."""
 
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apfree.blocks import BuildingBlock, NotInBlockError
-from apfree.slicing import (
-    SliceParams,
+from oracle import (
+    Block,
+    NotInBlockError,
     in_delta_box,
-    in_slice,
     is_progression_mod1,
     midpoint_candidates,
     slice_index_of,
@@ -79,34 +77,34 @@ class TestMidpointCandidates:
 
 class TestWeightSum:
     def test_single_pair_is_weight(self):
-        block = BuildingBlock(F(1, 12))
+        block = Block(F(1, 12))
         p = (F(3, 4), F(1, 8))
         assert weight_sum(block, p) == block.weight(p)
 
     def test_additivity(self):
-        block = BuildingBlock(F(1, 12))
+        block = Block(F(1, 12))
         p = (F(3, 4), F(1, 8))
         assert weight_sum(block, p + p) == 2 * block.weight(p)
 
     def test_frozen_sum(self):
-        block = BuildingBlock(F(1, 4))
+        block = Block(F(1, 4))
         p = (F(3, 4), F(1, 8), F(7, 8), F(1, 8))
         assert weight_sum(block, p) == F(21735, 32)
 
     def test_membership_error_names_pair(self):
-        block = BuildingBlock(F(1, 12))
+        block = Block(F(1, 12))
         bad = (F(3, 4), F(1, 8), F(1, 4), F(1, 4))
         with pytest.raises(NotInBlockError, match="pair 1"):
             weight_sum(block, bad)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
-            weight_sum(BuildingBlock(F(1, 12)), (F(3, 4), F(1, 8), F(3, 4)))
+            weight_sum(Block(F(1, 12)), (F(3, 4), F(1, 8), F(3, 4)))
 
     def test_range_bound_default_epsilon(self):
         # at eps = 1/n the sum stays within the coarse n*100/eps^2 = 100 n^3
         n = 4
-        block = BuildingBlock(F(1, n))
+        block = Block(F(1, n))
         bound = 100 * n**3
         q = 24
         base = [
@@ -122,69 +120,25 @@ class TestWeightSum:
 
 class TestSliceIndex:
     def test_zero(self):
-        assert slice_index_of(SliceParams(n=2, delta=F(1, 3)), F(0)) == 0
+        assert slice_index_of(F(1, 3), F(0)) == 0
 
     def test_worked_example(self):
-        assert slice_index_of(SliceParams(n=2, delta=F(1, 2)), F(3, 10)) == 2
+        assert slice_index_of(F(1, 2), F(3, 10)) == 2
 
     def test_left_closed_boundary(self):
-        params = SliceParams(n=2, delta=F(1, 5))
-        width = params.width()
+        delta = F(1, 5)
         for k in (0, 1, 7, 120):
-            assert slice_index_of(params, k * width) == k
+            assert slice_index_of(delta, k * delta**2 / 2) == k
 
     @given(st.fractions(min_value=0, max_value=1000, max_denominator=10**4))
     def test_floor_property(self, s):
-        params = SliceParams(n=2, delta=F(1, 7))
-        j = slice_index_of(params, s)
-        assert j * params.width() <= s < (j + 1) * params.width()
+        width = F(1, 7) ** 2 / 2
+        j = slice_index_of(F(1, 7), s)
+        assert j * width <= s < (j + 1) * width
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            slice_index_of(SliceParams(n=2, delta=F(1, 2)), F(-1, 10))
-
-
-class TestSliceMembership:
-    def test_pair_outside_block_is_false(self):
-        params = SliceParams(n=4, delta=F(1, 12), epsilon=F(1, 12), j=0)
-        block = params.block()
-        assert not in_slice(block, params, (F(1, 4), F(1, 4), F(3, 4), F(1, 8)))
-
-    def test_partition(self):
-        eps, delta = F(1, 12), F(1, 6)
-        block = BuildingBlock(eps)
-        q = 12
-        base = [
-            (F(i, q), F(j, q))
-            for i in range(q)
-            for j in range(q)
-            if block.piece_of((F(i, q), F(j, q)))
-        ]
-        max_j = SliceParams(n=4, delta=delta, epsilon=eps).max_index()
-        for p1, p2 in product(base, base):
-            p = p1 + p2
-            s = weight_sum(block, p)
-            j = slice_index_of(SliceParams(n=4, delta=delta, epsilon=eps), s)
-            assert 0 <= j <= max_j
-            assert in_slice(block, SliceParams(n=4, delta=delta, epsilon=eps, j=j), p)
-            assert not in_slice(
-                block, SliceParams(n=4, delta=delta, epsilon=eps, j=j + 1), p
-            )
-
-    def test_default_epsilon_is_one_over_n(self):
-        assert SliceParams(n=6, delta=F(1, 5)).epsilon == F(1, 6)
-
-    def test_max_index_formula(self):
-        params = SliceParams(n=4, delta=F(1, 4), epsilon=F(1, 4))
-        assert params.max_index() == int(4 * 100 * 16 * 2 * 16)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SliceParams(n=3, delta=F(1, 2))
-        with pytest.raises(ValueError):
-            SliceParams(n=2, delta=F(3, 2))
-        with pytest.raises(ValueError):
-            SliceParams(n=2, delta=F(1, 2), j=-1)
+            slice_index_of(F(1, 2), F(-1, 10))
 
 
 class TestFarApartWithinSlice:
@@ -194,15 +148,14 @@ class TestFarApartWithinSlice:
 
     def test_exhaustive_grid_n2(self):
         eps, delta, q = F(1, 12), F(9, 10), 24
-        block = BuildingBlock(eps)
-        params = SliceParams(n=2, delta=delta)
+        block = Block(eps)
         by_slice = {}
         for i in range(q):
             for j in range(q):
                 p = (F(i, q), F(j, q))
                 if block.piece_of(p):
                     by_slice.setdefault(
-                        slice_index_of(params, weight_sum(block, p)), set()
+                        slice_index_of(delta, weight_sum(block, p)), set()
                     ).add(p)
         multi = [pts for pts in by_slice.values() if len(pts) > 1]
         assert multi  # the parameters above really do group grid points

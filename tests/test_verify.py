@@ -15,12 +15,10 @@ import apfree.verify as verify_module
 from apfree.blocks import BuildingBlock
 from apfree.gridscan import (
     density_count,
-    grid_points,
     membership_table,
     run_sweeps,
     weight_table,
 )
-from apfree.slicing import is_progression_mod1, midpoint_candidates
 from apfree.verify import (
     SWEEP_SUBJECTS,
     area_oracle,
@@ -29,6 +27,7 @@ from apfree.verify import (
     verify_group_set,
     verify_integer_set,
 )
+from oracle import Block, is_progression_mod1, midpoint_candidates
 
 
 class TestGroupVerifier:
@@ -484,7 +483,7 @@ class TestCheckedOnFailingSets:
 class TestSweepKernels:
     def test_membership_table_matches_api(self):
         eps, q = F(1, 12), 48
-        block = BuildingBlock(eps)
+        block = Block(eps)
         tab = membership_table(eps, q)
         for i in range(q):
             for j in range(q):
@@ -492,7 +491,7 @@ class TestSweepKernels:
 
     def test_weight_table_matches_api(self):
         eps, q = F(1, 24), 48
-        block = BuildingBlock(eps)
+        block = Block(eps)
         tab = membership_table(eps, q)
         wt = weight_table(eps, q)
         scale = 4 * eps.numerator**2 * q * q
@@ -505,7 +504,7 @@ class TestSweepKernels:
 
     def test_block_sweep_matches_bruteforce(self):
         eps, q = F(1, 12), 24
-        block = BuildingBlock(eps)
+        block = Block(eps)
         pts = [
             (F(i, q), F(j, q))
             for i in range(q)
@@ -534,9 +533,17 @@ class TestSweepKernels:
         assert counts["candidates"] == cands
 
     def test_grid_points_scan_order(self):
-        I, J = grid_points(F(1, 12), 24)
-        order = list(zip(I.tolist(), J.tolist()))
+        """The sweep's grid holds the in-block points of the 1/Q grid in
+        scan order (lexicographic by (i, j))."""
+        import apfree.gridscan as gridscan
+
+        eps, q = F(1, 12), 24
+        g = gridscan._Grid(eps, q, ("x1z1",))
+        order = list(zip(g.I.tolist(), g.J.tolist()))
         assert order == sorted(order)
+        block = Block(eps)
+        assert order == [(i, j) for i in range(q) for j in range(q)
+                         if block.piece_of((F(i, q), F(j, q)))]
 
     @pytest.mark.parametrize("eps", [F(1, 12), F(1, 24), F(1, 48)])
     @pytest.mark.parametrize("grid", [48, 120])
@@ -550,7 +557,7 @@ class TestSweepKernels:
         agree with a direct Fraction scan, so the predicates are genuinely
         exercised rather than vacuously green."""
         eps, q = F(1, 12), 24
-        block = BuildingBlock(eps)
+        block = Block(eps)
         pts = [
             (F(i, q), F(j, q))
             for i in range(q)
@@ -765,23 +772,20 @@ class TestPairWalk:
     and its per-sum tables, its first violation, and its independence from
     tile size, pair-range splits and workers."""
 
-    @given(st.integers(0, 40), st.integers(1, 50), st.data())
+    @given(st.integers(0, 40), st.integers(1, 50))
     @settings(max_examples=200, deadline=None)
-    def test_pair_chunks_are_a_slice_of_triu(self, n, size, data):
+    def test_pair_chunks_are_a_slice_of_triu(self, n, size):
         import numpy as np
 
         from apfree.gridscan import pair_chunks
 
-        total = n * (n - 1) // 2
-        start = data.draw(st.integers(0, total))
-        stop = data.draw(st.integers(start, total))
-        chunks = list(pair_chunks(n, size, start, stop))
+        chunks = list(pair_chunks(n, size))
         assert all(0 < len(a) <= size and len(a) == len(b) for a, b in chunks)
         a = np.concatenate([a for a, _ in chunks] or [np.zeros(0, dtype=int)])
         b = np.concatenate([b for _, b in chunks] or [np.zeros(0, dtype=int)])
         ta, tb = np.triu_indices(n, 1)
-        assert a.tolist() == ta[start:stop].tolist()
-        assert b.tolist() == tb[start:stop].tolist()
+        assert a.tolist() == ta.tolist()
+        assert b.tolist() == tb.tolist()
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1013,13 +1017,13 @@ class TestWorkedTriple:
     """One fully worked pair at eps = 1/4 with frozen exact values."""
 
     def test_only_one_candidate_in_block(self):
-        block = BuildingBlock(F(1, 4))
+        block = Block(F(1, 4))
         x, z = (F(3, 4), F(1, 8)), (F(7, 8), F(1, 8))
         inside = [y for y in midpoint_candidates(x, z) if block.piece_of(y)]
         assert inside == [(F(13, 16), F(1, 8))]
 
     def test_frozen_inequality_values(self):
-        block = BuildingBlock(F(1, 4))
+        block = Block(F(1, 4))
         x, z = (F(3, 4), F(1, 8)), (F(7, 8), F(1, 8))
         y = (F(13, 16), F(1, 8))
         lhs = block.weight(x) + block.weight(z)
@@ -1072,7 +1076,7 @@ class TestDensity:
 
     def test_count_matches_fraction_membership(self):
         eps, m = F(1, 12), 24
-        block = BuildingBlock(eps)
+        block = Block(eps)
         brute = sum(
             1
             for i in range(m)
