@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .clipping import clip_halfplanes, clipped_area
+from .clipping import clipped_area
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -214,8 +214,7 @@ def clipped_piece_areas(epsilon: Fraction) -> dict[int, tuple[Fraction, bool]]:
     """(area, degenerate-flag) of each piece by successive half-plane clipping."""
     out = {}
     for piece, clip_spec in piece_clip_specs(epsilon).items():
-        box, *halfplanes = clip_spec
-        poly = clip_halfplanes(box, halfplanes)
+        # clipped_area is 0 when fewer than three vertices survive
         area = clipped_area(clip_spec)
-        out[piece] = (area, len(poly) < 3 or area == 0)
+        out[piece] = (area, area == 0)
     return out

@@ -126,20 +126,7 @@ def _build(args) -> DiscreteSet:
                  shift=args.shift, slice_index=args.slice_j)
     # a flag not given keeps BuildOptions' default
     options = BuildOptions(**{k: v for k, v in given.items() if v is not None})
-    kind = args.kind
-    if kind == "zm":
-        return build_group_set(args.moduli, options)
-    if kind == "fpn":
-        return build_fpn_set(args.p, args.n, options)
-    if kind == "int":
-        return build_integer_set(args.N, options, n_override=args.n_override)
-    if kind == "int-direct":
-        return build_integer_set_direct(args.N, n=args.n_override, options=options)
-    if kind == "behrend":
-        return behrend_set(args.N)
-    if kind == "halfbox":
-        return halfbox_set(args.p, args.n)
-    raise AssertionError(kind)
+    return _KINDS[args.kind][2](args, options)
 
 
 def _default_name(args, dset: DiscreteSet) -> str:
@@ -245,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_area.set_defaults(fn=cmd_area)
 
     p_con = sub.add_parser("construct", help="build, certify and write a set")
-    p_con.add_argument("kind", choices=["zm", "fpn", "int", "int-direct", "behrend", "halfbox"])
+    p_con.add_argument("kind", choices=list(_KINDS))
     for dest, flag_type in _FLAG_TYPES.items():
         p_con.add_argument("--" + dest.replace("_", "-"), dest=dest, type=flag_type,
                            help="comma-separated, e.g. 12,12" if dest == "moduli" else None)
@@ -291,24 +278,29 @@ _FLAG_TYPES = {"moduli": _moduli, "p": int, "n": int, "N": int, "n_override": in
                "epsilon": _rational, "delta": _rational, "trials": int, "seed": int,
                "shift": _shift, "slice_j": int}
 _TORUS = ("epsilon", "delta", "trials", "seed", "shift", "slice_j")
-# construct kind -> (the parameters it requires, those it may also read);
-# a parameter a kind does not read is refused, not silently dropped
-_READS = {
-    "zm": (("moduli",), _TORUS),
-    "fpn": (("p", "n"), _TORUS),
-    "int": (("N",), ("n_override", *_TORUS)),
-    "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed")),
-    "behrend": (("N",), ()),
-    "halfbox": (("p", "n"), ()),
+# construct kind -> (the parameters it requires, those it may also read, its
+# builder from the parsed args and BuildOptions); a parameter a kind does not
+# read is refused, not silently dropped
+_KINDS = {
+    "zm": (("moduli",), _TORUS, lambda args, options: build_group_set(args.moduli, options)),
+    "fpn": (("p", "n"), _TORUS, lambda args, options: build_fpn_set(args.p, args.n, options)),
+    "int": (("N",), ("n_override", *_TORUS), lambda args, options: build_integer_set(
+        args.N, options, n_override=args.n_override)),
+    "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed"),
+                   lambda args, options: build_integer_set_direct(
+                       args.N, n=args.n_override, options=options)),
+    "behrend": (("N",), (), lambda args, options: behrend_set(args.N)),
+    "halfbox": (("p", "n"), (), lambda args, options: halfbox_set(args.p, args.n)),
 }
-_PARAMETERS = dict.fromkeys(f for fields in _READS.values() for f in fields[0] + fields[1])
+_PARAMETERS = dict.fromkeys(f for required, optional, _ in _KINDS.values()
+                            for f in required + optional)
 
 
 def _validate(args, parser) -> None:
     if args.command == "construct":
         if args.config is not None:
             _apply_config(args)
-        required, optional = _READS[args.kind]
+        required, optional, _ = _KINDS[args.kind]
         for field in required:
             if getattr(args, field) is None:
                 parser.error(f"construct {args.kind} requires --{field}")

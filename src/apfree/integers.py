@@ -290,12 +290,14 @@ def build_integer_set_direct(N: int, n: int | None = None,
     else:
         raise budget.BudgetError(f"no valid direction found in {_DIRECTION_ATTEMPTS} "
                                  f"attempts (N={N}, n={n})")
-    candidates = []
+    picks = []
     for a_nums, (t, J) in zip(shifts, kept):
         j, count, _, hit = pick_slice(J)
-        candidates.append((-count, a_nums, j, t[hit].tolist()))
-    # the fullest slice of all trials; ties to the smallest shift
-    _, a_nums, j, elements = min(candidates)
+        picks.append(((-count, a_nums, j), t, hit))
+    # the fullest slice of all trials, ties to the smallest shift; only the
+    # winner's rows are decoded
+    (_, a_nums, j), t, hit = min(picks, key=lambda pick: pick[0])
+    elements = t[hit].tolist()
     prov = {
         "construction": "int-direct",
         "bound": N,

@@ -1,17 +1,18 @@
 """Exhaustive certification and property-test drivers.
 
 Group and integer sets are certified by scanning every unordered pair of
-elements and testing all solutions of the doubled-midpoint congruence for
-membership.  The scan is one numpy pass per set kind over chunks of pairs
-from ``gridscan.pair_chunks`` (and over chunks of candidates, 2^e per
-pair for e even moduli), each chunk looked up with one ``searchsorted``
-on the sorted elements; group elements are mixed-radix codes.  The values run as int64 when their
-bound (the product of the moduli, or twice the integer bound) is at most
-2^62, and otherwise the same code runs on object arrays of Python ints,
-so nothing wraps.  Progressions come out in pair-scan order; the scan
-stops at the first (a re-checkable counterexample triple) or, with
+elements and testing all solutions of the doubled-midpoint congruence
+for membership: one numpy pass per set kind over chunks of pairs from
+``gridscan.pair_chunks``, in which each pair that passes the parity
+filter makes one ``searchsorted`` lookup, of its midpoint in the sorted
+integers or of the key that all 2^e midpoint solutions of a group pair
+share (e even moduli).  The values run as int64 when their bound (the
+product of the moduli, or twice the integer bound) is at most 2^62, and
+otherwise the same code runs on object arrays of Python ints, so nothing
+wraps.  Progressions come out in pair-scan order; the scan stops at the
+first (a re-checkable counterexample triple) or, with
 ``all_counterexamples``, lists every one.  Before it starts, a scan's
-pairs and the midpoint candidates it will look up are charged to
+pairs and the midpoint candidates of its pairs are charged to
 budget.SCAN, and a list of every progression to budget.COUNTEREXAMPLES.
 The block-level statements are swept exhaustively over the pairs of
 rational grid points, any selection of the four facts in one walk
@@ -22,7 +23,6 @@ of the stated vertex lists.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -61,17 +61,18 @@ class VerificationReport:
         }
 
 
-# array elements per numpy step: pairs x coordinates, or candidates
+# array elements per numpy step: pairs x coordinates, keys looked up, or hits
 _CHUNK = 1 << 16
 
 
 def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
     """Charge a scan of n elements, before it starts, its pairs plus the
-    midpoint candidates it looks up, to budget.SCAN.  Only a pair whose
+    midpoint candidates of its pairs to budget.SCAN.  Only a pair whose
     elements have equal rows in ``parity()`` (their parities in the
     coordinates of even moduli) passes the parity filter, and then has
-    ``offsets`` candidates; the rows are made only when the bound that
-    every pair passes is over the limit."""
+    ``offsets`` candidates, which bound what its one lookup returns; the
+    rows are made only when the bound that every pair passes is over the
+    limit."""
     pairs = math.comb(n, 2)
     cost = pairs * (1 + offsets)
     if cost > budget.SCAN:
@@ -80,13 +81,24 @@ def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
     budget.charge("SCAN", f"{what} of {n} elements ({cost} pairs and candidates)", cost)
 
 
-def _members(members: np.ndarray, base: np.ndarray, offsets: np.ndarray):
-    """(pair, member index) of every candidate base[p] + offsets[c] found in
-    the sorted array members, in (p, c) order."""
-    cand = base[:, None] + offsets
-    idx = np.searchsorted(members, cand)
-    p, c = np.nonzero(members.take(idx, mode="clip") == cand)
-    return p, idx[p, c]
+def _members(keys: np.ndarray, base: np.ndarray):
+    """(p, k) index arrays of every key in the sorted array keys equal to
+    some base[p], in (p, k) order: one lookup per base, and the hits in
+    steps of at most _CHUNK, apart from one base whose own hits exceed it."""
+    lo = np.searchsorted(keys, base)
+    p = np.flatnonzero(keys.take(lo, mode="clip") == base)
+    lo = lo[p]
+    count = np.searchsorted(keys, base[p], side="right") - lo
+    end = np.cumsum(count)
+    i = 0
+    while i < len(p):
+        stop = max(i + 1, int(np.searchsorted(end, end[i] - count[i] + _CHUNK, side="right")))
+        c = count[i:stop]
+        # hit h of the step is key lo + (h - first) of its base
+        first = end[i:stop] - c
+        k = np.arange(first[0], end[stop - 1]) + np.repeat(lo[i:stop] - first, c)
+        yield np.repeat(p[i:stop], c), k
+        i = stop
 
 
 def _group_rows(moduli: tuple[int, ...], elements) -> np.ndarray:
@@ -123,53 +135,38 @@ def _group_rows(moduli: tuple[int, ...], elements) -> np.ndarray:
 
 def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
     """Index triples (x, y, z) into the sorted element rows of every
-    progression with x < z, one chunk at a time in scan order: pairs {x, z}
-    lexicographically, then the midpoint solutions y in product order.
+    progression with x < z, in scan order: pairs {x, z} lexicographically,
+    then the midpoint solutions y in product order.
 
-    Elements are mixed-radix codes, first coordinate most significant, so
-    sorted tuples give sorted codes.  Per coordinate 2y = s has one root
-    (s + (s odd)·m)/2 for odd m, none for even m and odd s, and for even s
-    the roots s/2 and s/2 + m/2 (no wrap, as s/2 < m/2).  So the candidates
-    of a pair are its base code plus each of the 2^e half-offset sums over
-    the e even moduli.  x != z forces y != x and y != z, so every member hit
-    is a progression.
-
-    The half-offsets of the last even moduli, as many as fit one chunk, form
-    an array, built once the first pair survives the parity filter; those of
-    the other even moduli are looped over in product order.  So no step
-    holds more than _CHUNK candidates, and a set with no surviving pair (as
-    every set in Z_2^n) never builds one."""
+    Per coordinate 2y = s has one root (s + (s odd)·m)/2 for odd m, none for
+    even m and odd s, and for even s the roots s/2 and s/2 + m/2 (no wrap,
+    as s/2 < m/2).  So with h = m/2 for even m and h = m for odd m, the
+    solutions of a pair are the elements y whose key sum(stride·(y mod h))
+    is the pair's base, the mixed-radix code of its smallest root.  Codes
+    put the first coordinate first, so the sorted rows are code-sorted, and
+    keys sorted stably over them keep ties in product order.  x != z forces y != x and y != z, so every hit is a progression.
+    A chunk of pairs looks up at most _CHUNK keys, and a set with no pair
+    past the parity filter (as every set in Z_2^n) looks nothing up."""
     dtype = rows.dtype
     m = np.array(moduli, dtype=dtype)
     stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
     even = (m % 2 == 0).astype(dtype)
     # coordinates along rows, so every step runs along a whole chunk of pairs
     X = rows.T.copy()
-    codes = stride @ X
-    halves = (m // 2 * stride)[even == 1].tolist()
-    split = max(0, len(halves) - (_CHUNK.bit_length() - 1))
-    offsets = None
+    keys = stride @ (X % (m >> even)[:, None])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     m = m[:, None]
     for a, b in pair_chunks(len(rows), max(1, _CHUNK // len(moduli))):
         s = X.take(a, axis=1) + X.take(b, axis=1)
         s -= (s >= m) * m
         odd = s & 1
         keep = even @ odd == 0
-        base = (stride @ ((s + odd * m) >> 1))[keep]
-        a, b = a[keep], b[keep]
-        if not len(a):
-            continue
-        if offsets is None:
-            offsets = np.zeros(1, dtype=dtype)
-            for half in halves[split:]:
-                offsets = (offsets[:, None] + np.array([0, half], dtype=dtype)).ravel()
-        # with looped moduli the array fills a chunk, so step is 1 and each
-        # pair runs through its looped offsets before the next pair starts
-        step = max(1, _CHUNK // len(offsets))
-        for j in range(0, len(a), step):
-            for outer in itertools.product(*((0, h) for h in halves[:split])):
-                p, y = _members(codes, base[j:j + step] + sum(outer), offsets)
-                yield a[j + p], y, b[j + p]
+        if keep.any():
+            base = (stride @ ((s + odd * m) >> 1))[keep]
+            a, b = a[keep], b[keep]
+            for p, k in _members(keys, base):
+                yield a[p], order[k], b[p]
 
 
 def _integer_hits(bound: int, elems: list[int]):
@@ -181,8 +178,8 @@ def _integer_hits(bound: int, elems: list[int]):
     for a, b in pair_chunks(len(elems), _CHUNK):
         s = v.take(a) + v.take(b)
         keep = s & 1 == 0
-        p, y = _members(v, s[keep] >> 1, np.zeros(1, dtype=dtype))
-        yield a[keep][p], y, b[keep][p]
+        for p, y in _members(v, s[keep] >> 1):
+            yield a[keep][p], y, b[keep][p]
 
 
 def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):

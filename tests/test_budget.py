@@ -4,9 +4,9 @@ Every charge goes through ``budget.charge``, so one spy sees them all.  The
 work is counted independently, by spies on the kernels: the tuples of each
 slot-product walk (object-path tuples weighted as the budget weighs them)
 and the direct route's streamed rows, the certificates' pairs and looked-up
-midpoint candidates, the sweep pairs per fact, and the entries of the dense
-grids.  Each budget's work must stay within its largest charge; the GRID
-budget bounds one array, so its work is the longest array made.
+keys, the sweep pairs per fact, and the entries of the dense grids.  Each
+budget's work must stay within its largest charge; the GRID budget bounds
+one array, so its work is the longest array made.
 """
 
 from collections import defaultdict
@@ -69,7 +69,7 @@ def spy_work(monkeypatch):
     wrap(monkeypatch, integers, "kept_slices",
          lambda result, a, b, denom, lo, off, *region: add("PRODUCT", len(off)))
 
-    # certificates: the pairs walked and the candidates looked up
+    # certificates: the pairs walked and the keys looked up
     pair_chunks = verify.pair_chunks
 
     def chunks(*args):
@@ -78,8 +78,7 @@ def spy_work(monkeypatch):
             yield a, b
 
     monkeypatch.setattr(verify, "pair_chunks", chunks)
-    wrap(monkeypatch, verify, "_members",
-         lambda result, members, base, offsets: add("SCAN", len(base) * len(offsets)))
+    wrap(monkeypatch, verify, "_members", lambda result, keys, base: add("SCAN", len(base)))
     # sweeps: the pairs walked, once per fact
     wrap(monkeypatch, gridscan, "_walk", lambda result, *args: add(
         "SWEEP", sum(counts["pairs"] for counts, _ in result.values())))

@@ -64,6 +64,21 @@ class TestArea:
         assert run(capsys, "area", "--epsilon", "1/12")[0] == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("epsilon, clippings", [("1/12", 3), ("1/4", 6)])
+    def test_each_piece_clipped_once_per_oracle(self, capsys, monkeypatch, epsilon, clippings):
+        """One clipping per piece gives its area and degenerate flag; at the
+        degenerate eps = 1/4 the block's areas clip the three pieces again.
+        The spy also takes the name in blocks, should it import its own."""
+        import apfree.blocks as blocks
+        import apfree.clipping as clipping
+
+        calls, real = [], clipping.clip_halfplanes
+        for owner in (clipping, blocks):
+            monkeypatch.setattr(owner, "clip_halfplanes",
+                                lambda *args: calls.append(args) or real(*args), raising=False)
+        assert run(capsys, "area", "--epsilon", epsilon)[0] == 0
+        assert len(calls) == clippings
+
 
 class TestConstruct:
     def test_zm_writes_certified_files(self, capsys, tmp_path):

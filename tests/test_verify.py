@@ -1,5 +1,6 @@
 """Exhaustive verifiers, grid-sweep kernels, area oracle and density."""
 
+import contextlib
 import math
 import random
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,7 +312,8 @@ def planted(rng, moduli, count):
 
 
 mixed_group_sets = st.sampled_from(
-    [(4,), (7,), (4, 3), (6, 5, 2), (2, 9, 4), (8, 3, 6, 5), (2, 2, 2, 3)]
+    [(4,), (7,), (4, 3), (6, 5, 2), (2, 9, 4), (8, 3, 6, 5), (2, 2, 2, 3), (4, 4, 6),
+     (8, 2, 12)]
 ).flatmap(
     lambda moduli: st.tuples(
         st.just(moduli),
@@ -319,23 +322,79 @@ mixed_group_sets = st.sampled_from(
 )
 
 
+@contextlib.contextmanager
+def steps_within(chunk):
+    """Run the scans with _CHUNK = chunk and check every lookup: at most
+    chunk keys per call, and at most chunk hits per step unless the step
+    holds the hits of one pair alone.  Yields the list of (keys, [hits per
+    step]) of each call."""
+    lookup, calls = verify_module._members, []
+
+    def members(keys, base):
+        steps = []
+        calls.append((len(base), steps))
+        for p, k in lookup(keys, base):
+            steps.append(len(p) if len(p) <= chunk or (p == p[0]).all() else None)
+            yield p, k
+
+    with mock.patch.object(verify_module, "_CHUNK", chunk), \
+            mock.patch.object(verify_module, "_members", members):
+        yield calls
+    assert all(keys <= chunk and None not in steps for keys, steps in calls)
+
+
 class TestScanAgainstLoopOracle:
     """The chunked numpy scans against the pair loop they replaced."""
 
     @given(mixed_group_sets, st.sampled_from([1, 2, 3, 5, 8, 64]))
     @settings(max_examples=150, deadline=None)
     def test_group_chunk_boundaries(self, case, chunk):
-        # tiny chunks: pairs and candidates cross many chunk boundaries, and
-        # the first hit usually sits in a later chunk
+        # tiny chunks: pairs and hits cross many chunk boundaries, and the
+        # first hit usually sits in a later chunk
         moduli, elements = case
-        with mock.patch.object(verify_module, "_CHUNK", chunk):
+        with steps_within(chunk):
             check_group(moduli, sorted(elements))
 
     @given(st.sets(st.integers(1, 300), max_size=40), st.sampled_from([1, 2, 7, 64]))
     @settings(max_examples=150, deadline=None)
     def test_integer_chunk_boundaries(self, elements, chunk):
-        with mock.patch.object(verify_module, "_CHUNK", chunk):
+        with steps_within(chunk):
             check_integer(300, sorted(elements))
+
+    @pytest.mark.parametrize("moduli", [(4, 4, 6), (8, 2, 12), (2,) * 6 + (4, 5)])
+    def test_one_key_per_pair_past_the_parity_filter(self, moduli):
+        # a pair whose sum is even in every even coordinate looks up its
+        # base once, not each of its 2^e midpoint candidates
+        rng = random.Random(len(moduli))
+        elements = {tuple(rng.randrange(m) for m in moduli) for _ in range(40)}
+        elements = sorted(elements | set(planted(rng, moduli, 4)))
+        kept = sum(all((x + z) % 2 == 0 for x, z, m in zip(u, v, moduli) if m % 2 == 0)
+                   for i, u in enumerate(elements) for v in elements[i + 1:])
+        # every left-side search of the scan is a key lookup; pair_chunks
+        # searches its row starts on the right
+        searchsorted, keys = np.searchsorted, []
+
+        def search(a, v, side="left", **kwargs):
+            if side == "left":
+                keys.append(np.size(v))
+            return searchsorted(a, v, side=side, **kwargs)
+
+        with mock.patch.object(np, "searchsorted", search):
+            report = verify_group_set(moduli, elements, all_counterexamples=True)
+        assert report.counts["all_counterexamples"] == loop_group_progressions(moduli, elements)
+        assert sum(keys) == kept > 0
+
+    @pytest.mark.parametrize("chunk", [10, 40])
+    def test_hit_steps_split_between_pairs(self, chunk):
+        # every pair of (u, 0), (u, 1), (u, 2) in Z_2^4 x Z_3 has all 16
+        # elements (v, c) as midpoints: at chunk 40 a step holds two pairs'
+        # hits, at chunk 10 one pair's 16 hits are one step
+        moduli = (2,) * 4 + (3,)
+        elements = sorted(product(*(range(m) for m in moduli)))
+        with steps_within(chunk) as calls:
+            expected = check_group(moduli, elements)
+        assert len(expected) == 48 * 16
+        assert max(h for _, steps in calls for h in steps) == (32 if chunk == 40 else 16)
 
     def test_first_hit_in_later_chunk_at_default_size(self):
         # 0/1 ternary digits are progression-free; the only progression is
@@ -367,8 +426,9 @@ class TestScanAgainstLoopOracle:
     @pytest.mark.parametrize("n", [40, 70])
     def test_z2_power_past_one_chunk_of_offsets(self, n):
         # distinct elements of Z_2^n have an odd sum in some coordinate, so
-        # no pair survives the parity filter and nothing is looked up; the
-        # 2^n half-offsets must never be built (n = 70 takes the object path)
+        # no pair survives the parity filter and nothing is looked up, for
+        # all 2^n midpoint solutions a pair would have (n = 70 takes the
+        # object path)
         rng = random.Random(n)
         elements = {tuple(rng.randrange(2) for _ in range(n)) for _ in range(3)}
         lookups = mock.Mock(wraps=verify_module._members)
@@ -377,29 +437,20 @@ class TestScanAgainstLoopOracle:
         assert lookups.call_count == 0
 
     def test_even_moduli_past_one_chunk_against_loop(self):
-        # 17 even moduli, 2^17 candidates per kept pair: 2^12 of them in one
-        # array, the other 2^5 looped per pair.  Pairs share their Z_2 part,
-        # and midpoints take any Z_2 part, so hits spread over the loop
+        # 17 even moduli, 2^17 midpoint solutions per kept pair, looked up
+        # as one key.  Pairs share their Z_2 part, and midpoints take any
+        # Z_2 part, so each pair's hits are the elements of every part
         rng = random.Random(17)
         moduli = (2,) * 16 + (4, 5)
         parts = [tuple(rng.randrange(2) for _ in range(16)) for _ in range(3)]
         elements = [u + t for u in parts for t in [(0, 0), (2, 2), (1, 1)]]
-        sizes = []
-
-        def members(codes, base, offsets):
-            sizes.append(len(base) * len(offsets))
-            return lookup(codes, base, offsets)
-
-        lookup = verify_module._members
-        with mock.patch.object(verify_module, "_CHUNK", 1 << 12), \
-                mock.patch.object(verify_module, "_members", members):
+        with steps_within(1 << 12) as calls:
             expected = check_group(moduli, elements)
-        assert len(expected) > 3 and max(sizes) <= 1 << 12
+        assert len(expected) > 3 and calls
 
     def test_many_even_moduli_against_triples(self):
-        # 2^12 midpoint candidates per pair, so one chunk of pairs is looked
-        # up in several chunks of candidates; coordinates in {0, 2} of Z_4
-        # and 0 of Z_2 keep every pair and give hits in every one of them
+        # 2^12 midpoint solutions per pair, looked up as one key per pair;
+        # coordinates in {0, 2} of Z_4 and 0 of Z_2 keep every pair
         rng = random.Random(7)
         moduli = (4,) * 6 + (2,) * 6
         even = rng.sample(list(product((0, 2), repeat=6)), 40)
