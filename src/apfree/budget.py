@@ -26,9 +26,9 @@ OBJECT_COST = 8
 # against 0.03-0.04 s at Q = 72 and 0.2-0.4 s at Q = 120.
 SWEEP = 1 << 33
 # entries of the longest array one dense grid may hold: the density grid's
-# m^2 cells (about 20 bytes a cell at the peak, so 1.4 GiB at m = 8192), or a
-# baseline's digit rows or radius counts (619 MiB for the 5e7 radius counts
-# of behrend at N = 10^8)
+# m^2 cells (counted by rows in O(m) memory, so this charge overstates it),
+# or a baseline's digit rows or radius counts (619 MiB for the 5e7 radius
+# counts of behrend at N = 10^8)
 GRID = 1 << 26
 # pairs walked plus midpoint candidates looked up by one certificate: the
 # integer scan runs 2.4-2.8e7 pairs a second in-process (behrend sets at

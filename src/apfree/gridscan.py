@@ -1,8 +1,9 @@
 """Exact scaled-integer block membership and weight, and the grid sweeps.
 
 A grid point with denominator D is stored as its integer numerator pair
-(u, v) meaning (u/D, v/D); every inequality is cross-multiplied so each
-check is a comparison of integer expressions held in numpy int64 arrays.
+(u, v) meaning (u/D, v/D); every inequality is cross-multiplied, or
+solved exactly for an integer bound, so each check is a comparison of
+integer expressions held in numpy int64 arrays.
 This is still exact arithmetic: the scale check below rules overflow
 out (the largest intermediate is < 3400 * (ed*Q)^2, kept under 2^62 by
 requiring ed*Q <= 2_000_000), and no floats appear anywhere.  In a sweep
@@ -18,8 +19,15 @@ an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
 the outer points x, z on the Q-grid and their midpoint candidates on the
 2Q-grid; a single table at denominator 2Q serves both because
 F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
-inequality.  The constructions' region is the block (``scaled_piece``) or
-the [0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
+inequality.
+
+The block's inequalities are solved once into integer bounds on U, V,
+U + V and 2U + V (``_piece_bounds``).  The piece tags (``scaled_piece``),
+the tagless membership test (``scaled_in_block``) and the density count
+all read them; the count goes by rows, where each piece's V-range is one
+interval, so it costs O(m) time and memory for m^2 cells.  The
+constructions' region is the block (``scaled_in_block``) or the
+[0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
 pair), whose points all weigh 0.  The constructions test and weigh whole
 arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
@@ -51,13 +59,13 @@ smallest (x, z, candidate, code), so a sweep split into rank ranges,
 across processes or tiles, reports the same.  Before any table is made a
 sweep is charged, from Q alone, to budget.SWEEP; the per-sum tables are
 built on the walk's first use, and grids below _SERIAL_PAIRS pairs stay on
-one process.  The density grid's cells are charged to budget.GRID.
+one process, which is the only place the process pool is imported.  The
+density grid's cells are charged to budget.GRID.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -79,19 +87,40 @@ def _check_scale(eps: Fraction, Q: int) -> None:
         )
 
 
+def _piece_bounds(eps: Fraction, D: int) -> tuple[int, ...]:
+    """The block's inequalities on numerators (U, V) over D, each solved
+    exactly for one integer bound, (h, s1, s2, b1, b2, c):
+    2U >= D iff U >= h, and 2V < D iff V < h;
+    piece 1 is U >= h and s1 <= U + V <= s2 (2/3 < a+b <= 7/6);
+    pieces 2 and 3 lie in the band b1 <= U + V <= b2 (7/6+eps <= a+b <= 17/12),
+    piece 2 with U >= h and V < h, piece 3 with U < h, V >= h and
+    2U + V >= c (2a+b >= 3/2+eps)."""
+    en, ed = eps.numerator, eps.denominator
+    return (-(-D // 2), 2 * D // 3 + 1, 7 * D // 6,
+            -(-(7 * ed + 6 * en) * D // (6 * ed)), 17 * D // 12,
+            -(-(3 * ed + 2 * en) * D // (2 * ed)))
+
+
+def _piece_masks(eps: Fraction, D: int, U, V):
+    """The masks (t1, t2, t3) of the points (U/D, V/D) in each piece of the
+    block, by the bounds of ``_piece_bounds``; numpy arrays (broadcast) or
+    Python ints.  The pieces are disjoint for 0 < eps < 1."""
+    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
+    S = U + V
+    high = U >= h
+    band = (S >= b1) & (S <= b2)
+    in_t1 = high & (S >= s1) & (S <= s2)
+    in_t2 = high & (V < h) & band
+    in_t3 = (U < h) & (V >= h) & band & (U + S >= c)
+    return in_t1, in_t2, in_t3
+
+
 def scaled_piece(eps: Fraction, D: int, U, V):
     """Piece tags (0..3) of the points (U/D, V/D); exact integer comparisons.
 
     U and V may be numpy integer arrays (broadcast) or Python ints.
     """
-    en, ed = eps.numerator, eps.denominator
-    S = U + V
-    in_t1 = (2 * U >= D) & (3 * S > 2 * D) & (6 * S <= 7 * D)
-    band = (6 * ed * S >= (7 * ed + 6 * en) * D) & (12 * S <= 17 * D)
-    in_t2 = (2 * U >= D) & (2 * V < D) & band
-    in_t3 = (2 * U < D) & (2 * V >= D) & band & (
-        2 * ed * (2 * U + V) >= (3 * ed + 2 * en) * D
-    )
+    in_t1, in_t2, in_t3 = _piece_masks(eps, D, U, V)
     if isinstance(in_t1, np.ndarray):
         tags = np.zeros(np.broadcast(U, V).shape, dtype=np.int8)
         tags[in_t1] = 1
@@ -99,6 +128,13 @@ def scaled_piece(eps: Fraction, D: int, U, V):
         tags[in_t3] = 3
         return tags
     return 1 if in_t1 else 2 if in_t2 else 3 if in_t3 else 0
+
+
+def scaled_in_block(eps: Fraction, D: int, U, V):
+    """Whether the points (U/D, V/D) lie in the block, ``scaled_piece > 0``
+    without the tags; numpy arrays (broadcast) or Python ints."""
+    in_t1, in_t2, in_t3 = _piece_masks(eps, D, U, V)
+    return in_t1 | in_t2 | in_t3
 
 
 def scaled_below(delta: Fraction, D: int, U):
@@ -152,10 +188,9 @@ def weight_factor(eps: Fraction) -> int:
 
 def weight_table(eps: Fraction, D: int) -> np.ndarray:
     """F4[u, v] = weight((u/D, v/D)) * 4 * en^2 * D^2, or -1 outside the block."""
-    tags = membership_table(eps, D)
     u = np.arange(D, dtype=np.int64)
-    f4 = scaled_weight(eps, D, u[:, None], u[None, :])
-    return np.where(tags > 0, f4, np.int64(-1))
+    U, V = u[:, None], u[None, :]
+    return np.where(scaled_in_block(eps, D, U, V), scaled_weight(eps, D, U, V), np.int64(-1))
 
 
 def _g_tables(Q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -630,6 +665,8 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     else:
         bounds = [g.pairs * k // threads for k in range(threads + 1)]
         jobs = [(g.kinds, str(g.eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_worker, jobs))
     result = {}
@@ -639,11 +676,33 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     return result
 
 
+def _piece_rows(eps: Fraction, D: int, U) -> list:
+    """Per piece, (lo, hi): for each numerator U of the array U, the least
+    and the greatest integer V with (U/D, V/D) in the piece, by the bounds
+    of ``_piece_bounds`` (the row holds none when lo > hi).  The rows with
+    U >= h belong to pieces 1 and 2, the others to piece 3."""
+    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
+    high, low = U[U >= h], U[U < h]
+    return [
+        (s1 - high, s2 - high),
+        (b1 - high, np.minimum(b2 - high, h - 1)),
+        (np.maximum(np.maximum(b1 - low, h), c - 2 * low), b2 - low),
+    ]
+
+
 def density_count(eps: Fraction, m: int) -> int:
-    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block.
-    The m^2 cells are charged to budget.GRID first."""
+    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block,
+    counted by rows: for each odd numerator U = 2i+1 over D = 2m, every
+    piece's V-range is one interval (``_piece_rows``), and the odd V in
+    it are counted; the pieces are disjoint, so the counts add up.  Time
+    and memory are O(m).  The m^2 cells are charged to budget.GRID first."""
     _check_scale(eps, 2 * m)
     budget.charge("GRID", f"density grid of {m}x{m} cells", m * m)
-    odd = 2 * np.arange(m, dtype=np.int64) + 1
-    tags = scaled_piece(eps, 2 * m, odd[:, None], odd[None, :])
-    return int((tags > 0).sum())
+    eps, D = BuildingBlock(eps).epsilon, 2 * m
+    rows = _piece_rows(eps, D, 2 * np.arange(m, dtype=np.int64) + 1)
+
+    def odd_upto(v):
+        # the odd V in [0, v] that lie below D
+        return (np.clip(v, -1, D) + 1) // 2
+
+    return sum(int(np.maximum(odd_upto(hi) - odd_upto(lo - 1), 0).sum()) for lo, hi in rows)

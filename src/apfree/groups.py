@@ -45,7 +45,7 @@ import numpy as np
 from . import budget
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_piece,
+from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_in_block,
                        scaled_weight, weight_factor)
 from .rational import point_strs, rat_str
 
@@ -151,7 +151,7 @@ def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
             step = max(1, _PRODUCT_CHUNK // m2)
             r1, r2 = [], []
             for lo in range(0, m1, step):
-                i, k = np.nonzero(scaled_piece(epsilon, D, us[lo:lo + step, None], vs[None, :]))
+                i, k = np.nonzero(scaled_in_block(epsilon, D, us[lo:lo + step, None], vs[None, :]))
                 r1.append(i + lo)
                 r2.append(k)
             r1, r2 = np.concatenate(r1), np.concatenate(r2)

@@ -13,6 +13,10 @@ Two routes:
   over one prime denominator: one stream of rows per direction checks
   separation (``separated``) and keeps, weighs and slices each trial's rows
   pair by pair (``kept_slices``, the group kernel's exact slice step).
+  Each chunk of rows makes its first pair's coordinates t*b mod 1 once
+  (``base_coordinates``): separation reads the first of them, and a trial
+  shifts both with one conditional subtract; later pairs are made only for
+  the rows still kept.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import budget
 from .dsets import DiscreteSet
-from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_piece,
+from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_in_block,
                        scaled_weight, weight_factor)
 from .groups import (BuildOptions, build_group_set, pick_slice, region_epsilon, slice_indices,
                      slice_ratio, trial_rng)
@@ -202,28 +206,47 @@ def row_coordinate(a: int, b: int, denom: int, lo: int, off):
     return (off * b + (a + lo * b) % denom) % denom
 
 
-def separated(b_nums: list[int], denom: int, lo: int, off, four_c: int) -> bool:
+def base_coordinates(b_nums: list[int], denom: int, lo: int, off) -> list:
+    """The first pair's coordinates (lo + off)*b_i mod denom, i = 0, 1, of a
+    chunk: separation reads the first, and every trial shifts both."""
+    return [row_coordinate(0, b, denom, lo, off) for b in b_nums[:2]]
+
+
+def _shifted(base, a: int, denom: int):
+    """(base + a) mod denom for 0 <= base, a < denom: one conditional
+    subtract."""
+    r = base + a
+    r -= denom * (r >= denom)
+    return r
+
+
+def separated(b_nums: list[int], denom: int, lo: int, off, base, four_c: int) -> bool:
     """Whether every t*b, t = lo + off, has a coordinate farther than 1/(4c)
-    from 0 mod 1; each coordinate is made only for the rows still close."""
-    for b in b_nums:
-        r = row_coordinate(0, b, denom, lo, off)
+    from 0 mod 1; the first is base[0] (``base_coordinates``), and each
+    later one is made only for the rows still close."""
+    for i, b in enumerate(b_nums):
+        r = row_coordinate(0, b, denom, lo, off) if i else base[0]
         off = off[four_c * np.minimum(r, denom - r) <= denom]
     return not len(off)
 
 
-def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off,
+def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off, base,
                 epsilon: Fraction | None, delta: Fraction, num: int, den: int):
     """(t, J): the rows t = lo + off whose point a + t*b mod 1 lies in the
     region (the box [0,delta)^2 when epsilon is None), each pair tested only
     on the rows the pairs before it kept, and their slice indices
     (num * s) // den, s the sum of their pairs' scaled_weight (0 in the box)
-    on exact_dtype(n/2 * weight_factor * denom^2), as ``slice_indices``."""
+    on exact_dtype(n/2 * weight_factor * denom^2), as ``slice_indices``.
+    The first pair is the chunk's ``base_coordinates`` shifted by a."""
     pairs = range(0, len(b_nums), 2)
     s_max = 0 if epsilon is None else len(pairs) * weight_factor(epsilon) * denom * denom
     for h in pairs:
-        U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off) for i in (h, h + 1))
+        if h:
+            U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off) for i in (h, h + 1))
+        else:
+            U, V = (_shifted(base[i], a_nums[i], denom) for i in (0, 1))
         off = off[scaled_box(delta, denom, U, V) if epsilon is None
-                  else scaled_piece(epsilon, denom, U, V) > 0]
+                  else scaled_in_block(epsilon, denom, U, V)]
     s = np.zeros(len(off), dtype=exact_dtype(s_max))
     if epsilon is not None:
         for h in pairs:
@@ -239,10 +262,11 @@ def _stream(b_nums, shifts, denom: int, N: int, four_c: int, region):
     kept = [[] for _ in shifts]
     for lo in range(1, N + 1, _SCAN_CHUNK):
         off = np.arange(min(_SCAN_CHUNK, N + 1 - lo), dtype=np.int64)
-        if not separated(b_nums, denom, lo, off, four_c):
+        base = base_coordinates(b_nums, denom, lo, off)
+        if not separated(b_nums, denom, lo, off, base, four_c):
             return None
         for a_nums, part in zip(shifts, kept):
-            part.append(kept_slices(a_nums, b_nums, denom, lo, off, *region))
+            part.append(kept_slices(a_nums, b_nums, denom, lo, off, base, *region))
     return [[np.concatenate(x) for x in zip(*part)] for part in kept]
 
 

@@ -65,9 +65,9 @@ def spy_work(monkeypatch):
         "PRODUCT", len(result[2]) * (budget.OBJECT_COST if result[2].dtype == object else 1)))
     # the direct route streams rows: once through separation, once per trial
     wrap(monkeypatch, integers, "separated",
-         lambda result, b, denom, lo, off, four_c: add("PRODUCT", len(off)))
+         lambda result, b, denom, lo, off, base, four_c: add("PRODUCT", len(off)))
     wrap(monkeypatch, integers, "kept_slices",
-         lambda result, a, b, denom, lo, off, *region: add("PRODUCT", len(off)))
+         lambda result, a, b, denom, lo, off, base, *region: add("PRODUCT", len(off)))
 
     # certificates: the pairs walked and the keys looked up
     pair_chunks = verify.pair_chunks
@@ -83,9 +83,9 @@ def spy_work(monkeypatch):
     wrap(monkeypatch, gridscan, "_walk", lambda result, *args: add(
         "SWEEP", sum(counts["pairs"] for counts, _ in result.values())))
 
-    # dense grids, charged per array: the longest of the density grid's cell
-    # tags, and of the baselines' squared radii and their counts, made inside
-    # the charged functions only
+    # dense grids, charged per array: the longest of the density grid's row
+    # bounds, and of the baselines' squared radii and their counts, made
+    # inside the charged functions only
     inside = []
 
     def dense(entries):
@@ -105,8 +105,9 @@ def spy_work(monkeypatch):
 
     within(verify, "density_count")
     within(baselines, "_best_shell")
-    wrap(monkeypatch, gridscan, "scaled_piece",
-         lambda result, *args: dense(np.size(result)) if "density_count" in inside else None)
+    wrap(monkeypatch, gridscan, "_piece_rows", lambda result, *args: dense(
+        max(np.size(bound) for row in result for bound in row))
+        if "density_count" in inside else None)
     bincount = np.bincount
 
     def counted(radii, *args, **kwargs):

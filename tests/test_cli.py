@@ -699,3 +699,15 @@ class TestVerifyCommand:
     def test_exit_code_two_on_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "nope.set"))
         assert code == 2
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a sweep that starts a pool imports it: concurrent.futures pulls
+    in multiprocessing, socket and subprocess, which every command would
+    otherwise pay for at start-up."""
+    src = str(Path(apfree.__file__).resolve().parents[1])
+    probe = ("import sys, apfree.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert res.stdout == "[]\n"

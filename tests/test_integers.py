@@ -14,6 +14,7 @@ from apfree.gridscan import scaled_box, scaled_piece, scaled_weight, weight_fact
 from apfree.groups import BuildOptions, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,
+    base_coordinates,
     build_integer_set,
     build_integer_set_direct,
     choose_dimension,
@@ -296,8 +297,9 @@ class TestDirectRoute:
 
     def test_separation_check_rejects_zero_direction(self):
         # b = (0, 1): t*b is within 1/8 of 0 in both coordinates for t <= 12
-        assert not separated([0, 1], 101, 1, np.arange(50), 8)
-        assert separated([0, 1], 101, 13, np.arange(50), 8)
+        off = np.arange(50)
+        for lo, ok in ((1, False), (13, True)):
+            assert separated([0, 1], 101, lo, off, base_coordinates([0, 1], 101, lo, off), 8) == ok
 
     def test_huge_n_refused(self, monkeypatch):
         # 300 has bit length 9: n = 8 builds, n = 10 and more are refused
@@ -396,8 +398,9 @@ class TestRowSlices:
 
     @staticmethod
     def kernel(a_nums, b_nums, denom, lo, size, epsilon, delta, num, den):
-        t, J = kept_slices(a_nums, b_nums, denom, lo, np.arange(size, dtype=np.int64),
-                           epsilon, delta, num, den)
+        off = np.arange(size, dtype=np.int64)
+        t, J = kept_slices(a_nums, b_nums, denom, lo, off,
+                           base_coordinates(b_nums, denom, lo, off), epsilon, delta, num, den)
         return list(zip(t.tolist(), J.tolist())), J
 
     @given(st.sampled_from([2, 4, 6]), st.sampled_from([None, F(1, 12), "1/n"]),

@@ -19,6 +19,8 @@ from apfree.gridscan import (
     density_count,
     membership_table,
     run_sweeps,
+    scaled_in_block,
+    scaled_piece,
     weight_table,
 )
 from apfree.verify import (
@@ -539,6 +541,18 @@ class TestSweepKernels:
         for i in range(q):
             for j in range(q):
                 assert int(tab[i, j]) == block.piece_of((F(i, q), F(j, q)))
+
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 6), F(1, 12), F(1, 24), F(5, 7), F(2, 3)])
+    def test_in_block_is_a_nonzero_tag(self, eps):
+        """Every numerator pair of small denominators, so every boundary
+        line of every piece is hit on both sides."""
+        for D in range(1, 97):
+            u = np.arange(D, dtype=np.int64)
+            inside = scaled_in_block(eps, D, u[:, None], u[None, :])
+            assert inside.dtype == bool
+            assert np.array_equal(inside, scaled_piece(eps, D, u[:, None], u[None, :]) > 0)
+        for U, V in product(range(25), repeat=2):
+            assert scaled_in_block(eps, 24, U, V) == (scaled_piece(eps, 24, U, V) > 0)
 
     def test_weight_table_matches_api(self):
         eps, q = F(1, 24), 48
@@ -1135,6 +1149,29 @@ class TestDensity:
             if block.piece_of((F(2 * i + 1, 2 * m), F(2 * j + 1, 2 * m)))
         )
         assert density_count(eps, m) == brute
+
+    @given(st.integers(1, 60), st.integers(2, 61), st.integers(24, 260))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_count_the_cell_grid(self, a, b, m):
+        """The per-row interval count against the broadcast piece tags of
+        every cell midpoint, odd m and every valid eps included."""
+        eps = F(min(a, b - 1), b)
+        odd = 2 * np.arange(m, dtype=np.int64) + 1
+        tags = scaled_piece(eps, 2 * m, odd[:, None], odd[None, :])
+        assert density_count(eps, m) == int(np.count_nonzero(tags))
+
+    def test_memory_is_linear_in_m(self):
+        """The cell grid of m = 1024 would hold 2^20 cells; the rows hold
+        about 8 KiB each."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            density_count(F(1, 12), 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_grid_charged_to_budget(self, monkeypatch):
         from apfree import budget
