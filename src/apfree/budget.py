@@ -9,14 +9,17 @@ class BudgetError(RuntimeError):
     """A search, enumeration or scan would exceed its work budget."""
 
 
-# the points one build may test and walk in all: each walk tests every
-# pair's grid (m1 + m2 coordinates for the box, m1 * m2 points for the
-# block) and walks the slot product, and a search makes trials + 1 walks;
-# the direct route streams its N rows once for separation and once per
-# trial.  An object-path point counts OBJECT_COST times: a walk takes about
-# 0.3 us an int64 tuple and 2.3 us an object one (2-vCPU host), so an
-# admitted build spends at most about 5 s here, and no CLI walk exceeds
-# 2^23 tuples.
+# the points one build may test and walk in all: every pair's grid (m1 +
+# m2 coordinates for the box, m1 * m2 points for the block) and the slot
+# product, for each walk, and a search makes trials + 1 walks.  A search
+# tests each trial's grids once, batched with the other trials', and its
+# winner's walk reuses them, but the charge still counts the grids of
+# every trial for trials + 1 walks, so no admitted input changed with the
+# batch.  The direct route streams its N rows once for separation and
+# once per trial.  An object-path point counts OBJECT_COST times: a walk
+# takes about 0.3 us an int64 tuple and 2.3 us an object one (2-vCPU
+# host), so an admitted build spends at most about 5 s here, and no CLI
+# walk exceeds 2^23 tuples.
 PRODUCT = 1 << 24
 OBJECT_COST = 8
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most

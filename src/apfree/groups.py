@@ -10,26 +10,37 @@ indices are exact integer arithmetic (:mod:`apfree.gridscan`).  The best
 shift and slice are selected by counting, and ties break to the smallest
 slice index, then the lexicographically smallest shift.
 
-One walk of one numpy kernel gives a shift its histogram, its fullest
-slice and that slice's pre-image: each pair's grid is tested and weighed
-as arrays (its slots), and the product of the slots is walked in chunks
-of at most _PRODUCT_CHUNK tuples, unravelled in the order of
-``itertools.product``; a chunk gathers and sums its pair weights and
-takes every slice index as one floor division into J, the slice index of
-every tuple.  ``np.unique`` counts the slices, ``J == j`` picks the
+Each pair's grid is tested and weighed as arrays, giving the shift's
+slots.  ``_pair_slots`` does this for a batch of shifts at once: the
+grids of one coordinate pair for every shift are stacked, each on its own
+D passed as a broadcast array, and tested in steps of at most
+_PRODUCT_CHUNK points.  A search makes one batch of all its trials, or
+several when their grids hold more points than that, so each trial's grids
+are tested once; an explicit shift is a batch of one.
+One walk of one numpy kernel then gives a shift its histogram, its
+fullest slice and that slice's pre-image: the product of the slots is
+walked in chunks of at most _PRODUCT_CHUNK tuples, unravelled in the
+order of ``itertools.product``; a chunk gathers and sums its pair weights
+and takes every slice index as one floor division into J, the slice index
+of every tuple.  ``np.unique`` counts the slices, ``J == j`` picks the
 pre-image's flat tuple indices, and unravelling them gives its residue
-tuples.  A search walks once per trial and once more for the winner; an
-explicit shift walks once.
+tuples.  A search walks once per trial and once more, on the winning
+trial's slots, for the winner; an explicit shift walks once.
 
 A value runs in int64 only when a stated bound proves it stays at most
 2^62: region_factor * D or weight_factor * D^2 for a pair's grid, the
 summed weight maxima for the sums, num times that (num alone when all are
 0) and den for the slice division.  Otherwise the same code runs on
-object arrays of Python ints; no float is used.  Before a walk, its pair
-grids and product, times the walks the build makes, are charged to
-budget.PRODUCT (object-path points count budget.OBJECT_COST times); a
-search first charges the points of all its pair grids, known before any
-shift is drawn.
+object arrays of Python ints; no float is used.  A stack in which any
+shift needs object arrays runs on them, and each shift's weights are then
+cast to the dtype its own bound picks, so no dtype depends on the batch.
+Each shift's pair grids and each walk's product, times the walks the
+build makes, are charged to budget.PRODUCT before they are tested or
+walked (object-path points count budget.OBJECT_COST times).  A search
+first charges the points of all its pair grids, known before any shift is
+drawn, and still charges every trial's grids and product for trials + 1
+walks, so the batch admits and refuses exactly the builds that walking
+one trial at a time did, with the same message.
 """
 
 from __future__ import annotations
@@ -42,11 +53,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budget
+from . import budget, gridscan
 from .blocks import BuildingBlock
 from .dsets import DiscreteSet
-from .gridscan import (exact_dtype, region_factor, scaled_below, scaled_in_block,
-                       scaled_weight, weight_factor)
+from .gridscan import region_factor, scaled_below, scaled_in_block, scaled_weight, weight_factor
 from .rational import point_strs, rat_str
 
 SHIFT_GRID_LEVEL = 16
@@ -116,62 +126,119 @@ def slice_ratio(epsilon: Fraction | None, delta: Fraction, L: int) -> tuple[int,
 _PRODUCT_CHUNK = 1 << 16
 
 
-def _pair_slots(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
-    """Per coordinate pair: the residue pairs in the region as index arrays
-    (r1, r2), row-major, and their weights w.  The box (epsilon None) is a
-    product of intervals, so each coordinate is tested alone and every kept
-    pair weighs 0.  Pair h lies on the grid D_h = lcm(m1, m2, den(a1),
-    den(a2)), where its arithmetic is int64 when region_factor * D_h (box)
-    or weight_factor * D_h^2 (block) is at most 2^62; weights are put on the
-    common scale L = lcm(D_h^2), int64 when their summed maxima are.  Before
-    its test each grid is charged to the work budget, together with the
-    grids before it, for ``walks`` walks.  Returns ([(r1, r2, w), ...], L)."""
-    pairs, points = [], 0
+def _walk_inputs(moduli, epsilon: Fraction | None, delta):
+    """(moduli, epsilon, delta) of a walk, validated: an even number of
+    moduli, each >= 2, a block epsilon or None, and 0 < delta < 1."""
+    moduli = check_moduli(moduli)
+    if len(moduli) % 2 != 0:
+        raise ValueError("slice construction needs an even number of moduli")
+    delta = _check_delta(delta)
+    if epsilon is not None:
+        epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
+    return moduli, epsilon, delta
+
+
+def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int):
+    """[(D, dtype, b1, b2)] per coordinate pair of one shift: the pair's
+    grid D = lcm(m1, m2, den(a1), den(a2)), the dtype its arithmetic needs
+    (int64 when region_factor * D, box, or weight_factor * D^2, block, is
+    at most 2^62) and the shift's numerators over D.  Each grid is charged
+    to the work budget, together with the grids before it, for ``walks``
+    walks."""
+    grids, points = [], 0
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
         a1, a2 = Fraction(shift[2 * h]), Fraction(shift[2 * h + 1])
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
-        dtype = exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
-                            else weight_factor(epsilon) * D * D)
+        dtype = gridscan.exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
+                                     else weight_factor(epsilon) * D * D)
         # the points of the grids so far
         grid = m1 + m2 if epsilon is None else m1 * m2
         points += grid * (budget.OBJECT_COST if dtype is object else 1)
         budget.charge("PRODUCT", f"pair grid {m1}x{m2}" + (f" with the {h} before it" if h else "")
                       + f", walked {walks} times,", walks * points)
-        b1 = a1.numerator * (D // a1.denominator) % D
-        b2 = a2.numerator * (D // a2.denominator) % D
+        grids.append((D, dtype, a1.numerator * (D // a1.denominator) % D,
+                      a2.numerator * (D // a2.denominator) % D))
+    return grids
+
+
+def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
+    """Per shift, ([(r1, r2, w), ...], L): per coordinate pair the residue
+    pairs in the region as index arrays (r1, r2), row-major, and their
+    weights w on the common scale L = lcm(D_h^2), int64 when the summed
+    weight maxima are at most 2^62.  The box (epsilon None) is a product
+    of intervals, so each coordinate is tested alone and every kept pair
+    weighs 0.  Each pair's grids are stacked over the shifts, each on its
+    own D, and tested and weighed in steps of at most _PRODUCT_CHUNK
+    points, on object arrays when any shift needs them; each shift's
+    weights are then cast to the dtype its own bound picks.  The shifts'
+    grids are charged first, in order, and the first shift refused ends the
+    batch.  Returns (slots, refusal): the slots of the shifts before it and
+    its BudgetError (None if none), for the caller to raise once it has
+    walked them, where walking one shift at a time would have stopped."""
+    grids, refusal = [], None
+    for shift in shifts:
+        try:
+            grids.append(_charge_grids(moduli, shift, epsilon, delta, walks))
+        except budget.BudgetError as error:
+            refusal = error
+            break
+    if not grids:
+        return [], refusal
+    T = len(grids)
+    pairs = [[] for _ in range(T)]
+    for h, (m1, m2) in enumerate(zip(moduli[::2], moduli[1::2])):
+        D, dtypes, b1, b2 = zip(*(g[h] for g in grids))
+        dtype = object if object in dtypes else np.int64
+        D, b1, b2 = (np.array(x, dtype=dtype)[:, None] for x in (D, b1, b2))
         us = (b1 + np.arange(m1, dtype=dtype) * (D // m1)) % D
         vs = (b2 + np.arange(m2, dtype=dtype) * (D // m2)) % D
         if epsilon is None:
-            k1 = np.flatnonzero(scaled_below(delta, D, us))
-            k2 = np.flatnonzero(scaled_below(delta, D, vs))
-            r1, r2 = np.repeat(k1, len(k2)), np.tile(k2, len(k1))
-            w = np.zeros(len(r1), dtype=np.int64)
-        else:
-            step = max(1, _PRODUCT_CHUNK // m2)
-            r1, r2 = [], []
-            for lo in range(0, m1, step):
-                i, k = np.nonzero(scaled_in_block(epsilon, D, us[lo:lo + step, None], vs[None, :]))
-                r1.append(i + lo)
-                r2.append(k)
-            r1, r2 = np.concatenate(r1), np.concatenate(r2)
-            w = scaled_weight(epsilon, D, us[r1], vs[r2])
-        pairs.append((D, r1, r2, w))
-    L = math.lcm(*(D * D for D, *_ in pairs))
-    if epsilon is None:  # box points weigh 0 on every scale
-        return [(r1, r2, w) for _, r1, r2, w in pairs], L
-    scale = [L // (D * D) for D, *_ in pairs]
-    # bounds every scaled weight, their sums, and each factor c (in-block
-    # weights are positive, so max(w) * c >= c)
-    dtype = exact_dtype(sum(int(w.max()) * c if len(w) else c
-                            for (*_, w), c in zip(pairs, scale)))
-    return [(r1, r2, w.astype(dtype) * c) for (_, r1, r2, w), c in zip(pairs, scale)], L
+            in1, in2 = scaled_below(delta, D, us), scaled_below(delta, D, vs)
+            for t in range(T):
+                k1, k2 = np.flatnonzero(in1[t]), np.flatnonzero(in2[t])
+                pairs[t].append((np.repeat(k1, len(k2)), np.tile(k2, len(k1)),
+                                 np.zeros(len(k1) * len(k2), dtype=np.int64)))
+            continue
+        # the grids of all shifts as one (T, m1, m2) stack, each on its
+        # shift's D, in steps of whole grids or, when one grid alone is
+        # larger than a step, of its rows
+        per, step = _PRODUCT_CHUNK // (m1 * m2), max(1, _PRODUCT_CHUNK // m2)
+        steps = ([(t, min(t + per, T), 0, m1) for t in range(0, T, per)] if per else
+                 [(t, t + 1, r, min(r + step, m1)) for t in range(T) for r in range(0, m1, step)])
+        trial, r1, r2, w = [], [], [], []
+        for t0, t1, lo, hi in steps:
+            t, i, k = np.nonzero(scaled_in_block(epsilon, D[t0:t1, :, None],
+                                                 us[t0:t1, lo:hi, None], vs[t0:t1, None, :]))
+            t, i = t + t0, i + lo
+            trial.append(t)
+            r1.append(i)
+            r2.append(k)
+            w.append(scaled_weight(epsilon, D[t, 0], us[t, i], vs[t, k]))
+        trial, r1, r2, w = (np.concatenate(x) for x in (trial, r1, r2, w))
+        cut = [0, *np.cumsum(np.bincount(trial, minlength=T)).tolist()]
+        for t in range(T):
+            part = slice(cut[t], cut[t + 1])
+            pairs[t].append((r1[part], r2[part], w[part]))
+    slots = []
+    for grid, pair in zip(grids, pairs):
+        L = math.lcm(*(D * D for D, *_ in grid))
+        if epsilon is None:  # box points weigh 0 on every scale
+            slots.append((pair, L))
+            continue
+        scale = [L // (D * D) for D, *_ in grid]
+        # bounds every scaled weight, their sums, and each factor c (in-block
+        # weights are positive, so max(w) * c >= c)
+        dtype = gridscan.exact_dtype(sum(int(w.max()) * c if len(w) else c
+                                         for (*_, w), c in zip(pair, scale)))
+        slots.append(([(r1, r2, w.astype(dtype) * c) for (r1, r2, w), c in zip(pair, scale)], L))
+    return slots, refusal
 
 
 def _slice_dtype(s_max: int, num: int, den: int):
     """The dtype of the slice division (num * s) // den for 0 <= s <= s_max:
     int64 when num * max(s_max, 1) and den are at most 2^62."""
-    return exact_dtype(max(num * max(s_max, 1), den))
+    return gridscan.exact_dtype(max(num * max(s_max, 1), den))
 
 
 def slice_indices(s, s_max: int, num: int, den: int):
@@ -180,20 +247,23 @@ def slice_indices(s, s_max: int, num: int, den: int):
     return (num * s.astype(_slice_dtype(s_max, num, den), copy=False)) // den
 
 
-def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
+def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
+                slots=None):
     """(slots, shape, J): the pair slots, the shape of their product, and
     the slice index of every tuple of the product in the order of
     itertools.product, summed _PRODUCT_CHUNK tuples at a time; every tuple
     of the slots is in the region, so position k of J is flat tuple index
-    k.  The grids and the product are charged to the work budget for
-    ``walks`` walks first."""
-    moduli = check_moduli(moduli)
-    if len(moduli) % 2 != 0:
-        raise ValueError("slice construction needs an even number of moduli")
-    delta = _check_delta(delta)
-    if epsilon is not None:
-        epsilon = BuildingBlock(epsilon).epsilon  # validates epsilon
-    slots, L = _pair_slots(moduli, shift, epsilon, delta, walks)
+    k.  ``slots``: the shift's (slots, L) from a batch of ``_pair_slots``
+    over validated inputs, made here when None.  The grids (when made here)
+    and the product are charged to the work budget for ``walks`` walks
+    first."""
+    if slots is None:
+        moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
+        batch, refusal = _pair_slots(moduli, [shift], epsilon, delta, walks)
+        if refusal is not None:
+            raise refusal
+        slots = batch[0]
+    slots, L = slots
     num, den = slice_ratio(epsilon, delta, L)
     shape = tuple(len(w) for *_, w in slots)
     total = math.prod(shape)
@@ -224,14 +294,15 @@ def pick_slice(J, j: int | None = None):
 
 
 def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
-               j: int | None = None):
+               j: int | None = None, slots=None):
     """(j, count, histogram, elements) of one walk over the tuples in the
     region (the box when epsilon is None): j, count and the histogram as in
     ``pick_slice``, and elements the residue tuples in slice j, in product
     order.  A pre-image is progression-free whenever delta <= 1/max(m).
     ``walks``: how many walks like this one the caller's build makes, for
-    the work budget."""
-    slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks)
+    the work budget; ``slots``: the shift's slots from a batch of
+    ``_pair_slots``, as ``_slice_scan`` takes them."""
+    slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks, slots)
     j, count, histogram, hit = pick_slice(J, j)
     idx = np.unravel_index(hit, shape)
     columns = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
@@ -276,8 +347,10 @@ def _delta_for(moduli, options: BuildOptions) -> Fraction:
 def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int):
     """Sample shifts from the rational grid and keep the one whose best
     slice is largest (ties: lexicographically smallest shift); one more
-    walk gives its pre-image and histogram.  Returns (shift, j,
-    DiscreteSet)."""
+    walk of its slots gives its pre-image and histogram.  The trials' pair
+    grids are tested in batches of ``_pair_slots``, one for all the trials
+    unless their grids hold more than _PRODUCT_CHUNK points.  Returns
+    (shift, j, DiscreteSet)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     moduli = check_moduli(moduli)
@@ -287,17 +360,26 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     points = sum(m1 + m2 if epsilon is None else m1 * m2 for m1, m2 in pairs)
     budget.charge("PRODUCT", f"{len(pairs)} pair grids of {points} points, walked "
                   f"{trials + 1} times,", (trials + 1) * points)
+    moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
+    # a batch holds at most _PRODUCT_CHUNK grid points, so memory does not
+    # grow with the trial count
+    per = max(1, _PRODUCT_CHUNK // points)
     best = None
-    for trial in range(trials):
-        shift = sample_shift(trial_rng(seed, "shift", trial), moduli)
+    for first in range(0, trials, per):
+        shifts = [sample_shift(trial_rng(seed, "shift", trial), moduli)
+                  for trial in range(first, min(first + per, trials))]
         # each trial is charged for all the search's walks, the winner's included
-        j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1)
-        key = (-count, shift, j)
-        if best is None or key < best[0]:
-            best = (key, shift, j)
-    _, shift, j = best
+        batch, refusal = _pair_slots(moduli, shifts, epsilon, delta, trials + 1)
+        for shift, slots in zip(shifts, batch):
+            j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1, slots=slots)
+            key = (-count, shift, j)
+            if best is None or key < best[0]:
+                best = (key, shift, j, slots)
+        if refusal is not None:
+            raise refusal
+    _, shift, j, slots = best
     return shift, j, _slice_set(moduli, shift, epsilon, delta,
-                                best_slice(moduli, shift, epsilon, delta, j=j))
+                                best_slice(moduli, shift, epsilon, delta, j=j, slots=slots))
 
 
 def fiber_reduce(dset: DiscreteSet) -> DiscreteSet:

@@ -29,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budget
+from . import budget, gridscan
 from .dsets import DiscreteSet
-from .gridscan import (INT64_SAFE, exact_dtype, region_factor, scaled_box, scaled_in_block,
-                       scaled_weight, weight_factor)
+from .gridscan import (INT64_SAFE, region_factor, scaled_box, scaled_in_block, scaled_weight,
+                       weight_factor)
 from .groups import (BuildOptions, build_group_set, pick_slice, region_epsilon, slice_indices,
                      slice_ratio, trial_rng)
 from .rational import rat_str
@@ -247,7 +247,7 @@ def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off, 
             U, V = (_shifted(base[i], a_nums[i], denom) for i in (0, 1))
         off = off[scaled_box(delta, denom, U, V) if epsilon is None
                   else scaled_in_block(epsilon, denom, U, V)]
-    s = np.zeros(len(off), dtype=exact_dtype(s_max))
+    s = np.zeros(len(off), dtype=gridscan.exact_dtype(s_max))
     if epsilon is not None:
         for h in pairs:
             U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off).astype(s.dtype)

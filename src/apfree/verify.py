@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import budget
+from . import budget, gridscan
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, exact_dtype, pair_chunks, run_sweeps
+from .gridscan import density_count, pair_chunks, run_sweeps
 from .rational import decimal_str, rat_str
 
 
@@ -108,7 +108,7 @@ def _group_rows(moduli: tuple[int, ...], elements) -> np.ndarray:
     the array; ragged, huge or object-path input takes the tuple loop, which
     reports the same first element."""
     elements = list(elements)
-    dtype = exact_dtype(math.prod(moduli))
+    dtype = gridscan.exact_dtype(math.prod(moduli))
     X = None
     if dtype is np.int64:
         try:
@@ -173,7 +173,7 @@ def _integer_hits(bound: int, elems: list[int]):
     """Index triples (x, y, z) into elems of every progression x < y < z,
     one chunk at a time in scan order: each pair {x, z} of equal parity
     looks its midpoint up in the sorted elements."""
-    dtype = exact_dtype(2 * bound)
+    dtype = gridscan.exact_dtype(2 * bound)
     v = np.array(elems, dtype=dtype)
     for a, b in pair_chunks(len(elems), _CHUNK):
         s = v.take(a) + v.take(b)

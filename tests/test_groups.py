@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apfree import budget, groups
+from apfree import budget, gridscan, groups
 from apfree.budget import BudgetError
 from apfree.gridscan import scaled_below, scaled_piece, scaled_weight
 from apfree.groups import (
@@ -22,11 +22,14 @@ from apfree.groups import (
     build_group_set,
     fiber_reduce,
     pick_slice,
+    region_epsilon,
     sample_shift,
     search_shift,
     slice_ratio,
 )
 from apfree.dsets import DiscreteSet
+from apfree.integers import build_integer_set
+from apfree.rational import point_strs
 from oracle import (
     Block,
     embed_point,
@@ -41,6 +44,13 @@ def hist_dict(histogram):
     """best_slice's (values, counts) histogram as {j: count}."""
     values, counts = histogram
     return dict(zip(values.tolist(), counts.tolist()))
+
+
+def pair_slots(moduli, shift, epsilon, delta):
+    """The (slots, L) of one shift, from a batch of one."""
+    batch, refusal = groups._pair_slots(moduli, [shift], epsilon, delta)
+    assert refusal is None
+    return batch[0]
 
 
 def preimage(moduli, shift, j, epsilon, delta):
@@ -240,13 +250,37 @@ class TestSearchShift:
         jj, count, _, elements = best_slice(moduli, shift, F(1, 12), F(1, 10))
         assert (j, dset.size, list(dset.elements)) == (jj, count, elements)
 
+    # (moduli, epsilon, delta, trials, seed): block, box, n = 4, and odd n,
+    # searched with the last modulus repeated, on the block and the box
+    ARGMAX_CASES = [
+        ((12, 12), F(1, 12), F(1, 12), 8, 3),
+        ((12, 12), None, F(1, 12), 8, 3),
+        ((6, 6, 6, 6), None, F(1, 6), 5, 1),
+        ((7, 9, 11), F(1, 12), F(1, 11), 6, 2),
+        ((5,), None, F(1, 5), 4, 0),
+    ]
+
     def test_argmax_property(self):
-        moduli = (12, 12)
-        shift, j, dset = search_shift(moduli, F(1, 12), F(1, 12), trials=8, seed=3)
-        for trial in range(8):
-            s = sample_shift(trial_rng(3, "shift", trial), moduli)
-            _, count, _, _ = best_slice(moduli, s, F(1, 12), F(1, 12))
-            assert dset.size >= count
+        """The search keeps the minimum of (-count, shift, j) over the
+        trials' own walks, with that walk's pre-image, and the build
+        records it."""
+        for moduli, epsilon, delta, trials, seed in self.ARGMAX_CASES:
+            searched = moduli + (max(moduli),) if len(moduli) % 2 else moduli
+            region = region_epsilon(epsilon, len(searched))
+            walks = []
+            for trial in range(trials):
+                s = sample_shift(trial_rng(seed, "shift", trial), searched)
+                j, count, _, elements = best_slice(searched, s, region, delta)
+                walks.append((-count, s, j, elements))
+            best = min(walks, key=lambda walk: walk[:3])
+            shift, j, dset = search_shift(searched, region, delta, trials, seed)
+            assert (-dset.size, shift, j, list(dset.elements)) == best
+            built = build_group_set(moduli, BuildOptions(epsilon=epsilon, delta=delta,
+                                                         trials=trials, seed=seed))
+            assert (built.provenance["shift"], built.provenance["slice_index"]) == (
+                point_strs(shift), j)
+            if searched != moduli:
+                assert built.elements == fiber_reduce(dset).elements
 
     def test_trial_rng_split_is_stable_and_independent(self):
         a = trial_rng(7, "shift", 0).randrange(10**9)
@@ -557,7 +591,7 @@ class TestSlotProductKernel:
         shift = (F(1, 10**18 + 9), F(-5 * 10**17, 10**18 + 7), F(1, 3), F(5, 16 * 8))
         if epsilon is None:
             moduli, shift = moduli[:2], shift[:2]
-        slots, L = groups._pair_slots(moduli, shift, epsilon, delta)
+        slots, L = pair_slots(moduli, shift, epsilon, delta)
         assert L > 1 << 62
         if epsilon is not None:
             assert slots[0][2].dtype == object
@@ -569,7 +603,7 @@ class TestSlotProductKernel:
         """A tiny delta puts num past 2^62 while every box weight is 0: the
         division runs on Python ints instead of overflowing int64."""
         moduli, shift, delta = (4, 4), (0, 0), F(1, 10**13)
-        slots, L = groups._pair_slots(moduli, shift, None, delta)
+        slots, L = pair_slots(moduli, shift, None, delta)
         num, den = slice_ratio(None, delta, L)
         assert num > 1 << 62 and groups._slice_dtype(0, num, den) is object
         j, count, histogram, elements = best_slice(moduli, shift, None, delta)
@@ -580,11 +614,101 @@ class TestSlotProductKernel:
     def test_int64_path_on_grid_shifts(self):
         moduli, epsilon, delta = (16, 16, 16, 16), F(1, 12), F(1, 16)
         shift = sample_shift(trial_rng(1, "shift", 0), moduli)
-        slots, _ = groups._pair_slots(moduli, shift, epsilon, delta)
+        slots, _ = pair_slots(moduli, shift, epsilon, delta)
         assert all(w.dtype == np.int64 for *_, w in slots)
         assert groups._slice_scan(moduli, shift, epsilon, delta)[2].dtype == np.int64
         assert_kernel_matches_reference(moduli, shift, epsilon, delta)
 
+
+
+# -- one batch of pair slots for all the shifts of a search ----------------
+
+# shift denominators that give the shifts of one batch different grids D
+DENOMINATORS = [1, 3, 7, 16, 48, 143]
+# a first pair with these denominators puts its grid past 2^62: object arrays
+HUGE = (F(1, 10**18 + 9), F(-5 * 10**17, 10**18 + 7))
+
+
+@st.composite
+def batch_instances(draw):
+    n = draw(st.sampled_from([2, 4, 6]))
+    top = {2: 14, 4: 8, 6: 4}[n]
+    moduli = tuple(draw(st.integers(2, top)) for _ in range(n))
+    shifts = [tuple(F(draw(st.integers(-40, 40)), draw(st.sampled_from(DENOMINATORS + [16 * m])))
+                    for m in moduli)
+              for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):  # one shift on the object path among int64 ones
+        shifts.insert(draw(st.integers(0, len(shifts))), HUGE + shifts[0][2:])
+    epsilon = draw(st.sampled_from([None, F(1, n), F(1, 12)] if n == 2 else [F(1, n), F(1, 12)]))
+    delta = F(1, max(moduli)) * F(draw(st.integers(1, 5)), draw(st.integers(5, 9)))
+    chunk = draw(st.sampled_from([None, 1, 5, 17, 64, 300]))
+    return moduli, shifts, epsilon, delta, chunk
+
+
+def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None):
+    """Each shift's slots from one batch equal its slots from a batch of
+    one and the reference's: r1, r2, w, L and the dtype of w."""
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
+        batch, refusal = groups._pair_slots(moduli, shifts, epsilon, delta)
+    assert refusal is None and len(batch) == len(shifts)
+    for shift, (slots, L) in zip(shifts, batch):
+        alone, alone_L = pair_slots(moduli, shift, epsilon, delta)
+        assert L == alone_L
+        for (r1, r2, w), (a1, a2, aw) in zip(slots, alone, strict=True):
+            assert w.dtype == aw.dtype
+            assert (r1.tolist(), r2.tolist(), w.tolist()) == (a1.tolist(), a2.tolist(), aw.tolist())
+        reference, reference_L = reference_slots(moduli, shift, epsilon, delta)
+        assert L == reference_L
+        assert [list(zip(zip(r1.tolist(), r2.tolist()), w.tolist())) for r1, r2, w in slots] == reference
+
+
+class TestBatchedSlots:
+    @given(batch_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_each_shift_as_if_alone(self, instance):
+        assert_batch_is_each_shift_alone(*instance)
+
+    @pytest.mark.parametrize("epsilon", [None, F(1, 12)])
+    def test_object_shift_among_int64_shifts(self, epsilon):
+        """The first pair's stack runs on object arrays for all three shifts,
+        and each shift's weights keep the dtype it needs alone; 25 points a
+        step split each 12x10 grid every two rows."""
+        moduli, delta = (12, 10, 6, 8), F(1, 12)
+        shifts = [(F(1, 24),) * 4, HUGE + (F(1, 3), F(5, 128)), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7))]
+        if epsilon is None:
+            moduli, shifts = moduli[:2], [shift[:2] for shift in shifts]
+        grids = [math.lcm(12, 10, *(a.denominator for a in shift[:2])) for shift in shifts]
+        assert grids[0] != grids[2] and grids[1] > 1 << 63
+        batch, _ = groups._pair_slots(moduli, shifts, epsilon, delta)
+        dtypes = [w.dtype for slots, _ in batch for *_, w in slots]
+        assert dtypes == ([np.int64] * 3 if epsilon is None else
+                          [np.int64, np.int64, object, object, np.int64, np.int64])
+        assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=25)
+
+    @pytest.mark.parametrize("chunk, sizes", [(None, [5]), (144, [2, 2, 1]), (1, [1] * 5)])
+    def test_search_tests_its_grids_once(self, monkeypatch, chunk, sizes):
+        """A search tests its trials' grids in batches of at most
+        _PRODUCT_CHUNK points (here 72 a trial), each trial once, in trial
+        order, and each walk, the winner's included, reads a trial's slots
+        from them; the batches do not change the result."""
+        moduli, expected = (6, 6, 6, 6), search_shift((6, 6, 6, 6), F(1, 4), F(1, 6), 5, 0)
+        batches, scans, pair_slots, scan = [], [], groups._pair_slots, groups._slice_scan
+        monkeypatch.setattr(groups, "_pair_slots", lambda *args: (
+            batches.append(args[1]), pair_slots(*args))[1])
+        monkeypatch.setattr(groups, "_slice_scan", lambda *args: (
+            scans.append(args[5]), scan(*args))[1])
+        if chunk is not None:
+            monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
+        shift, j, dset = search_shift(moduli, F(1, 4), F(1, 6), 5, 0)
+        assert [len(batch) for batch in batches] == sizes
+        assert sum(batches, []) == [sample_shift(trial_rng(0, "shift", t), moduli)
+                                    for t in range(5)]
+        assert len(scans) == 6 and all(slots is not None for slots in scans)
+        assert any(slots is scans[-1] for slots in scans[:-1])
+        assert (shift, j, dset.elements, dset.provenance) == (
+            expected[0], expected[1], expected[2].elements, expected[2].provenance)
 
 class TestWorkBudget:
     def test_slot_product_over_budget(self, monkeypatch):
@@ -663,15 +787,16 @@ class TestWorkBudget:
         assert best_slice(moduli, shift, eps, eps)[1] > 0
 
     @pytest.mark.parametrize("options, walks", [
-        (BuildOptions(trials=5), [6] * 16 + [1] * 3),
+        (BuildOptions(trials=5), [6] * 16 + [1]),
         (BuildOptions(shift=(F(1, 7),) * 4), [1] * 3),
         (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [1] * 3),
     ])
     def test_builds_charge_every_walk(self, monkeypatch, options, walks):
         """A search walks its trials and then the winner once more, for its
         pre-image and histogram; each trial is charged for all of them, and
-        the search first charges its pair grids for all of them.  An
-        explicit shift walks once, with or without a slice."""
+        the search first charges its pair grids for all of them.  The
+        winner's walk reuses its trial's slots, so only its product is
+        charged.  An explicit shift walks once, with or without a slice."""
         charged, charge = [], budget.charge
 
         def spy(name, what, cost):
@@ -680,7 +805,79 @@ class TestWorkBudget:
 
         monkeypatch.setattr(budget, "charge", spy)
         build_group_set((6, 6, 6, 6), options)
-        assert charged == walks  # two pair grids and one product per walk
+        assert charged == walks  # two pair grids and one product per tested shift
+
+    # the refusal at each charge edge of two 5-trial searches, as walking
+    # one trial at a time refused them: the default 6^4 search, and a 12^4
+    # search whose second and fourth shifts run on object arrays, where
+    # trial 0's slot product (1681 tuples) is refused before trial 1's
+    # object grid would be
+    EDGES = {
+        "6^4": {
+            35: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 35 points",
+            47: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 47 points",
+            71: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 71 points",
+            215: "2 pair grids of 72 points, walked 6 times,"
+                   " exceeds the work budget of 215 points",
+            287: "2 pair grids of 72 points, walked 6 times,"
+                   " exceeds the work budget of 287 points",
+            383: "2 pair grids of 72 points, walked 6 times,"
+                   " exceeds the work budget of 383 points",
+            431: "2 pair grids of 72 points, walked 6 times,"
+                   " exceeds the work budget of 431 points",
+        },
+        "mixed": {
+            143: "2 pair grids of 288 points, walked 6 times,"
+                   " exceeds the work budget of 143 points",
+            287: "2 pair grids of 288 points, walked 6 times,"
+                   " exceeds the work budget of 287 points",
+            863: "2 pair grids of 288 points, walked 6 times,"
+                   " exceeds the work budget of 863 points",
+            1680: "2 pair grids of 288 points, walked 6 times,"
+                    " exceeds the work budget of 1680 points",
+            1727: "2 pair grids of 288 points, walked 6 times,"
+                    " exceeds the work budget of 1727 points",
+            6911: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
+                    " exceeds the work budget of 6911 points",
+            7775: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
+                    " exceeds the work budget of 7775 points",
+            10085: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
+                     " exceeds the work budget of 10085 points",
+            13823: "pair grid 12x12 with the 1 before it, walked 6 times,"
+                     " exceeds the work budget of 13823 points",
+            62207: "slot product of 1296 tuples for moduli (12, 12, 12, 12), walked 6 times,"
+                     " exceeds the work budget of 62207 points",
+            70847: "slot product of 1476 tuples for moduli (12, 12, 12, 12), walked 6 times,"
+                     " exceeds the work budget of 70847 points",
+        },
+    }
+    MIXED = [(F(1, 24),) * 4, (F(1, 10**7 + 19),) * 4, (F(5, 192), F(7, 192), F(1, 16), F(0)),
+             (F(1, 24), F(1, 10**7 + 19), F(1, 24), F(1, 24)), (F(3, 96),) * 4]
+
+    @pytest.mark.parametrize("case, admitted, chunk", [
+        ("6^4", 432, None), ("mixed", 70848, None), ("mixed", 70848, 576)])
+    def test_search_refusals_at_every_charge_edge(self, monkeypatch, case, admitted, chunk):
+        """Testing the trials' grids in batches (one, or of two trials at
+        576 points a batch) refuses the same searches with the same
+        message: a trial's grids put over the budget stop the search only
+        after the trials before it are walked."""
+        if chunk is not None:
+            monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
+
+        def build():
+            if case == "6^4":
+                return build_group_set((6, 6, 6, 6), BuildOptions(trials=5))
+            shifts = iter(self.MIXED)
+            monkeypatch.setattr(groups, "sample_shift", lambda rng, moduli: next(shifts))
+            return build_group_set((12,) * 4, BuildOptions(epsilon=F(1, 12), trials=5))
+
+        for limit, message in self.EDGES[case].items():
+            monkeypatch.setattr(budget, "PRODUCT", limit)
+            with pytest.raises(BudgetError) as exc:
+                build()
+            assert str(exc.value) == message
+        monkeypatch.setattr(budget, "PRODUCT", admitted)
+        assert build().size == {"6^4": 2, "mixed": 16}[case]
 
     @pytest.mark.parametrize("moduli, options, walks", [
         ((6, 6, 6, 6), BuildOptions(trials=5), 6),
@@ -703,3 +900,31 @@ class TestWorkBudget:
         assert len(scans) == walks
         if options.shift is None:  # the winner's walk repeats a trial's shift
             assert scans[-1] in scans[:-1]
+
+
+# -- the object-path twin ---------------------------------------------------
+
+BENCHMARK_BUILDS = {
+    "zm 16^4 --epsilon 1/12": lambda seed: build_group_set(
+        (16,) * 4, BuildOptions(epsilon=F(1, 12), seed=seed)),
+    "fpn 11^3": lambda seed: build_fpn_set(11, 3, BuildOptions(seed=seed)),
+    "int --N 500000 --trials 4": lambda seed: build_integer_set(
+        500000, BuildOptions(trials=4, seed=seed)),
+    "zm 6^4": lambda seed: build_group_set((6,) * 4, BuildOptions(seed=seed)),
+    "int --N 5000": lambda seed: build_integer_set(5000, BuildOptions(seed=seed)),
+}
+
+
+@pytest.mark.parametrize("build", BENCHMARK_BUILDS)
+def test_object_twin_of_the_benchmark_builds(monkeypatch, build):
+    """Forcing exact_dtype, the one switch of groups, integers and verify,
+    to object arrays changes no element, provenance or certificate."""
+    def outputs(seed):
+        dset = BENCHMARK_BUILDS[build](seed)
+        return dset.elements, dset.provenance, dset.verify().to_jsonable()
+
+    int64 = [outputs(seed) for seed in (0, 1)]
+    dtypes = []
+    monkeypatch.setattr(gridscan, "exact_dtype", lambda bound: dtypes.append(bound) or object)
+    assert [outputs(seed) for seed in (0, 1)] == int64
+    assert dtypes
