@@ -58,8 +58,9 @@ def behrend_set(N: int) -> DiscreteSet:
             k += 1
             continue
         radius_sq, digits = _best_shell(base, k)
-        # digit i weighs base**i; every element is below base**k <= N
-        elements = sorted((1 + digits @ base ** np.arange(k)).tolist())
+        # digit i weighs base**i; every element is below base**k <= N, which
+        # DiscreteSet checks
+        elements = (1 + digits @ base ** np.arange(k)).tolist()
         key = (-len(elements), k)
         if best is None or key < best[0]:
             best = (key, k, base, radius_sq, elements)
@@ -68,12 +69,10 @@ def behrend_set(N: int) -> DiscreteSet:
         k, base, radius_sq, elements = 1, N, 1, [1, 2]
     else:
         _, k, base, radius_sq, elements = best
-    if elements[-1] > N:
-        raise RuntimeError(f"sphere-digit element {elements[-1]} exceeds N={N}")
     return DiscreteSet(
         kind="integer",
         bound=N,
-        elements=tuple(elements),
+        elements=elements,
         provenance={
             "construction": "behrend",
             "bound": N,
@@ -92,13 +91,13 @@ def halfbox_set(p: int, n: int) -> DiscreteSet:
     if n < 1:
         raise ParameterError(f"n={n} must be >= 1")
     radius_sq, digits = _best_shell(p, n)
-    elements = [tuple(row) for row in digits.tolist()]
+    elements = digits.tolist()
     if len(elements) > ((p + 1) // 2) ** n:
         raise RuntimeError(f"sphere shell of {len(elements)} points exceeds the half box")
     return DiscreteSet(
         kind="group",
         moduli=(p,) * n,
-        elements=tuple(elements),
+        elements=elements,
         provenance={
             "construction": "halfbox",
             "p": p,

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 from .baselines import behrend_set, halfbox_set
 from .blocks import BuildingBlock, PIECE_LABELS
+from .budget import BudgetError
 from .dsets import DiscreteSet
 from .groups import BuildOptions, build_fpn_set, build_group_set
-from .integers import build_integer_set, build_integer_set_direct
+from .integers import ParameterError, build_integer_set, build_integer_set_direct
 from .rational import decimal_str, parse_point, parse_rational, rat_str
 from .storage import dump_json, read_set, write_set
 from .verify import SWEEP_SUBJECTS, area_oracle, check_sweeps, density_estimate
@@ -171,29 +172,28 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _compare_rows(args):
-    options = BuildOptions(seed=args.seed)
-    if args.context == "int":
-        yield "behrend", behrend_set(args.N)
-        yield "crt-construction", build_integer_set(args.N, options)
-        yield "direct-construction", build_integer_set_direct(args.N, options=options)
-    else:
-        yield "halfbox", halfbox_set(args.p, args.n)
-        yield "new", build_fpn_set(args.p, args.n, options)
-
-
 def cmd_compare(args) -> int:
+    """One row per route; a route whose build or certificate is refused gets a
+    refused row and a warning, and if every route is refused, an error."""
+    rows, refusals, ok = [], [], True
+    for label, kind in _ROUTES[args.context]:
+        try:
+            dset = _KINDS[kind][2](args, BuildOptions(seed=args.seed))
+            passed = dset.verify(subject=label).passed
+        except (BudgetError, ParameterError) as exc:
+            warnings.warn(f"{label} refused: {exc}")
+            refusals.append(exc)
+            rows.append([label, "", "", "", "refused"])
+            continue
+        ok, universe = ok and passed, dset.universe
+        rows.append([label, dset.size, rat_str(dset.density), decimal_str(dset.density), passed])
+    if len(refusals) == len(rows):
+        raise refusals[0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["construction", "universe", "size", "density", "density_approx", "certified"])
-    ok = True
-    for label, dset in _compare_rows(args):
-        report = dset.verify(subject=label)
-        ok = ok and report.passed
-        writer.writerow(
-            [label, dset.universe, dset.size, rat_str(dset.density),
-             decimal_str(dset.density), report.passed]
-        )
+    # every route's set lies in the same universe
+    writer.writerows([label, universe, *cells] for label, *cells in rows)
     text = buf.getvalue()
     sys.stdout.write(text)
     if args.out:
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--n", type=int)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", default=None, help="also write the CSV here")
-    p_cmp.set_defaults(fn=cmd_compare)
+    # the routes' builders read --n-override, which compare leaves unset
+    p_cmp.set_defaults(fn=cmd_compare, n_override=None)
 
     p_den = sub.add_parser("density", help="grid density of the block vs exact area")
     p_den.add_argument("--epsilon", type=_rational, required=True)
@@ -292,6 +293,10 @@ _KINDS = {
     "behrend": (("N",), (), lambda args, options: behrend_set(args.N)),
     "halfbox": (("p", "n"), (), lambda args, options: halfbox_set(args.p, args.n)),
 }
+# compare context -> (label, construct kind) of each route, in table order
+_ROUTES = {"int": (("behrend", "behrend"), ("crt-construction", "int"),
+                   ("direct-construction", "int-direct")),
+           "fpn": (("halfbox", "halfbox"), ("new", "fpn"))}
 _PARAMETERS = dict.fromkeys(f for required, optional, _ in _KINDS.values()
                             for f in required + optional)
 

@@ -2,7 +2,8 @@
 
 Every constructed set carries its provenance (construction name and all
 parameters needed to reproduce it bit for bit) and is meant to travel with
-a verification report produced by :mod:`apfree.verify`.
+a verification report produced by :mod:`apfree.verify`.  Its elements are
+checked once, when it is made, and ``DiscreteSet.verify`` certifies them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .verify import VerificationReport, verify_group_set, verify_integer_set
+from .verify import (VerificationReport, group_elements, integer_elements, verify_group_set,
+                     verify_integer_set)
 
 
 @dataclass
@@ -27,16 +29,14 @@ class DiscreteSet:
             if self.moduli is None:
                 raise ValueError("group set needs moduli")
             self.moduli = tuple(int(m) for m in self.moduli)
-            self.elements = tuple(sorted(tuple(int(r) for r in e) for e in self.elements))
+            self.elements = group_elements(self.moduli, self.elements)
         elif self.kind == "integer":
             if self.bound is None:
                 raise ValueError("integer set needs a bound")
             self.bound = int(self.bound)
-            self.elements = tuple(sorted(int(x) for x in self.elements))
+            self.elements = integer_elements(self.bound, self.elements)
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate elements")
 
     @property
     def size(self) -> int:
@@ -60,6 +60,8 @@ class DiscreteSet:
     def verify(self, subject: str | None = None,
                all_counterexamples: bool = False) -> VerificationReport:
         name = subject or self.provenance.get("construction", self.kind)
+        # the elements are as their normaliser returned them, so the
+        # certificate takes them as they are
         if self.kind == "group":
             return verify_group_set(self.moduli, self.elements, name, all_counterexamples)
         return verify_integer_set(self.bound, self.elements, name, all_counterexamples)

@@ -328,7 +328,7 @@ def _slice_set(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk,
     }
     if len(values) <= cap:
         prov["slice_histogram"] = dict(zip(map(str, values.tolist()), counts.tolist()))
-    return DiscreteSet(kind="group", moduli=moduli, elements=tuple(elements), provenance=prov)
+    return DiscreteSet(kind="group", moduli=moduli, elements=elements, provenance=prov)
 
 
 def _delta_for(moduli, options: BuildOptions) -> Fraction:
@@ -405,7 +405,7 @@ def fiber_reduce(dset: DiscreteSet) -> DiscreteSet:
             "pre_reduction_size": dset.size,
         }
     )
-    return DiscreteSet(kind="group", moduli=dset.moduli[:-1], elements=tuple(projected), provenance=prov)
+    return DiscreteSet(kind="group", moduli=dset.moduli[:-1], elements=projected, provenance=prov)
 
 
 def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteSet:
@@ -446,6 +446,9 @@ def build_fpn_set(p: int, n: int, options: BuildOptions = BuildOptions()) -> Dis
     """Vector-space request: the group Z_p x ... x Z_p with n factors."""
     if p < 2 or n < 1:
         raise ValueError(f"invalid parameters p={p}, n={n}")
+    # every coordinate lies in a pair grid of at least 4 points, so the
+    # build charges at least 2n; a larger n is refused before (p,) * n is made
+    budget.charge("PRODUCT", f"{n} coordinates, at least 2 grid points each,", 2 * n)
     dset = build_group_set((p,) * n, options)
     dset.provenance["construction"] = "fpn"
     dset.provenance["p"] = p

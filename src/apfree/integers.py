@@ -147,8 +147,6 @@ def build_integer_set(N: int, options: BuildOptions = BuildOptions(),
                       n_override: int | None = None) -> DiscreteSet:
     """Prime-power route driver.  Without an override the dimension steps
     down from the rate-optimal window to the largest feasible even value."""
-    if N < 3:
-        raise ParameterError(f"N={N} must be >= 3")
     window_n = choose_dimension(N)
     if n_override is not None:
         n = int(n_override)
@@ -180,7 +178,7 @@ def build_integer_set(N: int, options: BuildOptions = BuildOptions(),
             "rate_constant_approx": RATE_CONSTANT_APPROX,
         }
     )
-    return DiscreteSet(kind="integer", bound=N, elements=tuple(elements), provenance=prov)
+    return DiscreteSet(kind="integer", bound=N, elements=elements, provenance=prov)
 
 
 # -- direct route -----------------------------------------------------------
@@ -337,4 +335,4 @@ def build_integer_set_direct(N: int, n: int | None = None,
         "trials": options.trials,
         "certified_by_construction": True,
     }
-    return DiscreteSet(kind="integer", bound=N, elements=tuple(elements), provenance=prov)
+    return DiscreteSet(kind="integer", bound=N, elements=elements, provenance=prov)

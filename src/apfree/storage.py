@@ -156,14 +156,18 @@ def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> Di
         meta = json.loads(sidecar_path.read_text())
         lines = [ln for ln in set_path.read_text().splitlines() if ln.strip()]
         kind, provenance = meta["kind"], meta.get("provenance", {})
+        if kind not in ("group", "integer"):
+            raise TypeError(f'kind must be "group" or "integer", got {json.dumps(kind)}')
+        # a sidecar written with the set names its size; hand-written ones may not
+        if "size" in meta and _json_int(meta["size"], "size") != len(lines):
+            raise ValueError(f"{set_path} has {len(lines)} element lines, but its sidecar "
+                             f"{sidecar_path} gives size {meta['size']}")
+        # the set's normaliser converts and checks the residues
         if kind == "group":
             return DiscreteSet(
                 kind=kind, moduli=tuple(_json_int(m, "modulus") for m in meta["moduli"]),
-                elements=tuple(tuple(int(r) for r in ln.split(",")) for ln in lines),
-                provenance=provenance)
-        if kind == "integer":
-            return DiscreteSet(kind=kind, bound=_json_int(meta["bound"], "bound"),
-                               elements=tuple(int(ln) for ln in lines), provenance=provenance)
-        raise TypeError(f'kind must be "group" or "integer", got {json.dumps(kind)}')
+                elements=[ln.split(",") for ln in lines], provenance=provenance)
+        return DiscreteSet(kind=kind, bound=_json_int(meta["bound"], "bound"),
+                           elements=lines, provenance=provenance)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed set/sidecar at {set_path}: {exc}") from exc

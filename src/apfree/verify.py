@@ -1,5 +1,8 @@
 """Exhaustive certification and property-test drivers.
 
+Each set kind has one normaliser, ``group_elements`` or ``integer_elements``:
+DiscreteSet calls it, and a verifier only on elements it did not return.
+
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence
 for membership: one numpy pass per set kind over chunks of pairs from
@@ -65,6 +68,38 @@ class VerificationReport:
 _CHUNK = 1 << 16
 
 
+class _Checked(tuple):
+    """Elements a normaliser returned for ``universe`` (moduli or bound)."""
+
+    # copy and pickle call __new__ with the elements alone, then restore universe
+    def __new__(cls, elements, universe=None):
+        self = super().__new__(cls, elements)
+        self.universe = universe
+        return self
+
+
+def group_elements(moduli: tuple[int, ...], elements) -> tuple[tuple[int, ...], ...]:
+    """A set in Z_m1 x ... x Z_mn as sorted Python int tuples; refuses a repeat
+    first, then the first element of the wrong length or out of range."""
+    elems = sorted(tuple(map(int, e)) for e in elements)
+    if len(set(elems)) != len(elems):
+        raise ValueError("duplicate elements")
+    for e in elems:
+        if len(e) != len(moduli) or not all(0 <= r < m for r, m in zip(e, moduli)):
+            raise ValueError(f"element {e} out of range for moduli {moduli}")
+    return _Checked(elems, moduli)
+
+
+def integer_elements(bound: int, elements) -> tuple[int, ...]:
+    """A set in {1,...,bound} as sorted Python ints; refuses a repeat first."""
+    elems = sorted(map(int, elements))
+    if len(set(elems)) != len(elems):
+        raise ValueError("duplicate elements")
+    if elems and not (1 <= elems[0] and elems[-1] <= bound):
+        raise ValueError(f"elements outside 1..{bound}")
+    return _Checked(elems, bound)
+
+
 def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
     """Charge a scan of n elements, before it starts, its pairs plus the
     midpoint candidates of its pairs to budget.SCAN.  Only a pair whose
@@ -101,38 +136,6 @@ def _members(keys: np.ndarray, base: np.ndarray):
         i = stop
 
 
-def _group_rows(moduli: tuple[int, ...], elements) -> np.ndarray:
-    """The elements as the rows of a sorted array, int64 when the product of
-    the moduli is at most 2^62 and Python-int objects above, after checking
-    that no element repeats and that each lies in range.  The checks run on
-    the array; ragged, huge or object-path input takes the tuple loop, which
-    reports the same first element."""
-    elements = list(elements)
-    dtype = gridscan.exact_dtype(math.prod(moduli))
-    X = None
-    if dtype is np.int64:
-        try:
-            X = np.array(elements, dtype=np.int64)
-        except (ValueError, TypeError, OverflowError):
-            pass
-    if X is None or X.shape != (len(elements), len(moduli)):
-        elems = sorted(tuple(int(r) for r in e) for e in elements)
-        if len(set(elems)) != len(elems):
-            raise ValueError("duplicate elements")
-        for e in elems:
-            if len(e) != len(moduli) or any(not 0 <= r < m for r, m in zip(e, moduli)):
-                raise ValueError(f"element {e} out of range for moduli {moduli}")
-        return np.array(elems, dtype=dtype).reshape(len(elems), len(moduli))
-    X = X[np.lexsort(X.T[::-1])]
-    if (X[1:] == X[:-1]).all(axis=1).any():
-        raise ValueError("duplicate elements")
-    bad = ((X < 0) | (X >= np.array(moduli, dtype=np.int64))).any(axis=1)
-    if bad.any():
-        e = tuple(X[np.argmax(bad)].tolist())
-        raise ValueError(f"element {e} out of range for moduli {moduli}")
-    return X
-
-
 def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
     """Index triples (x, y, z) into the sorted element rows of every
     progression with x < z, in scan order: pairs {x, z} lexicographically,
@@ -144,9 +147,10 @@ def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
     solutions of a pair are the elements y whose key sum(stride·(y mod h))
     is the pair's base, the mixed-radix code of its smallest root.  Codes
     put the first coordinate first, so the sorted rows are code-sorted, and
-    keys sorted stably over them keep ties in product order.  x != z forces y != x and y != z, so every hit is a progression.
-    A chunk of pairs looks up at most _CHUNK keys, and a set with no pair
-    past the parity filter (as every set in Z_2^n) looks nothing up."""
+    keys sorted stably over them keep ties in product order.  x != z forces
+    y != x and y != z, so every hit is a progression.  A chunk of pairs
+    looks up at most _CHUNK keys, and a set with no pair past the parity
+    filter (as every set in Z_2^n) looks nothing up."""
     dtype = rows.dtype
     m = np.array(moduli, dtype=dtype)
     stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
@@ -216,16 +220,18 @@ def verify_group_set(
     """
     t0 = time.perf_counter()
     moduli = tuple(int(m) for m in moduli)
-    rows = _group_rows(moduli, elements)
+    if not (type(elements) is _Checked and elements.universe == moduli):
+        elements = group_elements(moduli, elements)
+    rows = np.array(elements, dtype=gridscan.exact_dtype(math.prod(moduli)))
+    rows = rows.reshape(len(elements), len(moduli))
     even = [i for i, m in enumerate(moduli) if m % 2 == 0]
     _charge_scan("group certificate", len(rows), 2 ** len(even),
                  lambda: (rows[:, even] % 2).astype(np.int8))
-    elems = rows.tolist()
     return _scan_report(
         t0, _group_hits(moduli, rows),
-        lambda x, y, z: {"x": list(elems[x]), "y": list(elems[y]), "z": list(elems[z])},
+        lambda x, y, z: {"x": list(elements[x]), "y": list(elements[y]), "z": list(elements[z])},
         all_counterexamples, subject=subject, mode="group",
-        parameters={"moduli": list(moduli), "size": len(elems)},
+        parameters={"moduli": list(moduli), "size": len(elements)},
     )
 
 
@@ -237,18 +243,15 @@ def verify_integer_set(
     parity looks its midpoint up in the set.  The scan stops at the first
     progression unless all_counterexamples asks for every one."""
     t0 = time.perf_counter()
-    elems = sorted(int(x) for x in elements)
-    if elems and not (1 <= elems[0] and elems[-1] <= bound):
-        raise ValueError(f"elements outside 1..{bound}")
-    if len(set(elems)) != len(elems):
-        raise ValueError("duplicate elements")
-    _charge_scan("integer certificate", len(elems), 1,
-                 lambda: np.array([x & 1 for x in elems], dtype=np.int8)[:, None])
+    if not (type(elements) is _Checked and elements.universe == bound):
+        elements = integer_elements(int(bound), elements)
+    _charge_scan("integer certificate", len(elements), 1,
+                 lambda: np.array([x & 1 for x in elements], dtype=np.int8)[:, None])
     return _scan_report(
-        t0, _integer_hits(int(bound), elems),
-        lambda x, y, z: {"x": elems[x], "y": elems[y], "z": elems[z]},
+        t0, _integer_hits(int(bound), elements),
+        lambda x, y, z: {"x": elements[x], "y": elements[y], "z": elements[z]},
         all_counterexamples, subject=subject, mode="integer",
-        parameters={"bound": int(bound), "size": len(elems)},
+        parameters={"bound": int(bound), "size": len(elements)},
     )
 
 

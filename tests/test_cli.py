@@ -596,6 +596,37 @@ class TestCompare:
         _, out2, _ = run(capsys, "compare", "fpn", "--p", "3", "--n", "2", "--seed", "5")
         assert out1.splitlines()[0] == out2.splitlines()[0] == self.HEADER
 
+    @pytest.mark.parametrize("limit,value,label,refusal", [
+        # the direct route's 600 rows, walked 17 times, are over the points;
+        # the CRT route's largest charge is 799 points
+        ("PRODUCT", 1000, "direct-construction",
+         "row stream of 600 rows, walked 17 times, exceeds the work budget of 1000 points"),
+        # behrend builds, but its certificate is refused
+        ("SCAN", 50, "behrend", "integer certificate of 10 elements (90 pairs and candidates) "
+                                "exceeds the work budget of 50 pairs and candidates"),
+    ])
+    def test_refused_route_gets_a_row(self, capsys, monkeypatch, limit, value, label, refusal):
+        monkeypatch.setattr(apfree.budget, limit, value)
+        code, out, err = run(capsys, "compare", "int", "--N", "600", "--seed", "1")
+        assert code == 0
+        rows = {ln.split(",")[0]: ln for ln in out.splitlines()[1:]}
+        assert list(rows) == ["behrend", "crt-construction", "direct-construction"]
+        assert rows.pop(label) == f"{label},600,,,,refused"
+        assert all(row.endswith(",True") for row in rows.values())
+        assert err == f"warning: {label} refused: {refusal}\n"
+
+    def test_crt_route_below_its_range(self, capsys, tmp_path):
+        out_file = tmp_path / "table.csv"
+        code, out, err = run(capsys, "compare", "int", "--N", "3", "--out", str(out_file))
+        assert code == 0
+        assert out == (f"{self.HEADER}\n"
+                       "behrend,3,2,2/3,0.666666666666,True\n"
+                       "crt-construction,3,,,,refused\n"
+                       "direct-construction,3,1,1/3,0.333333333333,True\n")
+        assert err == ("warning: crt-construction refused: N=3 is too small for the "
+                       "prime-power route (needs N >= 6)\n")
+        assert out_file.read_text() == out
+
 
 class TestDensityCommand:
     def test_pass(self, capsys):
@@ -627,9 +658,11 @@ class TestVerifyCommand:
             if (x + z2) % 2 == 0:
                 z = z2
                 break
-        set_file.write_text(
-            "".join(f"{v}\n" for v in sorted(set(elements + [(x + z) // 2])))
-        )
+        tampered = sorted(set(elements + [(x + z) // 2]))
+        set_file.write_text("".join(f"{v}\n" for v in tampered))
+        # the sidecar's size must follow, or the line count alone refuses the file
+        sidecar = tmp_path / "bad.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "size": len(tampered)}))
         code, out, _ = run(capsys, "verify", "--set", str(set_file), "--all")
         assert code == 1
         report = json_lines(out)[0]
@@ -656,6 +689,30 @@ class TestVerifyCommand:
         assert report["counts"]["all_counterexamples"] == expected
         assert report["counterexample"] == expected[0]
         assert report["checked"] == math.comb(len(lines), 2)
+
+    def test_truncated_set_file_is_refused(self, capsys, tmp_path):
+        run(capsys, "construct", "zm", "--moduli", "6,6,6,6", "--outdir", str(tmp_path),
+            "--name", "z")
+        set_file, sidecar = tmp_path / "z.set", tmp_path / "z.json"
+        lines = set_file.read_text().splitlines()
+        meta = json.loads(sidecar.read_text())
+        assert meta["size"] == len(lines) == 2
+        set_file.write_text(lines[0] + "\n")
+        code, out, err = run(capsys, "verify", "--set", str(set_file))
+        assert code == 2 and out == ""
+        assert err == (f"error: {set_file} has 1 element lines, but its sidecar {sidecar} "
+                       "gives size 2\n")
+        # a size that is no JSON integer is malformed
+        sidecar.write_text(json.dumps({**meta, "size": "1"}))
+        code, out, err = run(capsys, "verify", "--set", str(set_file))
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed set/sidecar at {set_file}: size must be a JSON "
+                       'integer, got "1"\n')
+        # a hand-written sidecar may leave the size out
+        del meta["size"]
+        sidecar.write_text(json.dumps(meta))
+        code, out, _ = run(capsys, "verify", "--set", str(set_file))
+        assert code == 0 and json_lines(out)[0]["checked"] == 0
 
     def test_exit_code_two_on_garbage(self, capsys, tmp_path):
         (tmp_path / "x.set").write_text("1\n")

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apfree.dsets as dsets
 import apfree.verify as verify_module
+from apfree import (DiscreteSet, behrend_set, build_fpn_set, build_group_set, build_integer_set,
+                    build_integer_set_direct, halfbox_set)
 from apfree.blocks import BuildingBlock
 from apfree.gridscan import (
     density_count,
@@ -31,6 +34,7 @@ from apfree.verify import (
     verify_group_set,
     verify_integer_set,
 )
+from apfree.storage import read_set, write_set
 from oracle import Block, is_progression_mod1, midpoint_candidates
 
 
@@ -71,7 +75,7 @@ class TestGroupVerifier:
         # duplicates are reported before any range error
         ((5, 5), [(1, 2), (9, 9), (1, 2)], "duplicate elements"),
         ((5, 5), [(True, 0), (1, 0)], "duplicate elements"),
-        # ragged, past-int64 and huge-moduli input take the tuple loop
+        # ragged, past-int64 and huge-moduli input
         ((5, 5), [(1, 2, 3), (0, 1)], "element (1, 2, 3) out of range"),
         ((5, 5), [(10**30, 1), (0, 0)], f"element ({10**30}, 1) out of range"),
         ((2**40, 2**40), [(2**40, 0), (3, 2**41)], f"element (3, {2**41}) out of range"),
@@ -142,10 +146,13 @@ class TestIntegerVerifier:
         assert report.checked == math.comb(8, 2)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("elements outside 1..10")):
             verify_integer_set(10, [0, 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("elements outside 1..10")):
             verify_integer_set(10, [3, 11])
+        # duplicates are reported before any range error, as for group sets
+        with pytest.raises(ValueError, match="duplicate elements"):
+            verify_integer_set(10, [11, 3, 3])
 
     @given(
         st.sets(st.integers(min_value=1, max_value=60), min_size=2, max_size=12),
@@ -158,6 +165,58 @@ class TestIntegerVerifier:
         image = sorted(c * x + d for x in elements)
         mapped = verify_integer_set(c * 60 + d, image).passed
         assert base == mapped
+
+
+class TestElementsCheckedOnce:
+    """A set's elements are normalised once, when its DiscreteSet is made,
+    and its certificate scans them as they are."""
+
+    @pytest.fixture
+    def normalised(self, monkeypatch):
+        """The list of what each normaliser call returned, filled by spies
+        where verify and dsets bind the normalisers."""
+        results = []
+        for name in ("group_elements", "integer_elements"):
+            def spy(*args, real=getattr(verify_module, name)):
+                results.append(real(*args))
+                return results[-1]
+            monkeypatch.setattr(verify_module, name, spy)
+            monkeypatch.setattr(dsets, name, spy)
+        return results
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_group_set((6, 6, 6, 6)),
+        lambda: build_fpn_set(5, 3),  # its Z_5^4 set is normalised too, once
+        lambda: build_integer_set(5000),  # and so is its group set
+        lambda: build_integer_set_direct(2000, n=4),
+        lambda: behrend_set(10000),
+        lambda: halfbox_set(5, 4),
+    ])
+    def test_build_then_verify(self, normalised, build):
+        dset = build()
+        made = list(normalised)
+        assert [e is dset.elements for e in made].count(True) == 1
+        assert dset.verify(all_counterexamples=True).passed
+        assert normalised == made
+
+    def test_read_then_verify(self, normalised, tmp_path):
+        write_set(halfbox_set(5, 4), tmp_path, "h")
+        dset = read_set(tmp_path / "h.set")
+        assert len(normalised) == 2 and normalised[1] is dset.elements
+        assert dset.verify().passed
+        assert len(normalised) == 2
+
+    def test_public_verifiers_normalise_their_input(self, normalised):
+        assert verify_group_set((5, 5), [(2, 2), (0, 0)]).passed
+        assert verify_integer_set(10, [3, 1]).passed
+        assert len(normalised) == 2
+
+    def test_checked_for_another_universe_is_checked_again(self):
+        dset = DiscreteSet(kind="group", moduli=(6, 6), elements=[(0, 5), (1, 0)])
+        with pytest.raises(ValueError, match=re.escape("element (0, 5) out of range")):
+            verify_group_set((5, 5), dset.elements)
+        with pytest.raises(ValueError, match="outside 1..4"):
+            verify_integer_set(4, DiscreteSet(kind="integer", bound=9, elements=[2, 5]).elements)
 
 
 def brute_group_progressions(moduli, elements):
