@@ -13,13 +13,14 @@ class BudgetError(RuntimeError):
 # m2 coordinates for the box, m1 * m2 points for the block) and the slot
 # product, for each walk, and a search makes trials + 1 walks.  A search
 # tests each trial's grids once, batched with the other trials', and its
-# winner's walk reuses them, but the charge still counts the grids of
-# every trial for trials + 1 walks, so no admitted input changed with the
-# batch.  The direct route streams its N rows once for separation and
-# once per trial.  An object-path point counts OBJECT_COST times: a walk
-# takes about 0.3 us an int64 tuple and 2.3 us an object one (2-vCPU
-# host), so an admitted build spends at most about 5 s here, and no CLI
-# walk exceeds 2^23 tuples.
+# winner's walk reuses them, but each trial's grids are still charged, in
+# one charge per trial, for trials + 1 walks; every trial of a batch is
+# charged before the batch is tested, so a trial over the budget refuses
+# the search at once.  The direct route streams its N rows once for
+# separation and once per trial.  An object-path point counts OBJECT_COST
+# times: a walk takes about 0.3 us an int64 tuple and 2.3 us an object one
+# (2-vCPU host), so an admitted build spends at most about 5 s here, and
+# no CLI walk exceeds 2^23 tuples.
 PRODUCT = 1 << 24
 OBJECT_COST = 8
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most
@@ -47,6 +48,12 @@ COUNTEREXAMPLES = 1 << 16
 
 _UNITS = {"PRODUCT": "points", "SWEEP": "fact pairs", "GRID": "array entries",
           "SCAN": "pairs and candidates", "COUNTEREXAMPLES": "progressions"}
+
+
+def count(n: int) -> str:
+    """n in decimal, or "at least 2^k" past 2^64, so that a message naming
+    a count stays short however large the count grows."""
+    return str(n) if n <= 1 << 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 def charge(budget: str, what: str, cost: int) -> None:

@@ -22,10 +22,11 @@ F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
 inequality.
 
 The block's inequalities are solved once into integer bounds on U, V,
-U + V and 2U + V (``_piece_bounds``).  The piece tags (``scaled_piece``),
-the tagless membership test (``scaled_in_block``) and the density count
-all read them; the count goes by rows, where each piece's V-range is one
-interval, so it costs O(m) time and memory for m^2 cells.  The
+U + V and 2U + V (``_piece_bounds``).  The membership test
+(``scaled_in_block``, the union of the piece masks ``_piece_masks``) and
+the density count both read them; the count goes by rows, where each
+piece's V-range is one interval, so it costs O(m) time and memory for
+m^2 cells.  The
 constructions' region is the block (``scaled_in_block``) or the
 [0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
 pair), whose points all weigh 0.  The constructions test and weigh whole
@@ -115,24 +116,9 @@ def _piece_masks(eps: Fraction, D: int, U, V):
     return in_t1, in_t2, in_t3
 
 
-def scaled_piece(eps: Fraction, D: int, U, V):
-    """Piece tags (0..3) of the points (U/D, V/D); exact integer comparisons.
-
-    U and V may be numpy integer arrays (broadcast) or Python ints.
-    """
-    in_t1, in_t2, in_t3 = _piece_masks(eps, D, U, V)
-    if isinstance(in_t1, np.ndarray):
-        tags = np.zeros(np.broadcast(U, V).shape, dtype=np.int8)
-        tags[in_t1] = 1
-        tags[in_t2] = 2
-        tags[in_t3] = 3
-        return tags
-    return 1 if in_t1 else 2 if in_t2 else 3 if in_t3 else 0
-
-
 def scaled_in_block(eps: Fraction, D: int, U, V):
-    """Whether the points (U/D, V/D) lie in the block, ``scaled_piece > 0``
-    without the tags; numpy arrays (broadcast) or Python ints."""
+    """Whether the points (U/D, V/D) lie in the block, in one of its three
+    pieces; numpy arrays (broadcast) or Python ints."""
     in_t1, in_t2, in_t3 = _piece_masks(eps, D, U, V)
     return in_t1 | in_t2 | in_t3
 
@@ -159,19 +145,14 @@ def exact_dtype(bound: int):
 
 
 def region_factor(eps: Fraction | None, delta: Fraction) -> int:
-    """scaled_piece (eps) or scaled_box (eps None, 0 < delta < 1) on
+    """scaled_in_block (eps) or scaled_box (eps None, 0 < delta < 1) on
     numerators in [0, D) keeps every intermediate below this times D."""
     return delta.denominator if eps is None else 16 * eps.denominator
 
 
-def membership_table(eps: Fraction, D: int) -> np.ndarray:
-    u = np.arange(D, dtype=np.int64)
-    return scaled_piece(eps, D, u[:, None], u[None, :])
-
-
 def scaled_weight(eps: Fraction, D: int, U, V):
     """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2 for 0 <= U, V < D,
-    meaningful where scaled_piece is nonzero; numpy arrays (broadcast) or
+    meaningful where scaled_in_block holds; numpy arrays (broadcast) or
     Python ints."""
     en, ed = eps.numerator, eps.denominator
     S = U + V
@@ -182,7 +163,7 @@ def scaled_weight(eps: Fraction, D: int, U, V):
 
 def weight_factor(eps: Fraction) -> int:
     """scaled_weight on numerators in [0, D) keeps every intermediate, and
-    scaled_piece every one of its own, below this times D^2."""
+    scaled_in_block every one of its own, below this times D^2."""
     return 384 * eps.denominator ** 2 + 6 * eps.numerator ** 2
 
 

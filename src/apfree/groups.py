@@ -34,13 +34,13 @@ summed weight maxima for the sums, num times that (num alone when all are
 object arrays of Python ints; no float is used.  A stack in which any
 shift needs object arrays runs on them, and each shift's weights are then
 cast to the dtype its own bound picks, so no dtype depends on the batch.
-Each shift's pair grids and each walk's product, times the walks the
-build makes, are charged to budget.PRODUCT before they are tested or
-walked (object-path points count budget.OBJECT_COST times).  A search
-first charges the points of all its pair grids, known before any shift is
-drawn, and still charges every trial's grids and product for trials + 1
-walks, so the batch admits and refuses exactly the builds that walking
-one trial at a time did, with the same message.
+Each shift's pair grids, in one charge, and each walk's product, times
+the walks the build makes, are charged to budget.PRODUCT before they are
+tested or walked (object-path points count budget.OBJECT_COST times).
+A search first charges the points of all its pair grids, known before any
+shift is drawn; every shift of a batch is charged before the batch is
+tested, so a shift over the budget refuses the search at once, and each
+trial's grids and product are charged for trials + 1 walks.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk
     """[(D, dtype, b1, b2)] per coordinate pair of one shift: the pair's
     grid D = lcm(m1, m2, den(a1), den(a2)), the dtype its arithmetic needs
     (int64 when region_factor * D, box, or weight_factor * D^2, block, is
-    at most 2^62) and the shift's numerators over D.  Each grid is charged
-    to the work budget, together with the grids before it, for ``walks``
-    walks."""
+    at most 2^62) and the shift's numerators over D.  The points of all
+    the shift's grids are charged to the work budget in one charge, for
+    ``walks`` walks."""
     grids, points = [], 0
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
@@ -152,13 +152,12 @@ def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
         dtype = gridscan.exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
                                      else weight_factor(epsilon) * D * D)
-        # the points of the grids so far
         grid = m1 + m2 if epsilon is None else m1 * m2
         points += grid * (budget.OBJECT_COST if dtype is object else 1)
-        budget.charge("PRODUCT", f"pair grid {m1}x{m2}" + (f" with the {h} before it" if h else "")
-                      + f", walked {walks} times,", walks * points)
         grids.append((D, dtype, a1.numerator * (D // a1.denominator) % D,
                       a2.numerator * (D // a2.denominator) % D))
+    budget.charge("PRODUCT", f"{len(grids)} pair grids of a shift, {budget.count(points)} "
+                  f"points, walked {budget.count(walks)} times,", walks * points)
     return grids
 
 
@@ -169,22 +168,12 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
     weight maxima are at most 2^62.  The box (epsilon None) is a product
     of intervals, so each coordinate is tested alone and every kept pair
     weighs 0.  Each pair's grids are stacked over the shifts, each on its
-    own D, and tested and weighed in steps of at most _PRODUCT_CHUNK
-    points, on object arrays when any shift needs them; each shift's
-    weights are then cast to the dtype its own bound picks.  The shifts'
-    grids are charged first, in order, and the first shift refused ends the
-    batch.  Returns (slots, refusal): the slots of the shifts before it and
-    its BudgetError (None if none), for the caller to raise once it has
-    walked them, where walking one shift at a time would have stopped."""
-    grids, refusal = [], None
-    for shift in shifts:
-        try:
-            grids.append(_charge_grids(moduli, shift, epsilon, delta, walks))
-        except budget.BudgetError as error:
-            refusal = error
-            break
-    if not grids:
-        return [], refusal
+    own D, and tested and weighed a step of rows at a time, at most
+    _PRODUCT_CHUNK points a step, on object arrays when any shift needs
+    them; each shift's weights are then cast to the dtype its own bound
+    picks.  Every shift's grids are charged before any is tested, so a
+    shift over the budget refuses the batch at once."""
+    grids = [_charge_grids(moduli, shift, epsilon, delta, walks) for shift in shifts]
     T = len(grids)
     pairs = [[] for _ in range(T)]
     for h, (m1, m2) in enumerate(zip(moduli[::2], moduli[1::2])):
@@ -200,17 +189,14 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
                 pairs[t].append((np.repeat(k1, len(k2)), np.tile(k2, len(k1)),
                                  np.zeros(len(k1) * len(k2), dtype=np.int64)))
             continue
-        # the grids of all shifts as one (T, m1, m2) stack, each on its
-        # shift's D, in steps of whole grids or, when one grid alone is
-        # larger than a step, of its rows
-        per, step = _PRODUCT_CHUNK // (m1 * m2), max(1, _PRODUCT_CHUNK // m2)
-        steps = ([(t, min(t + per, T), 0, m1) for t in range(0, T, per)] if per else
-                 [(t, t + 1, r, min(r + step, m1)) for t in range(T) for r in range(0, m1, step)])
+        # the rows (t, i) of the (T, m1, m2) stack, each on its shift's D,
+        # in steps of at most _PRODUCT_CHUNK points, one row at least
+        step = max(1, _PRODUCT_CHUNK // m2)
         trial, r1, r2, w = [], [], [], []
-        for t0, t1, lo, hi in steps:
-            t, i, k = np.nonzero(scaled_in_block(epsilon, D[t0:t1, :, None],
-                                                 us[t0:t1, lo:hi, None], vs[t0:t1, None, :]))
-            t, i = t + t0, i + lo
+        for lo in range(0, T * m1, step):
+            t, i = np.divmod(np.arange(lo, min(lo + step, T * m1)), m1)
+            row, k = np.nonzero(scaled_in_block(epsilon, D[t], us[t, i, None], vs[t]))
+            t, i = t[row], i[row]
             trial.append(t)
             r1.append(i)
             r2.append(k)
@@ -232,7 +218,7 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
         dtype = gridscan.exact_dtype(sum(int(w.max()) * c if len(w) else c
                                          for (*_, w), c in zip(pair, scale)))
         slots.append(([(r1, r2, w.astype(dtype) * c) for (r1, r2, w), c in zip(pair, scale)], L))
-    return slots, refusal
+    return slots
 
 
 def _slice_dtype(s_max: int, num: int, den: int):
@@ -259,10 +245,7 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
-        batch, refusal = _pair_slots(moduli, [shift], epsilon, delta, walks)
-        if refusal is not None:
-            raise refusal
-        slots = batch[0]
+        slots = _pair_slots(moduli, [shift], epsilon, delta, walks)[0]
     slots, L = slots
     num, den = slice_ratio(epsilon, delta, L)
     shape = tuple(len(w) for *_, w in slots)
@@ -270,8 +253,8 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     s_max = sum(int(w.max()) for *_, w in slots) if total else 0
     dtype = _slice_dtype(s_max, num, den)
     cost = walks * total * (budget.OBJECT_COST if dtype is object else 1)
-    budget.charge("PRODUCT", f"slot product of {total} tuples for moduli {moduli}, walked "
-                  f"{walks} times,", cost)
+    budget.charge("PRODUCT", f"slot product of {budget.count(total)} tuples, walked "
+                  f"{budget.count(walks)} times,", cost)
     J = np.empty(total, dtype=dtype)
     for lo in range(0, total, _PRODUCT_CHUNK):
         hi = min(lo + _PRODUCT_CHUNK, total)
@@ -358,8 +341,8 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     # search its grids alone put over the budget is refused before sampling
     pairs = list(zip(moduli[::2], moduli[1::2]))
     points = sum(m1 + m2 if epsilon is None else m1 * m2 for m1, m2 in pairs)
-    budget.charge("PRODUCT", f"{len(pairs)} pair grids of {points} points, walked "
-                  f"{trials + 1} times,", (trials + 1) * points)
+    budget.charge("PRODUCT", f"{len(pairs)} pair grids of {budget.count(points)} points, "
+                  f"walked {budget.count(trials + 1)} times,", (trials + 1) * points)
     moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
     # a batch holds at most _PRODUCT_CHUNK grid points, so memory does not
     # grow with the trial count
@@ -369,14 +352,12 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
         shifts = [sample_shift(trial_rng(seed, "shift", trial), moduli)
                   for trial in range(first, min(first + per, trials))]
         # each trial is charged for all the search's walks, the winner's included
-        batch, refusal = _pair_slots(moduli, shifts, epsilon, delta, trials + 1)
+        batch = _pair_slots(moduli, shifts, epsilon, delta, trials + 1)
         for shift, slots in zip(shifts, batch):
             j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1, slots=slots)
             key = (-count, shift, j)
             if best is None or key < best[0]:
                 best = (key, shift, j, slots)
-        if refusal is not None:
-            raise refusal
     _, shift, j, slots = best
     return shift, j, _slice_set(moduli, shift, epsilon, delta,
                                 best_slice(moduli, shift, epsilon, delta, j=j, slots=slots))
@@ -442,13 +423,26 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     return dset
 
 
+def is_prime(k: int) -> bool:
+    """Whether k is prime, by trial division up to isqrt(k)."""
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
 def build_fpn_set(p: int, n: int, options: BuildOptions = BuildOptions()) -> DiscreteSet:
-    """Vector-space request: the group Z_p x ... x Z_p with n factors."""
+    """Vector-space request: F_p^n, the group Z_p x ... x Z_p with n
+    factors, for a prime p."""
     if p < 2 or n < 1:
         raise ValueError(f"invalid parameters p={p}, n={n}")
     # every coordinate lies in a pair grid of at least 4 points, so the
     # build charges at least 2n; a larger n is refused before (p,) * n is made
-    budget.charge("PRODUCT", f"{n} coordinates, at least 2 grid points each,", 2 * n)
+    budget.charge("PRODUCT", f"{budget.count(n)} coordinates, at least 2 grid points each,",
+                  2 * n)
+    # a pair grid holds at least 2p points (m1 + m2 for the box), p per
+    # coordinate, so a build with n * p over the budget is refused by its
+    # own charges before any grid is tested; below that, trial division
+    # takes at most isqrt(PRODUCT) steps
+    if n * p <= budget.PRODUCT and not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
     dset = build_group_set((p,) * n, options)
     dset.provenance["construction"] = "fpn"
     dset.provenance["p"] = p

@@ -33,8 +33,8 @@ from . import budget, gridscan
 from .dsets import DiscreteSet
 from .gridscan import (INT64_SAFE, region_factor, scaled_box, scaled_in_block, scaled_weight,
                        weight_factor)
-from .groups import (BuildOptions, build_group_set, pick_slice, region_epsilon, slice_indices,
-                     slice_ratio, trial_rng)
+from .groups import (BuildOptions, build_group_set, is_prime, pick_slice, region_epsilon,
+                     slice_indices, slice_ratio, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -186,10 +186,9 @@ def build_integer_set(N: int, options: BuildOptions = BuildOptions(),
 
 def _next_prime(k: int) -> int:
     k = max(2, k + 1)
-    while True:
-        if all(k % p for p in range(2, int(math.isqrt(k)) + 1)):
-            return k
+    while not is_prime(k):
         k += 1
+    return k
 
 
 _SCAN_CHUNK = 1 << 18  # rows per chunk of the stream

@@ -376,7 +376,7 @@ class TestWorkBudget:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", [["fpn", "--p", "7", "--n", "1000000", "--trials", "3"],
-                                      ["fpn", "--p", "1000000000", "--n", "1000000",
+                                      ["fpn", "--p", "1000000007", "--n", "1000000",
                                        "--delta", "1/24", "--trials", "1"]])
     def test_search_over_budget_exits_two_before_sampling(self, capsys, tmp_path, kind):
         """The first tested 10927 pair grids (about 3 s) and the second drew
@@ -389,6 +389,19 @@ class TestWorkBudget:
         assert code == 2 and out == ""
         assert err.startswith("error: 500000 pair grids of ") and "work budget" in err
         assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n, count", [(1000, "at least 2^657"), (100000, "at least 2^66384")])
+    def test_refusal_of_a_huge_product_is_one_short_line(self, capsys, tmp_path, n, count):
+        """The slot product of F_3^n has about 3^(n/2) tuples, 23857 digits
+        at n = 100000, past what Python formats; the refusal names neither
+        that count nor the moduli."""
+        code, out, err = run(capsys, "construct", "fpn", "--p", "3", "--n", str(n),
+                             "--outdir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == (f"error: slot product of {count} tuples, walked 17 times, exceeds the "
+                       "work budget of 16777216 points\n")
+        assert len(err.encode()) < 200
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", [["zm", "--moduli", "9000,9000"], ["zm", "--moduli", "3000"],
@@ -590,6 +603,17 @@ class TestCompare:
         lines = out.strip().splitlines()
         assert lines[0] == self.HEADER
         assert {ln.split(",")[0] for ln in lines[1:]} == {"halfbox", "new"}
+
+    @pytest.mark.parametrize("argv", [["construct", "fpn", "--p", "4", "--n", "2"],
+                                      ["construct", "fpn", "--p", "9", "--n", "3"],
+                                      ["compare", "fpn", "--p", "4", "--n", "2"]])
+    def test_fpn_refuses_a_composite_p(self, capsys, monkeypatch, tmp_path, argv):
+        """Z_4^2 is not F_4^2: no set is built, and compare prints no table."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: p={argv[3]} is not prime\n"
+        assert not list(tmp_path.iterdir())
 
     def test_header_stable(self, capsys):
         _, out1, _ = run(capsys, "compare", "fpn", "--p", "3", "--n", "2", "--seed", "0")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from apfree import budget, gridscan, groups
 from apfree.budget import BudgetError
-from apfree.gridscan import scaled_below, scaled_piece, scaled_weight
+from apfree.gridscan import scaled_below, scaled_in_block, scaled_weight
 from apfree.groups import (
     BuildOptions,
     trial_rng,
@@ -48,9 +48,7 @@ def hist_dict(histogram):
 
 def pair_slots(moduli, shift, epsilon, delta):
     """The (slots, L) of one shift, from a batch of one."""
-    batch, refusal = groups._pair_slots(moduli, [shift], epsilon, delta)
-    assert refusal is None
-    return batch[0]
+    return groups._pair_slots(moduli, [shift], epsilon, delta)[0]
 
 
 def preimage(moduli, shift, j, epsilon, delta):
@@ -342,6 +340,16 @@ class TestDriver:
         assert dset.verify().passed
         assert dset.provenance["fiber_modulus"] == 5
 
+    @pytest.mark.parametrize("p", [4, 6, 9, 15, 25, 49, 1000000000])
+    def test_fpn_refuses_a_composite_p(self, monkeypatch, p):
+        """A composite p is refused before any shift is drawn.  The budget
+        is raised so that n * p fits it for every p here; past it, the
+        build's own charges refuse the build first."""
+        monkeypatch.setattr(groups, "sample_shift", lambda rng, moduli: pytest.fail("sampled"))
+        monkeypatch.setattr(budget, "PRODUCT", 1 << 31)
+        with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
+            build_fpn_set(p, 1)
+
     def test_even_n_slice_route(self):
         dset = build_group_set((12, 12), BuildOptions(epsilon=F(1, 12), seed=1))
         assert dset.provenance["route"] == "slice"
@@ -506,7 +514,7 @@ def reference_slots(moduli, shift, epsilon, delta):
         else:
             kept = [((r1, r2), scaled_weight(epsilon, D, u, v))
                     for r1, u in enumerate(us) for r2, v in enumerate(vs)
-                    if scaled_piece(epsilon, D, u, v)]
+                    if scaled_in_block(epsilon, D, u, v)]
         pairs.append((D, kept))
     L = math.lcm(*(D * D for D, _ in pairs))
     return [[(r, w * (L // (D * D))) for r, w in kept] for D, kept in pairs], L
@@ -651,8 +659,8 @@ def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None)
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
-        batch, refusal = groups._pair_slots(moduli, shifts, epsilon, delta)
-    assert refusal is None and len(batch) == len(shifts)
+        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
+    assert len(batch) == len(shifts)
     for shift, (slots, L) in zip(shifts, batch):
         alone, alone_L = pair_slots(moduli, shift, epsilon, delta)
         assert L == alone_L
@@ -681,7 +689,7 @@ class TestBatchedSlots:
             moduli, shifts = moduli[:2], [shift[:2] for shift in shifts]
         grids = [math.lcm(12, 10, *(a.denominator for a in shift[:2])) for shift in shifts]
         assert grids[0] != grids[2] and grids[1] > 1 << 63
-        batch, _ = groups._pair_slots(moduli, shifts, epsilon, delta)
+        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
         dtypes = [w.dtype for slots, _ in batch for *_, w in slots]
         assert dtypes == ([np.int64] * 3 if epsilon is None else
                           [np.int64, np.int64, object, object, np.int64, np.int64])
@@ -724,21 +732,33 @@ class TestWorkBudget:
     def test_pair_grid_over_budget(self, monkeypatch):
         """The block tests all m1 * m2 grid points, the box m1 + m2."""
         monkeypatch.setattr(budget, "PRODUCT", 143)
-        with pytest.raises(BudgetError, match="pair grid 12x12"):
+        with pytest.raises(BudgetError) as exc:
             best_slice((12, 12), (0, 0), F(1, 12), F(1, 12))
+        assert str(exc.value) == ("1 pair grids of a shift, 144 points, walked 1 times,"
+                                  " exceeds the work budget of 143 points")
         monkeypatch.setattr(budget, "PRODUCT", 24)
         assert best_slice((12, 12), (0, 0), None, F(1, 12))[1] == 1
-        with pytest.raises(BudgetError, match="pair grid 12x12, walked 2 times"):
+        with pytest.raises(BudgetError) as exc:
             best_slice((12, 12), (0, 0), None, F(1, 12), walks=2)
+        assert str(exc.value) == ("1 pair grids of a shift, 24 points, walked 2 times,"
+                                  " exceeds the work budget of 24 points")
 
     def test_pair_grids_charged_together(self, monkeypatch):
-        # each 12x12 block grid fits a budget of 144 points, but not both
+        """Each 12x12 block grid fits a budget of 144 points, but not both:
+        a shift's grids are one charge, and past it the product is next."""
         monkeypatch.setattr(budget, "PRODUCT", 287)
-        with pytest.raises(BudgetError, match="pair grid 12x12 with the 1 before it"):
+        with pytest.raises(BudgetError) as exc:
             best_slice((12, 12, 12, 12), (0,) * 4, F(1, 12), F(1, 12))
+        assert str(exc.value) == ("2 pair grids of a shift, 288 points, walked 1 times,"
+                                  " exceeds the work budget of 287 points")
+        monkeypatch.setattr(budget, "PRODUCT", 288)
+        with pytest.raises(BudgetError) as exc:
+            best_slice((12, 12, 12, 12), (0,) * 4, F(1, 12), F(1, 12))
+        assert str(exc.value) == ("slot product of 1521 tuples, walked 1 times,"
+                                  " exceeds the work budget of 288 points")
 
     def test_search_refused_before_sampling(self, monkeypatch):
-        """fpn --p 4 --n 1000000 once tested 58255 pair grids (25 s) and
+        """zm with 10^6 moduli 4 once tested 58255 pair grids (25 s) and
         fpn --p 7 --n 1000000 --trials 3 10927 (3 s) before the budget
         refused them: every pair grid's points are charged for all the
         search's walks before a shift is drawn, m1 * m2 each for the block
@@ -774,29 +794,32 @@ class TestWorkBudget:
         moduli, shift, eps = (12, 12, 12, 12), (F(1, 10**7 + 19),) * 4, F(1, 12)
         assert groups._slice_scan(moduli, shift, eps, eps)[2].dtype == object
         cost = budget.OBJECT_COST
-        monkeypatch.setattr(budget, "PRODUCT", 144 * cost - 1)
-        with pytest.raises(BudgetError, match="pair grid 12x12, walked 1 times"):
-            best_slice(moduli, shift, eps, eps)
-        monkeypatch.setattr(budget, "PRODUCT", 288 * cost - 1)
-        with pytest.raises(BudgetError, match="pair grid 12x12 with the 1 before it"):
-            best_slice(moduli, shift, eps, eps)
+        for limit in (144 * cost - 1, 288 * cost - 1):
+            monkeypatch.setattr(budget, "PRODUCT", limit)
+            with pytest.raises(BudgetError) as exc:
+                best_slice(moduli, shift, eps, eps)
+            assert str(exc.value) == ("2 pair grids of a shift, 2304 points, walked 1 times,"
+                                      f" exceeds the work budget of {limit} points")
         monkeypatch.setattr(budget, "PRODUCT", 36 * 36 * cost - 1)
-        with pytest.raises(BudgetError, match="slot product of 1296 tuples"):
+        with pytest.raises(BudgetError) as exc:
             best_slice(moduli, shift, eps, eps)
+        assert str(exc.value) == ("slot product of 1296 tuples, walked 1 times,"
+                                  " exceeds the work budget of 10367 points")
         monkeypatch.setattr(budget, "PRODUCT", 36 * 36 * cost)
         assert best_slice(moduli, shift, eps, eps)[1] > 0
 
     @pytest.mark.parametrize("options, walks", [
-        (BuildOptions(trials=5), [6] * 16 + [1]),
-        (BuildOptions(shift=(F(1, 7),) * 4), [1] * 3),
-        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [1] * 3),
+        (BuildOptions(trials=5), [6] * 11 + [1]),
+        (BuildOptions(shift=(F(1, 7),) * 4), [1] * 2),
+        (BuildOptions(shift=(F(1, 7),) * 4, slice_index=3), [1] * 2),
     ])
     def test_builds_charge_every_walk(self, monkeypatch, options, walks):
         """A search walks its trials and then the winner once more, for its
-        pre-image and histogram; each trial is charged for all of them, and
-        the search first charges its pair grids for all of them.  The
-        winner's walk reuses its trial's slots, so only its product is
-        charged.  An explicit shift walks once, with or without a slice."""
+        pre-image and histogram; each trial's grids (one charge) and product
+        are charged for all of them, and the search first charges its pair
+        grids for all of them.  The winner's walk reuses its trial's slots,
+        so only its product is charged.  An explicit shift walks once, with
+        or without a slice."""
         charged, charge = [], budget.charge
 
         def spy(name, what, cost):
@@ -805,50 +828,35 @@ class TestWorkBudget:
 
         monkeypatch.setattr(budget, "charge", spy)
         build_group_set((6, 6, 6, 6), options)
-        assert charged == walks  # two pair grids and one product per tested shift
+        assert charged == walks  # one grid charge and one product per tested shift
 
-    # the refusal at each charge edge of two 5-trial searches, as walking
-    # one trial at a time refused them: the default 6^4 search, and a 12^4
-    # search whose second and fourth shifts run on object arrays, where
-    # trial 0's slot product (1681 tuples) is refused before trial 1's
-    # object grid would be
+    # the refusal one point below each charge of two admitted 5-trial
+    # searches: the default 6^4 search, whose grid charges all equal the
+    # search's first charge, and a 12^4 search whose second and fourth shifts
+    # run on object arrays, where the second shift's grids (13824 points) are
+    # refused before trial 0 is walked
     EDGES = {
         "6^4": {
-            35: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 35 points",
             47: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 47 points",
-            71: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 71 points",
-            215: "2 pair grids of 72 points, walked 6 times,"
-                   " exceeds the work budget of 215 points",
-            287: "2 pair grids of 72 points, walked 6 times,"
-                   " exceeds the work budget of 287 points",
-            383: "2 pair grids of 72 points, walked 6 times,"
-                   " exceeds the work budget of 383 points",
-            431: "2 pair grids of 72 points, walked 6 times,"
-                   " exceeds the work budget of 431 points",
+            287: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 287 points",
+            383: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 383 points",
+            431: "2 pair grids of 72 points, walked 6 times, exceeds the work budget of 431 points",
         },
         "mixed": {
-            143: "2 pair grids of 288 points, walked 6 times,"
-                   " exceeds the work budget of 143 points",
-            287: "2 pair grids of 288 points, walked 6 times,"
-                   " exceeds the work budget of 287 points",
-            863: "2 pair grids of 288 points, walked 6 times,"
-                   " exceeds the work budget of 863 points",
             1680: "2 pair grids of 288 points, walked 6 times,"
-                    " exceeds the work budget of 1680 points",
+                  " exceeds the work budget of 1680 points",
             1727: "2 pair grids of 288 points, walked 6 times,"
-                    " exceeds the work budget of 1727 points",
-            6911: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
-                    " exceeds the work budget of 6911 points",
-            7775: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
-                    " exceeds the work budget of 7775 points",
-            10085: "slot product of 1681 tuples for moduli (12, 12, 12, 12), walked 6 times,"
-                     " exceeds the work budget of 10085 points",
-            13823: "pair grid 12x12 with the 1 before it, walked 6 times,"
-                     " exceeds the work budget of 13823 points",
-            62207: "slot product of 1296 tuples for moduli (12, 12, 12, 12), walked 6 times,"
-                     " exceeds the work budget of 62207 points",
-            70847: "slot product of 1476 tuples for moduli (12, 12, 12, 12), walked 6 times,"
-                     " exceeds the work budget of 70847 points",
+                  " exceeds the work budget of 1727 points",
+            7775: "2 pair grids of a shift, 2304 points, walked 6 times,"
+                  " exceeds the work budget of 7775 points",
+            10085: "2 pair grids of a shift, 2304 points, walked 6 times,"
+                   " exceeds the work budget of 10085 points",
+            13823: "2 pair grids of a shift, 2304 points, walked 6 times,"
+                   " exceeds the work budget of 13823 points",
+            62207: "slot product of 1296 tuples, walked 6 times,"
+                   " exceeds the work budget of 62207 points",
+            70847: "slot product of 1476 tuples, walked 6 times,"
+                   " exceeds the work budget of 70847 points",
         },
     }
     MIXED = [(F(1, 24),) * 4, (F(1, 10**7 + 19),) * 4, (F(5, 192), F(7, 192), F(1, 16), F(0)),
@@ -859,8 +867,8 @@ class TestWorkBudget:
     def test_search_refusals_at_every_charge_edge(self, monkeypatch, case, admitted, chunk):
         """Testing the trials' grids in batches (one, or of two trials at
         576 points a batch) refuses the same searches with the same
-        message: a trial's grids put over the budget stop the search only
-        after the trials before it are walked."""
+        message: every shift of a batch is charged before the batch is
+        tested, so a shift's grids over the budget stop the search at once."""
         if chunk is not None:
             monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apfree.integers as integers
-from apfree.gridscan import scaled_box, scaled_piece, scaled_weight, weight_factor
-from apfree.groups import BuildOptions, slice_ratio, trial_rng
+from apfree.gridscan import scaled_box, scaled_in_block, scaled_weight, weight_factor
+from apfree.groups import BuildOptions, is_prime, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,
     base_coordinates,
@@ -67,6 +67,15 @@ class TestFirstPrimes:
             p = first_primes(n)[-1]
             assert p > prev or n == 1
             prev = p
+
+
+    def test_trial_division_agrees(self):
+        """The one primality test, shared by _next_prime and build_fpn_set."""
+        primes = first_primes(168)  # the primes below 1000
+        assert [k for k in range(-2, 1000) if is_prime(k)] == primes
+        assert [integers._next_prime(k) for k in range(-1, 997)] == [
+            min(p for p in primes if p > k) for k in range(-1, 997)]
+        assert is_prime(1000000007) and not is_prime(1000000007 * 3)
 
 
 class TestNthRoot:
@@ -390,7 +399,7 @@ class TestRowSlices:
             row = [(a + t * b) % denom for a, b in zip(a_nums, b_nums)]
             pairs = [(row[h], row[h + 1]) for h in range(0, len(row), 2)]
             if all(scaled_box(delta, denom, u, v) if epsilon is None
-                   else scaled_piece(epsilon, denom, u, v) for u, v in pairs):
+                   else scaled_in_block(epsilon, denom, u, v) for u, v in pairs):
                 s = 0 if epsilon is None else sum(scaled_weight(epsilon, denom, u, v)
                                                   for u, v in pairs)
                 kept.append((t, num * s // den))

@@ -19,11 +19,10 @@ from apfree import (DiscreteSet, behrend_set, build_fpn_set, build_group_set, bu
                     build_integer_set_direct, halfbox_set)
 from apfree.blocks import BuildingBlock
 from apfree.gridscan import (
+    _piece_masks,
     density_count,
-    membership_table,
     run_sweeps,
     scaled_in_block,
-    scaled_piece,
     weight_table,
 )
 from apfree.verify import (
@@ -593,35 +592,51 @@ class TestCheckedOnFailingSets:
 
 
 class TestSweepKernels:
-    def test_membership_table_matches_api(self):
+    def test_piece_masks_match_oracle(self):
         eps, q = F(1, 12), 48
         block = Block(eps)
-        tab = membership_table(eps, q)
+        u = np.arange(q, dtype=np.int64)
+        masks = _piece_masks(eps, q, u[:, None], u[None, :])
         for i in range(q):
             for j in range(q):
-                assert int(tab[i, j]) == block.piece_of((F(i, q), F(j, q)))
+                tag = block.piece_of((F(i, q), F(j, q)))
+                assert [bool(mask[i, j]) for mask in masks] == [tag == k for k in (1, 2, 3)]
 
     @pytest.mark.parametrize("eps", [F(1, 4), F(1, 6), F(1, 12), F(1, 24), F(5, 7), F(2, 3)])
     def test_in_block_is_a_nonzero_tag(self, eps):
         """Every numerator pair of small denominators, so every boundary
-        line of every piece is hit on both sides."""
+        line of every piece is hit on both sides: the piece masks are
+        disjoint and the block is their union, on arrays and on Python ints.
+        Each mask is the oracle's piece wherever D divides 24 or 84, the
+        grids on which every boundary line of these epsilons lies."""
+        block = Block(eps)
         for D in range(1, 97):
             u = np.arange(D, dtype=np.int64)
+            masks = _piece_masks(eps, D, u[:, None], u[None, :])
             inside = scaled_in_block(eps, D, u[:, None], u[None, :])
             assert inside.dtype == bool
-            assert np.array_equal(inside, scaled_piece(eps, D, u[:, None], u[None, :]) > 0)
+            assert np.array_equal(sum(mask.astype(int) for mask in masks), inside)
+            if 24 % D and 84 % D:
+                continue
+            tags = np.array([[block.piece_of((F(i, D), F(j, D))) for j in range(D)]
+                             for i in range(D)])
+            for k, mask in enumerate(masks, 1):
+                assert np.array_equal(mask, tags == k)
         for U, V in product(range(25), repeat=2):
-            assert scaled_in_block(eps, 24, U, V) == (scaled_piece(eps, 24, U, V) > 0)
+            masks = _piece_masks(eps, 24, U, V)
+            assert scaled_in_block(eps, 24, U, V) == any(masks)
+            if U < 24 and V < 24:
+                tag = block.piece_of((F(U, 24), F(V, 24)))
+                assert list(masks) == [tag == k for k in (1, 2, 3)]
 
     def test_weight_table_matches_api(self):
         eps, q = F(1, 24), 48
         block = Block(eps)
-        tab = membership_table(eps, q)
         wt = weight_table(eps, q)
         scale = 4 * eps.numerator**2 * q * q
         for i in range(q):
             for j in range(q):
-                if tab[i, j]:
+                if block.piece_of((F(i, q), F(j, q))):
                     assert int(wt[i, j]) == block.weight((F(i, q), F(j, q))) * scale
                 else:
                     assert wt[i, j] == -1
@@ -1212,12 +1227,13 @@ class TestDensity:
     @given(st.integers(1, 60), st.integers(2, 61), st.integers(24, 260))
     @settings(max_examples=150, deadline=None)
     def test_rows_count_the_cell_grid(self, a, b, m):
-        """The per-row interval count against the broadcast piece tags of
-        every cell midpoint, odd m and every valid eps included."""
+        """The per-row interval count against the broadcast piece masks of
+        every cell midpoint, counted piece by piece, odd m and every valid
+        eps included."""
         eps = F(min(a, b - 1), b)
         odd = 2 * np.arange(m, dtype=np.int64) + 1
-        tags = scaled_piece(eps, 2 * m, odd[:, None], odd[None, :])
-        assert density_count(eps, m) == int(np.count_nonzero(tags))
+        masks = _piece_masks(eps, 2 * m, odd[:, None], odd[None, :])
+        assert density_count(eps, m) == sum(int(np.count_nonzero(mask)) for mask in masks)
 
     def test_memory_is_linear_in_m(self):
         """The cell grid of m = 1024 would hold 2^20 cells; the rows hold
