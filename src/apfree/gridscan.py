@@ -34,14 +34,14 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
 2^62, object arrays of Python ints otherwise.
 
-``pair_chunks`` walks the pairs a < b of range(n) in row-major order, a
-chunk of index arrays at a time; the set certificates in
-:mod:`apfree.verify` walk their elements with it.  The sweeps walk the
-pairs x <= z of the grid points in the same order (the pairs a < b of
-range(P + 1) with z = b - 1, so ``_row_starts`` ranks both walks) in
-tiles: a block of rows x against the columns z from its
-first row on, each pair value the sum of a row value and a column value,
-broadcast.  ``run_sweeps`` walks them once for any selection of the four
+``pair_tiles`` is the one pair walk of the package: it yields the pairs
+x <= z of range(n) of a rank range, in row-major order, as tiles, a
+block of rows x against the columns z from its first row on with a mask
+of the tile's pairs.  The set certificates in :mod:`apfree.verify` walk
+their elements' pairs a < b with it, as the pairs x <= z of range(n - 1)
+taken as (x, z + 1).  The sweeps walk the pairs x <= z of the grid
+points with it, each pair value the sum of a row value and a column
+value, broadcast.  ``run_sweeps`` walks them once for any selection of the four
 facts (every ``check`` calls it once).  The first-coordinate facts run on
 the tiles directly, and the grid's point facts once on the pairs (x, x).
 The weight and midpoint facts read tables over a pair's outer sum
@@ -188,28 +188,43 @@ def _point_payload(Q: int, i: int, j: int) -> list[str]:
 
 
 def _row_starts(n: int) -> np.ndarray:
-    """The rank of the first pair of each row a in range(n) of the pairs
-    a < b of range(n) in row-major order; the last, empty row starts at
-    the number of pairs."""
-    rows = np.arange(n, dtype=np.int64)
-    return rows * (2 * n - rows - 1) // 2
+    """The rank of the first pair of each row x of the pairs x <= z of
+    range(n) in row-major order, and last the number of pairs."""
+    rows = np.arange(n + 1, dtype=np.int64)
+    return rows * (2 * n - rows + 1) // 2
 
 
-def pair_chunks(n: int, size: int):
-    """Index arrays (a, b) of the pairs a < b of range(n) in row-major
-    order (the order of ``np.triu_indices``), at most ``size`` pairs per
-    chunk."""
-    rows = np.arange(n, dtype=np.int64)
+def pair_tiles(n: int, size: int, start: int = 0, stop: int | None = None):
+    """The pairs x <= z of range(n) of row-major rank in [start, stop), all
+    of them by default, as tiles: whole rows against the columns from
+    their first pair on, as many rows as ``size`` cells allow, or one
+    row's segment where a rank range or a row longer than ``size`` cuts
+    it.  A tile holds the pairs of rank in [tile.start, tile.stop) with x
+    in the slice tile.rows and z in tile.cols, as the cells of an array
+    tile.valid over (x, z) that marks them."""
     row_start = _row_starts(n)
-    # rank k in row a is the pair (a, k - offset[a])
-    offset = row_start - rows - 1
-    stop = n * (n - 1) // 2
-    for k0 in range(0, stop, size):
-        k1 = min(k0 + size, stop)
-        # the chunk spans rows lo-1 .. hi-1, each but the first starting inside it
-        lo, hi = np.searchsorted(row_start, (k0, k1 - 1), side="right")
-        a = np.repeat(rows[lo - 1:hi], np.diff(np.r_[k0, row_start[lo:hi], k1]))
-        yield a, np.arange(k0, k1, dtype=np.int64) - offset[a]
+    stop = int(row_start[-1]) if stop is None else stop
+    # the rows are those up to the one holding rank stop - 1
+    last = int(np.searchsorted(row_start, stop - 1, side="right"))
+    k0 = start
+    while k0 < stop:
+        a0 = int(np.searchsorted(row_start, k0, side="right")) - 1
+        c0 = a0 + k0 - int(row_start[a0])
+        if c0 > a0 or n - a0 > size:
+            a1, c1 = a0 + 1, min(n, c0 + size, c0 + stop - k0)
+            k1 = k0 + c1 - c0
+        else:
+            a1, c1 = min(a0 + size // (n - a0), last), n
+            k1 = min(int(row_start[a1]), stop)
+        # a tile starts at rank k0 on its first row (column c0 >= a0), and
+        # only its last row may stop short of column c1
+        valid = np.arange(c0, c1) >= np.arange(a0, a1)[:, None]
+        end = a1 - 1 + k1 - int(row_start[a1 - 1])
+        if end < c1:
+            valid[-1, end - c0:] = False
+        yield SimpleNamespace(rows=slice(a0, a1), cols=slice(c0, c1), start=k0, stop=k1,
+                              valid=valid)
+        k0 = k1
 
 
 # grid pairs per tile of a sweep, counted as the tile's rows times its
@@ -258,9 +273,6 @@ class _Grid:
         self.FX = tab[pts[:, 0], pts[:, 1]]
         self.P = len(self.I)
         self.pairs = self.P * (self.P + 1) // 2
-        # the pairs x <= z of range(P) are the pairs a < b of range(P + 1),
-        # as (a, b - 1), in the same row-major order
-        self.row_start = _row_starts(self.P + 1)
         # a pair's outer sums (U0, V0) = x + z index the per-sum tables at
         # sid = U0 * 2Q + V0, so U0 < Q iff sid < Q * 2Q
         self.sid = self.I * self.D + self.J
@@ -347,43 +359,12 @@ class _Grid:
         return t
 
 
-def _tiles(g: _Grid, start: int, stop: int):
-    """The pairs of row-major rank in [start, stop) as tiles: whole rows
-    against the columns from their first pair on, as many rows as
-    _SWEEP_CHUNK pairs allow, or one row's segment where a rank range or
-    a row longer than _SWEEP_CHUNK cuts it."""
-    P, size, row_start = g.P, _SWEEP_CHUNK, g.row_start
-    # the rows are those up to the one holding rank stop - 1
-    last = int(np.searchsorted(row_start, stop - 1, side="right"))
-    k0 = start
-    while k0 < stop:
-        a0 = int(np.searchsorted(row_start, k0, side="right")) - 1
-        c0 = a0 + k0 - int(row_start[a0])
-        if c0 > a0 or P - a0 > size:
-            a1, c1 = a0 + 1, min(P, c0 + size, c0 + stop - k0)
-            k1 = k0 + c1 - c0
-        else:
-            a1, c1 = min(a0 + size // (P - a0), last), P
-            k1 = min(int(row_start[a1]), stop)
-        yield _Tile(g, a0, a1, c0, c1, k0, k1)
-        k0 = k1
-
-
 class _Tile:
-    """The pairs x = a <= z = b of rank in [k0, k1) with a0 <= a < a1 and
-    c0 <= b < c1, as arrays over (a, b) in which ``valid`` marks those
-    pairs, with the pair values the facts share, each made once on first
-    use."""
+    """A tile of grid pairs (``pair_tiles``) with the pair values the facts
+    share, each made once on first use."""
 
-    def __init__(self, g: _Grid, a0, a1, c0, c1, k0, k1):
-        self.g, self.a0, self.c0, self.pairs = g, a0, c0, k1 - k0
-        self.rows, self.cols = slice(a0, a1), slice(c0, c1)
-        # a tile starts at rank k0 on its first row (column c0 >= a0), and
-        # only its last row may stop short of column c1
-        self.valid = np.arange(c0, c1) >= np.arange(a0, a1)[:, None]
-        end = a1 - 1 + k1 - int(g.row_start[a1 - 1])
-        if end < c1:
-            self.valid[-1, end - c0:] = False
+    def __init__(self, g: _Grid, tile: SimpleNamespace):
+        self.g, self.rows, self.cols, self.valid = g, tile.rows, tile.cols, tile.valid
 
     def add(self, col):
         """col[a] + col[b] over the tile."""
@@ -423,7 +404,7 @@ class _Tile:
         n = int(np.count_nonzero(bad))
         if n:
             r, c = divmod(int(bad.argmax()), bad.shape[1])
-            yield n, (self.a0 + r, self.c0 + c, 0, code)
+            yield n, (self.rows.start + r, self.cols.start + c, 0, code)
 
     def exact(self, flagged, fact):
         """(violations, first violation key) of the candidate fact ``fact``
@@ -432,7 +413,7 @@ class _Tile:
         if not flagged.any():
             return
         r, b = np.nonzero(flagged)
-        ch = _Pairs(self.g, r + self.a0, b + self.c0)
+        ch = _Pairs(self.g, r + self.rows.start, b + self.cols.start)
         for code, bad in fact(ch):
             n = int(np.count_nonzero(bad))
             if n:
@@ -556,7 +537,7 @@ def _facts_tile(t: _Tile, counts):
 def _point_hits(g: _Grid, start: int, stop: int):
     """(violations, first violation key) of the grid's point facts, codes
     1 and 2, on the pairs (x, x) of rank in [start, stop)."""
-    lo, hi = np.searchsorted(g.row_start, (start, stop))
+    lo, hi = np.searchsorted(_row_starts(g.P), (start, stop))
     for code, bad in g.point_faults:
         a = lo + np.flatnonzero(bad[lo:hi])
         if len(a):
@@ -588,9 +569,10 @@ def _walk(g: _Grid, start: int, stop: int):
 
     if "facts" in g.kinds:
         record("facts", _point_hits(g, start, stop))
-    for t in _tiles(g, start, stop):
+    for tile in pair_tiles(g.P, _SWEEP_CHUNK, start, stop):
+        t = _Tile(g, tile)
         for kind in g.kinds:
-            counts[kind]["pairs"] += t.pairs
+            counts[kind]["pairs"] += tile.stop - tile.start
             record(kind, _FACTS[kind][0](t, counts[kind]))
     return {kind: (counts[kind], best[kind]) for kind in g.kinds}
 

@@ -292,11 +292,14 @@ def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: 
     return j, count, histogram, list(zip(*columns))
 
 
-def _slice_set(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk,
-               cap: int = 1000) -> DiscreteSet:
+# the most slices whose histogram a provenance lists, to keep sidecars
+# small for large groups
+_HISTOGRAM_CAP = 1000
+
+
+def _slice_set(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk) -> DiscreteSet:
     """The set of one ``best_slice`` walk, with its slice histogram in the
-    provenance, as {j: count} only up to ``cap`` slices to keep sidecars
-    small for large groups."""
+    provenance, as {j: count} only up to _HISTOGRAM_CAP slices."""
     j, _, (values, counts), elements = walk
     prov = {
         "construction": "zm",
@@ -309,7 +312,7 @@ def _slice_set(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk,
         "slices_nonempty": len(values),
         "in_block_total": int(counts.sum()),
     }
-    if len(values) <= cap:
+    if len(values) <= _HISTOGRAM_CAP:
         prov["slice_histogram"] = dict(zip(map(str, values.tolist()), counts.tolist()))
     return DiscreteSet(kind="group", moduli=moduli, elements=elements, provenance=prov)
 

@@ -5,11 +5,12 @@ DiscreteSet calls it, and a verifier only on elements it did not return.
 
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence
-for membership: one numpy pass per set kind over chunks of pairs from
-``gridscan.pair_chunks``, in which each pair that passes the parity
-filter makes one ``searchsorted`` lookup, of its midpoint in the sorted
-integers or of the key that all 2^e midpoint solutions of a group pair
-share (e even moduli).  The values run as int64 when their bound (the
+for membership: one numpy pass per set kind over the tiles of pairs of
+``gridscan.pair_tiles``.  The parity filter compares the elements'
+parities (in the coordinates of even moduli), a tile's rows against its
+columns, and each pair that passes it makes one ``searchsorted`` lookup,
+of its midpoint in the sorted integers or of the key that all 2^e
+midpoint solutions of a group pair share (e even moduli).  The values run as int64 when their bound (the
 product of the moduli, or twice the integer bound) is at most 2^62, and
 otherwise the same code runs on object arrays of Python ints, so nothing
 wraps.  Progressions come out in pair-scan order; the scan stops at the
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import budget, gridscan
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, pair_chunks, run_sweeps
+from .gridscan import density_count, pair_tiles, run_sweeps
 from .rational import decimal_str, rat_str
 
 
@@ -100,18 +101,19 @@ def integer_elements(bound: int, elements) -> tuple[int, ...]:
     return _Checked(elems, bound)
 
 
-def _charge_scan(what: str, n: int, offsets: int, parity) -> None:
-    """Charge a scan of n elements, before it starts, its pairs plus the
-    midpoint candidates of its pairs to budget.SCAN.  Only a pair whose
-    elements have equal rows in ``parity()`` (their parities in the
-    coordinates of even moduli) passes the parity filter, and then has
-    ``offsets`` candidates, which bound what its one lookup returns; the
-    rows are made only when the bound that every pair passes is over the
-    limit."""
+def _charge_scan(what: str, parity: np.ndarray, offsets: int) -> None:
+    """Charge a scan, before it starts, its pairs plus the midpoint
+    candidates of its pairs to budget.SCAN.  ``parity`` has a row per
+    element, its parities in the coordinates of even moduli; only a pair
+    whose elements have equal rows passes the parity filter, and then has
+    ``offsets`` candidates, which bound what its one lookup returns.  The
+    rows are counted only when the bound that every pair passes is over
+    the limit."""
+    n = len(parity)
     pairs = math.comb(n, 2)
     cost = pairs * (1 + offsets)
     if cost > budget.SCAN:
-        _, sizes = np.unique(parity(), axis=0, return_counts=True)
+        _, sizes = np.unique(parity, axis=0, return_counts=True)
         cost = pairs + offsets * sum(math.comb(int(k), 2) for k in sizes)
     budget.charge("SCAN", f"{what} of {n} elements ({cost} pairs and candidates)", cost)
 
@@ -136,7 +138,22 @@ def _members(keys: np.ndarray, base: np.ndarray):
         i = stop
 
 
-def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
+def _pairs(size: int, parity: np.ndarray):
+    """Index arrays (a, b) of the pairs a < b of elements whose rows of
+    ``parity`` are equal, one tile of at most ``size`` cells at a time, in
+    row-major order: the pairs a < b of range(n) are the pairs x <= z of
+    range(n - 1), as (x, z + 1)."""
+    columns = [(c, c[1:]) for c in parity.T]
+    for t in pair_tiles(max(len(parity) - 1, 0), size):
+        keep = t.valid
+        for c, later in columns:
+            keep = keep & (c[t.rows, None] == later[None, t.cols])
+        flat = np.flatnonzero(keep)
+        a = flat // keep.shape[1]
+        yield a + t.rows.start, flat - a * keep.shape[1] + (t.cols.start + 1)
+
+
+def _group_hits(moduli: tuple[int, ...], rows: np.ndarray, parity: np.ndarray):
     """Index triples (x, y, z) into the sorted element rows of every
     progression with x < z, in scan order: pairs {x, z} lexicographically,
     then the midpoint solutions y in product order.
@@ -148,42 +165,35 @@ def _group_hits(moduli: tuple[int, ...], rows: np.ndarray):
     is the pair's base, the mixed-radix code of its smallest root.  Codes
     put the first coordinate first, so the sorted rows are code-sorted, and
     keys sorted stably over them keep ties in product order.  x != z forces
-    y != x and y != z, so every hit is a progression.  A chunk of pairs
+    y != x and y != z, so every hit is a progression.  A tile of pairs
     looks up at most _CHUNK keys, and a set with no pair past the parity
     filter (as every set in Z_2^n) looks nothing up."""
     dtype = rows.dtype
     m = np.array(moduli, dtype=dtype)
     stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
     even = (m % 2 == 0).astype(dtype)
-    # coordinates along rows, so every step runs along a whole chunk of pairs
+    # coordinates along rows, so every step runs along a whole tile of pairs
     X = rows.T.copy()
     keys = stride @ (X % (m >> even)[:, None])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     m = m[:, None]
-    for a, b in pair_chunks(len(rows), max(1, _CHUNK // len(moduli))):
-        s = X.take(a, axis=1) + X.take(b, axis=1)
-        s -= (s >= m) * m
-        odd = s & 1
-        keep = even @ odd == 0
-        if keep.any():
-            base = (stride @ ((s + odd * m) >> 1))[keep]
-            a, b = a[keep], b[keep]
-            for p, k in _members(keys, base):
+    for a, b in _pairs(max(1, _CHUNK // len(moduli)), parity):
+        if len(a):
+            s = X.take(a, axis=1) + X.take(b, axis=1)
+            s -= (s >= m) * m
+            # the parity filter left s even in the coordinates of even moduli
+            for p, k in _members(keys, stride @ ((s + (s & 1) * m) >> 1)):
                 yield a[p], order[k], b[p]
 
 
-def _integer_hits(bound: int, elems: list[int]):
-    """Index triples (x, y, z) into elems of every progression x < y < z,
-    one chunk at a time in scan order: each pair {x, z} of equal parity
-    looks its midpoint up in the sorted elements."""
-    dtype = gridscan.exact_dtype(2 * bound)
-    v = np.array(elems, dtype=dtype)
-    for a, b in pair_chunks(len(elems), _CHUNK):
-        s = v.take(a) + v.take(b)
-        keep = s & 1 == 0
-        for p, y in _members(v, s[keep] >> 1):
-            yield a[keep][p], y, b[keep][p]
+def _integer_hits(v: np.ndarray, parity: np.ndarray):
+    """Index triples (x, y, z) into the sorted elements v of every
+    progression x < y < z, one tile at a time in scan order: each pair
+    {x, z} of equal parity looks its midpoint up in v."""
+    for a, b in _pairs(_CHUNK, parity):
+        for p, y in _members(v, (v.take(a) + v.take(b)) >> 1):
+            yield a[p], y, b[p]
 
 
 def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
@@ -225,10 +235,10 @@ def verify_group_set(
     rows = np.array(elements, dtype=gridscan.exact_dtype(math.prod(moduli)))
     rows = rows.reshape(len(elements), len(moduli))
     even = [i for i, m in enumerate(moduli) if m % 2 == 0]
-    _charge_scan("group certificate", len(rows), 2 ** len(even),
-                 lambda: (rows[:, even] % 2).astype(np.int8))
+    parity = (rows[:, even] % 2).astype(np.int8)
+    _charge_scan("group certificate", parity, 2 ** len(even))
     return _scan_report(
-        t0, _group_hits(moduli, rows),
+        t0, _group_hits(moduli, rows, parity),
         lambda x, y, z: {"x": list(elements[x]), "y": list(elements[y]), "z": list(elements[z])},
         all_counterexamples, subject=subject, mode="group",
         parameters={"moduli": list(moduli), "size": len(elements)},
@@ -245,10 +255,11 @@ def verify_integer_set(
     t0 = time.perf_counter()
     if not (type(elements) is _Checked and elements.universe == bound):
         elements = integer_elements(int(bound), elements)
-    _charge_scan("integer certificate", len(elements), 1,
-                 lambda: np.array([x & 1 for x in elements], dtype=np.int8)[:, None])
+    v = np.array(elements, dtype=gridscan.exact_dtype(2 * int(bound)))
+    parity = (v & 1).astype(np.int8)[:, None]
+    _charge_scan("integer certificate", parity, 1)
     return _scan_report(
-        t0, _integer_hits(int(bound), elements),
+        t0, _integer_hits(v, parity),
         lambda x, y, z: {"x": elements[x], "y": elements[y], "z": elements[z]},
         all_counterexamples, subject=subject, mode="integer",
         parameters={"bound": int(bound), "size": len(elements)},

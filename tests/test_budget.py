@@ -70,14 +70,14 @@ def spy_work(monkeypatch):
          lambda result, a, b, denom, lo, off, base, *region: add("PRODUCT", len(off)))
 
     # certificates: the pairs walked and the keys looked up
-    pair_chunks = verify.pair_chunks
+    pair_tiles = verify.pair_tiles
 
-    def chunks(*args):
-        for a, b in pair_chunks(*args):
-            add("SCAN", len(a))
-            yield a, b
+    def tiles(*args):
+        for tile in pair_tiles(*args):
+            add("SCAN", int(np.count_nonzero(tile.valid)))
+            yield tile
 
-    monkeypatch.setattr(verify, "pair_chunks", chunks)
+    monkeypatch.setattr(verify, "pair_tiles", tiles)
     wrap(monkeypatch, verify, "_members", lambda result, keys, base: add("SCAN", len(base)))
     # sweeps: the pairs walked, once per fact
     wrap(monkeypatch, gridscan, "_walk", lambda result, *args: add(

@@ -370,14 +370,16 @@ class TestDriver:
         assert hist[str(dset.provenance["slice_index"])] == dset.size
         assert dset.size == max(hist.values())
 
-    def test_histogram_capped_in_provenance(self):
+    def test_histogram_capped_in_provenance(self, monkeypatch):
         moduli, shift, epsilon, delta = (12, 12), (F(1, 24), F(1, 24)), F(1, 12), F(1, 12)
         walk = best_slice(moduli, shift, epsilon, delta)
         slices = len(walk[2][0])
         assert slices > 1
-        at_cap = groups._slice_set(moduli, shift, epsilon, delta, walk, cap=slices).provenance
+        monkeypatch.setattr(groups, "_HISTOGRAM_CAP", slices)
+        at_cap = groups._slice_set(moduli, shift, epsilon, delta, walk).provenance
         assert at_cap["slice_histogram"] == {str(j): c for j, c in hist_dict(walk[2]).items()}
-        over = groups._slice_set(moduli, shift, epsilon, delta, walk, cap=slices - 1).provenance
+        monkeypatch.setattr(groups, "_HISTOGRAM_CAP", slices - 1)
+        over = groups._slice_set(moduli, shift, epsilon, delta, walk).provenance
         assert "slice_histogram" not in over
         assert over["slices_nonempty"] == slices
         assert over["in_block_total"] == sum(hist_dict(walk[2]).values())

@@ -430,7 +430,7 @@ class TestScanAgainstLoopOracle:
         elements = sorted(elements | set(planted(rng, moduli, 4)))
         kept = sum(all((x + z) % 2 == 0 for x, z, m in zip(u, v, moduli) if m % 2 == 0)
                    for i, u in enumerate(elements) for v in elements[i + 1:])
-        # every left-side search of the scan is a key lookup; pair_chunks
+        # every left-side search of the scan is a key lookup; pair_tiles
         # searches its row starts on the right
         searchsorted, keys = np.searchsorted, []
 
@@ -907,24 +907,37 @@ def spy_exact_pairs(monkeypatch):
 
 
 class TestPairWalk:
-    """The pair walks: the certificates' enumerator, the sweeps' tiled walk
-    and its per-sum tables, its first violation, and its independence from
-    tile size, pair-range splits and workers."""
+    """The tile walk that the certificates and the sweeps share, the
+    sweeps' per-sum tables, their first violation, and their independence
+    from tile size, pair-range splits and workers."""
 
-    @given(st.integers(0, 40), st.integers(1, 50))
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, 50),
+        st.lists(st.integers(0, n * (n - 1) // 2), min_size=2, max_size=2).map(sorted))))
     @settings(max_examples=200, deadline=None)
-    def test_pair_chunks_are_a_slice_of_triu(self, n, size):
+    def test_pair_tiles_are_a_slice_of_triu(self, case):
+        """The strict pairs a < b of range(n) of rank in [lo, hi), as the
+        certificates walk them: the valid cells (x, z) of the tiles of the
+        pairs x <= z of range(n - 1), taken as (x, z + 1)."""
         import numpy as np
 
-        from apfree.gridscan import pair_chunks
+        from apfree.gridscan import pair_tiles
 
-        chunks = list(pair_chunks(n, size))
-        assert all(0 < len(a) <= size and len(a) == len(b) for a, b in chunks)
-        a = np.concatenate([a for a, _ in chunks] or [np.zeros(0, dtype=int)])
-        b = np.concatenate([b for _, b in chunks] or [np.zeros(0, dtype=int)])
+        n, size, (lo, hi) = case
+        tiles = list(pair_tiles(max(n - 1, 0), size, lo, hi))
+        # each tile spans the ranks that the one before it stops at
+        assert [lo, *(t.stop for t in tiles)] == [*(t.start for t in tiles), hi]
+        a, b = [], []
+        for t in tiles:
+            assert t.start < t.stop and t.valid.size <= size
+            assert t.valid.shape == (t.rows.stop - t.rows.start, t.cols.stop - t.cols.start)
+            assert np.count_nonzero(t.valid) == t.stop - t.start
+            x, z = np.nonzero(t.valid)
+            a += (x + t.rows.start).tolist()
+            b += (z + t.cols.start + 1).tolist()
         ta, tb = np.triu_indices(n, 1)
-        assert a.tolist() == ta.tolist()
-        assert b.tolist() == tb.tolist()
+        assert a == ta[lo:hi].tolist()
+        assert b == tb[lo:hi].tolist()
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
