@@ -39,16 +39,22 @@ x <= z of range(n) of a rank range, in row-major order, as tiles, a
 block of rows x against the columns z from its first row on with a mask
 of the tile's pairs.  The set certificates in :mod:`apfree.verify` walk
 their elements' pairs a < b with it, as the pairs x <= z of range(n - 1)
-taken as (x, z + 1).  The sweeps walk the pairs x <= z of the grid
-points with it, each pair value the sum of a row value and a column
-value, broadcast.  ``run_sweeps`` walks them once for any selection of the four
-facts (every ``check`` calls it once).  The first-coordinate facts run on
-the tiles directly, and the grid's point facts once on the pairs (x, x).
-The weight and midpoint facts read tables over a pair's outer sum
-s = x + z, which fixes its four midpoint candidates.  Each fact is
-rewritten so that its pair side is a value of x plus a value of z (for
-the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 - |s|^2), and its
-table holds, per s, the largest other side over the in-block candidates.
+taken as (x, z + 1).  ``run_sweeps`` sweeps the pairs x <= z of the
+grid points once for any selection of the four facts (every ``check``
+calls it once).  The weight and midpoint facts walk the pairs with
+``pair_tiles``, each pair value the sum of a row value and a column
+value, broadcast.  The first-coordinate facts walk no pair: they read
+only the first coordinate I and the coordinate sum S of each point, so a
+row x's partners z that apply or fail form a box in (I, S), and a prefix
+count table over (I, S) counts each row's partners in its column range
+by box queries (``_Rows``), in O(Q^2 + rows); the first violation is the
+first one in the first row holding any.  The grid's point facts run once
+on the pairs (x, x).  The weight and midpoint facts read tables over a
+pair's outer sum s = x + z, which fixes its four midpoint candidates.
+Each fact is rewritten so that its pair side is a value of x plus a
+value of z (for the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 -
+|s|^2), and its table holds, per s, the largest other side over the
+in-block candidates.
 A pair fails the fact at some candidate iff its value lies below its
 sum's threshold, so a tile costs a few integer operations per pair, and
 the exact per-candidate facts (``_block_fact``, ``_midpoint_fact``) run
@@ -58,8 +64,8 @@ of in-block candidates per sum.  ``_walk`` counts pairs and violations
 per fact and keeps each fact's first violation in scan order as the
 smallest (x, z, candidate, code), so a sweep split into rank ranges,
 across processes or tiles, reports the same.  Before any table is made a
-sweep is charged, from Q alone, to budget.SWEEP; the per-sum tables are
-built on the walk's first use, and grids below _SERIAL_PAIRS pairs stay on
+sweep is charged, from Q alone, to budget.SWEEP; the per-sum and prefix
+count tables are built on the walk's first use, and grids below _SERIAL_PAIRS pairs stay on
 one process, which is the only place the process pool is imported.  The
 density grid's cells are charged to budget.GRID.
 """
@@ -228,16 +234,20 @@ def pair_tiles(n: int, size: int, start: int = 0, stop: int | None = None):
 
 
 # grid pairs per tile of a sweep, counted as the tile's rows times its
-# columns (its lower-left triangle included); a tile holds about twenty
-# int64 or bool arrays of that many entries
-_SWEEP_CHUNK = 1 << 13
+# columns (its lower-left triangle included); the block and midpoint facts
+# make about eight int64 and fifteen one-byte arrays of that many entries
+# a tile.  On a 2-vCPU host check all at eps 1/12 took 4.6 / 4.9 / 6.1 ms
+# at Q 48, 16.5 / 14.5 / 19.0 ms at Q 72 and 106 / 87 / 81 ms at Q 120 on
+# tiles of 2^13 / 2^14 / 2^15 (in-process medians of 15-41)
+_SWEEP_CHUNK = 1 << 14
 # Below this many grid pairs a sweep stays on one process whatever the
 # worker cap, because starting a pool costs about as much as it saves: on a
-# 2-vCPU host (in-process medians of 7) two workers ran check all at
-# 0.39-0.51x the speed of one at 1.8e5 pairs (eps 1/12, Q 48), 0.83-0.88x
-# at 8.7e5 (Q 72), 0.92-1.05x at 1.0e6-1.1e6 (eps 1/24 and 1/48, Q 72),
-# 1.03-1.05x at 1.7e6 (eps 1/4, Q 96), 1.18-1.28x at 2.7e6 (eps 1/12,
-# Q 96) and 1.33-1.41x at 6.6e6 (Q 120).
+# 2-vCPU host (check all, in-process medians of 5-15) two workers ran at
+# 0.80x the speed of one at 8.7e5 pairs (eps 1/12, Q 72), 0.81-0.96x at
+# 1.0e6-1.1e6 (eps 1/24 and 1/48, Q 72), 0.94-0.99x at 1.7e6 (eps 1/4,
+# Q 96), 1.12-1.28x at 2.7e6 (eps 1/12, Q 96), 1.02-1.32x at 6.6e6
+# (Q 120), 1.47x at 1.4e7 (Q 144), 1.62x at 2.5e7 (Q 168) and 1.75x at
+# 1.0e8 (Q 240).
 _SERIAL_PAIRS = 1 << 21
 
 # the thresholds of per-sum tables with no candidate to test, and of sums
@@ -280,8 +290,6 @@ class _Grid:
         # than eps iff by at most near_gap
         self.S32 = self.S.astype(np.int32)
         self.near_gap = (en * Q - 1) // ed
-        # first coordinates at least 1/2, for x1z1
-        self.high = 2 * self.I >= Q
         gq, self.g2 = _g_tables(Q)
         self.GX = gq[self.I]
         # the table wrapped to 3Q rows and columns, F4w[u, v] = F4[u mod 2Q,
@@ -358,6 +366,17 @@ class _Grid:
             t.code3_top = near3.ravel()
         return t
 
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """prefix[i, s], the number of points with first coordinate below
+        i/Q and coordinate sum below s/Q, over 0 <= i <= Q and
+        0 <= s <= 2Q; the box counts of the first-coordinate facts read it."""
+        Q, D = self.Q, self.D
+        n = np.bincount(self.I * D + self.S, minlength=Q * D).reshape(Q, D)
+        prefix = np.zeros((Q + 1, D + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(n, axis=0), axis=1, out=prefix[1:, 1:])
+        return prefix
+
 
 class _Tile:
     """A tile of grid pairs (``pair_tiles``) with the pair values the facts
@@ -391,20 +410,8 @@ class _Tile:
 
     @cached_property
     def candidates(self):
-        return int(self.nin.sum(where=self.valid))
-
-    @cached_property
-    def below_one(self):
-        """x1 + z1 < 1."""
-        return self.sid < self.g.Q * self.g.D
-
-    def hits(self, code, bad):
-        """(violations, first violation key) of the failing pairs ``bad``;
-        argmax finds the first in row-major order, the smallest (x, z)."""
-        n = int(np.count_nonzero(bad))
-        if n:
-            r, c = divmod(int(bad.argmax()), bad.shape[1])
-            yield n, (self.rows.start + r, self.cols.start + c, 0, code)
+        # int8 products, summed in int64
+        return int((self.nin * self.valid).sum())
 
     def exact(self, flagged, fact):
         """(violations, first violation key) of the candidate fact ``fact``
@@ -492,8 +499,9 @@ def _midpoint_fact(ch: _Pairs):
     yield 3, near & (gx.take(p) < 2 * g.g2.take(U))
 
 
-# Each fact takes a tile and yields (violations, first violation key) per
-# failing code, adding its side counts to ``counts``.
+# Each fact takes a tile, or the rows (``_Rows``), and yields (violations,
+# first violation key) per failing code, adding its side counts to
+# ``counts``.
 
 def _block_tile(t: _Tile, counts):
     """The weight inequality: h(x) + h(z) below the sum's threshold."""
@@ -506,32 +514,95 @@ def _midpoint_tile(t: _Tile, counts):
     for near or for far pairs."""
     tab, sid = t.g.tables, t.sid
     counts["candidates"] += t.candidates
-    counts["near_equal_candidates"] += int(t.nin.sum(where=t.valid_near))
+    counts["near_equal_candidates"] += int((t.nin * t.valid_near).sum())
     # 2 ed^2 (sx^2 + sz^2) below a code-2 threshold: the slack fails
     ell = t.add(tab.ell)
-    flagged = np.where(
-        t.near, (ell < tab.code2_near_top.take(sid)) | (t.add(tab.k) < tab.code3_top.take(sid)),
-        ell < tab.code2_far_top.take(sid))
+    near_fails = (ell < tab.code2_near_top.take(sid)) | (t.add(tab.k) < tab.code3_top.take(sid))
+    flagged = (t.near & near_fails) | (~t.near & (ell < tab.code2_far_top.take(sid)))
     yield from t.exact(flagged, _midpoint_fact)
 
 
-def _x1z1_tile(t: _Tile, counts):
+class _Rows:
+    """The rows x of the pairs x <= z of a grid of rank in [start, stop),
+    each with its column range [c0, c1), for the facts counted by box
+    queries: those that read only the first coordinates I and the
+    coordinate sums S of a pair's points.  The points are in scan order,
+    by I, then by S, so the points of index >= z are those of larger I
+    and those of z's own I from S_z on, two boxes in (I, S)."""
+
+    def __init__(self, g: _Grid, start: int, stop: int):
+        self.g = g
+        if start >= stop:
+            self.x = self.c0 = self.c1 = np.zeros(0, dtype=np.int64)
+        else:
+            row_start = _row_starts(g.P)
+            a0, a1 = np.searchsorted(row_start, (start, stop - 1), side="right")
+            self.x = np.arange(a0 - 1, a1)
+            self.c0, self.c1 = self.x.copy(), np.full(len(self.x), g.P)
+            self.c0[0] += start - row_start[a0 - 1]
+            self.c1[-1] = a1 - 1 + stop - row_start[a1 - 1]
+        # the rows' own I and S
+        self.I, self.S = g.I[self.x], g.S[self.x]
+        # each column's I and S, and past the last point (Q, 0), which has
+        # no point of larger I
+        self._zI, self._zS = np.append(g.I, g.Q), np.append(g.S, 0)
+
+    def _box(self, i0, i1, s0, s1):
+        """The number of points with i0 <= I < i1 and s0 <= S < s1; numpy
+        arrays (broadcast) or ints, any bound outside the grid clipped."""
+        Q, D, prefix = self.g.Q, self.g.D, self.g.prefix
+        i0 = np.clip(i0, 0, Q)
+        i1 = np.clip(i1, i0, Q)
+        s0 = np.clip(s0, 0, D)
+        s1 = np.clip(s1, s0, D)
+        return prefix[i1, s1] - prefix[i0, s1] - prefix[i1, s0] + prefix[i0, s0]
+
+    def _from(self, z, box):
+        """The points of index >= z in the box (i0, i1, s0, s1)."""
+        i0, i1, s0, s1 = box
+        Iz, Sz = self._zI[z], self._zS[z]
+        return (self._box(np.maximum(i0, Iz + 1), i1, s0, s1)
+                + self._box(np.maximum(i0, Iz), np.minimum(i1, Iz + 1), np.maximum(s0, Sz), s1))
+
+    def count(self, box):
+        """Each row's partners z, in its column range, inside its box."""
+        return self._from(self.c0, box) - self._from(self.c1, box)
+
+    def hits(self, code, applicable, failing, counts):
+        """(violations, first violation key) of the partners z of each row
+        in its box ``failing``, counting those in its box ``applicable``;
+        the first is found by one scan of the first row holding any."""
+        counts["applicable"] += int(self.count(applicable).sum())
+        n = self.count(failing)
+        if n.any():
+            r = int(np.flatnonzero(n)[0])
+            i0, i1, s0, s1 = (np.broadcast_to(b, n.shape)[r] for b in failing)
+            z = np.arange(self.c0[r], self.c1[r])
+            I, S = self.g.I[z], self.g.S[z]
+            z = z[(I >= i0) & (I < i1) & (S >= s0) & (S < s1)]
+            yield int(n.sum()), (int(self.x[r]), int(z[0]), 0, code)
+
+
+def _x1z1_rows(r: _Rows, counts):
     """Pairs with nearly equal coordinate sums and one first coordinate
-    >= 1/2 must have first coordinates summing to at least 1."""
-    high = t.g.high
-    applicable = t.valid_near & (high[t.rows, None] | high[None, t.cols])
-    counts["applicable"] += int(np.count_nonzero(applicable))
-    yield from t.hits(0, applicable & t.below_one)
+    >= 1/2 must have first coordinates summing to at least 1: x's partners
+    z with S_z within near_gap of S_x and with I_z >= Q/2 unless I_x is,
+    failing when I_z < Q - I_x."""
+    Q = r.g.Q
+    lo = np.where(2 * r.I >= Q, 0, Q // 2)
+    near = r.S - r.g.near_gap, r.S + r.g.near_gap + 1
+    yield from r.hits(0, (lo, Q, *near), (lo, Q - r.I, *near), counts)
 
 
-def _facts_tile(t: _Tile, counts):
+def _facts_rows(r: _Rows, counts):
     """Code 3 of the block facts: two points with first coordinates summing
-    below 1 have coordinate sums totalling more than 11/6.  (Codes 1 and 2,
-    the grid's point facts, are the pairs (x, x): see ``_point_hits``.)"""
-    applicable = t.valid & t.below_one
-    counts["applicable"] += int(np.count_nonzero(applicable))
-    # 6 (sx + sz) > 11 Q iff sx + sz > 11 Q / 6, an integer as 24 divides Q
-    yield from t.hits(3, applicable & (t.add(t.g.S32) <= 11 * t.g.Q // 6))
+    below 1 have coordinate sums totalling more than 11/6, so x's partners
+    z with I_z < Q - I_x fail when S_z <= 11 Q / 6 - S_x, an integer as 24
+    divides Q.  (Codes 1 and 2, the grid's point facts, are the pairs
+    (x, x): see ``_point_hits``.)"""
+    Q = r.g.Q
+    yield from r.hits(3, (0, Q - r.I, 0, 2 * Q), (0, Q - r.I, 0, 11 * Q // 6 - r.S + 1),
+                      counts)
 
 
 def _point_hits(g: _Grid, start: int, stop: int):
@@ -544,20 +615,22 @@ def _point_hits(g: _Grid, start: int, stop: int):
             yield len(a), (int(a[0]), int(a[0]), 0, code)
 
 
-# kind -> (fact, its side counts, whether it tests midpoint candidates)
+# kind -> (fact, its side counts, whether it tests midpoint candidates);
+# the facts that do take tiles, the others take the rows (``_Rows``)
 _FACTS = {
     "block": (_block_tile, ("candidates",), True),
     "midpoint": (_midpoint_tile, ("candidates", "near_equal_candidates"), True),
-    "x1z1": (_x1z1_tile, ("applicable",), False),
-    "facts": (_facts_tile, ("applicable",), False),
+    "x1z1": (_x1z1_rows, ("applicable",), False),
+    "facts": (_facts_rows, ("applicable",), False),
 }
 
 
 def _walk(g: _Grid, start: int, stop: int):
     """{kind: (counts, smallest violation key (x, z, candidate, code))} of
     the grid's facts over the pairs x <= z of row-major rank in
-    [start, stop), walked once for all of them."""
-    counts = {kind: {"grid_points": g.P, "pairs": 0, "violations": 0,
+    [start, stop): the tiles walked once for all the facts that take them,
+    and the rows counted once for the others."""
+    counts = {kind: {"grid_points": g.P, "pairs": stop - start, "violations": 0,
                      **dict.fromkeys(_FACTS[kind][1], 0)} for kind in g.kinds}
     best = dict.fromkeys(g.kinds)
 
@@ -569,11 +642,17 @@ def _walk(g: _Grid, start: int, stop: int):
 
     if "facts" in g.kinds:
         record("facts", _point_hits(g, start, stop))
-    for tile in pair_tiles(g.P, _SWEEP_CHUNK, start, stop):
-        t = _Tile(g, tile)
-        for kind in g.kinds:
-            counts[kind]["pairs"] += tile.stop - tile.start
-            record(kind, _FACTS[kind][0](t, counts[kind]))
+    tiled = [kind for kind in g.kinds if _FACTS[kind][2]]
+    counted = [kind for kind in g.kinds if kind not in tiled]
+    if counted:
+        rows = _Rows(g, start, stop)
+        for kind in counted:
+            record(kind, _FACTS[kind][0](rows, counts[kind]))
+    if tiled:
+        for tile in pair_tiles(g.P, _SWEEP_CHUNK, start, stop):
+            t = _Tile(g, tile)
+            for kind in tiled:
+                record(kind, _FACTS[kind][0](t, counts[kind]))
     return {kind: (counts[kind], best[kind]) for kind in g.kinds}
 
 
@@ -613,16 +692,25 @@ def _violation(g: _Grid, kind: str, key):
     return violation
 
 
+def _cpu_limit() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     """Run the exhaustive pair sweeps of the facts ``kinds`` in one walk
     over the grid pairs, split evenly across processes when the grid has
-    at least _SERIAL_PAIRS pairs and ``threads`` allows more than one.
+    at least _SERIAL_PAIRS pairs and both ``threads`` and the CPUs this
+    process may run on allow more than one.
 
     Returns {kind: (counts, violation)}, violation None or a dict locating
     the kind's first failure in scan order (identical for every worker
     count)."""
     g = _Grid(eps, Q, kinds)
-    threads = max(1, min(threads, os.cpu_count() or 1, g.pairs))
+    threads = max(1, min(threads, _cpu_limit(), g.pairs))
     if threads == 1 or g.pairs < _SERIAL_PAIRS:
         parts = [_walk(g, 0, g.pairs)]
     else:

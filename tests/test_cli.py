@@ -516,6 +516,18 @@ class TestThreadsFlag:
         assert run(capsys, "check", "facts", "--epsilon", "1/12", "--Q", "24")[0] == 0
         assert seen == [3, 5, 3, 1]
 
+    def test_check_all_at_q120_is_the_same_on_two_workers(self, capsys):
+        """Q = 120 has 6.6e6 grid pairs, past the serial limit, so with two
+        CPUs to run on, two workers split them."""
+        import apfree.gridscan as gridscan
+
+        argv = ["check", "all", "--epsilon", "1/12", "--Q", "120"]
+        assert gridscan._Grid(F(1, 12), 120, ["x1z1"]).pairs >= gridscan._SERIAL_PAIRS
+        code, out, _ = run(capsys, "--threads", "1", *argv)
+        assert code == 0 and out.count('"counterexample": null') == 4
+        # stdout is the reports; stderr also prints the elapsed times
+        assert run(capsys, "--threads", "2", *argv)[:2] == (code, out)
+
     def test_bad_env_value_after_a_good_one(self, monkeypatch, capsys):
         monkeypatch.setenv("APFREE_THREADS", "2")
         assert run(capsys, "area", "--epsilon", "1/12")[0] == 0

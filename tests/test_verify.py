@@ -1,6 +1,7 @@
 """Exhaustive verifiers, grid-sweep kernels, area oracle and density."""
 
 import contextlib
+import functools
 import math
 import random
 import re
@@ -853,6 +854,35 @@ def loop_keys(kind, eps, q, table, gq, g2):
     return keys, pts
 
 
+def loop_applicable(kind, eps, q, pts):
+    """Plain-Python list of the pairs (x, z), x <= z, of the points ``pts``
+    that the first-coordinate fact ``kind`` (x1z1 or code 3 of facts)
+    applies to."""
+    en, ed = eps.numerator, eps.denominator
+    pairs = []
+    for xa, (i1, j1) in enumerate(pts):
+        for za in range(xa, len(pts)):
+            i2, j2 = pts[za]
+            if kind == "x1z1":
+                applies = ed * abs(i1 + j1 - i2 - j2) < en * q and (2 * i1 >= q or 2 * i2 >= q)
+            else:
+                applies = i1 + i2 < q
+            if applies:
+                pairs.append((xa, za))
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def planted_loop(kind, eps, q, seed):
+    """The violation keys of ``loop_keys`` and the pairs of
+    ``loop_applicable`` of a first-coordinate fact on the grid that
+    ``plant_faults`` makes with this seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        table, gq, g2 = plant_faults(mp, eps, q, seed)
+    keys, pts = loop_keys(kind, eps, q, table, gq, g2)
+    return keys, loop_applicable(kind, eps, q, pts)
+
+
 def loop_sweep(kind, eps, q, table, gq, g2):
     """The number of violations and the smallest (x, z, candidate, code) of
     ``loop_keys``, and the points."""
@@ -991,6 +1021,82 @@ class TestPairWalk:
                     assert counts["violations"] == len(inside)
                     assert best == min(inside, default=None)
 
+    @given(st.sampled_from(["x1z1", "facts"]), st.sampled_from([24, 48]), st.integers(0, 3),
+           st.sampled_from(["empty", "single", "cut", "whole"]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_box_counts_are_the_loop_on_rank_ranges(self, kind, q, seed, shape, data):
+        """The first-coordinate facts, counted by box queries over a rank
+        range (empty, one pair, cut anywhere, or whole) on a grid with
+        planted faults, report the loop's violations, applicable pairs and
+        smallest key of exactly the range's pairs."""
+        import apfree.gridscan as gridscan
+
+        eps = F(1, 12)
+        with pytest.MonkeyPatch.context() as mp:
+            plant_faults(mp, eps, q, seed)
+            g = gridscan._Grid(eps, q, (kind,))
+        keys, applicable = planted_loop(kind, eps, q, seed)
+
+        def rank(key):
+            xa, za = key[:2]
+            return xa * (2 * g.P + 1 - xa) // 2 + za - xa
+
+        lo, hi = 0, g.pairs
+        if shape != "whole":
+            lo = data.draw(st.integers(0, g.pairs - 1))
+            hi = {"empty": lo, "single": lo + 1}.get(shape)
+            if hi is None:
+                hi = data.draw(st.integers(lo, g.pairs))
+        counts, best = gridscan._walk(g, lo, hi)[kind]
+        inside = [key for key in keys if lo <= rank(key) < hi]
+        assert counts["pairs"] == hi - lo
+        assert counts["violations"] == len(inside)
+        assert counts["applicable"] == sum(lo <= rank(pair) < hi for pair in applicable)
+        assert best == min(inside, default=None)
+
+    @pytest.mark.parametrize("kind", ["x1z1", "facts"])
+    def test_box_counts_from_every_row(self, kind):
+        """Rank ranges from each row's first pair, and from a random pair
+        of the row, to the end: the box counts report the loop's
+        violations and its smallest key of exactly those pairs."""
+        import apfree.gridscan as gridscan
+
+        eps, q, rng = F(1, 12), 24, random.Random(0)
+        for seed in range(4):
+            with pytest.MonkeyPatch.context() as mp:
+                plant_faults(mp, eps, q, seed)
+                g = gridscan._Grid(eps, q, (kind,))
+            keys, _ = planted_loop(kind, eps, q, seed)
+            row_start = gridscan._row_starts(g.P)
+            ranks = sorted((int(row_start[x]) + z - x, (x, z, c, code)) for x, z, c, code in keys)
+            for x in range(g.P):
+                for lo in (int(row_start[x]), int(row_start[x]) + rng.randrange(g.P - x)):
+                    counts, best = gridscan._walk(g, lo, g.pairs)[kind]
+                    inside = [key for rank, key in ranks if rank >= lo]
+                    assert counts["violations"] == len(inside)
+                    assert best == min(inside, default=None)
+
+    def test_first_coordinate_facts_walk_no_tiles(self, monkeypatch):
+        """x1z1 and facts are counted by box queries alone; the block and
+        midpoint facts still walk the tiles."""
+        import apfree.gridscan as gridscan
+
+        walks = []
+        real = gridscan.pair_tiles
+
+        def spy(*args):
+            walks.append(args)
+            return real(*args)
+
+        eps, q = F(1, 12), 48
+        expected = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+        monkeypatch.setattr(gridscan, "pair_tiles", spy)
+        results = gridscan.run_sweeps(("x1z1", "facts"), eps, q)
+        assert walks == []
+        assert results == {kind: expected[kind] for kind in ("x1z1", "facts")}
+        gridscan.run_sweeps(("block", "x1z1"), eps, q)
+        assert len(walks) == 1
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["block", "midpoint"])
     def test_tables_flag_exactly_the_failing_pairs(self, monkeypatch, kind, seed):
@@ -1105,10 +1211,30 @@ class TestPairWalk:
         serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
         assert len(grids) == 1 and "tables" in vars(grids[0])
         monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
-        monkeypatch.setattr(gridscan.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(gridscan, "_cpu_limit", lambda: 2)
         assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
         # workers record their grids in their own processes, if at all
         assert len(grids) == 2 and "tables" not in vars(grids[1])
+
+    def test_workers_are_capped_by_the_cpus_the_process_may_use(self, monkeypatch):
+        """A process pinned to one CPU sweeps on one process whatever
+        ``threads`` asks, although the machine has more."""
+        import os
+
+        import apfree.gridscan as gridscan
+
+        if hasattr(os, "sched_getaffinity"):
+            assert gridscan._cpu_limit() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(gridscan.os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(gridscan.os, "cpu_count", lambda: 2)
+            assert gridscan._cpu_limit() == 1
+        else:
+            assert gridscan._cpu_limit() == (os.cpu_count() or 1)
+        monkeypatch.setattr(gridscan, "_cpu_limit", lambda: 1)
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
+        monkeypatch.setattr(gridscan, "_worker", None)
+        assert gridscan.run_sweeps(SWEEP_KINDS, F(1, 12), 24, threads=2) == gridscan.run_sweeps(
+            SWEEP_KINDS, F(1, 12), 24)
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_failing_sweep_independent_of_workers(self, monkeypatch, kind):
