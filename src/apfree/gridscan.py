@@ -53,21 +53,24 @@ on the pairs (x, x).  The weight and midpoint facts read tables over a
 pair's outer sum s = x + z, which fixes its four midpoint candidates.
 Each fact is rewritten so that its pair side is a value of x plus a
 value of z (for the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 -
-|s|^2), and its table holds, per s, the largest other side over the
-in-block candidates.
-A pair fails the fact at some candidate iff its value lies below its
-sum's threshold, so a tile costs a few integer operations per pair, and
-the exact per-candidate facts (``_block_fact``, ``_midpoint_fact``) run
-only on the pairs so flagged, to count their violations and find the
-first; a passing sweep flags none.  Candidates are counted from a table
-of in-block candidates per sum.  ``_walk`` counts pairs and violations
-per fact and keeps each fact's first violation in scan order as the
-smallest (x, z, candidate, code), so a sweep split into rank ranges,
-across processes or tiles, reports the same.  Before any table is made a
-sweep is charged, from Q alone, to budget.SWEEP; the per-sum and prefix
-count tables are built on the walk's first use, and grids below _SERIAL_PAIRS pairs stay on
-one process, which is the only place the process pool is imported.  The
-density grid's cells are charged to budget.GRID.
+|s|^2), and its other side is the right-hand side that
+``_Grid.candidate`` gives at each candidate of s, the one place that
+computes a candidate's coordinates, its membership and its right-hand
+sides.  A sum's table holds the largest of them over its in-block
+candidates, so a pair fails the fact at some candidate iff its value lies
+below its sum's threshold: a tile costs a few integer operations per
+pair, and only the pairs so flagged are compared with each candidate's
+own right-hand sides (``_Tile.exact``), to count their violations and
+find the first; a passing sweep flags none.  Candidates are counted from
+a table of in-block candidates per sum.  ``_walk`` counts pairs and
+violations per fact and keeps each fact's first violation in scan order
+as the smallest (x, z, candidate, code), so a sweep split into rank
+ranges, across processes or tiles, reports the same.  Before any table
+is made a sweep is charged, from Q alone, to budget.SWEEP; the per-sum
+and prefix count tables are built on the walk's first use.  Grids below
+_SERIAL_PAIRS pairs, and sweeps of the first-coordinate facts alone,
+stay on one process, which is the only place the process pool is
+imported.  The density grid's cells are charged to budget.GRID.
 """
 
 from __future__ import annotations
@@ -257,9 +260,10 @@ _NEG, _POS = -INT64_SAFE, INT64_SAFE
 
 class _Grid:
     """The in-block points of the 1/Q grid in scan order, with the weight
-    table at denominator 2Q that serves them and their midpoints, and the
-    per-sum tables of the facts ``kinds``.  The sweep is charged to
-    budget.SWEEP before any table is made."""
+    table at denominator 2Q that serves them and their midpoint candidates
+    (``candidate``), the facts ``kinds`` to sweep and the tables they read,
+    built on first use.  The sweep is charged to budget.SWEEP before any
+    table is made."""
 
     def __init__(self, eps: Fraction, Q: int, kinds):
         eps = BuildingBlock(eps).epsilon
@@ -292,12 +296,15 @@ class _Grid:
         self.near_gap = (en * Q - 1) // ed
         gq, self.g2 = _g_tables(Q)
         self.GX = gq[self.I]
-        # the table wrapped to 3Q rows and columns, F4w[u, v] = F4[u mod 2Q,
-        # v mod 2Q]: the midpoint candidates of outer sums (U0, V0) sit at
-        # U0 * 3Q + V0 plus each of the offsets
-        self.F4w = np.pad(self.F4, (0, Q), mode="wrap")
-        self.offsets = np.array([0, Q, 3 * Q * Q, 3 * Q * Q + Q], dtype=np.int64)[:, None]
-        self.wrap = np.arange(3 * Q, dtype=np.int64) % self.D
+        # each point's share of the pair values of the candidate facts: a
+        # pair's h(x) + h(z) for the weight inequality, ell for code 2 and k
+        # for code 3 of the midpoint facts
+        self.h = self.net(self.FX, 2 * self.I, 2 * self.J)
+        self.ell = 2 * ed * ed * self.S ** 2
+        self.k = 4 * self.GX - 4 * self.I ** 2
+        # code 2's right-hand side ed^2 syn^2 + en^2 Q^2 by a candidate's
+        # coordinate sum syn over 2Q, read by ``candidate``
+        self.rhs2 = ed * ed * np.arange(2 * self.D, dtype=np.int64) ** 2 + en * en * Q * Q
         # the single-point facts, code 1: 2/3 < sum <= 17/12, code 2: g of
         # the first coordinate dominates (a - 1/2)^2; only the failing ones
         self.point_faults = [
@@ -306,65 +313,60 @@ class _Grid:
                 (2, 4 * self.GX < (2 * self.I - Q) ** 2))
             if bad.any()]
 
+    def net(self, F, U, V):
+        """F - 8 en^2 (U^2 + V^2), the scaled w(P) - 2|P|^2 of the point
+        P = (U/2Q, V/2Q) of scaled weight F.  As |x - z|^2 = 2|x|^2 + 2|z|^2 -
+        4|m|^2 for m = (x + z)/2 = (U0/2Q, V0/2Q), the weight inequality at y
+        reads h(x) + h(z) >= 2 net(F4(y), U0, V0), h a point's own net."""
+        e8 = 8 * self.eps.numerator ** 2
+        return F - e8 * U * U - e8 * V * V
+
+    def candidate(self, U0, V0, c: int) -> SimpleNamespace:
+        """Midpoint candidate c of the outer sums (U0, V0) = x + z of pairs,
+        numpy arrays (broadcast) or ints: its numerators (u, v) over 2Q (U0
+        plus Q if c >= 2, V0 plus Q if c is odd, mod 2Q), ``inb``, whether it
+        lies in the block, and the right-hand side there of each fact, which
+        a pair's value must reach: ``block`` for h(x) + h(z), ``code2`` for
+        2 ed^2 (sx^2 + sz^2), ``code3`` for k(x) + k(z) of near pairs (as
+        2 (x1 - z1)^2 = 4 x1^2 + 4 z1^2 - 2 U0^2).  Code 1 fails unless
+        ``alt``, its coordinate sum less U0 + V0, is 0 or -Q; near pairs meet
+        code 2 where alt is 0, as 2 (sx^2 + sz^2) - (sx - sz)^2 = (U0 + V0)^2."""
+        Q, D = self.Q, self.D
+        u, v = (U0 + Q * (c >> 1)) % D, (V0 + Q * (c & 1)) % D
+        fy = self.F4.take(u * D + v)
+        return SimpleNamespace(u=u, v=v, inb=fy >= 0, alt=(u - U0) + (v - V0),
+                               block=2 * self.net(fy, U0, V0),
+                               code2=self.rhs2.take(u + v),
+                               code3=2 * self.g2[u] - 2 * U0 * U0)
+
     @cached_property
     def tables(self) -> SimpleNamespace:
         """Tables over the outer sums s = x + z = (U0, V0) of a pair, at
-        index sid = U0 * 2Q + V0, and each point's share of the pair values
-        they bound, for the block and midpoint facts; built on the walk's
-        first use.  A threshold is the largest right-hand side of a fact
-        over the in-block candidates of s, so a pair fails the fact at some
-        candidate iff its value lies below its sum's threshold."""
-        en, ed, Q, D = self.eps.numerator, self.eps.denominator, self.Q, self.D
-        block, midpoint = "block" in self.kinds, "midpoint" in self.kinds
+        index sid = U0 * 2Q + V0, built on the walk's first use: the number
+        of in-block candidates of s, and a threshold per fact, the largest
+        right-hand side of ``candidate`` over the in-block candidates where
+        the fact can fail, so a pair fails the fact at some candidate iff
+        its value lies below its sum's threshold."""
+        Q, D = self.Q, self.D
         s = np.arange(D, dtype=np.int64)
-        U0, V0 = s[:, None], s[None, :]
         nin = np.zeros((D, D), dtype=np.int8)
-        if block:
-            heaviest = np.full((D, D), _NEG)
-        if midpoint:
-            outer = U0 + V0
-            # code 2's right-hand side by the candidate's coordinate sum
-            rhs2 = ed * ed * np.arange(2 * D, dtype=np.int64) ** 2 + en * en * Q * Q
-            far2, near2, near3 = (np.full((D, D), _NEG) for _ in range(3))
-            code1 = np.zeros((D, D), dtype=bool)
-        # candidate c of s is (u, v) = (U0 + Q [c >= 2], V0 + Q [c odd]) mod 2Q
-        for du, dv in ((0, 0), (0, Q), (Q, 0), (Q, Q)):
-            fy = self.F4w[du:du + D, dv:dv + D]
-            inb = fy >= 0
-            nin += inb
-            if block:
-                # F4 is negative off the block, so the heaviest candidate
-                # is in-block if any is
-                np.maximum(heaviest, fy, out=heaviest)
-            if midpoint:
-                u, v = self.wrap[U0 + du], self.wrap[V0 + dv]
-                syn = u + v
-                rhs = rhs2[syn]
-                np.maximum(far2, rhs, out=far2, where=inb)
-                # 2 ssq - (sx - sz)^2 = (U0 + V0)^2, so the near-equal
-                # alternative of code 2 holds for the near pairs at the
-                # candidates with syn = U0 + V0, and nowhere else
-                alt = np.subtract(syn, outer, out=syn)  # syn is no longer needed
-                other = inb & (alt != 0)
-                np.maximum(near2, rhs, out=near2, where=other)
-                code1 |= other & (alt != -Q)
-                # code 3, near pairs only: 2 (x1 - z1)^2 = 4 x1^2 + 4 z1^2 - 2 U0^2
-                np.maximum(near3, 2 * self.g2[u] - 2 * U0 * U0, out=near3, where=inb)
-        t = SimpleNamespace(nin=nin.ravel())
-        if block:
-            # |x - z|^2 = 2|x|^2 + 2|z|^2 - |s|^2 turns the block fact into
-            # h(x) + h(z) >= 2 F4(y) - 16 en^2 |s|^2
-            t.h = self.FX - 32 * en * en * (self.I ** 2 + self.J ** 2)
-            t.block_top = np.where(heaviest >= 0, 2 * heaviest - 16 * en * en * (
-                U0 * U0 + V0 * V0), _NEG).ravel()
-        if midpoint:
-            t.ell = 2 * ed * ed * self.S ** 2
-            t.k = 4 * self.GX - 4 * self.I ** 2
-            # code 1 depends on s alone: every pair of a failing sum is flagged
-            near2[code1] = far2[code1] = _POS
-            t.code2_near_top, t.code2_far_top = near2.ravel(), far2.ravel()
-            t.code3_top = near3.ravel()
-        return t
+        block, far2, near2, near3 = (np.full((D, D), _NEG) for _ in range(4))
+        code1 = np.zeros((D, D), dtype=bool)
+        for c in range(4):
+            y = self.candidate(s[:, None], s[None, :], c)
+            nin += y.inb
+            np.maximum(block, y.block, out=block, where=y.inb)
+            np.maximum(far2, y.code2, out=far2, where=y.inb)
+            np.maximum(near3, y.code3, out=near3, where=y.inb)
+            # the candidates where near pairs lack code 2's alternative
+            other = y.inb & (y.alt != 0)
+            np.maximum(near2, y.code2, out=near2, where=other)
+            code1 |= other & (y.alt != -Q)
+        # code 1 depends on s alone: every pair of a failing sum is flagged
+        near2[code1] = far2[code1] = _POS
+        return SimpleNamespace(nin=nin.ravel(), block_top=block.ravel(),
+                               code2_near_top=near2.ravel(), code2_far_top=far2.ravel(),
+                               code3_top=near3.ravel())
 
     @cached_property
     def prefix(self) -> np.ndarray:
@@ -413,90 +415,31 @@ class _Tile:
         # int8 products, summed in int64
         return int((self.nin * self.valid).sum())
 
-    def exact(self, flagged, fact):
-        """(violations, first violation key) of the candidate fact ``fact``
-        on the tile's ``flagged`` pairs, code by code."""
+    def exact(self, flagged, fails):
+        """(violations, first violation key) per code on the tile's
+        ``flagged`` pairs: ``fails(pair, y)`` yields (code, failing pairs)
+        from the pairs' values at their candidate y (``_Grid.candidate``); a
+        code's first failure is its smallest (pair, in-block candidate)."""
         flagged &= self.valid
         if not flagged.any():
             return
-        r, b = np.nonzero(flagged)
-        ch = _Pairs(self.g, r + self.rows.start, b + self.cols.start)
-        for code, bad in fact(ch):
-            n = int(np.count_nonzero(bad))
-            if n:
-                # the first failure is the smallest (pair, candidate)
-                p, c = ch.cand[0][bad], ch.cand[1][bad]
-                k = int(np.argmin(4 * p + c))
-                p = int(p[k])
-                yield n, (int(ch.a[p]), int(ch.b[p]), int(c[k]), code)
-
-
-class _Pairs:
-    """Some pairs x = a <= z = b of a grid, with the columns the candidate
-    facts share: the coordinates and coordinate sums of x and z, and, each
-    computed once on first use, ``near`` and the midpoint candidates."""
-
-    def __init__(self, g: _Grid, a, b):
-        self.g, self.a, self.b = g, a, b
-        self.Ia, self.Ja, self.Sa = g.I[a], g.J[a], g.S[a]
-        self.Ib, self.Jb, self.Sb = g.I[b], g.J[b], g.S[b]
-
-    @cached_property
-    def near(self):
-        """The coordinate sums of x and z differ by less than eps."""
-        return np.abs(self.Sa - self.Sb) <= self.g.near_gap
-
-    @cached_property
-    def cand(self):
-        """(p, c, F4[U, V], U, V) of the in-block midpoint candidates
-        (U/2Q, V/2Q), candidate c of pair p, ordered by candidate, then by
-        pair.  Candidate c adds Q to the outer sum U when c >= 2 and to V
-        when c is odd, mod 2Q."""
         g = self.g
-        n, W = len(self.a), 3 * g.Q
-        flat = (self.Ia + self.Ib) * W + self.Ja + self.Jb + g.offsets
-        fy = g.F4w.take(flat)
-        k = np.flatnonzero(fy >= 0)
-        c = k // n
-        fk = flat.take(k)
-        u = fk // W
-        return k - c * n, c, fy.take(k), g.wrap.take(u), g.wrap.take(fk - u * W)
-
-
-# The exact candidate facts take some pairs and yield (code, mask of the
-# failing in-block candidates); a sweep runs them only on the pairs its
-# per-sum tables flag.
-
-def _block_fact(ch: _Pairs):
-    """Weight inequality w(x)+w(z) >= 2 w(y) + |x-z|^2 at every in-block
-    midpoint candidate y."""
-    g = ch.g
-    p, _, fy, _, _ = ch.cand
-    gap = 16 * g.eps.numerator ** 2 * ((ch.Ia - ch.Ib) ** 2 + (ch.Ja - ch.Jb) ** 2)
-    yield 0, (g.FX[ch.a] + g.FX[ch.b] - gap).take(p) < 2 * fy
-
-
-def _midpoint_fact(ch: _Pairs):
-    """Midpoint coordinate-sum facts at every in-block candidate:
-    code 1: y-sum minus half the outer sums is 0 or -1/2;
-    code 2: either the eps^2/2 sum-of-squares slack or the near-equal case;
-    code 3: in the near-equal case the g-part dominates with (x1-z1)^2/2."""
-    g = ch.g
-    en, ed = g.eps.numerator, g.eps.denominator
-    Q = g.Q
-    p, _, _, U, V = ch.cand
-    syn = U + V
-    sx, sz = ch.Sa, ch.Sb
-    ssq = sx * sx + sz * sz
-    alt = syn - (sx + sz).take(p)
-    yield 1, ~((alt == 0) | (alt == -Q))
-    near = ch.near.take(p)
-    syn2 = syn * syn
-    opt_a = (2 * ed * ed * ssq - en * en * Q * Q).take(p) >= ed * ed * syn2
-    opt_b = near & ((2 * ssq - (sx - sz) ** 2).take(p) == syn2)
-    yield 2, ~(opt_a | opt_b)
-    gx = 4 * (g.GX[ch.a] + g.GX[ch.b]) - 2 * (ch.Ia - ch.Ib) ** 2
-    yield 3, near & (gx.take(p) < 2 * g.g2.take(U))
+        r, col = np.nonzero(flagged)
+        a, b = r + self.rows.start, col + self.cols.start
+        pair = SimpleNamespace(near=self.near[r, col], h=g.h[a] + g.h[b],
+                               ell=g.ell[a] + g.ell[b], k=g.k[a] + g.k[b])
+        bad = {}
+        for c in range(4):
+            y = g.candidate(g.I[a] + g.I[b], g.J[a] + g.J[b], c)
+            for code, fails_y in fails(pair, y):
+                bad.setdefault(code, []).append(y.inb & fails_y)
+        for code, masks in bad.items():
+            # pair-major, so the first failure is the first one set
+            masks = np.stack(masks, axis=1)
+            n = int(np.count_nonzero(masks))
+            if n:
+                p, c = divmod(int(np.argmax(masks)), 4)
+                yield n, (int(a[p]), int(b[p]), c, code)
 
 
 # Each fact takes a tile, or the rows (``_Rows``), and yields (violations,
@@ -506,7 +449,8 @@ def _midpoint_fact(ch: _Pairs):
 def _block_tile(t: _Tile, counts):
     """The weight inequality: h(x) + h(z) below the sum's threshold."""
     counts["candidates"] += t.candidates
-    yield from t.exact(t.add(t.g.tables.h) < t.g.tables.block_top.take(t.sid), _block_fact)
+    yield from t.exact(t.add(t.g.h) < t.g.tables.block_top.take(t.sid),
+                       lambda p, y: [(0, p.h < y.block)])
 
 
 def _midpoint_tile(t: _Tile, counts):
@@ -516,10 +460,13 @@ def _midpoint_tile(t: _Tile, counts):
     counts["candidates"] += t.candidates
     counts["near_equal_candidates"] += int((t.nin * t.valid_near).sum())
     # 2 ed^2 (sx^2 + sz^2) below a code-2 threshold: the slack fails
-    ell = t.add(tab.ell)
-    near_fails = (ell < tab.code2_near_top.take(sid)) | (t.add(tab.k) < tab.code3_top.take(sid))
+    ell = t.add(t.g.ell)
+    near_fails = (ell < tab.code2_near_top.take(sid)) | (t.add(t.g.k) < tab.code3_top.take(sid))
     flagged = (t.near & near_fails) | (~t.near & (ell < tab.code2_far_top.take(sid)))
-    yield from t.exact(flagged, _midpoint_fact)
+    yield from t.exact(flagged, lambda p, y: [
+        (1, (y.alt != 0) & (y.alt != -t.g.Q)),
+        (2, (p.ell < y.code2) & (~p.near | (y.alt != 0))),
+        (3, p.near & (p.k < y.code3))])
 
 
 class _Rows:
@@ -684,10 +631,8 @@ def _violation(g: _Grid, kind: str, key):
         "code": code,
     }
     if _FACTS[kind][2]:
-        u0, v0 = int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi])
-        u = (u0 + (0 if c < 2 else Q)) % (2 * Q)
-        v = (v0 + (0 if c % 2 == 0 else Q)) % (2 * Q)
-        violation["y"] = [rat_str(Fraction(u, 2 * Q)), rat_str(Fraction(v, 2 * Q))]
+        y = g.candidate(int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi]), c)
+        violation["y"] = [rat_str(Fraction(int(y.u), g.D)), rat_str(Fraction(int(y.v), g.D))]
         violation["candidate"] = c
     return violation
 
@@ -703,15 +648,17 @@ def _cpu_limit() -> int:
 def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     """Run the exhaustive pair sweeps of the facts ``kinds`` in one walk
     over the grid pairs, split evenly across processes when the grid has
-    at least _SERIAL_PAIRS pairs and both ``threads`` and the CPUs this
-    process may run on allow more than one.
+    at least _SERIAL_PAIRS pairs, the block or midpoint facts are among
+    ``kinds`` (the others cost O(Q^2 + rows), less than a worker's own
+    grid), and both ``threads`` and the CPUs this process may run on
+    allow more than one.
 
     Returns {kind: (counts, violation)}, violation None or a dict locating
     the kind's first failure in scan order (identical for every worker
     count)."""
     g = _Grid(eps, Q, kinds)
     threads = max(1, min(threads, _cpu_limit(), g.pairs))
-    if threads == 1 or g.pairs < _SERIAL_PAIRS:
+    if threads == 1 or g.pairs < _SERIAL_PAIRS or not any(_FACTS[k][2] for k in g.kinds):
         parts = [_walk(g, 0, g.pairs)]
     else:
         bounds = [g.pairs * k // threads for k in range(threads + 1)]

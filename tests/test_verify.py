@@ -672,6 +672,49 @@ class TestSweepKernels:
         assert counts["pairs"] == pairs
         assert counts["candidates"] == cands
 
+    @pytest.mark.parametrize("eps", [F(1, 12), F(1, 4)])
+    def test_candidates_match_oracle(self, eps):
+        """``_Grid.candidate`` at every pair of the 1/24 grid and each c, as
+        the Fraction reference states it: y = (u, v)/2Q is the oracle's
+        candidate c, in the block iff the oracle's piece is nonzero, and
+        there each right-hand side less the pair's value is the scaled
+        margin of its fact, so a pair fails a fact iff the oracle's does.
+        With s the coordinate sum and g = halfmod_square, the facts are
+        w(x) + w(z) >= 2 w(y) + |x - z|^2, s(y) - (s(x) + s(z))/2 in
+        {0, -1/2} (alt), s(x)^2 + s(z)^2 >= 2 s(y)^2 + eps^2/2 (code 2) and
+        g(x1) + g(z1) >= 2 g(y1) + (x1 - z1)^2/2 (code 3)."""
+        import apfree.gridscan as gridscan
+        from oracle import halfmod_square as g1
+
+        q, block = 24, Block(eps)
+        g = gridscan._Grid(eps, q, ("block", "midpoint"))
+        a, b = np.triu_indices(g.P)
+        pts = [(F(i, q), F(j, q)) for i, j in zip(g.I.tolist(), g.J.tolist())]
+        weights = [block.weight(p) for p in pts]
+        scales = 16 * eps.numerator ** 2 * q * q, 2 * eps.denominator ** 2 * q * q, 4 * q * q
+        ys = []
+        for c in range(4):
+            y = g.candidate(g.I[a] + g.I[b], g.J[a] + g.J[b], c)
+            ys.append(zip(y.u.tolist(), y.v.tolist(), y.inb.tolist(), y.alt.tolist(),
+                          (y.block - g.h[a] - g.h[b]).tolist(),
+                          (y.code2 - g.ell[a] - g.ell[b]).tolist(),
+                          (y.code3 - g.k[a] - g.k[b]).tolist()))
+        # per pair, its four candidates
+        for xa, za, *at in zip(a.tolist(), b.tolist(), *ys):
+            x, z = pts[xa], pts[za]
+            for yc, (u, v, inb, alt, *margin) in zip(midpoint_candidates(x, z), at):
+                assert (F(u, 2 * q), F(v, 2 * q)) == yc
+                assert inb == (block.piece_of(yc) != 0)
+                if not inb:
+                    continue
+                sx, sy, sz = sum(x), sum(yc), sum(z)
+                assert F(alt, 2 * q) == sy - (sx + sz) / 2
+                expected = (2 * block.weight(yc) + (x[0] - z[0]) ** 2 + (x[1] - z[1]) ** 2
+                            - weights[xa] - weights[za],
+                            2 * sy ** 2 + eps ** 2 / 2 - sx ** 2 - sz ** 2,
+                            2 * g1(yc[0]) + (x[0] - z[0]) ** 2 / 2 - g1(x[0]) - g1(z[0]))
+                assert margin == [m * k for m, k in zip(expected, scales)]
+
     def test_grid_points_scan_order(self):
         """The sweep's grid holds the in-block points of the 1/Q grid in
         scan order (lexicographic by (i, j))."""
@@ -922,17 +965,19 @@ def assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed):
 
 def spy_exact_pairs(monkeypatch):
     """The list that every pair sent to the exact candidate facts will be
-    appended to, as (x, z)."""
+    appended to, as (x, z): the valid pairs of each tile that the per-sum
+    tables flag."""
     import apfree.gridscan as gridscan
 
     seen = []
+    real = gridscan._Tile.exact
 
-    class Spy(gridscan._Pairs):
-        def __init__(self, g, a, b):
-            seen.extend(zip(a.tolist(), b.tolist()))
-            super().__init__(g, a, b)
+    def spy(t, flagged, fails):
+        r, b = np.nonzero(flagged & t.valid)
+        seen.extend(zip((r + t.rows.start).tolist(), (b + t.cols.start).tolist()))
+        return real(t, flagged, fails)
 
-    monkeypatch.setattr(gridscan, "_Pairs", Spy)
+    monkeypatch.setattr(gridscan._Tile, "exact", spy)
     return seen
 
 
@@ -1235,6 +1280,18 @@ class TestPairWalk:
         monkeypatch.setattr(gridscan, "_worker", None)
         assert gridscan.run_sweeps(SWEEP_KINDS, F(1, 12), 24, threads=2) == gridscan.run_sweeps(
             SWEEP_KINDS, F(1, 12), 24)
+
+    def test_first_coordinate_facts_stay_on_one_process(self, monkeypatch):
+        """A sweep of x1z1 and facts alone walks no tile, so it starts no
+        pool whatever the grid's size, ``threads`` and the CPUs allow."""
+        import apfree.gridscan as gridscan
+
+        kinds, eps, q = ("x1z1", "facts"), F(1, 12), 24
+        serial = gridscan.run_sweeps(kinds, eps, q)
+        monkeypatch.setattr(gridscan, "_worker", None)
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
+        monkeypatch.setattr(gridscan, "_cpu_limit", lambda: 2)
+        assert gridscan.run_sweeps(kinds, eps, q, threads=2) == serial
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_failing_sweep_independent_of_workers(self, monkeypatch, kind):
