@@ -35,9 +35,9 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 2^62, object arrays of Python ints otherwise.
 
 ``pair_tiles`` is the one pair walk of the package: it yields the pairs
-x <= z of range(n) of a rank range, in row-major order, as tiles, a
-block of rows x against the columns z from its first row on with a mask
-of the tile's pairs.  The set certificates in :mod:`apfree.verify` walk
+x <= z of range(n) with x in a row range, in row-major order, as tiles,
+a block of rows x against the columns z from its first row on with a
+mask of the tile's pairs.  The set certificates in :mod:`apfree.verify` walk
 their elements' pairs a < b with it, as the pairs x <= z of range(n - 1)
 taken as (x, z + 1).  ``run_sweeps`` sweeps the pairs x <= z of the
 grid points once for any selection of the four facts (every ``check``
@@ -45,10 +45,10 @@ calls it once).  The weight and midpoint facts walk the pairs with
 ``pair_tiles``, each pair value the sum of a row value and a column
 value, broadcast.  The first-coordinate facts walk no pair: they read
 only the first coordinate I and the coordinate sum S of each point, so a
-row x's partners z that apply or fail form a box in (I, S), and a prefix
-count table over (I, S) counts each row's partners in its column range
-by box queries (``_Rows``), in O(Q^2 + rows); the first violation is the
-first one in the first row holding any.  The grid's point facts run once
+row x's partners z >= x that apply or fail form a box in (I, S), and a
+prefix count table over (I, S) counts them by box queries (``_Rows``),
+in O(Q^2 + rows); the first violation is the first one in the first row
+holding any.  The grid's point facts run once
 on the pairs (x, x).  The weight and midpoint facts read tables over a
 pair's outer sum s = x + z, which fixes its four midpoint candidates.
 Each fact is rewritten so that its pair side is a value of x plus a
@@ -64,7 +64,7 @@ own right-hand sides (``_Tile.exact``), to count their violations and
 find the first; a passing sweep flags none.  Candidates are counted from
 a table of in-block candidates per sum.  ``_walk`` counts pairs and
 violations per fact and keeps each fact's first violation in scan order
-as the smallest (x, z, candidate, code), so a sweep split into rank
+as the smallest (x, z, candidate, code), so a sweep split into row
 ranges, across processes or tiles, reports the same.  Before any table
 is made a sweep is charged, from Q alone, to budget.SWEEP; the per-sum
 and prefix count tables are built on the walk's first use.  Grids below
@@ -197,43 +197,30 @@ def _point_payload(Q: int, i: int, j: int) -> list[str]:
 
 
 def _row_starts(n: int) -> np.ndarray:
-    """The rank of the first pair of each row x of the pairs x <= z of
-    range(n) in row-major order, and last the number of pairs."""
+    """The number of pairs x <= z of range(n) before each row x in
+    row-major order, and last the number of pairs."""
     rows = np.arange(n + 1, dtype=np.int64)
     return rows * (2 * n - rows + 1) // 2
 
 
-def pair_tiles(n: int, size: int, start: int = 0, stop: int | None = None):
-    """The pairs x <= z of range(n) of row-major rank in [start, stop), all
-    of them by default, as tiles: whole rows against the columns from
-    their first pair on, as many rows as ``size`` cells allow, or one
-    row's segment where a rank range or a row longer than ``size`` cuts
-    it.  A tile holds the pairs of rank in [tile.start, tile.stop) with x
-    in the slice tile.rows and z in tile.cols, as the cells of an array
-    tile.valid over (x, z) that marks them."""
-    row_start = _row_starts(n)
-    stop = int(row_start[-1]) if stop is None else stop
-    # the rows are those up to the one holding rank stop - 1
-    last = int(np.searchsorted(row_start, stop - 1, side="right"))
-    k0 = start
-    while k0 < stop:
-        a0 = int(np.searchsorted(row_start, k0, side="right")) - 1
-        c0 = a0 + k0 - int(row_start[a0])
-        if c0 > a0 or n - a0 > size:
-            a1, c1 = a0 + 1, min(n, c0 + size, c0 + stop - k0)
-            k1 = k0 + c1 - c0
-        else:
-            a1, c1 = min(a0 + size // (n - a0), last), n
-            k1 = min(int(row_start[a1]), stop)
-        # a tile starts at rank k0 on its first row (column c0 >= a0), and
-        # only its last row may stop short of column c1
-        valid = np.arange(c0, c1) >= np.arange(a0, a1)[:, None]
-        end = a1 - 1 + k1 - int(row_start[a1 - 1])
-        if end < c1:
-            valid[-1, end - c0:] = False
-        yield SimpleNamespace(rows=slice(a0, a1), cols=slice(c0, c1), start=k0, stop=k1,
-                              valid=valid)
-        k0 = k1
+def pair_tiles(n: int, size: int, x0: int = 0, x1: int | None = None):
+    """The pairs x <= z of range(n) with x in the rows [x0, x1), all of
+    them by default, in row-major order as tiles: whole rows against the
+    columns from their first pair on, as many rows as ``size`` cells allow,
+    or the segments of at most ``size`` columns of a row longer than that.
+    A tile holds the pairs with x in the slice tile.rows and z in
+    tile.cols, as the cells of an array tile.valid over (x, z) that marks
+    them."""
+    x1 = n if x1 is None else x1
+    a0 = x0
+    while a0 < x1:
+        # as many whole rows as ``size`` cells hold, or one row in segments
+        a1 = min(a0 + max(1, size // (n - a0)), x1)
+        for c0 in range(a0, n, size):
+            c1 = min(n, c0 + size)
+            yield SimpleNamespace(rows=slice(a0, a1), cols=slice(c0, c1),
+                                  valid=np.arange(c0, c1) >= np.arange(a0, a1)[:, None])
+        a0 = a1
 
 
 # grid pairs per tile of a sweep, counted as the tile's rows times its
@@ -244,14 +231,13 @@ def pair_tiles(n: int, size: int, start: int = 0, stop: int | None = None):
 # tiles of 2^13 / 2^14 / 2^15 (in-process medians of 15-41)
 _SWEEP_CHUNK = 1 << 14
 # Below this many grid pairs a sweep stays on one process whatever the
-# worker cap, because starting a pool costs about as much as it saves: on a
-# 2-vCPU host (check all, in-process medians of 5-15) two workers ran at
-# 0.80x the speed of one at 8.7e5 pairs (eps 1/12, Q 72), 0.81-0.96x at
-# 1.0e6-1.1e6 (eps 1/24 and 1/48, Q 72), 0.94-0.99x at 1.7e6 (eps 1/4,
-# Q 96), 1.12-1.28x at 2.7e6 (eps 1/12, Q 96), 1.02-1.32x at 6.6e6
-# (Q 120), 1.47x at 1.4e7 (Q 144), 1.62x at 2.5e7 (Q 168) and 1.75x at
-# 1.0e8 (Q 240).
-_SERIAL_PAIRS = 1 << 21
+# worker cap, because a fresh process pays for importing and starting the
+# pool about what a second worker saves: on a 2-vCPU host, medians of 7
+# alternating `python -m apfree --threads {1,2} check all --epsilon 1/12`
+# runs took 127 / 134-140 ms at Q 96 (2.7e6 pairs), 160-164 / 156-160 ms
+# at Q 120 (6.6e6), 219-223 / 189-190 ms at Q 144 (1.4e7) and 318-319 /
+# 237-240 ms at Q 168 (2.5e7), one worker against two.
+_SERIAL_PAIRS = 1 << 23
 
 # the thresholds of per-sum tables with no candidate to test, and of sums
 # every pair of which must go through the exact facts
@@ -470,29 +456,17 @@ def _midpoint_tile(t: _Tile, counts):
 
 
 class _Rows:
-    """The rows x of the pairs x <= z of a grid of rank in [start, stop),
-    each with its column range [c0, c1), for the facts counted by box
-    queries: those that read only the first coordinates I and the
-    coordinate sums S of a pair's points.  The points are in scan order,
-    by I, then by S, so the points of index >= z are those of larger I
-    and those of z's own I from S_z on, two boxes in (I, S)."""
+    """The rows x in [x0, x1) of the pairs x <= z of a grid, for the facts
+    counted by box queries: those that read only the first coordinates I
+    and the coordinate sums S of a pair's points.  The points are in scan
+    order, by I, then by S, so a row's partners z >= x are the points of
+    larger I and those of x's own I from S_x on, two boxes in (I, S)."""
 
-    def __init__(self, g: _Grid, start: int, stop: int):
+    def __init__(self, g: _Grid, x0: int, x1: int):
         self.g = g
-        if start >= stop:
-            self.x = self.c0 = self.c1 = np.zeros(0, dtype=np.int64)
-        else:
-            row_start = _row_starts(g.P)
-            a0, a1 = np.searchsorted(row_start, (start, stop - 1), side="right")
-            self.x = np.arange(a0 - 1, a1)
-            self.c0, self.c1 = self.x.copy(), np.full(len(self.x), g.P)
-            self.c0[0] += start - row_start[a0 - 1]
-            self.c1[-1] = a1 - 1 + stop - row_start[a1 - 1]
+        self.x = np.arange(x0, x1)
         # the rows' own I and S
         self.I, self.S = g.I[self.x], g.S[self.x]
-        # each column's I and S, and past the last point (Q, 0), which has
-        # no point of larger I
-        self._zI, self._zS = np.append(g.I, g.Q), np.append(g.S, 0)
 
     def _box(self, i0, i1, s0, s1):
         """The number of points with i0 <= I < i1 and s0 <= S < s1; numpy
@@ -504,16 +478,12 @@ class _Rows:
         s1 = np.clip(s1, s0, D)
         return prefix[i1, s1] - prefix[i0, s1] - prefix[i1, s0] + prefix[i0, s0]
 
-    def _from(self, z, box):
-        """The points of index >= z in the box (i0, i1, s0, s1)."""
-        i0, i1, s0, s1 = box
-        Iz, Sz = self._zI[z], self._zS[z]
-        return (self._box(np.maximum(i0, Iz + 1), i1, s0, s1)
-                + self._box(np.maximum(i0, Iz), np.minimum(i1, Iz + 1), np.maximum(s0, Sz), s1))
-
     def count(self, box):
-        """Each row's partners z, in its column range, inside its box."""
-        return self._from(self.c0, box) - self._from(self.c1, box)
+        """Each row's partners z >= x inside its box (i0, i1, s0, s1)."""
+        i0, i1, s0, s1 = box
+        I, S = self.I, self.S
+        return (self._box(np.maximum(i0, I + 1), i1, s0, s1)
+                + self._box(np.maximum(i0, I), np.minimum(i1, I + 1), np.maximum(s0, S), s1))
 
     def hits(self, code, applicable, failing, counts):
         """(violations, first violation key) of the partners z of each row
@@ -524,7 +494,7 @@ class _Rows:
         if n.any():
             r = int(np.flatnonzero(n)[0])
             i0, i1, s0, s1 = (np.broadcast_to(b, n.shape)[r] for b in failing)
-            z = np.arange(self.c0[r], self.c1[r])
+            z = np.arange(self.x[r], self.g.P)
             I, S = self.g.I[z], self.g.S[z]
             z = z[(I >= i0) & (I < i1) & (S >= s0) & (S < s1)]
             yield int(n.sum()), (int(self.x[r]), int(z[0]), 0, code)
@@ -552,12 +522,11 @@ def _facts_rows(r: _Rows, counts):
                       counts)
 
 
-def _point_hits(g: _Grid, start: int, stop: int):
+def _point_hits(g: _Grid, x0: int, x1: int):
     """(violations, first violation key) of the grid's point facts, codes
-    1 and 2, on the pairs (x, x) of rank in [start, stop)."""
-    lo, hi = np.searchsorted(_row_starts(g.P), (start, stop))
+    1 and 2, on the pairs (x, x) of the rows [x0, x1)."""
     for code, bad in g.point_faults:
-        a = lo + np.flatnonzero(bad[lo:hi])
+        a = x0 + np.flatnonzero(bad[x0:x1])
         if len(a):
             yield len(a), (int(a[0]), int(a[0]), 0, code)
 
@@ -572,12 +541,14 @@ _FACTS = {
 }
 
 
-def _walk(g: _Grid, start: int, stop: int):
+def _walk(g: _Grid, x0: int, x1: int):
     """{kind: (counts, smallest violation key (x, z, candidate, code))} of
-    the grid's facts over the pairs x <= z of row-major rank in
-    [start, stop): the tiles walked once for all the facts that take them,
-    and the rows counted once for the others."""
-    counts = {kind: {"grid_points": g.P, "pairs": stop - start, "violations": 0,
+    the grid's facts over the pairs x <= z of the rows [x0, x1): the tiles
+    walked once for all the facts that take them, and the rows counted
+    once for the others."""
+    row_start = _row_starts(g.P)
+    pairs = int(row_start[x1] - row_start[x0])
+    counts = {kind: {"grid_points": g.P, "pairs": pairs, "violations": 0,
                      **dict.fromkeys(_FACTS[kind][1], 0)} for kind in g.kinds}
     best = dict.fromkeys(g.kinds)
 
@@ -588,15 +559,15 @@ def _walk(g: _Grid, start: int, stop: int):
                 best[kind] = key
 
     if "facts" in g.kinds:
-        record("facts", _point_hits(g, start, stop))
+        record("facts", _point_hits(g, x0, x1))
     tiled = [kind for kind in g.kinds if _FACTS[kind][2]]
     counted = [kind for kind in g.kinds if kind not in tiled]
     if counted:
-        rows = _Rows(g, start, stop)
+        rows = _Rows(g, x0, x1)
         for kind in counted:
             record(kind, _FACTS[kind][0](rows, counts[kind]))
     if tiled:
-        for tile in pair_tiles(g.P, _SWEEP_CHUNK, start, stop):
+        for tile in pair_tiles(g.P, _SWEEP_CHUNK, x0, x1):
             t = _Tile(g, tile)
             for kind in tiled:
                 record(kind, _FACTS[kind][0](t, counts[kind]))
@@ -604,7 +575,7 @@ def _walk(g: _Grid, start: int, stop: int):
 
 
 def _merge(parts):
-    """(counts, smallest violation key) of a sweep from those of the pair
+    """(counts, smallest violation key) of a sweep from those of the row
     ranges it was split into."""
     counts: dict[str, int] = {}
     best = None
@@ -617,8 +588,8 @@ def _merge(parts):
 
 
 def _worker(args):
-    kinds, eps_str, Q, start, stop = args
-    return _walk(_Grid(Fraction(eps_str), Q, kinds), start, stop)
+    kinds, eps_str, Q, x0, x1 = args
+    return _walk(_Grid(Fraction(eps_str), Q, kinds), x0, x1)
 
 
 def _violation(g: _Grid, kind: str, key):
@@ -647,22 +618,26 @@ def _cpu_limit() -> int:
 
 def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     """Run the exhaustive pair sweeps of the facts ``kinds`` in one walk
-    over the grid pairs, split evenly across processes when the grid has
-    at least _SERIAL_PAIRS pairs, the block or midpoint facts are among
-    ``kinds`` (the others cost O(Q^2 + rows), less than a worker's own
-    grid), and both ``threads`` and the CPUs this process may run on
+    over the grid pairs, split across processes into ranges of whole rows,
+    each within P pairs of an even share, when the grid has at least
+    _SERIAL_PAIRS pairs, the block or midpoint facts are among ``kinds``
+    (the others cost O(Q^2 + rows), less than a worker's own grid), and
+    ``threads``, the CPUs this process may run on and the grid's rows all
     allow more than one.
 
     Returns {kind: (counts, violation)}, violation None or a dict locating
     the kind's first failure in scan order (identical for every worker
     count)."""
     g = _Grid(eps, Q, kinds)
-    threads = max(1, min(threads, _cpu_limit(), g.pairs))
+    threads = max(1, min(threads, _cpu_limit(), g.P))
     if threads == 1 or g.pairs < _SERIAL_PAIRS or not any(_FACTS[k][2] for k in g.kinds):
-        parts = [_walk(g, 0, g.pairs)]
+        parts = [_walk(g, 0, g.P)]
     else:
-        bounds = [g.pairs * k // threads for k in range(threads + 1)]
-        jobs = [(g.kinds, str(g.eps), Q, bounds[k], bounds[k + 1]) for k in range(threads)]
+        # each part starts at the row holding its even share's first pair,
+        # so it is within a row, P pairs, of an even share
+        cuts = np.searchsorted(_row_starts(g.P),
+                               [g.pairs * k // threads for k in range(threads + 1)]).tolist()
+        jobs = [(g.kinds, str(g.eps), Q, x0, x1) for x0, x1 in zip(cuts, cuts[1:])]
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apfree.dsets as dsets
@@ -431,8 +431,7 @@ class TestScanAgainstLoopOracle:
         elements = sorted(elements | set(planted(rng, moduli, 4)))
         kept = sum(all((x + z) % 2 == 0 for x, z, m in zip(u, v, moduli) if m % 2 == 0)
                    for i, u in enumerate(elements) for v in elements[i + 1:])
-        # every left-side search of the scan is a key lookup; pair_tiles
-        # searches its row starts on the right
+        # every left-side search of the scan is a key lookup
         searchsorted, keys = np.searchsorted, []
 
         def search(a, v, side="left", **kwargs):
@@ -949,6 +948,26 @@ def loop_violation(kind, key, pts, q):
 SWEEP_KINDS = ["block", "midpoint", "x1z1", "facts"]
 
 
+def row_ranges(rng, rows, count):
+    """Row ranges [x0, x1) of range(rows): an empty one, one row, the
+    whole range and ``count`` random ones."""
+    x = rng.randrange(rows)
+    return [(x, x), (x, x + 1), (0, rows),
+            *(tuple(sorted(rng.randrange(rows + 1) for _ in range(2))) for _ in range(count))]
+
+
+def row_cuts(rng, rows):
+    """Lists of row bounds from 0 to ``rows``: uneven cuts with an empty
+    range and one-row ranges, a cut at a third, and random cuts."""
+    return [[0, 1, rows], [0, 7, 7, 100, 101, rows - 3, rows], [0, rows // 3, rows],
+            [0, *sorted(rng.randrange(rows + 1) for _ in range(5)), rows]]
+
+
+def row_pairs(rows, x0, x1):
+    """The number of pairs x <= z of range(rows) with x in [x0, x1)."""
+    return sum(rows - x for x in range(x0, x1))
+
+
 def assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed):
     import apfree.gridscan as gridscan
 
@@ -988,31 +1007,32 @@ class TestPairWalk:
 
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, 50),
-        st.lists(st.integers(0, n * (n - 1) // 2), min_size=2, max_size=2).map(sorted))))
+        st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2).map(sorted))))
+    @example((12, 7, [4, 4]))
+    @example((12, 7, [4, 5]))
+    @example((12, 7, [0, 11]))
     @settings(max_examples=200, deadline=None)
     def test_pair_tiles_are_a_slice_of_triu(self, case):
-        """The strict pairs a < b of range(n) of rank in [lo, hi), as the
-        certificates walk them: the valid cells (x, z) of the tiles of the
-        pairs x <= z of range(n - 1), taken as (x, z + 1)."""
+        """The strict pairs a < b of range(n) with a in the rows [x0, x1)
+        (empty, one row, the whole range or random), as the certificates
+        walk them: the valid cells (x, z) of the tiles of the pairs x <= z
+        of range(n - 1), taken as (x, z + 1)."""
         import numpy as np
 
         from apfree.gridscan import pair_tiles
 
-        n, size, (lo, hi) = case
-        tiles = list(pair_tiles(max(n - 1, 0), size, lo, hi))
-        # each tile spans the ranks that the one before it stops at
-        assert [lo, *(t.stop for t in tiles)] == [*(t.start for t in tiles), hi]
+        n, size, (x0, x1) = case
         a, b = [], []
-        for t in tiles:
-            assert t.start < t.stop and t.valid.size <= size
+        for t in pair_tiles(max(n - 1, 0), size, x0, x1):
+            assert t.valid.any() and t.valid.size <= size
             assert t.valid.shape == (t.rows.stop - t.rows.start, t.cols.stop - t.cols.start)
-            assert np.count_nonzero(t.valid) == t.stop - t.start
             x, z = np.nonzero(t.valid)
             a += (x + t.rows.start).tolist()
             b += (z + t.cols.start + 1).tolist()
         ta, tb = np.triu_indices(n, 1)
-        assert a == ta[lo:hi].tolist()
-        assert b == tb[lo:hi].tolist()
+        inside = (ta >= x0) & (ta < x1)
+        assert a == ta[inside].tolist()
+        assert b == tb[inside].tolist()
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1039,39 +1059,34 @@ class TestPairWalk:
         assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_rank_ranges_are_slices_of_the_loop(self, monkeypatch, seed):
-        """Every rank range, cut mid-row or mid-tile, reports the loop's
-        violations of exactly its own pairs."""
+    def test_row_ranges_are_slices_of_the_loop(self, monkeypatch, seed):
+        """Every row range (empty, one row, the whole grid or random), cut
+        mid-tile or on tiles that cut rows, reports the loop's violations
+        of exactly its own pairs."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
         table, gq, g2 = plant_faults(monkeypatch, eps, q, seed)
         keys = {kind: loop_keys(kind, eps, q, table, gq, g2)[0] for kind in SWEEP_KINDS}
         g = gridscan._Grid(eps, q, SWEEP_KINDS)
-
-        def rank(key):
-            xa, za = key[:2]
-            return xa * (2 * g.P + 1 - xa) // 2 + za - xa
-
         rng = random.Random(seed)
         for chunk in (7, 100, 1 << 13):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            for _ in range(10):
-                lo, hi = sorted(rng.randrange(g.pairs + 1) for _ in range(2))
-                walked = gridscan._walk(g, lo, hi)
+            for x0, x1 in row_ranges(rng, g.P, 7):
+                walked = gridscan._walk(g, x0, x1)
                 for kind in SWEEP_KINDS:
-                    inside = [key for key in keys[kind] if lo <= rank(key) < hi]
+                    inside = [key for key in keys[kind] if x0 <= key[0] < x1]
                     counts, best = walked[kind]
-                    assert counts["pairs"] == hi - lo
+                    assert counts["pairs"] == row_pairs(g.P, x0, x1)
                     assert counts["violations"] == len(inside)
                     assert best == min(inside, default=None)
 
     @given(st.sampled_from(["x1z1", "facts"]), st.sampled_from([24, 48]), st.integers(0, 3),
            st.sampled_from(["empty", "single", "cut", "whole"]), st.data())
     @settings(max_examples=120, deadline=None)
-    def test_box_counts_are_the_loop_on_rank_ranges(self, kind, q, seed, shape, data):
-        """The first-coordinate facts, counted by box queries over a rank
-        range (empty, one pair, cut anywhere, or whole) on a grid with
+    def test_box_counts_are_the_loop_on_row_ranges(self, kind, q, seed, shape, data):
+        """The first-coordinate facts, counted by box queries over a row
+        range (empty, one row, cut anywhere, or whole) on a grid with
         planted faults, report the loop's violations, applicable pairs and
         smallest key of exactly the range's pairs."""
         import apfree.gridscan as gridscan
@@ -1081,45 +1096,36 @@ class TestPairWalk:
             plant_faults(mp, eps, q, seed)
             g = gridscan._Grid(eps, q, (kind,))
         keys, applicable = planted_loop(kind, eps, q, seed)
-
-        def rank(key):
-            xa, za = key[:2]
-            return xa * (2 * g.P + 1 - xa) // 2 + za - xa
-
-        lo, hi = 0, g.pairs
+        x0, x1 = 0, g.P
         if shape != "whole":
-            lo = data.draw(st.integers(0, g.pairs - 1))
-            hi = {"empty": lo, "single": lo + 1}.get(shape)
-            if hi is None:
-                hi = data.draw(st.integers(lo, g.pairs))
-        counts, best = gridscan._walk(g, lo, hi)[kind]
-        inside = [key for key in keys if lo <= rank(key) < hi]
-        assert counts["pairs"] == hi - lo
+            x0 = data.draw(st.integers(0, g.P - 1))
+            x1 = {"empty": x0, "single": x0 + 1}.get(shape)
+            if x1 is None:
+                x1 = data.draw(st.integers(x0, g.P))
+        counts, best = gridscan._walk(g, x0, x1)[kind]
+        inside = [key for key in keys if x0 <= key[0] < x1]
+        assert counts["pairs"] == row_pairs(g.P, x0, x1)
         assert counts["violations"] == len(inside)
-        assert counts["applicable"] == sum(lo <= rank(pair) < hi for pair in applicable)
+        assert counts["applicable"] == sum(x0 <= x < x1 for x, _ in applicable)
         assert best == min(inside, default=None)
 
     @pytest.mark.parametrize("kind", ["x1z1", "facts"])
     def test_box_counts_from_every_row(self, kind):
-        """Rank ranges from each row's first pair, and from a random pair
-        of the row, to the end: the box counts report the loop's
-        violations and its smallest key of exactly those pairs."""
+        """Row ranges from each row to the end: the box counts report the
+        loop's violations and its smallest key of exactly those pairs."""
         import apfree.gridscan as gridscan
 
-        eps, q, rng = F(1, 12), 24, random.Random(0)
+        eps, q = F(1, 12), 24
         for seed in range(4):
             with pytest.MonkeyPatch.context() as mp:
                 plant_faults(mp, eps, q, seed)
                 g = gridscan._Grid(eps, q, (kind,))
             keys, _ = planted_loop(kind, eps, q, seed)
-            row_start = gridscan._row_starts(g.P)
-            ranks = sorted((int(row_start[x]) + z - x, (x, z, c, code)) for x, z, c, code in keys)
-            for x in range(g.P):
-                for lo in (int(row_start[x]), int(row_start[x]) + rng.randrange(g.P - x)):
-                    counts, best = gridscan._walk(g, lo, g.pairs)[kind]
-                    inside = [key for rank, key in ranks if rank >= lo]
-                    assert counts["violations"] == len(inside)
-                    assert best == min(inside, default=None)
+            for x0 in range(g.P):
+                counts, best = gridscan._walk(g, x0, g.P)[kind]
+                inside = [key for key in keys if key[0] >= x0]
+                assert counts["violations"] == len(inside)
+                assert best == min(inside, default=None)
 
     def test_first_coordinate_facts_walk_no_tiles(self, monkeypatch):
         """x1z1 and facts are counted by box queries alone; the block and
@@ -1202,17 +1208,16 @@ class TestPairWalk:
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 0)
         g = gridscan._Grid(eps, q, (kind,))
-        whole = gridscan._walk(g, 0, g.pairs)[kind]
+        whole = gridscan._walk(g, 0, g.P)[kind]
         assert whole[1] is not None
-        # uneven cuts, an empty range and ranges that end mid-row
-        for cuts in ([0, 1, g.pairs], [0, 7, 7, 1000, 1001, g.pairs - 3, g.pairs],
-                     [0, g.pairs // 3, g.pairs]):
-            parts = [gridscan._walk(g, lo, hi)[kind] for lo, hi in zip(cuts, cuts[1:])]
+        # uneven cuts, an empty range, one-row ranges and random cuts
+        for cuts in row_cuts(random.Random(kind), g.P):
+            parts = [gridscan._walk(g, x0, x1)[kind] for x0, x1 in zip(cuts, cuts[1:])]
             assert gridscan._merge(parts) == whole
-        # chunk boundaries fall mid-row for chunk sizes that do not divide rows
+        # tiles cut rows for chunk sizes below a row's length
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert gridscan._walk(g, 0, g.pairs)[kind] == whole
+            assert gridscan._walk(g, 0, g.P)[kind] == whole
 
     def test_fused_splits_chunks_and_workers_equal_the_whole_walk(self, monkeypatch):
         import multiprocessing
@@ -1222,21 +1227,66 @@ class TestPairWalk:
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 2)
         g = gridscan._Grid(eps, q, SWEEP_KINDS)
-        whole = gridscan._walk(g, 0, g.pairs)
+        whole = gridscan._walk(g, 0, g.P)
         assert all(whole[kind][1] is not None for kind in SWEEP_KINDS)
-        for cuts in ([0, 7, 7, 1000, 1001, g.pairs - 3, g.pairs], [0, g.pairs // 3, g.pairs]):
-            parts = [gridscan._walk(g, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        for cuts in row_cuts(random.Random(2), g.P):
+            parts = [gridscan._walk(g, x0, x1) for x0, x1 in zip(cuts, cuts[1:])]
             for kind in SWEEP_KINDS:
                 assert gridscan._merge([part[kind] for part in parts]) == whole[kind]
         serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert gridscan._walk(g, 0, g.pairs) == whole
+            assert gridscan._walk(g, 0, g.P) == whole
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q) == serial
         if multiprocessing.get_start_method() == "fork":
             # workers see the planted tables only when forked
             monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
+
+    def test_pool_parts_are_row_ranges_of_even_shares(self, monkeypatch):
+        """run_sweeps gives each worker a row range: the ranges cover
+        [0, P) in order, each holds within P pairs of an even share, and
+        the reports equal the serial sweep's at 1 to 4 workers."""
+        import concurrent.futures
+
+        import apfree.gridscan as gridscan
+
+        jobs = []
+
+        class InProcess:
+            """The pool's interface, running each job in this process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                jobs.append(list(args))
+                assert len(jobs[-1]) == self.max_workers
+                return map(fn, jobs[-1])
+
+        eps, q = F(1, 12), 24
+        plant_faults(monkeypatch, eps, q, 1)
+        serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
+        g = gridscan._Grid(eps, q, SWEEP_KINDS)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
+        monkeypatch.setattr(gridscan, "_cpu_limit", lambda: 4)
+        for threads in (1, 2, 3, 4):
+            jobs.clear()
+            assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=threads) == serial
+            bounds = [job[3:] for job in jobs[0]] if jobs else [(0, g.P)]
+            assert len(bounds) == threads
+            assert [x0 for x0, _ in bounds] == [0, *(x1 for _, x1 in bounds[:-1])]
+            assert bounds[-1][1] == g.P
+            for x0, x1 in bounds:
+                assert type(x0) is int and type(x1) is int
+                assert abs(threads * row_pairs(g.P, x0, x1) - g.pairs) <= threads * g.P
 
     def test_caller_builds_no_tables_when_the_pool_walks(self, monkeypatch):
         """The per-sum tables are built on the walk's first use: with every
