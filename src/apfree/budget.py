@@ -37,9 +37,10 @@ SWEEP = 1 << 33
 # counts of behrend at N = 10^8)
 GRID = 1 << 26
 # pairs walked plus midpoint candidates looked up by one certificate: the
-# integer scan runs 2.4-2.8e7 pairs a second in-process (behrend sets at
-# N = 1e7 and 1e8, 2-vCPU Xeon host), so an admitted scan takes at most
-# about 45 s
+# integer scan runs 2.7-3.1e8 pairs a second in-process (behrend sets at
+# N = 1e7 and 1e8, 2-vCPU Xeon host), so an admitted integer scan takes at
+# most about 4 s; the group scan of halfbox 101^4 (four coordinates) runs
+# 1.2e8 pairs a second, and its time per pair grows with the coordinates
 SCAN = 1 << 30
 # progressions one all_counterexamples scan may list: 34 times the 1944 of
 # the largest benchmark list, while a JSON dump of the full list stays

@@ -372,6 +372,79 @@ def planted(rng, moduli, count):
     return out
 
 
+def group_key(moduli, y):
+    """Mixed-radix code of y with each coordinate of an even modulus m
+    reduced mod m/2: the key the group scan gives an element, and, for the
+    smallest midpoint root of a pair, the pair's base."""
+    key = 0
+    for r, m in zip(y, moduli):
+        key = key * m + r % (m // 2 if m % 2 == 0 else m)
+    return key
+
+
+def presence_passes(moduli, elements):
+    """The pairs x < z of the sorted elements that pass the parity filter
+    and whose base shares a presence slot with some element's key, for a
+    table of 2^b >= _SLOTS·n slots and slot (key ^ (key >> b)) mod 2^b:
+    the pairs the group scan looks up, by a pair loop."""
+    elems = sorted(elements)
+    b = (verify_module._SLOTS * len(elems) - 1).bit_length()
+    slot = lambda key: (key ^ (key >> b)) % (1 << b)  # noqa: E731
+    marked = {slot(group_key(moduli, y)) for y in elems}
+    roots = lambda x, z: [_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)]  # noqa: E731
+    return [(x, z) for i, x in enumerate(elems) for z in elems[i + 1:]
+            if all(roots(x, z))
+            and slot(group_key(moduli, [r[0] for r in roots(x, z)])) in marked]
+
+
+def planted_triples(draw, universe, count):
+    """count progressions (x, x + d, x + 2d) drawn in Z_m1 x ... (universe a
+    tuple of moduli) or in 1..N (universe an int), flattened."""
+    out = []
+    for _ in range(count):
+        if isinstance(universe, int):
+            d = draw(st.integers(1, universe // 3))
+            x = draw(st.integers(1, universe - 2 * d))
+            out += [x, x + d, x + 2 * d]
+        else:
+            x, d = (draw(st.tuples(*(st.integers(0, m - 1) for m in universe))) for _ in "xd")
+            out += [tuple((xi + k * di) % m for xi, di, m in zip(x, d, universe)) for k in range(3)]
+    return out
+
+
+@st.composite
+def big_group_sets(draw, moduli):
+    """Sets in Z_m1 x ... of huge moduli: coordinates near 0, near the top
+    (where sums wrap) or anywhere, and up to three planted progressions."""
+    coord = lambda m: (st.integers(0, min(20, m - 1)) | st.integers(max(0, m - 20), m - 1)  # noqa: E731
+                       | st.integers(0, m - 1))
+    elements = draw(st.sets(st.tuples(*(coord(m) for m in moduli)), max_size=12))
+    return sorted(elements | set(planted_triples(draw, moduli, draw(st.integers(0, 3)))))
+
+
+@st.composite
+def big_integer_sets(draw, bound):
+    near = st.integers(1, 30) | st.integers(bound - 30, bound) | st.integers(1, bound)
+    elements = draw(st.sets(near, max_size=15))
+    return sorted(elements | set(planted_triples(draw, bound, draw(st.integers(0, 3)))))
+
+
+def even_coordinate(m):
+    """Any residue, or an even one, so that pairs often pass the parity filter."""
+    return st.integers(0, m - 1) | st.integers(0, m // 2 - 1).map(lambda h: 2 * h)
+
+
+even_group_sets = st.sampled_from(
+    [(2, 4, 6), (4, 4, 3, 4), (8, 2, 2, 2, 5), (2,) * 5 + (6,), (12, 10)]
+).flatmap(
+    lambda moduli: st.tuples(
+        st.just(moduli),
+        st.sets(st.tuples(*(even_coordinate(m) if m % 2 == 0 else st.integers(0, m - 1)
+                            for m in moduli)), max_size=30),
+    )
+)
+
+
 mixed_group_sets = st.sampled_from(
     [(4,), (7,), (4, 3), (6, 5, 2), (2, 9, 4), (8, 3, 6, 5), (2, 2, 2, 3), (4, 4, 6),
      (8, 2, 12)]
@@ -422,10 +495,87 @@ class TestScanAgainstLoopOracle:
         with steps_within(chunk):
             check_integer(300, sorted(elements))
 
-    @pytest.mark.parametrize("moduli", [(4, 4, 6), (8, 2, 12), (2,) * 6 + (4, 5)])
+    @given(st.sets(st.integers(1, 3000), max_size=30), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_integers_sharing_their_presence_slots(self, multiples, chunk):
+        # multiples of 2^20 share their low 20 bits, so their keys and the
+        # midpoints of their pairs fall in four presence slots, and every
+        # pair of equal parity reaches the exact lookup
+        with steps_within(chunk):
+            check_integer(3000 << 20, sorted(x << 20 for x in multiples))
+
+    @given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 7)), max_size=30),
+           st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_group_keys_sharing_their_low_bits(self, cells, chunk):
+        # keys a·4096 + (c·512 mod 2048) share their low 9 bits
+        with steps_within(chunk):
+            check_group((9, 4096), sorted((a, c << 9) for a, c in cells))
+
+    @given(even_group_sets, st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_even_moduli_with_many_solutions(self, case, chunk):
+        # up to 2^6 midpoint solutions a pair, and pairs that often pass
+        # the parity filter
+        moduli, elements = case
+        with steps_within(chunk):
+            check_group(moduli, sorted(elements))
+
+    @given(st.sampled_from([(2**40, 2**70), (2**70,), (5, 2**70), (2**40, 3)]).flatmap(
+        lambda moduli: st.tuples(st.just(moduli), big_group_sets(moduli))), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_group_moduli_past_int64(self, case, chunk):
+        # object arrays for all but Z_(2^40) x Z_3, whose int64 key sums
+        # reach 2^42
+        moduli, elements = case
+        with steps_within(chunk):
+            check_group(moduli, elements)
+
+    @given(st.sampled_from([2**61 + 2**40, 2**70]).flatmap(
+        lambda bound: st.tuples(st.just(bound), big_integer_sets(bound))), st.integers(1, 64))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_bound_past_2_61(self, case, chunk):
+        # twice the bound is past 2^62, so the scan runs on object arrays
+        bound, elements = case
+        with steps_within(chunk):
+            check_integer(bound, elements)
+
+    @pytest.mark.parametrize("moduli, dtype", [
+        ((2**61,), np.int64), ((2**61 + 1,), object),
+        ((2**30, 2**30), np.int64), ((2**30, 2**30 + 1), object),
+        ((3, 2**60 // 3), np.int64), ((3, 2**60 // 3 + 2), object),
+    ])
+    def test_key_sum_bound_edge(self, monkeypatch, moduli, dtype):
+        # the key sums of k moduli stay below 2·k·prod(m): int64 exactly
+        # when that is at most 2^62, with the same reports as object arrays
+        import apfree.gridscan as gridscan
+
+        assert (2 * len(moduli) * math.prod(moduli) <= 2**62) == (dtype is np.int64)
+        assert abs(2 * len(moduli) * math.prod(moduli) - 2**62) <= 2**33
+        rng = random.Random(str(moduli))
+        elements = set(planted(rng, moduli, 4))
+        elements |= {tuple(m - k for m in moduli) for k in (1, 2, 3)}
+        elements |= {tuple(rng.randrange(max(0, m - 100), m) for m in moduli) for _ in range(20)}
+        elements = sorted(elements)
+        exact, chosen = gridscan.exact_dtype, []
+        monkeypatch.setattr(gridscan, "exact_dtype",
+                            lambda bound: chosen.append(exact(bound)) or chosen[-1])
+        reports = [verify_group_set(moduli, elements, all_counterexamples=a).to_jsonable()
+                   for a in (False, True)]
+        assert chosen == [dtype, dtype]
+        monkeypatch.setattr(gridscan, "exact_dtype", lambda bound: object)
+        assert [verify_group_set(moduli, elements, all_counterexamples=a).to_jsonable()
+                for a in (False, True)] == reports
+        progressions = reports[1]["counts"]["all_counterexamples"]
+        assert progressions == loop_group_progressions(moduli, elements)
+        assert len(progressions) >= 5
+
+    @pytest.mark.parametrize("moduli", [(4, 4, 6), (8, 2, 12), (2,) * 6 + (4, 5), (16, 16, 9)])
     def test_one_key_per_pair_past_the_parity_filter(self, moduli):
-        # a pair whose sum is even in every even coordinate looks up its
-        # base once, not each of its 2^e midpoint candidates
+        # a pair whose sum is even in every even coordinate, and whose base
+        # shares a presence slot with an element's key, looks up its base
+        # once, not each of its 2^e midpoint candidates; every other pair
+        # looks nothing up
         rng = random.Random(len(moduli))
         elements = {tuple(rng.randrange(m) for m in moduli) for _ in range(40)}
         elements = sorted(elements | set(planted(rng, moduli, 4)))
@@ -442,7 +592,34 @@ class TestScanAgainstLoopOracle:
         with mock.patch.object(np, "searchsorted", search):
             report = verify_group_set(moduli, elements, all_counterexamples=True)
         assert report.counts["all_counterexamples"] == loop_group_progressions(moduli, elements)
-        assert sum(keys) == kept > 0
+        assert sum(keys) == len(presence_passes(moduli, elements)) > 0
+        assert sum(keys) <= kept
+        if moduli == (16, 16, 9):
+            # 40 keys among 8·8·9: the table drops most of the kept pairs
+            assert 3 * sum(keys) < kept
+
+    def test_pair_with_an_empty_presence_slot_makes_no_search(self):
+        # 2 + 4, 2 + 8 and 4 + 8 are even, and their midpoints 3, 5 and 6
+        # fold to slots that no element's key marks: nothing is looked up
+        searchsorted, keys = np.searchsorted, []
+
+        def search(a, v, side="left", **kwargs):
+            if side == "left":
+                keys.append(np.size(v))
+            return searchsorted(a, v, side=side, **kwargs)
+
+        with mock.patch.object(np, "searchsorted", search):
+            assert verify_integer_set(10, [2, 4, 8]).passed
+            assert verify_group_set((11,), [(2,), (4,), (8,)]).passed
+        assert keys == []
+        # an element that agrees with 3 in its low 2b bits marks 3's slot,
+        # so the pair (2, 4) makes one lookup, which finds no 3
+        b = (verify_module._SLOTS * 4 - 1).bit_length()
+        collider = 3 + 4**b
+        assert (collider ^ (collider >> b)) % (1 << b) == 3
+        with mock.patch.object(np, "searchsorted", search):
+            assert verify_integer_set(collider, [2, 4, 8, collider]).passed
+        assert keys == [1]
 
     @pytest.mark.parametrize("chunk", [10, 40])
     def test_hit_steps_split_between_pairs(self, chunk):
@@ -522,14 +699,23 @@ class TestScanAgainstLoopOracle:
         assert verify_group_set(moduli, elements).counterexample == expected[0]
 
     def test_first_hit_mode_stops_at_the_first_chunk_with_a_hit(self):
+        tiles, pair_tiles = [], verify_module.pair_tiles
+
+        def walked(*args):
+            for tile in pair_tiles(*args):
+                tiles.append(tile)
+                yield tile
+
         lookups = mock.Mock(wraps=verify_module._members)
         with mock.patch.object(verify_module, "_CHUNK", 1), \
+                mock.patch.object(verify_module, "pair_tiles", walked), \
                 mock.patch.object(verify_module, "_members", lookups):
-            # one pair per chunk: (1, 2) has an odd sum, (1, 3) is the hit
+            # one pair per tile: (1, 2) has an odd sum and looks nothing up,
+            # (1, 3) is the hit
             verify_integer_set(20, [1, 2, 3, 4, 5, 6, 7])
-            assert lookups.call_count == 2
+            assert len(tiles) == 2 and lookups.call_count == 1
             verify_integer_set(20, [1, 2, 3, 4, 5, 6, 7], all_counterexamples=True)
-            assert lookups.call_count == 2 + math.comb(7, 2)
+            assert len(tiles) == 2 + math.comb(7, 2)
 
     @pytest.mark.parametrize("moduli", [
         (2**64 + 13, 3),             # elements past int64
