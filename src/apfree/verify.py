@@ -30,6 +30,7 @@ of the stated vertex lists.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -163,11 +164,11 @@ def _tile_hits(keys: np.ndarray, size: int, tile_key, parity: np.ndarray):
     elements and every k with keys[k] (sorted) equal to the pair's key.
     The pairs come a tile of ``pair_tiles`` at a time, a cell (x, z) being
     the pair (x, z + 1), and ``tile_key(rows, cols)`` gives their keys from
-    the slices of x and of z + 1 that the tile spans.  Only a
-    cell that is valid, whose elements have equal rows of ``parity``, and
-    whose key's slot in a presence table of the keys (``_fold``, 2^b >=
-    _SLOTS·n slots) is marked, is looked up: the table drops only keys
-    that no element has, and the lookup itself is exact."""
+    the slices of x and of z + 1 that the tile spans.  Only a cell that is
+    valid, whose elements have equal rows of ``parity``, and whose key's
+    slot in a presence table of the keys (``_fold``, 2^b >= _SLOTS·n
+    slots) is marked, is looked up: the table drops only keys that no
+    element has, and the lookup itself is exact."""
     n = len(keys)
     b = (_SLOTS * n - 1).bit_length()
     present = np.zeros(1 << b, dtype=bool)
@@ -185,6 +186,27 @@ def _tile_hits(keys: np.ndarray, size: int, tile_key, parity: np.ndarray):
             x, z = np.divmod(flat, keep.shape[1])
             for p, k in _members(keys, key.ravel()[flat]):
                 yield x[p] + t.rows.start, k, z[p] + cols.start
+
+
+@functools.lru_cache(maxsize=16)
+def _radix(moduli: tuple[int, ...], dtype):
+    """The constants of ``_group_hits`` for ``moduli`` on ``dtype`` (int64
+    or object), read-only and kept per process, as one universe is often
+    certified many times (making them took about 7 us of the 44 us that
+    certifying 3-10 elements of Z_16^4 took, 2-vCPU host): the strides and
+    stride·M (on dtype); the
+    smallest signed dtype that holds 2m - 1 (signed, so that products with
+    a stride stay int64), or object; and on it, per coordinate as
+    columns, M and what an odd x adds before it is halved into A (m for
+    odd m, then rounded up for even m) and into B (m, or rounded down)."""
+    M = [m if m % 2 else m // 2 for m in moduli]
+    stride = [math.prod(moduli[i + 1:]) for i in range(len(moduli))]
+    small = object if dtype == object else np.min_scalar_type(-2 * max(moduli))
+    big = np.array([stride, [s * h for s, h in zip(stride, M)]], dtype=dtype)
+    parts = np.array([M, [m if m % 2 else 1 for m in moduli], [m * (m % 2) for m in moduli]],
+                     dtype=small)[:, :, None]
+    big.flags.writeable = parts.flags.writeable = False
+    return big[0], big[1][:, None, None], small, parts[0], parts[1:]
 
 
 def _group_hits(moduli: tuple[int, ...], rows: np.ndarray, parity: np.ndarray):
@@ -207,26 +229,14 @@ def _group_hits(moduli: tuple[int, ...], rows: np.ndarray, parity: np.ndarray):
     A + B < 2M, so a tile's bases are KA[x] + KB[z], with KA = sum(stride·A)
     and KB = sum(stride·B), less stride·M in each coordinate where
     A[x] >= M - B[z]: no gather and no remainder per pair."""
-    dtype = rows.dtype
-    M = [m if m % 2 else m // 2 for m in moduli]
-    stride = np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))], dtype=dtype)
-    # coordinates along rows, in the smallest signed dtype that holds 2m - 1
-    # (signed, so that products with stride stay int64)
-    X = rows.T.astype(object if dtype == object else np.min_scalar_type(-2 * max(moduli)),
-                      order="C")
-    Mc = np.array(M, dtype=X.dtype)[:, None]
+    stride, W, small, Mc, add = _radix(moduli, rows.dtype)
+    X = rows.T.astype(small, order="C")
     keys = stride @ (X % Mc)
     order = np.argsort(keys, kind="stable")
-    # an odd x of an odd m is halved as x + m; of an even m, rounded up (A)
-    # and down (B)
-    add = np.array([[m if m % 2 else 1 for m in moduli], [m * (m % 2) for m in moduli]],
-                   dtype=X.dtype)
-    A, B = (X + (X & 1) * add[:, :, None]) >> 1
+    A, B = (X + (X & 1) * add) >> 1
     KA, KB = stride @ A, stride @ B
-    # per coordinate: A along the tile's rows, M - B along its columns, and
-    # stride·M
+    # A along a tile's rows and M - B along its columns
     A, C = A[:, :, None], (Mc - B)[:, None, :]
-    W = (stride * Mc[:, 0])[:, None, None]
 
     def bases(rows, cols):
         return KA[rows, None] + KB[None, cols] - (W * (A[:, rows] >= C[:, :, cols])).sum(0)
