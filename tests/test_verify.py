@@ -407,7 +407,8 @@ def planted_triples(draw, universe, count):
             x = draw(st.integers(1, universe - 2 * d))
             out += [x, x + d, x + 2 * d]
         else:
-            x, d = (draw(st.tuples(*(st.integers(0, m - 1) for m in universe))) for _ in "xd")
+            element = st.tuples(*(st.integers(0, m - 1) for m in universe))
+            x, d = draw(element), draw(element)
             out += [tuple((xi + k * di) % m for xi, di, m in zip(x, d, universe)) for k in range(3)]
     return out
 
