@@ -499,9 +499,9 @@ class TestScanAgainstLoopOracle:
     @given(st.sets(st.integers(1, 3000), max_size=30), st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_integers_sharing_their_presence_slots(self, multiples, chunk):
-        # multiples of 2^20 share their low 20 bits, so their keys and the
-        # midpoints of their pairs fall in four presence slots, and every
-        # pair of equal parity reaches the exact lookup
+        # multiples of 2^20 and their pairs' midpoints share their low 19
+        # bits, so they fall in at most eight presence slots, and most pairs
+        # reach the exact lookup
         with steps_within(chunk):
             check_integer(3000 << 20, sorted(x << 20 for x in multiples))
 
@@ -527,7 +527,7 @@ class TestScanAgainstLoopOracle:
     @settings(max_examples=100, deadline=None)
     def test_group_moduli_past_int64(self, case, chunk):
         # object arrays for all but Z_(2^40) x Z_3, whose int64 key sums
-        # reach 2^42
+        # reach 2^43
         moduli, elements = case
         with steps_within(chunk):
             check_group(moduli, elements)
