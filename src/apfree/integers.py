@@ -14,9 +14,12 @@ Two routes:
   separation (``separated``) and keeps, weighs and slices each trial's rows
   pair by pair (``kept_slices``, the group kernel's exact slice step).
   Each chunk of rows makes its first pair's coordinates t*b mod 1 once
-  (``base_coordinates``): separation reads the first of them, and a trial
-  shifts both with one conditional subtract; later pairs are made only for
-  the rows still kept.
+  (``base_coordinates``), on int32 when region_factor * denom < 2^31
+  (``first_pair_dtype``), which bounds every value that separation and a
+  trial's shift and region test make from them.  Separation reads the
+  first of them, and a trial shifts both without a multiply (the smaller
+  of r and r - denom on r's unsigned view); later pairs are made, on int64
+  with floor division in place of ``%``, only for the rows still kept.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -199,31 +202,51 @@ _DIRECTION_ATTEMPTS = 64
 
 def row_coordinate(a: int, b: int, denom: int, lo: int, off):
     """Numerators (a + (lo + off)*b) mod denom, exactly: the start is taken on
-    Python ints, so int64 holds only off*b (off < _SCAN_CHUNK)."""
-    return (off * b + (a + lo * b) % denom) % denom
+    Python ints, so int64 holds only x = off*b + start (off < _SCAN_CHUNK),
+    and its remainder is x - (x // denom)*denom, x >= 0 (numpy divides an
+    array by a scalar several times faster than it takes ``%``)."""
+    x = off * b
+    x += (a + lo * b) % denom
+    q = x // denom
+    q *= denom
+    x -= q
+    return x
 
 
-def base_coordinates(b_nums: list[int], denom: int, lo: int, off) -> list:
+def base_coordinates(b_nums: list[int], denom: int, lo: int, off, dtype) -> list:
     """The first pair's coordinates (lo + off)*b_i mod denom, i = 0, 1, of a
-    chunk: separation reads the first, and every trial shifts both."""
-    return [row_coordinate(0, b, denom, lo, off) for b in b_nums[:2]]
+    chunk, on dtype (``first_pair_dtype``): separation reads the first, and
+    every trial shifts both."""
+    return [row_coordinate(0, b, denom, lo, off).astype(dtype, copy=False) for b in b_nums[:2]]
+
+
+def first_pair_dtype(epsilon: Fraction | None, delta: Fraction, denom: int):
+    """The dtype of a chunk's first pair: int32 when region_factor * denom
+    < 2^31, which bounds the region test's intermediates, the shift before
+    its wrap (below 2*denom, and region_factor >= 2 as delta < 1) and
+    separation's distances to 0 (at most denom), else int64."""
+    return np.int32 if region_factor(epsilon, delta) * denom < 1 << 31 else np.int64
 
 
 def _shifted(base, a: int, denom: int):
-    """(base + a) mod denom for 0 <= base, a < denom: one conditional
-    subtract."""
+    """(base + a) mod denom for 0 <= base, a < denom, without a multiply:
+    on the unsigned view of r = base + a < 2*denom, r - denom wraps past r
+    exactly when r < denom, so the smaller of r and r - denom is the
+    residue."""
     r = base + a
-    r -= denom * (r >= denom)
+    u = r.view(f"u{r.itemsize}")
+    np.minimum(u, u - denom, out=u)
     return r
 
 
 def separated(b_nums: list[int], denom: int, lo: int, off, base, four_c: int) -> bool:
     """Whether every t*b, t = lo + off, has a coordinate farther than 1/(4c)
-    from 0 mod 1; the first is base[0] (``base_coordinates``), and each
-    later one is made only for the rows still close."""
+    from 0 mod 1, i.e. distance d > denom // 4c; the first is base[0]
+    (``base_coordinates``), and each later one is made only for the rows
+    still close."""
     for i, b in enumerate(b_nums):
         r = row_coordinate(0, b, denom, lo, off) if i else base[0]
-        off = off[four_c * np.minimum(r, denom - r) <= denom]
+        off = off[np.minimum(r, denom - r) <= denom // four_c]
     return not len(off)
 
 
@@ -234,7 +257,8 @@ def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off, 
     on the rows the pairs before it kept, and their slice indices
     (num * s) // den, s the sum of their pairs' scaled_weight (0 in the box)
     on exact_dtype(n/2 * weight_factor * denom^2), as ``slice_indices``.
-    The first pair is the chunk's ``base_coordinates`` shifted by a."""
+    The first pair is the chunk's ``base_coordinates``, on
+    ``first_pair_dtype``, shifted by a."""
     pairs = range(0, len(b_nums), 2)
     s_max = 0 if epsilon is None else len(pairs) * weight_factor(epsilon) * denom * denom
     for h in pairs:
@@ -257,9 +281,10 @@ def _stream(b_nums, shifts, denom: int, N: int, four_c: int, region):
     """Per shift, the (t, J) of ``kept_slices`` over t = 1..N, each chunk
     checked for separation first; None when one fails."""
     kept = [[] for _ in shifts]
+    narrow = first_pair_dtype(*region[:2], denom)
     for lo in range(1, N + 1, _SCAN_CHUNK):
         off = np.arange(min(_SCAN_CHUNK, N + 1 - lo), dtype=np.int64)
-        base = base_coordinates(b_nums, denom, lo, off)
+        base = base_coordinates(b_nums, denom, lo, off, narrow)
         if not separated(b_nums, denom, lo, off, base, four_c):
             return None
         for a_nums, part in zip(shifts, kept):
@@ -294,8 +319,9 @@ def build_integer_set_direct(N: int, n: int | None = None,
     four_c = 4 * int_nthroot_ceil(N, n)
     delta = Fraction(1, four_c)
     denom = _next_prime(8 * N)
-    # separation's and the region test's intermediates stay below factor * denom
-    factor = max(_SCAN_CHUNK, four_c, region_factor(epsilon, delta))
+    # the row coordinates' and the region test's intermediates stay below
+    # factor * denom
+    factor = max(_SCAN_CHUNK, region_factor(epsilon, delta))
     if factor * denom > INT64_SAFE:
         raise ValueError(f"grid denominator {denom} times {factor} exceeds "
                          f"the int64-exactness budget 2^62")

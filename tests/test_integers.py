@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apfree.integers as integers
-from apfree.gridscan import scaled_box, scaled_in_block, scaled_weight, weight_factor
+from apfree.gridscan import (region_factor, scaled_box, scaled_in_block, scaled_weight,
+                             weight_factor)
 from apfree.groups import BuildOptions, is_prime, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,
@@ -21,6 +22,7 @@ from apfree.integers import (
     choose_moduli,
     crt_encode,
     feasible_dimension,
+    first_pair_dtype,
     first_primes,
     int_nthroot_ceil,
     kept_slices,
@@ -251,6 +253,21 @@ class TestDirectRoute:
                 dists.append(min(v, 1 - v))
             assert max(dists) > delta
 
+    @given(st.sampled_from([np.int32, np.int64]), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_separation_matches_fraction_distances(self, dtype, seed):
+        """separated against the Fraction rule on both dtypes of the first
+        coordinate: every row has a coordinate farther than 1/(4c) from 0."""
+        rng = random.Random(seed)
+        denom, four_c = rng.choice([101, 997, 800_011]), rng.choice([4, 8, 20, 400])
+        b_nums = [rng.choice([rng.randrange(denom), rng.randrange(denom // four_c + 2)])
+                  for _ in range(rng.choice([2, 4]))]
+        lo, off = rng.randrange(1, 10**6), np.arange(rng.randrange(1, 300))
+        want = all(max(min(F(t * b % denom, denom), 1 - F(t * b % denom, denom)) for b in b_nums)
+                   > F(1, four_c) for t in range(lo, lo + len(off)))
+        base = base_coordinates(b_nums, denom, lo, off, dtype)
+        assert separated(b_nums, denom, lo, off, base, four_c) == want
+
     @pytest.mark.parametrize("N, n, epsilon", [
         (600, 4, None), (900, 4, F(1, 24)), (700, 6, F(1, 7)), (500, 4, F(1, 12)),
         (800, 2, F(1, 12)),
@@ -308,7 +325,9 @@ class TestDirectRoute:
         # b = (0, 1): t*b is within 1/8 of 0 in both coordinates for t <= 12
         off = np.arange(50)
         for lo, ok in ((1, False), (13, True)):
-            assert separated([0, 1], 101, lo, off, base_coordinates([0, 1], 101, lo, off), 8) == ok
+            for dtype in (np.int32, np.int64):
+                base = base_coordinates([0, 1], 101, lo, off, dtype)
+                assert separated([0, 1], 101, lo, off, base, 8) == ok
 
     def test_huge_n_refused(self, monkeypatch):
         # 300 has bit length 9: n = 8 builds, n = 10 and more are refused
@@ -373,6 +392,84 @@ class TestRowStream:
                 rows.append(row_coordinate(a, b, denom, lo, off))
             assert np.concatenate(rows).tolist() == [(a + t * b) % denom for t in range(1, N + 1)]
 
+    @given(st.sampled_from([np.int32, np.int64]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_is_the_residue(self, dtype, data):
+        """(base + a) mod denom on both first-pair dtypes, up to the largest
+        denom whose sums base + a < 2*denom the dtype holds."""
+        denom = data.draw(st.integers(1, 1 << (30 if dtype is np.int32 else 62)))
+        value = st.sampled_from([0, denom - 1]) | st.integers(0, denom - 1)
+        base, a = data.draw(st.lists(value, min_size=1, max_size=40)), data.draw(value)
+        got = integers._shifted(np.array(base, dtype=dtype), a, denom)
+        assert got.dtype == dtype
+        assert got.tolist() == [(x + a) % denom for x in base]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_coordinate_is_the_residue(self, data):
+        """(a + t*b) mod denom on the stream's int64 offsets, up to the
+        largest denom the builder admits (2^18 * denom <= 2^62)."""
+        denom = data.draw(st.integers(1, 1 << 44))
+        value = st.sampled_from([0, denom - 1]) | st.integers(0, denom - 1)
+        a, b = data.draw(value), data.draw(value)
+        lo = data.draw(st.integers(1, 10**15))
+        edge = st.sampled_from([0, integers._SCAN_CHUNK - 1])
+        off = data.draw(st.lists(edge | st.integers(0, integers._SCAN_CHUNK - 1),
+                                 min_size=1, max_size=40))
+        got = row_coordinate(a, b, denom, lo, np.array(off, dtype=np.int64))
+        assert got.tolist() == [(a + (lo + x) * b) % denom for x in off]
+
+    @pytest.mark.parametrize("epsilon, n, denom, dtype", [
+        (F(1, 8), 4, 16777213, np.int32), (F(1, 8), 4, 16777259, np.int64),
+        (F(1, 12), 4, 11184799, np.int32), (F(1, 12), 4, 11184829, np.int64),
+        (None, 2, 9761287, np.int32), (None, 2, 9761291, np.int64),
+    ])
+    def test_first_pair_bound_edge(self, monkeypatch, epsilon, n, denom, dtype):
+        """A trial's first pair runs on int32 exactly when region_factor *
+        denom < 2^31 (128, 192 and the box's 4*ceil(sqrt(3000)) = 220 times
+        the prime denominator, just below and just above), and every (t, J)
+        equals the int64 path's."""
+        N, options = 3000, BuildOptions(epsilon=epsilon, seed=5, trials=4)
+        factor = region_factor(epsilon, F(1, 4 * integers.int_nthroot_ceil(N, n)))
+        assert (factor * denom < 1 << 31) == (dtype is np.int32)
+        assert abs(factor * denom - (1 << 31)) < 50 * factor
+        monkeypatch.setattr(integers, "_next_prime", lambda k: denom)
+        kept, seen = integers.kept_slices, []
+
+        def spy(a_nums, b_nums, denom, lo, off, base, *region):
+            t, J = kept(a_nums, b_nums, denom, lo, off, base, *region)
+            seen.append((base[0].dtype.type, base[1].dtype.type, t.tolist(), J.tolist()))
+            return t, J
+
+        monkeypatch.setattr(integers, "kept_slices", spy)
+        want = build_integer_set_direct(N, n=n, options=options)
+        narrow, seen = seen, []
+        monkeypatch.setattr(integers, "first_pair_dtype", lambda *args: np.int64)
+        got = build_integer_set_direct(N, n=n, options=options)
+        assert {x[:2] for x in narrow} == {(dtype, dtype)}
+        assert {x[:2] for x in seen} == {(np.int64, np.int64)}
+        assert [x[2:] for x in narrow] == [x[2:] for x in seen]
+        assert sum(len(x[2]) for x in seen) > 0
+        assert (got.elements, got.provenance) == (want.elements, want.provenance)
+
+    @pytest.mark.parametrize("N, trials, dtype", [
+        (100_000, 4, np.int32), (986_895, 16, np.int32), (3_355_443, 4, np.int64),
+    ])
+    def test_first_pair_dtype_of_benchmarked_builds(self, monkeypatch, N, trials, dtype):
+        """The benchmark's int-direct build and the 16-trial ceiling run their
+        first pairs on int32; the --trials 4 ceiling (128 * 26843549 > 2^31)
+        stays on int64.  The first trial's first chunk shows it."""
+        class Seen(Exception):
+            pass
+
+        def spy(a_nums, b_nums, denom, lo, off, base, *region):
+            raise Seen(base[0].dtype.type, base[1].dtype.type)
+
+        monkeypatch.setattr(integers, "kept_slices", spy)
+        with pytest.raises(Seen) as seen:
+            build_integer_set_direct(N, options=BuildOptions(trials=trials))
+        assert seen.value.args == (dtype, dtype)
+
     @pytest.mark.parametrize("denom, factor", [((1 << 61) - 1, 1), (1 << 40, 1 << 23)])
     def test_budget_checked_before_any_row(self, monkeypatch, denom, factor):
         """The bound covers the chunk offsets (2^18) and the region test's
@@ -407,9 +504,11 @@ class TestRowSlices:
 
     @staticmethod
     def kernel(a_nums, b_nums, denom, lo, size, epsilon, delta, num, den):
+        # the base on the stream's dtype: int32 at 997 and 800_011, int64
+        # at (1 << 31) - 1 and past it
         off = np.arange(size, dtype=np.int64)
-        t, J = kept_slices(a_nums, b_nums, denom, lo, off,
-                           base_coordinates(b_nums, denom, lo, off), epsilon, delta, num, den)
+        base = base_coordinates(b_nums, denom, lo, off, first_pair_dtype(epsilon, delta, denom))
+        t, J = kept_slices(a_nums, b_nums, denom, lo, off, base, epsilon, delta, num, den)
         return list(zip(t.tolist(), J.tolist())), J
 
     @given(st.sampled_from([2, 4, 6]), st.sampled_from([None, F(1, 12), "1/n"]),
