@@ -42,11 +42,11 @@ GRID = 1 << 26
 # most about 4 s; the group scan of halfbox 101^4 (four coordinates) runs
 # 1.2e8 pairs a second, and its time per pair grows with the coordinates
 SCAN = 1 << 30
-# progressions one all_counterexamples scan may list: 34 times the 1944 of
-# the largest benchmark list, while a JSON dump of the full list stays
-# under a quarter of a second and 16 MB (storage.dump_json on the same
-# host: 0.07 s and 5 MB for integer triples, 0.18 s and 16 MB for triples
-# in Z_9^4)
+# progressions one all_counterexamples scan may list: 31 times the 2127 of
+# the largest benchmark list (many-small, seeds 1-3), while a JSON dump of the full list stays
+# near a tenth of a second and 31 MiB (storage.dump_json on the same host:
+# 0.04 s and a 13 MiB peak for integer triples, 0.10 s and 31 MiB for
+# triples in Z_9^4, whose text is 15.4 MiB)
 COUNTEREXAMPLES = 1 << 16
 
 _UNITS = {"PRODUCT": "points", "SWEEP": "fact pairs", "GRID": "array entries",

@@ -10,12 +10,12 @@ never written.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from .dsets import DiscreteSet
-from .verify import VerificationReport
+from .verify import Progressions, VerificationReport
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -30,15 +30,25 @@ def dump_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     With ``indent`` the stdlib falls back to its pure-Python encoder, so
-    dicts with str keys, lists, tuples, strs, exact ints, bools and None
-    are written here; anything else (floats, other key types, int
-    subclasses such as numpy scalars, cycles, ints past the str conversion
-    limit) goes to the stdlib, which then decides the bytes or the
-    exception."""
+    dicts with str keys, lists, tuples, strs, exact ints, bools, None and
+    the Progressions of a ``verify --all`` report are written here;
+    anything else (floats, other key types, int subclasses such as numpy
+    scalars, cycles, ints past the str conversion limit) goes to the
+    stdlib, which then decides the bytes or the exception, a Progressions
+    inside it being written as the list it equals."""
     try:
         return _value(obj, "\n") + "\n"
     except (_Unsupported, ValueError, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, default=_expand) + "\n"
+
+
+def _expand(obj):
+    # the stdlib encoder's hook for a value it cannot write: a Progressions
+    # is written as the list it equals, and anything else is refused as
+    # the stdlib refuses it
+    if type(obj) is Progressions:
+        return list(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _only_ints(values) -> bool:
@@ -61,10 +71,10 @@ def _value(obj, pad: str) -> str:
         if _only_ints(obj):
             body = ("," + inner).join(map(int.__repr__, obj))
         else:
-            body = _uniform_dicts(obj, inner)
-            if body is None:
-                body = ("," + inner).join([_value(v, inner) for v in obj])
+            body = ("," + inner).join([_value(v, inner) for v in obj])
         return "[" + inner + body + pad + "]"
+    if kind is Progressions:
+        return _progressions(obj, pad)
     if kind is dict:
         if not obj:
             return "{}"
@@ -79,44 +89,19 @@ def _value(obj, pad: str) -> str:
     raise _Unsupported
 
 
-def _uniform_dicts(items, inner: str) -> str | None:
-    """The items of a list of two or more dicts of one shape (the same str
-    keys; every value an int or a non-empty int list, each list as long in
-    every item), written by one format template; None for any other list."""
-    first = items[0]
-    if len(items) < 2 or type(first) is not dict or not first:
-        return None
-    if not all(type(key) is str for key in first):
-        return None
-    keys = first.keys()
-    if not all(type(item) is dict and item.keys() == keys for item in items):
-        return None
-    names = sorted(keys)
-    columns = [list(map(itemgetter(name), items)) for name in names]
-    # per key: None for an int, else the length of its int lists
-    fields = []
-    for column in columns:
-        if _only_ints(column):
-            fields.append(None)
-            continue
-        if not set(map(type, column)) <= {list, tuple}:
-            return None
-        lengths = set(map(len, column))
-        if len(lengths) != 1 or 0 in lengths or not _only_ints(chain.from_iterable(column)):
-            return None
-        fields.append(lengths.pop())
-    deeper, deepest = inner + "  ", inner + "    "
-    parts = []
-    for name, length in zip(names, fields):
-        slot = "%d" if length is None else (
-            "[" + deepest + ("," + deepest).join(["%d"] * length) + deeper + "]")
-        parts.append(_quote(name).replace("%", "%%") + ": " + slot)
-    template = "{" + deeper + ("," + deeper).join(parts) + inner + "}"
-    # the fill values in template order; an int becomes a 1-tuple
-    rows = zip(*[zip(column) if length is None else column
-                 for column, length in zip(columns, fields)])
-    values = tuple(chain.from_iterable(chain.from_iterable(rows)))
-    return ("," + inner).join([template] * len(items)) % values
+def _progressions(obj: Progressions, pad: str) -> str:
+    """A Progressions as the list of its dicts: each element it names is
+    written once, and each progression fills one template with the texts
+    of its x, y and z."""
+    if not obj:
+        return "[]"
+    inner, deeper = pad + "  ", pad + "    "
+    used, where = np.unique(obj.xyz.ravel(), return_inverse=True)
+    texts = np.array([_value(obj.point(i), deeper) for i in used.tolist()], dtype=object)
+    template = "{" + deeper + deeper.join(['"x": %s,', '"y": %s,', '"z": %s']) + inner + "}"
+    # the brackets go into the format string, so the list's text is made once
+    text = "[" + inner + ("," + inner).join([template] * len(obj)) + pad + "]"
+    return text % tuple(texts[where])
 
 
 def write_set(dset: DiscreteSet, outdir: str | Path, name: str,

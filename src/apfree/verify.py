@@ -18,8 +18,10 @@ the product of the k moduli, or twice the integer bound) is at most
 2^62, and otherwise the same code runs on object arrays of Python ints,
 so nothing wraps.  Progressions come out in pair-scan order; the scan
 stops at the first (a re-checkable counterexample triple) or, with
-``all_counterexamples``, lists every one.  Before it starts, a scan's
-pairs and the midpoint candidates of its pairs are charged to
+``all_counterexamples``, lists every one as index rows into the elements
+(:class:`Progressions`), which read as the triples' dicts and which
+``storage.dump_json`` prints without making them.  Before it starts, a
+scan's pairs and the midpoint candidates of its pairs are charged to
 budget.SCAN, and a list of every progression to budget.COUNTEREXAMPLES.
 The block-level statements are swept exhaustively over the pairs of
 rational grid points, any selection of the four facts in one walk
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +57,9 @@ class VerificationReport:
     counterexample: dict | None = None
     parameters: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+    # seconds the check took; a --all list's dicts and text are made only
+    # when it is read or printed, so for a scan elapsed covers the scan and
+    # its index rows, not the printing
     elapsed: float = 0.0
 
     def to_jsonable(self) -> dict:
@@ -252,24 +258,74 @@ def _integer_hits(v: np.ndarray, parity: np.ndarray):
     return _tile_hits(v, _CHUNK, lambda rows, cols: (v[rows, None] + v[None, cols]) >> 1, parity)
 
 
-def _scan_report(t0: float, hits, triple, all_counterexamples: bool, **fields):
-    """Report for one pair scan started at t0, from its index chunks turned
-    into triple(x, y, z) dicts: the first progression, or with
-    all_counterexamples every one of them under counts["all_counterexamples"].
-    Every unordered pair is in scope, so checked is |A| choose 2.  The list
-    is charged to budget.COUNTEREXAMPLES before each chunk joins it."""
+def _point(element):
+    # a group element is written as a list, an integer as itself
+    return list(element) if type(element) is tuple else element
+
+
+def _triple(elements, x: int, y: int, z: int) -> dict:
+    return {"x": _point(elements[x]), "y": _point(elements[y]), "z": _point(elements[z])}
+
+
+class Progressions(Sequence):
+    """A read-only list of progressions {"x": .., "y": .., "z": ..} kept as
+    an (n, 3) array ``xyz`` of index rows into the checked ``elements``.
+    Each read makes a fresh dict of fresh lists, and the sequence equals a
+    plain list of those dicts.  ``storage.dump_json`` writes it from the
+    text of each element it names, without making the dicts."""
+
+    __hash__ = None
+
+    def __init__(self, elements, xyz: np.ndarray):
+        self.elements, self.xyz = elements, xyz
+        xyz.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.xyz)
+
+    def point(self, i: int):
+        return _point(self.elements[i])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return _triple(self.elements, *self.xyz[operator.index(i)].tolist())
+
+    def __iter__(self):
+        return (_triple(self.elements, *row) for row in self.xyz.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, Progressions)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Progressions({list(self)!r})"
+
+
+def _scan_report(t0: float, hits, elements, all_counterexamples: bool, **fields):
+    """Report for one pair scan started at t0, from its (x, y, z) index
+    chunks into ``elements``: the first progression, or with
+    all_counterexamples every one of them as the Progressions of
+    counts["all_counterexamples"].  Every unordered pair is in scope, so
+    checked is |A| choose 2.  The list is charged to budget.COUNTEREXAMPLES
+    before each chunk joins it."""
     size = fields["parameters"]["size"]
-    found = []
+    first, chunks, listed = None, [], 0
     # under three elements there is no progression, so skip the numpy set-up
     for xs, ys, zs in hits if size > 2 else ():
         if len(xs) and not all_counterexamples:
-            found = [triple(int(xs[0]), int(ys[0]), int(zs[0]))]
+            first = _triple(elements, int(xs[0]), int(ys[0]), int(zs[0]))
             break
-        budget.charge("COUNTEREXAMPLES", "listing every counterexample", len(found) + len(xs))
-        found += map(triple, xs.tolist(), ys.tolist(), zs.tolist())
-    counts = {"all_counterexamples": found} if all_counterexamples else {}
-    return VerificationReport(checked=math.comb(size, 2), passed=not found,
-                              counterexample=found[0] if found else None, counts=counts,
+        listed += len(xs)
+        budget.charge("COUNTEREXAMPLES", "listing every counterexample", listed)
+        chunks.append(np.stack([xs, ys, zs], axis=1))
+    counts = {}
+    if all_counterexamples:
+        found = Progressions(elements, np.concatenate(chunks or [np.empty((0, 3), np.intp)]))
+        first, counts = found[0] if found else None, {"all_counterexamples": found}
+    return VerificationReport(checked=math.comb(size, 2), passed=first is None,
+                              counterexample=first, counts=counts,
                               elapsed=time.perf_counter() - t0, **fields)
 
 
@@ -296,9 +352,7 @@ def verify_group_set(
     parity = (rows[:, even] % 2).astype(np.int8)
     _charge_scan("group certificate", parity, 2 ** len(even))
     return _scan_report(
-        t0, _group_hits(moduli, rows, parity),
-        lambda x, y, z: {"x": list(elements[x]), "y": list(elements[y]), "z": list(elements[z])},
-        all_counterexamples, subject=subject, mode="group",
+        t0, _group_hits(moduli, rows, parity), elements, all_counterexamples, subject=subject, mode="group",
         parameters={"moduli": list(moduli), "size": len(elements)},
     )
 
@@ -317,9 +371,7 @@ def verify_integer_set(
     parity = (v & 1).astype(np.int8)[:, None]
     _charge_scan("integer certificate", parity, 1)
     return _scan_report(
-        t0, _integer_hits(v, parity),
-        lambda x, y, z: {"x": elements[x], "y": elements[y], "z": elements[z]},
-        all_counterexamples, subject=subject, mode="integer",
+        t0, _integer_hits(v, parity), elements, all_counterexamples, subject=subject, mode="integer",
         parameters={"bound": int(bound), "size": len(elements)},
     )
 

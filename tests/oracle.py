@@ -2,10 +2,12 @@
 
 Block membership, the convexity weight, mod-1 progressions, the weight
 slices of the block product, shifted embeddings and CRT decoding, each
-restated from the paper in exact Fractions.  The package computes the same
-facts with scaled integers (``apfree.gridscan``, ``apfree.groups``,
-``apfree.integers``); nothing here shares code with those kernels, so a
-fault in one cannot hide in the other.  The block's pieces and weight are
+restated from the paper in exact Fractions, and the pair loops that list a
+set's progressions, which the certificates' scans replaced.  The package
+computes the same facts with scaled integers (``apfree.gridscan``,
+``apfree.groups``, ``apfree.integers``, ``apfree.verify``); nothing here
+shares code with those kernels, so a fault in one cannot hide in the
+other.  The block's pieces and weight are
 the ones stated in the ``apfree.blocks`` docstring.
 """
 
@@ -140,3 +142,40 @@ def embed_point(moduli, shift, residues) -> tuple[Fraction, ...]:
 def crt_decode(moduli, x: int) -> tuple[int, ...]:
     """The residues of x modulo each modulus."""
     return tuple(x % m for m in moduli)
+
+
+def halve_mod(s, m):
+    """All y in {0,...,m-1} with 2*y = s (mod m): one solution for odd m,
+    zero or two for even m."""
+    s %= m
+    if m % 2 == 1:
+        return ((s * ((m + 1) // 2)) % m,)
+    if s % 2 == 1:
+        return ()
+    return (s // 2, s // 2 + m // 2)
+
+
+def loop_group_progressions(moduli, elements):
+    """The pair scan the verifier replaced, kept as its oracle: pairs {x, z}
+    lexicographically, then the midpoint solutions y in product order."""
+    elems = sorted(elements)
+    member = set(elems)
+    return [
+        {"x": list(x), "y": list(y), "z": list(z)}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        for y in product(*(halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)))
+        if y in member
+    ]
+
+
+def loop_integer_progressions(elements):
+    """The integer pair scan the verifier replaced, kept as its oracle."""
+    elems = sorted(elements)
+    member = set(elems)
+    return [
+        {"x": x, "y": (x + z) // 2, "z": z}
+        for ai, x in enumerate(elems)
+        for z in elems[ai + 1:]
+        if (x + z) % 2 == 0 and (x + z) // 2 in member
+    ]

@@ -1,19 +1,25 @@
 """Set files and their sidecars: write, read back, re-verify; the JSON
 writer against the stdlib encoder."""
 
+import functools
 import json
 import random
 import tempfile
+from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apfree import verify
 from apfree.cli import main
 from apfree.dsets import DiscreteSet
 from apfree.storage import dump_json, read_set, write_set
+from apfree.verify import verify_group_set, verify_integer_set
+from oracle import loop_group_progressions, loop_integer_progressions
 
 provenance = st.fixed_dictionaries({"construction": st.sampled_from(["test", "random"]),
                                     "seed": st.integers(0, 99)})
@@ -72,7 +78,7 @@ documents = st.recursive(
 
 @st.composite
 def dict_lists(draw):
-    """Lists of dicts of one shape (the template path), and near misses."""
+    """Lists of dicts of one shape, as progression lists are, and near misses."""
     names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
     shape = {k: draw(st.sampled_from([None, 1, 2, 4])) for k in names}
     count = draw(st.integers(1, 6))
@@ -149,16 +155,141 @@ def test_dump_json_leaves_the_rest_to_stdlib(obj):
     assert _outcome(dump_json, obj) == _outcome(stdlib, obj)
 
 
+def lines(text: str) -> list[str]:
+    # a failed comparison of line lists names the first differing line,
+    # where pytest would diff two long strings line by line
+    return text.split("\n")
+
+
+def verify_all_stdout(dset, tmp_path, capsys) -> str:
+    paths = write_set(dset, tmp_path, "s", None)
+    assert main(["verify", "--set", str(paths["set"]), "--all"]) == 1
+    return capsys.readouterr().out
+
+
 def test_verify_all_report_is_stdlib_bytes(tmp_path, capsys):
+    """``verify --all`` on 300 random elements of Z_9^4: its stdout is the
+    stdlib's bytes for what it parses to, and it lists what the report's
+    list and the loop oracle list."""
     rng = random.Random(11)
     elements = set()
     while len(elements) < 300:
         elements.add(tuple(rng.randrange(9) for _ in range(4)))
     dset = DiscreteSet(kind="group", moduli=(9,) * 4, elements=tuple(elements),
                        provenance={"construction": "random"})
-    paths = write_set(dset, tmp_path, "rgrp", None)
-    assert main(["verify", "--set", str(paths["set"]), "--all"]) == 1
-    out = capsys.readouterr().out
-    report = dset.verify(all_counterexamples=True).to_jsonable()
-    assert len(report["counts"]["all_counterexamples"]) > 1000
-    assert out == stdlib(report)
+    out = verify_all_stdout(dset, tmp_path, capsys)
+    assert lines(out) == lines(stdlib(json.loads(out)))
+    listed = json.loads(out)["counts"]["all_counterexamples"]
+    report = dset.verify(all_counterexamples=True)
+    assert listed == list(report.counts["all_counterexamples"])
+    assert listed == loop_group_progressions((9,) * 4, elements)
+    assert len(listed) > 1000
+
+
+def test_verify_all_integer_report_is_stdlib_bytes(tmp_path, capsys):
+    """The same for 400 random integers in 1..20000."""
+    elements = random.Random(11).sample(range(1, 20001), 400)
+    dset = DiscreteSet(kind="integer", bound=20000, elements=tuple(elements),
+                       provenance={"construction": "random"})
+    out = verify_all_stdout(dset, tmp_path, capsys)
+    assert lines(out) == lines(stdlib(json.loads(out)))
+    listed = json.loads(out)["counts"]["all_counterexamples"]
+    report = dset.verify(all_counterexamples=True)
+    assert listed == list(report.counts["all_counterexamples"])
+    assert listed == loop_integer_progressions(elements)
+    assert len(listed) > 500
+
+
+def materialised(report) -> dict:
+    """The report's JSON document with its progression list as a plain list."""
+    doc = report.to_jsonable()
+    if "all_counterexamples" in doc["counts"]:
+        doc["counts"] = {**doc["counts"],
+                         "all_counterexamples": list(doc["counts"]["all_counterexamples"])}
+    return doc
+
+
+@st.composite
+def listed_sets(draw):
+    """(verifier, universe, elements, oracle list): random elements plus
+    planted progressions x, x + d, x + 2d, in groups of 1-6 coordinates with
+    odd, even or mixed moduli, small or past 2^62 (object arrays), and in
+    {1..N}, N small or past 2^62."""
+    planted = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        parity = draw(st.sampled_from([0, 1, None]))
+        sizes = draw(st.sampled_from([st.integers(1, 12), st.integers(1, 12),
+                                      st.integers(2**61, 2**62)]))
+        moduli = []
+        for _ in range(draw(st.integers(1, 6))):
+            m, want = draw(sizes), draw(st.integers(0, 1)) if parity is None else parity
+            moduli.append(max(2, m - m % 2) if want == 0 else m | 1)
+        point = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+        elements = set(draw(st.lists(point, max_size=30)))
+        for _ in range(planted):
+            x, d = draw(point), draw(point)
+            elements |= {tuple((a + k * b) % m for a, b, m in zip(x, d, moduli))
+                         for k in range(3)}
+        return (verify_group_set, tuple(moduli), sorted(elements),
+                loop_group_progressions(moduli, elements))
+    bound = draw(st.one_of(st.integers(1, 200), st.integers(2**62, 2**70)))
+    elements = set(draw(st.lists(st.integers(1, bound), max_size=20)))
+    for _ in range(planted):
+        x = draw(st.integers(1, bound))
+        d = draw(st.integers(1, max(1, (bound - x) // 2)))
+        elements |= {x + k * d for k in range(3) if x + k * d <= bound}
+    return verify_integer_set, bound, sorted(elements), loop_integer_progressions(elements)
+
+
+def listed_case(verify_set, universe, elements, loop):
+    elements = sorted(elements)
+    return verify_set, universe, elements, loop(elements)
+
+
+# lists of many chunks, on int64 and on object arrays
+_group_ap = [(5 + 3 * k, 2**61 - 7 * k) for k in range(7)]
+_many_chunks = [
+    (listed_case(verify_integer_set, 30, range(1, 31), loop_integer_progressions), 1),
+    (listed_case(verify_integer_set, 2**70, [2**69 + 3 * k for k in range(8)],
+                 loop_integer_progressions), 2),
+    (listed_case(verify_group_set, (6, 5, 4), product(range(6), range(5), range(4)),
+                 functools.partial(loop_group_progressions, (6, 5, 4))), 7),
+    (listed_case(verify_group_set, (2**62 + 1, 2**62), _group_ap,
+                 functools.partial(loop_group_progressions, (2**62 + 1, 2**62))), 1),
+]
+
+
+@given(listed_sets(), st.integers(1, 64))
+@settings(max_examples=150, deadline=None)
+@example(*_many_chunks[0])
+@example(*_many_chunks[1])
+@example(*_many_chunks[2])
+@example(*_many_chunks[3])
+def test_progression_lists_are_stdlib_bytes(case, chunk):
+    """A report's progression list, kept as index rows in chunks of 1-64
+    hits, is written as the stdlib writes the list it equals."""
+    verify_set, universe, elements, expected = case
+    with mock.patch.object(verify, "_CHUNK", chunk):
+        report = verify_set(universe, elements, all_counterexamples=True)
+    assert report.counts["all_counterexamples"] == expected
+    assert lines(dump_json(report.to_jsonable())) == lines(stdlib(materialised(report)))
+
+
+@pytest.mark.parametrize("elements, listed", [
+    ([1, 2, 4, 8], 0), ([1, 2, 3], 1), ([1, 2, 3, 5, 7, 9], 5),
+])
+def test_passing_and_short_progression_lists(elements, listed):
+    report = verify_integer_set(9, elements, all_counterexamples=True)
+    assert len(report.counts["all_counterexamples"]) == listed
+    assert dump_json(report.to_jsonable()) == stdlib(materialised(report))
+
+
+def test_stdlib_fallback_writes_progression_lists():
+    """A document the exact writer leaves to the stdlib (a float here) still
+    writes a progression list inside it as the list it equals."""
+    report = verify_integer_set(9, [1, 2, 3, 5], all_counterexamples=True)
+    doc = {"report": report.to_jsonable(), "ratio": 0.5}
+    plain = {"report": materialised(report), "ratio": 0.5}
+    assert dump_json(doc) == stdlib(plain)
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        dump_json({"report": report.to_jsonable(), "ratio": 0.5, "bad": {1}})

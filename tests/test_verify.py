@@ -35,7 +35,8 @@ from apfree.verify import (
     verify_integer_set,
 )
 from apfree.storage import read_set, write_set
-from oracle import Block, is_progression_mod1, midpoint_candidates
+from oracle import (Block, halve_mod, is_progression_mod1, loop_group_progressions,
+                    loop_integer_progressions, midpoint_candidates)
 
 
 class TestGroupVerifier:
@@ -289,47 +290,51 @@ class TestAllCounterexamples:
             verify_group_set((7,), [(e,) for e in elements], all_counterexamples=True)
         assert not verify_integer_set(5, elements).passed
 
+    @pytest.mark.parametrize("kind", ["group", "integer"])
+    def test_list_is_a_read_only_sequence(self, kind):
+        """The list reads as the oracle's list: by index, negative too, by
+        slice and in full; each read is fresh, so changing one leaves later
+        reads alone, and the list itself cannot be changed."""
+        rng = random.Random(5)
+        if kind == "group":
+            elements = sorted({tuple(rng.randrange(9) for _ in range(3)) for _ in range(60)})
+            listed = verify_group_set((9, 9, 9), elements, all_counterexamples=True)
+            expected = loop_group_progressions((9, 9, 9), elements)
+        else:
+            elements = sorted(rng.sample(range(1, 300), 60))
+            listed = verify_integer_set(300, elements, all_counterexamples=True)
+            expected = loop_integer_progressions(elements)
+        listed = listed.counts["all_counterexamples"]
+        n = len(expected)
+        assert n > 10 and len(listed) == n
+        assert listed == expected and expected == listed and list(listed) == expected
+        assert listed != expected[:-1] and listed != tuple(expected) and listed != expected[0]
+        for i in (0, 3, n - 1, -1, -n):
+            assert listed[i] == expected[i]
+        for part in (slice(None), slice(2, 9), slice(None, None, -3), slice(-5, None),
+                     slice(n + 5, 2), slice(1, -1, 2)):
+            assert listed[part] == expected[part]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                listed[i]
+        first = listed[0]
+        first["y"] = None
+        if kind == "group":
+            first["x"].append(99)
+            for item in listed:
+                item["z"].clear()
+        assert listed[0] == expected[0] and list(listed) == expected
+        with pytest.raises(TypeError):
+            listed[0] = first
+        with pytest.raises(TypeError):
+            hash(listed)
+        with pytest.raises(ValueError):
+            listed.xyz[0, 0] = 1
+
     def test_first_hit_mode_leaves_counts_empty(self):
         report = verify_integer_set(10, [1, 2, 3, 4, 5])
         assert report.counts == {}
         assert report.counterexample == {"x": 1, "y": 2, "z": 3}
-
-
-def _halve_mod(s, m):
-    """All y in {0,...,m-1} with 2*y = s (mod m): one solution for odd m,
-    zero or two for even m."""
-    s %= m
-    if m % 2 == 1:
-        return ((s * ((m + 1) // 2)) % m,)
-    if s % 2 == 1:
-        return ()
-    return (s // 2, s // 2 + m // 2)
-
-
-def loop_group_progressions(moduli, elements):
-    """The pair scan the verifier replaced, kept as its oracle: pairs {x, z}
-    lexicographically, then the midpoint solutions y in product order."""
-    elems = sorted(elements)
-    member = set(elems)
-    return [
-        {"x": list(x), "y": list(y), "z": list(z)}
-        for ai, x in enumerate(elems)
-        for z in elems[ai + 1:]
-        for y in product(*(_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)))
-        if y in member
-    ]
-
-
-def loop_integer_progressions(elements):
-    """The integer pair scan the verifier replaced, kept as its oracle."""
-    elems = sorted(elements)
-    member = set(elems)
-    return [
-        {"x": x, "y": (x + z) // 2, "z": z}
-        for ai, x in enumerate(elems)
-        for z in elems[ai + 1:]
-        if (x + z) % 2 == 0 and (x + z) // 2 in member
-    ]
 
 
 def check_scan(verify_set, universe, elements, expected):
@@ -391,7 +396,7 @@ def presence_passes(moduli, elements):
     b = (verify_module._SLOTS * len(elems) - 1).bit_length()
     slot = lambda key: (key ^ (key >> b)) % (1 << b)  # noqa: E731
     marked = {slot(group_key(moduli, y)) for y in elems}
-    roots = lambda x, z: [_halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)]  # noqa: E731
+    roots = lambda x, z: [halve_mod(xi + zi, m) for xi, zi, m in zip(x, z, moduli)]  # noqa: E731
     return [(x, z) for i, x in enumerate(elems) for z in elems[i + 1:]
             if all(roots(x, z))
             and slot(group_key(moduli, [r[0] for r in roots(x, z)])) in marked]
