@@ -45,8 +45,8 @@ SCAN = 1 << 30
 # progressions one all_counterexamples scan may list: 31 times the 2127 of
 # the largest benchmark list (many-small, seeds 1-3), while a JSON dump of the full list stays
 # near a tenth of a second and 31 MiB (storage.dump_json on the same host:
-# 0.04 s and a 13 MiB peak for integer triples, 0.10 s and 31 MiB for
-# triples in Z_9^4, whose text is 15.4 MiB)
+# 0.03-0.04 s and a 13 MiB peak for integer triples, 0.07-0.10 s and
+# 31 MiB for triples in Z_9^4, whose text is 15.4 MiB)
 COUNTEREXAMPLES = 1 << 16
 
 _UNITS = {"PRODUCT": "points", "SWEEP": "fact pairs", "GRID": "array entries",
