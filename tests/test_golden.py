@@ -83,6 +83,11 @@ COMMANDS = [
     *((["--threads", threads, "check", "all", "--epsilon", "1/12", "--Q", q], {})
       for q in ("24", "48") for threads in ("1", "2")),
     (["--threads", "2", "check", "all", "--epsilon", "1/12", "--Q", "144"], {}),
+    # the widest and the narrowest near band of the weight and midpoint
+    # facts, and a pool run of the widest above _SERIAL_PAIRS
+    (["--threads", "1", "check", "all", "--epsilon", "1/4", "--Q", "120"], {}),
+    (["--threads", "1", "check", "all", "--epsilon", "1/48", "--Q", "120"], {}),
+    (["--threads", "2", "check", "all", "--epsilon", "1/4", "--Q", "168"], {}),
     (["compare", "fpn", "--p", "5", "--n", "4", "--seed", "1"], {}),
     (["compare", "int", "--N", "3", "--out", "table.csv"], {}),
     (["density", "--epsilon", "1/12", "--m", "96"], {}),
