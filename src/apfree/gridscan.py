@@ -12,7 +12,10 @@ its per-sum tables compare stay inside the same bound: h and the block
 threshold lie in (-128, 3120) (ed*Q)^2, and so does h(x) + h(z); the
 code-2 values 2 ed^2 (sx^2 + sz^2) and ed^2 syn^2 + en^2 Q^2 are below
 17 (ed*Q)^2; the code-3 values are below 8 Q^2 in size; the tables'
-sentinels, -2^62 and 2^62, are only compared, never added to.
+sentinels, -2^62 and 2^62, are only compared, never added to, apart from
+the band radius lowering 2^62 by a code-2 value.  The radius's own
+bounds on h(x) + h(z) and its thresholds stay inside (-3400, 3400)
+(ed*Q)^2.
 
 Weights are scaled as F4(u, v) = w((u/D, v/D)) * 4 * en^2 * D^2, which is
 an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
@@ -34,43 +37,55 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
 2^62, object arrays of Python ints otherwise.
 
-``pair_tiles`` is the one pair walk of the package: it yields the pairs
-x <= z of range(n) with x in a row range, in row-major order, as tiles,
-a block of rows x against the columns z from its first row on with a
-mask of the tile's pairs.  The set certificates in :mod:`apfree.verify` walk
-their elements' pairs a < b with it, as the pairs x <= z of range(n - 1)
-taken as (x, z + 1).  ``run_sweeps`` sweeps the pairs x <= z of the
-grid points once for any selection of the four facts (every ``check``
-calls it once).  The weight and midpoint facts walk the pairs with
-``pair_tiles``, each pair value the sum of a row value and a column
-value, broadcast.  The first-coordinate facts walk no pair: they read
-only the first coordinate I and the coordinate sum S of each point, so a
-row x's partners z >= x that apply or fail form a box in (I, S), and a
-prefix count table over (I, S) counts them by box queries (``_Rows``),
-in O(Q^2 + rows); the first violation is the first one in the first row
-holding any.  The grid's point facts run once
-on the pairs (x, x).  The weight and midpoint facts read tables over a
-pair's outer sum s = x + z, which fixes its four midpoint candidates.
-Each fact is rewritten so that its pair side is a value of x plus a
-value of z (for the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 -
-|s|^2), and its other side is the right-hand side that
-``_Grid.candidate`` gives at each candidate of s, the one place that
-computes a candidate's coordinates, its membership and its right-hand
-sides.  A sum's table holds the largest of them over its in-block
-candidates, so a pair fails the fact at some candidate iff its value lies
-below its sum's threshold: a tile costs a few integer operations per
-pair, and only the pairs so flagged are compared with each candidate's
-own right-hand sides (``_Tile.exact``), to count their violations and
-find the first; a passing sweep flags none.  Candidates are counted from
-a table of in-block candidates per sum.  ``_walk`` counts pairs and
-violations per fact and keeps each fact's first violation in scan order
-as the smallest (x, z, candidate, code), so a sweep split into row
-ranges, across processes or tiles, reports the same.  Before any table
-is made a sweep is charged, from Q alone, to budget.SWEEP; the per-sum
-and prefix count tables are built on the walk's first use.  Grids below
-_SERIAL_PAIRS pairs, and sweeps of the first-coordinate facts alone,
-stay on one process, which is the only place the process pool is
-imported.  The density grid's cells are charged to budget.GRID.
+``pair_tiles`` walks every pair: it yields the pairs x <= z of range(n)
+with x in a row range, in row-major order, as tiles, a block of rows x
+against the columns z from its first row on with a mask of the tile's
+pairs.  The set certificates in :mod:`apfree.verify` walk their elements'
+pairs a < b with it, as the pairs x <= z of range(n - 1) taken as
+(x, z + 1).  ``run_sweeps`` sweeps the pairs x <= z of the grid points
+once for any selection of the four facts (every ``check`` calls it once).
+
+The weight and midpoint facts read tables over a pair's outer sum
+s = x + z, which fixes its four midpoint candidates.  Each fact is
+rewritten so that its pair side is a value of x plus a value of z (for
+the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 - |s|^2), and its
+other side is the right-hand side that ``_Grid.candidate`` gives at each
+candidate of s, the one place that computes a candidate's coordinates,
+its membership and its right-hand sides.  A sum's table holds the
+largest of them over its in-block candidates, so a pair fails the fact
+at some candidate iff its value lies below its sum's threshold.  Both
+pair values grow with the gap d = |S_x - S_z| of the points' coordinate
+sums, exactly for code 2 and through a lower bound for the weight
+inequality, so the tables give a band radius R* (``_Grid.radius``) from
+which no pair can be flagged; on every passing grid R* is near_gap + 1,
+so only the near pairs are walked.  The band walk orders the points by
+(S, scan index), so a point's band partners are the run of points after
+it, and walks those pairs in tiles of rows against offsets
+(``band_tiles``), broadcast over a strided view of the values ahead: a
+tile costs a few integer operations per pair, and only the pairs flagged
+are compared with each candidate's own right-hand sides (``_exact``), as
+(x, z) in scan order, to count their violations and find the first; a
+passing sweep flags none.  The pairs and the midpoint candidates of all
+pairs are counted in closed form, from the number of pairs per outer sum
+(``pair_sum_counts``), O(Q^2).  A grid that fails code 1 anywhere, whose
+threshold no pair reaches, has R* = 2Q, and its walk is every pair.
+
+The first-coordinate facts walk no pair: they read only the first
+coordinate I and the coordinate sum S of each point, so a row x's
+partners z >= x that apply or fail form a box in (I, S), and a prefix
+count table over (I, S) counts them by box queries (``_Rows``), in
+O(Q^2 + rows); the first violation is the first one in the first row
+holding any.  The grid's point facts run once on the pairs (x, x).
+Each walk keeps each fact's first violation in scan order as the
+smallest (x, z, candidate, code), so a walk split into row ranges,
+across processes or tiles, reports the same.  Before any table is made
+a sweep is charged, from Q alone, to budget.SWEEP for a walk of every
+pair; the per-sum and prefix count tables are built on first use.
+Bands below _SERIAL_PAIRS pairs, and sweeps of the first-coordinate
+facts alone, stay on one process, which is the only place the process
+pool is imported; the pool's workers walk ranges of band rows, and the
+caller counts the rest.  The density grid's cells are charged to
+budget.GRID.
 """
 
 from __future__ import annotations
@@ -223,20 +238,44 @@ def pair_tiles(n: int, size: int, x0: int = 0, x1: int | None = None):
         a0 = a1
 
 
-# grid pairs per tile of a sweep, counted as the tile's rows times its
-# columns (its lower-left triangle included); the block and midpoint facts
-# make about eight int64 and fifteen one-byte arrays of that many entries
-# a tile.  On a 2-vCPU host check all at eps 1/12 took 4.6 / 4.9 / 6.1 ms
-# at Q 48, 16.5 / 14.5 / 19.0 ms at Q 72 and 106 / 87 / 81 ms at Q 120 on
-# tiles of 2^13 / 2^14 / 2^15 (in-process medians of 15-41)
+def band_tiles(width: np.ndarray, size: int, p0: int, p1: int):
+    """The pairs (p, p + k), 0 <= k < width[p], of the rows p in [p0, p1),
+    in row-major order as tiles: as many rows as ``size`` cells allow, each
+    against the offsets k below the tile's widest row, or the segments of
+    at most ``size`` offsets of a row wider than that.  A tile holds the
+    pairs with p in the slice tile.rows and k in tile.offsets, as the cells
+    of an array tile.valid over (p, k) that marks them; no cell lies below
+    its row's own pair (p, p)."""
+    a0 = p0
+    while a0 < p1:
+        # the most rows whose count times their widest row fits ``size``
+        widest = np.maximum.accumulate(width[a0:min(p1, a0 + size)])
+        a1 = a0 + max(1, int(np.count_nonzero(widest * np.arange(1, len(widest) + 1) <= size)))
+        end = int(widest[a1 - a0 - 1])
+        for k0 in range(0, end, size):
+            offsets = np.arange(k0, min(end, k0 + size))
+            yield SimpleNamespace(rows=slice(a0, a1), offsets=slice(k0, k0 + len(offsets)),
+                                  valid=offsets < width[a0:a1, None])
+        a0 = a1
+
+
+# band pairs per tile of a sweep, counted as the tile's rows times its
+# widest row's offsets; the block and midpoint facts make about seven
+# int64 and eight one-byte arrays of that many entries a tile.  On a
+# 2-vCPU host check all at eps 1/12 took 4.6 / 4.6 / 5.2 ms at Q 48,
+# 11.8 / 10.9 / 12.5 ms at Q 72 and 61 / 54 / 53 ms at Q 120 on tiles of
+# 2^13 / 2^14 / 2^15 (in-process medians of 21 alternating runs)
 _SWEEP_CHUNK = 1 << 14
-# Below this many grid pairs a sweep stays on one process whatever the
-# worker cap, because a fresh process pays for importing and starting the
-# pool about what a second worker saves: on a 2-vCPU host, medians of 7
-# alternating `python -m apfree --threads {1,2} check all --epsilon 1/12`
-# runs took 127 / 134-140 ms at Q 96 (2.7e6 pairs), 160-164 / 156-160 ms
-# at Q 120 (6.6e6), 219-223 / 189-190 ms at Q 144 (1.4e7) and 318-319 /
-# 237-240 ms at Q 168 (2.5e7), one worker against two.
+# Below this many band pairs the band walk stays on one process whatever
+# the worker cap, because a fresh process pays for importing and starting
+# the pool about what a second worker saves: on a 2-vCPU host, medians of
+# 7-9 alternating `python -m apfree --threads {1,2} check all` runs, the
+# pool forced on, took at eps 1/12 157 / 196 ms at Q 96 (6.2e5 band
+# pairs), 195 / 214 ms at Q 144 (3.1e6), 279 / 268 ms at Q 192 (1.0e7),
+# 377 / 340 ms at Q 216 (1.6e7) and 513 / 437 ms at Q 240 (2.4e7), and at
+# eps 1/4 262 / 313 ms at Q 120 (3.2e6), 242 / 252 ms at Q 144 (6.6e6),
+# 302 / 292 ms at Q 168 (1.2e7) and 385 / 345 ms at Q 192 (2.1e7), one
+# worker against two: the second worker pays from about 1e7 band pairs
 _SERIAL_PAIRS = 1 << 23
 
 # the thresholds of per-sum tables with no candidate to test, and of sums
@@ -355,6 +394,80 @@ class _Grid:
                                code3_top=near3.ravel())
 
     @cached_property
+    def pair_sums(self) -> np.ndarray:
+        """N[sid], the number of pairs x <= z of the grid with outer sum
+        s = x + z (``pair_sum_counts``)."""
+        return pair_sum_counts(self.I, self.J, self.Q)
+
+    @cached_property
+    def candidates(self) -> int:
+        """The in-block midpoint candidates of all the pairs, sum by sum."""
+        # int8 times int64, summed in int64
+        return int((self.tables.nin * self.pair_sums).sum())
+
+    @cached_property
+    def radius(self) -> int:
+        """The band radius R*: no pair whose coordinate sums differ by R* or
+        more can be flagged by the weight or the midpoint facts' tables,
+        and R* > near_gap, so the near pairs lie inside the band.
+
+        Over a pair's outer sum s = (U0, V0), sigma = U0 + V0 and the gap
+        d = |S_x - S_z| of its coordinate sums, a far pair's code-2 value
+        is ed^2 (sigma^2 + d^2) exactly.  Each point's h is its weight
+        formula 384 ed^2 S^2 - 32 en^2 (I^2 + J^2) plus a residual, so
+        h(x) + h(z) >= 192 ed^2 (sigma^2 + d^2) - 16 en^2 (U0^2 + V0^2 +
+        dI^2 + dJ^2) + 2 min(residual), where |I_x - I_z| <= dI =
+        min(U0, 2Q - 2 - U0), and likewise dJ.  Both grow with d, so over
+        the sums that some pair reaches and that hold an in-block
+        candidate, the least d from which each value reaches its sum's
+        threshold bounds the gaps of every flagged pair.  The residual is
+        read from the grid's own h, so a table that lowers a weight widens
+        the band; a sum of code 1 faults, whose threshold is 2^62, makes it
+        2Q, every pair."""
+        Q, D, tab = self.Q, self.D, self.tables
+        en, ed = self.eps.numerator, self.eps.denominator
+        sid = np.flatnonzero((tab.nin > 0) & (self.pair_sums > 0))
+        U0, V0 = sid // D, sid % D
+        sq = (U0 + V0) ** 2
+        residual = self.h - 384 * ed * ed * self.S ** 2 + 32 * en * en * (self.I ** 2 + self.J ** 2)
+        spread = np.minimum(U0, 2 * Q - 2 - U0) ** 2 + np.minimum(V0, 2 * Q - 2 - V0) ** 2
+        block = (tab.block_top[sid] + 16 * en * en * (U0 * U0 + V0 * V0 + spread)
+                 - 2 * int(residual.min()) - 192 * ed * ed * sq)
+        code2 = tab.code2_far_top[sid] - ed * ed * sq
+        # the least gap d in [0, 2Q) whose share reaches each sum's need, or 2Q
+        gaps = np.arange(D, dtype=np.int64) ** 2
+        least = [np.searchsorted(k * gaps, need).max(initial=0)
+                 for k, need in ((192 * ed * ed, block), (ed * ed, code2))]
+        return max(int(least[0]), int(least[1]), self.near_gap + 1)
+
+    @cached_property
+    def band(self) -> SimpleNamespace:
+        """The points in order of (coordinate sum S, scan index), the band
+        order: ``order`` their scan indices, ``width[p]`` the number of
+        partners q >= p of point p whose sums are below S_p + radius, a
+        run q = p, ..., p + width[p] - 1, ``starts`` the number of band
+        pairs before each row p (last the total), ``all_near`` whether
+        every band pair is near, and the per-point values the tiles add,
+        in band order, each as ``values`` (its points) and ``ahead`` (the
+        strided view whose row p holds the values of points p, p + 1, ...,
+        zero past the last point)."""
+        order = np.argsort(self.S, kind="stable")
+        S = self.S[order]
+        width = np.searchsorted(S, S + self.radius) - np.arange(self.P)
+        starts = np.zeros(self.P + 1, dtype=np.int64)
+        np.cumsum(width, out=starts[1:])
+        pad = int(width.max(initial=1))
+        values, ahead = {}, {}
+        for name in ("sid", "S32", "h", "ell", "k"):
+            col = getattr(self, name)[order]
+            values[name] = col
+            ahead[name] = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([col, np.zeros(pad, dtype=col.dtype)]), pad)
+        return SimpleNamespace(order=order, width=width, starts=starts,
+                               all_near=self.radius <= self.near_gap + 1,
+                               values=SimpleNamespace(**values), ahead=SimpleNamespace(**ahead))
+
+    @cached_property
     def prefix(self) -> np.ndarray:
         """prefix[i, s], the number of points with first coordinate below
         i/Q and coordinate sum below s/Q, over 0 <= i <= Q and
@@ -366,66 +479,112 @@ class _Grid:
         return prefix
 
 
+def pair_sum_counts(I: np.ndarray, J: np.ndarray, Q: int) -> np.ndarray:
+    """For distinct points (I, J) of the 1/Q grid, 0 <= I, J < Q, in scan
+    order (by I, then J): the number of pairs x <= z of them with outer sum
+    (U0, V0) = x + z, at index U0 * 2Q + V0 of (2Q)^2 counts.
+
+    The points of one I fall into runs of consecutive J.  The ordered
+    pairs of two runs have the outer sums of a trapezoid in V0 at
+    U0 = I_a + I_b, whose second difference along V0 is +1 at the sum of
+    the runs' starts and at the sum of their ends (one past the last J),
+    and -1 at a start plus an end.  So the ordered pairs' counts are the
+    impulses of every two runs, counted by ``np.bincount`` per sign in
+    pieces of at most (2Q)(2Q + 1) sums, then summed twice along V0; the
+    pairs x <= z are half of those plus the pairs (x, x).  Time
+    O(runs^2 + Q^2), memory O(Q^2)."""
+    D = 2 * Q
+    # a row of U0 holds V0 in [0, 2Q]: an end is at most Q
+    W = D + 1
+    at = I * W + J
+    first, last = np.ones(len(at), dtype=bool), np.ones(len(at), dtype=bool)
+    first[1:] = last[:-1] = at[1:] != at[:-1] + 1
+    starts, ends = at[first], at[last] + 1
+    # the +1 impulses at their sums, and the -1 ones past them at L + sum
+    L = D * W
+    step = max(1, L // (3 * max(1, len(starts))))
+    impulses = sum(np.bincount(np.concatenate([
+        np.add.outer(starts[k:k + step], starts).ravel(),
+        np.add.outer(ends[k:k + step], ends).ravel(),
+        np.add.outer(starts[k:k + step], ends + L).ravel()]), minlength=2 * L)
+        for k in range(0, max(1, len(starts)), step))
+    # in place: a start plus an end, and an end plus a start
+    pairs = impulses[:L].reshape(D, W)
+    pairs -= impulses[L:].reshape(D, W)
+    pairs -= impulses[L:].reshape(D, W)
+    np.cumsum(pairs, axis=1, out=pairs)
+    np.cumsum(pairs, axis=1, out=pairs)
+    pairs += np.bincount(2 * at, minlength=L).reshape(D, W)
+    pairs //= 2
+    return pairs[:, :D].ravel()
+
+
 class _Tile:
-    """A tile of grid pairs (``pair_tiles``) with the pair values the facts
-    share, each made once on first use."""
+    """A tile of band pairs (``band_tiles`` over the grid's ``band``), cell
+    (p, k) holding the pair of the points p and p + k in band order, with
+    the pair values the facts share, each made once on first use."""
 
     def __init__(self, g: _Grid, tile: SimpleNamespace):
-        self.g, self.rows, self.cols, self.valid = g, tile.rows, tile.cols, tile.valid
+        self.g, self.b = g, g.band
+        self.rows, self.offsets, self.valid = tile.rows, tile.offsets, tile.valid
 
-    def add(self, col):
-        """col[a] + col[b] over the tile."""
-        return col[self.rows, None] + col[None, self.cols]
+    def add(self, name: str):
+        """The per-point value ``name`` of p plus that of p + k over the
+        tile."""
+        return (getattr(self.b.values, name)[self.rows, None]
+                + getattr(self.b.ahead, name)[self.rows, self.offsets])
 
     @cached_property
     def sid(self):
-        return self.add(self.g.sid)
+        return self.add("sid")
 
     @cached_property
     def near(self):
-        """The coordinate sums of x and z differ by less than eps."""
-        S = self.g.S32
-        return np.abs(S[self.rows, None] - S[None, self.cols]) <= self.g.near_gap
-
-    @cached_property
-    def valid_near(self):
-        return self.valid & self.near
+        """The coordinate sums of the pair differ by less than eps: every
+        pair, when the band holds only near ones.  The sum of p + k is at
+        least that of p wherever the tile is valid."""
+        if self.b.all_near:
+            return self.valid
+        S = self.b.values.S32
+        return self.b.ahead.S32[self.rows, self.offsets] - S[self.rows, None] <= self.g.near_gap
 
     @cached_property
     def nin(self):
         """The number of in-block midpoint candidates of each pair."""
         return self.g.tables.nin.take(self.sid)
 
-    @cached_property
-    def candidates(self):
-        # int8 products, summed in int64
-        return int((self.nin * self.valid).sum())
-
     def exact(self, flagged, fails):
-        """(violations, first violation key) per code on the tile's
-        ``flagged`` pairs: ``fails(pair, y)`` yields (code, failing pairs)
-        from the pairs' values at their candidate y (``_Grid.candidate``); a
-        code's first failure is its smallest (pair, in-block candidate)."""
+        """``_exact`` on the tile's valid ``flagged`` pairs, as the scan
+        indices (x, z), x <= z, of their points."""
         flagged &= self.valid
-        if not flagged.any():
-            return
-        g = self.g
-        r, col = np.nonzero(flagged)
-        a, b = r + self.rows.start, col + self.cols.start
-        pair = SimpleNamespace(near=self.near[r, col], h=g.h[a] + g.h[b],
-                               ell=g.ell[a] + g.ell[b], k=g.k[a] + g.k[b])
-        bad = {}
-        for c in range(4):
-            y = g.candidate(g.I[a] + g.I[b], g.J[a] + g.J[b], c)
-            for code, fails_y in fails(pair, y):
-                bad.setdefault(code, []).append(y.inb & fails_y)
-        for code, masks in bad.items():
-            # pair-major, so the first failure is the first one set
-            masks = np.stack(masks, axis=1)
-            n = int(np.count_nonzero(masks))
-            if n:
-                p, c = divmod(int(np.argmax(masks)), 4)
-                yield n, (int(a[p]), int(b[p]), c, code)
+        if flagged.any():
+            p, k = np.nonzero(flagged)
+            p += self.rows.start
+            p, q = self.b.order[p], self.b.order[p + k + self.offsets.start]
+            yield from _exact(self.g, np.minimum(p, q), np.maximum(p, q), fails)
+
+
+def _exact(g: _Grid, a, b, fails):
+    """(violations, first violation key) per code on the pairs (a, b) of
+    scan indices, a <= b: ``fails(pair, y)`` yields (code, failing pairs)
+    from the pairs' values at their candidate y (``_Grid.candidate``); a
+    code's first failure is its smallest (a, b, in-block candidate)."""
+    ranked = np.lexsort((b, a))
+    a, b = a[ranked], b[ranked]
+    pair = SimpleNamespace(near=np.abs(g.S32[a] - g.S32[b]) <= g.near_gap,
+                           h=g.h[a] + g.h[b], ell=g.ell[a] + g.ell[b], k=g.k[a] + g.k[b])
+    bad = {}
+    for c in range(4):
+        y = g.candidate(g.I[a] + g.I[b], g.J[a] + g.J[b], c)
+        for code, fails_y in fails(pair, y):
+            bad.setdefault(code, []).append(y.inb & fails_y)
+    for code, masks in bad.items():
+        # pair-major, so the first failure is the first one set
+        masks = np.stack(masks, axis=1)
+        n = int(np.count_nonzero(masks))
+        if n:
+            p, c = divmod(int(np.argmax(masks)), 4)
+            yield n, (int(a[p]), int(b[p]), c, code)
 
 
 # Each fact takes a tile, or the rows (``_Rows``), and yields (violations,
@@ -434,8 +593,7 @@ class _Tile:
 
 def _block_tile(t: _Tile, counts):
     """The weight inequality: h(x) + h(z) below the sum's threshold."""
-    counts["candidates"] += t.candidates
-    yield from t.exact(t.add(t.g.h) < t.g.tables.block_top.take(t.sid),
+    yield from t.exact(t.add("h") < t.g.tables.block_top.take(t.sid),
                        lambda p, y: [(0, p.h < y.block)])
 
 
@@ -443,12 +601,12 @@ def _midpoint_tile(t: _Tile, counts):
     """The midpoint facts: a code's pair value below the sum's threshold
     for near or for far pairs."""
     tab, sid = t.g.tables, t.sid
-    counts["candidates"] += t.candidates
-    counts["near_equal_candidates"] += int((t.nin * t.valid_near).sum())
+    counts["near_equal_candidates"] += int((t.nin * (t.valid & t.near)).sum())
     # 2 ed^2 (sx^2 + sz^2) below a code-2 threshold: the slack fails
-    ell = t.add(t.g.ell)
-    near_fails = (ell < tab.code2_near_top.take(sid)) | (t.add(t.g.k) < tab.code3_top.take(sid))
-    flagged = (t.near & near_fails) | (~t.near & (ell < tab.code2_far_top.take(sid)))
+    ell = t.add("ell")
+    flagged = (ell < tab.code2_near_top.take(sid)) | (t.add("k") < tab.code3_top.take(sid))
+    if not t.b.all_near:
+        flagged = (t.near & flagged) | (~t.near & (ell < tab.code2_far_top.take(sid)))
     yield from t.exact(flagged, lambda p, y: [
         (1, (y.alt != 0) & (y.alt != -t.g.Q)),
         (2, (p.ell < y.code2) & (~p.near | (y.alt != 0))),
@@ -531,65 +689,76 @@ def _point_hits(g: _Grid, x0: int, x1: int):
             yield len(a), (int(a[0]), int(a[0]), 0, code)
 
 
-# kind -> (fact, its side counts, whether it tests midpoint candidates);
-# the facts that do take tiles, the others take the rows (``_Rows``)
+# kind -> (fact, the side counts its walk makes, whether it walks the
+# band's tiles); the facts that do, the weight and midpoint facts, also
+# count their candidates in closed form (``_Grid.candidates``), and the
+# others take the rows (``_Rows``)
 _FACTS = {
-    "block": (_block_tile, ("candidates",), True),
-    "midpoint": (_midpoint_tile, ("candidates", "near_equal_candidates"), True),
+    "block": (_block_tile, (), True),
+    "midpoint": (_midpoint_tile, ("near_equal_candidates",), True),
     "x1z1": (_x1z1_rows, ("applicable",), False),
     "facts": (_facts_rows, ("applicable",), False),
 }
 
 
-def _walk(g: _Grid, x0: int, x1: int):
+def _record(counts, best, kind, hits):
+    """Add a fact's hits to its violations and keep its smallest key."""
+    for n, key in hits:
+        counts[kind]["violations"] += n
+        if best[kind] is None or key < best[kind]:
+            best[kind] = key
+
+
+def _walk(g: _Grid, p0: int, p1: int):
     """{kind: (counts, smallest violation key (x, z, candidate, code))} of
-    the grid's facts over the pairs x <= z of the rows [x0, x1): the tiles
-    walked once for all the facts that take them, and the rows counted
-    once for the others."""
+    the grid's weight and midpoint facts over the band pairs of the band
+    rows [p0, p1): the tiles walked once for all of them.  Outside the band
+    no pair is flagged (``_Grid.radius``), so these are all the facts'
+    violations."""
+    kinds = [kind for kind in g.kinds if _FACTS[kind][2]]
+    counts = {kind: {"violations": 0, **dict.fromkeys(_FACTS[kind][1], 0)} for kind in kinds}
+    best = dict.fromkeys(kinds)
+    for tile in band_tiles(g.band.width, _SWEEP_CHUNK, p0, p1):
+        t = _Tile(g, tile)
+        for kind in kinds:
+            _record(counts, best, kind, _FACTS[kind][0](t, counts[kind]))
+    return {kind: (counts[kind], best[kind]) for kind in kinds}
+
+
+def _box_counts(g: _Grid, x0: int, x1: int):
+    """{kind: (counts, smallest violation key)} of the grid's
+    first-coordinate facts and point facts over the pairs x <= z of the
+    scan rows [x0, x1), counted once by box queries."""
     row_start = _row_starts(g.P)
     pairs = int(row_start[x1] - row_start[x0])
-    counts = {kind: {"grid_points": g.P, "pairs": pairs, "violations": 0,
-                     **dict.fromkeys(_FACTS[kind][1], 0)} for kind in g.kinds}
-    best = dict.fromkeys(g.kinds)
-
-    def record(kind, hits):
-        for n, key in hits:
-            counts[kind]["violations"] += n
-            if best[kind] is None or key < best[kind]:
-                best[kind] = key
-
-    if "facts" in g.kinds:
-        record("facts", _point_hits(g, x0, x1))
-    tiled = [kind for kind in g.kinds if _FACTS[kind][2]]
-    counted = [kind for kind in g.kinds if kind not in tiled]
-    if counted:
-        rows = _Rows(g, x0, x1)
-        for kind in counted:
-            record(kind, _FACTS[kind][0](rows, counts[kind]))
-    if tiled:
-        for tile in pair_tiles(g.P, _SWEEP_CHUNK, x0, x1):
-            t = _Tile(g, tile)
-            for kind in tiled:
-                record(kind, _FACTS[kind][0](t, counts[kind]))
-    return {kind: (counts[kind], best[kind]) for kind in g.kinds}
+    kinds = [kind for kind in g.kinds if not _FACTS[kind][2]]
+    counts = {kind: {"pairs": pairs, "violations": 0, **dict.fromkeys(_FACTS[kind][1], 0)}
+              for kind in kinds}
+    best = dict.fromkeys(kinds)
+    if "facts" in kinds:
+        _record(counts, best, "facts", _point_hits(g, x0, x1))
+    rows = _Rows(g, x0, x1)
+    for kind in kinds:
+        _record(counts, best, kind, _FACTS[kind][0](rows, counts[kind]))
+    return {kind: (counts[kind], best[kind]) for kind in kinds}
 
 
 def _merge(parts):
-    """(counts, smallest violation key) of a sweep from those of the row
-    ranges it was split into."""
+    """(counts, smallest violation key) of a walk from those of the ranges
+    it was split into."""
     counts: dict[str, int] = {}
     best = None
     for part_counts, key in parts:
         for k, v in part_counts.items():
-            counts[k] = v if k == "grid_points" else counts.get(k, 0) + v
+            counts[k] = counts.get(k, 0) + v
         if key is not None and (best is None or key < best):
             best = key
     return counts, best
 
 
 def _worker(args):
-    kinds, eps_str, Q, x0, x1 = args
-    return _walk(_Grid(Fraction(eps_str), Q, kinds), x0, x1)
+    kinds, eps_str, Q, p0, p1 = args
+    return _walk(_Grid(Fraction(eps_str), Q, kinds), p0, p1)
 
 
 def _violation(g: _Grid, kind: str, key):
@@ -617,34 +786,45 @@ def _cpu_limit() -> int:
 
 
 def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
-    """Run the exhaustive pair sweeps of the facts ``kinds`` in one walk
-    over the grid pairs, split across processes into ranges of whole rows,
-    each within P pairs of an even share, when the grid has at least
-    _SERIAL_PAIRS pairs, the block or midpoint facts are among ``kinds``
-    (the others cost O(Q^2 + rows), less than a worker's own grid), and
-    ``threads``, the CPUs this process may run on and the grid's rows all
-    allow more than one.
+    """Run the exhaustive pair sweeps of the facts ``kinds``: the
+    first-coordinate and point facts by box queries, and the weight and
+    midpoint facts in one walk over the band pairs, split across processes
+    into band rows, each within P pairs of an even share, when the band
+    holds at least _SERIAL_PAIRS pairs, and ``threads``, the CPUs this
+    process may run on and the grid's rows all allow more than one.  The
+    pairs and the candidates are counted in closed form, once.
 
     Returns {kind: (counts, violation)}, violation None or a dict locating
     the kind's first failure in scan order (identical for every worker
     count)."""
     g = _Grid(eps, Q, kinds)
-    threads = max(1, min(threads, _cpu_limit(), g.P))
-    if threads == 1 or g.pairs < _SERIAL_PAIRS or not any(_FACTS[k][2] for k in g.kinds):
-        parts = [_walk(g, 0, g.P)]
-    else:
-        # each part starts at the row holding its even share's first pair,
-        # so it is within a row, P pairs, of an even share
-        cuts = np.searchsorted(_row_starts(g.P),
-                               [g.pairs * k // threads for k in range(threads + 1)]).tolist()
-        jobs = [(g.kinds, str(g.eps), Q, x0, x1) for x0, x1 in zip(cuts, cuts[1:])]
-        from concurrent.futures import ProcessPoolExecutor
+    found = {}
+    if any(not _FACTS[kind][2] for kind in g.kinds):
+        found.update(_box_counts(g, 0, g.P))
+    tiled = tuple(kind for kind in g.kinds if _FACTS[kind][2])
+    if tiled:
+        threads = max(1, min(threads, _cpu_limit(), g.P))
+        starts = g.band.starts
+        if threads == 1 or starts[-1] < _SERIAL_PAIRS:
+            parts = [_walk(g, 0, g.P)]
+        else:
+            # each part starts at the band row holding its even share's
+            # first pair, so it is within a row, P pairs, of an even share
+            cuts = np.searchsorted(starts, [int(starts[-1]) * k // threads
+                                            for k in range(threads + 1)]).tolist()
+            jobs = [(tiled, str(g.eps), Q, p0, p1) for p0, p1 in zip(cuts, cuts[1:])]
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_worker, jobs))
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(_worker, jobs))
+        for kind in tiled:
+            counts, best = _merge([part[kind] for part in parts])
+            found[kind] = {"pairs": g.pairs, "violations": 0, "candidates": g.candidates,
+                           **counts}, best
     result = {}
     for kind in g.kinds:
-        counts, best = _merge([part[kind] for part in parts])
+        counts, best = found[kind]
+        counts = {"grid_points": g.P, **counts}
         result[kind] = counts, None if best is None else _violation(g, kind, best)
     return result
 

@@ -91,13 +91,22 @@ def _value(obj, pad: str) -> str:
 
 def _progressions(obj: Progressions, pad: str) -> str:
     """A Progressions as the list of its dicts: each element it names is
-    written once, and each progression fills one template with the texts
-    of its x, y and z."""
+    written once, from one template for the shape that every checked
+    element shares (an int, or a tuple of ints of one length), and each
+    progression fills one template with the texts of its x, y and z."""
     if not obj:
         return "[]"
     inner, deeper = pad + "  ", pad + "    "
     used, where = np.unique(obj.xyz.ravel(), return_inverse=True)
-    texts = np.array([_value(obj.point(i), deeper) for i in used.tolist()], dtype=object)
+    points = [obj.elements[i] for i in used.tolist()]
+    element = "%d"
+    if type(points[0]) is tuple:
+        # a group element is the list of its residues
+        item = deeper + "  "
+        element = "[" + item + ("," + item).join(["%d"] * len(points[0])) + deeper + "]"
+        if not points[0]:
+            element = "[]"
+    texts = np.array([element % point for point in points], dtype=object)
     template = "{" + deeper + deeper.join(['"x": %s,', '"y": %s,', '"z": %s']) + inner + "}"
     # the brackets go into the format string, so the list's text is made once
     text = "[" + inner + ("," + inner).join([template] * len(obj)) + pad + "]"

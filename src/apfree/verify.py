@@ -283,9 +283,6 @@ class Progressions(Sequence):
     def __len__(self) -> int:
         return len(self.xyz)
 
-    def point(self, i: int):
-        return _point(self.elements[i])
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]

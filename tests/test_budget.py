@@ -4,7 +4,8 @@ Every charge goes through ``budget.charge``, so one spy sees them all.  The
 work is counted independently, by spies on the kernels: the tuples of each
 slot-product walk (object-path tuples weighted as the budget weighs them)
 and the direct route's streamed rows, the certificates' pairs and looked-up
-keys, the sweep pairs per fact, and the entries of the dense grids.  Each
+keys, the sweep's tile cells and counted pairs per fact, and the entries
+of the dense grids.  Each
 budget's work must stay within its largest charge; the GRID budget bounds
 one array, so its work is the longest array made.
 """
@@ -79,8 +80,17 @@ def spy_work(monkeypatch):
 
     monkeypatch.setattr(verify, "pair_tiles", tiles)
     wrap(monkeypatch, verify, "_members", lambda result, keys, base: add("SCAN", len(base)))
-    # sweeps: the pairs walked, once per fact
-    wrap(monkeypatch, gridscan, "_walk", lambda result, *args: add(
+    # sweeps: every cell of the band's tiles, once per fact that reads it,
+    # and the pairs the box counts count, once per fact
+    tile = gridscan._Tile
+
+    class Counted(tile):
+        def __init__(self, g, cells):
+            super().__init__(g, cells)
+            add("SWEEP", cells.valid.size * sum(gridscan._FACTS[k][2] for k in g.kinds))
+
+    monkeypatch.setattr(gridscan, "_Tile", Counted)
+    wrap(monkeypatch, gridscan, "_box_counts", lambda result, *args: add(
         "SWEEP", sum(counts["pairs"] for counts, _ in result.values())))
 
     # dense grids, charged per array: the longest of the density grid's row
@@ -169,3 +179,25 @@ def test_work_stays_within_its_charges(monkeypatch, capsys, tmp_path, case):
         # one walk, charged exactly: the product outweighs the two pair grids
         assert work["PRODUCT"] == max(charges["PRODUCT"])
 
+
+
+@pytest.mark.parametrize("q", [24, 48])
+def test_a_failing_sweep_walks_every_pair_within_its_charge(monkeypatch, q):
+    """With (0, 0) made in-block, a midpoint candidate fails code 1, whose
+    sum's threshold no pair can reach, so the band is every pair and the
+    sweep walks the whole grid; its tile cells still stay within the
+    charge."""
+    from fractions import Fraction
+
+    eps = Fraction(1, 12)
+    table = gridscan.weight_table(eps, 2 * q).copy()
+    table[0, 0] = 0
+    monkeypatch.setattr(gridscan, "weight_table", lambda e, d: table.copy())
+    work, charges = spy_work(monkeypatch)
+    kinds = ("block", "midpoint", "x1z1", "facts")
+    results = gridscan.run_sweeps(kinds, eps, q)
+    assert results["midpoint"][1]["code"] == 1
+    g = gridscan._Grid(eps, q, kinds)
+    assert g.radius == 2 * q and g.band.starts[-1] == g.pairs
+    assert work["SWEEP"] >= len(kinds) * g.pairs
+    assert work["SWEEP"] <= max(charges["SWEEP"])

@@ -1176,20 +1176,35 @@ def assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed):
 
 def spy_exact_pairs(monkeypatch):
     """The list that every pair sent to the exact candidate facts will be
-    appended to, as (x, z): the valid pairs of each tile that the per-sum
-    tables flag."""
+    appended to, as (x, z): the band pairs that the per-sum tables flag."""
     import apfree.gridscan as gridscan
 
     seen = []
-    real = gridscan._Tile.exact
+    real = gridscan._exact
 
-    def spy(t, flagged, fails):
-        r, b = np.nonzero(flagged & t.valid)
-        seen.extend(zip((r + t.rows.start).tolist(), (b + t.cols.start).tolist()))
-        return real(t, flagged, fails)
+    def spy(g, a, b, fails):
+        seen.extend(zip(a.tolist(), b.tolist()))
+        return real(g, a, b, fails)
 
-    monkeypatch.setattr(gridscan._Tile, "exact", spy)
+    monkeypatch.setattr(gridscan, "_exact", spy)
     return seen
+
+
+def band_rows(g):
+    """Each point's row in the band walk: its rank by (coordinate sum,
+    scan index), checked against that definition."""
+    rank = np.empty(g.P, dtype=np.int64)
+    rank[g.band.order] = np.arange(g.P)
+    ranked = sorted(range(g.P), key=lambda x: (int(g.S[x]), x))
+    assert [int(rank[x]) for x in ranked] == list(range(g.P))
+    return rank
+
+
+def band_keys(g, keys, p0, p1):
+    """The keys (x, z, ...) whose pair lies in the band rows [p0, p1): the
+    band walks a pair in the row of whichever point ranks first."""
+    rank = band_rows(g)
+    return [key for key in keys if p0 <= min(rank[key[0]], rank[key[1]]) < p1]
 
 
 class TestPairWalk:
@@ -1252,9 +1267,10 @@ class TestPairWalk:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_row_ranges_are_slices_of_the_loop(self, monkeypatch, seed):
-        """Every row range (empty, one row, the whole grid or random), cut
-        mid-tile or on tiles that cut rows, reports the loop's violations
-        of exactly its own pairs."""
+        """Every row range (empty, one row, the whole grid or random), of
+        band rows, cut mid-tile or on tiles that cut rows, for the weight
+        and midpoint facts, and of scan rows for the box counts, reports
+        the loop's violations of exactly its own pairs."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
@@ -1265,11 +1281,15 @@ class TestPairWalk:
         for chunk in (7, 100, 1 << 13):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
             for x0, x1 in row_ranges(rng, g.P, 7):
-                walked = gridscan._walk(g, x0, x1)
+                walked = {**gridscan._walk(g, x0, x1), **gridscan._box_counts(g, x0, x1)}
+                assert list(walked) == SWEEP_KINDS
                 for kind in SWEEP_KINDS:
-                    inside = [key for key in keys[kind] if x0 <= key[0] < x1]
                     counts, best = walked[kind]
-                    assert counts["pairs"] == row_pairs(g.P, x0, x1)
+                    if kind in ("block", "midpoint"):
+                        inside = band_keys(g, keys[kind], x0, x1)
+                    else:
+                        inside = [key for key in keys[kind] if x0 <= key[0] < x1]
+                        assert counts["pairs"] == row_pairs(g.P, x0, x1)
                     assert counts["violations"] == len(inside)
                     assert best == min(inside, default=None)
 
@@ -1294,7 +1314,7 @@ class TestPairWalk:
             x1 = {"empty": x0, "single": x0 + 1}.get(shape)
             if x1 is None:
                 x1 = data.draw(st.integers(x0, g.P))
-        counts, best = gridscan._walk(g, x0, x1)[kind]
+        counts, best = gridscan._box_counts(g, x0, x1)[kind]
         inside = [key for key in keys if x0 <= key[0] < x1]
         assert counts["pairs"] == row_pairs(g.P, x0, x1)
         assert counts["violations"] == len(inside)
@@ -1314,31 +1334,48 @@ class TestPairWalk:
                 g = gridscan._Grid(eps, q, (kind,))
             keys, _ = planted_loop(kind, eps, q, seed)
             for x0 in range(g.P):
-                counts, best = gridscan._walk(g, x0, g.P)[kind]
+                counts, best = gridscan._box_counts(g, x0, g.P)[kind]
                 inside = [key for key in keys if key[0] >= x0]
                 assert counts["violations"] == len(inside)
                 assert best == min(inside, default=None)
 
     def test_first_coordinate_facts_walk_no_tiles(self, monkeypatch):
         """x1z1 and facts are counted by box queries alone; the block and
-        midpoint facts still walk the tiles."""
+        midpoint facts walk the band's tiles once, and those hold exactly
+        the band pairs: the pairs whose coordinate sums differ by less than
+        the band radius, each once."""
         import apfree.gridscan as gridscan
 
-        walks = []
-        real = gridscan.pair_tiles
+        walks, cells = [], []
+        real = gridscan.band_tiles
 
         def spy(*args):
             walks.append(args)
-            return real(*args)
+            for tile in real(*args):
+                assert tile.valid.size <= gridscan._SWEEP_CHUNK
+                cells.append(tile)
+                yield tile
 
         eps, q = F(1, 12), 48
         expected = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
-        monkeypatch.setattr(gridscan, "pair_tiles", spy)
+        monkeypatch.setattr(gridscan, "band_tiles", spy)
         results = gridscan.run_sweeps(("x1z1", "facts"), eps, q)
         assert walks == []
         assert results == {kind: expected[kind] for kind in ("x1z1", "facts")}
-        gridscan.run_sweeps(("block", "x1z1"), eps, q)
+        results = gridscan.run_sweeps(("block", "x1z1"), eps, q)
         assert len(walks) == 1
+        assert results == {kind: expected[kind] for kind in ("block", "x1z1")}
+        g = gridscan._Grid(eps, q, ("block",))
+        pairs = []
+        for tile in cells:
+            p, k = np.nonzero(tile.valid)
+            p += tile.rows.start
+            x, z = g.band.order[p], g.band.order[p + k + tile.offsets.start]
+            pairs += zip(np.minimum(x, z).tolist(), np.maximum(x, z).tolist())
+        a, b = np.triu_indices(g.P)
+        near = np.abs(g.S[a] - g.S[b]) < g.radius
+        assert sorted(pairs) == list(zip(a[near].tolist(), b[near].tolist()))
+        assert len(pairs) == g.band.starts[-1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["block", "midpoint"])
@@ -1395,21 +1432,26 @@ class TestPairWalk:
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_splits_and_tiny_chunks_equal_the_whole_sweep(self, monkeypatch, kind):
+        """Row cuts of the band walk (the weight and midpoint facts) and of
+        the box counts merge to the whole walk, and tiles of 7 or 100
+        cells, which cut the band's rows, walk the same."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 0)
         g = gridscan._Grid(eps, q, (kind,))
-        whole = gridscan._walk(g, 0, g.P)[kind]
+        walk = gridscan._walk if kind in ("block", "midpoint") else gridscan._box_counts
+        whole = walk(g, 0, g.P)[kind]
         assert whole[1] is not None
         # uneven cuts, an empty range, one-row ranges and random cuts
         for cuts in row_cuts(random.Random(kind), g.P):
-            parts = [gridscan._walk(g, x0, x1)[kind] for x0, x1 in zip(cuts, cuts[1:])]
+            parts = [walk(g, x0, x1)[kind] for x0, x1 in zip(cuts, cuts[1:])]
             assert gridscan._merge(parts) == whole
         # tiles cut rows for chunk sizes below a row's length
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert gridscan._walk(g, 0, g.P)[kind] == whole
+            assert max(g.band.width) > chunk
+            assert walk(g, 0, g.P)[kind] == whole
 
     def test_fused_splits_chunks_and_workers_equal_the_whole_walk(self, monkeypatch):
         import multiprocessing
@@ -1419,16 +1461,18 @@ class TestPairWalk:
         eps, q = F(1, 12), 24
         plant_faults(monkeypatch, eps, q, 2)
         g = gridscan._Grid(eps, q, SWEEP_KINDS)
-        whole = gridscan._walk(g, 0, g.P)
+        whole = {**gridscan._walk(g, 0, g.P), **gridscan._box_counts(g, 0, g.P)}
         assert all(whole[kind][1] is not None for kind in SWEEP_KINDS)
         for cuts in row_cuts(random.Random(2), g.P):
-            parts = [gridscan._walk(g, x0, x1) for x0, x1 in zip(cuts, cuts[1:])]
+            ranges = list(zip(cuts, cuts[1:]))
+            parts = [{**gridscan._walk(g, x0, x1), **gridscan._box_counts(g, x0, x1)}
+                     for x0, x1 in ranges]
             for kind in SWEEP_KINDS:
                 assert gridscan._merge([part[kind] for part in parts]) == whole[kind]
         serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert gridscan._walk(g, 0, g.P) == whole
+            assert {**gridscan._walk(g, 0, g.P), **gridscan._box_counts(g, 0, g.P)} == whole
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q) == serial
         if multiprocessing.get_start_method() == "fork":
             # workers see the planted tables only when forked
@@ -1436,9 +1480,10 @@ class TestPairWalk:
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
 
     def test_pool_parts_are_row_ranges_of_even_shares(self, monkeypatch):
-        """run_sweeps gives each worker a row range: the ranges cover
-        [0, P) in order, each holds within P pairs of an even share, and
-        the reports equal the serial sweep's at 1 to 4 workers."""
+        """run_sweeps gives each worker the weight and midpoint facts on a
+        range of band rows: the ranges cover [0, P) in order, each holds
+        within P band pairs of an even share, and the reports equal the
+        serial sweep's at 1 to 4 workers."""
         import concurrent.futures
 
         import apfree.gridscan as gridscan
@@ -1473,35 +1518,47 @@ class TestPairWalk:
             jobs.clear()
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=threads) == serial
             bounds = [job[3:] for job in jobs[0]] if jobs else [(0, g.P)]
+            assert all(job[0] == ("block", "midpoint") for job in (jobs[0] if jobs else []))
             assert len(bounds) == threads
             assert [x0 for x0, _ in bounds] == [0, *(x1 for _, x1 in bounds[:-1])]
             assert bounds[-1][1] == g.P
+            starts = g.band.starts
+            assert starts[-1] == sum(g.band.width)
             for x0, x1 in bounds:
                 assert type(x0) is int and type(x1) is int
-                assert abs(threads * row_pairs(g.P, x0, x1) - g.pairs) <= threads * g.P
+                assert abs(threads * (starts[x1] - starts[x0]) - starts[-1]) <= threads * g.P
 
-    def test_caller_builds_no_tables_when_the_pool_walks(self, monkeypatch):
-        """The per-sum tables are built on the walk's first use: with every
-        pair on the pool, the calling process builds none, and the reports
-        equal the serial sweep's, whose walk does build them."""
+    def test_caller_walks_no_tile_when_the_pool_walks(self, monkeypatch):
+        """With every band pair on the pool, the calling process walks no
+        tile: it makes the band radius and the closed-form counts, once,
+        and the reports equal the serial sweep's, whose walk it makes."""
         import apfree.gridscan as gridscan
 
-        grids = []
+        grids, walks = [], []
 
         class Recorded(gridscan._Grid):
             def __init__(self, *args):
                 super().__init__(*args)
                 grids.append(self)
 
+        real = gridscan.band_tiles
+
+        def spy(*args):
+            # forked workers append to their own copies
+            walks.append(args)
+            return real(*args)
+
         eps, q = F(1, 12), 48
         monkeypatch.setattr(gridscan, "_Grid", Recorded)
+        monkeypatch.setattr(gridscan, "band_tiles", spy)
         serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
-        assert len(grids) == 1 and "tables" in vars(grids[0])
+        assert len(grids) == 1 and len(walks) == 1
         monkeypatch.setattr(gridscan, "_SERIAL_PAIRS", 0)
         monkeypatch.setattr(gridscan, "_cpu_limit", lambda: 2)
         assert gridscan.run_sweeps(SWEEP_KINDS, eps, q, threads=2) == serial
         # workers record their grids in their own processes, if at all
-        assert len(grids) == 2 and "tables" not in vars(grids[1])
+        assert len(grids) == 2 and len(walks) == 1
+        assert {"radius", "candidates"} <= set(vars(grids[1]))
 
     def test_workers_are_capped_by_the_cpus_the_process_may_use(self, monkeypatch):
         """A process pinned to one CPU sweeps on one process whatever
@@ -1588,6 +1645,100 @@ class TestPairWalk:
         for kinds in ((), ("block", "bogus")):
             with pytest.raises(ValueError, match="sweep kinds"):
                 gridscan.run_sweeps(kinds, F(1, 12), 24)
+
+
+class TestBand:
+    """The band walk's radius, which no flagged pair's gap of coordinate
+    sums reaches, and the closed-form pair counts per outer sum."""
+
+    @pytest.mark.parametrize("q", [24, 48, 72, 96, 120])
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 6), F(1, 12), F(1, 24), F(1, 48)])
+    def test_passing_grids_walk_only_the_near_pairs(self, eps, q):
+        import apfree.gridscan as gridscan
+
+        g = gridscan._Grid(eps, q, ("block", "midpoint"))
+        assert g.radius == g.near_gap + 1
+        assert g.band.all_near
+
+    @given(st.sampled_from([F(1, 4), F(1, 12), F(1, 24)]), st.just(24),
+           st.integers(0, 7), st.booleans(), st.data())
+    @example(F(1, 12), 24, 0, True, None)
+    @example(F(1, 4), 48, 3, True, None)
+    @example(F(1, 24), 48, 5, False, None)
+    @settings(max_examples=15, deadline=None)
+    def test_every_flagged_pair_lies_in_the_band(self, eps, q, seed, lowered, data):
+        """On grids with planted faults, and with one in-block weight
+        halved so that the residual of h below its weight formula goes
+        negative, every pair the loop finds failing has coordinate sums
+        closer than the band radius, and the sweep reports the loop's
+        violations."""
+        import apfree.gridscan as gridscan
+
+        en, ed = eps.numerator, eps.denominator
+        with pytest.MonkeyPatch.context() as mp:
+            table, gq, g2 = plant_faults(mp, eps, q, seed)
+            if lowered:
+                inside = np.argwhere(table[::2, ::2] >= 0)
+                pick = data.draw(st.integers(0, len(inside) - 1)) if data else len(inside) // 2
+                i, j = inside[pick]
+                table[2 * i, 2 * j] //= 2
+            g = gridscan._Grid(eps, q, ("block", "midpoint"))
+            results = gridscan.run_sweeps(("block", "midpoint"), eps, q)
+        residual = g.h - 384 * ed * ed * g.S ** 2 + 32 * en * en * (g.I ** 2 + g.J ** 2)
+        assert not lowered or residual.min() < 0
+        for kind in ("block", "midpoint"):
+            keys = loop_keys(kind, eps, q, table, gq, g2)[0]
+            assert all(abs(int(g.S[x]) - int(g.S[z])) < g.radius for x, z, *_ in keys)
+            assert results[kind][0]["violations"] == len(keys)
+
+    @given(st.integers(1, 30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_sums_are_the_bincount_of_every_pair(self, q, data):
+        """Any points of the 1/Q grid, in scan order: many runs in a row,
+        single points, full rows, none."""
+        import apfree.gridscan as gridscan
+
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=q * q, max_size=q * q)))
+        I, J = np.nonzero(mask.reshape(q, q))
+        a, b = np.triu_indices(len(I))
+        expected = np.bincount((I[a] + I[b]) * 2 * q + J[a] + J[b], minlength=4 * q * q)
+        assert gridscan.pair_sum_counts(I, J, q).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("planted", [None, 0, 1])
+    @pytest.mark.parametrize("eps, q", [(F(1, 12), 24), (F(1, 4), 48), (F(1, 48), 48)])
+    def test_closed_form_counts_and_the_band_parts(self, monkeypatch, eps, q, planted):
+        """On whole grids, passing or with planted faults, N(s) is the
+        bincount of every pair's outer sum and the candidates are
+        sum_s nin[s] N(s); the band rows of any cut the pool can make (even
+        shares at 1 to 4 workers, and uneven cuts) hold band pairs whose
+        sums' bincounts add up to that of every pair closer than the
+        radius, each at most N(s)."""
+        import apfree.gridscan as gridscan
+
+        if planted is not None:
+            plant_faults(monkeypatch, eps, q, planted)
+        g = gridscan._Grid(eps, q, ("block", "midpoint"))
+        a, b = np.triu_indices(g.P)
+        sums = g.sid[a] + g.sid[b]
+        assert g.pair_sums.tolist() == np.bincount(sums, minlength=g.D ** 2).tolist()
+        assert g.candidates == int(g.tables.nin[sums].astype(np.int64).sum())
+        in_band = np.abs(g.S[a] - g.S[b]) < g.radius
+        band = np.bincount(sums[in_band], minlength=g.D ** 2)
+        starts = g.band.starts
+        cuts = [np.searchsorted(starts, [int(starts[-1]) * k // n for k in range(n + 1)]).tolist()
+                for n in (1, 2, 3, 4)]
+        for cut in cuts + row_cuts(random.Random(q), g.P):
+            total = np.zeros(g.D ** 2, dtype=np.int64)
+            for p0, p1 in zip(cut, cut[1:]):
+                part = np.zeros(g.D ** 2, dtype=np.int64)
+                for tile in gridscan.band_tiles(g.band.width, 100, p0, p1):
+                    p, k = np.nonzero(tile.valid)
+                    p += tile.rows.start
+                    part += np.bincount(g.band.values.sid[p] + g.band.values.sid[
+                        p + k + tile.offsets.start], minlength=g.D ** 2)
+                assert (part <= g.pair_sums).all()
+                total += part
+            assert total.tolist() == band.tolist()
 
 
 class TestWorkedTriple:
