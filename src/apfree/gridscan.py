@@ -57,8 +57,9 @@ at some candidate iff its value lies below its sum's threshold.  Both
 pair values grow with the gap d = |S_x - S_z| of the points' coordinate
 sums, exactly for code 2 and through a lower bound for the weight
 inequality, so the tables give a band radius R* (``_Grid.radius``) from
-which no pair can be flagged; on every passing grid R* is near_gap + 1,
-so only the near pairs are walked.  The band walk orders the points by
+which no pair can be flagged; on every passing grid tested (eps 1/4 to
+1/48, Q up to 240) R* is near_gap + 1, so only the near pairs are
+walked.  The band walk orders the points by
 (S, scan index), so a point's band partners are the run of points after
 it, and walks those pairs in tiles of rows against offsets
 (``band_tiles``), broadcast over a strided view of the values ahead: a
@@ -67,8 +68,9 @@ are compared with each candidate's own right-hand sides (``_exact``), as
 (x, z) in scan order, to count their violations and find the first; a
 passing sweep flags none.  The pairs and the midpoint candidates of all
 pairs are counted in closed form, from the number of pairs per outer sum
-(``pair_sum_counts``), O(Q^2).  A grid that fails code 1 anywhere, whose
-threshold no pair reaches, has R* = 2Q, and its walk is every pair.
+(``pair_sum_counts``), O(Q^2).  A code-1 fault on a sum that pairs
+reach, whose threshold no pair value reaches, makes R* = 2Q, and the
+walk every pair.
 
 The first-coordinate facts walk no pair: they read only the first
 coordinate I and the coordinate sum S of each point, so a row x's

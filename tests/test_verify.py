@@ -1241,6 +1241,30 @@ class TestPairWalk:
         assert a == ta[inside].tolist()
         assert b == tb[inside].tolist()
 
+    @given(st.lists(st.integers(1, 60), max_size=40), st.integers(1, 50), st.data())
+    @example([3, 1, 60, 2], 7, None)
+    @settings(max_examples=200, deadline=None)
+    def test_band_tiles_are_each_rows_run(self, width, size, data):
+        """The pairs (p, p + k), k below width[p], of the rows p in
+        [p0, p1) (the whole range or random), in row-major order: each tile
+        at most ``size`` cells, with a pair in each, and no cell below its
+        row's own pair."""
+        from apfree.gridscan import band_tiles
+
+        width = np.array(width, dtype=np.int64)
+        p0, p1 = 0, len(width)
+        if data is not None:
+            p0, p1 = sorted(data.draw(st.integers(0, len(width))) for _ in range(2))
+        cells = []
+        for t in band_tiles(width, size, p0, p1):
+            assert t.valid.any() and t.valid.size <= size
+            assert t.valid.shape == (t.rows.stop - t.rows.start,
+                                     t.offsets.stop - t.offsets.start)
+            assert t.offsets.start >= 0
+            p, k = np.nonzero(t.valid)
+            cells += zip((p + t.rows.start).tolist(), (k + t.offsets.start).tolist())
+        assert cells == [(p, k) for p in range(p0, p1) for k in range(width[p])]
+
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_first_violation_is_loop_minimum(self, monkeypatch, kind, seed):
