@@ -490,11 +490,12 @@ def pair_sum_counts(I: np.ndarray, J: np.ndarray, Q: int) -> np.ndarray:
     pairs of two runs have the outer sums of a trapezoid in V0 at
     U0 = I_a + I_b, whose second difference along V0 is +1 at the sum of
     the runs' starts and at the sum of their ends (one past the last J),
-    and -1 at a start plus an end.  So the ordered pairs' counts are the
-    impulses of every two runs, counted by ``np.bincount`` per sign in
-    pieces of at most (2Q)(2Q + 1) sums, then summed twice along V0; the
-    pairs x <= z are half of those plus the pairs (x, x).  Time
-    O(runs^2 + Q^2), memory O(Q^2)."""
+    and -1 at a start plus an end; a pair (x, x) at 2x is +1, -2, +1 at
+    V0 = 2y, 2y + 1, 2y + 2.  So the impulses of every two runs and of
+    every point are added into one table with ``np.add.at``, in pieces of
+    at most _SWEEP_CHUNK sums, and summed twice along V0: that counts
+    each pair x < z twice and each (x, x) twice, so half of it is the
+    pairs x <= z.  Time O(runs^2 + Q^2), memory O(Q^2)."""
     D = 2 * Q
     # a row of U0 holds V0 in [0, 2Q]: an end is at most Q
     W = D + 1
@@ -502,21 +503,17 @@ def pair_sum_counts(I: np.ndarray, J: np.ndarray, Q: int) -> np.ndarray:
     first, last = np.ones(len(at), dtype=bool), np.ones(len(at), dtype=bool)
     first[1:] = last[:-1] = at[1:] != at[:-1] + 1
     starts, ends = at[first], at[last] + 1
-    # the +1 impulses at their sums, and the -1 ones past them at L + sum
-    L = D * W
-    step = max(1, L // (3 * max(1, len(starts))))
-    impulses = sum(np.bincount(np.concatenate([
-        np.add.outer(starts[k:k + step], starts).ravel(),
-        np.add.outer(ends[k:k + step], ends).ravel(),
-        np.add.outer(starts[k:k + step], ends + L).ravel()]), minlength=2 * L)
-        for k in range(0, max(1, len(starts)), step))
-    # in place: a start plus an end, and an end plus a start
-    pairs = impulses[:L].reshape(D, W)
-    pairs -= impulses[L:].reshape(D, W)
-    pairs -= impulses[L:].reshape(D, W)
+    pairs = np.zeros((D, W), dtype=np.int64)
+    flat = pairs.reshape(-1)
+    for shift, sign in ((0, 1), (1, -2), (2, 1)):
+        np.add.at(flat, 2 * at + shift, sign)
+    # a start plus an end, and an end plus a start: -2
+    step = max(1, _SWEEP_CHUNK // max(1, len(starts)))
+    for k in range(0, len(starts), step):
+        for a, b, sign in ((starts, starts, 1), (ends, ends, 1), (starts, ends, -2)):
+            np.add.at(flat, np.add.outer(a[k:k + step], b).ravel(), sign)
     np.cumsum(pairs, axis=1, out=pairs)
     np.cumsum(pairs, axis=1, out=pairs)
-    pairs += np.bincount(2 * at, minlength=L).reshape(D, W)
     pairs //= 2
     return pairs[:, :D].ravel()
 
