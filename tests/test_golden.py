@@ -66,6 +66,10 @@ COMMANDS = [
     ([*CONSTRUCT, "behrend", "--N", "5000"], {}),
     ([*CONSTRUCT, "halfbox", "--p", "5", "--n", "2"], {}),
     ([*CONSTRUCT, "halfbox", "--p", "7", "--n", "3"], {}),
+    # the largest certificates: about 160 multi-row integer tiles, and about
+    # 60 group tiles of Z_11^6
+    ([*CONSTRUCT, "behrend", "--N", "10000000"], {}),
+    ([*CONSTRUCT, "halfbox", "--p", "11", "--n", "6"], {}),
     ([*CONSTRUCT, "zm", "--moduli", "12,12,12,12", "--epsilon", "1/8",
       "--shift", "25/64,15/16,43/192,155/192", "--slice-j", "1251399"], {}),
     ([*CONSTRUCT, "fpn", "--p", "7", "--n", "3", "--seed", "2"], {}),
