@@ -37,40 +37,33 @@ arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
 ``region_factor`` or ``weight_factor`` keeps every intermediate at most
 2^62, object arrays of Python ints otherwise.
 
-``pair_tiles`` walks every pair: it yields the pairs x <= z of range(n)
-with x in a row range, in row-major order, as tiles, a block of rows x
-against the columns z from its first row on with a mask of the tile's
-pairs.  The set certificates in :mod:`apfree.verify` walk their elements'
-pairs a < b with it, as the pairs x <= z of range(n - 1) taken as
-(x, z + 1).  ``run_sweeps`` sweeps the pairs x <= z of the grid points
-once for any selection of the four facts (every ``check`` calls it once).
-
-The weight and midpoint facts read tables over a pair's outer sum
-s = x + z, which fixes its four midpoint candidates.  Each fact is
-rewritten so that its pair side is a value of x plus a value of z (for
-the weight inequality by |x-z|^2 = 2|x|^2 + 2|z|^2 - |s|^2), and its
-other side is the right-hand side that ``_Grid.candidate`` gives at each
-candidate of s, the one place that computes a candidate's coordinates,
-its membership and its right-hand sides.  A sum's table holds the
-largest of them over its in-block candidates, so a pair fails the fact
-at some candidate iff its value lies below its sum's threshold.  Both
-pair values grow with the gap d = |S_x - S_z| of the points' coordinate
-sums, exactly for code 2 and through a lower bound for the weight
-inequality, so the tables give a band radius R* (``_Grid.radius``) from
-which no pair can be flagged; on every passing grid tested (eps 1/4 to
-1/48, Q up to 240) R* is near_gap + 1, so only the near pairs are
-walked.  The band walk orders the points by
-(S, scan index), so a point's band partners are the run of points after
-it, and walks those pairs in tiles of rows against offsets
-(``band_tiles``), broadcast over a strided view of the values ahead: a
-tile costs a few integer operations per pair, and only the pairs flagged
-are compared with each candidate's own right-hand sides (``_exact``), as
-(x, z) in scan order, to count their violations and find the first; a
-passing sweep flags none.  The pairs and the midpoint candidates of all
-pairs are counted in closed form, from the number of pairs per outer sum
-(``pair_sum_counts``), O(Q^2).  A code-1 fault on a sum that pairs
-reach, whose threshold no pair value reaches, makes R* = 2Q, and the
-walk every pair.
+``run_sweeps`` sweeps the pairs x <= z of the grid points once for any
+selection of the four facts (every ``check`` calls it once).  The weight
+and midpoint facts read tables over a pair's outer sum s = x + z, which
+fixes its four midpoint candidates.  Each fact is rewritten so that its
+pair side is a value of x plus a value of z (for the weight inequality
+by |x-z|^2 = 2|x|^2 + 2|z|^2 - |s|^2), and its other side is the
+right-hand side that ``_Grid.candidate`` gives at each candidate of s,
+the one place that computes a candidate's coordinates, its membership
+and its right-hand sides.  A sum's table holds the largest of them over
+its in-block candidates, so a pair fails the fact at some candidate iff
+its value lies below its sum's threshold.  Both pair values grow with
+the gap d = |S_x - S_z| of the points' coordinate sums, exactly for code
+2 and through a lower bound for the weight inequality, so the tables
+give a band radius R* (``_Grid.radius``) from which no pair can be
+flagged; on every passing grid tested (eps 1/4 to 1/48, Q up to 240) R*
+is near_gap + 1, so only the near pairs are walked.  The band walk
+orders the points by (S, scan index), so a point's band partners are the
+run of points after it, and walks those pairs in tiles of rows against
+offsets (``band_tiles``), broadcast over a strided view of the values
+ahead: a tile costs a few integer operations per pair, and only the
+pairs flagged are compared with each candidate's own right-hand sides
+(``_exact``), as (x, z) in scan order, to count their violations and
+find the first; a passing sweep flags none.  The pairs and the midpoint
+candidates of all pairs are counted in closed form, from the number of
+pairs per outer sum (``pair_sum_counts``), O(Q^2).  A code-1 fault on a
+sum that pairs reach, whose threshold no pair value reaches, makes
+R* = 2Q, and the walk every pair.
 
 The first-coordinate facts walk no pair: they read only the first
 coordinate I and the coordinate sum S of each point, so a row x's
@@ -78,11 +71,12 @@ partners z >= x that apply or fail form a box in (I, S), and a prefix
 count table over (I, S) counts them by box queries (``_Rows``), in
 O(Q^2 + rows); the first violation is the first one in the first row
 holding any.  The grid's point facts run once on the pairs (x, x).
-Each walk keeps each fact's first violation in scan order as the
-smallest (x, z, candidate, code), so a walk split into row ranges,
-across processes or tiles, reports the same.  Before any table is made
-a sweep is charged, from Q alone, to budget.SWEEP for a walk of every
-pair; the per-sum and prefix count tables are built on first use.
+One tally (``_tally``) keeps each fact's first violation in scan order
+as the smallest (x, z, candidate, code) over the walk's units, the
+band's tiles or the whole grid's rows, so a band walk split into row
+ranges, across processes or tiles, reports the same.  Before any table
+is made a sweep is charged, from Q alone, to budget.SWEEP for a walk of
+every pair; the per-sum and prefix count tables are built on first use.
 Bands below _SERIAL_PAIRS pairs, and sweeps of the first-coordinate
 facts alone, stay on one process, which is the only place the process
 pool is imported; the pool's workers walk ranges of band rows, and the
@@ -211,33 +205,6 @@ def _g_tables(Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _point_payload(Q: int, i: int, j: int) -> list[str]:
     return [rat_str(Fraction(int(i), Q)), rat_str(Fraction(int(j), Q))]
-
-
-def _row_starts(n: int) -> np.ndarray:
-    """The number of pairs x <= z of range(n) before each row x in
-    row-major order, and last the number of pairs."""
-    rows = np.arange(n + 1, dtype=np.int64)
-    return rows * (2 * n - rows + 1) // 2
-
-
-def pair_tiles(n: int, size: int, x0: int = 0, x1: int | None = None):
-    """The pairs x <= z of range(n) with x in the rows [x0, x1), all of
-    them by default, in row-major order as tiles: whole rows against the
-    columns from their first pair on, as many rows as ``size`` cells allow,
-    or the segments of at most ``size`` columns of a row longer than that.
-    A tile holds the pairs with x in the slice tile.rows and z in
-    tile.cols, as the cells of an array tile.valid over (x, z) that marks
-    them."""
-    x1 = n if x1 is None else x1
-    a0 = x0
-    while a0 < x1:
-        # as many whole rows as ``size`` cells hold, or one row in segments
-        a1 = min(a0 + max(1, size // (n - a0)), x1)
-        for c0 in range(a0, n, size):
-            c1 = min(n, c0 + size)
-            yield SimpleNamespace(rows=slice(a0, a1), cols=slice(c0, c1),
-                                  valid=np.arange(c0, c1) >= np.arange(a0, a1)[:, None])
-        a0 = a1
 
 
 def band_tiles(width: np.ndarray, size: int, p0: int, p1: int):
@@ -586,9 +553,9 @@ def _exact(g: _Grid, a, b, fails):
             yield n, (int(a[p]), int(b[p]), c, code)
 
 
-# Each fact takes a tile, or the rows (``_Rows``), and yields (violations,
-# first violation key) per failing code, adding its side counts to
-# ``counts``.
+# Each fact takes a tile, or the whole grid's rows (``_Rows``), and yields
+# (violations, first violation key) per failing code, adding its side
+# counts to ``counts``.
 
 def _block_tile(t: _Tile, counts):
     """The weight inequality: h(x) + h(z) below the sum's threshold."""
@@ -613,17 +580,15 @@ def _midpoint_tile(t: _Tile, counts):
 
 
 class _Rows:
-    """The rows x in [x0, x1) of the pairs x <= z of a grid, for the facts
-    counted by box queries: those that read only the first coordinates I
-    and the coordinate sums S of a pair's points.  The points are in scan
-    order, by I, then by S, so a row's partners z >= x are the points of
-    larger I and those of x's own I from S_x on, two boxes in (I, S)."""
+    """The rows x of the pairs x <= z of a grid, one per point, for the
+    facts counted by box queries: those that read only the first
+    coordinates I and the coordinate sums S of a pair's points.  The
+    points are in scan order, by I, then by S, so a row's partners z >= x
+    are the points of larger I and those of x's own I from S_x on, two
+    boxes in (I, S)."""
 
-    def __init__(self, g: _Grid, x0: int, x1: int):
+    def __init__(self, g: _Grid):
         self.g = g
-        self.x = np.arange(x0, x1)
-        # the rows' own I and S
-        self.I, self.S = g.I[self.x], g.S[self.x]
 
     def _box(self, i0, i1, s0, s1):
         """The number of points with i0 <= I < i1 and s0 <= S < s1; numpy
@@ -638,7 +603,7 @@ class _Rows:
     def count(self, box):
         """Each row's partners z >= x inside its box (i0, i1, s0, s1)."""
         i0, i1, s0, s1 = box
-        I, S = self.I, self.S
+        I, S = self.g.I, self.g.S
         return (self._box(np.maximum(i0, I + 1), i1, s0, s1)
                 + self._box(np.maximum(i0, I), np.minimum(i1, I + 1), np.maximum(s0, S), s1))
 
@@ -651,10 +616,9 @@ class _Rows:
         if n.any():
             r = int(np.flatnonzero(n)[0])
             i0, i1, s0, s1 = (np.broadcast_to(b, n.shape)[r] for b in failing)
-            z = np.arange(self.x[r], self.g.P)
-            I, S = self.g.I[z], self.g.S[z]
-            z = z[(I >= i0) & (I < i1) & (S >= s0) & (S < s1)]
-            yield int(n.sum()), (int(self.x[r]), int(z[0]), 0, code)
+            I, S = self.g.I[r:], self.g.S[r:]
+            z = r + np.flatnonzero((I >= i0) & (I < i1) & (S >= s0) & (S < s1))
+            yield int(n.sum()), (r, int(z[0]), 0, code)
 
 
 def _x1z1_rows(r: _Rows, counts):
@@ -662,36 +626,35 @@ def _x1z1_rows(r: _Rows, counts):
     >= 1/2 must have first coordinates summing to at least 1: x's partners
     z with S_z within near_gap of S_x and with I_z >= Q/2 unless I_x is,
     failing when I_z < Q - I_x."""
-    Q = r.g.Q
-    lo = np.where(2 * r.I >= Q, 0, Q // 2)
-    near = r.S - r.g.near_gap, r.S + r.g.near_gap + 1
-    yield from r.hits(0, (lo, Q, *near), (lo, Q - r.I, *near), counts)
+    Q, I, S = r.g.Q, r.g.I, r.g.S
+    lo = np.where(2 * I >= Q, 0, Q // 2)
+    near = S - r.g.near_gap, S + r.g.near_gap + 1
+    yield from r.hits(0, (lo, Q, *near), (lo, Q - I, *near), counts)
 
 
 def _facts_rows(r: _Rows, counts):
     """Code 3 of the block facts: two points with first coordinates summing
     below 1 have coordinate sums totalling more than 11/6, so x's partners
     z with I_z < Q - I_x fail when S_z <= 11 Q / 6 - S_x, an integer as 24
-    divides Q.  (Codes 1 and 2, the grid's point facts, are the pairs
-    (x, x): see ``_point_hits``.)"""
-    Q = r.g.Q
-    yield from r.hits(3, (0, Q - r.I, 0, 2 * Q), (0, Q - r.I, 0, 11 * Q // 6 - r.S + 1),
-                      counts)
+    divides Q; and codes 1 and 2, the grid's point facts, on the pairs
+    (x, x) (``_point_hits``)."""
+    Q, I, S = r.g.Q, r.g.I, r.g.S
+    yield from _point_hits(r.g)
+    yield from r.hits(3, (0, Q - I, 0, 2 * Q), (0, Q - I, 0, 11 * Q // 6 - S + 1), counts)
 
 
-def _point_hits(g: _Grid, x0: int, x1: int):
+def _point_hits(g: _Grid):
     """(violations, first violation key) of the grid's point facts, codes
-    1 and 2, on the pairs (x, x) of the rows [x0, x1)."""
+    1 and 2, on the pairs (x, x): only the failing ones are kept."""
     for code, bad in g.point_faults:
-        a = x0 + np.flatnonzero(bad[x0:x1])
-        if len(a):
-            yield len(a), (int(a[0]), int(a[0]), 0, code)
+        a = np.flatnonzero(bad)
+        yield len(a), (int(a[0]), int(a[0]), 0, code)
 
 
 # kind -> (fact, the side counts its walk makes, whether it walks the
 # band's tiles); the facts that do, the weight and midpoint facts, also
 # count their candidates in closed form (``_Grid.candidates``), and the
-# others take the rows (``_Rows``)
+# others take the whole grid's rows (``_Rows``)
 _FACTS = {
     "block": (_block_tile, (), True),
     "midpoint": (_midpoint_tile, ("near_equal_candidates",), True),
@@ -700,46 +663,28 @@ _FACTS = {
 }
 
 
-def _record(counts, best, kind, hits):
-    """Add a fact's hits to its violations and keep its smallest key."""
-    for n, key in hits:
-        counts[kind]["violations"] += n
-        if best[kind] is None or key < best[kind]:
-            best[kind] = key
+def _tally(kinds, units):
+    """{kind: (counts, smallest violation key (x, z, candidate, code))} of
+    the facts ``kinds`` over ``units``, each unit taken once for all of
+    them: the band's tiles (``_Tile``), or the whole grid's rows
+    (``_Rows``)."""
+    counts = {kind: {"violations": 0, **dict.fromkeys(_FACTS[kind][1], 0)} for kind in kinds}
+    best = dict.fromkeys(kinds)
+    for unit in units:
+        for kind in kinds:
+            for n, key in _FACTS[kind][0](unit, counts[kind]):
+                counts[kind]["violations"] += n
+                if best[kind] is None or key < best[kind]:
+                    best[kind] = key
+    return {kind: (counts[kind], best[kind]) for kind in kinds}
 
 
 def _walk(g: _Grid, p0: int, p1: int):
-    """{kind: (counts, smallest violation key (x, z, candidate, code))} of
-    the grid's weight and midpoint facts over the band pairs of the band
-    rows [p0, p1): the tiles walked once for all of them.  Outside the band
-    no pair is flagged (``_Grid.radius``), so these are all the facts'
-    violations."""
-    kinds = [kind for kind in g.kinds if _FACTS[kind][2]]
-    counts = {kind: {"violations": 0, **dict.fromkeys(_FACTS[kind][1], 0)} for kind in kinds}
-    best = dict.fromkeys(kinds)
-    for tile in band_tiles(g.band.width, _SWEEP_CHUNK, p0, p1):
-        t = _Tile(g, tile)
-        for kind in kinds:
-            _record(counts, best, kind, _FACTS[kind][0](t, counts[kind]))
-    return {kind: (counts[kind], best[kind]) for kind in kinds}
-
-
-def _box_counts(g: _Grid, x0: int, x1: int):
-    """{kind: (counts, smallest violation key)} of the grid's
-    first-coordinate facts and point facts over the pairs x <= z of the
-    scan rows [x0, x1), counted once by box queries."""
-    row_start = _row_starts(g.P)
-    pairs = int(row_start[x1] - row_start[x0])
-    kinds = [kind for kind in g.kinds if not _FACTS[kind][2]]
-    counts = {kind: {"pairs": pairs, "violations": 0, **dict.fromkeys(_FACTS[kind][1], 0)}
-              for kind in kinds}
-    best = dict.fromkeys(kinds)
-    if "facts" in kinds:
-        _record(counts, best, "facts", _point_hits(g, x0, x1))
-    rows = _Rows(g, x0, x1)
-    for kind in kinds:
-        _record(counts, best, kind, _FACTS[kind][0](rows, counts[kind]))
-    return {kind: (counts[kind], best[kind]) for kind in kinds}
+    """``_tally`` of the grid's weight and midpoint facts over the band
+    pairs of the band rows [p0, p1).  Outside the band no pair is flagged
+    (``_Grid.radius``), so these are all the facts' violations."""
+    return _tally([kind for kind in g.kinds if _FACTS[kind][2]],
+                  (_Tile(g, tile) for tile in band_tiles(g.band.width, _SWEEP_CHUNK, p0, p1)))
 
 
 def _merge(parts):
@@ -797,9 +742,7 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
     the kind's first failure in scan order (identical for every worker
     count)."""
     g = _Grid(eps, Q, kinds)
-    found = {}
-    if any(not _FACTS[kind][2] for kind in g.kinds):
-        found.update(_box_counts(g, 0, g.P))
+    found = _tally([kind for kind in g.kinds if not _FACTS[kind][2]], [_Rows(g)])
     tiled = tuple(kind for kind in g.kinds if _FACTS[kind][2])
     if tiled:
         threads = max(1, min(threads, _cpu_limit(), g.P))
@@ -817,14 +760,13 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(_worker, jobs))
         for kind in tiled:
-            counts, best = _merge([part[kind] for part in parts])
-            found[kind] = {"pairs": g.pairs, "violations": 0, "candidates": g.candidates,
-                           **counts}, best
+            found[kind] = _merge([part[kind] for part in parts])
     result = {}
     for kind in g.kinds:
         counts, best = found[kind]
-        counts = {"grid_points": g.P, **counts}
-        result[kind] = counts, None if best is None else _violation(g, kind, best)
+        head = {"grid_points": g.P, "pairs": g.pairs, "violations": 0,
+                **({"candidates": g.candidates} if kind in tiled else {})}
+        result[kind] = {**head, **counts}, None if best is None else _violation(g, kind, best)
     return result
 
 

@@ -414,6 +414,8 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     epsilon = region_epsilon(options.epsilon, n)
     if epsilon is None and options.slice_index is not None:
         raise ValueError("the box route (n=2, no epsilon) takes no slice index")
+    if shift is None and options.slice_index is not None:
+        raise ValueError("a slice index needs an explicit shift; the search picks its own slice")
     if shift is not None:
         dset = _slice_set(moduli, shift, epsilon, delta,
                           best_slice(moduli, shift, epsilon, delta, j=options.slice_index))

@@ -25,14 +25,18 @@ def rat_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def decimal_str(x: Fraction, places: int = 12) -> str:
+# the digits after the point that decimal_str prints
+_PLACES = 12
+
+
+def decimal_str(x: Fraction) -> str:
     """Truncating decimal rendering of x, computed without floats."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     n = abs(x.numerator)
-    scaled = n * 10**places // x.denominator
-    digits = str(scaled).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    scaled = n * 10**_PLACES // x.denominator
+    digits = str(scaled).rjust(_PLACES + 1, "0")
+    return f"{sign}{digits[:-_PLACES]}.{digits[-_PLACES:]}"
 
 
 def parse_point(parts: Iterable[str]) -> tuple[Fraction, ...]:

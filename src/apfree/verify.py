@@ -5,8 +5,8 @@ DiscreteSet calls it, and a verifier only on elements it did not return.
 
 Group and integer sets are certified by scanning every unordered pair of
 elements and testing all solutions of the doubled-midpoint congruence
-for membership: one numpy pass per set kind over the tiles of pairs of
-``gridscan.pair_tiles``.  A tile's keys come from values made once per
+for membership: one numpy pass per set kind over the tiles of the pairs
+x < z (``pair_tiles``).  A tile's keys come from values made once per
 element, broadcast along its rows and its columns: the midpoint of two
 integers, or the key that all 2^e midpoint solutions of a group pair
 share (e even moduli), from per-coordinate parts of each element.  The
@@ -39,12 +39,13 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import budget, gridscan
 from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, pair_tiles, run_sweeps
+from .gridscan import density_count, run_sweeps
 from .rational import decimal_str, rat_str
 
 
@@ -165,12 +166,30 @@ def _fold(key, b: int) -> np.ndarray:
     return ((key ^ (key >> b)) & ((1 << b) - 1)).astype(np.intp, copy=False)
 
 
+def pair_tiles(n: int, size: int):
+    """The pairs x < z of range(n), in row-major order as tiles: whole rows
+    against the columns after their first row, as many rows as ``size``
+    cells allow, or segments of at most ``size`` columns of a longer row.
+    A tile holds the pairs with x in the slice tile.rows and z in
+    tile.cols, as the cells of an array tile.valid over (x, z) marking them."""
+    a0 = 0
+    # the last row, n - 1, holds no pair
+    while a0 < n - 1:
+        # as many whole rows as ``size`` cells hold, or one row in segments
+        a1 = min(a0 + max(1, size // (n - 1 - a0)), n - 1)
+        for c0 in range(a0 + 1, n, size):
+            c1 = min(n, c0 + size)
+            yield SimpleNamespace(rows=slice(a0, a1), cols=slice(c0, c1),
+                                  valid=np.arange(c0, c1) > np.arange(a0, a1)[:, None])
+        a0 = a1
+
+
 def _tile_hits(keys: np.ndarray, size: int, tile_key, parity: np.ndarray):
     """Index arrays (x, k, z), in scan order, of every pair x < z of the n
     elements and every k with keys[k] (sorted) equal to the pair's key.
-    The pairs come a tile of ``pair_tiles`` at a time, a cell (x, z) being
-    the pair (x, z + 1), and ``tile_key(rows, cols)`` gives their keys from
-    the slices of x and of z + 1 that the tile spans.  Only a cell that is
+    The pairs come a tile of ``pair_tiles`` at a time, and
+    ``tile_key(rows, cols)`` gives their keys from the slices of x and of
+    z that the tile spans.  Only a cell that is
     valid, whose elements have equal rows of ``parity``, and whose key's
     slot in a presence table of the keys (``_fold``, 2^b >= _SLOTS·n
     slots) is marked, is looked up: the table drops only keys that no
@@ -181,17 +200,16 @@ def _tile_hits(keys: np.ndarray, size: int, tile_key, parity: np.ndarray):
     present[_fold(keys, b)] = True
     # the rows of parity, eight coordinates a byte
     words = np.packbits(parity, axis=1).T
-    for t in pair_tiles(n - 1, size):
-        cols = slice(t.cols.start + 1, t.cols.stop + 1)
-        key = tile_key(t.rows, cols)
+    for t in pair_tiles(n, size):
+        key = tile_key(t.rows, t.cols)
         keep = t.valid & present[_fold(key, b)]
         for w in words:
-            keep &= w[t.rows, None] == w[None, cols]
+            keep &= w[t.rows, None] == w[None, t.cols]
         flat = np.flatnonzero(keep)
         if len(flat):
             x, z = np.divmod(flat, keep.shape[1])
             for p, k in _members(keys, key.ravel()[flat]):
-                yield x[p] + t.rows.start, k, z[p] + cols.start
+                yield x[p] + t.rows.start, k, z[p] + t.cols.start
 
 
 @functools.lru_cache(maxsize=16)

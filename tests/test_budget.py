@@ -81,17 +81,22 @@ def spy_work(monkeypatch):
     monkeypatch.setattr(verify, "pair_tiles", tiles)
     wrap(monkeypatch, verify, "_members", lambda result, keys, base: add("SCAN", len(base)))
     # sweeps: every cell of the band's tiles, once per fact that reads it,
-    # and the pairs the box counts count, once per fact
-    tile = gridscan._Tile
+    # and every pair of the grid whose rows the box counts take, once per
+    # box fact
+    tile, rows = gridscan._Tile, gridscan._Rows
 
     class Counted(tile):
         def __init__(self, g, cells):
             super().__init__(g, cells)
             add("SWEEP", cells.valid.size * sum(gridscan._FACTS[k][2] for k in g.kinds))
 
+    class CountedRows(rows):
+        def __init__(self, g):
+            super().__init__(g)
+            add("SWEEP", g.pairs * sum(not gridscan._FACTS[k][2] for k in g.kinds))
+
     monkeypatch.setattr(gridscan, "_Tile", Counted)
-    wrap(monkeypatch, gridscan, "_box_counts", lambda result, *args: add(
-        "SWEEP", sum(counts["pairs"] for counts, _ in result.values())))
+    monkeypatch.setattr(gridscan, "_Rows", CountedRows)
 
     # dense grids, charged per array: the longest of the density grid's row
     # bounds, and of the baselines' squared radii and their counts, made

@@ -434,6 +434,12 @@ class TestDriver:
         with pytest.raises(ValueError, match="slice index"):
             build_group_set((9, 7), BuildOptions(seed=2, slice_index=0))
 
+    @pytest.mark.parametrize("moduli", [(3, 3), (3, 3, 3), (6, 6, 6, 6)])
+    def test_slice_index_without_shift_is_refused(self, moduli):
+        # the shift search chooses its own slice, so a given one cannot be used
+        with pytest.raises(ValueError, match="needs an explicit shift"):
+            build_group_set(moduli, BuildOptions(epsilon=F(1, 2), slice_index=0))
+
     @pytest.mark.parametrize("epsilon", [None, F(1, 12)])
     @pytest.mark.parametrize("delta", [F(1), F(3, 2), F(0), F(-1, 5)])
     def test_delta_outside_unit_interval(self, epsilon, delta):

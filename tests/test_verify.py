@@ -1155,9 +1155,39 @@ def row_cuts(rng, rows):
             [0, *sorted(rng.randrange(rows + 1) for _ in range(5)), rows]]
 
 
-def row_pairs(rows, x0, x1):
-    """The number of pairs x <= z of range(rows) with x in [x0, x1)."""
-    return sum(rows - x for x in range(x0, x1))
+def box_tally(g):
+    """The whole grid's box counts of the first-coordinate facts of g."""
+    import apfree.gridscan as gridscan
+
+    return gridscan._tally([kind for kind in g.kinds if not gridscan._FACTS[kind][2]],
+                           [gridscan._Rows(g)])
+
+
+def assert_box_rows_are_the_loop(g, kind, keys, applicable):
+    """Each row's partners in the boxes that the first-coordinate fact
+    ``kind`` asks ``_Rows.count`` for, applicable and failing, are the
+    loop's of that row, so that no row's error can cancel in the total;
+    and the whole grid's box counts are the loop's, first key included."""
+    import apfree.gridscan as gridscan
+
+    boxes = []
+    real = gridscan._Rows.hits
+
+    def spy(self, code, applicable, failing, counts):
+        boxes.append((self.count(applicable), self.count(failing)))
+        return real(self, code, applicable, failing, counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridscan._Rows, "hits", spy)
+        counts, best = box_tally(g)[kind]
+    [(on, bad)] = boxes
+    # the pairs (x, x) of the grid's point facts are not box queries
+    code = 0 if kind == "x1z1" else 3
+    assert on.tolist() == np.bincount([x for x, _ in applicable], minlength=g.P).tolist()
+    assert bad.tolist() == np.bincount([key[0] for key in keys if key[3] == code],
+                                       minlength=g.P).tolist()
+    assert counts == {"violations": len(keys), "applicable": len(applicable)}
+    assert best == min(keys, default=None)
 
 
 def assert_fused_walk_is_loop_minimum(monkeypatch, eps, q, seed):
@@ -1212,34 +1242,29 @@ class TestPairWalk:
     sweeps' per-sum tables, their first violation, and their independence
     from tile size, pair-range splits and workers."""
 
-    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(1, 50),
-        st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2).map(sorted))))
-    @example((12, 7, [4, 4]))
-    @example((12, 7, [4, 5]))
-    @example((12, 7, [0, 11]))
+    @given(st.integers(0, 40), st.integers(1, 50))
+    @example(12, 7)
+    @example(12, 11)
+    @example(2, 1)
     @settings(max_examples=200, deadline=None)
-    def test_pair_tiles_are_a_slice_of_triu(self, case):
-        """The strict pairs a < b of range(n) with a in the rows [x0, x1)
-        (empty, one row, the whole range or random), as the certificates
-        walk them: the valid cells (x, z) of the tiles of the pairs x <= z
-        of range(n - 1), taken as (x, z + 1)."""
-        import numpy as np
+    def test_pair_tiles_are_a_slice_of_triu(self, n, size):
+        """The strict pairs x < z of range(n), in row-major order, as the
+        certificates walk them: the valid cells (x, z) of the tiles, each
+        at most ``size`` cells with a pair in each and no column at or
+        before its first row."""
+        from apfree.verify import pair_tiles
 
-        from apfree.gridscan import pair_tiles
-
-        n, size, (x0, x1) = case
         a, b = [], []
-        for t in pair_tiles(max(n - 1, 0), size, x0, x1):
+        for t in pair_tiles(n, size):
             assert t.valid.any() and t.valid.size <= size
             assert t.valid.shape == (t.rows.stop - t.rows.start, t.cols.stop - t.cols.start)
+            assert t.cols.start > t.rows.start and t.cols.stop <= n
             x, z = np.nonzero(t.valid)
             a += (x + t.rows.start).tolist()
-            b += (z + t.cols.start + 1).tolist()
+            b += (z + t.cols.start).tolist()
         ta, tb = np.triu_indices(n, 1)
-        inside = (ta >= x0) & (ta < x1)
-        assert a == ta[inside].tolist()
-        assert b == tb[inside].tolist()
+        assert a == ta.tolist()
+        assert b == tb.tolist()
 
     @given(st.lists(st.integers(1, 60), max_size=40), st.integers(1, 50), st.data())
     @example([3, 1, 60, 2], 7, None)
@@ -1291,10 +1316,10 @@ class TestPairWalk:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_row_ranges_are_slices_of_the_loop(self, monkeypatch, seed):
-        """Every row range (empty, one row, the whole grid or random), of
-        band rows, cut mid-tile or on tiles that cut rows, for the weight
-        and midpoint facts, and of scan rows for the box counts, reports
-        the loop's violations of exactly its own pairs."""
+        """Every range of band rows (empty, one row, the whole grid or
+        random), cut mid-tile or on tiles that cut rows, reports the loop's
+        weight and midpoint violations of exactly its own pairs; the box
+        counts, which take the whole grid's rows, report the loop's."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
@@ -1304,64 +1329,52 @@ class TestPairWalk:
         rng = random.Random(seed)
         for chunk in (7, 100, 1 << 13):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            for x0, x1 in row_ranges(rng, g.P, 7):
-                walked = {**gridscan._walk(g, x0, x1), **gridscan._box_counts(g, x0, x1)}
-                assert list(walked) == SWEEP_KINDS
-                for kind in SWEEP_KINDS:
-                    counts, best = walked[kind]
-                    if kind in ("block", "midpoint"):
-                        inside = band_keys(g, keys[kind], x0, x1)
-                    else:
-                        inside = [key for key in keys[kind] if x0 <= key[0] < x1]
-                        assert counts["pairs"] == row_pairs(g.P, x0, x1)
+            for p0, p1 in row_ranges(rng, g.P, 7):
+                walked = gridscan._walk(g, p0, p1)
+                assert list(walked) == ["block", "midpoint"]
+                for kind, (counts, best) in walked.items():
+                    inside = band_keys(g, keys[kind], p0, p1)
                     assert counts["violations"] == len(inside)
                     assert best == min(inside, default=None)
+            boxed = box_tally(g)
+            assert list(boxed) == ["x1z1", "facts"]
+            for kind, (counts, best) in boxed.items():
+                assert counts["violations"] == len(keys[kind])
+                assert best == min(keys[kind])
 
-    @given(st.sampled_from(["x1z1", "facts"]), st.sampled_from([24, 48]), st.integers(0, 3),
-           st.sampled_from(["empty", "single", "cut", "whole"]), st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_box_counts_are_the_loop_on_row_ranges(self, kind, q, seed, shape, data):
-        """The first-coordinate facts, counted by box queries over a row
-        range (empty, one row, cut anywhere, or whole) on a grid with
-        planted faults, report the loop's violations, applicable pairs and
-        smallest key of exactly the range's pairs."""
+    @given(st.sampled_from(["x1z1", "facts"]), st.sampled_from([F(1, 4), F(1, 12)]),
+           st.sampled_from([24, 48]), st.integers(0, 3))
+    @settings(max_examples=24, deadline=None)
+    def test_box_counts_are_the_loop_on_each_row(self, kind, eps, q, seed):
+        """On grids with planted faults across eps and Q, each row's box
+        counts, applicable and failing, are the loop's of that row
+        (``assert_box_rows_are_the_loop``)."""
         import apfree.gridscan as gridscan
 
-        eps = F(1, 12)
         with pytest.MonkeyPatch.context() as mp:
             plant_faults(mp, eps, q, seed)
             g = gridscan._Grid(eps, q, (kind,))
-        keys, applicable = planted_loop(kind, eps, q, seed)
-        x0, x1 = 0, g.P
-        if shape != "whole":
-            x0 = data.draw(st.integers(0, g.P - 1))
-            x1 = {"empty": x0, "single": x0 + 1}.get(shape)
-            if x1 is None:
-                x1 = data.draw(st.integers(x0, g.P))
-        counts, best = gridscan._box_counts(g, x0, x1)[kind]
-        inside = [key for key in keys if x0 <= key[0] < x1]
-        assert counts["pairs"] == row_pairs(g.P, x0, x1)
-        assert counts["violations"] == len(inside)
-        assert counts["applicable"] == sum(x0 <= x < x1 for x, _ in applicable)
-        assert best == min(inside, default=None)
+        assert_box_rows_are_the_loop(g, kind, *planted_loop(kind, eps, q, seed))
 
     @pytest.mark.parametrize("kind", ["x1z1", "facts"])
     def test_box_counts_from_every_row(self, kind):
-        """Row ranges from each row to the end: the box counts report the
-        loop's violations and its smallest key of exactly those pairs."""
+        """Every row's box counts on the grids of four planted seeds are
+        the loop's of that row, with failures in several rows, and the
+        whole grid's first key is the loop's smallest."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
         for seed in range(4):
             with pytest.MonkeyPatch.context() as mp:
-                plant_faults(mp, eps, q, seed)
+                table, gq, g2 = plant_faults(mp, eps, q, seed)
+                # three more in-block points, of first coordinate below 1/2
+                # and coordinate sum near 2/3, so that x1z1 fails in rows of
+                # their own
+                table[2, 30] = table[4, 30] = table[6, 28] = 0
                 g = gridscan._Grid(eps, q, (kind,))
-            keys, _ = planted_loop(kind, eps, q, seed)
-            for x0 in range(g.P):
-                counts, best = gridscan._box_counts(g, x0, g.P)[kind]
-                inside = [key for key in keys if key[0] >= x0]
-                assert counts["violations"] == len(inside)
-                assert best == min(inside, default=None)
+            keys, pts = loop_keys(kind, eps, q, table, gq, g2)
+            assert len({key[0] for key in keys}) > 1
+            assert_box_rows_are_the_loop(g, kind, keys, loop_applicable(kind, eps, q, pts))
 
     def test_first_coordinate_facts_walk_no_tiles(self, monkeypatch):
         """x1z1 and facts are counted by box queries alone; the block and
@@ -1456,26 +1469,34 @@ class TestPairWalk:
 
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_splits_and_tiny_chunks_equal_the_whole_sweep(self, monkeypatch, kind):
-        """Row cuts of the band walk (the weight and midpoint facts) and of
-        the box counts merge to the whole walk, and tiles of 7 or 100
-        cells, which cut the band's rows, walk the same."""
+        """Cuts of the band walk's rows (the weight and midpoint facts)
+        merge to the whole walk, and the box counts of the whole grid (the
+        first-coordinate facts) are the loop's; tiles of 7 or 100 cells,
+        which cut the band's rows, sweep the same."""
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
-        plant_faults(monkeypatch, eps, q, 0)
+        table, gq, g2 = plant_faults(monkeypatch, eps, q, 0)
         g = gridscan._Grid(eps, q, (kind,))
-        walk = gridscan._walk if kind in ("block", "midpoint") else gridscan._box_counts
-        whole = walk(g, 0, g.P)[kind]
+        if kind in ("block", "midpoint"):
+            whole = gridscan._walk(g, 0, g.P)[kind]
+            # uneven cuts, an empty range, one-row ranges and random cuts
+            for cuts in row_cuts(random.Random(kind), g.P):
+                parts = [gridscan._walk(g, p0, p1)[kind] for p0, p1 in zip(cuts, cuts[1:])]
+                assert gridscan._merge(parts) == whole
+        else:
+            whole = box_tally(g)[kind]
+            keys, _ = loop_keys(kind, eps, q, table, gq, g2)
+            assert (whole[0]["violations"], whole[1]) == (len(keys), min(keys))
         assert whole[1] is not None
-        # uneven cuts, an empty range, one-row ranges and random cuts
-        for cuts in row_cuts(random.Random(kind), g.P):
-            parts = [walk(g, x0, x1)[kind] for x0, x1 in zip(cuts, cuts[1:])]
-            assert gridscan._merge(parts) == whole
+        swept = gridscan.run_sweeps((kind,), eps, q)
         # tiles cut rows for chunk sizes below a row's length
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
             assert max(g.band.width) > chunk
-            assert walk(g, 0, g.P)[kind] == whole
+            if kind in ("block", "midpoint"):
+                assert gridscan._walk(g, 0, g.P)[kind] == whole
+            assert gridscan.run_sweeps((kind,), eps, q) == swept
 
     def test_fused_splits_chunks_and_workers_equal_the_whole_walk(self, monkeypatch):
         import multiprocessing
@@ -1483,20 +1504,22 @@ class TestPairWalk:
         import apfree.gridscan as gridscan
 
         eps, q = F(1, 12), 24
-        plant_faults(monkeypatch, eps, q, 2)
+        table, gq, g2 = plant_faults(monkeypatch, eps, q, 2)
         g = gridscan._Grid(eps, q, SWEEP_KINDS)
-        whole = {**gridscan._walk(g, 0, g.P), **gridscan._box_counts(g, 0, g.P)}
-        assert all(whole[kind][1] is not None for kind in SWEEP_KINDS)
+        whole = gridscan._walk(g, 0, g.P)
+        assert list(whole) == ["block", "midpoint"]
+        assert all(best is not None for _, best in whole.values())
+        for kind, (counts, best) in box_tally(g).items():
+            keys, _ = loop_keys(kind, eps, q, table, gq, g2)
+            assert (counts["violations"], best) == (len(keys), min(keys))
         for cuts in row_cuts(random.Random(2), g.P):
-            ranges = list(zip(cuts, cuts[1:]))
-            parts = [{**gridscan._walk(g, x0, x1), **gridscan._box_counts(g, x0, x1)}
-                     for x0, x1 in ranges]
-            for kind in SWEEP_KINDS:
+            parts = [gridscan._walk(g, p0, p1) for p0, p1 in zip(cuts, cuts[1:])]
+            for kind in whole:
                 assert gridscan._merge([part[kind] for part in parts]) == whole[kind]
         serial = gridscan.run_sweeps(SWEEP_KINDS, eps, q)
         for chunk in (7, 100):
             monkeypatch.setattr(gridscan, "_SWEEP_CHUNK", chunk)
-            assert {**gridscan._walk(g, 0, g.P), **gridscan._box_counts(g, 0, g.P)} == whole
+            assert gridscan._walk(g, 0, g.P) == whole
             assert gridscan.run_sweeps(SWEEP_KINDS, eps, q) == serial
         if multiprocessing.get_start_method() == "fork":
             # workers see the planted tables only when forked
