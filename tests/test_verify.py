@@ -1238,9 +1238,9 @@ def band_keys(g, keys, p0, p1):
 
 
 class TestPairWalk:
-    """The tile walk that the certificates and the sweeps share, the
-    sweeps' per-sum tables, their first violation, and their independence
-    from tile size, pair-range splits and workers."""
+    """The certificates' strict-pair tiles, the sweeps' band tiles, box
+    counts and per-sum tables, their first violation, and their
+    independence from tile size, band-row splits and workers."""
 
     @given(st.integers(0, 40), st.integers(1, 50))
     @example(12, 7)
