@@ -270,13 +270,13 @@ class TestIgnoredParameters:
         (["int-direct", "--N", "300"], "--slice-j", "0", "slice_j", 0),
         (["zm", "--moduli", "9,7"], "--slice-j", "1", "slice_j", 1),
         (["zm", "--moduli", "9,7"], "--slice-j", "0", "slice_j", 0),
+        (["behrend", "--N", "100"], "--epsilon", "1/8", "epsilon", "1/8"),
+        (["halfbox", "--p", "5", "--n", "2"], "--trials", "3", "trials", 3),
+        (["zm", "--moduli", "5,5"], "--n-override", "4", "n_override", 4),
         # a slice index without --shift, which the shift search once dropped
         (["zm", "--moduli", "3,3", "--epsilon", "1/2"], "--slice-j", "0", "slice_j", 0),
         (["fpn", "--p", "3", "--n", "3"], "--slice-j", "1", "slice_j", 1),
         (["int", "--N", "300"], "--slice-j", "0", "slice_j", 0),
-        (["behrend", "--N", "100"], "--epsilon", "1/8", "epsilon", "1/8"),
-        (["halfbox", "--p", "5", "--n", "2"], "--trials", "3", "trials", 3),
-        (["zm", "--moduli", "5,5"], "--n-override", "4", "n_override", 4),
     ]
 
     @pytest.mark.parametrize("base, flag, value, key, config_value", CASES)
