@@ -17,23 +17,28 @@ D passed as a broadcast array, and tested in steps of at most
 _PRODUCT_CHUNK points.  A search makes one batch of all its trials, or
 several when their grids hold more points than that, so each trial's grids
 are tested once; an explicit shift is a batch of one.
-One walk of one numpy kernel then gives a shift its histogram, its
-fullest slice and that slice's pre-image: the product of the slots is
-walked in chunks of at most _PRODUCT_CHUNK tuples, unravelled in the
-order of ``itertools.product``; a chunk gathers and sums its pair weights
-and takes every slice index as one floor division into J, the slice index
-of every tuple.  ``np.unique`` counts the slices, ``J == j`` picks the
+One walk of the slots' product then gives J, the slice index of every
+tuple in the order of ``itertools.product``.  The trailing pairs whose
+product holds at most _PRODUCT_CHUNK tuples (the last pair alone when it
+holds more) give B, the ``np.add.outer`` sums of their weights, and the
+leading pairs give A the same way; J, read as a (len(A), len(B)) array, is
+filled in blocks of at most _PRODUCT_CHUNK sums A[r] + B[c], whose slice
+indices are one floor division.  A search's trial reads only (j, count):
+it sorts J in place and takes its longest run of equal indices, the first
+such run holding the smallest j.  The winner is walked once more, on its
+trial's slots: ``np.unique`` counts its slices, ``J == j`` picks the
 pre-image's flat tuple indices, and unravelling them gives its residue
-tuples.  A search walks once per trial and once more, on the winning
-trial's slots, for the winner; an explicit shift walks once.
+tuples.  An explicit shift walks once, as a winner does.
 
 A value runs in int64 only when a stated bound proves it stays at most
 2^62: region_factor * D or weight_factor * D^2 for a pair's grid, the
 summed weight maxima for the sums, num times that (num alone when all are
 0) and den for the slice division.  Otherwise the same code runs on
 object arrays of Python ints; no float is used.  A stack in which any
-shift needs object arrays runs on them, and each shift's weights are then
-cast to the dtype its own bound picks, so no dtype depends on the batch.
+shift needs object arrays runs on them.  A pair's weights of the whole
+batch are scaled by each shift's L / D^2 in one multiply, and each shift's
+part is cast to the dtype its own bound picks, so no dtype depends on the
+batch.
 Each shift's pair grids, in one charge, and each walk's product, times
 the walks the build makes, are charged to budget.PRODUCT before they are
 tested or walked (object-path points count budget.OBJECT_COST times).
@@ -170,12 +175,16 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
     weighs 0.  Each pair's grids are stacked over the shifts, each on its
     own D, and tested and weighed a step of rows at a time, at most
     _PRODUCT_CHUNK points a step, on object arrays when any shift needs
-    them; each shift's weights are then cast to the dtype its own bound
-    picks.  Every shift's grids are charged before any is tested, so a
-    shift over the budget refuses the batch at once."""
+    them.  Each pair's weights of all the shifts are then scaled by each
+    shift's L / D^2 in one multiply and handed out as views, each cast to
+    the dtype its own shift's bound picks.  Every shift's grids are
+    charged before any is tested, so a shift over the budget refuses the
+    batch at once."""
     grids = [_charge_grids(moduli, shift, epsilon, delta, walks) for shift in shifts]
     T = len(grids)
+    Ls = [math.lcm(*(D * D for D, *_ in grid)) for grid in grids]
     pairs = [[] for _ in range(T)]
+    stacks = []
     for h, (m1, m2) in enumerate(zip(moduli[::2], moduli[1::2])):
         D, dtypes, b1, b2 = zip(*(g[h] for g in grids))
         dtype = object if object in dtypes else np.int64
@@ -202,23 +211,31 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
             r2.append(k)
             w.append(scaled_weight(epsilon, D[t, 0], us[t, i], vs[t, k]))
         trial, r1, r2, w = (np.concatenate(x) for x in (trial, r1, r2, w))
-        cut = [0, *np.cumsum(np.bincount(trial, minlength=T)).tolist()]
+        counts = np.bincount(trial, minlength=T)
+        cut = [0, *np.cumsum(counts).tolist()]
+        stacks.append((w, counts, cut))
         for t in range(T):
-            part = slice(cut[t], cut[t + 1])
-            pairs[t].append((r1[part], r2[part], w[part]))
-    slots = []
-    for grid, pair in zip(grids, pairs):
-        L = math.lcm(*(D * D for D, *_ in grid))
-        if epsilon is None:  # box points weigh 0 on every scale
-            slots.append((pair, L))
-            continue
-        scale = [L // (D * D) for D, *_ in grid]
-        # bounds every scaled weight, their sums, and each factor c (in-block
-        # weights are positive, so max(w) * c >= c)
-        dtype = gridscan.exact_dtype(sum(int(w.max()) * c if len(w) else c
-                                         for (*_, w), c in zip(pair, scale)))
-        slots.append(([(r1, r2, w.astype(dtype) * c) for (r1, r2, w), c in zip(pair, scale)], L))
-    return slots
+            pairs[t].append((r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]))
+    if epsilon is None:  # box points weigh 0 on every scale
+        return list(zip(pairs, Ls))
+    scales = [[L // (D * D) for D, *_ in grid] for grid, L in zip(grids, Ls)]
+    # bounds every scaled weight, their sums, and each factor c (in-block
+    # weights are positive, so max(w) * c >= c)
+    bounds = [0] * T
+    for h, (w, counts, cut) in enumerate(stacks):
+        full = np.flatnonzero(counts)
+        maxima = np.maximum.reduceat(w, np.array(cut)[full]).tolist() if len(full) else []
+        top = dict(zip(full.tolist(), maxima))
+        for t in range(T):
+            bounds[t] += top.get(t, 1) * scales[t][h]
+    dtypes = [gridscan.exact_dtype(bound) for bound in bounds]
+    dtype = object if object in dtypes else np.int64
+    for h, (w, counts, cut) in enumerate(stacks):
+        c = np.repeat(np.array([scale[h] for scale in scales], dtype=dtype), counts)
+        w = w.astype(dtype, copy=False) * c
+        for t in range(T):
+            pairs[t][h] += (w[cut[t]:cut[t + 1]].astype(dtypes[t], copy=False),)
+    return list(zip(pairs, Ls))
 
 
 def _slice_dtype(s_max: int, num: int, den: int):
@@ -233,33 +250,55 @@ def slice_indices(s, s_max: int, num: int, den: int):
     return (num * s.astype(_slice_dtype(s_max, num, den), copy=False)) // den
 
 
+def _outer_sums(weights, dtype):
+    """The sum of one weight of each array, for every tuple of the arrays in
+    the order of itertools.product; [0] for no arrays."""
+    sums = np.zeros(1, dtype=dtype)
+    for w in weights:
+        sums = np.add.outer(sums, w).ravel()
+    return sums
+
+
 def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
                 slots=None):
     """(slots, shape, J): the pair slots, the shape of their product, and
     the slice index of every tuple of the product in the order of
-    itertools.product, summed _PRODUCT_CHUNK tuples at a time; every tuple
-    of the slots is in the region, so position k of J is flat tuple index
-    k.  ``slots``: the shift's (slots, L) from a batch of ``_pair_slots``
-    over validated inputs, made here when None.  The grids (when made here)
-    and the product are charged to the work budget for ``walks`` walks
-    first."""
+    itertools.product; every tuple of the slots is in the region, so
+    position k of J is flat tuple index k.  The trailing pairs whose
+    product holds at most _PRODUCT_CHUNK tuples (the last pair alone when
+    it holds more) give B, the sums of their weights, and the leading
+    pairs give A; J, as a (len(A), len(B)) array, is filled in blocks of at
+    most _PRODUCT_CHUNK sums A[r] + B[c], whole rows of it or, when one
+    row is longer, parts of one row.  ``slots``: the shift's (slots, L)
+    from a batch of ``_pair_slots`` over validated inputs, made here when
+    None.  The grids (when made here) and the product are charged to the
+    work budget for ``walks`` walks first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
         slots = _pair_slots(moduli, [shift], epsilon, delta, walks)[0]
     slots, L = slots
     num, den = slice_ratio(epsilon, delta, L)
-    shape = tuple(len(w) for *_, w in slots)
+    weights = [w for *_, w in slots]
+    shape = tuple(map(len, weights))
     total = math.prod(shape)
-    s_max = sum(int(w.max()) for *_, w in slots) if total else 0
+    s_max = sum(int(w.max()) for w in weights) if total else 0
     dtype = _slice_dtype(s_max, num, den)
     cost = walks * total * (budget.OBJECT_COST if dtype is object else 1)
     budget.charge("PRODUCT", f"slot product of {budget.count(total)} tuples, walked "
                   f"{budget.count(walks)} times,", cost)
     J = np.empty(total, dtype=dtype)
-    for lo in range(0, total, _PRODUCT_CHUNK):
-        hi = min(lo + _PRODUCT_CHUNK, total)
-        idx = np.unravel_index(np.arange(lo, hi), shape)
-        J[lo:hi] = slice_indices(sum(w[i] for (*_, w), i in zip(slots, idx)), s_max, num, den)
+    if not total:
+        return slots, shape, J
+    k = len(weights) - 1
+    while k and math.prod(shape[k - 1:]) <= _PRODUCT_CHUNK:
+        k -= 1
+    A, B = (_outer_sums(part, weights[0].dtype) for part in (weights[:k], weights[k:]))
+    rows, cols = max(1, _PRODUCT_CHUNK // len(B)), min(len(B), _PRODUCT_CHUNK)
+    block = J.reshape(len(A), len(B))
+    for r in range(0, len(A), rows):
+        for c in range(0, len(B), cols):
+            block[r:r + rows, c:c + cols] = slice_indices(
+                A[r:r + rows, None] + B[c:c + cols], s_max, num, den)
     return slots, shape, J
 
 
@@ -276,16 +315,35 @@ def pick_slice(J, j: int | None = None):
     return j, len(hit), (values, counts), hit
 
 
+def fullest_slice(J):
+    """(j, count) of ``pick_slice``'s fullest slice, from J sorted in place:
+    the lengths of its runs of equal indices, the first longest one
+    holding the smallest j."""
+    if not len(J):
+        return 0, 0
+    J.sort()
+    ends = np.flatnonzero(np.concatenate((J[1:] != J[:-1], [True])))
+    runs = ends.copy()
+    runs[1:] -= ends[:-1]
+    runs[0] += 1
+    k = int(np.argmax(runs))
+    return int(J[ends[k]]), int(runs[k])
+
+
 def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
-               j: int | None = None, slots=None):
+               j: int | None = None, slots=None, pre_image: bool = True):
     """(j, count, histogram, elements) of one walk over the tuples in the
     region (the box when epsilon is None): j, count and the histogram as in
     ``pick_slice``, and elements the residue tuples in slice j, in product
     order.  A pre-image is progression-free whenever delta <= 1/max(m).
     ``walks``: how many walks like this one the caller's build makes, for
     the work budget; ``slots``: the shift's slots from a batch of
-    ``_pair_slots``, as ``_slice_scan`` takes them."""
+    ``_pair_slots``, as ``_slice_scan`` takes them; ``pre_image`` False,
+    for a search's trial: only (j, count) of ``fullest_slice``, and the
+    histogram and elements are None."""
     slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks, slots)
+    if not pre_image:
+        return (*fullest_slice(J), None, None)
     j, count, histogram, hit = pick_slice(J, j)
     idx = np.unravel_index(hit, shape)
     columns = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
@@ -357,7 +415,8 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
         # each trial is charged for all the search's walks, the winner's included
         batch = _pair_slots(moduli, shifts, epsilon, delta, trials + 1)
         for shift, slots in zip(shifts, batch):
-            j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1, slots=slots)
+            j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1, slots=slots,
+                                      pre_image=False)
             key = (-count, shift, j)
             if best is None or key < best[0]:
                 best = (key, shift, j, slots)

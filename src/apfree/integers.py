@@ -20,6 +20,12 @@ Two routes:
   first of them, and a trial shifts both without a multiply (the smaller
   of r and r - denom on r's unsigned view); later pairs are made, on int64
   with floor division in place of ``%``, only for the rows still kept.
+  The chunk's row offsets are int32 (they are below 2^18).  Trials go
+  through a chunk in stacks of at most _STACK_CELLS trials times rows: a
+  stack's first pairs are one (trials, rows) array, tested as one, and
+  its kept rows go on as one run of offsets per trial, each later
+  coordinate starting at its trial's own start.  A chunk of more than
+  2^14 rows is a stack of one trial, with one start per coordinate.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -195,22 +201,36 @@ def _next_prime(k: int) -> int:
 
 
 _SCAN_CHUNK = 1 << 18  # rows per chunk of the stream
+# trials times rows of one stack of trials, one trial at least; at most
+# _SCAN_CHUNK, so a stack never holds more cells than a chunk.  16-trial
+# builds (2-vCPU host) took 20-60% less time at N = 1000-8000 than trial
+# by trial, and 4% more at N = 12000 (stacks of two); at 2^16 they took
+# 4-10% more than at 2^15 for N = 4000-12000, and 25-35% more for
+# N = 20000-30000, which 2^15 no longer stacks
+_STACK_CELLS = 1 << 15
 # directions tried: by the union bound one fails separation with
 # probability about 2^-n <= 1/4
 _DIRECTION_ATTEMPTS = 64
 
 
-def row_coordinate(a: int, b: int, denom: int, lo: int, off):
-    """Numerators (a + (lo + off)*b) mod denom, exactly: the start is taken on
-    Python ints, so int64 holds only x = off*b + start (off < _SCAN_CHUNK),
-    and its remainder is x - (x // denom)*denom, x >= 0 (numpy divides an
-    array by a scalar several times faster than it takes ``%``)."""
-    x = off * b
-    x += (a + lo * b) % denom
+def _residue(off, b: int, start, denom: int):
+    """(start + off*b) mod denom on int64 for 0 <= start < denom, start a
+    Python int or an array of one per offset: int64 holds x = off*b + start
+    (off < _SCAN_CHUNK), and its remainder is x - (x // denom)*denom, x >= 0
+    (numpy divides an array by a scalar several times faster than it takes
+    ``%``)."""
+    x = np.multiply(off, b, dtype=np.int64)
+    x += start
     q = x // denom
     q *= denom
     x -= q
     return x
+
+
+def row_coordinate(a: int, b: int, denom: int, lo: int, off):
+    """Numerators (a + (lo + off)*b) mod denom, exactly: the start is taken on
+    Python ints, and the rest by ``_residue``."""
+    return _residue(off, b, (a + lo * b) % denom, denom)
 
 
 def base_coordinates(b_nums: list[int], denom: int, lo: int, off, dtype) -> list:
@@ -228,11 +248,11 @@ def first_pair_dtype(epsilon: Fraction | None, delta: Fraction, denom: int):
     return np.int32 if region_factor(epsilon, delta) * denom < 1 << 31 else np.int64
 
 
-def _shifted(base, a: int, denom: int):
+def _shifted(base, a, denom: int):
     """(base + a) mod denom for 0 <= base, a < denom, without a multiply:
     on the unsigned view of r = base + a < 2*denom, r - denom wraps past r
     exactly when r < denom, so the smaller of r and r - denom is the
-    residue."""
+    residue.  a is a Python int or a column of one per row of a stack."""
     r = base + a
     u = r.view(f"u{r.itemsize}")
     np.minimum(u, u - denom, out=u)
@@ -250,45 +270,82 @@ def separated(b_nums: list[int], denom: int, lo: int, off, base, four_c: int) ->
     return not len(off)
 
 
-def kept_slices(a_nums: list[int], b_nums: list[int], denom: int, lo: int, off, base,
-                epsilon: Fraction | None, delta: Fraction, num: int, den: int):
-    """(t, J): the rows t = lo + off whose point a + t*b mod 1 lies in the
-    region (the box [0,delta)^2 when epsilon is None), each pair tested only
-    on the rows the pairs before it kept, and their slice indices
-    (num * s) // den, s the sum of their pairs' scaled_weight (0 in the box)
-    on exact_dtype(n/2 * weight_factor * denom^2), as ``slice_indices``.
-    The first pair is the chunk's ``base_coordinates``, on
-    ``first_pair_dtype``, shifted by a."""
+def kept_slices(shifts: list[list[int]], b_nums: list[int], denom: int, lo: int, off, base,
+                epsilon: Fraction | None, delta: Fraction, num: int, den: int) -> list:
+    """Per shift a of a stack, (t, J): the rows t = lo + off whose point
+    a + t*b mod 1 lies in the region (the box [0,delta)^2 when epsilon is
+    None), each pair tested only on the rows the pairs before it kept, and
+    their slice indices (num * s) // den, s the sum of their pairs'
+    scaled_weight (0 in the box) on exact_dtype(n/2 * weight_factor *
+    denom^2), as ``slice_indices``.  The first pair is the chunk's
+    ``base_coordinates``, on ``first_pair_dtype``, shifted by a: for a
+    stack of several shifts one (shifts, rows) array, tested as one.  Its
+    kept cells go on as entries in trial order, one run of offsets per
+    trial, with the runs' lengths; each later coordinate starts at its
+    trial's (a_i + lo*b_i) mod denom, repeated over the trial's run.  A
+    stack of one shift compresses its offsets alone, with one start per
+    coordinate."""
     pairs = range(0, len(b_nums), 2)
     s_max = 0 if epsilon is None else len(pairs) * weight_factor(epsilon) * denom * denom
+    one = len(shifts) == 1
+    runs = None
+
+    def coordinates(h):
+        """Pair h's coordinates of the kept entries (``off``, ``runs``)."""
+        if one:
+            return (row_coordinate(shifts[0][i], b_nums[i], denom, lo, off) for i in (h, h + 1))
+        return (_residue(off, b_nums[i], np.repeat([(a[i] + lo * b_nums[i]) % denom
+                                                    for a in shifts], runs), denom)
+                for i in (h, h + 1))
+
     for h in pairs:
         if h:
-            U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off) for i in (h, h + 1))
+            U, V = coordinates(h)
+        elif one:
+            U, V = (_shifted(base[i], shifts[0][i], denom) for i in (0, 1))
+        else:  # the stack's shifts as a column against the chunk's rows
+            U, V = (_shifted(base[i], np.array([a[i] for a in shifts], dtype=base[i].dtype)
+                             [:, None], denom) for i in (0, 1))
+        keep = (scaled_box(delta, denom, U, V) if epsilon is None
+                else scaled_in_block(epsilon, denom, U, V))
+        if one:
+            off = off[keep]
+        elif h:  # each run keeps the entries its part of keep marks
+            ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(runs)]
+            runs, off = np.diff(ends, prepend=0), off[keep]
         else:
-            U, V = (_shifted(base[i], a_nums[i], denom) for i in (0, 1))
-        off = off[scaled_box(delta, denom, U, V) if epsilon is None
-                  else scaled_in_block(epsilon, denom, U, V)]
+            runs, off = np.count_nonzero(keep, axis=1), np.broadcast_to(off, keep.shape)[keep]
     s = np.zeros(len(off), dtype=gridscan.exact_dtype(s_max))
     if epsilon is not None:
         for h in pairs:
-            U, V = (row_coordinate(a_nums[i], b_nums[i], denom, lo, off).astype(s.dtype)
-                    for i in (h, h + 1))
+            U, V = (x.astype(s.dtype) for x in coordinates(h))
             s += scaled_weight(epsilon, denom, U, V)
-    return lo + off, slice_indices(s, s_max, num, den)
+    t, J = off + np.int64(lo), slice_indices(s, s_max, num, den)
+    if one:
+        return [(t, J)]
+    cut = [0, *np.cumsum(runs).tolist()]
+    return [(t[i:k], J[i:k]) for i, k in zip(cut, cut[1:])]
 
 
 def _stream(b_nums, shifts, denom: int, N: int, four_c: int, region):
     """Per shift, the (t, J) of ``kept_slices`` over t = 1..N, each chunk
-    checked for separation first; None when one fails."""
+    checked for separation first, its trials in stacks of at most
+    _STACK_CELLS cells (one trial at least); None when a chunk fails.  A
+    chunk's offsets are int32, as they are below _SCAN_CHUNK."""
     kept = [[] for _ in shifts]
     narrow = first_pair_dtype(*region[:2], denom)
     for lo in range(1, N + 1, _SCAN_CHUNK):
-        off = np.arange(min(_SCAN_CHUNK, N + 1 - lo), dtype=np.int64)
+        rows = min(_SCAN_CHUNK, N + 1 - lo)
+        off = np.arange(rows, dtype=np.int32)
         base = base_coordinates(b_nums, denom, lo, off, narrow)
         if not separated(b_nums, denom, lo, off, base, four_c):
             return None
-        for a_nums, part in zip(shifts, kept):
-            part.append(kept_slices(a_nums, b_nums, denom, lo, off, base, *region))
+        depth = max(1, _STACK_CELLS // rows)
+        for first in range(0, len(shifts), depth):
+            stack = shifts[first:first + depth]
+            for part, tJ in zip(kept[first:first + depth],
+                                kept_slices(stack, b_nums, denom, lo, off, base, *region)):
+                part.append(tJ)
     return [[np.concatenate(x) for x in zip(*part)] for part in kept]
 
 

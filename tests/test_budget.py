@@ -64,11 +64,13 @@ def spy_work(monkeypatch):
     # every tuple of each slot-product walk, object-path ones weighted
     wrap(monkeypatch, groups, "_slice_scan", lambda result, *args: add(
         "PRODUCT", len(result[2]) * (budget.OBJECT_COST if result[2].dtype == object else 1)))
-    # the direct route streams rows: once through separation, once per trial
+    # the direct route streams rows: once through separation, once per
+    # trial (a stack of trials takes every row once per trial)
     wrap(monkeypatch, integers, "separated",
          lambda result, b, denom, lo, off, base, four_c: add("PRODUCT", len(off)))
     wrap(monkeypatch, integers, "kept_slices",
-         lambda result, a, b, denom, lo, off, base, *region: add("PRODUCT", len(off)))
+         lambda result, shifts, b, denom, lo, off, base, *region: add(
+             "PRODUCT", len(shifts) * len(off)))
 
     # certificates: the pairs walked and the keys looked up
     pair_tiles = verify.pair_tiles

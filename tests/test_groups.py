@@ -586,18 +586,66 @@ class TestSlotProductKernel:
             assert_kernel_matches_reference(*instance)
 
     def test_chunked_walk_is_product_order(self, monkeypatch):
-        moduli, shift, epsilon, delta = (6, 5, 7, 4), (F(1, 7), F(3, 7), F(5, 7), F(-2, 7)), F(1, 12), F(1, 7)
-        monkeypatch.setattr(groups, "_PRODUCT_CHUNK", 5)
+        """Every slice_indices call of a walk takes at most _PRODUCT_CHUNK
+        sums, and the calls take the product's sums once each, in product
+        order: parts of one row of the last pair's 6 weights (chunk 1, 5),
+        whole rows of it (6, 20), of the last two pairs' 36 sums (36, 100)
+        or of all 288 (288, 1000)."""
+        moduli = (6, 5, 7, 4, 5, 6)
+        shift = (F(1, 7), F(3, 7), F(5, 7), F(-2, 7), F(1, 5), F(2, 9))
+        epsilon, delta = F(1, 12), F(1, 7)
+        reference = list(reference_scan(moduli, shift, epsilon, delta))
         sums, slice_indices = [], groups.slice_indices
         monkeypatch.setattr(groups, "slice_indices",
-                            lambda s, *args: (sums.append(len(s)), slice_indices(s, *args))[1])
-        slots, shape, J = groups._slice_scan(moduli, shift, epsilon, delta)
-        assert len(J) == math.prod(shape) and shape == tuple(len(w) for *_, w in slots)
-        assert max(sums) <= 5 and sum(sums) == len(J) and len(sums) == -(-len(J) // 5)
-        idx = np.unravel_index(np.arange(len(J)), shape)
-        cols = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
-        walked = list(zip(zip(*cols), J.tolist()))
-        assert walked == list(reference_scan(moduli, shift, epsilon, delta))
+                            lambda s, *args: (sums.append(s.ravel().tolist()),
+                                              slice_indices(s, *args))[1])
+        for chunk in (1, 5, 6, 20, 36, 100, 288, 1000):
+            monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
+            sums.clear()
+            slots, shape, J = groups._slice_scan(moduli, shift, epsilon, delta)
+            assert shape == (8, 6, 6) and shape == tuple(len(w) for *_, w in slots)
+            assert len(J) == math.prod(shape)
+            assert max(map(len, sums)) <= chunk and sum(map(len, sums)) == len(J)
+            assert sum(sums, []) == [sum(c) for c in product(*(w.tolist() for *_, w in slots))]
+            idx = np.unravel_index(np.arange(len(J)), shape)
+            cols = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+            assert list(zip(zip(*cols), J.tolist())) == reference
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_outer_sums_are_the_gathered_sums(self, data):
+        """J of the outer-sum walk against the unravel-and-gather walk it
+        replaced and the per-tuple loop, on slots made up here: int64 or
+        object weights (sums past 2^62 among them), pairs with no slots,
+        pairs longer than the patched _PRODUCT_CHUNK and chunks that split
+        the trailing pairs' sums."""
+        obj = data.draw(st.booleans())
+        top = data.draw(st.sampled_from([10**6, 1 << 70])) if obj else 1 << 40
+        sizes = data.draw(st.lists(st.integers(0, 12) | st.just(1), min_size=1, max_size=4))
+        weights = [np.array(data.draw(st.lists(st.integers(1, top), min_size=k, max_size=k)),
+                            dtype=object if obj else np.int64) for k in sizes]
+        chunk = data.draw(st.integers(1, 40))
+        L, epsilon, delta = data.draw(st.sampled_from([1, 7 * 10**20])), F(1, 12), F(1, 7)
+        slots = [(np.arange(len(w)), np.arange(len(w)), w) for w in weights]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
+            _, shape, J = groups._slice_scan(None, None, epsilon, delta, slots=(slots, L))
+        num, den = slice_ratio(epsilon, delta, L)
+        total = math.prod(sizes)
+        s_max = sum(int(w.max()) for w in weights) if total else 0
+        idx = np.unravel_index(np.arange(total), sizes)
+        gathered = groups.slice_indices(sum(w[i] for w, i in zip(weights, idx)), s_max, num, den)
+        assert shape == tuple(sizes) and J.dtype == gathered.dtype
+        assert J.tolist() == gathered.tolist()
+        assert J.tolist() == [num * sum(c) // den for c in product(*(w.tolist() for w in weights))]
+
+    @given(st.lists(st.integers(-3, 3), max_size=30), st.sampled_from([np.int64, object]))
+    @settings(max_examples=60, deadline=None)
+    def test_trial_pick_is_pick_slice(self, values, dtype):
+        """fullest_slice, which sorts J in place, picks pick_slice's slice
+        and count: ties go to the smallest index, and an empty J is (0, 0)."""
+        J = np.array(values, dtype=dtype)
+        assert groups.fullest_slice(J.copy()) == pick_slice(J)[:2]
 
     @pytest.mark.parametrize("epsilon", [None, F(1, 12), F(1, 4)])
     def test_object_path_past_int64(self, epsilon):
@@ -725,6 +773,31 @@ class TestBatchedSlots:
         assert any(slots is scans[-1] for slots in scans[:-1])
         assert (shift, j, dset.elements, dset.provenance) == (
             expected[0], expected[1], expected[2].elements, expected[2].provenance)
+
+    @pytest.mark.parametrize("moduli, epsilon, delta, trials", [
+        ((6, 6, 6, 6), F(1, 4), F(1, 6), 16), ((12, 12), None, F(1, 12), 5),
+        ((5, 5, 5, 5), F(1, 12), F(1, 5), 1), ((7, 4, 5, 6), F(1, 12), F(1, 7), 3),
+    ])
+    def test_trials_pick_and_the_winner_decodes(self, monkeypatch, moduli, epsilon, delta,
+                                                 trials):
+        """A search walks best_slice once per trial and once more for its
+        winner: the trials read only (j, count), and only the last walk
+        decodes a pre-image, the one the set holds."""
+        calls, walk = [], groups.best_slice
+
+        def spy(*args, **kwargs):
+            result = walk(*args, **kwargs)
+            calls.append((kwargs.get("pre_image", True), result))
+            return result
+
+        monkeypatch.setattr(groups, "best_slice", spy)
+        shift, j, dset = search_shift(moduli, epsilon, delta, trials, 0)
+        assert [pre_image for pre_image, _ in calls] == [False] * trials + [True]
+        assert all(result[2:] == (None, None) for _, result in calls[:-1])
+        last = calls[-1][1]
+        assert (last[0], last[1], last[3]) == (j, dset.size, list(dset.elements))
+        assert (j, dset.size) in [result[:2] for _, result in calls[:-1]]
+
 
 class TestWorkBudget:
     def test_slot_product_over_budget(self, monkeypatch):

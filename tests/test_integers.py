@@ -436,10 +436,12 @@ class TestRowStream:
         monkeypatch.setattr(integers, "_next_prime", lambda k: denom)
         kept, seen = integers.kept_slices, []
 
-        def spy(a_nums, b_nums, denom, lo, off, base, *region):
-            t, J = kept(a_nums, b_nums, denom, lo, off, base, *region)
-            seen.append((base[0].dtype.type, base[1].dtype.type, t.tolist(), J.tolist()))
-            return t, J
+        def spy(shifts, b_nums, denom, lo, off, base, *region):
+            rows = kept(shifts, b_nums, denom, lo, off, base, *region)
+            assert len(rows) == len(shifts)
+            seen.extend((base[0].dtype.type, base[1].dtype.type, t.tolist(), J.tolist())
+                        for t, J in rows)
+            return rows
 
         monkeypatch.setattr(integers, "kept_slices", spy)
         want = build_integer_set_direct(N, n=n, options=options)
@@ -452,6 +454,43 @@ class TestRowStream:
         assert sum(len(x[2]) for x in seen) > 0
         assert (got.elements, got.provenance) == (want.elements, want.provenance)
 
+    @pytest.mark.parametrize("n, epsilon, first", [
+        (2, None, None), (4, F(1, 12), None), (2, None, np.int64), (4, F(1, 12), np.int64),
+    ])
+    def test_stacks_are_each_trial_alone(self, monkeypatch, n, epsilon, first):
+        """The stream's stacks of 1..T trials, over chunks of 97 rows, give
+        every trial the per-row loop's rows and slices over t = 1..N, on
+        the int32 first pair (the one these denominators get) and on int64.
+        A wide region (delta 1/4 for the box, 1/6 for the block) keeps rows
+        in every trial, and a separation radius of 0 passes every row."""
+        N, trials, denom = 1000, 5, 8009
+        rng = random.Random(n)
+        shifts = [[rng.randrange(denom) for _ in range(n)] for _ in range(trials)]
+        b_nums = [rng.randrange(1, denom) for _ in range(n)]
+        delta = F(1, 4) if epsilon is None else F(1, 6)
+        region = (epsilon, delta, *slice_ratio(epsilon, delta, denom * denom))
+        if first is not None:
+            monkeypatch.setattr(integers, "first_pair_dtype", lambda *args: first)
+        want = [TestRowSlices.per_row(a_nums, b_nums, denom, range(1, N + 1), *region)
+                for a_nums in shifts]
+        assert all(want) and want[0] != want[1]
+        monkeypatch.setattr(integers, "_SCAN_CHUNK", 97)
+        stacks, kept = [], integers.kept_slices
+
+        def spy(shifts, b_nums, denom, lo, off, base, *region):
+            stacks.append(len(shifts))
+            assert base[0].dtype == (first or np.int32) and off.dtype == np.int32
+            return kept(shifts, b_nums, denom, lo, off, base, *region)
+
+        monkeypatch.setattr(integers, "kept_slices", spy)
+        for depth in range(1, trials + 1):
+            monkeypatch.setattr(integers, "_STACK_CELLS", depth * 97)
+            stacks.clear()
+            got = integers._stream(b_nums, shifts, denom, N, denom + 1, region)
+            chunk = [min(depth, trials - i) for i in range(0, trials, depth)]
+            assert stacks[:len(chunk)] == chunk and sum(stacks) == trials * -(-N // 97)
+            assert [list(zip(t.tolist(), J.tolist())) for t, J in got] == want
+
     @pytest.mark.parametrize("N, trials, dtype", [
         (100_000, 4, np.int32), (986_895, 16, np.int32), (3_355_443, 4, np.int64),
     ])
@@ -462,7 +501,7 @@ class TestRowStream:
         class Seen(Exception):
             pass
 
-        def spy(a_nums, b_nums, denom, lo, off, base, *region):
+        def spy(shifts, b_nums, denom, lo, off, base, *region):
             raise Seen(base[0].dtype.type, base[1].dtype.type)
 
         monkeypatch.setattr(integers, "kept_slices", spy)
@@ -504,12 +543,17 @@ class TestRowSlices:
 
     @staticmethod
     def kernel(a_nums, b_nums, denom, lo, size, epsilon, delta, num, den):
-        # the base on the stream's dtype: int32 at 997 and 800_011, int64
-        # at (1 << 31) - 1 and past it
-        off = np.arange(size, dtype=np.int64)
+        return TestRowSlices.stack([a_nums], b_nums, denom, lo, size, epsilon, delta, num, den)[0]
+
+    @staticmethod
+    def stack(shifts, b_nums, denom, lo, size, epsilon, delta, num, den):
+        # the stream's int32 offsets, and the base on its dtype: int32 at
+        # 997 and 800_011, int64 at (1 << 31) - 1 and past it
+        off = np.arange(size, dtype=np.int32)
         base = base_coordinates(b_nums, denom, lo, off, first_pair_dtype(epsilon, delta, denom))
-        t, J = kept_slices(a_nums, b_nums, denom, lo, off, base, epsilon, delta, num, den)
-        return list(zip(t.tolist(), J.tolist())), J
+        rows = kept_slices(shifts, b_nums, denom, lo, off, base, epsilon, delta, num, den)
+        assert len(rows) == len(shifts)
+        return [(list(zip(t.tolist(), J.tolist())), J) for t, J in rows]
 
     @given(st.sampled_from([2, 4, 6]), st.sampled_from([None, F(1, 12), "1/n"]),
            st.sampled_from([997, 800_011, (1 << 31) - 1, (1 << 40) - 87]), st.integers(0, 2**32))
@@ -528,6 +572,26 @@ class TestRowSlices:
         pairs_bound = n // 2 * weight_factor(epsilon) * denom * denom if epsilon else 0
         if max(num * pairs_bound, den) > 1 << 62:
             assert J.dtype == object
+
+    @given(st.sampled_from([2, 4]), st.sampled_from([None, F(1, 12)]),
+           st.sampled_from([997, 800_011, (1 << 31) - 1]), st.integers(1, 6),
+           st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_stack_matches_per_row_loop(self, n, epsilon, denom, depth, seed):
+        """A stack of shifts, tested as one (shifts, rows) array and carried
+        as (trial, offset) entries, gives each shift the per-row loop's
+        rows and slices."""
+        delta = F(1, seed % 5 + 2)
+        rng = random.Random(seed)
+        shifts = [[rng.randrange(denom) for _ in range(n)] for _ in range(depth)]
+        b_nums = [rng.randrange(1, denom) for _ in range(n)]
+        lo, size = rng.randrange(1, 10**12), 300
+        num, den = slice_ratio(epsilon, delta, denom * denom)
+        got = self.stack(shifts, b_nums, denom, lo, size, epsilon, delta, num, den)
+        for a_nums, (kept, J) in zip(shifts, got, strict=True):
+            assert kept == self.per_row(a_nums, b_nums, denom, range(lo, lo + size),
+                                        epsilon, delta, num, den)
+            assert J.dtype == got[0][1].dtype
 
     def test_int64_path_on_route_sized_grid(self):
         denom, n, epsilon, delta = 800_011, 8, F(1, 8), F(1, 4)
