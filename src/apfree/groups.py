@@ -149,14 +149,14 @@ def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk
     (int64 when region_factor * D, box, or weight_factor * D^2, block, is
     at most 2^62) and the shift's numerators over D.  The points of all
     the shift's grids are charged to the work budget in one charge, for
-    ``walks`` walks."""
+    ``walks`` walks.  The shift's coordinates are Fractions or ints."""
+    factor = region_factor(epsilon, delta) if epsilon is None else weight_factor(epsilon)
     grids, points = [], 0
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
-        a1, a2 = Fraction(shift[2 * h]), Fraction(shift[2 * h + 1])
+        a1, a2 = shift[2 * h], shift[2 * h + 1]
         D = math.lcm(m1, m2, a1.denominator, a2.denominator)
-        dtype = gridscan.exact_dtype(region_factor(epsilon, delta) * D if epsilon is None
-                                     else weight_factor(epsilon) * D * D)
+        dtype = gridscan.exact_dtype(factor * D if epsilon is None else factor * D * D)
         grid = m1 + m2 if epsilon is None else m1 * m2
         points += grid * (budget.OBJECT_COST if dtype is object else 1)
         grids.append((D, dtype, a1.numerator * (D // a1.denominator) % D,
@@ -250,11 +250,11 @@ def slice_indices(s, s_max: int, num: int, den: int):
     return (num * s.astype(_slice_dtype(s_max, num, den), copy=False)) // den
 
 
-def _outer_sums(weights, dtype):
-    """The sum of one weight of each array, for every tuple of the arrays in
-    the order of itertools.product; [0] for no arrays."""
-    sums = np.zeros(1, dtype=dtype)
-    for w in weights:
+def _outer_sums(weights):
+    """The sum of one weight of each array, for every tuple of the arrays
+    (one at least) in the order of itertools.product."""
+    sums = weights[0]
+    for w in weights[1:]:
         sums = np.add.outer(sums, w).ravel()
     return sums
 
@@ -269,13 +269,14 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     it holds more) give B, the sums of their weights, and the leading
     pairs give A; J, as a (len(A), len(B)) array, is filled in blocks of at
     most _PRODUCT_CHUNK sums A[r] + B[c], whole rows of it or, when one
-    row is longer, parts of one row.  ``slots``: the shift's (slots, L)
+    row is longer, parts of one row (B alone when it holds the whole
+    product).  ``slots``: the shift's (slots, L)
     from a batch of ``_pair_slots`` over validated inputs, made here when
     None.  The grids (when made here) and the product are charged to the
     work budget for ``walks`` walks first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
-        slots = _pair_slots(moduli, [shift], epsilon, delta, walks)[0]
+        slots = _pair_slots(moduli, [tuple(map(Fraction, shift))], epsilon, delta, walks)[0]
     slots, L = slots
     num, den = slice_ratio(epsilon, delta, L)
     weights = [w for *_, w in slots]
@@ -286,13 +287,16 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     cost = walks * total * (budget.OBJECT_COST if dtype is object else 1)
     budget.charge("PRODUCT", f"slot product of {budget.count(total)} tuples, walked "
                   f"{budget.count(walks)} times,", cost)
-    J = np.empty(total, dtype=dtype)
     if not total:
-        return slots, shape, J
+        return slots, shape, np.empty(0, dtype=dtype)
     k = len(weights) - 1
     while k and math.prod(shape[k - 1:]) <= _PRODUCT_CHUNK:
         k -= 1
-    A, B = (_outer_sums(part, weights[0].dtype) for part in (weights[:k], weights[k:]))
+    B = _outer_sums(weights[k:])
+    if not k and total <= _PRODUCT_CHUNK:  # the whole product is one block
+        return slots, shape, slice_indices(B, s_max, num, den)
+    A = _outer_sums(weights[:k]) if k else np.zeros(1, dtype=B.dtype)
+    J = np.empty(total, dtype=dtype)
     rows, cols = max(1, _PRODUCT_CHUNK // len(B)), min(len(B), _PRODUCT_CHUNK)
     block = J.reshape(len(A), len(B))
     for r in range(0, len(A), rows):

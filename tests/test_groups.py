@@ -627,11 +627,15 @@ class TestSlotProductKernel:
         chunk = data.draw(st.integers(1, 40))
         L, epsilon, delta = data.draw(st.sampled_from([1, 7 * 10**20])), F(1, 12), F(1, 7)
         slots = [(np.arange(len(w)), np.arange(len(w)), w) for w in weights]
+        sums, slice_indices = [], groups.slice_indices
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
+            mp.setattr(groups, "slice_indices",
+                       lambda s, *args: (sums.append(s.size), slice_indices(s, *args))[1])
             _, shape, J = groups._slice_scan(None, None, epsilon, delta, slots=(slots, L))
         num, den = slice_ratio(epsilon, delta, L)
         total = math.prod(sizes)
+        assert max(sums, default=0) <= chunk and sum(sums) == total
         s_max = sum(int(w.max()) for w in weights) if total else 0
         idx = np.unravel_index(np.arange(total), sizes)
         gathered = groups.slice_indices(sum(w[i] for w, i in zip(weights, idx)), s_max, num, den)
