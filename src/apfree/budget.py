@@ -18,11 +18,11 @@ class BudgetError(RuntimeError):
 # charged before the batch is tested, so a trial over the budget refuses
 # the search at once.  The direct route streams its N rows once for
 # separation and once per trial.  An object-path point counts OBJECT_COST
-# times: a walk takes about 0.015 us an int64 tuple for a trial and 0.025
-# us for a winner, which decodes its pre-image, and 0.7 us an object one
-# (in-process, 2-vCPU host: a 64^4 product of 1.05e6 tuples and an object
-# one of 1.5e5), so an admitted build's walks take at most about 1.5 s,
-# and no CLI walk exceeds 2^23 tuples.
+# times: a walk takes about 0.013 us an int64 tuple for a trial and 0.02
+# us for a winner, which decodes its pre-image, and 0.65-1.0 us an object
+# one (in-process, 2-vCPU host: a 64^4 product of 1.05e6 tuples and an
+# object one of 1.5e5), so an admitted build's walks take at most about
+# 2 s, and no CLI walk exceeds 2^23 tuples.
 PRODUCT = 1 << 24
 OBJECT_COST = 8
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most

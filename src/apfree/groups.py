@@ -269,11 +269,11 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     it holds more) give B, the sums of their weights, and the leading
     pairs give A; J, as a (len(A), len(B)) array, is filled in blocks of at
     most _PRODUCT_CHUNK sums A[r] + B[c], whole rows of it or, when one
-    row is longer, parts of one row (B alone when it holds the whole
-    product).  ``slots``: the shift's (slots, L)
-    from a batch of ``_pair_slots`` over validated inputs, made here when
-    None.  The grids (when made here) and the product are charged to the
-    work budget for ``walks`` walks first."""
+    row is longer, parts of one row.  A product that B holds whole is one
+    block, sliced from B alone.  ``slots``: the shift's (slots, L) from a
+    batch of ``_pair_slots`` over validated inputs, made here when None.
+    The grids (when made here) and the product are charged to the work
+    budget for ``walks`` walks first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
         slots = _pair_slots(moduli, [tuple(map(Fraction, shift))], epsilon, delta, walks)[0]
