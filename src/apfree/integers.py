@@ -20,12 +20,14 @@ Two routes:
   first of them, and a trial shifts both without a multiply (the smaller
   of r and r - denom on r's unsigned view); later pairs are made, on int64
   with floor division in place of ``%``, only for the rows still kept.
-  The chunk's row offsets are int32 (they are below 2^18).  Trials go
-  through a chunk in stacks of at most _STACK_CELLS trials times rows: a
-  stack's first pairs are one (trials, rows) array, tested as one, and
-  its kept rows go on as one run of offsets per trial, each later
-  coordinate starting at its trial's own start.  A chunk of more than
-  2^14 rows is a stack of one trial, with one start per coordinate.
+  The chunk's row offsets are int32 (they are below 2^18), and every
+  compress of them is ``np.compress``, which numpy does several times
+  faster than a boolean index.  Trials go through a chunk in stacks of at
+  most _STACK_CELLS trials times rows: a stack's first pairs are one
+  (trials, rows) array, tested as one, and its kept cells go on as
+  (trial, offset) entries, the trial a small int, each later coordinate
+  starting at its entry's trial's start.  A chunk of more than 2^14 rows
+  is a stack of one trial, with one start per coordinate.
 
 Every root/logarithm comparison is done on integers (cross-multiplied
 powers); no floats are involved in any decision.
@@ -203,10 +205,10 @@ def _next_prime(k: int) -> int:
 _SCAN_CHUNK = 1 << 18  # rows per chunk of the stream
 # trials times rows of one stack of trials, one trial at least; at most
 # _SCAN_CHUNK, so a stack never holds more cells than a chunk.  16-trial
-# builds (2-vCPU host) took 20-60% less time at N = 1000-8000 than trial
-# by trial, and 4% more at N = 12000 (stacks of two); at 2^16 they took
-# 4-10% more than at 2^15 for N = 4000-12000, and 25-35% more for
-# N = 20000-30000, which 2^15 no longer stacks
+# builds (2-vCPU host) took 20-63% less time at N = 1000-8000 than trial
+# by trial, and the same within 1% at N = 12000-16000 (stacks of two); at
+# 2^16 they took 5-18% more than at 2^15 for N = 4000-16000, and 38-53%
+# more for N = 20000-30000, which 2^15 no longer stacks
 _STACK_CELLS = 1 << 15
 # directions tried: by the union bound one fails separation with
 # probability about 2^-n <= 1/4
@@ -266,7 +268,7 @@ def separated(b_nums: list[int], denom: int, lo: int, off, base, four_c: int) ->
     still close."""
     for i, b in enumerate(b_nums):
         r = row_coordinate(0, b, denom, lo, off) if i else base[0]
-        off = off[np.minimum(r, denom - r) <= denom // four_c]
+        off = np.compress(np.minimum(r, denom - r) <= denom // four_c, off)
     return not len(off)
 
 
@@ -280,22 +282,20 @@ def kept_slices(shifts: list[list[int]], b_nums: list[int], denom: int, lo: int,
     denom^2), as ``slice_indices``.  The first pair is the chunk's
     ``base_coordinates``, on ``first_pair_dtype``, shifted by a: for a
     stack of several shifts one (shifts, rows) array, tested as one.  Its
-    kept cells go on as entries in trial order, one run of offsets per
-    trial, with the runs' lengths; each later coordinate starts at its
-    trial's (a_i + lo*b_i) mod denom, repeated over the trial's run.  A
-    stack of one shift compresses its offsets alone, with one start per
-    coordinate."""
+    kept cells go on as (trial, offset) entries, in trial order, and each
+    later coordinate starts at its entry's trial's (a_i + lo*b_i) mod
+    denom.  A stack of one shift compresses its offsets alone, with one
+    start per coordinate."""
     pairs = range(0, len(b_nums), 2)
     s_max = 0 if epsilon is None else len(pairs) * weight_factor(epsilon) * denom * denom
     one = len(shifts) == 1
-    runs = None
 
     def coordinates(h):
-        """Pair h's coordinates of the kept entries (``off``, ``runs``)."""
+        """Pair h's coordinates of the kept entries (``off``, ``trial``)."""
         if one:
             return (row_coordinate(shifts[0][i], b_nums[i], denom, lo, off) for i in (h, h + 1))
-        return (_residue(off, b_nums[i], np.repeat([(a[i] + lo * b_nums[i]) % denom
-                                                    for a in shifts], runs), denom)
+        return (_residue(off, b_nums[i], np.array([(a[i] + lo * b_nums[i]) % denom
+                                                   for a in shifts])[trial], denom)
                 for i in (h, h + 1))
 
     for h in pairs:
@@ -308,13 +308,14 @@ def kept_slices(shifts: list[list[int]], b_nums: list[int], denom: int, lo: int,
                              [:, None], denom) for i in (0, 1))
         keep = (scaled_box(delta, denom, U, V) if epsilon is None
                 else scaled_in_block(epsilon, denom, U, V))
-        if one:
-            off = off[keep]
-        elif h:  # each run keeps the entries its part of keep marks
-            ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(runs)]
-            runs, off = np.diff(ends, prepend=0), off[keep]
-        else:
-            runs, off = np.count_nonzero(keep, axis=1), np.broadcast_to(off, keep.shape)[keep]
+        if not (h or one):  # the stack's cells as (trial, offset) entries
+            keep = keep.ravel()
+            trial = np.repeat(np.arange(len(shifts), dtype=np.min_scalar_type(len(shifts) - 1)),
+                              len(off))
+            off = np.tile(off, len(shifts))
+        if not one:
+            trial = np.compress(keep, trial)
+        off = np.compress(keep, off)
     s = np.zeros(len(off), dtype=gridscan.exact_dtype(s_max))
     if epsilon is not None:
         for h in pairs:
@@ -323,7 +324,7 @@ def kept_slices(shifts: list[list[int]], b_nums: list[int], denom: int, lo: int,
     t, J = off + np.int64(lo), slice_indices(s, s_max, num, den)
     if one:
         return [(t, J)]
-    cut = [0, *np.cumsum(runs).tolist()]
+    cut = [0, *np.cumsum(np.bincount(trial, minlength=len(shifts))).tolist()]
     return [(t[i:k], J[i:k]) for i, k in zip(cut, cut[1:])]
 
 
