@@ -28,10 +28,11 @@ OBJECT_COST = 8
 # fact-pair evaluations one sweep may make, bounded from Q alone: at most
 # Q^2 grid points, so Q^2 (Q^2 + 1) / 2 pairs per fact, plus the (2Q)^2
 # weight table.  check all at Q = 240 (6.6e9) is admitted; at eps 1/12 on
-# a 2-vCPU host it takes 1.3-1.4 s on one worker (0.7-0.8 s on two),
-# against 0.016-0.018 s at Q = 72 and 0.09 s at Q = 120.  The
-# first-coordinate facts are charged as pair walks too, although they are
-# counted by box queries in O(Q^2 + rows).
+# a 2-vCPU host it takes 0.41-0.49 s on one worker (0.37-0.40 s on two),
+# against 0.010-0.013 s at Q = 72 and 0.03-0.05 s at Q = 120, as the sweeps
+# walk only the band of pairs that can be flagged (about 130 times fewer
+# than this charge at Q = 240).  The first-coordinate facts are charged as
+# pair walks too, although they are counted by box queries in O(Q^2 + rows).
 SWEEP = 1 << 33
 # entries of the longest array one dense grid may hold: the density grid's
 # m^2 cells (counted by rows in O(m) memory, so this charge overstates it),

@@ -23,12 +23,12 @@ product holds at most _PRODUCT_CHUNK tuples (the last pair alone when it
 holds more) give B, the ``np.add.outer`` sums of their weights, and the
 leading pairs give A the same way; J, read as a (len(A), len(B)) array, is
 filled in blocks of at most _PRODUCT_CHUNK sums A[r] + B[c], whose slice
-indices are one floor division.  A search's trial reads only (j, count):
-it sorts J in place and takes its longest run of equal indices, the first
-such run holding the smallest j.  The winner is walked once more, on its
-trial's slots: ``np.unique`` counts its slices, ``J == j`` picks the
-pre-image's flat tuple indices, and unravelling them gives its residue
-tuples.  An explicit shift walks once, as a winner does.
+indices are one floor division.  ``slice_runs`` reads sorted indices as
+runs, the slice histogram, the first longest being the fullest slice.  A
+trial sorts J in place and reads only (j, count).  The winner is walked
+again, on its trial's slots: a sorted copy of J gives its histogram,
+``J == j`` its pre-image's flat tuple indices, and unravelling them its
+residue tuples.  An explicit shift walks once, as a winner does.
 
 A value runs in int64 only when a stated bound proves it stays at most
 2^62: region_factor * D or weight_factor * D^2 for a pair's grid, the
@@ -167,15 +167,16 @@ def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walk
 
 
 def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
-    """Per shift, ([(r1, r2, w), ...], L): per coordinate pair the residue
-    pairs in the region as index arrays (r1, r2), row-major, and their
-    weights w on the common scale L = lcm(D_h^2), int64 when the summed
-    weight maxima are at most 2^62.  The box (epsilon None) is a product
-    of intervals, so each coordinate is tested alone and every kept pair
-    weighs 0.  Each pair's grids are stacked over the shifts, each on its
-    own D, and tested and weighed a step of rows at a time, at most
-    _PRODUCT_CHUNK points a step, on object arrays when any shift needs
-    them.  Each pair's weights of all the shifts are then scaled by each
+    """Per shift, ([(r1, r2, w), ...], L, s_max): per coordinate pair the
+    residue pairs in the region as index arrays (r1, r2), row-major, and
+    their weights w on the common scale L = lcm(D_h^2), int64 when the
+    summed weight maxima are at most 2^62; s_max that sum, the walk's
+    bound, 0 when a pair has no slots.  The box (epsilon None) is a
+    product of intervals, so each coordinate is tested alone and every
+    kept pair weighs 0.  Each pair's grids are stacked over the shifts,
+    each on its own D, and tested and weighed a step of rows at a time, at
+    most _PRODUCT_CHUNK points a step, on object arrays when any shift
+    needs them.  Each pair's weights of all the shifts are then scaled by each
     shift's L / D^2 in one multiply and handed out as views, each cast to
     the dtype its own shift's bound picks.  Every shift's grids are
     charged before any is tested, so a shift over the budget refuses the
@@ -217,7 +218,7 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
         for t in range(T):
             pairs[t].append((r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]))
     if epsilon is None:  # box points weigh 0 on every scale
-        return list(zip(pairs, Ls))
+        return [(slots, L, 0) for slots, L in zip(pairs, Ls)]
     scales = [[L // (D * D) for D, *_ in grid] for grid, L in zip(grids, Ls)]
     # bounds every scaled weight, their sums, and each factor c (in-block
     # weights are positive, so max(w) * c >= c)
@@ -235,7 +236,8 @@ def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks
         w = w.astype(dtype, copy=False) * c
         for t in range(T):
             pairs[t][h] += (w[cut[t]:cut[t + 1]].astype(dtypes[t], copy=False),)
-    return list(zip(pairs, Ls))
+    return [(slots, L, bound if all(counts[t] for _, counts, _ in stacks) else 0)
+            for t, (slots, L, bound) in enumerate(zip(pairs, Ls, bounds))]
 
 
 def _slice_dtype(s_max: int, num: int, den: int):
@@ -270,19 +272,18 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     pairs give A; J, as a (len(A), len(B)) array, is filled in blocks of at
     most _PRODUCT_CHUNK sums A[r] + B[c], whole rows of it or, when one
     row is longer, parts of one row.  A product that B holds whole is one
-    block, sliced from B alone.  ``slots``: the shift's (slots, L) from a
-    batch of ``_pair_slots`` over validated inputs, made here when None.
+    block, sliced from B alone.  ``slots``: the shift's (slots, L, s_max)
+    from a ``_pair_slots`` batch over validated inputs, made here if None.
     The grids (when made here) and the product are charged to the work
     budget for ``walks`` walks first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
         slots = _pair_slots(moduli, [tuple(map(Fraction, shift))], epsilon, delta, walks)[0]
-    slots, L = slots
+    slots, L, s_max = slots
     num, den = slice_ratio(epsilon, delta, L)
     weights = [w for *_, w in slots]
     shape = tuple(map(len, weights))
     total = math.prod(shape)
-    s_max = sum(int(w.max()) for w in weights) if total else 0
     dtype = _slice_dtype(s_max, num, den)
     cost = walks * total * (budget.OBJECT_COST if dtype is object else 1)
     budget.charge("PRODUCT", f"slot product of {budget.count(total)} tuples, walked "
@@ -306,52 +307,42 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     return slots, shape, J
 
 
-def pick_slice(J, j: int | None = None):
-    """(j, count, histogram, hit) over the slice indices J: j is the fullest
-    slice, ties to the smallest index and 0 when J is empty, unless j is
-    given; count how often it occurs; histogram the (values, counts)
-    arrays of the distinct indices in increasing order; hit the positions
-    of J in slice j."""
-    values, counts = np.unique(J, return_counts=True)
-    if j is None:
-        j = int(values[np.argmax(counts)]) if len(values) else 0
-    hit = np.flatnonzero(J == j)
-    return j, len(hit), (values, counts), hit
-
-
-def fullest_slice(J):
-    """(j, count) of ``pick_slice``'s fullest slice, from J sorted in place:
-    the lengths of its runs of equal indices, the first longest one
-    holding the smallest j."""
-    if not len(J):
-        return 0, 0
-    J.sort()
-    ends = np.flatnonzero(np.concatenate((J[1:] != J[:-1], [True])))
-    runs = ends.copy()
-    runs[1:] -= ends[:-1]
-    runs[0] += 1
-    k = int(np.argmax(runs))
-    return int(J[ends[k]]), int(runs[k])
+def slice_runs(S):
+    """(j, count, (values, counts)) of the sorted slice indices S, read as
+    runs of equal indices: values and counts the histogram that
+    ``np.unique(S, return_counts=True)`` gives, and j and count the first
+    longest run, the fullest slice with ties to the smallest index; (0, 0)
+    when S is empty."""
+    if not len(S):
+        return 0, 0, (S, np.zeros(0, dtype=np.intp))
+    edges = np.flatnonzero(np.concatenate(([True], S[1:] != S[:-1], [True])))
+    counts = edges[1:] - edges[:-1]
+    k = int(np.argmax(counts))
+    return int(S[edges[k]]), int(counts[k]), (S[edges[:-1]], counts)
 
 
 def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
                j: int | None = None, slots=None, pre_image: bool = True):
     """(j, count, histogram, elements) of one walk over the tuples in the
-    region (the box when epsilon is None): j, count and the histogram as in
-    ``pick_slice``, and elements the residue tuples in slice j, in product
+    region (the box when epsilon is None): j the fullest slice of
+    ``slice_runs`` unless given, count its tuples, the histogram that of
+    ``slice_runs``, and elements the residue tuples in slice j, in product
     order.  A pre-image is progression-free whenever delta <= 1/max(m).
     ``walks``: how many walks like this one the caller's build makes, for
     the work budget; ``slots``: the shift's slots from a batch of
     ``_pair_slots``, as ``_slice_scan`` takes them; ``pre_image`` False,
-    for a search's trial: only (j, count) of ``fullest_slice``, and the
+    for a search's trial: only (j, count), from J sorted in place, and the
     histogram and elements are None."""
     slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks, slots)
     if not pre_image:
-        return (*fullest_slice(J), None, None)
-    j, count, histogram, hit = pick_slice(J, j)
+        J.sort()
+        return (*slice_runs(J)[:2], None, None)
+    fullest, _, histogram = slice_runs(np.sort(J))
+    j = fullest if j is None else j
+    hit = np.flatnonzero(J == j)
     idx = np.unravel_index(hit, shape)
     columns = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
-    return j, count, histogram, list(zip(*columns))
+    return j, len(hit), histogram, list(zip(*columns))
 
 
 # the most slices whose histogram a provenance lists, to keep sidecars

@@ -13,6 +13,8 @@ Two routes:
   over one prime denominator: one stream of rows per direction checks
   separation (``separated``) and keeps, weighs and slices each trial's rows
   pair by pair (``kept_slices``, the group kernel's exact slice step).
+  Each trial's fullest slice is read from its sorted slice indices by the
+  group kernel's ``slice_runs``; only the winner's rows are matched to it.
   Each chunk of rows makes its first pair's coordinates t*b mod 1 once
   (``base_coordinates``), on int32 when region_factor * denom < 2^31
   (``first_pair_dtype``), which bounds every value that separation and a
@@ -44,8 +46,8 @@ from . import budget, gridscan
 from .dsets import DiscreteSet
 from .gridscan import (INT64_SAFE, region_factor, scaled_box, scaled_in_block, scaled_weight,
                        weight_factor)
-from .groups import (BuildOptions, build_group_set, is_prime, pick_slice, region_epsilon,
-                     slice_indices, slice_ratio, trial_rng)
+from .groups import (BuildOptions, build_group_set, is_prime, region_epsilon, slice_indices,
+                     slice_ratio, slice_runs, trial_rng)
 from .rational import rat_str
 
 # rate constant reported with integer-route provenance:
@@ -397,12 +399,12 @@ def build_integer_set_direct(N: int, n: int | None = None,
                                  f"attempts (N={N}, n={n})")
     picks = []
     for a_nums, (t, J) in zip(shifts, kept):
-        j, count, _, hit = pick_slice(J)
-        picks.append(((-count, a_nums, j), t, hit))
+        j, count, _ = slice_runs(np.sort(J))
+        picks.append(((-count, a_nums, j), t, J))
     # the fullest slice of all trials, ties to the smallest shift; only the
-    # winner's rows are decoded
-    (_, a_nums, j), t, hit = min(picks, key=lambda pick: pick[0])
-    elements = t[hit].tolist()
+    # winner's rows are matched and decoded
+    (_, a_nums, j), t, J = min(picks, key=lambda pick: pick[0])
+    elements = np.compress(J == j, t).tolist()
     prov = {
         "construction": "int-direct",
         "bound": N,

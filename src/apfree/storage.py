@@ -152,6 +152,8 @@ def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> Di
         kind, provenance = meta["kind"], meta.get("provenance", {})
         if kind not in ("group", "integer"):
             raise TypeError(f'kind must be "group" or "integer", got {json.dumps(kind)}')
+        if type(provenance) is not dict:
+            raise TypeError(f"provenance must be a JSON object, got {json.dumps(provenance)}")
         # a sidecar written with the set names its size; hand-written ones may not
         if "size" in meta and _json_int(meta["size"], "size") != len(lines):
             raise ValueError(f"{set_path} has {len(lines)} element lines, but its sidecar "

@@ -794,6 +794,17 @@ class TestVerifyCommand:
         assert err == (f"error: malformed set/sidecar at {tmp_path / 'k.set'}: kind must be "
                        f'"group" or "integer", got {json.dumps(kind)}\n')
 
+    @pytest.mark.parametrize("provenance", [[1], "x", None, 7])
+    def test_exit_code_two_on_non_object_provenance(self, capsys, tmp_path, provenance):
+        # these once ended in an AttributeError traceback and exit 1
+        (tmp_path / "p.set").write_text("1\n2\n4\n")
+        (tmp_path / "p.json").write_text(json.dumps({"kind": "integer", "bound": 10,
+                                                     "provenance": provenance}))
+        code, out, err = run(capsys, "verify", "--set", str(tmp_path / "p.set"))
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed set/sidecar at {tmp_path / 'p.set'}: provenance must "
+                       f"be a JSON object, got {json.dumps(provenance)}\n")
+
     def test_exit_code_two_on_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "nope.set"))
         assert code == 2

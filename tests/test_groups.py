@@ -21,11 +21,11 @@ from apfree.groups import (
     build_fpn_set,
     build_group_set,
     fiber_reduce,
-    pick_slice,
     region_epsilon,
     sample_shift,
     search_shift,
     slice_ratio,
+    slice_runs,
 )
 from apfree.dsets import DiscreteSet
 from apfree.integers import build_integer_set
@@ -47,7 +47,7 @@ def hist_dict(histogram):
 
 
 def pair_slots(moduli, shift, epsilon, delta):
-    """The (slots, L) of one shift, from a batch of one."""
+    """The (slots, L, s_max) of one shift, from a batch of one."""
     return groups._pair_slots(moduli, [shift], epsilon, delta)[0]
 
 
@@ -170,21 +170,51 @@ class TestSlicePreimage:
 
 class TestPickSlice:
     def test_fullest_ties_to_smallest(self):
-        J = np.array([7, 3, 7, 3, 9])
-        j, count, (values, counts), hit = pick_slice(J)
-        assert (j, count, values.tolist(), counts.tolist(), hit.tolist()) == (
-            3, 2, [3, 7, 9], [2, 2, 1], [1, 3])
+        j, count, (values, counts) = slice_runs(np.sort(np.array([7, 3, 7, 3, 9])))
+        assert (j, count, values.tolist(), counts.tolist()) == (3, 2, [3, 7, 9], [2, 2, 1])
         assert type(j) is int and type(count) is int
 
-    def test_given_slice(self):
+    def test_given_slice(self, monkeypatch):
+        """best_slice matches J == j once, on J in product order: the
+        fullest slice unless j is given, an empty slice included; the
+        histogram is always the whole walk's."""
         J = np.array([7, 3, 7, 3, 9])
-        assert pick_slice(J, 9)[:2] == (9, 1) and pick_slice(J, 9)[3].tolist() == [4]
-        assert pick_slice(J, 4)[:2] == (4, 0)
+        slots = [(np.arange(5), np.arange(5) * 10, np.zeros(5, dtype=np.int64))]
+        monkeypatch.setattr(groups, "_slice_scan", lambda *args: (slots, (5,), J.copy()))
+        for j, expected in [(None, (3, 2, [(1, 10), (3, 30)])), (9, (9, 1, [(4, 40)])),
+                            (4, (4, 0, []))]:
+            got_j, count, histogram, elements = best_slice(None, None, None, None, j=j)
+            assert (got_j, count, elements) == expected
+            assert hist_dict(histogram) == {3: 2, 7: 2, 9: 1}
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_empty(self, dtype):
-        j, count, (values, counts), hit = pick_slice(np.zeros(0, dtype=dtype))
-        assert (j, count, len(values), len(counts), len(hit)) == (0, 0, 0, 0, 0)
+        j, count, (values, counts) = slice_runs(np.zeros(0, dtype=dtype))
+        assert (j, count, len(values), len(counts)) == (0, 0, 0, 0)
+        unique = np.unique(np.zeros(0, dtype=dtype), return_counts=True)
+        assert (values.dtype, counts.dtype) == (unique[0].dtype, unique[1].dtype)
+
+    @given(st.sampled_from([np.int64, object]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_are_np_unique_and_the_loop(self, dtype, data):
+        """slice_runs of sorted J is np.unique's histogram, values and
+        counts with their dtypes, and its (j, count) the fullest slice of a
+        plain loop, ties to the smallest index: empty J, one value, runs of
+        equal length, and object indices past 2^63 among them."""
+        top = 3 if dtype is np.int64 else data.draw(st.sampled_from([3, 1 << 70]))
+        values = data.draw(st.lists(st.integers(-top, top), max_size=30)
+                           | st.lists(st.just(top), min_size=1, max_size=3))
+        J = np.array(values, dtype=dtype)
+        j, count, (runs, counts) = slice_runs(np.sort(J))
+        unique, unique_counts = np.unique(J, return_counts=True)
+        assert (runs.dtype, counts.dtype) == (unique.dtype, unique_counts.dtype)
+        assert (runs.tolist(), counts.tolist()) == (unique.tolist(), unique_counts.tolist())
+        tally = {}
+        for v in values:
+            tally[v] = tally.get(v, 0) + 1
+        best = min(tally, key=lambda v: (-tally[v], v), default=0)
+        assert (j, count) == (best, tally.get(best, 0))
+        assert type(j) is int and type(count) is int
 
 
 def fraction_slices(moduli, shift, epsilon, delta):
@@ -626,30 +656,23 @@ class TestSlotProductKernel:
                             dtype=object if obj else np.int64) for k in sizes]
         chunk = data.draw(st.integers(1, 40))
         L, epsilon, delta = data.draw(st.sampled_from([1, 7 * 10**20])), F(1, 12), F(1, 7)
+        total = math.prod(sizes)
+        s_max = sum(int(w.max()) for w in weights) if total else 0
         slots = [(np.arange(len(w)), np.arange(len(w)), w) for w in weights]
         sums, slice_indices = [], groups.slice_indices
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
             mp.setattr(groups, "slice_indices",
                        lambda s, *args: (sums.append(s.size), slice_indices(s, *args))[1])
-            _, shape, J = groups._slice_scan(None, None, epsilon, delta, slots=(slots, L))
+            _, shape, J = groups._slice_scan(None, None, epsilon, delta,
+                                             slots=(slots, L, s_max))
         num, den = slice_ratio(epsilon, delta, L)
-        total = math.prod(sizes)
         assert max(sums, default=0) <= chunk and sum(sums) == total
-        s_max = sum(int(w.max()) for w in weights) if total else 0
         idx = np.unravel_index(np.arange(total), sizes)
         gathered = groups.slice_indices(sum(w[i] for w, i in zip(weights, idx)), s_max, num, den)
         assert shape == tuple(sizes) and J.dtype == gathered.dtype
         assert J.tolist() == gathered.tolist()
         assert J.tolist() == [num * sum(c) // den for c in product(*(w.tolist() for w in weights))]
-
-    @given(st.lists(st.integers(-3, 3), max_size=30), st.sampled_from([np.int64, object]))
-    @settings(max_examples=60, deadline=None)
-    def test_trial_pick_is_pick_slice(self, values, dtype):
-        """fullest_slice, which sorts J in place, picks pick_slice's slice
-        and count: ties go to the smallest index, and an empty J is (0, 0)."""
-        J = np.array(values, dtype=dtype)
-        assert groups.fullest_slice(J.copy()) == pick_slice(J)[:2]
 
     @pytest.mark.parametrize("epsilon", [None, F(1, 12), F(1, 4)])
     def test_object_path_past_int64(self, epsilon):
@@ -659,11 +682,12 @@ class TestSlotProductKernel:
         shift = (F(1, 10**18 + 9), F(-5 * 10**17, 10**18 + 7), F(1, 3), F(5, 16 * 8))
         if epsilon is None:
             moduli, shift = moduli[:2], shift[:2]
-        slots, L = pair_slots(moduli, shift, epsilon, delta)
+        slots, L, s_max = pair_slots(moduli, shift, epsilon, delta)
         assert L > 1 << 62
+        assert s_max == sum(int(w.max()) for *_, w in slots)
         if epsilon is not None:
             assert slots[0][2].dtype == object
-            assert sum(int(w.max()) for *_, w in slots) > 1 << 62
+            assert s_max > 1 << 62
         assert groups._slice_scan(moduli, shift, epsilon, delta)[2].dtype == object
         assert_kernel_matches_reference(moduli, shift, epsilon, delta)
 
@@ -671,7 +695,8 @@ class TestSlotProductKernel:
         """A tiny delta puts num past 2^62 while every box weight is 0: the
         division runs on Python ints instead of overflowing int64."""
         moduli, shift, delta = (4, 4), (0, 0), F(1, 10**13)
-        slots, L = pair_slots(moduli, shift, None, delta)
+        slots, L, s_max = pair_slots(moduli, shift, None, delta)
+        assert s_max == 0
         num, den = slice_ratio(None, delta, L)
         assert num > 1 << 62 and groups._slice_dtype(0, num, den) is object
         j, count, histogram, elements = best_slice(moduli, shift, None, delta)
@@ -682,8 +707,9 @@ class TestSlotProductKernel:
     def test_int64_path_on_grid_shifts(self):
         moduli, epsilon, delta = (16, 16, 16, 16), F(1, 12), F(1, 16)
         shift = sample_shift(trial_rng(1, "shift", 0), moduli)
-        slots, _ = pair_slots(moduli, shift, epsilon, delta)
+        slots, _, s_max = pair_slots(moduli, shift, epsilon, delta)
         assert all(w.dtype == np.int64 for *_, w in slots)
+        assert s_max == sum(int(w.max()) for *_, w in slots) <= 1 << 62
         assert groups._slice_scan(moduli, shift, epsilon, delta)[2].dtype == np.int64
         assert_kernel_matches_reference(moduli, shift, epsilon, delta)
 
@@ -715,21 +741,24 @@ def batch_instances(draw):
 
 def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None):
     """Each shift's slots from one batch equal its slots from a batch of
-    one and the reference's: r1, r2, w, L and the dtype of w."""
+    one and the reference's: r1, r2, w, L, the dtype of w and s_max, the
+    sum of the pairs' weight maxima (0 when a pair has no slots)."""
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
         batch = groups._pair_slots(moduli, shifts, epsilon, delta)
     assert len(batch) == len(shifts)
-    for shift, (slots, L) in zip(shifts, batch):
-        alone, alone_L = pair_slots(moduli, shift, epsilon, delta)
-        assert L == alone_L
+    for shift, (slots, L, s_max) in zip(shifts, batch):
+        alone, alone_L, alone_s_max = pair_slots(moduli, shift, epsilon, delta)
+        assert (L, s_max) == (alone_L, alone_s_max)
         for (r1, r2, w), (a1, a2, aw) in zip(slots, alone, strict=True):
             assert w.dtype == aw.dtype
             assert (r1.tolist(), r2.tolist(), w.tolist()) == (a1.tolist(), a2.tolist(), aw.tolist())
         reference, reference_L = reference_slots(moduli, shift, epsilon, delta)
         assert L == reference_L
         assert [list(zip(zip(r1.tolist(), r2.tolist()), w.tolist())) for r1, r2, w in slots] == reference
+        maxima = [max(w for _, w in pair) for pair in reference if pair]
+        assert s_max == (sum(maxima) if len(maxima) == len(reference) else 0)
 
 
 class TestBatchedSlots:
@@ -750,10 +779,34 @@ class TestBatchedSlots:
         grids = [math.lcm(12, 10, *(a.denominator for a in shift[:2])) for shift in shifts]
         assert grids[0] != grids[2] and grids[1] > 1 << 63
         batch = groups._pair_slots(moduli, shifts, epsilon, delta)
-        dtypes = [w.dtype for slots, _ in batch for *_, w in slots]
+        dtypes = [w.dtype for slots, *_ in batch for *_, w in slots]
         assert dtypes == ([np.int64] * 3 if epsilon is None else
                           [np.int64, np.int64, object, object, np.int64, np.int64])
         assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=25)
+
+    # a shift whose first pair has no slots on moduli (2, 2, 12, 10)
+    EMPTY_FIRST = (F(5, 24), F(23, 48))
+
+    @pytest.mark.parametrize("kinds", ["int64", "object", "mixed"])
+    def test_each_shift_gets_its_weight_bound(self, kinds):
+        """Each shift of a batch is handed s_max, the sum over its pairs of
+        the largest scaled weight, which the walk takes as its bound: on
+        int64 weights, on object weights past 2^62, and on a batch of both;
+        0 for a shift with a pair that has no slots."""
+        moduli, epsilon, delta = (2, 2, 12, 10), F(1, 12), F(1, 12)
+        int64 = [(F(1, 24),) * 4, (F(1, 7), F(3, 7), F(5, 7), F(-2, 7)),
+                 self.EMPTY_FIRST + (F(1, 24),) * 2]
+        huge = [(F(1, 24),) * 2 + HUGE, (F(1, 3), F(5, 128)) + HUGE, self.EMPTY_FIRST + HUGE]
+        shifts = {"int64": int64, "object": huge, "mixed": int64[:2] + huge[1:]}[kinds]
+        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
+        bounds = [s_max for *_, s_max in batch]
+        sums = [sum(int(w.max()) for *_, w in slots) if all(len(w) for *_, w in slots) else 0
+                for slots, *_ in batch]
+        assert bounds == sums and bounds[-1] == 0 and all(bounds[:-1])
+        past = [bound > 1 << 62 for bound in bounds[:-1]]
+        assert past == {"int64": [False] * 2, "object": [True] * 2,
+                        "mixed": [False, False, True]}[kinds]
+        assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta)
 
     @pytest.mark.parametrize("chunk, sizes", [(None, [5]), (144, [2, 2, 1]), (1, [1] * 5)])
     def test_search_tests_its_grids_once(self, monkeypatch, chunk, sizes):
