@@ -16,6 +16,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 from .baselines import behrend_set, halfbox_set
 from .blocks import BuildingBlock, PIECE_LABELS
@@ -24,7 +25,7 @@ from .dsets import DiscreteSet
 from .groups import BuildOptions, build_fpn_set, build_group_set
 from .integers import ParameterError, build_integer_set, build_integer_set_direct
 from .rational import decimal_str, parse_point, parse_rational, rat_str
-from .storage import dump_json, read_set, write_set
+from .storage import dump_json, read_set, replace_text, write_set
 from .verify import SWEEP_SUBJECTS, area_oracle, check_sweeps, density_estimate
 
 
@@ -197,8 +198,7 @@ def cmd_compare(args) -> int:
     text = buf.getvalue()
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        replace_text(Path(args.out), text)
     return 0 if ok else 1
 
 

@@ -12,11 +12,17 @@ slice index, then the lexicographically smallest shift.
 
 Each pair's grid is tested and weighed as arrays, giving the shift's
 slots.  ``_pair_slots`` does this for a batch of shifts at once: the
-grids of one coordinate pair for every shift are stacked, each on its own
-D passed as a broadcast array, and tested in steps of at most
-_PRODUCT_CHUNK points.  A search makes one batch of all its trials, or
-several when their grids hold more points than that, so each trial's grids
-are tested once; an explicit shift is a batch of one.
+grids of all the coordinate pairs of one shape for every shift are
+stacked, each on its own D passed as a broadcast array, and tested in
+steps of at most _PRODUCT_CHUNK points.  It hands out a SlotBatch: per
+pair, the arrays (trial, r1, r2, w) of all the shifts with the cuts of
+each shift's part, and no per-shift list; a walk slices its shift's
+weights from them, and only a winner its residues.  A search makes one
+batch of all its trials, or several when their grids hold more points
+than that, so each trial's grids are tested once; an explicit shift is a
+batch of one.  A search carries each shift as its integer numerators over
+the grid's denominators SHIFT_GRID_LEVEL * m_i, and makes Fractions only
+of its winner.
 One walk of the slots' product then gives J, the slice index of every
 tuple in the order of ``itertools.product``.  The trailing pairs whose
 product holds at most _PRODUCT_CHUNK tuples (the last pair alone when it
@@ -36,9 +42,9 @@ summed weight maxima for the sums, num times that (num alone when all are
 0) and den for the slice division.  Otherwise the same code runs on
 object arrays of Python ints; no float is used.  A stack in which any
 shift needs object arrays runs on them.  A pair's weights of the whole
-batch are scaled by each shift's L / D^2 in one multiply, and each shift's
-part is cast to the dtype its own bound picks, so no dtype depends on the
-batch.
+batch are scaled by each shift's L / D^2 in one multiply, and a walk
+casts its shift's part to the dtype its own bound picks, so no dtype
+depends on the batch.
 Each shift's pair grids, in one charge, and each walk's product, times
 the walks the build makes, are charged to budget.PRODUCT before they are
 tested or walked (object-path points count budget.OBJECT_COST times).
@@ -84,10 +90,10 @@ def check_moduli(moduli) -> tuple[int, ...]:
     return moduli
 
 
-def sample_shift(rng: random.Random, moduli) -> tuple[Fraction, ...]:
-    """One shift with a_i uniform on the grid {k/(SHIFT_GRID_LEVEL*m_i)}."""
-    return tuple(Fraction(rng.randrange(SHIFT_GRID_LEVEL * m), SHIFT_GRID_LEVEL * m)
-                 for m in moduli)
+def sample_numerators(rng: random.Random, moduli) -> tuple[int, ...]:
+    """One shift on the grid {k/(SHIFT_GRID_LEVEL*m_i)}, as its numerators
+    k_i, each uniform on [0, SHIFT_GRID_LEVEL*m_i)."""
+    return tuple(rng.randrange(SHIFT_GRID_LEVEL * m) for m in moduli)
 
 
 def trial_rng(seed: int, stream: str, index: int) -> random.Random:
@@ -143,101 +149,144 @@ def _walk_inputs(moduli, epsilon: Fraction | None, delta):
     return moduli, epsilon, delta
 
 
-def _charge_grids(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int):
-    """[(D, dtype, b1, b2)] per coordinate pair of one shift: the pair's
-    grid D = lcm(m1, m2, den(a1), den(a2)), the dtype its arithmetic needs
-    (int64 when region_factor * D, box, or weight_factor * D^2, block, is
-    at most 2^62) and the shift's numerators over D.  The points of all
-    the shift's grids are charged to the work budget in one charge, for
-    ``walks`` walks.  The shift's coordinates are Fractions or ints."""
+def _charge_grids(moduli, nums, dens, epsilon: Fraction | None, delta: Fraction, walks: int):
+    """[(D, dtype, b1, b2)] per coordinate pair of one shift a_i = nums[i] /
+    dens[i]: the pair's grid D = lcm(m1, m2, den(a1), den(a2)), den the
+    reduced denominator, the dtype its arithmetic needs (int64 when
+    region_factor * D, box, or weight_factor * D^2, block, is at most
+    2^62) and the shift's numerators over D.  The points of all the
+    shift's grids are charged to the work budget in one charge, for
+    ``walks`` walks."""
     factor = region_factor(epsilon, delta) if epsilon is None else weight_factor(epsilon)
     grids, points = [], 0
     for h in range(len(moduli) // 2):
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
-        a1, a2 = shift[2 * h], shift[2 * h + 1]
-        D = math.lcm(m1, m2, a1.denominator, a2.denominator)
+        n1, n2, d1, d2 = nums[2 * h], nums[2 * h + 1], dens[2 * h], dens[2 * h + 1]
+        D = math.lcm(m1, m2, d1 // math.gcd(n1, d1), d2 // math.gcd(n2, d2))
         dtype = gridscan.exact_dtype(factor * D if epsilon is None else factor * D * D)
         grid = m1 + m2 if epsilon is None else m1 * m2
         points += grid * (budget.OBJECT_COST if dtype is object else 1)
-        grids.append((D, dtype, a1.numerator * (D // a1.denominator) % D,
-                      a2.numerator * (D // a2.denominator) % D))
+        grids.append((D, dtype, n1 * D // d1 % D, n2 * D // d2 % D))
     budget.charge("PRODUCT", f"{len(grids)} pair grids of a shift, {budget.count(points)} "
                   f"points, walked {budget.count(walks)} times,", walks * points)
     return grids
 
 
-def _pair_slots(moduli, shifts, epsilon: Fraction | None, delta: Fraction, walks: int = 1):
-    """Per shift, ([(r1, r2, w), ...], L, s_max): per coordinate pair the
-    residue pairs in the region as index arrays (r1, r2), row-major, and
-    their weights w on the common scale L = lcm(D_h^2), int64 when the
-    summed weight maxima are at most 2^62; s_max that sum, the walk's
-    bound, 0 when a pair has no slots.  The box (epsilon None) is a
-    product of intervals, so each coordinate is tested alone and every
-    kept pair weighs 0.  Each pair's grids are stacked over the shifts,
-    each on its own D, and tested and weighed a step of rows at a time, at
-    most _PRODUCT_CHUNK points a step, on object arrays when any shift
-    needs them.  Each pair's weights of all the shifts are then scaled by each
-    shift's L / D^2 in one multiply and handed out as views, each cast to
-    the dtype its own shift's bound picks.  Every shift's grids are
-    charged before any is tested, so a shift over the budget refuses the
-    batch at once."""
-    grids = [_charge_grids(moduli, shift, epsilon, delta, walks) for shift in shifts]
+@dataclass(eq=False)
+class SlotBatch:
+    """The pair slots of a batch of T shifts, as arrays.  Per coordinate
+    pair, ``pairs`` holds (trial, r1, r2, w, cut): every shift's residue
+    pairs in the region as index arrays (r1, r2), trial-major and
+    row-major within a trial, the trial of each, and its weight on its
+    shift's common scale L = lcm(D_h^2) in the dtype the batch needs;
+    shift t's part is [cut[t], cut[t + 1]).  Per shift, ``Ls`` holds its
+    L, ``bounds`` its s_max, the sum of its pairs' largest weights (0 when
+    a pair has no slots), and ``dtypes`` the dtype that bound picks for
+    its weights, int64 when it is at most 2^62."""
+    pairs: list
+    Ls: list
+    bounds: list
+    dtypes: list
+
+    def weights(self, t: int):
+        """Shift t's weights per pair, cast to its own dtype, so no dtype
+        depends on the batch."""
+        return [w[cut[t]:cut[t + 1]].astype(self.dtypes[t], copy=False)
+                for *_, w, cut in self.pairs]
+
+    def residues(self, t: int):
+        """Shift t's (r1, r2) per pair."""
+        return [(r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]) for _, r1, r2, _, cut in self.pairs]
+
+
+def _box_slots(in1, in2):
+    """(trial, r1, r2) of the box slots of a batch: for each shift t, every
+    pair of a kept first coordinate (in1[t], of shape (T, m1)) and a kept
+    second one (in2[t]), row-major."""
+    t1, k1 = np.nonzero(in1)
+    t2, k2 = np.nonzero(in2)
+    columns = np.bincount(t2, minlength=len(in1))
+    reps = columns[t1]
+    trial, r1 = np.repeat(t1, reps), np.repeat(k1, reps)
+    # the run of slot k of the product starts at k - offset in k2
+    first = np.cumsum(columns) - columns
+    offset = np.repeat(np.cumsum(reps) - reps - first[t1], reps)
+    return trial, r1, k2[np.arange(len(trial)) - offset]
+
+
+def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delta: Fraction,
+                walks: int = 1) -> SlotBatch:
+    """The SlotBatch of the shifts a_i = nums[i] / denominators[i], one for
+    each nums of ``numerators``.  The box (epsilon None) is a product of
+    intervals, so each coordinate is tested alone and every kept pair
+    weighs 0.  The grids of all the pairs of one shape (m1, m2) are
+    stacked over the shifts, each on its own D, and tested and weighed a
+    step of rows at a time, at most _PRODUCT_CHUNK points a step, on
+    object arrays when any of them needs them.  A stack's weights are
+    then scaled by each shift's L / D^2 in one multiply, and each pair's
+    arrays are views of its stack.  Every shift's grids are charged before
+    any is tested, so a shift over the budget refuses the batch at once."""
+    grids = [_charge_grids(moduli, nums, denominators, epsilon, delta, walks)
+             for nums in numerators]
     T = len(grids)
     Ls = [math.lcm(*(D * D for D, *_ in grid)) for grid in grids]
-    pairs = [[] for _ in range(T)]
-    stacks = []
-    for h, (m1, m2) in enumerate(zip(moduli[::2], moduli[1::2])):
-        D, dtypes, b1, b2 = zip(*(g[h] for g in grids))
+    shapes = {}
+    for h, shape in enumerate(zip(moduli[::2], moduli[1::2])):
+        shapes.setdefault(shape, []).append(h)
+    # a stack's row p * T + t is the grid of its p-th pair for shift t
+    stacks, ws = [], []
+    for (m1, m2), hs in shapes.items():
+        D, dtypes, b1, b2 = zip(*(grid[h] for h in hs for grid in grids))
         dtype = object if object in dtypes else np.int64
         D, b1, b2 = (np.array(x, dtype=dtype)[:, None] for x in (D, b1, b2))
         us = (b1 + np.arange(m1, dtype=dtype) * (D // m1)) % D
         vs = (b2 + np.arange(m2, dtype=dtype) * (D // m2)) % D
         if epsilon is None:
-            in1, in2 = scaled_below(delta, D, us), scaled_below(delta, D, vs)
-            for t in range(T):
-                k1, k2 = np.flatnonzero(in1[t]), np.flatnonzero(in2[t])
-                pairs[t].append((np.repeat(k1, len(k2)), np.tile(k2, len(k1)),
-                                 np.zeros(len(k1) * len(k2), dtype=np.int64)))
-            continue
-        # the rows (t, i) of the (T, m1, m2) stack, each on its shift's D,
-        # in steps of at most _PRODUCT_CHUNK points, one row at least
-        step = max(1, _PRODUCT_CHUNK // m2)
-        trial, r1, r2, w = [], [], [], []
-        for lo in range(0, T * m1, step):
-            t, i = np.divmod(np.arange(lo, min(lo + step, T * m1)), m1)
-            row, k = np.nonzero(scaled_in_block(epsilon, D[t], us[t, i, None], vs[t]))
-            t, i = t[row], i[row]
-            trial.append(t)
-            r1.append(i)
-            r2.append(k)
-            w.append(scaled_weight(epsilon, D[t, 0], us[t, i], vs[t, k]))
-        trial, r1, r2, w = (np.concatenate(x) for x in (trial, r1, r2, w))
-        counts = np.bincount(trial, minlength=T)
-        cut = [0, *np.cumsum(counts).tolist()]
-        stacks.append((w, counts, cut))
-        for t in range(T):
-            pairs[t].append((r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]))
-    if epsilon is None:  # box points weigh 0 on every scale
-        return [(slots, L, 0) for slots, L in zip(pairs, Ls)]
-    scales = [[L // (D * D) for D, *_ in grid] for grid, L in zip(grids, Ls)]
-    # bounds every scaled weight, their sums, and each factor c (in-block
-    # weights are positive, so max(w) * c >= c)
-    bounds = [0] * T
-    for h, (w, counts, cut) in enumerate(stacks):
-        full = np.flatnonzero(counts)
-        maxima = np.maximum.reduceat(w, np.array(cut)[full]).tolist() if len(full) else []
-        top = dict(zip(full.tolist(), maxima))
-        for t in range(T):
-            bounds[t] += top.get(t, 1) * scales[t][h]
-    dtypes = [gridscan.exact_dtype(bound) for bound in bounds]
-    dtype = object if object in dtypes else np.int64
-    for h, (w, counts, cut) in enumerate(stacks):
-        c = np.repeat(np.array([scale[h] for scale in scales], dtype=dtype), counts)
-        w = w.astype(dtype, copy=False) * c
-        for t in range(T):
-            pairs[t][h] += (w[cut[t]:cut[t + 1]].astype(dtypes[t], copy=False),)
-    return [(slots, L, bound if all(counts[t] for _, counts, _ in stacks) else 0)
-            for t, (slots, L, bound) in enumerate(zip(pairs, Ls, bounds))]
+            row, r1, r2 = _box_slots(scaled_below(delta, D, us), scaled_below(delta, D, vs))
+            w = np.zeros(len(row), dtype=np.int64)
+        else:
+            # the grid rows (row, i) of the stack, in steps of at most
+            # _PRODUCT_CHUNK points, one grid row at least
+            step = max(1, _PRODUCT_CHUNK // m2)
+            row, r1, r2, w = [], [], [], []
+            for lo in range(0, len(D) * m1, step):
+                g, i = np.divmod(np.arange(lo, min(lo + step, len(D) * m1)), m1)
+                hit, k = np.nonzero(scaled_in_block(epsilon, D[g], us[g, i, None], vs[g]))
+                g, i = g[hit], i[hit]
+                row.append(g)
+                r1.append(i)
+                r2.append(k)
+                w.append(scaled_weight(epsilon, D[g, 0], us[g, i], vs[g, k]))
+            row, r1, r2, w = (np.concatenate(x) for x in (row, r1, r2, w))
+        stacks.append((hs, row, r1, r2, np.bincount(row, minlength=len(D))))
+        ws.append(w)
+    bounds, dtypes = [0] * T, [np.int64] * T
+    if epsilon is not None:  # box points weigh 0 on every scale
+        scales = [[L // (D * D) for D, *_ in grid] for grid, L in zip(grids, Ls)]
+        # bounds every scaled weight, their sums, and each factor c (in-block
+        # weights are positive, so max(w) * c >= c)
+        for (hs, *_, counts), w in zip(stacks, ws):
+            full = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts)[full]
+            top = dict(zip(full.tolist(), np.maximum.reduceat(w, starts).tolist()
+                           if len(full) else []))
+            for p, h in enumerate(hs):
+                for t in range(T):
+                    bounds[t] += top.get(p * T + t, 1) * scales[t][h]
+        dtypes = [gridscan.exact_dtype(bound) for bound in bounds]
+        dtype = object if object in dtypes else np.int64
+        ws = [w.astype(dtype, copy=False) * np.repeat(
+                  np.array([scales[t][h] for h in hs for t in range(T)], dtype=dtype), counts)
+              for (hs, *_, counts), w in zip(stacks, ws)]
+    pairs, full = [None] * (len(moduli) // 2), np.ones(T, dtype=bool)
+    for (hs, row, r1, r2, counts), w in zip(stacks, ws):
+        cut, trial = [0, *np.cumsum(counts).tolist()], row % T
+        for p, h in enumerate(hs):
+            lo, hi = cut[p * T], cut[(p + 1) * T]
+            pairs[h] = (trial[lo:hi], r1[lo:hi], r2[lo:hi], w[lo:hi],
+                        [c - lo for c in cut[p * T:(p + 1) * T + 1]])
+        full &= (counts.reshape(len(hs), T) > 0).all(axis=0)
+    return SlotBatch(pairs, Ls, [b if f else 0 for b, f in zip(bounds, full.tolist())], dtypes)
 
 
 def _slice_dtype(s_max: int, num: int, den: int):
@@ -263,8 +312,8 @@ def _outer_sums(weights):
 
 def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: int = 1,
                 slots=None):
-    """(slots, shape, J): the pair slots, the shape of their product, and
-    the slice index of every tuple of the product in the order of
+    """(slots, shape, J): the shift's slots, the shape of their product,
+    and the slice index of every tuple of the product in the order of
     itertools.product; every tuple of the slots is in the region, so
     position k of J is flat tuple index k.  The trailing pairs whose
     product holds at most _PRODUCT_CHUNK tuples (the last pair alone when
@@ -272,16 +321,19 @@ def _slice_scan(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks:
     pairs give A; J, as a (len(A), len(B)) array, is filled in blocks of at
     most _PRODUCT_CHUNK sums A[r] + B[c], whole rows of it or, when one
     row is longer, parts of one row.  A product that B holds whole is one
-    block, sliced from B alone.  ``slots``: the shift's (slots, L, s_max)
-    from a ``_pair_slots`` batch over validated inputs, made here if None.
-    The grids (when made here) and the product are charged to the work
-    budget for ``walks`` walks first."""
+    block, sliced from B alone.  ``slots``: (batch, t), shift t of a
+    SlotBatch over validated inputs (``shift`` is then not read), or None
+    to make a batch of ``shift`` alone.  The grids (when made here) and
+    the product are charged to the work budget for ``walks`` walks
+    first."""
     if slots is None:
         moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
-        slots = _pair_slots(moduli, [tuple(map(Fraction, shift))], epsilon, delta, walks)[0]
-    slots, L, s_max = slots
-    num, den = slice_ratio(epsilon, delta, L)
-    weights = [w for *_, w in slots]
+        shift = tuple(map(Fraction, shift))
+        slots = (_pair_slots(moduli, [[a.numerator for a in shift]],
+                             [a.denominator for a in shift], epsilon, delta, walks), 0)
+    batch, t = slots
+    num, den = slice_ratio(epsilon, delta, batch.Ls[t])
+    s_max, weights = batch.bounds[t], batch.weights(t)
     shape = tuple(map(len, weights))
     total = math.prod(shape)
     dtype = _slice_dtype(s_max, num, den)
@@ -315,9 +367,13 @@ def slice_runs(S):
     when S is empty."""
     if not len(S):
         return 0, 0, (S, np.zeros(0, dtype=np.intp))
-    edges = np.flatnonzero(np.concatenate(([True], S[1:] != S[:-1], [True])))
+    # True where a run starts, and once past the end
+    change = np.empty(len(S) + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(S[1:], S[:-1], out=change[1:-1])
+    edges = change.nonzero()[0]
     counts = edges[1:] - edges[:-1]
-    k = int(np.argmax(counts))
+    k = counts.argmax()
     return int(S[edges[k]]), int(counts[k]), (S[edges[:-1]], counts)
 
 
@@ -329,11 +385,11 @@ def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: 
     ``slice_runs``, and elements the residue tuples in slice j, in product
     order.  A pre-image is progression-free whenever delta <= 1/max(m).
     ``walks``: how many walks like this one the caller's build makes, for
-    the work budget; ``slots``: the shift's slots from a batch of
-    ``_pair_slots``, as ``_slice_scan`` takes them; ``pre_image`` False,
+    the work budget; ``slots``: the shift's place in a SlotBatch, as
+    ``_slice_scan`` takes it (``shift`` is then not read); ``pre_image`` False,
     for a search's trial: only (j, count), from J sorted in place, and the
     histogram and elements are None."""
-    slots, shape, J = _slice_scan(moduli, shift, epsilon, delta, walks, slots)
+    (batch, t), shape, J = _slice_scan(moduli, shift, epsilon, delta, walks, slots)
     if not pre_image:
         J.sort()
         return (*slice_runs(J)[:2], None, None)
@@ -341,7 +397,7 @@ def best_slice(moduli, shift, epsilon: Fraction | None, delta: Fraction, walks: 
     j = fullest if j is None else j
     hit = np.flatnonzero(J == j)
     idx = np.unravel_index(hit, shape)
-    columns = [r[i].tolist() for (r1, r2, _), i in zip(slots, idx) for r in (r1, r2)]
+    columns = [r[i].tolist() for (r1, r2), i in zip(batch.residues(t), idx) for r in (r1, r2)]
     return j, len(hit), histogram, list(zip(*columns))
 
 
@@ -386,10 +442,13 @@ def _delta_for(moduli, options: BuildOptions) -> Fraction:
 def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int, seed: int):
     """Sample shifts from the rational grid and keep the one whose best
     slice is largest (ties: lexicographically smallest shift); one more
-    walk of its slots gives its pre-image and histogram.  The trials' pair
-    grids are tested in batches of ``_pair_slots``, one for all the trials
-    unless their grids hold more than _PRODUCT_CHUNK points.  Returns
-    (shift, j, DiscreteSet)."""
+    walk of its slots gives its pre-image and histogram.  A shift is
+    carried as its numerators over the grid's denominators
+    SHIFT_GRID_LEVEL * m_i, which order the shifts as their values do, and
+    only the winner is made Fractions.  The trials' pair grids are tested
+    in batches of ``_pair_slots``, one for all the trials unless their
+    grids hold more than _PRODUCT_CHUNK points.  Returns (shift, j,
+    DiscreteSet)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     moduli = check_moduli(moduli)
@@ -400,22 +459,24 @@ def search_shift(moduli, epsilon: Fraction | None, delta: Fraction, trials: int,
     budget.charge("PRODUCT", f"{len(pairs)} pair grids of {budget.count(points)} points, "
                   f"walked {budget.count(trials + 1)} times,", (trials + 1) * points)
     moduli, epsilon, delta = _walk_inputs(moduli, epsilon, delta)
+    dens = [SHIFT_GRID_LEVEL * m for m in moduli]
     # a batch holds at most _PRODUCT_CHUNK grid points, so memory does not
     # grow with the trial count
     per = max(1, _PRODUCT_CHUNK // points)
     best = None
     for first in range(0, trials, per):
-        shifts = [sample_shift(trial_rng(seed, "shift", trial), moduli)
+        shifts = [sample_numerators(trial_rng(seed, "shift", trial), moduli)
                   for trial in range(first, min(first + per, trials))]
         # each trial is charged for all the search's walks, the winner's included
-        batch = _pair_slots(moduli, shifts, epsilon, delta, trials + 1)
-        for shift, slots in zip(shifts, batch):
-            j, count, *_ = best_slice(moduli, shift, epsilon, delta, trials + 1, slots=slots,
-                                      pre_image=False)
-            key = (-count, shift, j)
+        batch = _pair_slots(moduli, shifts, dens, epsilon, delta, trials + 1)
+        for t, nums in enumerate(shifts):
+            j, count, *_ = best_slice(moduli, None, epsilon, delta, trials + 1,
+                                      slots=(batch, t), pre_image=False)
+            key = (-count, nums, j)
             if best is None or key < best[0]:
-                best = (key, shift, j, slots)
-    _, shift, j, slots = best
+                best = (key, (batch, t))
+    (_, nums, j), slots = best
+    shift = tuple(map(Fraction, nums, dens))
     return shift, j, _slice_set(moduli, shift, epsilon, delta,
                                 best_slice(moduli, shift, epsilon, delta, j=j, slots=slots))
 

@@ -4,12 +4,15 @@ Layout: <outdir>/<name>.set (one element per line: residues
 comma-separated, or a decimal integer), <name>.json (provenance sidecar),
 <name>.report.json (verification report).  All files are deterministic
 functions of the construction parameters: keys are sorted and timing is
-never written.
+never written.  A write replaces each file rather than rewriting it in
+place (``replace_text``), and a set written without a report removes the
+report an earlier write left under its name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -81,9 +84,11 @@ def _value(obj, pad: str) -> str:
         if not all(type(key) is str for key in obj):
             raise _Unsupported
         inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
-        ) + pad + "}"
+        if _only_ints(obj.values()):  # a slice histogram: one f-string an entry
+            items = [f"{_quote(key)}: {obj[key]}" for key in sorted(obj)]
+        else:
+            items = [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if kind is bool or obj is None:
         return _LITERALS[obj]
     raise _Unsupported
@@ -113,12 +118,41 @@ def _progressions(obj: Progressions, pad: str) -> str:
     return text % tuple(texts[where])
 
 
+def replace_text(path: Path, text: str) -> None:
+    """Write text to path as a new file.  Whatever is at path, a file or a
+    symlink, is unlinked first and a fresh file created: truncating an
+    existing file makes ext4 (auto_da_alloc) flush it on close, which
+    costs several times the write, and a symlink is replaced, never
+    followed.  Rewriting in place and truncating to the new length would
+    avoid both, but an interrupted write of a shorter text would leave the
+    old file's tail behind it."""
+    path.unlink(missing_ok=True)
+    _create_text(path, text)
+
+
+def _create_text(path: Path, text: str) -> None:
+    # O_EXCL: a file created at path since it was unlinked is an error,
+    # never written through
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
               report: VerificationReport | None = None) -> dict[str, Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {"set": outdir / f"{name}.set", "sidecar": outdir / f"{name}.json"}
-    paths["set"].write_text("".join(line + "\n" for line in dset.element_lines()))
+    report_path = outdir / f"{name}.report.json"
+    # a report left by an earlier write would certify another set: it goes
+    # first, and a new one is created last, so no write, even one cut
+    # short, leaves a report beside a set it did not certify
+    report_path.unlink(missing_ok=True)
+    replace_text(paths["set"], "".join(line + "\n" for line in dset.element_lines()))
     sidecar = {
         "kind": dset.kind,
         "moduli": list(dset.moduli) if dset.moduli else None,
@@ -129,10 +163,10 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     }
     if report is None:
         sidecar["watermark"] = "UNCERTIFIED"
-    paths["sidecar"].write_text(dump_json(sidecar))
+    replace_text(paths["sidecar"], dump_json(sidecar))
     if report is not None:
-        paths["report"] = outdir / f"{name}.report.json"
-        paths["report"].write_text(dump_json(report.to_jsonable()))
+        paths["report"] = report_path
+        _create_text(report_path, dump_json(report.to_jsonable()))
     return paths
 
 
@@ -154,6 +188,10 @@ def read_set(set_path: str | Path, sidecar_path: str | Path | None = None) -> Di
             raise TypeError(f'kind must be "group" or "integer", got {json.dumps(kind)}')
         if type(provenance) is not dict:
             raise TypeError(f"provenance must be a JSON object, got {json.dumps(provenance)}")
+        # the name a report gives as its subject
+        if type(provenance.get("construction", "")) is not str:
+            raise TypeError("provenance.construction must be a JSON string, got "
+                            f"{json.dumps(provenance['construction'])}")
         # a sidecar written with the set names its size; hand-written ones may not
         if "size" in meta and _json_int(meta["size"], "size") != len(lines):
             raise ValueError(f"{set_path} has {len(lines)} element lines, but its sidecar "

@@ -125,6 +125,21 @@ class TestConstruct:
         assert sidecar["watermark"] == "UNCERTIFIED"
         assert not (tmp_path / "plain.report.json").exists()
 
+    def test_unverified_rerun_removes_the_stale_report(self, capsys, tmp_path):
+        """A --no-verify write under the name of a certified set removes its
+        report, which would otherwise still certify the old set of size 2
+        beside the new uncertified one of size 4."""
+        base = ["construct", "zm", "--moduli", "6,6,6,6", "--outdir", str(tmp_path),
+                "--name", "s"]
+        assert run(capsys, *base, "--seed", "1")[0] == 0
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["pass"] is True and report["parameters"]["size"] == 2
+        code, out, _ = run(capsys, *base, "--seed", "2", "--no-verify")
+        assert code == 0 and json_lines(out)[0]["size"] == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "s.set"]
+        sidecar = json.loads((tmp_path / "s.json").read_text())
+        assert (sidecar["size"], sidecar["watermark"]) == (4, "UNCERTIFIED")
+
     def test_zm_default_parameters(self, capsys, tmp_path):
         # no epsilon: the two-dimensional request takes the box route
         code, out, _ = run(
@@ -614,6 +629,15 @@ class TestCompare:
             assert F(row[3]) == F(int(row[2]), int(row[1]))
         assert out_file.read_text() == out
 
+    def test_out_replaces_a_longer_file(self, capsys, tmp_path):
+        """--out over a longer file leaves exactly the table, no old tail."""
+        out_file = tmp_path / "table.csv"
+        out_file.write_text("old row\n" * 100)
+        code, out, _ = run(capsys, "compare", "fpn", "--p", "5", "--n", "4", "--seed", "1",
+                           "--out", str(out_file))
+        assert code == 0 and out_file.read_text() == out
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
     def test_fpn_table(self, capsys):
         code, out, _ = run(capsys, "compare", "fpn", "--p", "5", "--n", "4", "--seed", "1")
         assert code == 0
@@ -804,6 +828,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == (f"error: malformed set/sidecar at {tmp_path / 'p.set'}: provenance must "
                        f"be a JSON object, got {json.dumps(provenance)}\n")
+
+    @pytest.mark.parametrize("construction", [5, None, ["x"]])
+    def test_exit_code_two_on_non_string_construction(self, capsys, tmp_path, construction):
+        # the report takes this name as its subject: 5 once printed [5] pass=True
+        (tmp_path / "c.set").write_text("1\n2\n4\n")
+        (tmp_path / "c.json").write_text(json.dumps({
+            "kind": "integer", "bound": 10, "provenance": {"construction": construction}}))
+        code, out, err = run(capsys, "verify", "--set", str(tmp_path / "c.set"))
+        assert code == 2 and out == ""
+        assert err == (f"error: malformed set/sidecar at {tmp_path / 'c.set'}: "
+                       f"provenance.construction must be a JSON string, got "
+                       f"{json.dumps(construction)}\n")
 
     def test_exit_code_two_on_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "nope.set"))

@@ -22,7 +22,7 @@ from apfree.groups import (
     build_group_set,
     fiber_reduce,
     region_epsilon,
-    sample_shift,
+    sample_numerators,
     search_shift,
     slice_ratio,
     slice_runs,
@@ -46,9 +46,38 @@ def hist_dict(histogram):
     return dict(zip(values.tolist(), counts.tolist()))
 
 
+def sample_shift(rng, moduli):
+    """The shift that sample_numerators draws, as Fractions."""
+    return tuple(F(k, groups.SHIFT_GRID_LEVEL * m)
+                 for k, m in zip(sample_numerators(rng, moduli), moduli))
+
+
+def batch_of(moduli, shifts, epsilon, delta, walks=1):
+    """_pair_slots of Fraction (or int) shifts, given as numerators over
+    each coordinate's common denominator."""
+    shifts = [tuple(map(F, shift)) for shift in shifts]
+    dens = [math.lcm(*(shift[i].denominator for shift in shifts)) for i in range(len(moduli))]
+    nums = [[int(a * d) for a, d in zip(shift, dens)] for shift in shifts]
+    return groups._pair_slots(moduli, nums, dens, epsilon, delta, walks)
+
+
+def shift_slots(batch, t):
+    """([(r1, r2, w), ...], L, s_max) of shift t of a SlotBatch, its
+    weights in its own dtype."""
+    slots = [(r1, r2, w) for (r1, r2), w in zip(batch.residues(t), batch.weights(t))]
+    return slots, batch.Ls[t], batch.bounds[t]
+
+
 def pair_slots(moduli, shift, epsilon, delta):
     """The (slots, L, s_max) of one shift, from a batch of one."""
-    return groups._pair_slots(moduli, [shift], epsilon, delta)[0]
+    return shift_slots(batch_of(moduli, [shift], epsilon, delta), 0)
+
+
+def one_shift_batch(slots, L, s_max):
+    """A SlotBatch of one shift from its [(r1, r2, w), ...], L and s_max."""
+    pairs = [(np.zeros(len(w), dtype=np.intp), r1, r2, w, [0, len(w)]) for r1, r2, w in slots]
+    dtype = object if any(w.dtype == object for *_, w in slots) else np.int64
+    return groups.SlotBatch(pairs, [L], [s_max], [dtype])
 
 
 def preimage(moduli, shift, j, epsilon, delta):
@@ -179,7 +208,8 @@ class TestPickSlice:
         fullest slice unless j is given, an empty slice included; the
         histogram is always the whole walk's."""
         J = np.array([7, 3, 7, 3, 9])
-        slots = [(np.arange(5), np.arange(5) * 10, np.zeros(5, dtype=np.int64))]
+        slots = (one_shift_batch([(np.arange(5), np.arange(5) * 10,
+                                   np.zeros(5, dtype=np.int64))], 1, 0), 0)
         monkeypatch.setattr(groups, "_slice_scan", lambda *args: (slots, (5,), J.copy()))
         for j, expected in [(None, (3, 2, [(1, 10), (3, 30)])), (9, (9, 1, [(4, 40)])),
                             (4, (4, 0, []))]:
@@ -310,6 +340,19 @@ class TestSearchShift:
             if searched != moduli:
                 assert built.elements == fiber_reduce(dset).elements
 
+    @given(st.lists(st.integers(2, 40), min_size=1, max_size=4).flatmap(
+        lambda moduli: st.lists(st.tuples(*(st.sampled_from([0, 1, 16 * m - 1])
+                                            | st.integers(0, 16 * m - 1) for m in moduli)),
+                                min_size=2, max_size=2).map(lambda pair: (moduli, pair))))
+    @settings(max_examples=200, deadline=None)
+    def test_numerators_order_as_their_shifts(self, case):
+        """The search orders shifts by their numerators over SHIFT_GRID_LEVEL
+        * m_i: the same order, ties included, as the Fraction shifts."""
+        moduli, (a, b) = case
+        fa, fb = ([F(k, groups.SHIFT_GRID_LEVEL * m) for k, m in zip(nums, moduli)]
+                  for nums in (a, b))
+        assert (a < b, a == b) == (fa < fb, fa == fb)
+
     def test_trial_rng_split_is_stable_and_independent(self):
         a = trial_rng(7, "shift", 0).randrange(10**9)
         b = trial_rng(7, "shift", 0).randrange(10**9)
@@ -375,7 +418,8 @@ class TestDriver:
         """A composite p is refused before any shift is drawn.  The budget
         is raised so that n * p fits it for every p here; past it, the
         build's own charges refuse the build first."""
-        monkeypatch.setattr(groups, "sample_shift", lambda rng, moduli: pytest.fail("sampled"))
+        monkeypatch.setattr(groups, "sample_numerators",
+                            lambda rng, moduli: pytest.fail("sampled"))
         monkeypatch.setattr(budget, "PRODUCT", 1 << 31)
         with pytest.raises(ValueError, match=f"^p={p} is not prime$"):
             build_fpn_set(p, 1)
@@ -632,7 +676,8 @@ class TestSlotProductKernel:
         for chunk in (1, 5, 6, 20, 36, 100, 288, 1000):
             monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
             sums.clear()
-            slots, shape, J = groups._slice_scan(moduli, shift, epsilon, delta)
+            (batch, t), shape, J = groups._slice_scan(moduli, shift, epsilon, delta)
+            slots = shift_slots(batch, t)[0]
             assert shape == (8, 6, 6) and shape == tuple(len(w) for *_, w in slots)
             assert len(J) == math.prod(shape)
             assert max(map(len, sums)) <= chunk and sum(map(len, sums)) == len(J)
@@ -665,7 +710,7 @@ class TestSlotProductKernel:
             mp.setattr(groups, "slice_indices",
                        lambda s, *args: (sums.append(s.size), slice_indices(s, *args))[1])
             _, shape, J = groups._slice_scan(None, None, epsilon, delta,
-                                             slots=(slots, L, s_max))
+                                             slots=(one_shift_batch(slots, L, s_max), 0))
         num, den = slice_ratio(epsilon, delta, L)
         assert max(sums, default=0) <= chunk and sum(sums) == total
         idx = np.unravel_index(np.arange(total), sizes)
@@ -740,20 +785,33 @@ def batch_instances(draw):
 
 
 def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None):
-    """Each shift's slots from one batch equal its slots from a batch of
-    one and the reference's: r1, r2, w, L, the dtype of w and s_max, the
-    sum of the pairs' weight maxima (0 when a pair has no slots)."""
+    """The batch's arrays against each shift taken alone.  Per pair, the
+    trial array marks each shift's part [cut[t], cut[t + 1]), and w is in
+    the batch's dtype; that part of r1, r2 and w equals the shift's slots
+    from a batch of one and the reference's.  Per shift, L, s_max (the
+    sum of the pairs' weight maxima, 0 when a pair has no slots) and the
+    dtype its weights are cast to equal the shift's alone."""
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             mp.setattr(groups, "_PRODUCT_CHUNK", chunk)
-        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
-    assert len(batch) == len(shifts)
-    for shift, (slots, L, s_max) in zip(shifts, batch):
-        alone, alone_L, alone_s_max = pair_slots(moduli, shift, epsilon, delta)
-        assert (L, s_max) == (alone_L, alone_s_max)
-        for (r1, r2, w), (a1, a2, aw) in zip(slots, alone, strict=True):
-            assert w.dtype == aw.dtype
-            assert (r1.tolist(), r2.tolist(), w.tolist()) == (a1.tolist(), a2.tolist(), aw.tolist())
+        batch = batch_of(moduli, shifts, epsilon, delta)
+    T = len(shifts)
+    assert len(batch.pairs) == len(moduli) // 2
+    assert len(batch.Ls) == len(batch.bounds) == len(batch.dtypes) == T
+    for trial, r1, r2, w, cut in batch.pairs:
+        assert len(cut) == T + 1 and cut[0] == 0
+        assert cut[-1] == len(trial) == len(r1) == len(r2) == len(w)
+        assert trial.tolist() == np.repeat(np.arange(T), np.diff(cut)).tolist()
+        assert w.dtype == (object if object in batch.dtypes else np.int64)
+    for t, shift in enumerate(shifts):
+        alone = batch_of(moduli, [shift], epsilon, delta)
+        slots, L, s_max = shift_slots(alone, 0)
+        assert (batch.Ls[t], batch.bounds[t], batch.dtypes[t]) == (L, s_max, alone.dtypes[0])
+        for (_, r1, r2, w, cut), (a1, a2, aw) in zip(batch.pairs, slots, strict=True):
+            part = slice(cut[t], cut[t + 1])
+            assert (r1[part].tolist(), r2[part].tolist(), w[part].tolist()) == (
+                a1.tolist(), a2.tolist(), aw.tolist())
+        assert [w.dtype for w in batch.weights(t)] == [aw.dtype for *_, aw in slots]
         reference, reference_L = reference_slots(moduli, shift, epsilon, delta)
         assert L == reference_L
         assert [list(zip(zip(r1.tolist(), r2.tolist()), w.tolist())) for r1, r2, w in slots] == reference
@@ -778,8 +836,8 @@ class TestBatchedSlots:
             moduli, shifts = moduli[:2], [shift[:2] for shift in shifts]
         grids = [math.lcm(12, 10, *(a.denominator for a in shift[:2])) for shift in shifts]
         assert grids[0] != grids[2] and grids[1] > 1 << 63
-        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
-        dtypes = [w.dtype for slots, *_ in batch for *_, w in slots]
+        batch = batch_of(moduli, shifts, epsilon, delta)
+        dtypes = [w.dtype for t in range(3) for w in batch.weights(t)]
         assert dtypes == ([np.int64] * 3 if epsilon is None else
                           [np.int64, np.int64, object, object, np.int64, np.int64])
         assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=25)
@@ -798,10 +856,10 @@ class TestBatchedSlots:
                  self.EMPTY_FIRST + (F(1, 24),) * 2]
         huge = [(F(1, 24),) * 2 + HUGE, (F(1, 3), F(5, 128)) + HUGE, self.EMPTY_FIRST + HUGE]
         shifts = {"int64": int64, "object": huge, "mixed": int64[:2] + huge[1:]}[kinds]
-        batch = groups._pair_slots(moduli, shifts, epsilon, delta)
-        bounds = [s_max for *_, s_max in batch]
-        sums = [sum(int(w.max()) for *_, w in slots) if all(len(w) for *_, w in slots) else 0
-                for slots, *_ in batch]
+        batch = batch_of(moduli, shifts, epsilon, delta)
+        bounds = batch.bounds
+        sums = [sum(int(w.max()) for w in ws) if all(len(w) for w in ws) else 0
+                for ws in map(batch.weights, range(len(shifts)))]
         assert bounds == sums and bounds[-1] == 0 and all(bounds[:-1])
         past = [bound > 1 << 62 for bound in bounds[:-1]]
         assert past == {"int64": [False] * 2, "object": [True] * 2,
@@ -824,10 +882,10 @@ class TestBatchedSlots:
             monkeypatch.setattr(groups, "_PRODUCT_CHUNK", chunk)
         shift, j, dset = search_shift(moduli, F(1, 4), F(1, 6), 5, 0)
         assert [len(batch) for batch in batches] == sizes
-        assert sum(batches, []) == [sample_shift(trial_rng(0, "shift", t), moduli)
+        assert sum(batches, []) == [sample_numerators(trial_rng(0, "shift", t), moduli)
                                     for t in range(5)]
         assert len(scans) == 6 and all(slots is not None for slots in scans)
-        assert any(slots is scans[-1] for slots in scans[:-1])
+        assert scans[-1] in scans[:-1]
         assert (shift, j, dset.elements, dset.provenance) == (
             expected[0], expected[1], expected[2].elements, expected[2].provenance)
 
@@ -904,7 +962,7 @@ class TestWorkBudget:
         def no_shift(rng, moduli):
             raise AssertionError("a shift was sampled")
 
-        monkeypatch.setattr(groups, "sample_shift", no_shift)
+        monkeypatch.setattr(groups, "sample_numerators", no_shift)
         with pytest.raises(BudgetError,
                            match="500000 pair grids of 8000000 points, walked 17 times"):
             search_shift((4,) * 10**6, F(1, 12), F(1, 4), 16, 0)
@@ -1013,8 +1071,12 @@ class TestWorkBudget:
         def build():
             if case == "6^4":
                 return build_group_set((6, 6, 6, 6), BuildOptions(trials=5))
-            shifts = iter(self.MIXED)
-            monkeypatch.setattr(groups, "sample_shift", lambda rng, moduli: next(shifts))
+            # the MIXED shifts as numerators over a grid of 192 * (10^7 + 19)
+            # points a unit, which reduce to the shifts' own denominators
+            level = 16 * (10**7 + 19)
+            shifts = iter([[int(a * level * 12) for a in shift] for shift in self.MIXED])
+            monkeypatch.setattr(groups, "SHIFT_GRID_LEVEL", level)
+            monkeypatch.setattr(groups, "sample_numerators", lambda rng, moduli: next(shifts))
             return build_group_set((12,) * 4, BuildOptions(epsilon=F(1, 12), trials=5))
 
         for limit, message in self.EDGES[case].items():
@@ -1041,10 +1103,10 @@ class TestWorkBudget:
         shift once, whether or not a slice is given."""
         scans, scan = [], groups._slice_scan
         monkeypatch.setattr(groups, "_slice_scan",
-                            lambda *args: (scans.append(args[1]), scan(*args))[1])
+                            lambda *args: (scans.append(args[5]), scan(*args))[1])
         build_group_set(moduli, options)
         assert len(scans) == walks
-        if options.shift is None:  # the winner's walk repeats a trial's shift
+        if options.shift is None:  # the winner's walk repeats a trial's slots
             assert scans[-1] in scans[:-1]
 
 

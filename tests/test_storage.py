@@ -60,6 +60,57 @@ def test_write_read_round_trip(dset, certify):
             assert path.read_bytes() == second[key].read_bytes(), key
 
 
+# the set written last, and sets whose files are longer, shorter or of the
+# other kind, written first under the same name
+_NEW = DiscreteSet(kind="group", moduli=(5, 5), elements=((0, 1), (2, 3), (4, 0)),
+                   provenance={"construction": "test", "seed": 3})
+_OLD = {
+    "longer": DiscreteSet(kind="group", moduli=(5, 5, 5),
+                          elements=tuple(product(range(5), range(5), (0,))),
+                          provenance={"construction": "random", "seed": 123456, "note": "x" * 400}),
+    "shorter": DiscreteSet(kind="group", moduli=(5, 5), elements=((1, 1),), provenance={}),
+    "other kind": DiscreteSet(kind="integer", bound=10**6, elements=tuple(range(1, 300, 7)),
+                              provenance={"construction": "random"}),
+}
+
+
+def _written(outdir: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("old", list(_OLD))
+@pytest.mark.parametrize("old_report, new_report", [(True, True), (False, True), (True, False)])
+def test_write_over_existing_files_is_a_fresh_write(tmp_path, old, old_report, new_report):
+    """write_set over the files of another set of the same name leaves
+    exactly the files, and the bytes, of a write into an empty directory:
+    no old tail after a shorter text, and no report beside a set written
+    without one."""
+    report = _NEW.verify() if new_report else None
+    write_set(_NEW, tmp_path / "fresh", "s", report)
+    earlier = _OLD[old]
+    write_set(earlier, tmp_path / "over", "s", earlier.verify() if old_report else None)
+    write_set(_NEW, tmp_path / "over", "s", report)
+    assert _written(tmp_path / "over") == _written(tmp_path / "fresh")
+
+
+def test_write_replaces_symlinks_and_leaves_their_targets(tmp_path):
+    """An output path that is a symlink, dangling or not, is replaced by a
+    regular file: the link's target keeps its bytes, and a dangling link's
+    target is not created."""
+    write_set(_NEW, tmp_path / "fresh", "s", _NEW.verify())
+    target, outdir = tmp_path / "target.txt", tmp_path / "over"
+    target.write_text("kept\n")
+    outdir.mkdir()
+    (outdir / "s.set").symlink_to(target)
+    (outdir / "s.json").symlink_to(target)
+    (outdir / "s.report.json").symlink_to(tmp_path / "missing.txt")
+    paths = write_set(_NEW, outdir, "s", _NEW.verify())
+    assert not any(path.is_symlink() for path in paths.values())
+    assert all(path.is_file() for path in paths.values())
+    assert _written(outdir) == _written(tmp_path / "fresh")
+    assert target.read_text() == "kept\n" and not (tmp_path / "missing.txt").exists()
+
+
 def stdlib(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
