@@ -127,13 +127,9 @@ def replace_text(path: Path, text: str) -> None:
     avoid both, but an interrupted write of a shorter text would leave the
     old file's tail behind it."""
     path.unlink(missing_ok=True)
-    _create_text(path, text)
-
-
-def _create_text(path: Path, text: str) -> None:
-    # O_EXCL: a file created at path since it was unlinked is an error,
-    # never written through
     data = memoryview(text.encode())
+    # O_EXCL: a file made at path since the unlink is an error, never
+    # written through
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         while data:
@@ -149,7 +145,7 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     paths = {"set": outdir / f"{name}.set", "sidecar": outdir / f"{name}.json"}
     report_path = outdir / f"{name}.report.json"
     # a report left by an earlier write would certify another set: it goes
-    # first, and a new one is created last, so no write, even one cut
+    # first, and a new one is written last, so no write, even one cut
     # short, leaves a report beside a set it did not certify
     report_path.unlink(missing_ok=True)
     replace_text(paths["set"], "".join(line + "\n" for line in dset.element_lines()))
@@ -166,7 +162,7 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     replace_text(paths["sidecar"], dump_json(sidecar))
     if report is not None:
         paths["report"] = report_path
-        _create_text(report_path, dump_json(report.to_jsonable()))
+        replace_text(report_path, dump_json(report.to_jsonable()))
     return paths
 
 
