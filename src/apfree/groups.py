@@ -208,7 +208,9 @@ def _box_slots(in1, in2):
     columns = np.bincount(t2, minlength=len(in1))
     reps = columns[t1]
     trial, r1 = np.repeat(t1, reps), np.repeat(k1, reps)
-    # the run of slot k of the product starts at k - offset in k2
+    # each kept first coordinate takes a run of its shift's kept second
+    # coordinates: slot k reads k2 at k minus its run's start, plus that
+    # shift's first entry in k2
     first = np.cumsum(columns) - columns
     offset = np.repeat(np.cumsum(reps) - reps - first[t1], reps)
     return trial, r1, k2[np.arange(len(trial)) - offset]
