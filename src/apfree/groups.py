@@ -15,8 +15,8 @@ slots.  ``_pair_slots`` does this for a batch of shifts at once: the
 grids of all the coordinate pairs of one shape for every shift are
 stacked, each on its own D passed as a broadcast array, and tested in
 steps of at most _PRODUCT_CHUNK points.  It hands out a SlotBatch: per
-pair, the arrays (trial, r1, r2, w) of all the shifts with the cuts of
-each shift's part, and no per-shift list; a walk slices its shift's
+pair, the arrays (r1, r2, w) of all the shifts with the cuts of each
+shift's part, and no per-shift list; a walk slices its shift's
 weights from them, and only a winner its residues.  A search makes one
 batch of all its trials, or several when their grids hold more points
 than that, so each trial's grids are tested once; an explicit shift is a
@@ -175,10 +175,9 @@ def _charge_grids(moduli, nums, dens, epsilon: Fraction | None, delta: Fraction,
 @dataclass(eq=False)
 class SlotBatch:
     """The pair slots of a batch of T shifts, as arrays.  Per coordinate
-    pair, ``pairs`` holds (trial, r1, r2, w, cut): every shift's residue
-    pairs in the region as index arrays (r1, r2), trial-major and
-    row-major within a trial, the trial of each, and its weight on its
-    shift's common scale L = lcm(D_h^2) in the dtype the batch needs;
+    pair, ``pairs`` holds (r1, r2, w, cut): every shift's residue pairs in
+    the region as index arrays (r1, r2), trial-major and row-major within
+    a trial, and the weight of each on its shift's common scale L = lcm(D_h^2) in the dtype the batch needs;
     shift t's part is [cut[t], cut[t + 1]).  Per shift, ``Ls`` holds its
     L, ``bounds`` its s_max, the sum of its pairs' largest weights (0 when
     a pair has no slots), and ``dtypes`` the dtype that bound picks for
@@ -196,24 +195,24 @@ class SlotBatch:
 
     def residues(self, t: int):
         """Shift t's (r1, r2) per pair."""
-        return [(r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]) for _, r1, r2, _, cut in self.pairs]
+        return [(r1[cut[t]:cut[t + 1]], r2[cut[t]:cut[t + 1]]) for r1, r2, _, cut in self.pairs]
 
 
 def _box_slots(in1, in2):
-    """(trial, r1, r2) of the box slots of a batch: for each shift t, every
-    pair of a kept first coordinate (in1[t], of shape (T, m1)) and a kept
-    second one (in2[t]), row-major."""
+    """(row, r1, r2) of the box slots of a stack: for each row g, every
+    pair of a kept first coordinate (in1[g], of shape (rows, m1)) and a
+    kept second one (in2[g]), row-major."""
     t1, k1 = np.nonzero(in1)
     t2, k2 = np.nonzero(in2)
     columns = np.bincount(t2, minlength=len(in1))
     reps = columns[t1]
-    trial, r1 = np.repeat(t1, reps), np.repeat(k1, reps)
-    # each kept first coordinate takes a run of its shift's kept second
+    row, r1 = np.repeat(t1, reps), np.repeat(k1, reps)
+    # each kept first coordinate takes a run of its row's kept second
     # coordinates: slot k reads k2 at k minus its run's start, plus that
-    # shift's first entry in k2
+    # row's first entry in k2
     first = np.cumsum(columns) - columns
     offset = np.repeat(np.cumsum(reps) - reps - first[t1], reps)
-    return trial, r1, k2[np.arange(len(trial)) - offset]
+    return row, r1, k2[np.arange(len(row)) - offset]
 
 
 def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delta: Fraction,
@@ -260,7 +259,7 @@ def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delt
                 r2.append(k)
                 w.append(scaled_weight(epsilon, D[g, 0], us[g, i], vs[g, k]))
             row, r1, r2, w = (np.concatenate(x) for x in (row, r1, r2, w))
-        stacks.append((hs, row, r1, r2, np.bincount(row, minlength=len(D))))
+        stacks.append((hs, r1, r2, np.bincount(row, minlength=len(D))))
         ws.append(w)
     bounds, dtypes = [0] * T, [np.int64] * T
     if epsilon is not None:  # box points weigh 0 on every scale
@@ -281,11 +280,11 @@ def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delt
                   np.array([scales[t][h] for h in hs for t in range(T)], dtype=dtype), counts)
               for (hs, *_, counts), w in zip(stacks, ws)]
     pairs, full = [None] * (len(moduli) // 2), np.ones(T, dtype=bool)
-    for (hs, row, r1, r2, counts), w in zip(stacks, ws):
-        cut, trial = [0, *np.cumsum(counts).tolist()], row % T
+    for (hs, r1, r2, counts), w in zip(stacks, ws):
+        cut = [0, *np.cumsum(counts).tolist()]
         for p, h in enumerate(hs):
             lo, hi = cut[p * T], cut[(p + 1) * T]
-            pairs[h] = (trial[lo:hi], r1[lo:hi], r2[lo:hi], w[lo:hi],
+            pairs[h] = (r1[lo:hi], r2[lo:hi], w[lo:hi],
                         [c - lo for c in cut[p * T:(p + 1) * T + 1]])
         full &= (counts.reshape(len(hs), T) > 0).all(axis=0)
     return SlotBatch(pairs, Ls, [b if f else 0 for b, f in zip(bounds, full.tolist())], dtypes)

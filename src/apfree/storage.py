@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +85,9 @@ def _value(obj, pad: str) -> str:
         if not all(type(key) is str for key in obj):
             raise _Unsupported
         inner = pad + "  "
-        if _only_ints(obj.values()):  # a slice histogram: one f-string an entry
-            items = [f"{_quote(key)}: {obj[key]}" for key in sorted(obj)]
-        else:
-            items = [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
+        ) + pad + "}"
     if kind is bool or obj is None:
         return _LITERALS[obj]
     raise _Unsupported
@@ -118,19 +117,34 @@ def _progressions(obj: Progressions, pad: str) -> str:
     return text % tuple(texts[where])
 
 
+def _replaceable(path: Path) -> bool:
+    """Whether path holds nothing, a regular file, a symlink to one or a
+    dangling symlink: what a write may unlink."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
+
+
 def replace_text(path: Path, text: str) -> None:
-    """Write text to path as a new file.  Whatever is at path, a file or a
-    symlink, is unlinked first and a fresh file created: truncating an
-    existing file makes ext4 (auto_da_alloc) flush it on close, which
-    costs several times the write, and a symlink is replaced, never
-    followed.  Rewriting in place and truncating to the new length would
-    avoid both, but an interrupted write of a shorter text would leave the
-    old file's tail behind it."""
-    path.unlink(missing_ok=True)
+    """Write text to path.  A regular file at path, a symlink to one or a
+    dangling symlink is unlinked first and a fresh file created:
+    truncating an existing file makes ext4 (auto_da_alloc) flush it on
+    close, which costs several times the write, and such a symlink is
+    replaced, never followed.  Rewriting in place and truncating to the
+    new length would avoid both, but an interrupted write of a shorter
+    text would leave the old file's tail behind it.  Anything else, such
+    as a device, a FIFO or a symlink to one (``compare --out /dev/null``),
+    is written through as ``open(path, "w")`` does and never unlinked."""
+    if _replaceable(path):
+        path.unlink(missing_ok=True)
+        # O_EXCL: a file made at path since the unlink is an error, never
+        # written through
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    else:
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     data = memoryview(text.encode())
-    # O_EXCL: a file made at path since the unlink is an error, never
-    # written through
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    fd = os.open(path, flags, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
@@ -147,7 +161,8 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     # a report left by an earlier write would certify another set: it goes
     # first, and a new one is written last, so no write, even one cut
     # short, leaves a report beside a set it did not certify
-    report_path.unlink(missing_ok=True)
+    if _replaceable(report_path):
+        report_path.unlink(missing_ok=True)
     replace_text(paths["set"], "".join(line + "\n" for line in dset.element_lines()))
     sidecar = {
         "kind": dset.kind,

@@ -638,6 +638,34 @@ class TestCompare:
         assert code == 0 and out_file.read_text() == out
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
+    @pytest.mark.parametrize("target", ["fifo", "devnull link"])
+    def test_out_writes_through_a_special_file(self, capsys, tmp_path, target):
+        """--out to a FIFO, or to a symlink to the null device, writes
+        through it as open(path, "w") does: neither the FIFO nor the link is
+        unlinked or replaced by a regular file."""
+        out_file = tmp_path / "table.csv"
+        reader = None
+        if target == "fifo":
+            os.mkfifo(out_file)
+            # a reader opened first lets the writer open without blocking
+            reader = os.open(out_file, os.O_RDONLY | os.O_NONBLOCK)
+        else:
+            out_file.symlink_to(os.devnull)
+        try:
+            code, out, _ = run(capsys, "compare", "fpn", "--p", "5", "--n", "4", "--seed", "1",
+                               "--out", str(out_file))
+            assert code == 0
+            if reader is not None:
+                assert os.read(reader, 1 << 16).decode() == out
+        finally:
+            if reader is not None:
+                os.close(reader)
+        if target == "fifo":
+            assert out_file.is_fifo() and not out_file.is_symlink()
+        else:
+            assert out_file.is_symlink() and out_file.readlink() == Path(os.devnull)
+            assert Path(os.devnull).is_char_device()
+
     def test_fpn_table(self, capsys):
         code, out, _ = run(capsys, "compare", "fpn", "--p", "5", "--n", "4", "--seed", "1")
         assert code == 0

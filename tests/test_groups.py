@@ -75,7 +75,7 @@ def pair_slots(moduli, shift, epsilon, delta):
 
 def one_shift_batch(slots, L, s_max):
     """A SlotBatch of one shift from its [(r1, r2, w), ...], L and s_max."""
-    pairs = [(np.zeros(len(w), dtype=np.intp), r1, r2, w, [0, len(w)]) for r1, r2, w in slots]
+    pairs = [(r1, r2, w, [0, len(w)]) for r1, r2, w in slots]
     dtype = object if any(w.dtype == object for *_, w in slots) else np.int64
     return groups.SlotBatch(pairs, [L], [s_max], [dtype])
 
@@ -786,8 +786,8 @@ def batch_instances(draw):
 
 def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None):
     """The batch's arrays against each shift taken alone.  Per pair, the
-    trial array marks each shift's part [cut[t], cut[t + 1]), and w is in
-    the batch's dtype; that part of r1, r2 and w equals the shift's slots
+    cuts mark each shift's part [cut[t], cut[t + 1]), and w is in the
+    batch's dtype; that part of r1, r2 and w equals the shift's slots
     from a batch of one and the reference's.  Per shift, L, s_max (the
     sum of the pairs' weight maxima, 0 when a pair has no slots) and the
     dtype its weights are cast to equal the shift's alone."""
@@ -798,16 +798,15 @@ def assert_batch_is_each_shift_alone(moduli, shifts, epsilon, delta, chunk=None)
     T = len(shifts)
     assert len(batch.pairs) == len(moduli) // 2
     assert len(batch.Ls) == len(batch.bounds) == len(batch.dtypes) == T
-    for trial, r1, r2, w, cut in batch.pairs:
-        assert len(cut) == T + 1 and cut[0] == 0
-        assert cut[-1] == len(trial) == len(r1) == len(r2) == len(w)
-        assert trial.tolist() == np.repeat(np.arange(T), np.diff(cut)).tolist()
+    for r1, r2, w, cut in batch.pairs:
+        assert len(cut) == T + 1 and cut[0] == 0 and np.all(np.diff(cut) >= 0)
+        assert cut[-1] == len(r1) == len(r2) == len(w)
         assert w.dtype == (object if object in batch.dtypes else np.int64)
     for t, shift in enumerate(shifts):
         alone = batch_of(moduli, [shift], epsilon, delta)
         slots, L, s_max = shift_slots(alone, 0)
         assert (batch.Ls[t], batch.bounds[t], batch.dtypes[t]) == (L, s_max, alone.dtypes[0])
-        for (_, r1, r2, w, cut), (a1, a2, aw) in zip(batch.pairs, slots, strict=True):
+        for (r1, r2, w, cut), (a1, a2, aw) in zip(batch.pairs, slots, strict=True):
             part = slice(cut[t], cut[t + 1])
             assert (r1[part].tolist(), r2[part].tolist(), w[part].tolist()) == (
                 a1.tolist(), a2.tolist(), aw.tolist())

@@ -3,6 +3,7 @@ writer against the stdlib encoder."""
 
 import functools
 import json
+import os
 import random
 import tempfile
 from itertools import product
@@ -109,6 +110,18 @@ def test_write_replaces_symlinks_and_leaves_their_targets(tmp_path):
     assert all(path.is_file() for path in paths.values())
     assert _written(outdir) == _written(tmp_path / "fresh")
     assert target.read_text() == "kept\n" and not (tmp_path / "missing.txt").exists()
+
+
+def test_write_leaves_special_files_in_place(tmp_path):
+    """Only a regular file, a symlink to one or a dangling symlink is
+    replaced: a set path that links to the null device is written through,
+    and a FIFO at the report path of an uncertified write stays."""
+    (tmp_path / "s.set").symlink_to(os.devnull)
+    os.mkfifo(tmp_path / "s.report.json")
+    write_set(_NEW, tmp_path, "s")
+    assert (tmp_path / "s.set").is_symlink() and Path(os.devnull).is_char_device()
+    assert (tmp_path / "s.report.json").is_fifo()
+    assert (tmp_path / "s.json").is_file()
 
 
 def stdlib(obj) -> str:
