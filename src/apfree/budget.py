@@ -35,9 +35,13 @@ OBJECT_COST = 8
 # pair walks too, although they are counted by box queries in O(Q^2 + rows).
 SWEEP = 1 << 33
 # entries of the longest array one dense grid may hold: the density grid's
-# m^2 cells (counted by rows in O(m) memory, so this charge overstates it),
-# or a baseline's digit rows or radius counts (619 MiB for the 5e7 radius
-# counts of behrend at N = 10^8)
+# m^2 cells (counted by rows in O(m) memory, so this charge overstates it);
+# for each box {0..side-1}^k a baseline counts, its k*(side-1)^2 + 1 radius
+# counts, or the entries its shifted adds write if more; and the digits of
+# the one shell it decodes.  No baseline lists a whole box any more:
+# behrend at N = 134258568 counts and decodes its 24310 elements in about
+# 0.02 s and a 7 MiB peak in-process (2-vCPU host), where its k = 2 grid
+# of 3.4e7 rows took about 1 s and 800 MiB
 GRID = 1 << 26
 # pairs walked plus midpoint candidates looked up by one certificate: the
 # integer scan runs 2.7-3.1e8 pairs a second in-process (behrend sets at

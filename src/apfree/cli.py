@@ -257,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--n", type=int)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", default=None, help="also write the CSV here")
-    # the routes' builders read --n-override, which compare leaves unset
-    p_cmp.set_defaults(fn=cmd_compare, n_override=None)
+    # the routes' builders read --n-override, which compare leaves unset, and
+    # --no-verify: compare certifies every set it builds
+    p_cmp.set_defaults(fn=cmd_compare, n_override=None, no_verify=False)
 
     p_den = sub.add_parser("density", help="grid density of the block vs exact area")
     p_den.add_argument("--epsilon", type=_rational, required=True)
@@ -290,8 +291,9 @@ _KINDS = {
     "int-direct": (("N",), ("n_override", "epsilon", "trials", "seed"),
                    lambda args, options: build_integer_set_direct(
                        args.N, n=args.n_override, options=options)),
-    "behrend": (("N",), (), lambda args, options: behrend_set(args.N)),
-    "halfbox": (("p", "n"), (), lambda args, options: halfbox_set(args.p, args.n)),
+    "behrend": (("N",), (), lambda args, options: behrend_set(args.N, not args.no_verify)),
+    "halfbox": (("p", "n"), (), lambda args, options: halfbox_set(args.p, args.n,
+                                                                  not args.no_verify)),
 }
 # compare context -> (label, construct kind) of each route, in table order
 _ROUTES = {"int": (("behrend", "behrend"), ("crt-construction", "int"),

@@ -54,8 +54,8 @@ class DiscreteSet:
 
     def element_lines(self) -> list[str]:
         if self.kind == "group":
-            return [",".join(str(r) for r in e) for e in self.elements]
-        return [str(x) for x in self.elements]
+            return [",".join(map(str, e)) for e in self.elements]
+        return list(map(str, self.elements))
 
     def verify(self, subject: str | None = None,
                all_counterexamples: bool = False) -> VerificationReport:

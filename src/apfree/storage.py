@@ -24,6 +24,8 @@ from .verify import Progressions, VerificationReport
 
 _quote = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
+# progressions written to one piece of a ``verify --all`` list
+_STEP = 1 << 12
 
 
 class _Unsupported(Exception):
@@ -41,9 +43,12 @@ def dump_json(obj) -> str:
     stdlib, which then decides the bytes or the exception, a Progressions
     inside it being written as the list it equals."""
     try:
-        return _value(obj, "\n") + "\n"
+        out = []
+        _write(obj, "\n", out)
     except (_Unsupported, ValueError, RecursionError):
         return json.dumps(obj, sort_keys=True, indent=2, default=_expand) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _expand(obj):
@@ -60,46 +65,61 @@ def _only_ints(values) -> bool:
     return set(map(type, values)) == {int}
 
 
-def _value(obj, pad: str) -> str:
-    """obj as JSON whose later lines start with ``pad``, a newline and the
-    indent of the line obj starts on."""
+def _write(obj, pad: str, out: list) -> None:
+    """Append the pieces of obj's JSON, whose later lines start with
+    ``pad`` (a newline and the indent of the line obj starts on), to out.
+    dump_json joins them once, so a large value's text, such as a
+    ``verify --all`` list, is copied once, not once per level it is nested
+    in."""
     kind = type(obj)
     if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is list or kind is tuple:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is list or kind is tuple:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = pad + "  "
         if _only_ints(obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join([_value(v, inner) for v in obj])
-        return "[" + inner + body + pad + "]"
-    if kind is Progressions:
-        return _progressions(obj, pad)
-    if kind is dict:
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out += (pad, "]")
+    elif kind is Progressions:
+        _progressions(obj, pad, out)
+    elif kind is dict:
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         if not all(type(key) is str for key in obj):
             raise _Unsupported
         inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [_quote(key) + ": " + _value(obj[key], inner) for key in sorted(obj)]
-        ) + pad + "}"
-    if kind is bool or obj is None:
-        return _LITERALS[obj]
-    raise _Unsupported
+        sep = "{" + inner
+        for key in sorted(obj):
+            out += (sep, _quote(key), ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out += (pad, "}")
+    elif kind is bool or obj is None:
+        out.append(_LITERALS[obj])
+    else:
+        raise _Unsupported
 
 
-def _progressions(obj: Progressions, pad: str) -> str:
-    """A Progressions as the list of its dicts: each element it names is
-    written once, from one template for the shape that every checked
-    element shares (an int, or a tuple of ints of one length), and each
-    progression fills one template with the texts of its x, y and z."""
+def _progressions(obj: Progressions, pad: str, out: list) -> None:
+    """Append a Progressions as the list of its dicts: each element it
+    names is written once, from one template for the shape that every
+    checked element shares (an int, or a tuple of ints of one length), and
+    each progression fills one template with the texts of its x, y and z,
+    _STEP progressions to a piece, so no template is as long as the list."""
     if not obj:
-        return "[]"
+        out.append("[]")
+        return
     inner, deeper = pad + "  ", pad + "    "
     used, where = np.unique(obj.xyz.ravel(), return_inverse=True)
     points = [obj.elements[i] for i in used.tolist()]
@@ -112,9 +132,16 @@ def _progressions(obj: Progressions, pad: str) -> str:
             element = "[]"
     texts = np.array([element % point for point in points], dtype=object)
     template = "{" + deeper + deeper.join(['"x": %s,', '"y": %s,', '"z": %s']) + inner + "}"
-    # the brackets go into the format string, so the list's text is made once
-    text = "[" + inner + ("," + inner).join([template] * len(obj)) + pad + "]"
-    return text % tuple(texts[where])
+    sep = "," + inner
+    full = sep.join([template] * _STEP) if len(obj) >= _STEP else None
+    out.append("[" + inner)
+    for lo in range(0, len(obj), _STEP):
+        part = texts[where[3 * lo:3 * (lo + _STEP)]]
+        if lo:
+            out.append(sep)
+        out.append((full if len(part) == 3 * _STEP else sep.join([template] * (len(part) // 3)))
+                   % tuple(part))
+    out += (pad, "]")
 
 
 def _replaceable(path: Path) -> bool:
@@ -163,7 +190,8 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     # short, leaves a report beside a set it did not certify
     if _replaceable(report_path):
         report_path.unlink(missing_ok=True)
-    replace_text(paths["set"], "".join(line + "\n" for line in dset.element_lines()))
+    lines = dset.element_lines()
+    replace_text(paths["set"], "\n".join(lines) + "\n" if lines else "")
     sidecar = {
         "kind": dset.kind,
         "moduli": list(dset.moduli) if dset.moduli else None,

@@ -107,9 +107,13 @@ def group_elements(moduli: tuple[int, ...], elements) -> tuple[tuple[int, ...], 
     elems = sorted(tuple(map(int, e)) for e in elements)
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
-    for e in elems:
-        if len(e) != len(moduli) or not all(0 <= r < m for r, m in zip(e, moduli)):
-            raise ValueError(f"element {e} out of range for moduli {moduli}")
+    # a coordinate's least and largest residues, taken once, clear every
+    # element; only a set that fails them is walked for its first offender
+    if set(map(len, elems)) - {len(moduli)} or not all(
+            min(column) >= 0 and max(column) < m for column, m in zip(zip(*elems), moduli)):
+        for e in elems:
+            if len(e) != len(moduli) or not all(0 <= r < m for r, m in zip(e, moduli)):
+                raise ValueError(f"element {e} out of range for moduli {moduli}")
     return _Checked(elems, moduli)
 
 
@@ -131,12 +135,19 @@ def _charge_scan(what: str, parity: np.ndarray, offsets: int) -> None:
     ``offsets`` candidates, which bound what its one lookup returns.  The
     rows are counted only when the bound that every pair passes is over
     the limit."""
-    n = len(parity)
+    charge_scan(what, len(parity), offsets,
+                lambda: np.unique(parity, axis=0, return_counts=True)[1])
+
+
+def charge_scan(what: str, n: int, offsets: int, classes) -> None:
+    """``_charge_scan`` for n elements whose parity classes have the sizes
+    ``classes()`` returns, called only when every pair's bound is over the
+    limit: a builder that knows its set's size and classes before it makes
+    the set charges its certificate here, with the same cost and text."""
     pairs = math.comb(n, 2)
     cost = pairs * (1 + offsets)
     if cost > budget.SCAN:
-        _, sizes = np.unique(parity, axis=0, return_counts=True)
-        cost = pairs + offsets * sum(math.comb(int(k), 2) for k in sizes)
+        cost = pairs + offsets * sum(math.comb(int(k), 2) for k in classes())
     budget.charge("SCAN", f"{what} of {n} elements ({cost} pairs and candidates)", cost)
 
 

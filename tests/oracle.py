@@ -2,10 +2,13 @@
 
 Block membership, the convexity weight, mod-1 progressions, the weight
 slices of the block product, shifted embeddings and CRT decoding, each
-restated from the paper in exact Fractions, and the pair loops that list a
-set's progressions, which the certificates' scans replaced.  The package
-computes the same facts with scaled integers (``apfree.gridscan``,
-``apfree.groups``, ``apfree.integers``, ``apfree.verify``); nothing here
+restated from the paper in exact Fractions; the pair loops that list a
+set's progressions, which the certificates' scans replaced; and the
+sphere-shell listings, by dict and by digit grid, with the behrend scan
+over them, which the shell counts replaced.  The package computes the
+same facts with scaled integers and counts (``apfree.baselines``,
+``apfree.gridscan``, ``apfree.groups``, ``apfree.integers``,
+``apfree.verify``); nothing here
 shares code with those kernels, so a fault in one cannot hide in the
 other.  The block's pieces and weight are
 the ones stated in the ``apfree.blocks`` docstring.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from apfree.blocks import BuildingBlock, OutsideDomainError
 
@@ -179,3 +184,57 @@ def loop_integer_progressions(elements):
         for z in elems[ai + 1:]
         if (x + z) % 2 == 0 and (x + z) // 2 in member
     ]
+
+
+def dict_shells(base, dim):
+    """The shell table the numpy grid replaced, kept as its oracle: digit
+    tuples of {0,...,(base-1)//2}^dim in product order, by squared radius."""
+    shells = {}
+    for digits in product(range((base - 1) // 2 + 1), repeat=dim):
+        shells.setdefault(sum(d * d for d in digits), []).append(digits)
+    return shells
+
+
+def grid_shell(base, dim):
+    """The digit-grid listing the shell counts replaced, kept as their
+    oracle: the most populous sphere shell of {0,...,(base-1)//2}^dim, ties
+    going to the smaller radius, as its squared radius and its digit rows in
+    product order, read off every row's squared radius."""
+    side = (base - 1) // 2 + 1
+    squares = np.arange(side, dtype=np.int64) ** 2
+    radii = np.zeros(1, dtype=np.int64)
+    for _ in range(dim):
+        radii = (radii[:, None] + squares).ravel()
+    radius_sq = int(np.argmax(np.bincount(radii)))
+    index = np.flatnonzero(radii == radius_sq)
+    return radius_sq, index[:, None] // side ** np.arange(dim - 1, -1, -1) % side
+
+
+def nthroot_floor(N, k):
+    """The largest b with b**k <= N, by bisection."""
+    lo, hi = 1, 1 << (N.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid**k <= N else (lo, mid - 1)
+    return lo
+
+
+def loop_behrend(N):
+    """The behrend scan the shell counts replaced, kept as its oracle:
+    every dimension k >= 2 with base floor(N^(1/k)) >= 3 lists its grid's
+    best shell, and the largest shell wins, ties going to the smaller k;
+    below N = 8 the set is {1, 2}.  (k, base, radius_sq, elements)."""
+    best = None
+    k = 2
+    while 2**k <= N:
+        base = nthroot_floor(N, k)
+        if base >= 3:
+            radius_sq, digits = grid_shell(base, k)
+            elements = (1 + digits @ base ** np.arange(k)).tolist()
+            key = (-len(elements), k)
+            if best is None or key < best[0]:
+                best = (key, k, base, radius_sq, elements)
+        k += 1
+    if best is None:
+        return 1, N, 1, [1, 2]
+    return best[1:]

@@ -101,8 +101,10 @@ def spy_work(monkeypatch):
     monkeypatch.setattr(gridscan, "_Rows", CountedRows)
 
     # dense grids, charged per array: the longest of the density grid's row
-    # bounds, and of the baselines' squared radii and their counts, made
-    # inside the charged functions only
+    # bounds, made inside the charged function only, and of the baselines'
+    # radius counts and decoded digits (the shell kernel's longest arrays:
+    # its shifted adds stay within the counts, and each chunk of its
+    # decoding within the rows)
     inside = []
 
     def dense(entries):
@@ -121,19 +123,11 @@ def spy_work(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     within(verify, "density_count")
-    within(baselines, "_best_shell")
     wrap(monkeypatch, gridscan, "_piece_rows", lambda result, *args: dense(
         max(np.size(bound) for row in result for bound in row))
         if "density_count" in inside else None)
-    bincount = np.bincount
-
-    def counted(radii, *args, **kwargs):
-        counts = bincount(radii, *args, **kwargs)
-        if "_best_shell" in inside:
-            dense(max(len(radii), len(counts)))
-        return counts
-
-    monkeypatch.setattr(np, "bincount", counted)
+    wrap(monkeypatch, baselines, "_shell_counts", lambda result, *args: dense(len(result)))
+    wrap(monkeypatch, baselines, "_shell_rows", lambda result, *args: dense(result.size))
     return work, charges
 
 
@@ -208,3 +202,37 @@ def test_a_failing_sweep_walks_every_pair_within_its_charge(monkeypatch, q):
     assert g.radius == 2 * q and g.band.starts[-1] == g.pairs
     assert work["SWEEP"] >= len(kinds) * g.pairs
     assert work["SWEEP"] <= max(charges["SWEEP"])
+
+
+# the error line of the half box 31^6, whose certificate is refused: the
+# same bytes as when its 49740 elements were built first
+HALFBOX_31_6 = ("error: group certificate of 49740 elements (2474017860 pairs and candidates) "
+                "exceeds the work budget of 1073741824 pairs and candidates\n")
+
+
+@pytest.mark.parametrize("command, error", [
+    # a counts array over GRID: the 500000^2 + 1 radii of {0..500000}
+    (["construct", "halfbox", "--p", "1000001", "--n", "1"],
+     "error: sphere-shell counts of {0..500000}^1 exceeds the work budget of 67108864 "
+     "array entries\n"),
+    # a decoding over GRID: comb(40, 20) rows of 40 digits, counted in 41
+    # radii and never certified
+    (["construct", "halfbox", "--p", "3", "--n", "40", "--no-verify"],
+     "error: sphere shell of 137846528820 rows in {0..1}^40 exceeds the work budget of "
+     "67108864 array entries\n"),
+    # refusals before decoding: the certificates of shells counted whole
+    (["construct", "halfbox", "--p", "31", "--n", "6"], HALFBOX_31_6),
+    (["construct", "behrend", "--N", "1000000000"],
+     "error: integer certificate of 71680 elements (5137950720 pairs and candidates) "
+     "exceeds the work budget of 1073741824 pairs and candidates\n"),
+])
+def test_shell_refusals_make_no_row(monkeypatch, capsys, tmp_path, command, error):
+    """Each refusal comes from its counts alone: no row is decoded, and the
+    arrays made stay within the charges."""
+    work, charges = spy_work(monkeypatch)
+    decoded = []
+    wrap(monkeypatch, baselines, "_box", lambda result, *args: decoded.append(args))
+    assert main(argv(command, tmp_path)) == 2
+    assert capsys.readouterr() == ("", error)
+    assert decoded == [] and not list(tmp_path.iterdir())
+    assert work["GRID"] <= max(charges["GRID"])

@@ -471,7 +471,9 @@ class TestWorkBudget:
                                                       argv):
         # the digit grids (1.82 TiB and 131 GiB), the radius counts (1.82 TiB
         # at p = 1000001) and the density grid (51.7 GiB at m = 83328) once
-        # ended in numpy memory-error tracebacks
+        # ended in numpy memory-error tracebacks; behrend at 10^12 and the
+        # half box 101^6 are now counted and refused at their certificates,
+        # before a row is decoded
         monkeypatch.chdir(tmp_path)
         t0 = time.perf_counter()
         code, out, err = run(capsys, *argv)

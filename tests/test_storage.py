@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apfree import verify
+from apfree import storage, verify
 from apfree.cli import main
 from apfree.dsets import DiscreteSet
 from apfree.storage import dump_json, read_set, write_set
@@ -337,6 +338,34 @@ def test_progression_lists_are_stdlib_bytes(case, chunk):
         report = verify_set(universe, elements, all_counterexamples=True)
     assert report.counts["all_counterexamples"] == expected
     assert lines(dump_json(report.to_jsonable())) == lines(stdlib(materialised(report)))
+
+
+@pytest.mark.parametrize("step", [1, 2, 5, None])
+def test_progression_lists_written_in_pieces(monkeypatch, step):
+    """A list of more progressions than one piece holds, whole pieces and a
+    shorter last one, or of exactly one piece's (step None), is written as
+    the stdlib writes it."""
+    for (verify_set, universe, elements, expected), _ in _many_chunks:
+        monkeypatch.setattr(storage, "_STEP", step or len(expected))
+        report = verify_set(universe, elements, all_counterexamples=True)
+        assert len(expected) > (step or 1)
+        assert dump_json(report.to_jsonable()) == stdlib(materialised(report))
+
+
+def test_a_large_report_is_copied_once():
+    """A verify --all report of more than 2 MB peaks at about twice its
+    text, once in pieces and once joined; when each level of the document
+    copied its value's text, it peaked near three times."""
+    elements = random.Random(5).sample(range(1, 20001), 1300)
+    doc = verify_integer_set(20000, elements, all_counterexamples=True).to_jsonable()
+    tracemalloc.start()
+    try:
+        text = dump_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2 * 10**6
+    assert peak < 2.3 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("elements, listed", [
