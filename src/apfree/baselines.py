@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import budget, gridscan, verify
+from . import budget, rational, verify
 from .dsets import DiscreteSet
 from .integers import ParameterError, int_nthroot_ceil
 
@@ -58,7 +58,7 @@ def _shell_counts(side: int, k: int, tables: list) -> np.ndarray:
     c_{j-1} added at a shift of each digit square.  Its last digit is fixed
     by the others and the radius, so its values are at most side^(j-1),
     held in the narrowest signed integer dtype, or object arrays past
-    gridscan.INT64_SAFE: c_2 of a side of 5000 takes 100 MB, not 400."""
+    rational.INT64_SAFE: c_2 of a side of 5000 takes 100 MB, not 400."""
     if len(tables) < k:
         budget.charge("GRID", f"sphere-shell counts of {{0..{side - 1}}}^{k}", _count_cost(side, k))
         squares = [d * d for d in range(side)]
@@ -76,7 +76,7 @@ def _shell_counts(side: int, k: int, tables: list) -> np.ndarray:
             # side >= 2, so side^63 is over the int64 limit
             most = side ** min(j - 1, 63)
             # min_scalar_type of a negative value is the narrowest signed type
-            dtype = np.min_scalar_type(-most - 1) if most <= gridscan.INT64_SAFE else object
+            dtype = np.min_scalar_type(-most - 1) if most <= rational.INT64_SAFE else object
             last = tables[-1]
             if dtype is object:
                 last = last.astype(object)
@@ -178,7 +178,7 @@ def behrend_set(N: int, certify: bool = False) -> DiscreteSet:
         digits = _shell_rows(side, k, radius_sq, count)
         # digit i weighs base**i; every element is below base**k <= N, which
         # DiscreteSet checks
-        weights = np.array([base**i for i in range(k)], dtype=gridscan.exact_dtype(N))
+        weights = np.array([base**i for i in range(k)], dtype=rational.exact_dtype(N))
         elements = (1 + digits.astype(weights.dtype) @ weights).tolist()
     return DiscreteSet(
         kind="integer",

@@ -19,10 +19,18 @@ The weight of an in-block point is
     w(p) = (24/eps^2) * (p1+p2)^2 + 6 * g(p1),
 
 where g(t) is the square of t reduced modulo 1/2.  This weight is the
-potential driving the slice constructions, which weigh points with the
-scaled-integer kernels of :mod:`apfree.gridscan`: for any three block
-points forming a progression modulo 1 it dominates twice the middle weight
-plus the squared coordinate gap between the outer points.
+potential driving the slice constructions: for any three block points
+forming a progression modulo 1 it dominates twice the middle weight plus
+the squared coordinate gap between the outer points.
+
+The exact kernel below tests and weighs the grid points (U/D, V/D) on
+their integer numerators, against integer bounds solved once from the
+block's inequalities (``_piece_bounds``).  A region test (the block, or
+the [0,delta)^2 box, whose points all weigh 0) stays below
+``region_factor`` times D, and a weight below ``weight_factor`` times
+D^2, bounds that ``rational.exact_dtype`` turns into a dtype.  A grid
+whose Q times the eps denominator exceeds 2_000_000 is refused
+(``_check_scale``), which keeps the sweeps of ``apfree.gridscan`` in int64.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
+from . import budget
 from .clipping import clipped_area
 
 Point2 = tuple[Fraction, Fraction]
@@ -218,3 +229,108 @@ def clipped_piece_areas(epsilon: Fraction) -> dict[int, tuple[Fraction, bool]]:
         area = clipped_area(clip_spec)
         out[piece] = (area, area == 0)
     return out
+
+
+_SCALE_LIMIT = 2_000_000
+
+
+def _check_scale(eps: Fraction, Q: int) -> None:
+    if eps.denominator * Q > _SCALE_LIMIT:
+        raise ValueError(
+            f"eps denominator {eps.denominator} times grid {Q} exceeds the "
+            f"int64-exactness budget {_SCALE_LIMIT}"
+        )
+
+
+def _piece_bounds(eps: Fraction, D: int) -> tuple[int, ...]:
+    """The block's inequalities on numerators (U, V) over D, each solved
+    exactly for one integer bound, (h, s1, s2, b1, b2, c):
+    2U >= D iff U >= h, and 2V < D iff V < h;
+    piece 1 is U >= h and s1 <= U + V <= s2 (2/3 < a+b <= 7/6);
+    pieces 2 and 3 lie in the band b1 <= U + V <= b2 (7/6+eps <= a+b <= 17/12),
+    piece 2 with U >= h and V < h, piece 3 with U < h, V >= h and
+    2U + V >= c (2a+b >= 3/2+eps)."""
+    en, ed = eps.numerator, eps.denominator
+    return (-(-D // 2), 2 * D // 3 + 1, 7 * D // 6,
+            -(-(7 * ed + 6 * en) * D // (6 * ed)), 17 * D // 12,
+            -(-(3 * ed + 2 * en) * D // (2 * ed)))
+
+
+def scaled_in_block(eps: Fraction, D: int, U, V):
+    """Whether the points (U/D, V/D) lie in the block, in one of its three
+    pieces, by the bounds of ``_piece_bounds``; numpy arrays (broadcast) or
+    Python ints.  The pieces are disjoint for 0 < eps < 1."""
+    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
+    S = U + V
+    high = U >= h
+    band = (S >= b1) & (S <= b2)
+    in_t1 = high & (S >= s1) & (S <= s2)
+    in_t2 = high & (V < h) & band
+    in_t3 = (U < h) & (V >= h) & band & (U + S >= c)
+    return in_t1 | in_t2 | in_t3
+
+
+def scaled_below(delta: Fraction, D: int, U):
+    """Membership of the coordinates U/D, 0 <= U < D, in [0,delta); numpy
+    arrays or Python ints."""
+    return delta.denominator * U < delta.numerator * D
+
+
+def scaled_box(delta: Fraction, D: int, U, V):
+    """Membership of the points (U/D, V/D) in the box [0,delta)^2."""
+    return scaled_below(delta, D, U) & scaled_below(delta, D, V)
+
+
+def region_factor(eps: Fraction | None, delta: Fraction) -> int:
+    """scaled_in_block (eps) or scaled_box (eps None, 0 < delta < 1) on
+    numerators in [0, D) keeps every intermediate below this times D."""
+    return delta.denominator if eps is None else 16 * eps.denominator
+
+
+def scaled_weight(eps: Fraction, D: int, U, V):
+    """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2 for 0 <= U, V < D,
+    meaningful where scaled_in_block holds; numpy arrays (broadcast) or
+    Python ints."""
+    en, ed = eps.numerator, eps.denominator
+    S = U + V
+    # 4 * D^2 * g(U/D): (2U)^2 below one half, (2U - D)^2 above
+    G = (2 * U % D) ** 2
+    return 96 * ed * ed * S * S + 6 * en * en * G
+
+
+def weight_factor(eps: Fraction) -> int:
+    """scaled_weight on numerators in [0, D) keeps every intermediate, and
+    scaled_in_block every one of its own, below this times D^2."""
+    return 384 * eps.denominator ** 2 + 6 * eps.numerator ** 2
+
+
+def _piece_rows(eps: Fraction, D: int, U) -> list:
+    """Per piece, (lo, hi): for each numerator U of the array U, the least
+    and the greatest integer V with (U/D, V/D) in the piece, by the bounds
+    of ``_piece_bounds`` (the row holds none when lo > hi).  The rows with
+    U >= h belong to pieces 1 and 2, the others to piece 3."""
+    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
+    high, low = U[U >= h], U[U < h]
+    return [
+        (s1 - high, s2 - high),
+        (b1 - high, np.minimum(b2 - high, h - 1)),
+        (np.maximum(np.maximum(b1 - low, h), c - 2 * low), b2 - low),
+    ]
+
+
+def density_count(eps: Fraction, m: int) -> int:
+    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block,
+    counted by rows: for each odd numerator U = 2i+1 over D = 2m, every
+    piece's V-range is one interval (``_piece_rows``), and the odd V in
+    it are counted; the pieces are disjoint, so the counts add up.  Time
+    and memory are O(m).  The m^2 cells are charged to budget.GRID first."""
+    _check_scale(eps, 2 * m)
+    budget.charge("GRID", f"density grid of {m}x{m} cells", m * m)
+    eps, D = BuildingBlock(eps).epsilon, 2 * m
+    rows = _piece_rows(eps, D, 2 * np.arange(m, dtype=np.int64) + 1)
+
+    def odd_upto(v):
+        # the odd V in [0, v] that lie below D
+        return (np.clip(v, -1, D) + 1) // 2
+
+    return sum(int(np.maximum(odd_upto(hi) - odd_upto(lo - 1), 0).sum()) for lo, hi in rows)

@@ -50,12 +50,22 @@ def _shift(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("APFREE_THREADS", "1")
+def _threads(text: str) -> int:
+    """A worker cap: an integer of at least 1."""
     try:
-        return int(raw)
+        threads = int(text)
     except ValueError:
-        raise ValueError(f"APFREE_THREADS={raw!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return threads
+
+
+def _default_threads() -> int:
+    try:
+        return _threads(os.environ.get("APFREE_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"APFREE_THREADS={exc}") from None
 
 
 def _print(obj) -> None:
@@ -221,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, certify and measure progression-free sets "
         "with exact rational arithmetic.",
     )
-    parser.add_argument("--threads", type=int, default=_default_threads(),
+    parser.add_argument("--threads", type=_threads, default=_default_threads(),
                         help="worker cap for grid sweeps (env APFREE_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,41 +1,23 @@
-"""Exact scaled-integer block membership and weight, and the grid sweeps.
+"""The exhaustive grid sweeps of the block facts (``check``).
 
-A grid point with denominator D is stored as its integer numerator pair
-(u, v) meaning (u/D, v/D); every inequality is cross-multiplied, or
-solved exactly for an integer bound, so each check is a comparison of
-integer expressions held in numpy int64 arrays.
-This is still exact arithmetic: the scale check below rules overflow
-out (the largest intermediate is < 3400 * (ed*Q)^2, kept under 2^62 by
-requiring ed*Q <= 2_000_000), and no floats appear anywhere.  In a sweep
-the weights F4 at denominator 2Q are below 1560 (ed*Q)^2, and the values
-its per-sum tables compare stay inside the same bound: h and the block
-threshold lie in (-128, 3120) (ed*Q)^2, and so does h(x) + h(z); the
-code-2 values 2 ed^2 (sx^2 + sz^2) and ed^2 syn^2 + en^2 Q^2 are below
-17 (ed*Q)^2; the code-3 values are below 8 Q^2 in size; the tables'
+The sweeps test and weigh the grid points with the exact kernel of
+:mod:`apfree.blocks`, on integer numerators held in numpy int64 arrays,
+and no floats appear anywhere.  Every value a sweep compares lies below
+3400 (ed*Q)^2, which the kernel's scale check (``_check_scale``) keeps
+under 2^62: the weights F4 at denominator 2Q are below 1560 (ed*Q)^2, and the
+values its per-sum tables compare stay inside the same bound: h and the
+block threshold lie in (-128, 3120) (ed*Q)^2, and so does h(x) + h(z);
+the code-2 values 2 ed^2 (sx^2 + sz^2) and ed^2 syn^2 + en^2 Q^2 are
+below 17 (ed*Q)^2; the code-3 values are below 8 Q^2 in size; the tables'
 sentinels, -2^62 and 2^62, are only compared, never added to, apart from
 the band radius lowering 2^62 by a code-2 value.  The radius's own
 bounds on h(x) + h(z) and its thresholds stay inside (-3400, 3400)
 (ed*Q)^2.
 
-Weights are scaled as F4(u, v) = w((u/D, v/D)) * 4 * en^2 * D^2, which is
-an integer because 4*D^2*g(u/D) is 4u^2 or (2u-D)^2.  Pair sweeps place
-the outer points x, z on the Q-grid and their midpoint candidates on the
-2Q-grid; a single table at denominator 2Q serves both because
-F4(2i, 2j, 2Q) = 4 * F4(i, j, Q) matches the factor-4 cross-multiplied
-inequality.
-
-The block's inequalities are solved once into integer bounds on U, V,
-U + V and 2U + V (``_piece_bounds``).  The membership test
-(``scaled_in_block``, the union of the piece masks ``_piece_masks``) and
-the density count both read them; the count goes by rows, where each
-piece's V-range is one interval, so it costs O(m) time and memory for
-m^2 cells.  The
-constructions' region is the block (``scaled_in_block``) or the
-[0,delta)^2 box (``scaled_below`` per coordinate, ``scaled_box`` per
-pair), whose points all weigh 0.  The constructions test and weigh whole
-arrays, on the dtype ``exact_dtype`` picks: int64 where a bound such as
-``region_factor`` or ``weight_factor`` keeps every intermediate at most
-2^62, object arrays of Python ints otherwise.
+Pair sweeps place the outer points x, z on the Q-grid and their midpoint
+candidates on the 2Q-grid; a single weight table at denominator 2Q
+(``weight_table``) serves both because F4(2i, 2j, 2Q) = 4 * F4(i, j, Q)
+matches the factor-4 cross-multiplied inequality.
 
 ``run_sweeps`` sweeps the pairs x <= z of the grid points once for any
 selection of the four facts (every ``check`` calls it once).  The weight
@@ -80,8 +62,7 @@ every pair; the per-sum and prefix count tables are built on first use.
 Bands below _SERIAL_PAIRS pairs, and sweeps of the first-coordinate
 facts alone, stay on one process, which is the only place the process
 pool is imported; the pool's workers walk ranges of band rows, and the
-caller counts the rest.  The density grid's cells are charged to
-budget.GRID.
+caller counts the rest.
 """
 
 from __future__ import annotations
@@ -94,97 +75,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import budget
-from .blocks import BuildingBlock
-from .rational import rat_str
-
-_SCALE_LIMIT = 2_000_000
-
-
-def _check_scale(eps: Fraction, Q: int) -> None:
-    if eps.denominator * Q > _SCALE_LIMIT:
-        raise ValueError(
-            f"eps denominator {eps.denominator} times grid {Q} exceeds the "
-            f"int64-exactness budget {_SCALE_LIMIT}"
-        )
-
-
-def _piece_bounds(eps: Fraction, D: int) -> tuple[int, ...]:
-    """The block's inequalities on numerators (U, V) over D, each solved
-    exactly for one integer bound, (h, s1, s2, b1, b2, c):
-    2U >= D iff U >= h, and 2V < D iff V < h;
-    piece 1 is U >= h and s1 <= U + V <= s2 (2/3 < a+b <= 7/6);
-    pieces 2 and 3 lie in the band b1 <= U + V <= b2 (7/6+eps <= a+b <= 17/12),
-    piece 2 with U >= h and V < h, piece 3 with U < h, V >= h and
-    2U + V >= c (2a+b >= 3/2+eps)."""
-    en, ed = eps.numerator, eps.denominator
-    return (-(-D // 2), 2 * D // 3 + 1, 7 * D // 6,
-            -(-(7 * ed + 6 * en) * D // (6 * ed)), 17 * D // 12,
-            -(-(3 * ed + 2 * en) * D // (2 * ed)))
-
-
-def _piece_masks(eps: Fraction, D: int, U, V):
-    """The masks (t1, t2, t3) of the points (U/D, V/D) in each piece of the
-    block, by the bounds of ``_piece_bounds``; numpy arrays (broadcast) or
-    Python ints.  The pieces are disjoint for 0 < eps < 1."""
-    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
-    S = U + V
-    high = U >= h
-    band = (S >= b1) & (S <= b2)
-    in_t1 = high & (S >= s1) & (S <= s2)
-    in_t2 = high & (V < h) & band
-    in_t3 = (U < h) & (V >= h) & band & (U + S >= c)
-    return in_t1, in_t2, in_t3
-
-
-def scaled_in_block(eps: Fraction, D: int, U, V):
-    """Whether the points (U/D, V/D) lie in the block, in one of its three
-    pieces; numpy arrays (broadcast) or Python ints."""
-    in_t1, in_t2, in_t3 = _piece_masks(eps, D, U, V)
-    return in_t1 | in_t2 | in_t3
-
-
-def scaled_below(delta: Fraction, D: int, U):
-    """Membership of the coordinates U/D, 0 <= U < D, in [0,delta); numpy
-    arrays or Python ints."""
-    return delta.denominator * U < delta.numerator * D
-
-
-def scaled_box(delta: Fraction, D: int, U, V):
-    """Membership of the points (U/D, V/D) in the box [0,delta)^2."""
-    return scaled_below(delta, D, U) & scaled_below(delta, D, V)
-
-
-# int64 values proven at most this cannot wrap, even in a sum of two
-INT64_SAFE = 1 << 62
-
-
-def exact_dtype(bound: int):
-    """int64 when ``bound`` proves every value stays at most 2^62, else
-    object arrays of Python ints; either way nothing wraps."""
-    return np.int64 if bound <= INT64_SAFE else object
-
-
-def region_factor(eps: Fraction | None, delta: Fraction) -> int:
-    """scaled_in_block (eps) or scaled_box (eps None, 0 < delta < 1) on
-    numerators in [0, D) keeps every intermediate below this times D."""
-    return delta.denominator if eps is None else 16 * eps.denominator
-
-
-def scaled_weight(eps: Fraction, D: int, U, V):
-    """F4 = weight((U/D, V/D)) * 4 * en^2 * D^2 for 0 <= U, V < D,
-    meaningful where scaled_in_block holds; numpy arrays (broadcast) or
-    Python ints."""
-    en, ed = eps.numerator, eps.denominator
-    S = U + V
-    # 4 * D^2 * g(U/D): (2U)^2 below one half, (2U - D)^2 above
-    G = (2 * U % D) ** 2
-    return 96 * ed * ed * S * S + 6 * en * en * G
-
-
-def weight_factor(eps: Fraction) -> int:
-    """scaled_weight on numerators in [0, D) keeps every intermediate, and
-    scaled_in_block every one of its own, below this times D^2."""
-    return 384 * eps.denominator ** 2 + 6 * eps.numerator ** 2
+from .blocks import BuildingBlock, _check_scale, scaled_in_block, scaled_weight
+from .rational import INT64_SAFE, rat_str
 
 
 def weight_table(eps: Fraction, D: int) -> np.ndarray:
@@ -768,35 +660,3 @@ def run_sweeps(kinds, eps: Fraction, Q: int, threads: int = 1):
                 **({"candidates": g.candidates} if kind in tiled else {})}
         result[kind] = {**head, **counts}, None if best is None else _violation(g, kind, best)
     return result
-
-
-def _piece_rows(eps: Fraction, D: int, U) -> list:
-    """Per piece, (lo, hi): for each numerator U of the array U, the least
-    and the greatest integer V with (U/D, V/D) in the piece, by the bounds
-    of ``_piece_bounds`` (the row holds none when lo > hi).  The rows with
-    U >= h belong to pieces 1 and 2, the others to piece 3."""
-    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
-    high, low = U[U >= h], U[U < h]
-    return [
-        (s1 - high, s2 - high),
-        (b1 - high, np.minimum(b2 - high, h - 1)),
-        (np.maximum(np.maximum(b1 - low, h), c - 2 * low), b2 - low),
-    ]
-
-
-def density_count(eps: Fraction, m: int) -> int:
-    """Number of cell midpoints ((2i+1)/(2m), (2j+1)/(2m)) inside the block,
-    counted by rows: for each odd numerator U = 2i+1 over D = 2m, every
-    piece's V-range is one interval (``_piece_rows``), and the odd V in
-    it are counted; the pieces are disjoint, so the counts add up.  Time
-    and memory are O(m).  The m^2 cells are charged to budget.GRID first."""
-    _check_scale(eps, 2 * m)
-    budget.charge("GRID", f"density grid of {m}x{m} cells", m * m)
-    eps, D = BuildingBlock(eps).epsilon, 2 * m
-    rows = _piece_rows(eps, D, 2 * np.arange(m, dtype=np.int64) + 1)
-
-    def odd_upto(v):
-        # the odd V in [0, v] that lie below D
-        return (np.clip(v, -1, D) + 1) // 2
-
-    return sum(int(np.maximum(odd_upto(hi) - odd_upto(lo - 1), 0).sum()) for lo, hi in rows)

@@ -6,7 +6,7 @@ slice of a region (the block product, or for n = 2 without epsilon the
 [0,delta)^2 box, whose points all weigh 0) therefore yields a
 progression-free set whenever delta <= 1/max(m).  Each coordinate pair is
 embedded on its own integer grid, so region tests, weights and slice
-indices are exact integer arithmetic (:mod:`apfree.gridscan`).  The best
+indices are exact integer arithmetic (:mod:`apfree.blocks`).  The best
 shift and slice are selected by counting, and ties break to the smallest
 slice index, then the lexicographically smallest shift.
 
@@ -64,10 +64,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budget, gridscan
-from .blocks import BuildingBlock
+from . import budget, rational
+from .blocks import (BuildingBlock, region_factor, scaled_below, scaled_in_block, scaled_weight,
+                     weight_factor)
 from .dsets import DiscreteSet
-from .gridscan import region_factor, scaled_below, scaled_in_block, scaled_weight, weight_factor
 from .rational import point_strs, rat_str
 
 SHIFT_GRID_LEVEL = 16
@@ -163,7 +163,7 @@ def _charge_grids(moduli, nums, dens, epsilon: Fraction | None, delta: Fraction,
         m1, m2 = moduli[2 * h], moduli[2 * h + 1]
         n1, n2, d1, d2 = nums[2 * h], nums[2 * h + 1], dens[2 * h], dens[2 * h + 1]
         D = math.lcm(m1, m2, d1 // math.gcd(n1, d1), d2 // math.gcd(n2, d2))
-        dtype = gridscan.exact_dtype(factor * D if epsilon is None else factor * D * D)
+        dtype = rational.exact_dtype(factor * D if epsilon is None else factor * D * D)
         grid = m1 + m2 if epsilon is None else m1 * m2
         points += grid * (budget.OBJECT_COST if dtype is object else 1)
         grids.append((D, dtype, n1 * D // d1 % D, n2 * D // d2 % D))
@@ -274,7 +274,7 @@ def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delt
             for p, h in enumerate(hs):
                 for t in range(T):
                     bounds[t] += top.get(p * T + t, 1) * scales[t][h]
-        dtypes = [gridscan.exact_dtype(bound) for bound in bounds]
+        dtypes = [rational.exact_dtype(bound) for bound in bounds]
         dtype = object if object in dtypes else np.int64
         ws = [w.astype(dtype, copy=False) * np.repeat(
                   np.array([scales[t][h] for h in hs for t in range(T)], dtype=dtype), counts)
@@ -293,7 +293,7 @@ def _pair_slots(moduli, numerators, denominators, epsilon: Fraction | None, delt
 def _slice_dtype(s_max: int, num: int, den: int):
     """The dtype of the slice division (num * s) // den for 0 <= s <= s_max:
     int64 when num * max(s_max, 1) and den are at most 2^62."""
-    return gridscan.exact_dtype(max(num * max(s_max, 1), den))
+    return rational.exact_dtype(max(num * max(s_max, 1), den))
 
 
 def slice_indices(s, s_max: int, num: int, den: int):
@@ -528,6 +528,8 @@ def build_group_set(moduli, options: BuildOptions = BuildOptions()) -> DiscreteS
     else:
         shift = None
     epsilon = region_epsilon(options.epsilon, n)
+    if options.slice_index is not None and options.slice_index < 0:
+        raise ValueError(f"slice index {options.slice_index} is negative")
     if epsilon is None and options.slice_index is not None:
         raise ValueError("the box route (n=2, no epsilon) takes no slice index")
     if shift is None and options.slice_index is not None:

@@ -42,10 +42,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import budget, gridscan
+from . import budget, rational
+from .blocks import region_factor, scaled_box, scaled_in_block, scaled_weight, weight_factor
 from .dsets import DiscreteSet
-from .gridscan import (INT64_SAFE, region_factor, scaled_box, scaled_in_block, scaled_weight,
-                       weight_factor)
 from .groups import (BuildOptions, build_group_set, is_prime, region_epsilon, slice_indices,
                      slice_ratio, slice_runs, trial_rng)
 from .rational import rat_str
@@ -318,7 +317,7 @@ def kept_slices(shifts: list[list[int]], b_nums: list[int], denom: int, lo: int,
         if not one:
             trial = np.compress(keep, trial)
         off = np.compress(keep, off)
-    s = np.zeros(len(off), dtype=gridscan.exact_dtype(s_max))
+    s = np.zeros(len(off), dtype=rational.exact_dtype(s_max))
     if epsilon is not None:
         for h in pairs:
             U, V = (x.astype(s.dtype) for x in coordinates(h))
@@ -382,7 +381,7 @@ def build_integer_set_direct(N: int, n: int | None = None,
     # the row coordinates' and the region test's intermediates stay below
     # factor * denom
     factor = max(_SCAN_CHUNK, region_factor(epsilon, delta))
-    if factor * denom > INT64_SAFE:
+    if factor * denom > rational.INT64_SAFE:
         raise ValueError(f"grid denominator {denom} times {factor} exceeds "
                          f"the int64-exactness budget 2^62")
     region = (epsilon, delta, *slice_ratio(epsilon, delta, denom * denom))

@@ -4,12 +4,25 @@ Every rational quantity in this package is a ``fractions.Fraction`` or
 an exact integer numerator over a known denominator.  No computation
 anywhere uses floats; decimal renderings are produced by integer long
 division and are for display only.
+
+``exact_dtype`` holds exact integers in int64 only where a proven bound
+keeps every value at most 2^62 (``INT64_SAFE``), so that even a sum of
+two cannot wrap, and in object arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
+
+INT64_SAFE = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """The dtype of exact integer arrays whose values are at most ``bound``."""
+    return np.int64 if bound <= INT64_SAFE else object
 
 
 def parse_rational(text: str) -> Fraction:

@@ -43,9 +43,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import budget, gridscan
-from .blocks import BuildingBlock, clipped_piece_areas, PIECE_LABELS
-from .gridscan import density_count, run_sweeps
+from . import budget, rational
+from .blocks import BuildingBlock, clipped_piece_areas, density_count, PIECE_LABELS
 from .rational import decimal_str, rat_str
 
 
@@ -372,7 +371,7 @@ def verify_group_set(
         elements = group_elements(moduli, elements)
     # a pair's key sum KA[x] + KB[z] (_group_hits) is below 2·k·prod(m) for
     # k moduli
-    rows = np.array(elements, dtype=gridscan.exact_dtype(2 * len(moduli) * math.prod(moduli)))
+    rows = np.array(elements, dtype=rational.exact_dtype(2 * len(moduli) * math.prod(moduli)))
     rows = rows.reshape(len(elements), len(moduli))
     even = [i for i, m in enumerate(moduli) if m % 2 == 0]
     parity = (rows[:, even] % 2).astype(np.int8)
@@ -393,7 +392,7 @@ def verify_integer_set(
     t0 = time.perf_counter()
     if not (type(elements) is _Checked and elements.universe == bound):
         elements = integer_elements(int(bound), elements)
-    v = np.array(elements, dtype=gridscan.exact_dtype(2 * int(bound)))
+    v = np.array(elements, dtype=rational.exact_dtype(2 * int(bound)))
     parity = (v & 1).astype(np.int8)[:, None]
     _charge_scan("integer certificate", parity, 1)
     return _scan_report(
@@ -417,6 +416,9 @@ def check_sweeps(kinds, epsilon: Fraction, grid: int, threads: int = 1) -> list[
     """The exhaustive sweeps of the facts ``kinds`` (keys of SWEEP_SUBJECTS)
     on the 1/grid grid, in one walk over its pairs: one report per kind,
     each with the elapsed time of the whole walk."""
+    # only check runs the sweeps, so only check loads them
+    from .gridscan import run_sweeps
+
     t0 = time.perf_counter()
     results = run_sweeps(kinds, epsilon, grid, threads)
     elapsed = time.perf_counter() - t0

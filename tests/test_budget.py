@@ -15,7 +15,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from apfree import baselines, budget, gridscan, groups, integers, verify
+from apfree import baselines, blocks, budget, gridscan, groups, integers, verify
 from apfree.budget import BudgetError
 from apfree.cli import main
 
@@ -123,7 +123,7 @@ def spy_work(monkeypatch):
         monkeypatch.setattr(owner, name, call)
 
     within(verify, "density_count")
-    wrap(monkeypatch, gridscan, "_piece_rows", lambda result, *args: dense(
+    wrap(monkeypatch, blocks, "_piece_rows", lambda result, *args: dense(
         max(np.size(bound) for row in result for bound in row))
         if "density_count" in inside else None)
     wrap(monkeypatch, baselines, "_shell_counts", lambda result, *args: dense(len(result)))

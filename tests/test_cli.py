@@ -152,6 +152,12 @@ class TestConstruct:
         sidecar = json.loads((tmp_path / f"{summary['name']}.json").read_text())
         assert sidecar["provenance"]["route"] == "box"
 
+    def test_negative_slice_index_is_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "construct", "zm", "--moduli", "4,4", "--epsilon", "1/4",
+                             "--shift", "0,0", "--slice-j", "-1", "--outdir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: slice index -1 is negative\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "zm"])
@@ -550,6 +556,18 @@ class TestThreadsFlag:
         # stdout is the reports; stderr also prints the elapsed times
         assert run(capsys, "--threads", "2", *argv)[:2] == (code, out)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_a_cap_below_one_is_refused(self, monkeypatch, capsys, value):
+        monkeypatch.delenv("APFREE_THREADS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", value, "area", "--epsilon", "1/12"])
+        assert exc.value.code == 2
+        assert f"argument --threads: '{value}' is below 1" in capsys.readouterr().err
+        monkeypatch.setenv("APFREE_THREADS", value)
+        code, out, err = run(capsys, "area", "--epsilon", "1/12")
+        assert (code, out) == (2, "")
+        assert err == f"error: APFREE_THREADS='{value}' is below 1\n"
+
     def test_bad_env_value_after_a_good_one(self, monkeypatch, capsys):
         monkeypatch.setenv("APFREE_THREADS", "2")
         assert run(capsys, "area", "--epsilon", "1/12")[0] == 0
@@ -886,3 +904,17 @@ def test_import_leaves_the_process_pool_unloaded():
     res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=60, check=True)
     assert res.stdout == "[]\n"
+
+
+def test_only_check_loads_the_sweeps():
+    """Importing the package and its command line leaves the grid sweeps
+    unloaded; a check loads them when it runs."""
+    src = str(Path(apfree.__file__).resolve().parents[1])
+    probe = ("import sys, apfree, apfree.cli; "
+             "before = 'apfree.gridscan' in sys.modules; "
+             "code = apfree.cli.main(['check', 'facts', '--epsilon', '1/12', '--Q', '24']); "
+             "print(before, code, 'apfree.gridscan' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    # after the check's report
+    assert res.stdout.splitlines()[-1] == "False 0 True"

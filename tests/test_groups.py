@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apfree import budget, gridscan, groups
+from apfree import budget, groups, rational
+from apfree.baselines import behrend_set
+from apfree.blocks import scaled_below, scaled_in_block, scaled_weight
 from apfree.budget import BudgetError
-from apfree.gridscan import scaled_below, scaled_in_block, scaled_weight
 from apfree.groups import (
     BuildOptions,
     trial_rng,
@@ -28,7 +30,7 @@ from apfree.groups import (
     slice_runs,
 )
 from apfree.dsets import DiscreteSet
-from apfree.integers import build_integer_set
+from apfree.integers import build_integer_set, build_integer_set_direct
 from apfree.rational import point_strs
 from oracle import (
     Block,
@@ -507,6 +509,13 @@ class TestDriver:
     def test_box_route_rejects_slice_index(self):
         with pytest.raises(ValueError, match="slice index"):
             build_group_set((9, 7), BuildOptions(seed=2, slice_index=0))
+
+    @pytest.mark.parametrize("moduli", [(4, 4), (3, 3, 3), (6, 6, 6, 6)])
+    def test_negative_slice_index_is_refused(self, moduli):
+        # a slice index counts slices from 0; no slice lies below it
+        options = BuildOptions(epsilon=F(1, 4), shift=(F(0),) * len(moduli), slice_index=-1)
+        with pytest.raises(ValueError, match="slice index -1 is negative"):
+            build_group_set(moduli, options)
 
     @pytest.mark.parametrize("moduli", [(3, 3), (3, 3, 3), (6, 6, 6, 6)])
     def test_slice_index_without_shift_is_refused(self, moduli):
@@ -1111,27 +1120,51 @@ class TestWorkBudget:
 
 # -- the object-path twin ---------------------------------------------------
 
+# the benchmark's builds, with the modules whose exact_dtype calls each makes
 BENCHMARK_BUILDS = {
-    "zm 16^4 --epsilon 1/12": lambda seed: build_group_set(
-        (16,) * 4, BuildOptions(epsilon=F(1, 12), seed=seed)),
-    "fpn 11^3": lambda seed: build_fpn_set(11, 3, BuildOptions(seed=seed)),
-    "int --N 500000 --trials 4": lambda seed: build_integer_set(
-        500000, BuildOptions(trials=4, seed=seed)),
-    "zm 6^4": lambda seed: build_group_set((6,) * 4, BuildOptions(seed=seed)),
-    "int --N 5000": lambda seed: build_integer_set(5000, BuildOptions(seed=seed)),
+    "zm 16^4 --epsilon 1/12": (lambda seed: build_group_set(
+        (16,) * 4, BuildOptions(epsilon=F(1, 12), seed=seed)), {"groups", "verify"}),
+    "fpn 11^3": (lambda seed: build_fpn_set(11, 3, BuildOptions(seed=seed)),
+                 {"groups", "verify"}),
+    "int --N 500000 --trials 4": (lambda seed: build_integer_set(
+        500000, BuildOptions(trials=4, seed=seed)), {"groups", "verify"}),
+    "zm 6^4": (lambda seed: build_group_set((6,) * 4, BuildOptions(seed=seed)),
+               {"groups", "verify"}),
+    "int --N 5000": (lambda seed: build_integer_set(5000, BuildOptions(seed=seed)),
+                     {"groups", "verify"}),
+    "int-direct --N 2000 --n-override 4": (lambda seed: build_integer_set_direct(
+        2000, n=4, options=BuildOptions(seed=seed)), {"groups", "integers", "verify"}),
+    "int-direct --N 100000 --trials 4": (lambda seed: build_integer_set_direct(
+        100000, options=BuildOptions(trials=4, seed=seed)), {"groups", "integers", "verify"}),
+    "behrend --N 10000": (lambda seed: behrend_set(10000, True), {"baselines", "verify"}),
 }
+
+
+def test_the_twin_reaches_every_exact_dtype_caller():
+    callers = set().union(*(modules for _, modules in BENCHMARK_BUILDS.values()))
+    assert callers == {"baselines", "groups", "integers", "verify"}
 
 
 @pytest.mark.parametrize("build", BENCHMARK_BUILDS)
 def test_object_twin_of_the_benchmark_builds(monkeypatch, build):
-    """Forcing exact_dtype, the one switch of groups, integers and verify,
-    to object arrays changes no element, provenance or certificate."""
+    """Forcing exact_dtype, the one switch of groups, integers, verify and
+    baselines, to object arrays changes no element, provenance or
+    certificate.  Each call is recorded with its calling module, so a call
+    site that bound exact_dtype by name, which the patch cannot reach,
+    fails here."""
+    builder, modules = BENCHMARK_BUILDS[build]
+
     def outputs(seed):
-        dset = BENCHMARK_BUILDS[build](seed)
+        dset = builder(seed)
         return dset.elements, dset.provenance, dset.verify().to_jsonable()
 
     int64 = [outputs(seed) for seed in (0, 1)]
-    dtypes = []
-    monkeypatch.setattr(gridscan, "exact_dtype", lambda bound: dtypes.append(bound) or object)
+    callers = []
+
+    def forced(bound):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return object
+
+    monkeypatch.setattr(rational, "exact_dtype", forced)
     assert [outputs(seed) for seed in (0, 1)] == int64
-    assert dtypes
+    assert set(callers) == {f"apfree.{module}" for module in modules}

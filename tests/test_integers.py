@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import apfree.integers as integers
-from apfree.gridscan import (region_factor, scaled_box, scaled_in_block, scaled_weight,
-                             weight_factor)
+from apfree.blocks import (region_factor, scaled_box, scaled_in_block, scaled_weight,
+                           weight_factor)
 from apfree.groups import BuildOptions, is_prime, slice_ratio, trial_rng
 from apfree.integers import (
     ParameterError,

@@ -18,14 +18,8 @@ import apfree.dsets as dsets
 import apfree.verify as verify_module
 from apfree import (DiscreteSet, behrend_set, build_fpn_set, build_group_set, build_integer_set,
                     build_integer_set_direct, halfbox_set)
-from apfree.blocks import BuildingBlock
-from apfree.gridscan import (
-    _piece_masks,
-    density_count,
-    run_sweeps,
-    scaled_in_block,
-    weight_table,
-)
+from apfree.blocks import BuildingBlock, _piece_bounds, density_count, scaled_in_block
+from apfree.gridscan import run_sweeps, weight_table
 from apfree.verify import (
     SWEEP_SUBJECTS,
     area_oracle,
@@ -554,7 +548,7 @@ class TestScanAgainstLoopOracle:
     def test_key_sum_bound_edge(self, monkeypatch, moduli, dtype):
         # the key sums of k moduli stay below 2·k·prod(m): int64 exactly
         # when that is at most 2^62, with the same reports as object arrays
-        import apfree.gridscan as gridscan
+        import apfree.rational as rational
 
         assert (2 * len(moduli) * math.prod(moduli) <= 2**62) == (dtype is np.int64)
         assert abs(2 * len(moduli) * math.prod(moduli) - 2**62) <= 2**33
@@ -563,13 +557,13 @@ class TestScanAgainstLoopOracle:
         elements |= {tuple(m - k for m in moduli) for k in (1, 2, 3)}
         elements |= {tuple(rng.randrange(max(0, m - 100), m) for m in moduli) for _ in range(20)}
         elements = sorted(elements)
-        exact, chosen = gridscan.exact_dtype, []
-        monkeypatch.setattr(gridscan, "exact_dtype",
+        exact, chosen = rational.exact_dtype, []
+        monkeypatch.setattr(rational, "exact_dtype",
                             lambda bound: chosen.append(exact(bound)) or chosen[-1])
         reports = [verify_group_set(moduli, elements, all_counterexamples=a).to_jsonable()
                    for a in (False, True)]
         assert chosen == [dtype, dtype]
-        monkeypatch.setattr(gridscan, "exact_dtype", lambda bound: object)
+        monkeypatch.setattr(rational, "exact_dtype", lambda bound: object)
         assert [verify_group_set(moduli, elements, all_counterexamples=a).to_jsonable()
                 for a in (False, True)] == reports
         progressions = reports[1]["counts"]["all_counterexamples"]
@@ -783,12 +777,23 @@ class TestCheckedOnFailingSets:
         assert report.checked == math.comb(len(elements), 2)
 
 
+def piece_masks(eps, D, U, V):
+    """The masks (t1, t2, t3) of the points (U/D, V/D) in each piece of the
+    block, from the bounds that scaled_in_block tests, so that each piece
+    can be checked against the oracle's; numpy arrays (broadcast) or ints."""
+    h, s1, s2, b1, b2, c = _piece_bounds(eps, D)
+    S = U + V
+    band = (S >= b1) & (S <= b2)
+    return ((U >= h) & (S >= s1) & (S <= s2), (U >= h) & (V < h) & band,
+            (U < h) & (V >= h) & band & (U + S >= c))
+
+
 class TestSweepKernels:
     def test_piece_masks_match_oracle(self):
         eps, q = F(1, 12), 48
         block = Block(eps)
         u = np.arange(q, dtype=np.int64)
-        masks = _piece_masks(eps, q, u[:, None], u[None, :])
+        masks = piece_masks(eps, q, u[:, None], u[None, :])
         for i in range(q):
             for j in range(q):
                 tag = block.piece_of((F(i, q), F(j, q)))
@@ -804,7 +809,7 @@ class TestSweepKernels:
         block = Block(eps)
         for D in range(1, 97):
             u = np.arange(D, dtype=np.int64)
-            masks = _piece_masks(eps, D, u[:, None], u[None, :])
+            masks = piece_masks(eps, D, u[:, None], u[None, :])
             inside = scaled_in_block(eps, D, u[:, None], u[None, :])
             assert inside.dtype == bool
             assert np.array_equal(sum(mask.astype(int) for mask in masks), inside)
@@ -815,7 +820,7 @@ class TestSweepKernels:
             for k, mask in enumerate(masks, 1):
                 assert np.array_equal(mask, tags == k)
         for U, V in product(range(25), repeat=2):
-            masks = _piece_masks(eps, 24, U, V)
+            masks = piece_masks(eps, 24, U, V)
             assert scaled_in_block(eps, 24, U, V) == any(masks)
             if U < 24 and V < 24:
                 tag = block.piece_of((F(U, 24), F(V, 24)))
@@ -1871,7 +1876,7 @@ class TestDensity:
         eps included."""
         eps = F(min(a, b - 1), b)
         odd = 2 * np.arange(m, dtype=np.int64) + 1
-        masks = _piece_masks(eps, 2 * m, odd[:, None], odd[None, :])
+        masks = piece_masks(eps, 2 * m, odd[:, None], odd[None, :])
         assert density_count(eps, m) == sum(int(np.count_nonzero(mask)) for mask in masks)
 
     def test_memory_is_linear_in_m(self):
