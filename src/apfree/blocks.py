@@ -44,6 +44,7 @@ import numpy as np
 
 from . import budget
 from .clipping import clipped_area
+from .rational import point_strs
 
 Point2 = tuple[Fraction, Fraction]
 
@@ -90,11 +91,9 @@ class PiecePolygon:
         return polygon_area(self.vertices)
 
     def to_jsonable(self) -> dict:
-        from .rational import rat_str
-
         return {
             "piece": PIECE_LABELS[self.piece],
-            "vertices": [[rat_str(x), rat_str(y)] for x, y in self.vertices],
+            "vertices": [point_strs(v) for v in self.vertices],
             "closed_edges": list(self.closed_edges),
         }
 

@@ -206,9 +206,10 @@ def cmd_compare(args) -> int:
     # every route's set lies in the same universe
     writer.writerows([label, universe, *cells] for label, *cells in rows)
     text = buf.getvalue()
-    sys.stdout.write(text)
+    # the file first: a write that fails exits 2 with its error line alone
     if args.out:
         replace_text(Path(args.out), text)
+    sys.stdout.write(text)
     return 0 if ok else 1
 
 

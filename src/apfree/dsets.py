@@ -50,12 +50,7 @@ class DiscreteSet:
 
     @property
     def density(self) -> Fraction:
-        return Fraction(self.size, self.universe) if self.universe else Fraction(0)
-
-    def element_lines(self) -> list[str]:
-        if self.kind == "group":
-            return [",".join(map(str, e)) for e in self.elements]
-        return list(map(str, self.elements))
+        return Fraction(self.size, self.universe)
 
     def verify(self, subject: str | None = None,
                all_counterexamples: bool = False) -> VerificationReport:

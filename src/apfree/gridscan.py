@@ -76,7 +76,7 @@ import numpy as np
 
 from . import budget
 from .blocks import BuildingBlock, _check_scale, scaled_in_block, scaled_weight
-from .rational import INT64_SAFE, rat_str
+from .rational import INT64_SAFE, point_strs
 
 
 def weight_table(eps: Fraction, D: int) -> np.ndarray:
@@ -93,10 +93,6 @@ def _g_tables(Q: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.arange(2 * Q, dtype=np.int64)
     g2 = np.where(u < Q, u * u, (u - Q) ** 2)
     return gq, g2
-
-
-def _point_payload(Q: int, i: int, j: int) -> list[str]:
-    return [rat_str(Fraction(int(i), Q)), rat_str(Fraction(int(j), Q))]
 
 
 def band_tiles(width: np.ndarray, size: int, p0: int, p1: int):
@@ -599,16 +595,12 @@ def _worker(args):
 
 def _violation(g: _Grid, kind: str, key):
     """The report dict of a violation key (x, z, candidate, code)."""
-    Q = g.Q
     xi, zi, c, code = key
-    violation = {
-        "x": _point_payload(Q, g.I[xi], g.J[xi]),
-        "z": _point_payload(Q, g.I[zi], g.J[zi]),
-        "code": code,
-    }
+    x, z = ((Fraction(int(g.I[k]), g.Q), Fraction(int(g.J[k]), g.Q)) for k in (xi, zi))
+    violation = {"x": point_strs(x), "z": point_strs(z), "code": code}
     if _FACTS[kind][2]:
         y = g.candidate(int(g.I[xi] + g.I[zi]), int(g.J[xi] + g.J[zi]), c)
-        violation["y"] = [rat_str(Fraction(int(y.u), g.D)), rat_str(Fraction(int(y.v), g.D))]
+        violation["y"] = point_strs((Fraction(int(y.u), g.D), Fraction(int(y.v), g.D)))
         violation["candidate"] = c
     return violation
 

@@ -28,41 +28,17 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 _STEP = 1 << 12
 
 
-class _Unsupported(Exception):
-    """A value the exact writer leaves to the stdlib encoder."""
-
-
 def dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
-
-    With ``indent`` the stdlib falls back to its pure-Python encoder, so
-    dicts with str keys, lists, tuples, strs, exact ints, bools, None and
-    the Progressions of a ``verify --all`` report are written here;
-    anything else (floats, other key types, int subclasses such as numpy
-    scalars, cycles, ints past the str conversion limit) goes to the
-    stdlib, which then decides the bytes or the exception, a Progressions
-    inside it being written as the list it equals."""
-    try:
-        out = []
-        _write(obj, "\n", out)
-    except (_Unsupported, ValueError, RecursionError):
-        return json.dumps(obj, sort_keys=True, indent=2, default=_expand) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for what apfree writes: dicts with str keys, lists, tuples, strs, exact
+    ints, bools, None and the Progressions of a ``verify --all`` report,
+    written as the list it equals.  Anything else (a float, another key
+    type, an int subclass such as a numpy scalar) raises TypeError, as the
+    stdlib does for a type it cannot write."""
+    out = []
+    _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
-
-
-def _expand(obj):
-    # the stdlib encoder's hook for a value it cannot write: a Progressions
-    # is written as the list it equals, and anything else is refused as
-    # the stdlib refuses it
-    if type(obj) is Progressions:
-        return list(obj)
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _only_ints(values) -> bool:
-    # type(), not isinstance: bool is an int subclass and prints true/false
-    return set(map(type, values)) == {int}
 
 
 def _write(obj, pad: str, out: list) -> None:
@@ -81,9 +57,6 @@ def _write(obj, pad: str, out: list) -> None:
             out.append("[]")
             return
         inner = pad + "  "
-        if _only_ints(obj):
-            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), pad, "]")
-            return
         sep = "[" + inner
         for v in obj:
             out.append(sep)
@@ -97,7 +70,7 @@ def _write(obj, pad: str, out: list) -> None:
             out.append("{}")
             return
         if not all(type(key) is str for key in obj):
-            raise _Unsupported
+            raise TypeError("JSON object keys must be str")
         inner = pad + "  "
         sep = "{" + inner
         for key in sorted(obj):
@@ -108,7 +81,7 @@ def _write(obj, pad: str, out: list) -> None:
     elif kind is bool or obj is None:
         out.append(_LITERALS[obj])
     else:
-        raise _Unsupported
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _progressions(obj: Progressions, pad: str, out: list) -> None:
@@ -190,7 +163,10 @@ def write_set(dset: DiscreteSet, outdir: str | Path, name: str,
     # short, leaves a report beside a set it did not certify
     if _replaceable(report_path):
         report_path.unlink(missing_ok=True)
-    lines = dset.element_lines()
+    if dset.kind == "group":
+        lines = [",".join(map(str, e)) for e in dset.elements]
+    else:
+        lines = list(map(str, dset.elements))
     replace_text(paths["set"], "\n".join(lines) + "\n" if lines else "")
     sidecar = {
         "kind": dset.kind,

@@ -101,8 +101,11 @@ class _Checked(tuple):
 
 
 def group_elements(moduli: tuple[int, ...], elements) -> tuple[tuple[int, ...], ...]:
-    """A set in Z_m1 x ... x Z_mn as sorted Python int tuples; refuses a repeat
-    first, then the first element of the wrong length or out of range."""
+    """A set in Z_m1 x ... x Z_mn as sorted Python int tuples; refuses a
+    universe without moduli or with one below 1, then a repeat, then the
+    first element of the wrong length or out of range."""
+    if not moduli or min(moduli) < 1:
+        raise ValueError(f"moduli {list(moduli)} must be one or more integers of at least 1")
     elems = sorted(tuple(map(int, e)) for e in elements)
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")
@@ -117,7 +120,10 @@ def group_elements(moduli: tuple[int, ...], elements) -> tuple[tuple[int, ...], 
 
 
 def integer_elements(bound: int, elements) -> tuple[int, ...]:
-    """A set in {1,...,bound} as sorted Python ints; refuses a repeat first."""
+    """A set in {1,...,bound} as sorted Python ints; refuses a bound below 1,
+    then a repeat."""
+    if bound < 1:
+        raise ValueError(f"bound {bound} is below 1")
     elems = sorted(map(int, elements))
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate elements")

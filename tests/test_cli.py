@@ -686,6 +686,16 @@ class TestCompare:
             assert out_file.is_symlink() and out_file.readlink() == Path(os.devnull)
             assert Path(os.devnull).is_char_device()
 
+    def test_out_that_cannot_be_written_prints_no_table(self, capsys, tmp_path):
+        """--out into a missing directory exits 2 with one error line and
+        no table on stdout: the table once went to stdout before the write
+        failed."""
+        out_file = tmp_path / "missing" / "t.csv"
+        code, out, err = run(capsys, "compare", "fpn", "--p", "5", "--n", "2",
+                             "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{out_file}'\n"
+
     def test_fpn_table(self, capsys):
         code, out, _ = run(capsys, "compare", "fpn", "--p", "5", "--n", "4", "--seed", "1")
         assert code == 0
@@ -840,6 +850,22 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--set", str(tmp_path / "y.set"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("universe,error", [
+        ({"kind": "group", "moduli": [0]}, "moduli [0] must be one or more integers of at least 1"),
+        ({"kind": "group", "moduli": [-3]},
+         "moduli [-3] must be one or more integers of at least 1"),
+        ({"kind": "group", "moduli": []}, "moduli [] must be one or more integers of at least 1"),
+        ({"kind": "integer", "bound": 0}, "bound 0 is below 1"),
+        ({"kind": "integer", "bound": -5}, "bound -5 is below 1"),
+    ], ids=["modulus 0", "modulus -3", "no moduli", "bound 0", "bound -5"])
+    def test_exit_code_two_on_an_empty_universe(self, capsys, tmp_path, universe, error):
+        # the empty set in each of these universes was once certified, exit 0
+        (tmp_path / "u.set").write_text("")
+        (tmp_path / "u.json").write_text(json.dumps(universe))
+        code, out, err = run(capsys, "verify", "--set", str(tmp_path / "u.set"))
+        assert code == 2 and out == ""
+        assert err == f"error: {error}\n"
 
     @pytest.mark.parametrize("lines,sidecar", [
         ("1\n2\n", '{"kind": "integer", "bound": 1e400}'),
